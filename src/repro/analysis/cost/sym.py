@@ -23,11 +23,10 @@ symbol   meaning
 plus ``ceil``, ``max``/``min``, ``bitlen`` (``int.bit_length``), and two
 model-aware operators that close over ``M`` and ``B`` at evaluation
 time: ``passes(x)`` — the polyphase/multiway merge pass count
-:meth:`repro.pdm.model.PDMConfig.merge_passes` — and ``levels(x)`` — the
-k-way merge depth over ``x`` runs, :func:`repro.obs.audit._merge_levels`.
-Both reproduce those functions *bit for bit* (including the
-float-``log`` rounding) so a statically derived bound and the dynamic
-auditor agree exactly on every concrete substitution.
+:func:`repro.pdm.model.merge_passes` — and ``levels(x)`` — the k-way
+merge depth over ``x`` runs, :func:`repro.pdm.model.merge_levels`.
+Both *call* those functions, so a statically derived bound and the
+dynamic auditor agree exactly on every concrete substitution.
 
 ``Top`` is the explicit unbounded element: it absorbs through ``+``,
 ``*`` (except by a literal zero) and ``max``, evaluates to ``inf``, and
@@ -45,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
+
+from repro.pdm.model import merge_levels, merge_order, merge_passes
 
 #: Names every evaluation environment must bind (see the table above).
 SYMBOLS: tuple[str, ...] = (
@@ -262,20 +263,14 @@ class BitLen(Expr):
         return {"op": "bitlen", "arg": self.arg.to_dict()}
 
 
-def merge_order(env: Mapping[str, float]) -> int:
-    """``max(2, floor(M/B) - 1)`` — :meth:`PDMConfig.merge_order`."""
-    m = int(env["M"] // env["B"])
-    return max(2, m - 1)
-
-
 @dataclass(frozen=True)
 class MergePasses(Expr):
     """Merge passes over ``x`` items: :meth:`PDMConfig.merge_passes`.
 
     Zero when ``x <= M``; otherwise ``max(1, ceil(log_k(ceil(x / M))))``
-    with ``k = merge_order(M, B)`` — evaluated with the same
-    float-``log`` arithmetic as the runtime model, so static and
-    dynamic bounds agree exactly.
+    with ``k = merge_order(M, B)`` — evaluated by the runtime model's own
+    :func:`repro.pdm.model.merge_passes`, so static and dynamic bounds
+    agree exactly.
     """
 
     arg: Expr
@@ -284,11 +279,7 @@ class MergePasses(Expr):
         v = self.arg.eval(env)
         if math.isinf(v):
             return v
-        M = float(env["M"])
-        if v <= M:
-            return 0.0
-        n_runs = math.ceil(v / M)
-        return float(max(1, math.ceil(math.log(n_runs, merge_order(env)))))
+        return float(merge_passes(v, int(env["M"]), int(env["B"])))
 
     def children(self) -> tuple[Expr, ...]:
         return (self.arg,)
@@ -302,7 +293,7 @@ class MergePasses(Expr):
 
 @dataclass(frozen=True)
 class MergeLevels(Expr):
-    """k-way merge depth over ``x`` runs: :func:`repro.obs.audit._merge_levels`."""
+    """k-way merge depth over ``x`` runs: :func:`repro.pdm.model.merge_levels`."""
 
     arg: Expr
 
@@ -310,9 +301,7 @@ class MergeLevels(Expr):
         v = self.arg.eval(env)
         if math.isinf(v):
             return v
-        if v <= 1:
-            return 0.0
-        return float(max(1, math.ceil(math.log(v, merge_order(env)))))
+        return float(merge_levels(v, merge_order(int(env["M"]), int(env["B"]))))
 
     def children(self) -> tuple[Expr, ...]:
         return (self.arg,)

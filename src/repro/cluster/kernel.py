@@ -37,7 +37,7 @@ therefore kernel-independent, which is what the differential harness
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cluster.simclock import barrier
 
@@ -102,8 +102,9 @@ class LockstepKernel(ExecutionKernel):
     """The original BSP semantics: synchronous I/O, step barriers.
 
     Timing is bit-identical to the pre-kernel simulator: every access
-    costs ``access_cost(nbytes) * slowdown / parallelism`` and advances
-    the owning clock immediately; every step is barrier-delimited.
+    is served by :meth:`~repro.pdm.disk.SimDisk.serve_sync` (full service
+    time, owning clock advanced immediately); every step is
+    barrier-delimited.
     """
 
     name = "lockstep"
@@ -117,14 +118,7 @@ class LockstepKernel(ExecutionKernel):
         stream: Optional[str] = None,
         offset: Optional[int] = None,
     ) -> float:
-        cost = (
-            disk.params.access_cost(n_items * itemsize)
-            * disk.slowdown
-            / disk.parallelism
-        )
-        if disk.observer is not None:
-            disk.observer(cost)
-        return cost
+        return disk.serve_sync(n_items, itemsize)
 
     def step_enter(self, nodes: Sequence["SimNode"]) -> None:
         barrier([n.clock for n in nodes])
@@ -182,13 +176,11 @@ class EventKernel(ExecutionKernel):
         stream: Optional[str] = None,
         offset: Optional[int] = None,
     ) -> float:
-        cost = self._service_time(disk, n_items, itemsize, stream, offset)
         owner = disk.owner
         if owner is None:
             # Standalone drive (no cluster): behave synchronously.
-            if disk.observer is not None:
-                disk.observer(cost)
-            return cost
+            return disk.serve_sync(n_items, itemsize)
+        cost = self._service_time(disk, n_items, itemsize, stream, offset)
         clock = owner.clock
         start = max(clock.time, self._disk_free.get(disk.name, 0.0))
         end = start + cost
@@ -235,10 +227,6 @@ class EventKernel(ExecutionKernel):
     def node_time(self, node: "SimNode") -> float:
         return max(node.clock.time, self._rank_free.get(node.rank, 0.0))
 
-    def drive_free_times(self) -> dict[str, float]:
-        """Per-drive timeline snapshot: when each drive's queue drains."""
-        return dict(self._disk_free)
-
     def reset(self) -> None:
         self._pending.clear()
         self._disk_free.clear()
@@ -256,9 +244,3 @@ def make_kernel(kernel: Union[str, ExecutionKernel]) -> ExecutionKernel:
     if kernel == "lockstep":
         return LockstepKernel()
     raise ValueError(f"unknown kernel {kernel!r}; have {list(KERNELS)}")
-
-
-def settle_all(kernel: ExecutionKernel, nodes: Iterable["SimNode"]) -> None:
-    """Settle every node's pending work without a barrier (reset paths)."""
-    if isinstance(kernel, EventKernel):
-        kernel._settle(list(nodes))

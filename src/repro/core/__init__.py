@@ -55,13 +55,11 @@ from repro.core.sampling import (
     select_pivots,
 )
 from repro.core.theory import (
-    StepIOBounds,
     homogeneous_waste_factor,
     ideal_speedup,
     ideal_speedup_vs_fastest,
     load_balance_bound,
     max_duplicate_count,
-    step_io_bounds,
 )
 
 __all__ = [
@@ -83,7 +81,6 @@ __all__ = [
     "PSRSConfig",
     "PSRSResult",
     "PerfVector",
-    "StepIOBounds",
     "assign_buckets",
     "calibrate",
     "distribute_array",
@@ -106,5 +103,4 @@ __all__ = [
     "sort_distributed",
     "sort_in_core",
     "sort_overpartitioned",
-    "step_io_bounds",
 ]

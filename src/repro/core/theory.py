@@ -3,20 +3,18 @@
 * the PSRS load-balance theorem, heterogeneous form (paper §4): the
   final amount of data on node i is at most ``2 * l_i`` (its initial
   performance-proportional portion) plus ``d`` for duplicate keys
-  (§3.1: "the upper bound with d duplicates becomes U + d");
-* the per-step I/O bounds of Algorithm 1;
-* the PDM sort bound of Theorem 1 (delegated to
-  :class:`~repro.pdm.model.PDMConfig`).
+  (§3.1: "the upper bound with d duplicates becomes U + d").
+
+The per-step I/O bounds of Algorithm 1 are the auditor's
+(:mod:`repro.obs.audit`); the PDM sort bound of Theorem 1 is
+:class:`~repro.pdm.model.PDMConfig`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.perf import PerfVector
-from repro.pdm.model import PDMConfig
 
 
 def load_balance_bound(n: int, perf: PerfVector, i: int, d_duplicates: int = 0) -> float:
@@ -35,62 +33,6 @@ def max_duplicate_count(data: np.ndarray) -> int:
         return 0
     _, counts = np.unique(arr, return_counts=True)
     return int(counts.max())
-
-
-@dataclass(frozen=True)
-class StepIOBounds:
-    """Per-step item-I/O upper bounds of Algorithm 1 for one node."""
-
-    step1_local_sort: float
-    step2_sampling: float
-    step3_partition: float
-    step4_redistribute: float
-    step5_final_merge: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.step1_local_sort
-            + self.step2_sampling
-            + self.step3_partition
-            + self.step4_redistribute
-            + self.step5_final_merge
-        )
-
-
-def step_io_bounds(
-    l_i: int,
-    perf: PerfVector,
-    i: int,
-    M: int,
-    B: int,
-    d_duplicates: int = 0,
-) -> StepIOBounds:
-    """Paper §4 per-step bounds, in item I/Os, for node i.
-
-    * step 1: ``2 l_i (1 + ceil(log_m l_i))``,
-    * step 2: ``L = (p-1) perf[i]`` sample reads ("very inferior" to step 1),
-    * step 3: ``2 Q`` where Q = l_i (read + write of the portion),
-    * step 4: ``2 l_i'`` with l_i' the received volume, itself <= the
-      load-balance bound,
-    * step 5: ``2 l_i' (1 + ceil(log_m l_i'))`` with l_i' <= 2 l_i + d.
-    """
-    cfg = PDMConfig(N=max(l_i, 1), M=M, B=B)
-    received_bound = load_balance_bound(
-        # l_i is node i's share of n; reconstruct n from it for the bound
-        # n * perf[i]/total = l_i  =>  n = l_i * total / perf[i]
-        round(l_i * perf.total / perf[i]) if l_i else 0,
-        perf,
-        i,
-        d_duplicates,
-    )
-    return StepIOBounds(
-        step1_local_sort=cfg.step1_io_bound(l_i),
-        step2_sampling=float((perf.p - 1) * perf[i]),
-        step3_partition=2.0 * l_i,
-        step4_redistribute=2.0 * received_bound,
-        step5_final_merge=cfg.step1_io_bound(int(np.ceil(received_bound))),
-    )
 
 
 def ideal_speedup(perf: PerfVector) -> float:

@@ -51,7 +51,7 @@ from repro.core.perf import PerfVector
 from repro.core.theory import load_balance_bound
 from repro.metrics.report import Table
 from repro.obs.events import BlockRead, BlockWrite, Event
-from repro.pdm.model import PDMConfig
+from repro.pdm.model import PDMConfig, merge_levels
 
 #: Step-1/5 slack for polyphase dummy-run padding — the same factor the
 #: I/O-complexity benchmark gate allows (benchmarks/test_io_complexity.py).
@@ -227,13 +227,6 @@ class AuditReport:
         }
 
 
-def _merge_levels(n_runs: int, k: int) -> int:
-    """Passes a k-way merge needs over ``n_runs`` runs."""
-    if n_runs <= 1:
-        return 0
-    return max(1, math.ceil(math.log(n_runs, k)))
-
-
 def _bound_for(
     step: str,
     node: int,
@@ -279,7 +272,7 @@ def _bound_for(
         lb = int(math.ceil(received_bound))
         if cfg is not None and k is not None:
             paper = cfg.step1_io_bound(lb)
-            runs = 2.0 * lb * max(1, _merge_levels(p, k))
+            runs = 2.0 * lb * max(1, merge_levels(p, k))
             base = max(paper, runs)
         else:
             base = 2.0 * lb

@@ -27,18 +27,12 @@ from repro.obs.profiler.model import (
     HardwareMeta,
     Segment,
 )
-from repro.obs.profiler.replay import (
-    Op,
-    ReplayParams,
-    ReplayResult,
-    extract_ops,
-    replay,
-)
+from repro.obs.profiler.replay import Op, extract_ops, replay
 from repro.obs.profiler.timeline import Timeline, build_timeline, merge_intervals
 from repro.obs.profiler.whatif import WhatIfError, WhatIfResult, predict
 
 if TYPE_CHECKING:
-    from repro.cluster.machine import Cluster
+    from repro.cluster.machine import Cluster, ClusterSpec
 
 __all__ = [
     "BarrierGroup",
@@ -48,8 +42,6 @@ __all__ = [
     "CriticalPath",
     "HardwareMeta",
     "Op",
-    "ReplayParams",
-    "ReplayResult",
     "RunProfile",
     "Segment",
     "StepBlame",
@@ -106,22 +98,23 @@ class RunProfile:
             self._ops = extract_ops(self.events, self.hw)
         return self._ops
 
-    def baseline_replay(self) -> ReplayResult:
-        """Model replay under the run's own parameters (fidelity check)."""
-        return replay(
-            self.ops, ReplayParams.from_hw(self.hw), n_nodes=self.timeline.n_nodes
-        )
+    def baseline_replay(self) -> float:
+        """Elapsed time of a replay on the run's own machine (fidelity check)."""
+        return replay(self.ops, self._machine(), self.hw.kernel)
 
     def what_if(self, spec: str) -> WhatIfResult:
         """Predicted elapsed time under a hypothetical change."""
         return predict(
             self.ops,
-            ReplayParams.from_hw(self.hw),
+            self._machine(),
+            self.hw.kernel,
             spec,
             recorded_elapsed=self.elapsed,
-            n_nodes=self.timeline.n_nodes,
             block_items=self.block_items,
         )
+
+    def _machine(self) -> ClusterSpec:
+        return self.hw.cluster_spec(self.timeline.n_nodes)
 
     def to_dict(self, whatifs: Iterable[str] = ()) -> dict:
         """JSON-ready report (what the CLI's ``--format json`` prints)."""

@@ -18,10 +18,12 @@ Two kinds of objects live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
-if TYPE_CHECKING:
-    from repro.cluster.machine import Cluster
+from repro.cluster.machine import Cluster, ClusterSpec, NodeSpec
+from repro.cluster.network import LinkModel
+from repro.cluster.node import CpuParams
+from repro.pdm.disk import DiskParams
 
 # -- segment kinds ----------------------------------------------------------
 
@@ -106,7 +108,7 @@ class HardwareMeta:
     packet_bytes: int = 32 * 1024
 
     @staticmethod
-    def from_cluster(cluster: "Cluster") -> "HardwareMeta":
+    def from_cluster(cluster: Cluster) -> "HardwareMeta":
         """Snapshot a live cluster's cost-model parameters."""
         node0 = cluster.nodes[0]
         spec0 = cluster.spec.nodes[0]
@@ -125,6 +127,40 @@ class HardwareMeta:
             link_mtu_bytes=link.mtu_bytes,
             link_name=link.name,
             packet_bytes=cluster.network.packet_bytes,
+        )
+
+    @property
+    def link(self) -> LinkModel:
+        """The recorded interconnect."""
+        return LinkModel(
+            latency=self.link_latency,
+            bandwidth=self.link_bandwidth,
+            name=self.link_name,
+            small_message_overhead=self.link_small_overhead,
+            mtu_bytes=self.link_mtu_bytes,
+        )
+
+    def cluster_spec(self, n_nodes: int) -> ClusterSpec:
+        """The recorded machine as a buildable spec (inverse of
+        :meth:`from_cluster`).  Nodes beyond the recorded speed vector
+        (a log with no ``hw`` head) run at speed 1."""
+        speeds = self.speeds + (1.0,) * (max(n_nodes, 1) - len(self.speeds))
+        disk = DiskParams(seek_time=self.seek_time, bandwidth=self.disk_bandwidth)
+        cpu = CpuParams(seconds_per_op=self.seconds_per_op)
+        return ClusterSpec(
+            nodes=tuple(
+                NodeSpec(
+                    name=f"node{i}",
+                    speed=s,
+                    disk=disk,
+                    cpu=cpu,
+                    io_scaled_by_speed=self.io_scaled_by_speed,
+                    n_disks=self.n_disks,
+                )
+                for i, s in enumerate(speeds)
+            ),
+            link=self.link,
+            packet_bytes=self.packet_bytes,
         )
 
     def to_dict(self) -> dict:

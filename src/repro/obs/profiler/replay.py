@@ -1,28 +1,30 @@
-"""Model-driven replay: re-cost a recorded operation sequence.
+"""Replay: re-run a recorded operation sequence on a real cluster.
 
 The what-if engine's core.  A recorded run is reduced to its *operation
 sequence* — every compute charge, block access, message and rendezvous,
-in emission order — and re-executed against the same scheduling
-semantics the kernels implement (write-behind drive timelines, seek
-amortization, channel-serialized rendezvous transfers), but with costs
-recomputed from a :class:`ReplayParams` instead of read from the log.
+in emission order — and fed to the production scheduling surfaces of a
+freshly built :class:`~repro.cluster.machine.Cluster`: the execution
+kernel's ``on_io`` and ``sync``, :meth:`Network.transfer
+<repro.cluster.network.Network.transfer>` and :meth:`SimNode.compute
+<repro.cluster.node.SimNode.compute>`.  Costs are therefore recomputed
+by the very code that produced the log, from the
+:class:`~repro.cluster.machine.ClusterSpec` the replay is given.
 
-Replaying with the run's own recorded parameters reproduces its elapsed
-time up to the stream's untracked residue; replaying with modified
-parameters predicts the elapsed time of the hypothetical run — valid as
-long as the change keeps the operation *sequence* itself invariant
-(uniform speed scaling, disk count, any network change).  Changes that
-alter scheduling decisions (block size changes the merge arity, perf
-ratios move partition boundaries) are first-order approximations and
-are flagged as such by the what-if layer.
+Replaying on the run's own spec reproduces its elapsed time exactly;
+replaying on an edited spec gives the elapsed time of the hypothetical
+run — exactly, as long as the edit keeps the operation *sequence* itself
+invariant (uniform speed scaling, disk count, any disk, CPU or network
+parameter).  Edits that alter scheduling decisions (block size changes
+the merge arity, perf ratios move partition boundaries) are first-order
+approximations and are flagged as such by the what-if layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from repro.cluster.network import LinkModel
+from repro.cluster.machine import Cluster, ClusterSpec
 from repro.obs.events import (
     BarrierWait,
     BlockRead,
@@ -46,7 +48,6 @@ class Op:
     node: int = -1
     step: str = ""
     ops: float = 0.0           # compute
-    disk: str = ""             # read/write
     nbytes: int = 0            # read/write/xfer
     stream: str = ""           # read/write
     offset: int = -1           # read/write
@@ -58,12 +59,7 @@ class Op:
 def extract_ops(events: Iterable[Event], hw: HardwareMeta) -> list[Op]:
     """Reduce a recorded stream to its replayable operation sequence."""
     stream = list(events)
-    link = LinkModel(
-        latency=hw.link_latency,
-        bandwidth=hw.link_bandwidth,
-        small_message_overhead=hw.link_small_overhead,
-        mtu_bytes=hw.link_mtu_bytes,
-    )
+    link = hw.link
     ops: list[Op] = []
     i = 0
     while i < len(stream):
@@ -106,7 +102,6 @@ def extract_ops(events: Iterable[Event], hw: HardwareMeta) -> list[Op]:
                     kind="read" if isinstance(ev, BlockRead) else "write",
                     node=ev.node,
                     step=ev.step,
-                    disk=ev.disk,
                     nbytes=ev.n_items * ev.itemsize,
                     stream=ev.stream,
                     offset=ev.offset,
@@ -134,208 +129,47 @@ def extract_ops(events: Iterable[Event], hw: HardwareMeta) -> list[Op]:
     return ops
 
 
-# -- replay parameters -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReplayParams:
-    """Cost-model parameters for one replay (baseline or hypothetical)."""
-
-    kernel: str
-    speeds: tuple[float, ...]
-    io_scaled_by_speed: bool
-    seek_time: float
-    disk_bandwidth: float
-    n_disks: int
-    seconds_per_op: float
-    link: LinkModel
-    packet_bytes: int
-    #: Per-node data-volume ratio vs. the recorded run (first-order
-    #: correction when a perf change moves the partition shares).
-    volume_scale: tuple[float, ...] = ()
-    #: Block-access count multiplier (block-size what-ifs): each
-    #: recorded access is treated as ``io_split`` accesses moving the
-    #: same total payload.
-    io_split: float = 1.0
-
-    @staticmethod
-    def from_hw(hw: HardwareMeta) -> "ReplayParams":
-        return ReplayParams(
-            kernel=hw.kernel,
-            speeds=tuple(hw.speeds),
-            io_scaled_by_speed=hw.io_scaled_by_speed,
-            seek_time=hw.seek_time,
-            disk_bandwidth=hw.disk_bandwidth,
-            n_disks=hw.n_disks,
-            seconds_per_op=hw.seconds_per_op,
-            link=LinkModel(
-                latency=hw.link_latency,
-                bandwidth=hw.link_bandwidth,
-                name=hw.link_name,
-                small_message_overhead=hw.link_small_overhead,
-                mtu_bytes=hw.link_mtu_bytes,
-            ),
-            packet_bytes=hw.packet_bytes,
-        )
-
-    def speed(self, node: int) -> float:
-        if 0 <= node < len(self.speeds):
-            return self.speeds[node]
-        return 1.0
-
-    def volume(self, node: int) -> float:
-        if 0 <= node < len(self.volume_scale):
-            return self.volume_scale[node]
-        return 1.0
-
-
-def with_speeds(params: ReplayParams, speeds: Sequence[float]) -> ReplayParams:
-    """Swap the perf vector, deriving the first-order volume correction.
-
-    The algorithm partitions data proportionally to relative speed, so
-    changing the *ratios* moves each node's share; the recorded byte
-    counts are scaled by ``new_share / old_share`` as a first-order
-    model.  Uniform scaling leaves every share — and the operation
-    sequence — untouched.
-    """
-    old = params.speeds
-    if len(speeds) != len(old) or not old:
-        return replace(params, speeds=tuple(speeds))
-    sum_old = sum(old)
-    sum_new = sum(speeds)
-    scale = tuple(
-        (s / sum_new) / (o / sum_old) if o > 0 else 1.0 for s, o in zip(speeds, old)
-    )
-    return replace(params, speeds=tuple(speeds), volume_scale=scale)
-
-
-# -- the replay machine ------------------------------------------------------
-
-
-@dataclass
-class ReplayResult:
-    elapsed: float
-    #: Per-node finish times (pending write-behind included).
-    node_times: list[float]
-    compute_seconds: float = 0.0
-    io_seconds: float = 0.0
-    net_seconds: float = 0.0
-
-
-class _Machine:
-    """Mirror of the kernels' scheduling state, driven by an op list."""
-
-    def __init__(self, params: ReplayParams, n_nodes: int) -> None:
-        self.p = params
-        self.n = n_nodes
-        self.clock = [0.0] * n_nodes
-        self.rank_free = [0.0] * n_nodes
-        self.out_free = [0.0] * n_nodes
-        self.in_free = [0.0] * n_nodes
-        self.disk_free: dict[str, float] = {}
-        self.streams: dict[tuple[str, str], int] = {}
-        self.compute_seconds = 0.0
-        self.io_seconds = 0.0
-        self.net_seconds = 0.0
-
-    def _slowdown(self, node: int) -> float:
-        return (1.0 / self.p.speed(node)) if self.p.io_scaled_by_speed else 1.0
-
-    def _io_cost(self, op: Op) -> float:
-        """Service time of one recorded access under the replay params."""
-        p = self.p
-        nbytes = op.nbytes * p.volume(op.node)
-        seek = p.seek_time
-        if p.kernel == "event" and op.stream and op.offset >= 0:
-            key = (op.disk, op.stream)
-            if self.streams.get(key) == op.offset:
-                seek = 0.0  # sequential continuation: seek amortized
-            self.streams[key] = op.offset + 1
-        if p.io_split != 1.0:
-            # Block-size what-if: the same payload moves in io_split
-            # accesses, each paying the (possibly amortized) seek.
-            seek *= max(1.0, p.io_split)
-        cost = (seek + nbytes / p.disk_bandwidth) * self._slowdown(op.node) / p.n_disks
-        return cost
-
-    def run(self, ops: Iterable[Op]) -> ReplayResult:
-        for op in ops:
-            getattr(self, "_op_" + op.kind)(op)
-        times = [max(c, f) for c, f in zip(self.clock, self.rank_free)]
-        return ReplayResult(
-            elapsed=max(times, default=0.0),
-            node_times=times,
-            compute_seconds=self.compute_seconds,
-            io_seconds=self.io_seconds,
-            net_seconds=self.net_seconds,
-        )
-
-    # -- op handlers -------------------------------------------------------
-
-    def _op_compute(self, op: Op) -> None:
-        seconds = op.ops * self.p.volume(op.node) * self.p.seconds_per_op / self.p.speed(op.node)
-        self.clock[op.node] += seconds
-        self.compute_seconds += seconds
-
-    def _op_read(self, op: Op) -> None:
-        cost = self._io_cost(op)
-        self.io_seconds += cost
-        n = op.node
-        if self.p.kernel == "event":
-            start = max(self.clock[n], self.disk_free.get(op.disk, 0.0))
-            end = start + cost
-            self.disk_free[op.disk] = end
-            self.clock[n] = max(self.clock[n], end)
-        else:
-            self.clock[n] += cost
-
-    def _op_write(self, op: Op) -> None:
-        cost = self._io_cost(op)
-        self.io_seconds += cost
-        n = op.node
-        if self.p.kernel == "event":
-            start = max(self.clock[n], self.disk_free.get(op.disk, 0.0))
-            end = start + cost
-            self.disk_free[op.disk] = end
-            if end > self.rank_free[n]:
-                self.rank_free[n] = end
-        else:
-            self.clock[n] += cost
-
-    def _op_xfer(self, op: Op) -> None:
-        src, dst = op.node, op.dst
-        scale = self.p.volume(dst)
-        nbytes = int(round(op.nbytes * scale)) if scale != 1.0 else op.nbytes
-        dur = self.p.link.message_time(nbytes, self.p.packet_bytes) + op.extra
-        self.net_seconds += dur
-        start = max(self.clock[src], self.out_free[src], self.in_free[dst])
-        end = start + dur
-        self.out_free[src] = end
-        self.in_free[dst] = end
-        self.clock[src] = max(self.clock[src], end)
-        self.clock[dst] = max(self.clock[dst], end)
-
-    def _op_barrier(self, op: Op) -> None:
-        ranks = [r for r in op.ranks if 0 <= r < self.n]
-        if not ranks:
-            return
-        t1 = max(max(self.clock[r], self.rank_free[r]) for r in ranks)
-        for r in ranks:
-            self.clock[r] = t1
-            self.rank_free[r] = 0.0
-
-    def _op_backoff(self, op: Op) -> None:
-        ranks = range(self.n) if op.node < 0 else [op.node]
-        for r in ranks:
-            self.clock[r] += op.extra
+# -- the replay driver -------------------------------------------------------
 
 
 def replay(
-    ops: Sequence[Op], params: ReplayParams, n_nodes: Optional[int] = None
-) -> ReplayResult:
-    """Re-execute an operation sequence under the given parameters."""
-    if n_nodes is None:
-        n_nodes = len(params.speeds)
-        for op in ops:
-            n_nodes = max(n_nodes, op.node + 1, op.dst + 1, *(r + 1 for r in op.ranks or (0,)))
-    return _Machine(params, n_nodes).run(ops)
+    ops: Iterable[Op],
+    spec: ClusterSpec,
+    kernel: str,
+    volume_scale: Sequence[float] = (),
+) -> float:
+    """Run an operation sequence on a cluster built from ``spec``;
+    returns its elapsed time (pending write-behind included).
+
+    ``volume_scale`` is the one correction no machine can express: a
+    per-node data-volume ratio vs. the recorded run, applied to that
+    node's compute charges, block payloads and received messages (the
+    first-order model of a perf edit that moves the partition shares).
+    """
+    cluster = Cluster(spec, kernel=kernel)
+    nodes, network, sched = cluster.nodes, cluster.network, cluster.kernel
+    volume = list(volume_scale) or [1.0] * spec.p
+    for op in ops:
+        if op.kind == "compute":
+            nodes[op.node].compute(op.ops * volume[op.node])
+        elif op.kind in ("read", "write"):
+            sched.on_io(
+                nodes[op.node].disk,
+                op.kind,
+                op.nbytes * volume[op.node],  # the payload, as 1-byte items
+                1,
+                op.stream or None,
+                op.offset if op.offset >= 0 else None,
+            )
+        elif op.kind == "xfer":
+            scale = volume[op.dst]
+            nbytes = int(round(op.nbytes * scale)) if scale != 1.0 else op.nbytes
+            # The recorded fault surcharge rides the injector's own hook.
+            network.fault_hook = lambda *_, extra=op.extra: extra
+            network.transfer(nodes[op.node], nodes[op.dst], nbytes)
+        elif op.kind == "barrier":
+            sched.sync([nodes[r] for r in op.ranks])
+        else:  # backoff: a retry pause, cluster-wide when node < 0
+            for node in nodes if op.node < 0 else [nodes[op.node]]:
+                node.clock.advance(op.extra)
+    return cluster.elapsed()

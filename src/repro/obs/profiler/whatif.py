@@ -2,17 +2,19 @@
 
 A scenario is a small spec string, e.g. ``perf=2,2,8,8``, ``disks=4``,
 ``net=myrinet`` or ``net.latency=1e-3``; clauses combine with ``;`` or
-whitespace (``"disks=4; net=myrinet"``).  The engine edits the run's
-:class:`~repro.obs.profiler.replay.ReplayParams` accordingly, replays
-the recorded operation sequence twice — once with the run's own
-parameters, once with the edit — and scales the recorded elapsed time
-by the ratio of the two model times:
+whitespace (``"disks=4; net=myrinet"``).  The engine edits the recorded
+machine's :class:`~repro.cluster.machine.ClusterSpec` accordingly and
+replays the recorded operation sequence on a real cluster built from it
+(:func:`~repro.obs.profiler.replay.replay`) — once on the run's own
+spec, once on the edit — and scales the recorded elapsed time by the
+ratio of the two model times:
 
     predicted = recorded_elapsed * T_model(edited) / T_model(baseline)
 
-The ratio form cancels the model's systematic drift (untracked residue,
-coalesced compute), which is what keeps predictions within a few
-percent of actual re-runs for sequence-preserving changes.
+Replay runs the production kernels, so ``T_model(baseline)`` equals the
+recorded elapsed time and a sequence-preserving edit predicts the real
+re-run exactly; the ratio form only matters for logs captured below
+level ``full``, whose compute is missing from both model times.
 
 Supported clauses
 -----------------
@@ -26,9 +28,10 @@ Supported clauses
 ``disk.seek=S``        per-access seek/overhead, seconds
 ``disk.bandwidth=B``   drive bandwidth, bytes/second
 ``cpu=S``              seconds per abstract operation
-``block=ITEMS``        block size (approximate: the merge order of the
-                       real algorithm depends on B, which a replay
-                       cannot reproduce)
+``block=ITEMS``        block size (approximate: every recorded access
+                       pays the seek ``old_B / ITEMS`` times; the merge
+                       order of the real algorithm depends on B, which
+                       a replay cannot reproduce)
 
 Changes that move partition shares (non-uniform ``perf`` edits) apply a
 first-order per-node volume correction and are flagged ``approximate``,
@@ -38,15 +41,12 @@ as is ``block=``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from repro.cluster.machine import ClusterSpec, NodeSpec
 from repro.cluster.network import FAST_ETHERNET, MYRINET
-from repro.obs.profiler.replay import (
-    Op,
-    ReplayParams,
-    replay,
-    with_speeds,
-)
+from repro.obs.profiler.replay import Op, replay
+from repro.pdm.disk import DiskParams
 
 #: Link presets addressable from a scenario spec.
 LINK_PRESETS = {
@@ -100,52 +100,83 @@ def _clauses(spec: str) -> list[tuple[str, str]]:
     return out
 
 
+def _each_node(spec: ClusterSpec, edit: Callable[[NodeSpec], NodeSpec]) -> ClusterSpec:
+    return replace(spec, nodes=tuple(edit(ns) for ns in spec.nodes))
+
+
+def _each_disk(spec: ClusterSpec, edit: Callable[[DiskParams], DiskParams]) -> ClusterSpec:
+    return _each_node(spec, lambda ns: replace(ns, disk=edit(ns.disk)))
+
+
 def apply_spec(
-    params: ReplayParams, spec: str, block_items: Optional[int] = None
-) -> tuple[ReplayParams, bool]:
-    """Apply a scenario spec; returns (edited params, approximate flag)."""
+    base: ClusterSpec, spec: str, block_items: Optional[int] = None
+) -> tuple[ClusterSpec, tuple[float, ...], bool]:
+    """Apply a scenario spec to the recorded machine.
+
+    Returns ``(edited machine, volume_scale, approximate)``.  The
+    algorithm partitions data proportionally to relative speed, so a
+    ``perf`` edit that changes the *ratios* moves each node's share;
+    ``volume_scale`` is the first-order ``new_share / recorded_share``
+    per node (empty when the shares, and so the operation sequence, are
+    untouched).
+    """
+    edited = base
+    volume_scale: tuple[float, ...] = ()
+    seek_factor = 1.0
     approximate = False
     for key, value in _clauses(spec):
         try:
             if key == "perf":
                 speeds = tuple(float(v) for v in value.split(","))
-                if params.speeds and len(speeds) != len(params.speeds):
-                    raise WhatIfError(
-                        f"perf needs {len(params.speeds)} values, got {len(speeds)}"
-                    )
+                if len(speeds) != base.p:
+                    raise WhatIfError(f"perf needs {base.p} values, got {len(speeds)}")
                 if any(s <= 0 for s in speeds):
                     raise WhatIfError("perf values must be > 0")
-                old_shares = _shares(params.speeds)
-                params = with_speeds(params, speeds)
-                approximate = approximate or _shares(speeds) != old_shares
+                edited = replace(
+                    edited,
+                    nodes=tuple(
+                        replace(ns, speed=s) for ns, s in zip(edited.nodes, speeds)
+                    ),
+                )
+                old, new = _shares([ns.speed for ns in base.nodes]), _shares(speeds)
+                if [round(x, 12) for x in new] != [round(x, 12) for x in old]:
+                    volume_scale = tuple(n / o for n, o in zip(new, old))
+                    approximate = True
+                else:
+                    volume_scale = ()
             elif key == "disks":
-                d = int(value)
-                if d < 1:
+                n_disks = int(value)
+                if n_disks < 1:
                     raise WhatIfError("disks must be >= 1")
-                params = replace(params, n_disks=d)
+                edited = _each_node(edited, lambda ns: replace(ns, n_disks=n_disks))
             elif key == "net":
                 preset = LINK_PRESETS.get(value.lower())
                 if preset is None:
                     raise WhatIfError(
                         f"unknown link preset {value!r}; have {sorted(LINK_PRESETS)}"
                     )
-                params = replace(params, link=preset)
+                edited = edited.with_link(preset)
             elif key == "net.latency":
-                params = replace(params, link=replace(params.link, latency=float(value)))
+                edited = edited.with_link(replace(edited.link, latency=float(value)))
             elif key == "net.bandwidth":
-                params = replace(params, link=replace(params.link, bandwidth=float(value)))
+                edited = edited.with_link(replace(edited.link, bandwidth=float(value)))
             elif key == "net.overhead":
-                params = replace(
-                    params, link=replace(params.link, small_message_overhead=float(value))
+                edited = edited.with_link(
+                    replace(edited.link, small_message_overhead=float(value))
                 )
             elif key == "packet":
-                params = replace(params, packet_bytes=int(value))
+                edited = edited.with_packet_bytes(int(value))
             elif key == "disk.seek":
-                params = replace(params, seek_time=float(value))
+                seek = float(value)
+                edited = _each_disk(edited, lambda d: replace(d, seek_time=seek))
             elif key == "disk.bandwidth":
-                params = replace(params, disk_bandwidth=float(value))
+                bw = float(value)
+                edited = _each_disk(edited, lambda d: replace(d, bandwidth=bw))
             elif key == "cpu":
-                params = replace(params, seconds_per_op=float(value))
+                cpu = float(value)
+                edited = _each_node(
+                    edited, lambda ns: replace(ns, cpu=replace(ns.cpu, seconds_per_op=cpu))
+                )
             elif key == "block":
                 new_b = int(value)
                 if new_b < 1:
@@ -155,7 +186,9 @@ def apply_spec(
                         "block= what-if needs the run's block size "
                         "(run_meta.block_items missing from the log)"
                     )
-                params = replace(params, io_split=block_items / new_b)
+                # The same payload moves in block_items / new_b accesses,
+                # each paying the (possibly amortized) seek.
+                seek_factor = max(1.0, block_items / new_b)
                 approximate = True
             else:
                 raise WhatIfError(f"unknown what-if key {key!r}")
@@ -163,25 +196,29 @@ def apply_spec(
             raise
         except ValueError as exc:
             raise WhatIfError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-    return params, approximate
+    if seek_factor != 1.0:
+        edited = _each_disk(
+            edited, lambda d: replace(d, seek_time=d.seek_time * seek_factor)
+        )
+    return edited, volume_scale, approximate
 
 
 def predict(
     ops: Sequence[Op],
-    baseline: ReplayParams,
+    base: ClusterSpec,
+    kernel: str,
     spec: str,
     recorded_elapsed: float,
-    n_nodes: Optional[int] = None,
     block_items: Optional[int] = None,
 ) -> WhatIfResult:
     """Predict the elapsed time of a run under a hypothetical change."""
-    edited, approximate = apply_spec(baseline, spec, block_items=block_items)
-    base = replay(ops, baseline, n_nodes=n_nodes)
-    what = replay(ops, edited, n_nodes=n_nodes)
-    if base.elapsed > 0:
-        predicted = recorded_elapsed * what.elapsed / base.elapsed
+    edited, volume_scale, approximate = apply_spec(base, spec, block_items=block_items)
+    base_model = replay(ops, base, kernel)
+    what_model = replay(ops, edited, kernel, volume_scale)
+    if base_model > 0:
+        predicted = recorded_elapsed * what_model / base_model
     else:
-        predicted = what.elapsed
+        predicted = what_model
     speedup = (recorded_elapsed / predicted) if predicted > 0 else float("inf")
     return WhatIfResult(
         scenario=spec,
@@ -189,13 +226,11 @@ def predict(
         recorded_elapsed=recorded_elapsed,
         speedup=speedup,
         approximate=approximate,
-        baseline_model=base.elapsed,
-        whatif_model=what.elapsed,
+        baseline_model=base_model,
+        whatif_model=what_model,
     )
 
 
-def _shares(speeds: tuple[float, ...]) -> tuple[float, ...]:
+def _shares(speeds: Sequence[float]) -> list[float]:
     total = sum(speeds)
-    if total <= 0:
-        return speeds
-    return tuple(round(s / total, 12) for s in speeds)
+    return [s / total for s in speeds]

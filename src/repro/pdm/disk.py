@@ -220,13 +220,18 @@ class SimDisk:
     ) -> float:
         """Map one access to simulated time via the attached kernel.
 
-        Without a kernel (standalone drives, unit tests) the legacy
-        synchronous model applies: full ``seek + transfer`` service time,
-        observer (the owning clock) advanced immediately.
+        Without a kernel (standalone drives, unit tests) the synchronous
+        model of :meth:`serve_sync` applies.
         """
         self.last_queued = -1.0  # synchronous unless the kernel says otherwise
         if self.kernel is not None:
             return self.kernel.on_io(self, op, n_items, itemsize, stream, offset)
+        return self.serve_sync(n_items, itemsize)
+
+    def serve_sync(self, n_items: int, itemsize: int) -> float:
+        """The synchronous model: one access costs the full ``seek +
+        transfer`` service time and the observer (the owning clock) is
+        advanced by it immediately."""
         cost = (
             self.params.access_cost(n_items * itemsize)
             * self.slowdown

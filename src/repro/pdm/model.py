@@ -17,6 +17,31 @@ import math
 from dataclasses import dataclass
 
 
+def merge_order(M: int, B: int) -> int:
+    """Largest merge arity sustainable in memory ``M``.
+
+    A k-way external merge needs one B-item input buffer per run plus
+    one B-item output buffer, so ``k = floor(M/B) - 1`` (at least 2).
+    """
+    return max(2, M // B - 1)
+
+
+def merge_levels(n_runs: float, k: int) -> int:
+    """Passes a k-way merge needs over ``n_runs`` runs."""
+    if n_runs <= 1:
+        return 0
+    return max(1, math.ceil(math.log(n_runs, k)))
+
+
+def merge_passes(n_items: float, M: int, B: int) -> int:
+    """Merge passes over ``n_items`` items: none when they fit in ``M``,
+    else the :func:`merge_levels` of their ``ceil(n_items / M)`` initial
+    memory-load runs at the full :func:`merge_order`."""
+    if n_items <= M:
+        return 0
+    return merge_levels(-(-n_items // M), merge_order(M, B))
+
+
 @dataclass(frozen=True)
 class PDMConfig:
     """Parameters of the Parallel Disk Model.
@@ -79,12 +104,8 @@ class PDMConfig:
         return 1 <= self.D * self.B <= self.M / 2
 
     def merge_order(self) -> int:
-        """Largest merge arity sustainable in memory ``M``.
-
-        A k-way external merge needs one B-item input buffer per run plus
-        one B-item output buffer, so ``k = m - 1`` (at least 2).
-        """
-        return max(2, self.m - 1)
+        """Largest merge arity sustainable in memory ``M``."""
+        return merge_order(self.M, self.B)
 
     def merge_passes(self, n_items: int | None = None) -> int:
         """Number of merge passes over the data, ``ceil(log_m n)``.
@@ -92,12 +113,7 @@ class PDMConfig:
         This is the ``(1 + ceil(log_m l_i))`` factor (minus the initial
         run-formation pass) in the paper's step-1 I/O bound.
         """
-        N = self.N if n_items is None else n_items
-        if N <= self.M:
-            return 0
-        n_runs = -(-N // self.M)  # initial memory-load runs
-        k = self.merge_order()
-        return max(1, math.ceil(math.log(n_runs, k)))
+        return merge_passes(self.N if n_items is None else n_items, self.M, self.B)
 
     def sort_io_bound(self, n_items: int | None = None) -> float:
         """Theorem 1: ``Sort(N) = (n/D) * max(1, log_m n)`` block I/Os.

@@ -12,7 +12,6 @@ from repro.core.theory import (
     ideal_speedup_vs_fastest,
     load_balance_bound,
     max_duplicate_count,
-    step_io_bounds,
 )
 from repro.metrics.expansion import partition_stats
 from repro.metrics.report import Table, format_table
@@ -90,20 +89,6 @@ class TestTheory:
 
     def test_homogeneous_waste_is_one_for_homogeneous(self):
         assert homogeneous_waste_factor(PerfVector([2, 2, 2])) == pytest.approx(1.0)
-
-    def test_step_io_bounds_total(self):
-        perf = PerfVector([1, 3])
-        b = step_io_bounds(3000, perf, 1, M=512, B=64)
-        assert b.step1_local_sort > 0
-        assert b.step2_sampling == (perf.p - 1) * perf[1]
-        assert b.step3_partition == 6000
-        assert b.total == pytest.approx(
-            b.step1_local_sort
-            + b.step2_sampling
-            + b.step3_partition
-            + b.step4_redistribute
-            + b.step5_final_merge
-        )
 
 
 class TestPartitionStats:

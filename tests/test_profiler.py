@@ -165,15 +165,13 @@ class TestReplayAndWhatIf:
         """Replaying the op sequence under the run's own parameters
         reproduces the recorded elapsed time."""
         _, res, prof = baseline
-        model = prof.baseline_replay()
-        assert model.elapsed == pytest.approx(res.elapsed, rel=1e-12)
+        assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     def test_baseline_replay_fidelity_lockstep(self):
         cluster, res = run_sort([1, 1, 4, 4], n=2**15, kernel="lockstep")
         prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
         assert prof.hw.kernel == "lockstep"
-        model = prof.baseline_replay()
-        assert model.elapsed == pytest.approx(res.elapsed, rel=1e-12)
+        assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     def test_replay_of_log_without_hw_head(self):
         """A log with no ``hw`` head replays on the stock hardware, with
@@ -181,8 +179,7 @@ class TestReplayAndWhatIf:
         cluster, res = run_sort([1, 1, 1], n=2**14)
         prof = profile_from_jsonl_meta({}, cluster.bus.events)
         assert prof.hw == HardwareMeta()
-        model = prof.baseline_replay()
-        assert model.elapsed == pytest.approx(res.elapsed, rel=1e-12)
+        assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", ["event", "lockstep"])
     def test_replay_of_faulty_degraded_log(self, kernel):
@@ -209,8 +206,7 @@ class TestReplayAndWhatIf:
         assert "backoff" in kinds
         assert any(op.kind == "xfer" and op.extra > 0 for op in prof.ops)
         assert any(op.kind == "barrier" and len(op.ranks) == 3 for op in prof.ops)
-        model = prof.baseline_replay()
-        assert model.elapsed == pytest.approx(res.elapsed, rel=1e-12)
+        assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     @pytest.mark.parametrize(
         "spec, rerun_kwargs",
