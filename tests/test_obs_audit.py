@@ -1,6 +1,7 @@
 """End-to-end tests for the bounds auditor and its CLI surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,46 @@ class TestAuditE2E:
         assert StepNodeIO(items_read=3, items_written=4).item_ios == 7
 
 
+DATA = Path(__file__).parent / "data"
+
+#: Block-quantised bound and note per (numbered step, node) for every
+#: audited BENCH_sort.json run, every fuzz-corpus scenario, the six
+#: benchmarks/perf geometries and a seeded grid of 209 metas (non-exact
+#: n, memory None, d > 0, quantile pivots, p = 16, slack 1.0) — written
+#: from the closed-form auditor this one replaced; one entry per line.
+GOLDEN_BOUNDS = json.loads(
+    (DATA / "audit_bounds_golden.json").read_text(encoding="utf-8")
+)["entries"]
+
+
+def _touch(step, node):
+    return BlockRead(t=0.0, node=node, step=step, disk="d", n_items=1,
+                     itemsize=4, cost=0.0)
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN_BOUNDS, ids=[e["name"] for e in GOLDEN_BOUNDS]
+)
+def test_audit_run_reproduces_golden_bounds(entry):
+    """Every bound and note of the pinned cells, exactly (no tolerance)."""
+    meta = RunMeta.from_dict(entry["meta"])
+    p = len(meta.perf)
+    steps = list(entry["steps"]) + ["gather", "recover:salvage"]
+    events = [_touch(s, node) for s in steps for node in range(-1, p + 1)]
+    report = audit_run(events, meta, polyphase_slack=entry["slack"])
+    got = {(r.step, r.node): (r.bound_items, r.note) for r in report.rows}
+    assert len(got) == len(events)
+    for step in steps:
+        for node in (-1, p):
+            assert got[step, node] == (None, "no owning node")
+    for step in ("gather", "recover:salvage"):
+        for node in range(p):
+            assert got[step, node] == (None, "outside Algorithm 1")
+    for step, want in entry["steps"].items():
+        for node, bound in enumerate(want["bounds"]):
+            assert got[step, node] == (bound, want["note"]), (step, node)
+
+
 class TestCLITelemetry:
     ARGS = ["sort", "--n", "8000", "--perf", "1,1,4,4", "--memory", "1024",
             "--block", "256", "--message", "2048"]
@@ -186,3 +227,15 @@ class TestCLITelemetry:
         assert rc == 0
         out = capsys.readouterr().out
         assert "degraded" in out.lower()
+
+    def test_certify_json_is_byte_pinned(self, capsys, tmp_path):
+        """The CI telemetry run's ``audit --certify --format json``."""
+        events = tmp_path / "run.jsonl"
+        rc = main(["sort", "--n", "65536", "--perf", "1,1,4,4", "--memory",
+                   "2048", "--block", "256", "--events", str(events)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["audit", str(events), "--certify", "--format", "json"])
+        assert rc == 0
+        golden = (DATA / "audit_certify_golden.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
