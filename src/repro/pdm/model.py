@@ -27,10 +27,18 @@ def merge_order(M: int, B: int) -> int:
 
 
 def merge_levels(n_runs: float, k: int) -> int:
-    """Passes a k-way merge needs over ``n_runs`` runs."""
+    """Passes a k-way merge needs over ``n_runs`` runs: the least
+    ``j >= 1`` with ``k**j >= n_runs``, by integer powers (a float
+    ``log`` overshoots by one at exact powers such as ``(125, 5)``)."""
+    if k < 2:
+        raise ValueError(f"merge order must be >= 2, got {k}")
     if n_runs <= 1:
         return 0
-    return max(1, math.ceil(math.log(n_runs, k)))
+    levels, reach = 1, k
+    while reach < n_runs:
+        levels += 1
+        reach *= k
+    return levels
 
 
 def merge_passes(n_items: float, M: int, B: int) -> int:

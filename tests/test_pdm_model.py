@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.pdm.model import PDMConfig
+from repro.pdm.model import PDMConfig, merge_levels
 
 
 class TestValidation:
@@ -68,6 +68,31 @@ class TestDerived:
         cfg2 = cfg.with_(N=200, D=2)
         assert (cfg2.N, cfg2.D, cfg2.M) == (200, 2, 64)
         assert cfg.N == 100  # original untouched
+
+
+class TestMergeLevels:
+    def test_exact_powers_and_neighbours(self):
+        """``k**j`` runs need exactly ``j`` passes, one more needs
+        ``j + 1`` — for every (k, j), beyond float ``log`` precision."""
+        for k in range(2, 300):
+            for j in range(1, 12):
+                runs = k**j
+                assert merge_levels(runs, k) == j, (k, j)
+                assert merge_levels(runs + 1, k) == j + 1, (k, j)
+                below = 0 if runs - 1 <= 1 else j  # k**j - 1 > k**(j-1)
+                assert merge_levels(runs - 1, k) == below, (k, j)
+
+    def test_float_log_regressions(self):
+        assert merge_levels(125, 5) == 3
+        assert merge_levels(216, 6) == 3
+        assert merge_levels(16807, 7) == 5
+        assert merge_levels(125.0, 5) == 3
+
+    def test_trivial_and_invalid(self):
+        assert merge_levels(0, 7) == merge_levels(1, 7) == 0
+        assert merge_levels(2, 7) == merge_levels(7, 7) == 1
+        with pytest.raises(ValueError, match="merge order"):
+            merge_levels(10, 1)
 
 
 class TestBounds:
