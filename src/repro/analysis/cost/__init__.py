@@ -3,7 +3,7 @@
 Layered on the flow engine's project model
 (:mod:`repro.analysis.flow.project`), this subpackage abstract-interprets
 each registered algorithm entry point into symbolic per-(step, node)
-I/O bounds (:mod:`.interp`, over the algebra of :mod:`.sym` and the
+I/O bounds (:mod:`.interp`, over the algebra of :mod:`repro.pdm.sym` and the
 contract base of :mod:`.charges`) and derives six rules from it
 (:mod:`.rules`):
 
@@ -48,13 +48,10 @@ from repro.analysis.flow.project import Project
 
 from repro.analysis.cost.certify import (
     CertifyCaseResult,
-    CertifyReport,
-    CertifyRow,
     certify_bench,
     certify_cells,
     certify_corpus,
     certify_events,
-    node_env,
     static_step_exprs,
 )
 from repro.analysis.cost.interp import (
@@ -97,8 +94,6 @@ __all__ = [
     "COST_RULES_BY_CODE",
     "AlgorithmCosts",
     "CertifyCaseResult",
-    "CertifyReport",
-    "CertifyRow",
     "CostInterpreter",
     "CostRule",
     "StepCost",
@@ -112,7 +107,6 @@ __all__ = [
     "derive_costs",
     "emit_costs",
     "get_cost_rules",
-    "node_env",
     "static_step_exprs",
     "write_cost_baseline",
 ]

@@ -22,41 +22,32 @@ Three input shapes are supported:
 * :func:`certify_bench` — folds the recorded ``audit`` blocks of a
   ``BENCH_sort.json`` size x p matrix, no re-execution needed.
 
-The per-node environment uses ``l = max(portion_i, ceil(opt_i))`` —
-both the actual split and the paper's idealised share, so the static
-expressions (derived in terms of the paper's ``l``) stay sound for the
-rounding the concrete splitter performs.  Unknown memory widens to
-"effectively infinite" (merge passes floor at the engine's minimum),
-matching the dynamic auditor's ``memory_items=None`` fallback.
+Evaluation is the auditor's: :func:`repro.obs.audit.evaluate_cells`
+on the derived table, which also documents the ``l`` the derived
+expressions are evaluated at and the unknown-memory fallback.
 """
 
 from __future__ import annotations
 
 import glob
 import json
-import math
 import os
-from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.core.perf import PerfVector
-from repro.metrics.report import Table
-from repro.obs.audit import RunMeta, collect_step_io
+from repro.obs.audit import (
+    AuditReport,
+    Cell,
+    RunMeta,
+    evaluate_cells,
+    fold_cells,
+)
 from repro.obs.events import Event
+from repro.pdm.sym import Expr
 
 from repro.analysis.cost.interp import derive_costs
-from repro.analysis.cost.paper import NUMBERED_STEPS
-from repro.analysis.cost.sym import Expr, find_tops
-
-#: One (step, node, measured item I/O) cell of a recorded run.
-Cell = tuple[str, int, int]
-
-#: Memory substituted when a run recorded ``memory_items=None``: large
-#: enough that the pass count floors at the engine minimum — the same
-#: "no multi-pass penalty derivable" fallback the dynamic auditor uses.
-_UNKNOWN_MEMORY = float(2**62)
 
 _EXPR_CACHE: dict[str, dict[str, Expr]] = {}
 
@@ -76,179 +67,16 @@ def static_step_exprs(algorithm: str = "external_psrs") -> dict[str, Expr]:
     return _EXPR_CACHE.get(algorithm, {})
 
 
-def node_env(meta: RunMeta, node: int) -> dict[str, float]:
-    """The concrete symbol environment of one node of one run."""
-    perf = PerfVector(list(meta.perf))
-    portions = perf.portions(meta.n_items)
-    l_i = float(max(
-        portions[node], math.ceil(perf.optimal_share(meta.n_items, node))
-    ))
-    memory = (
-        float(meta.memory_items)
-        if meta.memory_items is not None
-        else _UNKNOWN_MEMORY
-    )
-    B = float(meta.block_items)
-    return {
-        "n": float(meta.n_items),
-        "p": float(perf.p),
-        "B": B,
-        "M": memory,
-        "c": float(meta.oversample),
-        "g": float(perf[node]),
-        "G": float(perf.total),
-        "d": float(meta.d_duplicates),
-        "l": l_i,
-        "r": float(meta.n_items),
-        "cm": 8.0 * B,
-    }
-
-
-@dataclass(frozen=True)
-class CertifyRow:
-    """One (step, node) verdict: measured vs the static bound."""
-
-    step: str
-    node: int
-    measured_items: int
-    bound_items: Optional[float]  # None = informational, no static bound
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.bound_items is None or self.measured_items <= self.bound_items
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.bound_items is None or self.bound_items == 0:
-            return None
-        return self.measured_items / self.bound_items
-
-
-@dataclass
-class CertifyReport:
-    """All verdicts of one certified run."""
-
-    meta: RunMeta
-    algorithm: str
-    rows: list[CertifyRow] = field(default_factory=list)
-    #: Numbered steps that appeared in the run but have no usable static
-    #: bound (missing or TOP) — a certification failure on its own.
-    missing_steps: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_steps and all(r.ok for r in self.rows)
-
-    @property
-    def violations(self) -> list[CertifyRow]:
-        return [r for r in self.rows if not r.ok]
-
-    def table(self) -> Table:
-        t = Table(
-            "static certification (measured vs derived per-step item I/O)",
-            ["step", "node", "measured", "static bound", "ratio", "verdict"],
-        )
-        for r in self.rows:
-            if r.bound_items is None:
-                t.add_row(r.step, r.node, r.measured_items, "-", "-",
-                          f"info ({r.note})" if r.note else "info")
-            else:
-                ratio = f"{r.ratio:.3f}" if r.ratio is not None else "-"
-                t.add_row(
-                    r.step, r.node, r.measured_items,
-                    round(r.bound_items, 1), ratio,
-                    "ok" if r.ok else "VIOLATION",
-                )
-        for step in self.missing_steps:
-            t.add_row(step, "-", "-", "-", "-", "NO STATIC BOUND")
-        verdict = "CERTIFIED" if self.ok else (
-            f"FAIL ({len(self.violations)} violation(s), "
-            f"{len(self.missing_steps)} unbounded step(s))"
-        )
-        t.add_section(verdict)
-        return t
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "ok": self.ok,
-            "algorithm": self.algorithm,
-            "meta": self.meta.to_dict(),
-            "missing_steps": list(self.missing_steps),
-            "rows": [
-                {
-                    "step": r.step,
-                    "node": r.node,
-                    "measured_items": r.measured_items,
-                    "bound_items": r.bound_items,
-                    "ratio": r.ratio,
-                    "ok": r.ok,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def _expr_for(exprs: Mapping[str, Expr], step: str) -> Optional[Expr]:
-    hit = exprs.get(step)
-    if hit is not None:
-        return hit
-    for pattern, expr in exprs.items():
-        if "*" in pattern and fnmatchcase(step, pattern):
-            return expr
-    return None
-
-
 def certify_cells(
     cells: Iterable[Cell],
     meta: RunMeta,
     *,
     algorithm: str = "external_psrs",
     exprs: Optional[Mapping[str, Expr]] = None,
-) -> CertifyReport:
+) -> AuditReport:
     """Certify folded (step, node, measured) cells of one run."""
     table = static_step_exprs(algorithm) if exprs is None else exprs
-    report = CertifyReport(meta=meta, algorithm=algorithm)
-    p = len(meta.perf)
-    for step, node, measured in sorted(cells):
-        if node < 0 or node >= p:
-            report.rows.append(CertifyRow(
-                step, node, measured, None, "no owning node"
-            ))
-            continue
-        if (
-            algorithm == "external_psrs"
-            and step == "2:pivots"
-            and meta.pivot_method == "quantile"
-        ):
-            report.rows.append(CertifyRow(
-                step, node, measured, None,
-                "quantile search I/O not statically bounded",
-            ))
-            continue
-        expr = _expr_for(table, step)
-        numbered = step in NUMBERED_STEPS if algorithm == "external_psrs" \
-            else step in table
-        if expr is None or find_tops(expr):
-            if numbered and step not in report.missing_steps:
-                report.missing_steps.append(step)
-            else:
-                report.rows.append(CertifyRow(
-                    step, node, measured, None, "no static bound"
-                ))
-            continue
-        bound = expr.eval(node_env(meta, node))
-        if not math.isinf(bound):
-            # block-granular I/O: a mid-block bound is not violable by
-            # sub-block amounts (same rounding the auditor applies)
-            bound = float(
-                math.ceil(bound / meta.block_items) * meta.block_items
-            )
-        report.rows.append(CertifyRow(
-            step, node, measured, bound, "derived static bound"
-        ))
-    return report
+    return evaluate_cells(cells, meta, table, algorithm=algorithm)
 
 
 def certify_events(
@@ -257,13 +85,11 @@ def certify_events(
     *,
     algorithm: str = "external_psrs",
     exprs: Optional[Mapping[str, Expr]] = None,
-) -> CertifyReport:
+) -> AuditReport:
     """Certify a telemetry event stream against the static bounds."""
-    cells = [
-        (step, node, io.item_ios)
-        for (step, node), io in collect_step_io(events).items()
-    ]
-    return certify_cells(cells, meta, algorithm=algorithm, exprs=exprs)
+    return certify_cells(
+        fold_cells(events), meta, algorithm=algorithm, exprs=exprs
+    )
 
 
 @dataclass(frozen=True)
@@ -271,7 +97,7 @@ class CertifyCaseResult:
     """One corpus scenario / bench run folded through the certifier."""
 
     name: str
-    report: Optional[CertifyReport]
+    report: Optional[AuditReport]
     skipped: Optional[str] = None  # reason when bounds do not apply
 
     @property

@@ -16,10 +16,11 @@ decreasing order of "how much of the proof lives in the walker":
 2. **Function contracts** (:data:`CONTRACTS`) — documented closed-form
    bounds for the mid-level engine primitives (polyphase sort, k-way
    merge, sampling, partitioning, redistribution).  Each contract is a
-   *model fact*: the formula restates the bound the dynamic auditor
-   (:mod:`repro.obs.audit`) enforces empirically for that primitive,
-   in the same symbols, so the static derivation and the runtime audit
-   agree by construction.  The REP306 rule keeps contracts honest: a
+   *model fact*: it calls the builder the paper's step table
+   (:func:`repro.core.theory.step_bounds`, which the dynamic auditor
+   enforces empirically) is made of, at the size the walker derived,
+   so the static derivation and the runtime audit agree by
+   construction.  The REP306 rule keeps contracts honest: a
    contracted function must still transitively reach a real charge
    site, otherwise its formula is vacuous (dead bound).
 
@@ -31,9 +32,8 @@ decreasing order of "how much of the proof lives in the walker":
    contract.
 
 All formulas are per-(step, node) *item* I/O in the symbols of
-:mod:`repro.analysis.cost.sym` (``l`` = this node's portion, ``r`` =
-items received, etc.); ``SLACK`` is the polyphase dummy-run factor the
-auditor applies (:data:`repro.obs.audit.POLYPHASE_SLACK`).
+:mod:`repro.pdm.sym` (``l`` = this node's portion, ``r`` =
+items received, etc.).
 """
 
 from __future__ import annotations
@@ -41,22 +41,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs.audit import POLYPHASE_SLACK
-
-from repro.analysis.cost.sym import (
+from repro.core.theory import (
+    SAMPLE_COST,
+    load_balance,
+    probe_cost,
+    redistribute_cost,
+)
+from repro.pdm.sym import (
     Add,
-    BitLen,
     Ceil,
     Const,
     Div,
     Expr,
     Max,
-    MergeLevels,
-    MergePasses,
     Min,
     Mul,
     Sym,
     Top,
+    merge_cost,
+    poly_cost,
 )
 
 #: Method names that directly charge disk I/O when called.
@@ -70,48 +73,14 @@ CHARGED_METHODS = frozenset(
 #: used by the REP306 charge-reachability scan, not by the walker.
 CHARGED_CONSTRUCTORS = frozenset({"BlockWriter", "BlockReader", "RunCursor"})
 
-SLACK = Const(POLYPHASE_SLACK)
-
 _L = Sym("l")
 _P = Sym("p")
 _B = Sym("B")
-_C = Sym("c")
-_G = Sym("g")
-_D = Sym("d")
 _R = Sym("r")
 _CM = Sym("cm")
 _N = Sym("n")
 
 _P_MINUS_1 = Add((_P, Const(-1)))
-
-
-def _poly_cost(size: Expr) -> Expr:
-    """Polyphase external sort of ``size`` items: the auditor's step-1
-    bound ``SLACK * max(2s(1+passes(s)), 4s)`` (run formation + >=1
-    merge pass even when ``s <= M``, dummy-run padding in the slack)."""
-    return Mul((
-        SLACK,
-        Max((
-            Mul((Const(2), size, Add((Const(1), MergePasses(size))))),
-            Mul((Const(4), size)),
-        )),
-    ))
-
-
-def _merge_cost(size: Expr, count: Expr) -> Expr:
-    """Multi-pass k-way merge of ``count`` runs totalling ``size``
-    items: the auditor's step-5 bound ``SLACK * max(2s(1+passes(s)),
-    2s*levels(count)) + count*B`` partial blocks."""
-    return Add((
-        Mul((
-            SLACK,
-            Max((
-                Mul((Const(2), size, Add((Const(1), MergePasses(size))))),
-                Mul((Const(2), size, Max((Const(1), MergeLevels(count))))),
-            )),
-        )),
-        Mul((count, _B)),
-    ))
 
 
 @dataclass(frozen=True)
@@ -158,8 +127,8 @@ CONTRACTS: dict[str, Contract] = dict([
         "polyphase_sort",
         "step-1 engine: run formation (one full pass) + polyphase merge "
         "(>=1 pass; passes(s) when s > M), x1.3 dummy-run slack — "
-        "audit.py step '1:local-sort'",
-        lambda size, count: _poly_cost(size),
+        "step_bounds '1:local-sort'",
+        lambda size, count: poly_cost(size),
         size_out=lambda size: size,
         sweeps=2,
     ),
@@ -167,33 +136,30 @@ CONTRACTS: dict[str, Contract] = dict([
         "merge_many",
         "step-5 engine: multi-pass k-way merge of `count` runs "
         "totalling `size` items + one partial block per run — "
-        "audit.py step '5:final-merge'",
-        lambda size, count: _merge_cost(size, count if count is not None else _P),
+        "step_bounds '5:final-merge'",
+        lambda size, count: merge_cost(size, count if count is not None else _P),
         size_out=lambda size: size,
         sweeps=1,
     ),
     _c(
         "regular_sample",
         "step-2 sampling: c(p-1)perf[i] regular samples read at block "
-        "granularity — audit.py step '2:pivots' (size-independent)",
-        lambda size, count: Mul((_C, _P_MINUS_1, _G, _B)),
+        "granularity — step_bounds '2:pivots' (size-independent)",
+        lambda size, count: SAMPLE_COST,
         sweeps=0,
     ),
     _c(
         "random_sample",
         "step-2 sampling (random flavour): same sample count as the "
         "regular method, floored at one block",
-        lambda size, count: Max((_B, Mul((_C, _P_MINUS_1, _G, _B)))),
+        lambda size, count: Max((_B, SAMPLE_COST)),
         sweeps=0,
     ),
     _c(
         "read_samples",
         "sample gather: one block read per distinct sampled block, at "
         "most one per sample and never more than the whole file",
-        lambda size, count: Min((
-            Add((size, _B)),
-            Mul((_C, _P_MINUS_1, _G, _B)),
-        )),
+        lambda size, count: Min((Add((size, _B)), SAMPLE_COST)),
         sweeps=0,
     ),
     _c(
@@ -209,19 +175,15 @@ CONTRACTS: dict[str, Contract] = dict([
         "partition_offsets",
         "step-3 binary searches: p-1 joint lower-bound descents, each "
         "probing floor(log2 n_blocks)+1 blocks plus the final cut "
-        "block — audit.py step '3:partition' probe term",
-        lambda size, count: Mul((
-            _P_MINUS_1,
-            Add((BitLen(Max((Const(1), Ceil(Div(size, _B))))), Const(1))),
-            _B,
-        )),
+        "block — step_bounds '3:partition' probe term",
+        lambda size, count: probe_cost(size, 1),
         sweeps=0,
     ),
     _c(
         "materialize_partitions",
         "step-3 materialising copy: reads the sorted portion once, "
         "writes it once (2Q), re-reading at most one boundary block per "
-        "cut — audit.py step '3:partition' 2Q term",
+        "cut — step_bounds '3:partition' 2Q term",
         lambda size, count: Add((Mul((Const(2), size)), Mul((_P_MINUS_1, _B)))),
         size_out=lambda size: size,
         count_out=_P,
@@ -240,14 +202,10 @@ CONTRACTS: dict[str, Contract] = dict([
         "step-4: the sender reads its materialised partitions (size "
         "items); the receiver writes at most the load-balance bound "
         "2*size+d (paper th. 1) plus one partial block per sender — "
-        "audit.py step '4:redistribute'",
-        lambda size, count: Add((
-            size,
-            Add((Mul((Const(2), size)), _D)),
-            Mul((_P, _B)),
-        )),
+        "step_bounds '4:redistribute'",
+        lambda size, count: redistribute_cost(size, size),
         arg_index=1,
-        size_out=lambda size: Add((Mul((Const(2), size)), _D)),
+        size_out=load_balance,
         count_out=_P,
         sweeps=1,
     ),
@@ -294,7 +252,7 @@ STEP_CONTRACTS: dict[tuple[str, str], StepContract] = {
             "most ceil(r/cap)+p runs (cap = the sender-side message "
             "cap, >= max(1, min(cm, (M-2B)/p))) — the merge_many "
             "contract at (size=r, count=that run bound).",
-        expr=_merge_cost(_R, _DEWITT_RUNS),
+        expr=merge_cost(_R, _DEWITT_RUNS),
         sweeps=1,
     ),
     ("external_psrs", "recover:salvage"): StepContract(
@@ -313,7 +271,7 @@ STEP_CONTRACTS: dict[tuple[str, str], StepContract] = {
             "its own run with the salvaged one; after repeated failures "
             "the survivor may hold up to the whole input, so the "
             "merge_many contract is taken at (size=n, count=2).",
-        expr=_merge_cost(_N, Const(2)),
+        expr=merge_cost(_N, Const(2)),
         sweeps=1,
     ),
 }

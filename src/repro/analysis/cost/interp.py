@@ -4,7 +4,7 @@
 entry point (the same ``KNOWN_ENTRIES`` the protocol schema extractor
 uses) over the flow engine's :class:`~repro.analysis.flow.project.Project`
 call graph, and derives a closed-form upper bound on charged item I/O
-per (step, node) in the model symbols of :mod:`repro.analysis.cost.sym`.
+per (step, node) in the model symbols of :mod:`repro.pdm.sym`.
 
 The derivation is a single forward walk of the entry function:
 
@@ -18,7 +18,7 @@ The derivation is a single forward walk of the entry function:
 * **loops** — a loop over the node list contributes its body once (the
   derived bound is the per-node view); a counted loop multiplies by its
   derived count; a loop with no derivable count and a non-zero body
-  widens to :class:`~repro.analysis.cost.sym.Top` and records the REP304
+  widens to :class:`~repro.pdm.sym.Top` and records the REP304
   anchors;
 * **charges** — calls to the sanctioned block-I/O primitives
   (:data:`~repro.analysis.cost.charges.CHARGED_METHODS`) charge
@@ -62,7 +62,7 @@ from repro.analysis.cost.charges import (
     contract_for,
     step_contract_for,
 )
-from repro.analysis.cost.sym import (
+from repro.pdm.sym import (
     ONE,
     ZERO,
     Const,

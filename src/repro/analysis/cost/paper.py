@@ -2,27 +2,13 @@
 
 These are the *upper* side of the REP301 dominance check: each derived
 expression from :mod:`repro.analysis.cost.interp` must be dominated by
-(numerically never exceed, over :func:`repro.analysis.cost.sym.sample_envs`)
+(numerically never exceed, over :func:`repro.pdm.sym.sample_envs`)
 the paper formula recorded here for its (algorithm, step).
 
-The formulas restate, symbolically, exactly what the dynamic auditor
-(:mod:`repro.obs.audit`) computes per step from
-:meth:`repro.pdm.model.PDMConfig.step1_io_bound` and
-:func:`repro.core.theory.load_balance_bound`:
-
-* step 1 — ``SLACK * max(2l(1+passes(l)), 4l)`` item I/Os
-  (``step1_io_bound`` plus the run-formation floor, x1.3 dummy-run
-  slack);
-* step 2 — ``c (p-1) g B`` sampled items at block granularity;
-* step 3 — ``2l + (p-1)(bitlen(n_blocks)+2) B`` with
-  ``n_blocks = max(1, ceil(l/B))`` (materialising copy + binary-search
-  probes);
-* step 4 — ``l + (2l+d) + pB`` (send + bounded receive, one partial
-  block per sender), the ``2l+d`` receive term being Theorem 1's
-  ``load_balance_bound``;
-* step 5 — the k-way-merge bound taken at the load-balance size
-  ``lb = ceil(2l+d)``: ``SLACK * max(2lb(1+passes(lb)),
-  2lb*max(1, levels(p))) + pB``.
+The ``external_psrs`` formulas are
+:func:`repro.core.theory.step_bounds` — the table the dynamic auditor
+(:mod:`repro.obs.audit`) evaluates per node — so this module only wires
+algorithms to tables.
 
 The in-core algorithms (``in_core_psrs``, ``overpartition``,
 ``hyperquicksort``) sort entirely in memory, so the paper-side bound for
@@ -37,65 +23,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.cost.charges import _merge_cost, _poly_cost
-from repro.analysis.cost.sym import (
-    ZERO,
-    Add,
-    BitLen,
-    Ceil,
-    Const,
-    Div,
-    Expr,
-    Max,
-    Mul,
-    Sym,
-)
-
-_L = Sym("l")
-_P = Sym("p")
-_B = Sym("B")
-_C = Sym("c")
-_G = Sym("g")
-_D = Sym("d")
-
-#: Theorem 1's per-node final-merge load: ``lb = ceil(2l + d)``.
-_LOAD_BALANCE = Ceil(Add((Mul((Const(2), _L)), _D)))
-
-#: Algorithm 1's numbered steps — the certifier requires a derived,
-#: non-vacuous bound for every one of these (REP306).
-NUMBERED_STEPS: tuple[str, ...] = (
-    "1:local-sort",
-    "2:pivots",
-    "3:partition",
-    "4:redistribute",
-    "5:final-merge",
-)
-
-_EXTERNAL_PSRS: dict[str, Expr] = {
-    "1:local-sort": _poly_cost(_L),
-    "2:pivots": Mul((_C, Add((_P, Const(-1))), _G, _B)),
-    "3:partition": Add((
-        Mul((Const(2), _L)),
-        Mul((
-            Add((_P, Const(-1))),
-            Add((BitLen(Max((Const(1), Ceil(Div(_L, _B))))), Const(2))),
-            _B,
-        )),
-    )),
-    "4:redistribute": Add((
-        _L,
-        Add((Mul((Const(2), _L)), _D)),
-        Mul((_P, _B)),
-    )),
-    "5:final-merge": _merge_cost(_LOAD_BALANCE, _P),
-}
+from repro.core.theory import step_bounds
+from repro.pdm.sym import ZERO, Expr
 
 #: Paper formulas per algorithm and step.  ``None`` for a whole
 #: algorithm means the paper offers no formula (REP301 does not apply);
 #: a step name missing from a present table means the same for that
 #: step (e.g. the recovery steps, which are outside Algorithm 1).
 PAPER_STEP_BOUNDS: dict[str, Optional[dict[str, Expr]]] = {
-    "external_psrs": _EXTERNAL_PSRS,
+    "external_psrs": step_bounds(),
     "in_core_psrs": {
         "1:local-sort": ZERO,
         "2:pivots": ZERO,

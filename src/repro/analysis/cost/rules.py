@@ -30,7 +30,7 @@ from repro.analysis.cost.interp import (
     fn_reaches_charge,
 )
 from repro.analysis.cost.paper import PAPER_STEP_BOUNDS, paper_bound_for
-from repro.analysis.cost.sym import (
+from repro.pdm.sym import (
     Const,
     Expr,
     dominates,
@@ -97,7 +97,7 @@ class DerivedExceedsPaperRule(CostRule):
     fix_hint = (
         "Remove the extra I/O (or tighten the loop that multiplies it); "
         "if the paper formula itself is being refined, update "
-        "analysis/cost/paper.py in the same change and say why."
+        "core/theory.py::step_bounds in the same change and say why."
     )
 
     def check_costs(

@@ -513,11 +513,8 @@ def _render_certify_cases(cases, fmt: str) -> bool:
                 print(f"{c.name}: skipped ({c.skipped})")
             else:
                 verdict = "CERTIFIED" if c.report.ok else "FAIL"
-                worst = max(
-                    (r.ratio for r in c.report.rows if r.ratio is not None),
-                    default=None,
-                )
-                ratio = f", worst ratio {worst:.3f}" if worst is not None else ""
+                worst = c.report.worst_row
+                ratio = f", worst ratio {worst.ratio:.3f}" if worst is not None else ""
                 print(f"{c.name}: {verdict}{ratio}")
                 if not c.report.ok:
                     print(c.report.table().render())

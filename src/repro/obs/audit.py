@@ -1,35 +1,21 @@
-"""Bounds auditor: measured per-step I/O vs the paper's Algorithm-1 bounds.
+"""Bounds auditor: measured per-step I/O vs Algorithm 1's step bounds.
 
 Folds a telemetry event stream (``BlockRead``/``BlockWrite`` with step
 attribution) into per-step, per-node item-I/O counters and checks each
-numbered PSRS step against the theoretical bound the paper states for
-it, using the same formula sources the test suite trusts:
-:meth:`repro.pdm.model.PDMConfig.step1_io_bound` and
-:func:`repro.core.theory.load_balance_bound`.
+(step, node) cell against a table of symbolic bounds, evaluated at that
+node's concrete parameters.  One evaluator, :func:`evaluate_cells`,
+serves both tables the repo has:
 
-The audited bounds are the paper's, adjusted for two *documented*
-implementation realities (each noted in the report row):
-
-* **step 1 / step 5** — the paper's ``2·l·(1+⌈log_m l⌉)`` assumes an
-  ideal multiway merge; the polyphase engine pads with dummy runs, so a
-  ``POLYPHASE_SLACK`` factor (1.3, the same gate the I/O-complexity
-  benchmarks enforce) is applied, and the log term is floored at one
-  pass (the engine always writes runs and then merges them to the
-  output, even when ``l ≤ M``).  Step 5 additionally takes the max
-  with the explicit p-run merge depth ``2·l'·⌈log_k p⌉`` (the formula's
-  ``l'/M`` run count can undercount when many small runs are merged).
-* **step 2** — the sample is read at block granularity, so the bound is
-  ``c·(p-1)·perf[i]`` sample *blocks*, i.e. ``·B`` items; the exact
-  ``quantile`` pivot method does unbounded-by-this-formula counting
-  search I/O and is reported as informational.
-* **step 3** — partitioning reads the portion once and writes it once
-  (``2·Q``) plus ``p-1`` binary searches, each touching at most
-  ``⌊log2 n_blocks⌋+3`` blocks (the search loop's ``⌊log2 nb⌋+1``
-  probes, the final cut block, and the partition-boundary block the
-  materialising copy re-reads).
-* **step 4** — the sender reads its ``l_i`` materialised partition
-  items; the receiver writes at most the load-balance bound
-  ``2·l_i + d``; partial blocks add at most ``p·B`` items.
+* :func:`audit_run` evaluates the paper's table,
+  :func:`repro.core.theory.step_bounds` — where every formula, and the
+  implementation realities it is adjusted for, is stated — at the
+  node's *actual* portion ``l``;
+* ``repro audit --certify`` (:mod:`repro.analysis.cost.certify`)
+  evaluates the bounds the cost interpreter *derived* from the code, at
+  ``l = max(portion, ceil(share))`` so that expressions derived in
+  terms of the paper's idealised ``l`` stay sound for the rounding the
+  concrete splitter performs, and additionally reports numbered steps
+  for which no usable bound was derived.
 
 Every bound is finally rounded *up to a whole block* (``⌈bound/B⌉·B``):
 the engines only do block-granular I/O, so a bound that falls mid-block
@@ -37,25 +23,31 @@ cannot be meaningfully violated by a sub-block amount.  (Found by the
 scenario fuzzer: a 3-block-memory polyphase run measured 2502 items
 against a fractional bound of 2501.2 — a 0.8-item "violation".)
 
-Non-numbered steps (``gather``, ``recover:*``) are outside Algorithm 1
-and are reported as informational rows with no bound.
+Steps the table has no bound for (``gather``, ``recover:*`` on the
+paper side; the ``quantile`` pivot method's counting search, whose I/O
+the sample formula does not bound) are reported as informational rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Iterable, Mapping, Optional
 
 from repro.core.perf import PerfVector
-from repro.core.theory import load_balance_bound
+from repro.core.theory import NUMBERED_STEPS, step_bounds
 from repro.metrics.report import Table
 from repro.obs.events import BlockRead, BlockWrite, Event
-from repro.pdm.model import PDMConfig, merge_levels
+from repro.pdm.sym import POLYPHASE_SLACK, Expr, find_tops
 
-#: Step-1/5 slack for polyphase dummy-run padding — the same factor the
-#: I/O-complexity benchmark gate allows (benchmarks/test_io_complexity.py).
-POLYPHASE_SLACK = 1.3
+#: One (step, node, measured item I/O) cell of a recorded run.
+Cell = tuple[str, int, int]
+
+#: Memory substituted when a run recorded ``memory_items=None``: large
+#: enough that every pass count floors at the engine minimum (no
+#: multi-pass penalty is derivable without ``M``).
+_UNKNOWN_MEMORY = float(2**62)
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class RunMeta:
     d_duplicates: int
     pivot_method: str = "regular"
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, object]:
         return {
             "n_items": self.n_items,
             "perf": list(self.perf),
@@ -132,6 +124,14 @@ def collect_step_io(events: Iterable[Event]) -> dict[tuple[str, int], StepNodeIO
     return out
 
 
+def fold_cells(events: Iterable[Event]) -> list[Cell]:
+    """The (step, node, measured item I/O) cells of an event stream."""
+    return [
+        (step, node, io.item_ios)
+        for (step, node), io in collect_step_io(events).items()
+    ]
+
+
 @dataclass(frozen=True)
 class AuditRow:
     """One (step, node) verdict."""
@@ -155,14 +155,20 @@ class AuditRow:
 
 @dataclass
 class AuditReport:
-    """All verdicts of one audited run."""
+    """All verdicts of one run against one table of bounds."""
 
     meta: RunMeta
     rows: list[AuditRow] = field(default_factory=list)
+    #: ``None``: the bounds are the paper's.  An algorithm name: they are
+    #: the bounds statically derived for it (a certification report).
+    algorithm: Optional[str] = None
+    #: Numbered steps that appeared in the run but have no usable derived
+    #: bound (missing or TOP) — a certification failure on its own.
+    missing_steps: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return not self.missing_steps and all(r.ok for r in self.rows)
 
     @property
     def violations(self) -> list[AuditRow]:
@@ -187,9 +193,13 @@ class AuditReport:
         return max(bounded, key=lambda r: r.ratio)  # type: ignore[arg-type, return-value]
 
     def table(self) -> Table:
+        derived = self.algorithm is not None
         t = Table(
-            "bounds audit (measured vs paper per-step item I/O)",
-            ["step", "node", "measured", "bound", "ratio", "verdict"],
+            "static certification (measured vs derived per-step item I/O)"
+            if derived
+            else "bounds audit (measured vs paper per-step item I/O)",
+            ["step", "node", "measured",
+             "static bound" if derived else "bound", "ratio", "verdict"],
         )
         for r in self.rows:
             if r.bound_items is None:
@@ -201,17 +211,25 @@ class AuditReport:
                     r.node,
                     r.measured_items,
                     round(r.bound_items, 1),
-                    f"{r.ratio:.3f}",
+                    f"{r.ratio:.3f}" if r.ratio is not None else "-",
                     "ok" if r.ok else "VIOLATION",
                 )
-        verdict = "PASS" if self.ok else f"FAIL ({len(self.violations)} violation(s))"
+        for step in self.missing_steps:
+            t.add_row(step, "-", "-", "-", "-", "NO STATIC BOUND")
+        if self.ok:
+            verdict = "CERTIFIED" if derived else "PASS"
+        else:
+            unbounded = f", {len(self.missing_steps)} unbounded step(s)" if derived else ""
+            verdict = f"FAIL ({len(self.violations)} violation(s){unbounded})"
         t.add_section(verdict)
         return t
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self) -> dict[str, object]:
+        out: dict[str, object] = {
             "ok": self.ok,
+            "algorithm": self.algorithm,
             "meta": self.meta.to_dict(),
+            "missing_steps": list(self.missing_steps),
             "rows": [
                 {
                     "step": r.step,
@@ -225,59 +243,106 @@ class AuditReport:
                 for r in self.rows
             ],
         }
+        if self.algorithm is None:  # a paper audit carries neither key
+            del out["algorithm"], out["missing_steps"]
+        return out
 
 
-def _bound_for(
-    step: str,
-    node: int,
+def node_envs(meta: RunMeta, *, cover_share: bool = False) -> list[dict[str, float]]:
+    """The concrete symbol environment of every node of one run.
+
+    ``l`` is the node's actual portion; with ``cover_share`` it is
+    ``max(portion, ceil(ideal share))``, which expressions *derived* in
+    terms of the paper's idealised ``l`` need to stay sound for the
+    rounding the concrete splitter performs.
+    """
+    perf = PerfVector(list(meta.perf))
+    portions = perf.portions(meta.n_items)
+    B = float(meta.block_items)
+    shared = {
+        "n": float(meta.n_items),
+        "p": float(perf.p),
+        "B": B,
+        "M": _UNKNOWN_MEMORY if meta.memory_items is None else float(meta.memory_items),
+        "c": float(meta.oversample),
+        "G": float(perf.total),
+        "d": float(meta.d_duplicates),
+        "r": float(meta.n_items),
+        "cm": 8.0 * B,
+    }
+    return [
+        {
+            **shared,
+            "g": float(perf[node]),
+            "l": float(
+                max(portion, math.ceil(perf.optimal_share(meta.n_items, node)))
+                if cover_share
+                else portion
+            ),
+        }
+        for node, portion in enumerate(portions)
+    ]
+
+
+def _expr_for(exprs: Mapping[str, Expr], step: str) -> Optional[Expr]:
+    """The usable (present, non-TOP) bound of ``step``; keys may be
+    ``fnmatch`` patterns (``level-*``)."""
+    hit = exprs.get(step) or next(
+        (e for pat, e in exprs.items() if "*" in pat and fnmatchcase(step, pat)), None
+    )
+    return None if hit is None or find_tops(hit) else hit
+
+
+def evaluate_cells(
+    cells: Iterable[Cell],
     meta: RunMeta,
-    perf: PerfVector,
-    portions: list[int],
-    slack: float = POLYPHASE_SLACK,
-) -> tuple[Optional[float], str]:
-    """The paper bound (in items) for one (step, node) cell, with a note."""
-    if node < 0 or node >= perf.p:
-        return None, "no owning node"
-    l_i = portions[node]
-    B = meta.block_items
-    M = meta.memory_items
-    p = perf.p
-    d = meta.d_duplicates
-    received_bound = load_balance_bound(meta.n_items, perf, node, d)
-    if M is not None:
-        cfg = PDMConfig(N=max(meta.n_items, 2 * B), M=M, B=B)
-        k = cfg.merge_order()
-    else:
-        cfg = None
-        k = None
+    exprs: Mapping[str, Expr],
+    *,
+    algorithm: Optional[str] = None,
+    notes: Optional[Mapping[str, str]] = None,
+) -> AuditReport:
+    """Check folded (step, node, measured) cells against ``exprs``.
 
-    if step == "1:local-sort":
-        # The engine always runs a run-formation pass plus >=1 merge/output
-        # pass, even when l_i <= M (the formula's log term is then 0).
-        base = cfg.step1_io_bound(l_i) if cfg is not None else 0.0
-        base = max(base, 4.0 * l_i)
-        return slack * base, f"2l(1+max(1,ceil(log_m l))) x{slack:g} polyphase slack"
-    if step == "2:pivots":
-        if meta.pivot_method == "quantile":
-            return None, "quantile search I/O not bounded by the sample formula"
-        samples = meta.oversample * (p - 1) * perf[node]
-        return float(samples * B), "c(p-1)perf[i] sample blocks"
-    if step == "3:partition":
-        n_blocks = max(1, -(-l_i // B))
-        probes = (p - 1) * (n_blocks.bit_length() + 2)  # floor(log2 nb)+1 reads +2
-        return 2.0 * l_i + probes * B, "2Q + pivot binary-search probes"
-    if step == "4:redistribute":
-        return l_i + received_bound + p * B, "l_i reads + (2l_i+d) writes (+partial blocks)"
-    if step == "5:final-merge":
-        lb = int(math.ceil(received_bound))
-        if cfg is not None and k is not None:
-            paper = cfg.step1_io_bound(lb)
-            runs = 2.0 * lb * max(1, merge_levels(p, k))
-            base = max(paper, runs)
+    ``algorithm=None`` means ``exprs`` is the paper's table: a step
+    without a bound is outside Algorithm 1 and informational.  With an
+    algorithm name, ``exprs`` is that algorithm's derived table
+    (evaluated with ``cover_share``, see :func:`node_envs`), and a
+    numbered step without a usable bound is a failure, listed once in
+    ``missing_steps`` with no per-node rows.  ``notes`` labels the
+    bounded rows per step.
+    """
+    derived = algorithm is not None
+    psrs = algorithm in (None, "external_psrs")
+    envs = node_envs(meta, cover_share=derived)
+    usable: dict[str, Optional[Expr]] = {}
+    report = AuditReport(meta=meta, algorithm=algorithm)
+    for step, node, measured in sorted(cells):
+        if step not in usable:
+            usable[step] = _expr_for(exprs, step)
+        expr = usable[step]
+        bound: Optional[float] = None
+        if not 0 <= node < len(envs):
+            note = "no owning node"
+        elif psrs and step == "2:pivots" and meta.pivot_method == "quantile":
+            note = (
+                "quantile search I/O not statically bounded" if derived
+                else "quantile search I/O not bounded by the sample formula"
+            )
+        elif expr is not None:
+            bound = expr.eval(envs[node])
+            if not math.isinf(bound):
+                # I/O is block-granular; a mid-block bound is not
+                # violable by sub-block amounts.
+                bound = float(math.ceil(bound / meta.block_items) * meta.block_items)
+            note = "derived static bound" if notes is None else notes[step]
+        elif derived and (step in NUMBERED_STEPS if psrs else step in exprs):
+            if step not in report.missing_steps:
+                report.missing_steps.append(step)
+            continue
         else:
-            base = 2.0 * lb
-        return slack * base + p * B, "2l'(1+ceil(log_m l')) on l'<=2l_i+d"
-    return None, "outside Algorithm 1"
+            note = "no static bound" if derived else "outside Algorithm 1"
+        report.rows.append(AuditRow(step, node, measured, bound, note))
+    return report
 
 
 def audit_run(
@@ -286,36 +351,23 @@ def audit_run(
     *,
     polyphase_slack: float = POLYPHASE_SLACK,
 ) -> AuditReport:
-    """Check a run's folded per-step I/O against the paper bounds.
+    """Check a run's folded per-step I/O against the paper bounds,
+    :func:`repro.core.theory.step_bounds` at ``polyphase_slack``.
 
     Assumes a fault-free, full-cluster run: in degraded mode the node
     positions and shares are rescaled mid-run and the Algorithm-1
     per-node bounds no longer describe the execution (the CLI skips
     enforcement for degraded runs).
-
-    ``polyphase_slack`` overrides the step-1/5 dummy-run slack factor;
-    the scenario fuzzer tightens it toward 1.0 to hunt for runs that
-    exceed the paper's *ideal* merge formula, not just the engineering
-    envelope.
     """
     if polyphase_slack <= 0:
         raise ValueError(f"polyphase_slack must be > 0, got {polyphase_slack}")
-    perf = PerfVector(list(meta.perf))
-    portions = perf.portions(meta.n_items)
-    report = AuditReport(meta=meta)
-    for (step, node), io in sorted(collect_step_io(events).items()):
-        bound, note = _bound_for(step, node, meta, perf, portions, polyphase_slack)
-        if bound is not None:
-            # I/O is block-granular; a mid-block bound is not violable
-            # by sub-block amounts.
-            bound = float(math.ceil(bound / meta.block_items) * meta.block_items)
-        report.rows.append(
-            AuditRow(
-                step=step,
-                node=node,
-                measured_items=io.item_ios,
-                bound_items=bound,
-                note=note,
-            )
-        )
-    return report
+    notes = {
+        "1:local-sort": f"2l(1+max(1,ceil(log_m l))) x{polyphase_slack:g} polyphase slack",
+        "2:pivots": "c(p-1)perf[i] sample blocks",
+        "3:partition": "2Q + pivot binary-search probes",
+        "4:redistribute": "l_i reads + (2l_i+d) writes (+partial blocks)",
+        "5:final-merge": "2l'(1+ceil(log_m l')) on l'<=2l_i+d",
+    }
+    return evaluate_cells(
+        fold_cells(events), meta, step_bounds(polyphase_slack), notes=notes
+    )

@@ -137,14 +137,17 @@ class PDMConfig:
         return (n / self.D) * max(1.0, math.log(n, m))
 
     def step1_io_bound(self, l_i: int) -> float:
-        """Paper step 1 bound: ``2 * l_i * (1 + ceil(log_m l_i))`` I/Os.
+        """Paper step 1 bound: ``2 * l_i * (1 + ceil(log_m l_i))`` I/Os —
+        :func:`repro.pdm.sym.sort_cost` evaluated at ``l_i``.
 
         The paper counts I/Os in items here (read + write of every item
         once per pass); divide by ``B`` for block I/Os.
         """
+        from repro.pdm.sym import Sym, sort_cost  # sym imports this module
+
         if l_i <= 0:
             return 0.0
-        return 2.0 * l_i * (1 + self.merge_passes(l_i))
+        return sort_cost(Sym("l")).eval({"l": l_i, "M": self.M, "B": self.B})
 
     def with_(self, **kwargs: int) -> "PDMConfig":
         """Return a copy with some parameters replaced."""

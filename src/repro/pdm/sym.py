@@ -1,8 +1,13 @@
 """Small symbolic algebra for I/O-cost expressions.
 
-The cost interpreter (:mod:`repro.analysis.cost.interp`) derives, per
-(algorithm, step), a closed-form upper bound on charged item I/O per
-node.  Expressions are trees over the model symbols
+One expression language serves both sides of the cost model: the
+paper's Algorithm-1 step bounds are stated in it once
+(:func:`repro.core.theory.step_bounds`, on the PDM-level builders at
+the bottom of this module) and evaluated per node by the runtime
+auditor (:mod:`repro.obs.audit`), and the cost interpreter
+(:mod:`repro.analysis.cost.interp`) derives, per (algorithm, step), a
+closed-form upper bound on charged item I/O per node in the same
+symbols.  Expressions are trees over the model symbols
 
 =======  ====================================================================
 symbol   meaning
@@ -15,7 +20,8 @@ symbol   meaning
 ``g``    this node's perf value ``perf[i]``
 ``G``    the perf-vector total ``sum(perf)``
 ``d``    the duplicate count (multiplicity of the most duplicated key)
-``l``    this node's portion ``l_i`` (its performance-proportional share)
+``l``    this node's portion ``l_i``, the items it holds after the
+         performance-proportional split (its *ideal* share is ``n*g/G``)
 ``r``    items received by this node in a routing step (``<= n``)
 ``cm``   the redistribution message size, in items
 =======  ====================================================================
@@ -25,8 +31,6 @@ model-aware operators that close over ``M`` and ``B`` at evaluation
 time: ``passes(x)`` — the polyphase/multiway merge pass count
 :func:`repro.pdm.model.merge_passes` — and ``levels(x)`` — the k-way
 merge depth over ``x`` runs, :func:`repro.pdm.model.merge_levels`.
-Both *call* those functions, so a statically derived bound and the
-dynamic auditor agree exactly on every concrete substitution.
 
 ``Top`` is the explicit unbounded element: it absorbs through ``+``,
 ``*`` (except by a literal zero) and ``max``, evaluates to ``inf``, and
@@ -268,9 +272,7 @@ class MergePasses(Expr):
     """Merge passes over ``x`` items: :meth:`PDMConfig.merge_passes`.
 
     Zero when ``x <= M``; otherwise ``max(1, ceil(log_k(ceil(x / M))))``
-    with ``k = merge_order(M, B)`` — evaluated by the runtime model's own
-    :func:`repro.pdm.model.merge_passes`, so static and dynamic bounds
-    agree exactly.
+    with ``k = merge_order(M, B)``.
     """
 
     arg: Expr
@@ -560,3 +562,46 @@ def as_expr(value: ExprLike) -> Expr:
     if isinstance(value, Expr):
         return value
     return Const(float(value))
+
+
+# --------------------------------------------------------------------------
+# The PDM-level sort and merge bounds
+# --------------------------------------------------------------------------
+
+#: Step-1/5 slack for polyphase dummy-run padding — the same factor the
+#: I/O-complexity benchmark gate allows (benchmarks/test_io_complexity.py).
+POLYPHASE_SLACK = 1.3
+
+
+def sort_cost(size: Expr) -> Expr:
+    """The paper's external-sort bound ``2s(1 + passes(s))`` item I/Os:
+    every item read and written once per pass, run formation included."""
+    return Mul((Const(2), size, Add((Const(1), MergePasses(size)))))
+
+
+def _padded(size: Expr, floor: Expr, slack: float) -> Expr:
+    """``slack * max(sort_cost(s), floor)``: the polyphase engine pads
+    with dummy runs (the slack) and never does less than ``floor``."""
+    return Mul((Const(slack), Max((sort_cost(size), floor))))
+
+
+def poly_cost(size: Expr, slack: float = POLYPHASE_SLACK) -> Expr:
+    """Polyphase external sort of ``size`` items: :func:`sort_cost`,
+    floored at ``4s`` (run formation plus >= 1 merge/output pass even
+    when ``s <= M``, where the formula's pass count is 0)."""
+    return _padded(size, Mul((Const(4), size)), slack)
+
+
+def merge_cost(size: Expr, count: Expr, slack: float = POLYPHASE_SLACK) -> Expr:
+    """Multi-pass k-way merge of ``count`` runs totalling ``size``
+    items: :func:`sort_cost`, floored at the explicit merge depth
+    ``2s*levels(count)`` (the formula's ``s/M`` run count can undercount
+    many small runs), plus one partial block per run."""
+    return Add((
+        _padded(
+            size,
+            Mul((Const(2), size, Max((Const(1), MergeLevels(count))))),
+            slack,
+        ),
+        Mul((count, Sym("B"))),
+    ))

@@ -2,7 +2,7 @@
 
 Four layers of assurance, mirroring the subpackage:
 
-* the symbolic algebra (:mod:`repro.analysis.cost.sym`): hypothesis
+* the symbolic algebra (:mod:`repro.pdm.sym`): hypothesis
   properties that ``simplify`` and the JSON round-trip never change an
   expression's value over the sampled model domain;
 * the abstract interpreter: golden rendered expressions for every step
@@ -40,10 +40,9 @@ from repro.analysis.cost import (
     certify_corpus,
     derive_costs,
     get_cost_rules,
-    node_env,
 )
 from repro.analysis.cost.rules import BoundRegressionRule
-from repro.analysis.cost.sym import (
+from repro.pdm.sym import (
     SYMBOLS,
     BitLen,
     Ceil,
@@ -68,7 +67,7 @@ from repro.analysis.cost.sym import (
 from repro.analysis.engine import AnalysisError
 from repro.analysis.flow import load_project
 from repro.analysis.flow.project import Project
-from repro.obs.audit import RunMeta
+from repro.obs.audit import RunMeta, node_envs
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 ENTRY_PATH = "repro/core/external_psrs.py"
@@ -238,16 +237,30 @@ def test_every_step_of_every_algorithm_is_bounded(project: Project) -> None:
 
 def test_external_psrs_derived_dominated_by_paper(project: Project) -> None:
     """REP301's invariant, asserted directly: derived <= paper per step."""
-    from repro.analysis.cost.paper import paper_bound_for
+    from repro.core.theory import step_bounds
 
     costs = derive_costs(project)["external_psrs"]
-    for name in (
-        "1:local-sort", "2:pivots", "3:partition",
-        "4:redistribute", "5:final-merge",
-    ):
-        paper = paper_bound_for("external_psrs", name)
-        assert paper is not None
+    for name, paper in step_bounds().items():
         assert dominates(costs.steps[name].expr, paper) is None, name
+
+
+def test_costs_md_renders_the_one_table() -> None:
+    """docs/COSTS.md's external_psrs table is ``render()`` output: the
+    paper column of ``step_bounds()``, the derived column of GOLDEN."""
+    from repro.core.theory import step_bounds
+
+    doc = (REPO_ROOT / "docs" / "COSTS.md").read_text(encoding="utf-8")
+    section = doc.split("## external_psrs", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = (cells[1].strip("`"), cells[2].strip("`"))
+    assert set(rows) == set(GOLDEN["external_psrs"])
+    for step, (derived, paper) in rows.items():
+        assert derived == GOLDEN["external_psrs"][step], step
+    for step, expr in step_bounds().items():
+        assert rows[step][1] == expr.render(), step
 
 
 # -- the rules: one bad fixture per code -------------------------------------
@@ -402,22 +415,35 @@ def _meta(**overrides) -> RunMeta:
 
 
 def test_node_env_l_covers_portion_and_optimal_share() -> None:
+    """The derived side's ``l`` covers the actual and the ideal share."""
     from repro.core.perf import PerfVector
 
-    meta = _meta()
+    meta = _meta(n_items=4099)  # not a multiple of sum(perf)
     perf = PerfVector(list(meta.perf))
     portions = perf.portions(meta.n_items)
-    for node in range(perf.p):
-        env = node_env(meta, node)
+    for node, env in enumerate(node_envs(meta, cover_share=True)):
         assert env["l"] >= portions[node]
         assert env["l"] >= perf.optimal_share(meta.n_items, node)
         assert env["g"] == float(perf[node])
 
 
+def test_node_env_auditor_side_binds_actual_portion() -> None:
+    """The paper side's ``l`` is the portion; ``n*g/G`` is the share."""
+    from repro.core.perf import PerfVector
+    from repro.core.theory import IDEAL_SHARE
+
+    meta = _meta(n_items=4099)
+    perf = PerfVector(list(meta.perf))
+    portions = perf.portions(meta.n_items)
+    for node, env in enumerate(node_envs(meta)):
+        assert env["l"] == portions[node]
+        assert IDEAL_SHARE.eval(env) == perf.optimal_share(meta.n_items, node)
+
+
 def test_certify_cells_verdicts() -> None:
     meta = _meta()
     exprs = {"1:local-sort": mul(Const(2.0), Sym("l"))}
-    env = node_env(meta, 0)
+    env = node_envs(meta, cover_share=True)[0]
     bound = 2.0 * env["l"]
     rounded = math.ceil(bound / meta.block_items) * meta.block_items
     ok_report = certify_cells(
@@ -431,8 +457,13 @@ def test_certify_cells_verdicts() -> None:
 
 
 def test_certify_cells_missing_numbered_step_fails() -> None:
-    report = certify_cells([("3:partition", 0, 10)], _meta(), exprs={})
-    assert report.missing_steps == ["3:partition"] and not report.ok
+    """Missing or TOP: one ``missing_steps`` entry, no per-node rows."""
+    cells = [("3:partition", node, 10) for node in range(3)]
+    for exprs in ({}, {"3:partition": Top("no bound")}):
+        report = certify_cells(cells, _meta(), exprs=exprs)
+        assert report.missing_steps == ["3:partition"] and not report.ok
+        assert report.rows == []
+        assert "NO STATIC BOUND" in report.table().render()
 
 
 def test_certify_cells_informational_rows() -> None:

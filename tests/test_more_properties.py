@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from repro.cluster.network import LinkModel
 from repro.core.perf import PerfVector
 from repro.core.quantiles import boundary_targets
-from repro.core.theory import load_balance_bound
+from repro.core.theory import IDEAL_SHARE, load_balance, load_balance_bound
 from repro.extsort.polyphase import fibonacci_distribution, theoretical_phase_count
 from repro.metrics.expansion import partition_stats
+from repro.obs.audit import RunMeta, node_envs
+from repro.pdm.model import PDMConfig
+from repro.pdm.sym import Sym, sort_cost
 
 
 class TestFibonacciProperties:
@@ -78,6 +81,36 @@ class TestBoundaryTargetProperties:
             load_balance_bound(n, perf, i) for i in range(perf.p)
         )
         assert total == pytest.approx(2.0 * n)
+
+
+class TestNumericFacesOfTheBounds:
+    """``step1_io_bound`` / ``load_balance_bound`` are the symbolic
+    builders evaluated, on any environment the auditor can build."""
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        st.integers(0, 10**7),
+        st.integers(1, 512),
+        st.integers(3, 200),
+        st.integers(0, 10**4),
+    )
+    def test_faces_equal_builder_eval(self, vals, n, block, m_blocks, d):
+        perf = PerfVector(vals)
+        meta = RunMeta(n_items=n, perf=tuple(vals), memory_items=m_blocks * block,
+                       block_items=block, oversample=4, d_duplicates=d)
+        cfg = PDMConfig(N=max(n, 1), M=meta.memory_items, B=block)
+        for i, env in enumerate(node_envs(meta)):
+            assert cfg.step1_io_bound(int(env["l"])) == sort_cost(Sym("l")).eval(env)
+            assert load_balance_bound(n, perf, i, d) == (
+                load_balance(IDEAL_SHARE).eval(env)
+            )
+            # and the closed forms they replaced, to the last bit
+            assert cfg.step1_io_bound(int(env["l"])) == (
+                2.0 * env["l"] * (1 + cfg.merge_passes(int(env["l"])))
+            )
+            assert load_balance_bound(n, perf, i, d) == (
+                2.0 * perf.optimal_share(n, i) + d
+            )
 
 
 class TestPartitionStatsProperties:

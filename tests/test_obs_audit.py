@@ -1,6 +1,9 @@
 """End-to-end tests for the bounds auditor and its CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,21 @@ def test_audit_run_reproduces_golden_bounds(entry):
     for step, want in entry["steps"].items():
         for node, bound in enumerate(want["bounds"]):
             assert got[step, node] == (bound, want["note"]), (step, node)
+
+
+def test_auditor_reaches_the_algebra_without_the_analysis_passes():
+    """``benchmarks/perf`` imports the auditor inside every ``setup_s``;
+    the cost interpreter, flow and protocol passes must not ride along."""
+    code = (
+        "import sys, repro.obs.audit, repro.core.theory\n"
+        "print([m for m in sys.modules if m.startswith(('repro.analysis.cost',"
+        " 'repro.analysis.flow', 'repro.analysis.protocol'))])"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCLITelemetry:
