@@ -168,17 +168,20 @@ def test_audit_run_reproduces_golden_bounds(entry):
 
 def test_auditor_reaches_the_algebra_without_the_analysis_passes():
     """``benchmarks/perf`` imports the auditor inside every ``setup_s``;
-    the cost interpreter, flow and protocol passes must not ride along."""
-    code = (
-        "import sys, repro.obs.audit, repro.core.theory\n"
-        "print([m for m in sys.modules if m.startswith(('repro.analysis.cost',"
-        " 'repro.analysis.flow', 'repro.analysis.protocol'))])"
-    )
+    the cost interpreter, flow and protocol passes must not ride along —
+    nor with the simulator itself, which reaches ``repro.analysis`` for
+    the sanitizers (``cluster/network.py``)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    for modules in ("repro.obs.audit, repro.core.theory", "repro", "repro.analysis"):
+        code = (
+            f"import sys, {modules}\n"
+            "print([m for m in sys.modules if m.startswith(('repro.analysis.cost',"
+            " 'repro.analysis.flow', 'repro.analysis.protocol'))])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]", modules
 
 
 class TestCLITelemetry:
