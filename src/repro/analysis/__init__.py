@@ -2,9 +2,11 @@
 
 Two complementary halves (see ``docs/ANALYSIS.md``):
 
-* the **linter** (:mod:`repro.analysis.engine`,
-  :mod:`repro.analysis.rules`, CLI ``python -m repro lint``) — an
-  AST pass codifying rules REP001..REP008 over ``src/repro``;
+* the **linter** (:mod:`repro.analysis.engine`, CLI ``python -m repro
+  lint``) — AST passes codifying the REP rules over ``src/repro``; the
+  pass table, every rule instance and the runner live in
+  :mod:`repro.analysis.cli`, which this package does not import (the
+  simulator reaches here for the sanitizers only);
 * the **sanitizers** (:mod:`repro.analysis.sanitizers`) — opt-in
   dynamic cross-checks the accounting surfaces (SimDisk,
   MemoryManager, Network, BlockFile) consult when installed.
@@ -19,13 +21,10 @@ from repro.analysis.engine import (
     ModuleContext,
     Rule,
     Suppression,
-    analyze_file,
-    analyze_paths,
     analyze_source,
     package_relpath,
     parse_noqa,
 )
-from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, get_rules
 from repro.analysis.sanitizers import (
     RuntimeSanitizer,
     SanitizerConfig,
@@ -38,7 +37,6 @@ from repro.analysis.sanitizers import (
 )
 
 __all__ = [
-    "ALL_RULES",
     "AnalysisError",
     "AnalysisReport",
     "Baseline",
@@ -46,18 +44,14 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "RULES_BY_CODE",
     "RuntimeSanitizer",
     "SanitizerConfig",
     "SanitizerError",
     "SanitizerStats",
     "Suppression",
     "active_sanitizer",
-    "analyze_file",
-    "analyze_paths",
     "analyze_source",
     "fingerprint",
-    "get_rules",
     "install_sanitizers",
     "package_relpath",
     "parse_noqa",

@@ -5,15 +5,22 @@ the sha256 of the analysed source (plus the engine version and the rule
 selection), so a stale hit is impossible — editing a file changes its
 key, upgrading an engine changes every key.
 
-Two granularities, matching the two kinds of pass:
+Two granularities, matching the ``per_file`` column of the pass table
+(:data:`repro.analysis.cli.PASSES`):
 
-* the **shallow** pass (REP001..REP008) is strictly per-module, so each
-  file caches independently — editing one module re-analyses one module;
-* the **deep** (REP101..REP105) and **protocol** (REP201..REP206)
-  passes are interprocedural: a finding in module A can depend on module
-  B's source, so their keys include the digest of the *whole* project
-  file set.  They hit only when nothing changed — which is still the
-  common case in CI re-runs and pre-commit loops.
+* a **per-file** pass (shallow, REP001..REP008) is strictly per-module,
+  so each file caches independently — editing one module re-analyses one
+  module.  Key: pass name, engine version, rule selection, display path,
+  source digest;
+* a **whole-project** pass (deep REP101..REP105, protocol
+  REP201..REP206, cost REP301..REP306) is interprocedural: a finding in
+  module A can depend on module B's source, so its key carries the digest
+  of the *whole* file set instead.  It hits only when nothing changed —
+  which is still the common case in CI re-runs and pre-commit loops, and
+  a run that hits on every pass never builds the call graph.  The cost
+  pass adds one more input to its key, the digest of the cost baseline
+  file (``"no-cost-baseline"`` when there is none): REP305's findings
+  depend on that file's content as much as on the sources.
 
 Entries live under ``.lint-cache/`` (git-ignored) as small JSON files,
 written atomically.  ``repro lint --no-cache`` bypasses the cache, and

@@ -39,10 +39,12 @@ absolute paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Collection, Sequence, TextIO, TypeVar
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, fingerprint
 from repro.analysis.cache import (
@@ -57,39 +59,63 @@ from repro.analysis.cache import (
     rule_selection_token,
     source_digest,
 )
+from repro.analysis.cost import (
+    COST_BASELINE_NAME,
+    COST_ENGINE_VERSION,
+    emit_costs,
+    write_cost_baseline,
+)
+from repro.analysis.cost.rules import (
+    COST_BASELINE_KEY,
+    BoundRegressionRule,
+    DeadBoundRule,
+    DerivedExceedsPaperRule,
+    ExtraPassRule,
+    UnboundedIORule,
+    UnboundedLoopIORule,
+)
 from repro.analysis.engine import (
     ENGINE_VERSION,
     AnalysisError,
     AnalysisReport,
     FileReport,
     Finding,
+    Rule,
     analyze_source,
-    iter_python_files,
-)
-from repro.analysis.cost import (
-    COST_BASELINE_NAME,
-    COST_ENGINE_VERSION,
-    COST_RULES_BY_CODE,
-    analyze_cost,
-    emit_costs,
-    get_cost_rules,
-    write_cost_baseline,
+    read_sources,
 )
 from repro.analysis.flow import (
-    DEEP_RULES_BY_CODE,
     FLOW_ENGINE_VERSION,
-    analyze_deep,
-    get_deep_rules,
-    load_project,
+    Project,
+    project_from_sources,
+    run_project,
 )
-from repro.analysis.protocol import (
-    PROTOCOL_ENGINE_VERSION,
-    PROTOCOL_RULES_BY_CODE,
-    analyze_protocol,
-    emit_schemas,
-    get_protocol_rules,
+from repro.analysis.flow.escape import CrossNodeEscapeRule
+from repro.analysis.flow.phases import PhaseAttributionRule
+from repro.analysis.flow.typestate import (
+    HandleLeakRule,
+    ReadNeverWrittenRule,
+    UseAfterSealRule,
 )
-from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, get_rules
+from repro.analysis.protocol import PROTOCOL_ENGINE_VERSION, emit_schemas
+from repro.analysis.protocol.rules import (
+    BarrierConsistencyRule,
+    CollectiveInRankLoopRule,
+    CollectiveOrderRule,
+    DegradedViewRankRule,
+    RootMismatchRule,
+    SelfSendRule,
+)
+from repro.analysis.rules import (
+    InCoreSortRule,
+    MagicBlockSizeRule,
+    MemoryBypassRule,
+    NodeIsolationRule,
+    NondeterminismRule,
+    RawHostIORule,
+    SharedMutableStateRule,
+    SwallowedFaultRule,
+)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -210,113 +236,141 @@ def _default_paths() -> list[str]:
     return [str(Path(repro.__file__).parent)]
 
 
-def _default_baseline() -> Path | None:
-    cwd_candidate = Path(DEFAULT_BASELINE_NAME)
-    if cwd_candidate.is_file():
-        return cwd_candidate
+def _resolve_file(explicit: str | None, name: str) -> Path | None:
+    """``explicit`` if given, else ``name`` in the cwd, else beside the
+    source checkout, else None."""
+    if explicit is not None:
+        return Path(explicit)
     import repro
 
-    repo_candidate = Path(repro.__file__).parent.parent.parent / DEFAULT_BASELINE_NAME
-    if repo_candidate.is_file():
-        return repo_candidate
+    for candidate in (Path(name), Path(repro.__file__).parent.parent.parent / name):
+        if candidate.is_file():
+            return candidate
     return None
 
 
-def _default_cost_baseline() -> Path | None:
-    cwd_candidate = Path(COST_BASELINE_NAME)
-    if cwd_candidate.is_file():
-        return cwd_candidate
-    import repro
+# -- the pass table ------------------------------------------------------------
 
-    repo_candidate = Path(repro.__file__).parent.parent.parent / COST_BASELINE_NAME
-    if repo_candidate.is_file():
-        return repo_candidate
-    return None
+
+@dataclass(frozen=True)
+class Pass:
+    """One lint pass: a group of rules sharing an engine and a granularity.
+
+    ``name`` is the cache namespace, the ``--list-rules`` tag and the
+    argparse dest of ``flag`` (None = always on); ``version_key`` /
+    ``version`` are the engine-version entry of the JSON report and of
+    every cache key.  A ``per_file`` pass analyses and caches one module
+    at a time; the others see the whole :class:`Project` and cache by its
+    digest — plus, when ``baseline`` names a ``(file, project.cache
+    slot)`` pair, the digest of that file, whose parsed content the rules
+    read from the slot.
+    """
+
+    name: str
+    flag: str | None
+    label: str
+    version_key: str
+    version: str
+    rules: tuple[Rule, ...]
+    per_file: bool = False
+    baseline: tuple[str, str] | None = None
+
+
+#: Every lint pass and every rule, in code order — the one registry
+#: ``run_lint``, ``--list-rules``, ``--rule`` and the tests read.
+PASSES: tuple[Pass, ...] = (
+    Pass(
+        "shallow", None, "syntactic", "engine_version", ENGINE_VERSION,
+        (
+            RawHostIORule(),
+            InCoreSortRule(),
+            NondeterminismRule(),
+            MagicBlockSizeRule(),
+            NodeIsolationRule(),
+            MemoryBypassRule(),
+            SwallowedFaultRule(),
+            SharedMutableStateRule(),
+        ),
+        per_file=True,
+    ),
+    Pass(
+        "deep", "--deep", "flow-aware deep", "flow_engine_version",
+        FLOW_ENGINE_VERSION,
+        (
+            HandleLeakRule(),
+            UseAfterSealRule(),
+            ReadNeverWrittenRule(),
+            CrossNodeEscapeRule(),
+            PhaseAttributionRule(),
+        ),
+    ),
+    Pass(
+        "protocol", "--protocol", "protocol", "protocol_engine_version",
+        PROTOCOL_ENGINE_VERSION,
+        (
+            CollectiveOrderRule(),
+            RootMismatchRule(),
+            SelfSendRule(),
+            CollectiveInRankLoopRule(),
+            BarrierConsistencyRule(),
+            DegradedViewRankRule(),
+        ),
+    ),
+    Pass(
+        "cost", "--cost", "I/O-cost", "cost_engine_version", COST_ENGINE_VERSION,
+        (
+            DerivedExceedsPaperRule(),
+            UnboundedIORule(),
+            ExtraPassRule(),
+            UnboundedLoopIORule(),
+            BoundRegressionRule(),
+            DeadBoundRule(),
+        ),
+        baseline=(COST_BASELINE_NAME, COST_BASELINE_KEY),
+    ),
+)
+
+
+def select(
+    codes: Sequence[str] | None, enabled: Collection[str]
+) -> dict[str, tuple[Rule, ...]]:
+    """Resolve a ``--rule`` selection to the rules each pass should run.
+
+    With no ``codes`` every enabled pass runs all of its rules; otherwise
+    each code (case-insensitive) picks one rule, which must exist and
+    belong to an enabled pass.  A pass mapped to ``()`` is skipped.
+    """
+    if not codes:
+        return {p.name: p.rules if p.name in enabled else () for p in PASSES}
+    by_code = {r.code: (p, r) for p in PASSES for r in p.rules}
+    picked: dict[str, list[Rule]] = {p.name: [] for p in PASSES}
+    for code in codes:
+        if code.upper() not in by_code:
+            raise AnalysisError(
+                f"unknown rule {code!r}; have {', '.join(by_code)}"
+            )
+        p, rule = by_code[code.upper()]
+        picked[p.name].append(rule)
+    for p in PASSES:
+        if picked[p.name] and p.name not in enabled:
+            listed = ", ".join(sorted(r.code for r in picked[p.name]))
+            raise AnalysisError(
+                f"rule(s) {listed} are {p.label} rules; "
+                f"pass {p.flag} to enable them"
+            )
+    return {name: tuple(rules) for name, rules in picked.items()}
 
 
 def _list_rules(out: TextIO) -> None:
-    deep_rules = tuple(DEEP_RULES_BY_CODE[c] for c in sorted(DEEP_RULES_BY_CODE))
-    protocol_rules = tuple(
-        PROTOCOL_RULES_BY_CODE[c] for c in sorted(PROTOCOL_RULES_BY_CODE)
-    )
-    cost_rules = tuple(COST_RULES_BY_CODE[c] for c in sorted(COST_RULES_BY_CODE))
-    for rule in (*ALL_RULES, *deep_rules, *protocol_rules, *cost_rules):
-        scope = ", ".join(rule.scope) if rule.scope else "whole package"
-        if rule.code in COST_RULES_BY_CODE:
-            tag = " [cost]"
-        elif rule.code in PROTOCOL_RULES_BY_CODE:
-            tag = " [protocol]"
-        elif rule.code in DEEP_RULES_BY_CODE:
-            tag = " [deep]"
-        else:
-            tag = ""
-        out.write(f"{rule.code} {rule.name}{tag}: {rule.summary}\n")
-        out.write(f"    scope: {scope}\n")
-        if rule.exempt:
-            out.write(f"    exempt: {', '.join(rule.exempt)}\n")
-        out.write(f"    fix: {rule.fix_hint}\n")
-
-
-def _split_rule_codes(
-    codes: Sequence[str] | None, deep: bool, protocol: bool, cost: bool
-) -> tuple[
-    Sequence[str] | None,
-    Sequence[str] | None,
-    Sequence[str] | None,
-    Sequence[str] | None,
-]:
-    """Partition ``--rule`` selections into (shallow, deep, protocol, cost).
-
-    Returns ``None`` for a pass meaning "all its rules"; an empty list
-    meaning "skip that pass entirely" (the user filtered it out).
-    """
-    if not codes:
-        return (
-            None,
-            (None if deep else []),
-            (None if protocol else []),
-            (None if cost else []),
-        )
-    shallow: list[str] = []
-    deep_codes: list[str] = []
-    protocol_codes: list[str] = []
-    cost_codes: list[str] = []
-    for code in codes:
-        upper = code.upper()
-        if upper in RULES_BY_CODE:
-            shallow.append(code)
-        elif upper in DEEP_RULES_BY_CODE:
-            deep_codes.append(code)
-        elif upper in PROTOCOL_RULES_BY_CODE:
-            protocol_codes.append(code)
-        elif upper in COST_RULES_BY_CODE:
-            cost_codes.append(code)
-        else:
-            known = (
-                sorted(RULES_BY_CODE)
-                + sorted(DEEP_RULES_BY_CODE)
-                + sorted(PROTOCOL_RULES_BY_CODE)
-                + sorted(COST_RULES_BY_CODE)
-            )
-            raise AnalysisError(
-                f"unknown rule {code!r}; have {', '.join(known)}"
-            )
-    if deep_codes and not deep:
-        raise AnalysisError(
-            f"rule(s) {', '.join(sorted(c.upper() for c in deep_codes))} "
-            "are flow-aware deep rules; pass --deep to enable them"
-        )
-    if protocol_codes and not protocol:
-        raise AnalysisError(
-            f"rule(s) {', '.join(sorted(c.upper() for c in protocol_codes))} "
-            "are protocol rules; pass --protocol to enable them"
-        )
-    if cost_codes and not cost:
-        raise AnalysisError(
-            f"rule(s) {', '.join(sorted(c.upper() for c in cost_codes))} "
-            "are I/O-cost rules; pass --cost to enable them"
-        )
-    return shallow, deep_codes, protocol_codes, cost_codes
+    for p in PASSES:
+        tag = f" [{p.name}]" if p.flag else ""
+        for rule in p.rules:
+            scope = ", ".join(rule.scope) if rule.scope else "whole package"
+            out.write(f"{rule.code} {rule.name}{tag}: {rule.summary}\n")
+            out.write(f"    scope: {scope}\n")
+            if rule.exempt:
+                out.write(f"    exempt: {', '.join(rule.exempt)}\n")
+            out.write(f"    fix: {rule.fix_hint}\n")
 
 
 def _merge_reports(
@@ -342,68 +396,95 @@ def _merge_reports(
 
 # -- cached pass execution ---------------------------------------------------
 
-
-def _read_sources(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
-    out = []
-    for p in iter_python_files(paths):
-        try:
-            out.append((p, p.read_text(encoding="utf-8")))
-        except OSError as exc:
-            raise AnalysisError(f"{p}: cannot read: {exc}") from exc
-    return out
+_T = TypeVar("_T")
 
 
-def _analyze_shallow(
-    sources: Sequence[tuple[Path, str]],
-    codes: Sequence[str] | None,
+def _cached(
     cache: LintCache | None,
-) -> AnalysisReport:
-    """The per-module syntactic pass, cached per file."""
-    rules = get_rules(codes)
-    token = rule_selection_token(codes)
-    report = AnalysisReport()
-    for path, source in sources:
-        display = path.as_posix()
-        key = cache_key("shallow", ENGINE_VERSION, token, display,
-                        source_digest(source))
-        if cache is not None:
-            hit = cache.get(key, "shallow")
-            if hit is not None:
-                report.files.append(file_report_from_dict(hit))
-                continue
-        fr = analyze_source(source, str(path), rules, display_path=display)
-        if cache is not None:
-            cache.put(key, file_report_to_dict(fr))
-        report.files.append(fr)
-    return report
-
-
-def _analyze_whole_project(
     pass_name: str,
-    engine_version: str,
-    sources: Sequence[tuple[Path, str]],
-    codes: Sequence[str] | None,
-    cache: LintCache | None,
-    run: Callable[[], AnalysisReport],
-    extra_key: str = "",
-) -> AnalysisReport:
-    """A whole-project (interprocedural) pass, cached by project digest.
-
-    ``extra_key`` folds additional inputs into the key — the cost pass
-    uses it for the digest of the cost baseline file, since REP305's
-    output depends on that file's content as much as on the sources.
-    """
-    digest = project_digest([(p.as_posix(), s) for p, s in sources])
-    key = cache_key(pass_name, engine_version, rule_selection_token(codes),
-                    digest, extra_key)
+    key: str,
+    compute: Callable[[], _T],
+    to_dict: Callable[[_T], dict[str, object]],
+    from_dict: Callable[[dict[str, object]], _T],
+) -> _T:
+    """``compute()`` through the cache: replay a hit, store a miss."""
     if cache is not None:
         hit = cache.get(key, pass_name)
         if hit is not None:
-            return report_from_dict(hit)
-    report = run()
+            return from_dict(hit)
+    value = compute()
     if cache is not None:
-        cache.put(key, report_to_dict(report))
+        cache.put(key, to_dict(value))
+    return value
+
+
+def _run_per_file(
+    p: Pass,
+    rules: Sequence[Rule],
+    token: str,
+    sources: Sequence[tuple[Path, str]],
+    cache: LintCache | None,
+) -> AnalysisReport:
+    """A per-module pass: every file analysed and cached on its own."""
+    report = AnalysisReport()
+    for path, source in sources:
+        display = path.as_posix()
+        report.files.append(_cached(
+            cache, p.name,
+            cache_key(p.name, p.version, token, display, source_digest(source)),
+            lambda: analyze_source(source, str(path), rules, display_path=display),
+            file_report_to_dict, file_report_from_dict,
+        ))
     return report
+
+
+def _run_whole_project(
+    p: Pass,
+    rules: Sequence[Rule],
+    token: str,
+    cache: LintCache | None,
+    project: Callable[[], Project],
+    digest: Callable[[], str],
+    cost_baseline: str | None,
+) -> AnalysisReport:
+    """An interprocedural pass: one entry keyed by the project digest; the
+    model itself is only asked for on a miss."""
+    extra_key, inject = _baseline_input(p.baseline, cost_baseline)
+
+    def compute() -> AnalysisReport:
+        project().cache.update(inject)
+        return run_project(project(), rules)
+
+    return _cached(
+        cache, p.name,
+        cache_key(p.name, p.version, token, digest(), extra_key),
+        compute, report_to_dict, report_from_dict,
+    )
+
+
+def _baseline_input(
+    baseline: tuple[str, str] | None, explicit: str | None
+) -> tuple[str, dict[str, object]]:
+    """A pass's baseline file as (cache-key part, ``project.cache`` entry).
+
+    The pass's findings depend on that file's content as much as on the
+    sources, so its digest is part of the key; the rules get the parsed
+    payload (None when it is not JSON: nothing to compare against).
+    """
+    if baseline is None:
+        return "", {}
+    name, cache_slot = baseline
+    path = _resolve_file(explicit, name)
+    if path is None:
+        return "no-cost-baseline", {}
+    if not path.is_file():
+        raise AnalysisError(f"{path}: cost baseline file not found")
+    text = path.read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        payload = None
+    return source_digest(text), {cache_slot: payload}
 
 
 # -- rendering ---------------------------------------------------------------
@@ -439,17 +520,12 @@ def _render_json(
     new: list[Finding],
     baselined: list[Finding],
     report: AnalysisReport,
-    deep: bool,
-    protocol: bool,
-    cost: bool,
+    enabled: Collection[str],
     cache: LintCache | None,
 ) -> None:
     payload = {
         "version": 1,
-        "engine_version": ENGINE_VERSION,
-        "flow_engine_version": FLOW_ENGINE_VERSION if deep else None,
-        "protocol_engine_version": PROTOCOL_ENGINE_VERSION if protocol else None,
-        "cost_engine_version": COST_ENGINE_VERSION if cost else None,
+        **{p.version_key: p.version if p.name in enabled else None for p in PASSES},
         "findings": [
             {**f.to_dict(), "fingerprint": fingerprint(f)}
             for f in sorted(new, key=_finding_order)
@@ -485,117 +561,59 @@ def run_lint(
         if args.list_rules:
             _list_rules(out)
             return EXIT_CLEAN
-        deep = getattr(args, "deep", False)
-        protocol = getattr(args, "protocol", False)
-        cost = getattr(args, "cost", False)
-        if getattr(args, "all_passes", False):
-            deep = protocol = cost = True
-        emit_schema_dir = getattr(args, "emit_schema", None)
-        emit_costs_dir = getattr(args, "emit_costs", None)
-        write_cost_base = getattr(args, "write_cost_baseline", False)
-        shallow_codes, deep_codes, protocol_codes, cost_codes = (
-            _split_rule_codes(args.rule, deep, protocol, cost)
+        enabled = {
+            p.name for p in PASSES
+            if p.flag is None or args.all_passes or getattr(args, p.name)
+        }
+        selected = select(args.rule, enabled)
+        # keep stdout pure JSON for tooling; notices go to stderr
+        notice_out = err if args.format == "json" else out
+        cache = None if args.no_cache else LintCache(Path(args.cache_dir))
+        sources = read_sources(args.paths or _default_paths())
+
+        # one model and one digest for every whole-project consumer, built
+        # on first use: a fully cached run never pays for the call graph
+        project = functools.cache(lambda: project_from_sources(sources))
+        digest = functools.cache(
+            lambda: project_digest([(p.as_posix(), s) for p, s in sources])
         )
-        paths = args.paths or _default_paths()
-        cache: LintCache | None = None
-        if not getattr(args, "no_cache", False):
-            cache = LintCache(Path(getattr(args, "cache_dir", DEFAULT_CACHE_DIR)))
-        sources = _read_sources(paths)
 
-        if shallow_codes == []:
-            report = AnalysisReport()  # --rule selected deep/protocol only
-        else:
-            report = _analyze_shallow(sources, shallow_codes, cache)
-
-        # the interprocedural passes (and the emitters) share one model
-        project = None
-        if (
-            (deep and deep_codes != [])
-            or (protocol and protocol_codes != [])
-            or (cost and cost_codes != [])
-            or emit_schema_dir is not None
-            or emit_costs_dir is not None
-            or write_cost_base
-        ):
-            project = load_project(paths)
-        if deep and deep_codes != []:
-            report = _merge_reports(
-                report,
-                _analyze_whole_project(
-                    "deep", FLOW_ENGINE_VERSION, sources, deep_codes, cache,
-                    lambda: analyze_deep(
-                        paths, get_deep_rules(deep_codes), project=project
-                    ),
-                ),
-            )
-        if protocol and protocol_codes != []:
-            report = _merge_reports(
-                report,
-                _analyze_whole_project(
-                    "protocol", PROTOCOL_ENGINE_VERSION, sources,
-                    protocol_codes, cache,
-                    lambda: analyze_protocol(
-                        paths, get_protocol_rules(protocol_codes),
-                        project=project,
-                    ),
-                ),
-            )
-        if write_cost_base and project is not None:
+        if args.write_cost_baseline:
             # pin first so the same invocation lints against the fresh pin
-            target = write_cost_baseline(project, Path(COST_BASELINE_NAME))
-            notice_out = err if args.format == "json" else out
-            notice_out.write(
-                f"wrote cost baseline {target.as_posix()}\n"
+            target = write_cost_baseline(
+                project(), Path(args.cost_baseline or COST_BASELINE_NAME)
             )
-        if cost and cost_codes != []:
-            if getattr(args, "cost_baseline", None) is not None:
-                cost_baseline_path = Path(args.cost_baseline)
-                if not cost_baseline_path.is_file():
-                    raise AnalysisError(
-                        f"{cost_baseline_path}: cost baseline file not found"
-                    )
+            notice_out.write(f"wrote cost baseline {target.as_posix()}\n")
+
+        report = AnalysisReport()
+        for p in PASSES:
+            rules = selected[p.name]
+            if not rules:
+                continue  # pass disabled, or filtered out by --rule
+            token = rule_selection_token(
+                [r.code for r in rules] if args.rule else None
+            )
+            if p.per_file:
+                part = _run_per_file(p, rules, token, sources, cache)
             else:
-                cost_baseline_path = _default_cost_baseline()
-            baseline_digest = (
-                source_digest(
-                    cost_baseline_path.read_text(encoding="utf-8")
+                part = _run_whole_project(
+                    p, rules, token, cache, project, digest, args.cost_baseline
                 )
-                if cost_baseline_path is not None
-                else "no-cost-baseline"
-            )
-            report = _merge_reports(
-                report,
-                _analyze_whole_project(
-                    "cost", COST_ENGINE_VERSION, sources, cost_codes, cache,
-                    lambda: analyze_cost(
-                        paths,
-                        get_cost_rules(cost_codes, cost_baseline_path),
-                        project=project,
-                    ),
-                    extra_key=baseline_digest,
-                ),
-            )
-        if emit_schema_dir is not None and project is not None:
-            written = emit_schemas(project, emit_schema_dir)
-            # keep stdout pure JSON for tooling; notices go to stderr
-            notice_out = err if args.format == "json" else out
-            for path in written:
-                notice_out.write(f"wrote schema {path.as_posix()}\n")
-        if emit_costs_dir is not None and project is not None:
-            written = emit_costs(project, emit_costs_dir)
-            notice_out = err if args.format == "json" else out
-            for path in written:
-                notice_out.write(f"wrote costs {path.as_posix()}\n")
+            report = _merge_reports(report, part)
+
+        for directory, what, emit in (
+            (args.emit_schema, "schema", emit_schemas),
+            (args.emit_costs, "costs", emit_costs),
+        ):
+            if directory is not None:
+                for path in emit(project(), directory):
+                    notice_out.write(f"wrote {what} {path.as_posix()}\n")
         findings = report.findings
 
-        baseline_path: Path | None
-        if args.no_baseline:
-            baseline_path = None
-        elif args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        else:
-            baseline_path = _default_baseline()
-
+        baseline_path = (
+            None if args.no_baseline
+            else _resolve_file(args.baseline, DEFAULT_BASELINE_NAME)
+        )
         if args.write_baseline:
             target = baseline_path if baseline_path is not None else Path(
                 DEFAULT_BASELINE_NAME
@@ -614,9 +632,7 @@ def run_lint(
             new, baselined = findings, []
 
         if args.format == "json":
-            _render_json(
-                out, new, baselined, report, deep, protocol, cost, cache
-            )
+            _render_json(out, new, baselined, report, enabled, cache)
         else:
             _render_text(out, new, baselined, report, args.show_suppressed)
         return EXIT_FINDINGS if new else EXIT_CLEAN

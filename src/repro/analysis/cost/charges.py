@@ -5,9 +5,10 @@ through the call graph and derives I/O bounds from three sources, in
 decreasing order of "how much of the proof lives in the walker":
 
 1. **Direct charge sites** — the sanctioned block-I/O primitives
-   (:data:`CHARGED_METHODS`): ``BlockFile.read_block`` /
-   ``append_block`` / ``read_all``, ``BlockWriter.write``,
-   ``RunCursor.take_upto``.  Every other disk mutation in the simulator
+   (:data:`repro.analysis.flow.project.CHARGED_METHODS`, the set REP105
+   polices): ``BlockFile.read_block`` / ``append_block`` / ``read_all``,
+   ``BlockWriter.write`` / ``write_one``, ``RunCursor.take_upto``.
+   Every other disk mutation in the simulator
    funnels through these, so a call whose name chain ends in one of
    them charges items; the walker multiplies the charge by its derived
    loop bounds.  A charge under a loop with no derivable bound is the
@@ -61,17 +62,6 @@ from repro.pdm.sym import (
     merge_cost,
     poly_cost,
 )
-
-#: Method names that directly charge disk I/O when called.
-#: (``write`` is included for :class:`BlockWriter`; the interpreter
-#: charges the written chunk's size when it can derive it.)
-CHARGED_METHODS = frozenset(
-    {"read_block", "append_block", "read_all", "take_upto", "write"}
-)
-
-#: Constructor names whose mere use implies charged writes downstream —
-#: used by the REP306 charge-reachability scan, not by the walker.
-CHARGED_CONSTRUCTORS = frozenset({"BlockWriter", "BlockReader", "RunCursor"})
 
 _L = Sym("l")
 _P = Sym("p")

@@ -21,7 +21,7 @@ The derivation is a single forward walk of the entry function:
   widens to :class:`~repro.pdm.sym.Top` and records the REP304
   anchors;
 * **charges** — calls to the sanctioned block-I/O primitives
-  (:data:`~repro.analysis.cost.charges.CHARGED_METHODS`) charge
+  (:data:`~repro.analysis.flow.project.CHARGED_METHODS`) charge
   directly; calls to contracted engine primitives
   (:data:`~repro.analysis.cost.charges.CONTRACTS`) charge their
   documented formula; a few receiver-driven steps take a whole-step
@@ -47,6 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.engine import AnalysisError
 from repro.analysis.flow.project import (
+    CHARGED_METHODS,
     FunctionInfo,
     ModuleInfo,
     Project,
@@ -56,12 +57,7 @@ from repro.analysis.flow.project import (
 )
 from repro.analysis.protocol.schema import KNOWN_ENTRIES
 
-from repro.analysis.cost.charges import (
-    CHARGED_CONSTRUCTORS,
-    CHARGED_METHODS,
-    contract_for,
-    step_contract_for,
-)
+from repro.analysis.cost.charges import contract_for, step_contract_for
 from repro.pdm.sym import (
     ONE,
     ZERO,
@@ -292,7 +288,7 @@ class CostInterpreter:
         self.entry_key = entry_key
         self.entry = entry
         self.steps: dict[str, StepCost] = {}
-        self._callee_by_node = callee_map(project)
+        self._callee_by_node = project.callee_map
         self._fn_by_def: dict[int, FunctionInfo] = {
             id(fn.node): fn for fn in project.functions.values()
         }
@@ -788,6 +784,8 @@ class CostInterpreter:
             reason = "cursor read outside a contracted step"
             w.ctx.escapes.append((node.lineno, reason))
             return Top(reason), VarInfo()
+        if method == "write_one":
+            return ONE, VarInfo()
         # method == "write"
         if arg_infos:
             arg = arg_infos[0]
@@ -808,7 +806,7 @@ class CostInterpreter:
         w: _Walk,
     ) -> tuple[Expr, VarInfo]:
         if callee.key in w.visited or w.depth >= MAX_DEPTH:
-            if self._fn_reaches_charge(callee):
+            if self.project.fn_reaches_charge(callee):
                 reason = (
                     f"recursion/depth guard hit at {callee.qualname} "
                     "(which can charge I/O)"
@@ -1226,80 +1224,20 @@ class CostInterpreter:
     def _nodes_reach_charge(
         self, nodes: Sequence[ast.AST], frame: Frame
     ) -> bool:
+        if self.project.reaches_charge(nodes):
+            return True
+        # callables handed to a StepRunner are bound in the frame, not
+        # resolved by the call graph
         for root in nodes:
             for sub in ast.walk(root):
-                if not isinstance(sub, ast.Call):
-                    continue
-                chain = name_chain(sub.func)
-                if chain:
-                    if len(chain) >= 2 and chain[-1] in CHARGED_METHODS:
-                        return True
-                    if chain[-1] in CHARGED_CONSTRUCTORS:
-                        return True
-                callee = self._callee_by_node.get(id(sub))
-                if callee is not None and self._fn_reaches_charge(callee):
-                    return True
-                if _is_runner_run(sub):
+                if isinstance(sub, ast.Call) and _is_runner_run(sub):
                     for arg in sub.args[2:]:
                         if isinstance(arg, ast.Name):
                             bound = frame.lookup(arg.id)
                             fn = bound.fn if bound is not None else None
-                            if fn is not None and self._fn_reaches_charge(fn):
+                            if fn is not None and self.project.fn_reaches_charge(fn):
                                 return True
         return False
-
-    def _fn_reaches_charge(self, fn: FunctionInfo) -> bool:
-        return fn_reaches_charge(self.project, fn)
-
-
-def callee_map(project: Project) -> dict[int, FunctionInfo]:
-    """``id(call node) -> resolved callee`` for the whole project,
-    memoized on ``project.cache``."""
-    cached = project.cache.get("cost:callee_by_node")
-    if isinstance(cached, dict):
-        return cached
-    table: dict[int, FunctionInfo] = {}
-    for fn in project.functions.values():
-        for site in fn.callers:
-            table[id(site.node)] = fn
-    project.cache["cost:callee_by_node"] = table
-    return table
-
-
-def fn_reaches_charge(project: Project, fn: FunctionInfo) -> bool:
-    """True when ``fn`` can transitively reach a sanctioned charge site.
-
-    Scans the function subtree (nested defs included) for calls whose
-    name chain ends in a charged method, for charged-writer
-    constructions, and follows resolved callees; memoized on
-    ``project.cache`` with a cycle cut.
-    """
-    memo = project.cache.setdefault("cost:reaches_charge", {})
-    assert isinstance(memo, dict)
-    cached = memo.get(fn.key)
-    if cached is not None:
-        return bool(cached)
-    memo[fn.key] = False  # cut cycles
-    callees = callee_map(project)
-    result = False
-    for sub in ast.walk(fn.node):
-        if not isinstance(sub, ast.Call):
-            continue
-        chain = name_chain(sub.func)
-        if chain:
-            if len(chain) >= 2 and chain[-1] in CHARGED_METHODS:
-                result = True
-                break
-            if chain[-1] in CHARGED_CONSTRUCTORS:
-                result = True
-                break
-        callee = callees.get(id(sub))
-        if callee is not None and callee.key != fn.key:
-            if fn_reaches_charge(project, callee):
-                result = True
-                break
-    memo[fn.key] = result
-    return result
 
 
 def derive_costs(

@@ -14,8 +14,6 @@ exactly like every other lint pass.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.analysis.engine import Finding
@@ -23,12 +21,7 @@ from repro.analysis.flow.project import FunctionInfo, Project
 from repro.analysis.flow.typestate import DeepRule
 
 from repro.analysis.cost.charges import CONTRACTS, STEP_CONTRACTS
-from repro.analysis.cost.interp import (
-    AlgorithmCosts,
-    StepCost,
-    derive_costs,
-    fn_reaches_charge,
-)
+from repro.analysis.cost.interp import AlgorithmCosts, StepCost, derive_costs
 from repro.analysis.cost.paper import PAPER_STEP_BOUNDS, paper_bound_for
 from repro.pdm.sym import (
     Const,
@@ -40,6 +33,9 @@ from repro.pdm.sym import (
 
 #: Default location of the checked-in per-step expression baseline.
 COST_BASELINE_NAME = "cost-baseline.json"
+
+#: ``project.cache`` key REP305 reads the parsed baseline payload from.
+COST_BASELINE_KEY = "cost:baseline"
 
 #: Algorithm 1 allows at most this many full passes over a step's data.
 MAX_SWEEPS = 3
@@ -75,7 +71,7 @@ class CostRule(DeepRule):
     ) -> Finding:
         node = step.node if step is not None else costs.entry.node
         return costs.entry.module.finding(
-            self,  # type: ignore[arg-type]  # duck-typed Rule metadata
+            self,
             node,
             f"{message} [{costs.algorithm}]",
         )
@@ -238,27 +234,13 @@ class BoundRegressionRule(CostRule):
         "otherwise find the loop or charge that grew."
     )
 
-    def __init__(self, baseline_path: Optional[Path] = None) -> None:
-        self.baseline_path = baseline_path
-
     def _load_baseline(
         self, project: Project
     ) -> Optional[dict[str, dict[str, Expr]]]:
-        injected = project.cache.get("cost:baseline")
-        raw: Optional[dict[str, object]] = None
-        if isinstance(injected, dict):
-            raw = injected  # type: ignore[assignment]
-        else:
-            path = self.baseline_path or Path(COST_BASELINE_NAME)
-            if not path.is_file():
-                return None
-            try:
-                loaded = json.loads(path.read_text())
-            except (OSError, ValueError):
-                return None
-            if not isinstance(loaded, dict):
-                return None
-            raw = loaded
+        # the parsed baseline file, injected by whoever runs the pass
+        raw = project.cache.get(COST_BASELINE_KEY)
+        if not isinstance(raw, dict):
+            return None
         algorithms = raw.get("algorithms")
         if not isinstance(algorithms, dict):
             return None
@@ -373,9 +355,9 @@ class DeadBoundRule(CostRule):
             for fn in by_tail.get(cname, ()):
                 if not self.applies_to(fn.module.relpath):
                     continue
-                if not fn_reaches_charge(project, fn):
+                if not project.fn_reaches_charge(fn):
                     yield fn.module.finding(
-                        self,  # type: ignore[arg-type]
+                        self,
                         fn.node,
                         f"contracted primitive {cname}() reaches no "
                         "charge site; its cost formula is vacuous",

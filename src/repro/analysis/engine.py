@@ -16,7 +16,8 @@ Design
   fingerprints that survive line-number drift).
 * :class:`Rule` — the protocol every check implements: class-level
   metadata (``code``, ``name``, ``rationale``, ``fix_hint``, path
-  ``scope`` / ``exempt``) plus ``check(ctx)`` yielding findings.
+  ``scope`` / ``exempt``) plus ``check(ctx)`` yielding findings — or,
+  for the interprocedural rules, ``check_project(project)``.
 * :class:`ModuleContext` — parsed tree + source lines + the
   package-relative path, with helpers for building findings.
 * ``# repro: noqa`` — the inline escape hatch.  A bare ``noqa``
@@ -26,7 +27,8 @@ Design
 
 Suppression is matched against the *first* physical line of the node a
 finding is attached to (``node.lineno``), which is where a human
-reading the code expects the annotation.
+reading the code expects the annotation; :func:`file_finding` is the one
+place that match is made, for every pass.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from repro.analysis.flow.project import Project
 
 
 #: Version of the analysis engine, reported in the stable JSON payload.
@@ -177,7 +182,8 @@ class ModuleContext:
 class Rule:
     """Base class / protocol for one codified invariant.
 
-    Subclasses set the class-level metadata and implement :meth:`check`.
+    Subclasses set the class-level metadata and implement :meth:`check`
+    (one module at a time) or :meth:`check_project` (the whole package).
     ``scope`` restricts the rule to package-relative path prefixes
     (empty = the whole package); ``exempt`` lists sanctioned modules the
     rule never fires in — an entry ending in ``/`` exempts the whole
@@ -205,6 +211,14 @@ class Rule:
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:  # pragma: no cover
         raise NotImplementedError
+
+    def check_project(self, project: "Project") -> Iterator[Finding]:
+        """Check a whole project: by default, module by module.  Rules that
+        need the call graph (:class:`~repro.analysis.flow.typestate.DeepRule`)
+        override this instead of :meth:`check`."""
+        for module in project.modules.values():
+            if self.applies_to(module.relpath):
+                yield from self.check(module.context())
 
 
 # --------------------------------------------------------------------------
@@ -238,13 +252,28 @@ class AnalysisReport:
         return [s for fr in self.files for s in fr.suppressed]
 
 
+def file_finding(
+    report: FileReport, noqa: dict[int, dict[str, str]], finding: Finding
+) -> None:
+    """Record ``finding`` in ``report``: suppressed when its line carries a
+    matching ``# repro: noqa`` directive, reported otherwise."""
+    directives = noqa.get(finding.line)
+    if directives is not None and (
+        ALL_RULES in directives or finding.rule in directives
+    ):
+        reason = directives.get(finding.rule, directives.get(ALL_RULES, ""))
+        report.suppressed.append(Suppression(finding, reason))
+    else:
+        report.findings.append(finding)
+
+
 def analyze_source(
     source: str,
     path: str,
     rules: Sequence[Rule],
     display_path: str | None = None,
 ) -> FileReport:
-    """Run ``rules`` over one module's source text.
+    """Run per-module ``rules`` over one module's source text.
 
     ``path`` is used for scope matching (normalised with
     :func:`package_relpath`); ``display_path`` is what findings report
@@ -264,25 +293,9 @@ def analyze_source(
         if not rule.applies_to(relpath):
             continue
         for finding in rule.check(ctx):
-            directives = noqa.get(finding.line)
-            if directives is not None and (
-                ALL_RULES in directives or finding.rule in directives
-            ):
-                reason = directives.get(finding.rule, directives.get(ALL_RULES, ""))
-                report.suppressed.append(Suppression(finding, reason))
-            else:
-                report.findings.append(finding)
+            file_finding(report, noqa, finding)
     report.findings.sort()
     return report
-
-
-def analyze_file(path: str | Path, rules: Sequence[Rule]) -> FileReport:
-    p = Path(path)
-    try:
-        source = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise AnalysisError(f"{p}: cannot read: {exc}") from exc
-    return analyze_source(source, str(p), rules, display_path=p.as_posix())
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -297,10 +310,12 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             raise AnalysisError(f"{p}: no such file or directory")
 
 
-def analyze_paths(
-    paths: Iterable[str | Path], rules: Sequence[Rule]
-) -> AnalysisReport:
-    report = AnalysisReport()
+def read_sources(paths: Iterable[str | Path]) -> list[tuple[Path, str]]:
+    """``(path, source text)`` of every ``.py`` file under ``paths``."""
+    out = []
     for p in iter_python_files(paths):
-        report.files.append(analyze_file(p, rules))
-    return report
+        try:
+            out.append((p, p.read_text(encoding="utf-8")))
+        except OSError as exc:
+            raise AnalysisError(f"{p}: cannot read: {exc}") from exc
+    return out

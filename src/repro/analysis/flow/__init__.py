@@ -16,8 +16,11 @@ REP104   cross-node-escape     SimComm receiver copies are actually used
 REP105   unattributed-io       charged I/O is reachable only under step(...)
 =======  ====================  ==============================================
 
-Entry point: :func:`analyze_deep`, wired into ``repro lint --deep`` with
-the same finding/suppression/baseline machinery as the shallow pass.
+Entry points: :func:`run_project`, the whole-project rule runner every
+interprocedural pass (``repro lint --deep`` / ``--protocol`` / ``--cost``)
+goes through, and :func:`analyze_project_source`, the same over one module
+given as text (the rule-fixture entry).  The rules themselves are
+registered in the pass table of :mod:`repro.analysis.cli`.
 """
 
 from __future__ import annotations
@@ -26,139 +29,71 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.engine import (
-    ALL_RULES as _NOQA_ALL,
-    AnalysisError,
     AnalysisReport,
     FileReport,
-    Suppression,
-    iter_python_files,
+    Rule,
+    file_finding,
     parse_noqa,
+    read_sources,
 )
-from repro.analysis.flow.escape import CrossNodeEscapeRule
 from repro.analysis.flow.intra import TypestateInterpreter
-from repro.analysis.flow.phases import PhaseAttributionRule
 from repro.analysis.flow.project import Project
-from repro.analysis.flow.typestate import (
-    DeepRule,
-    HandleLeakRule,
-    ReadNeverWrittenRule,
-    UseAfterSealRule,
-)
+from repro.analysis.flow.typestate import DeepRule
 
 #: version of the flow (deep) engine, reported in the JSON payload
 FLOW_ENGINE_VERSION = "1.0"
 
-#: all deep rules, in code order — the registry the CLI and tests use
-DEEP_RULES: tuple[DeepRule, ...] = (
-    HandleLeakRule(),
-    UseAfterSealRule(),
-    ReadNeverWrittenRule(),
-    CrossNodeEscapeRule(),
-    PhaseAttributionRule(),
-)
-
-DEEP_RULES_BY_CODE: dict[str, DeepRule] = {r.code: r for r in DEEP_RULES}
-
 __all__ = [
-    "DEEP_RULES",
-    "DEEP_RULES_BY_CODE",
     "FLOW_ENGINE_VERSION",
     "DeepRule",
     "Project",
     "TypestateInterpreter",
-    "analyze_deep",
-    "analyze_deep_source",
-    "get_deep_rules",
+    "analyze_project_source",
     "load_project",
+    "project_from_sources",
+    "run_project",
 ]
-
-
-def get_deep_rules(codes: Sequence[str] | None = None) -> tuple[DeepRule, ...]:
-    """Resolve ``--rule`` selections against the deep registry."""
-    if not codes:
-        return DEEP_RULES
-    out = []
-    for code in codes:
-        rule = DEEP_RULES_BY_CODE.get(code.upper())
-        if rule is None:
-            raise AnalysisError(
-                f"unknown deep rule {code!r}; have "
-                f"{', '.join(sorted(DEEP_RULES_BY_CODE))}"
-            )
-        out.append(rule)
-    return tuple(out)
 
 
 def load_project(paths: Iterable[str | Path]) -> Project:
     """Parse every ``.py`` file under ``paths`` into one :class:`Project`."""
-    sources = []
-    for p in iter_python_files(paths):
-        try:
-            source = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise AnalysisError(f"{p}: cannot read: {exc}") from exc
-        sources.append((source, str(p), p.as_posix()))
-    return Project.from_sources(sources)
+    return project_from_sources(read_sources(paths))
 
 
-def _run_project(
-    project: Project, rules: Sequence[DeepRule]
-) -> AnalysisReport:
-    """Run deep rules over a built project, honouring noqa directives."""
-    by_display: dict[str, FileReport] = {}
-    noqa_by_display: dict[str, dict[int, dict[str, str]]] = {}
-    for module in project.modules.values():
-        by_display[module.display_path] = FileReport(path=module.display_path)
-        noqa_by_display[module.display_path] = parse_noqa(module.lines)
+def project_from_sources(sources: Iterable[tuple[Path, str]]) -> Project:
+    """One :class:`Project` from already-read ``(path, source)`` pairs."""
+    return Project.from_sources(
+        (source, str(path), path.as_posix()) for path, source in sources
+    )
+
+
+def run_project(project: Project, rules: Sequence[Rule]) -> AnalysisReport:
+    """Run ``rules`` over a built project, honouring noqa directives."""
+    by_display = {
+        module.display_path: (FileReport(path=module.display_path),
+                              parse_noqa(module.lines))
+        for module in project.modules.values()
+    }
     for rule in rules:
         for finding in rule.check_project(project):
-            report = by_display[finding.path]
-            directives = noqa_by_display[finding.path].get(finding.line)
-            if directives is not None and (
-                _NOQA_ALL in directives or finding.rule in directives
-            ):
-                reason = directives.get(
-                    finding.rule, directives.get(_NOQA_ALL, "")
-                )
-                report.suppressed.append(Suppression(finding, reason))
-            else:
-                report.findings.append(finding)
-    report_out = AnalysisReport()
-    for file_report in by_display.values():
+            file_report, noqa = by_display[finding.path]
+            file_finding(file_report, noqa, finding)
+    report = AnalysisReport()
+    for file_report, _ in by_display.values():
         file_report.findings.sort()
-        report_out.files.append(file_report)
-    return report_out
+        report.files.append(file_report)
+    return report
 
 
-def analyze_deep(
-    paths: Iterable[str | Path],
-    rules: Sequence[DeepRule] | None = None,
-    project: Project | None = None,
-) -> AnalysisReport:
-    """Build the project model for ``paths`` and run the deep rules.
-
-    Pass a prebuilt ``project`` to share the model (and its rule caches)
-    with other passes over the same file set.
-    """
-    if project is None:
-        project = load_project(paths)
-    return _run_project(project, DEEP_RULES if rules is None else rules)
-
-
-def analyze_deep_source(
-    source: str,
-    path: str,
-    rules: Sequence[DeepRule] | None = None,
+def analyze_project_source(
+    source: str, path: str, rules: Sequence[Rule]
 ) -> FileReport:
-    """Deep-analyse one module given as text (the test-fixture entry).
+    """Run ``rules`` over one module given as text (the test-fixture entry).
 
     The module is its own one-file project: imports into the rest of the
     package resolve to nothing, so interprocedural facts are local — which
     is exactly what rule fixtures want.
     """
     project = Project.from_sources([(source, path, path)])
-    report = _run_project(project, DEEP_RULES if rules is None else rules)
-    for file_report in report.files:
-        if file_report.path == path:
-            return file_report
-    return FileReport(path=path)  # pragma: no cover - defensive
+    (file_report,) = run_project(project, rules).files
+    return file_report

@@ -65,7 +65,7 @@ class CrossNodeEscapeRule(DeepRule):
                 for call, parent in comm_calls:
                     if isinstance(parent, ast.Expr):
                         yield module.finding(
-                            self,  # type: ignore[arg-type]
+                            self,
                             call,
                             f"result of {'.'.join(name_chain(call.func))}() "
                             "discarded: the receiver-side copy is lost and "
@@ -78,7 +78,7 @@ class CrossNodeEscapeRule(DeepRule):
                         and loads.get(parent.targets[0].id, 0) == 0
                     ):
                         yield module.finding(
-                            self,  # type: ignore[arg-type]
+                            self,
                             call,
                             f"result of {'.'.join(name_chain(call.func))}() "
                             f"bound to {parent.targets[0].id!r} but never "

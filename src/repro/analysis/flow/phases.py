@@ -21,8 +21,9 @@ the caller's contract, and flagging them would punish every library
 function — so they are skipped, as are functions whose name is
 address-taken (unknowable callers).  Charged primitives:
 
-* block I/O — ``append_block``, ``read_block``, ``read_all``,
-  ``write``, ``write_one`` method calls;
+* block I/O — the :data:`~repro.analysis.flow.project.CHARGED_METHODS`
+  (``append_block``, ``read_block``, ``read_all``, ``take_upto``,
+  ``write``, ``write_one``), the set the cost pass charges;
 * network — ``<...>.network.transfer(...)``;
 * comm — any SimComm operation (``send``/``gather``/``bcast``/
   ``scatter``/``alltoallv`` on a ``comm`` receiver).
@@ -35,12 +36,13 @@ from typing import Iterator
 
 from repro.analysis.engine import Finding
 from repro.analysis.flow.escape import _is_comm_call
-from repro.analysis.flow.project import FunctionInfo, Project, name_chain
-from repro.analysis.flow.typestate import DeepRule
-
-_IO_METHODS = frozenset(
-    {"append_block", "read_block", "read_all", "write", "write_one"}
+from repro.analysis.flow.project import (
+    CHARGED_METHODS,
+    FunctionInfo,
+    Project,
+    name_chain,
 )
+from repro.analysis.flow.typestate import DeepRule
 
 
 def _is_charged_primitive(call: ast.Call) -> str | None:
@@ -53,7 +55,7 @@ def _is_charged_primitive(call: ast.Call) -> str | None:
         return "network transfer"
     if _is_comm_call(call):
         return "comm operation"
-    if tail in _IO_METHODS and len(chain) >= 2:
+    if tail in CHARGED_METHODS and len(chain) >= 2:
         return "block I/O"
     return None
 
@@ -91,7 +93,7 @@ class PhaseAttributionRule(DeepRule):
                     continue
                 target = ".".join(name_chain(site.node.func))
                 yield fn.module.finding(
-                    self,  # type: ignore[arg-type]
+                    self,
                     site.node,
                     f"{kind} {target}() in {fn.qualname}() can execute "
                     "outside any step context (callers: "

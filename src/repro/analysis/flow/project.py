@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.engine import (
@@ -66,6 +67,37 @@ def name_chain(node: ast.expr) -> list[str]:
             break
     parts.reverse()
     return parts
+
+
+#: The SimComm collectives that name a root rank.
+ROOTED_OPS = frozenset({"gather", "bcast", "scatter"})
+
+#: Method names that charge disk I/O when called on a receiver: the
+#: BlockFile primitives, ``BlockWriter.write``/``write_one`` and
+#: ``RunCursor.take_upto``.  REP105 (charged I/O must sit under a step)
+#: and the cost pass (what a step's bound must account for) read this one
+#: set, so neither can miss a charge the other sees.
+CHARGED_METHODS = frozenset(
+    {"append_block", "read_block", "read_all", "take_upto", "write", "write_one"}
+)
+
+#: Constructor names whose mere use implies charged I/O downstream —
+#: counted by charge reachability, not charged by the cost walker.
+CHARGED_CONSTRUCTORS = frozenset({"BlockWriter", "BlockReader", "RunCursor"})
+
+
+def call_root(call: ast.Call) -> ast.expr | None:
+    """The root argument of a gather/bcast/scatter call (keyword or second
+    positional); None for every other call."""
+    chain = name_chain(call.func)
+    if not chain or chain[-1] not in ROOTED_OPS:
+        return None
+    for kw in call.keywords:
+        if kw.arg == "root":
+            return kw.value
+    if len(call.args) >= 2:
+        return call.args[1]
+    return None
 
 
 def _is_step_with_item(item: ast.withitem) -> bool:
@@ -160,6 +192,7 @@ class Project:
         self.functions: dict[str, FunctionInfo] = {}  # by key
         #: scratch shared between deep rules (e.g. cached typestate runs)
         self.cache: dict[str, object] = {}
+        self._reaches_charge: dict[str, bool] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -313,6 +346,42 @@ class Project:
         for fn in self.functions.values():
             if any(fn.module.relpath.startswith(p) for p in prefixes):
                 yield fn
+
+    @cached_property
+    def callee_map(self) -> dict[int, FunctionInfo]:
+        """``id(call node) -> resolved callee`` over the whole call graph."""
+        return {
+            id(site.node): fn
+            for fn in self.functions.values()
+            for site in fn.callers
+        }
+
+    def reaches_charge(self, roots: Iterable[ast.AST]) -> bool:
+        """True when a call under ``roots`` (nested defs included) names a
+        charged method or constructor, or resolves to a function that
+        transitively does."""
+        for root in roots:
+            for sub in ast.walk(root):
+                if not isinstance(sub, ast.Call):
+                    continue
+                chain = name_chain(sub.func)
+                if chain and (
+                    (len(chain) >= 2 and chain[-1] in CHARGED_METHODS)
+                    or chain[-1] in CHARGED_CONSTRUCTORS
+                ):
+                    return True
+                callee = self.callee_map.get(id(sub))
+                if callee is not None and self.fn_reaches_charge(callee):
+                    return True
+        return False
+
+    def fn_reaches_charge(self, fn: FunctionInfo) -> bool:
+        """:meth:`reaches_charge` of one function, memoized with a cycle cut."""
+        memo = self._reaches_charge
+        if fn.key not in memo:
+            memo[fn.key] = False  # cut cycles
+            memo[fn.key] = self.reaches_charge([fn.node])
+        return memo[fn.key]
 
 
 class _CallGraphWalker:

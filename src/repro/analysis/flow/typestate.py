@@ -22,38 +22,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding
+from repro.analysis.engine import Finding, Rule
 from repro.analysis.flow.intra import TypestateEvent, TypestateInterpreter
 from repro.analysis.flow.project import FunctionInfo, Project
 from repro.analysis.rules import ACCOUNTED_CORE
 
 
-class DeepRule:
-    """Base for project-level rules (the flow engine's Rule protocol).
+class DeepRule(Rule):
+    """A rule whose unit of analysis is the whole :class:`Project`.
 
-    Mirrors :class:`repro.analysis.engine.Rule` metadata (so findings,
-    fingerprints, baselines and ``--list-rules`` work unchanged) but
-    checks a whole :class:`Project` instead of one module.
+    Same metadata, scope matching, findings, fingerprints and baselines as
+    every :class:`~repro.analysis.engine.Rule`; it has no per-module
+    :meth:`check`, only :meth:`check_project`.
     """
-
-    code = "REP100"
-    name = "deep-base"
-    summary = ""
-    rationale = ""
-    fix_hint = ""
-    scope: tuple[str, ...] = ()
-    exempt: tuple[str, ...] = ()
-
-    def applies_to(self, relpath: str) -> bool:
-        for entry in self.exempt:
-            if entry.endswith("/"):
-                if relpath.startswith(entry):
-                    return False
-            elif relpath == entry:
-                return False
-        if not self.scope:
-            return True
-        return any(relpath.startswith(prefix) for prefix in self.scope)
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError  # pragma: no cover
@@ -90,7 +71,7 @@ class _TypestateRule(DeepRule):
             if not self.applies_to(fn.module.relpath):
                 continue
             yield fn.module.finding(
-                self,  # type: ignore[arg-type]  # duck-typed Rule metadata
+                self,
                 event.node,
                 f"{event.obj_name}: {event.detail} [in {fn.qualname}()]",
             )

@@ -21,41 +21,22 @@ REP206   degraded-view-rank              view comm addressed by position,
                                          not global rank
 =======  ==============================  =================================
 
-Entry points: :func:`analyze_protocol` (wired into ``repro lint
---protocol``) and :func:`~repro.analysis.protocol.schema.extract_schema`
-(the ``--emit-schema`` per-step JSON the trace-conformance checker in
-:mod:`repro.obs.conformance` validates recorded runs against).
+The rules run through the whole-project runner
+(:func:`repro.analysis.flow.run_project`) as the ``protocol`` row of the
+pass table in :mod:`repro.analysis.cli`;
+:func:`~repro.analysis.protocol.schema.extract_schema` is the
+``--emit-schema`` per-step JSON the trace-conformance checker in
+:mod:`repro.obs.conformance` validates recorded runs against.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Sequence
-
-from repro.analysis.engine import (
-    ALL_RULES as _NOQA_ALL,
-    AnalysisError,
-    AnalysisReport,
-    FileReport,
-    Suppression,
-    parse_noqa,
-)
-from repro.analysis.flow import load_project
-from repro.analysis.flow.project import Project
 from repro.analysis.protocol.extract import (
     FunctionSummary,
     protocol_summaries,
     summarize_function,
 )
-from repro.analysis.protocol.rules import (
-    BarrierConsistencyRule,
-    CollectiveInRankLoopRule,
-    CollectiveOrderRule,
-    DegradedViewRankRule,
-    ProtocolRule,
-    RootMismatchRule,
-    SelfSendRule,
-)
+from repro.analysis.protocol.rules import ProtocolRule
 from repro.analysis.protocol.schema import (
     KNOWN_ENTRIES,
     PROTOCOL_SCHEMA_VERSION,
@@ -66,109 +47,14 @@ from repro.analysis.protocol.schema import (
 #: version of the protocol engine, reported in the JSON payload
 PROTOCOL_ENGINE_VERSION = "1.0"
 
-#: all protocol rules, in code order — the registry the CLI and tests use
-PROTOCOL_RULES: tuple[ProtocolRule, ...] = (
-    CollectiveOrderRule(),
-    RootMismatchRule(),
-    SelfSendRule(),
-    CollectiveInRankLoopRule(),
-    BarrierConsistencyRule(),
-    DegradedViewRankRule(),
-)
-
-PROTOCOL_RULES_BY_CODE: dict[str, ProtocolRule] = {
-    r.code: r for r in PROTOCOL_RULES
-}
-
 __all__ = [
     "KNOWN_ENTRIES",
     "PROTOCOL_ENGINE_VERSION",
-    "PROTOCOL_RULES",
-    "PROTOCOL_RULES_BY_CODE",
     "PROTOCOL_SCHEMA_VERSION",
     "FunctionSummary",
     "ProtocolRule",
-    "analyze_protocol",
-    "analyze_protocol_source",
     "emit_schemas",
     "extract_schema",
-    "get_protocol_rules",
     "protocol_summaries",
     "summarize_function",
 ]
-
-
-def get_protocol_rules(
-    codes: Sequence[str] | None = None,
-) -> tuple[ProtocolRule, ...]:
-    """Resolve ``--rule`` selections against the protocol registry."""
-    if not codes:
-        return PROTOCOL_RULES
-    out = []
-    for code in codes:
-        rule = PROTOCOL_RULES_BY_CODE.get(code.upper())
-        if rule is None:
-            raise AnalysisError(
-                f"unknown protocol rule {code!r}; have "
-                f"{', '.join(sorted(PROTOCOL_RULES_BY_CODE))}"
-            )
-        out.append(rule)
-    return tuple(out)
-
-
-def _run_project(
-    project: Project, rules: Sequence[ProtocolRule]
-) -> AnalysisReport:
-    """Run protocol rules over a built project, honouring noqa directives."""
-    by_display: dict[str, FileReport] = {}
-    noqa_by_display: dict[str, dict[int, dict[str, str]]] = {}
-    for module in project.modules.values():
-        by_display[module.display_path] = FileReport(path=module.display_path)
-        noqa_by_display[module.display_path] = parse_noqa(module.lines)
-    for rule in rules:
-        for finding in rule.check_project(project):
-            report = by_display[finding.path]
-            directives = noqa_by_display[finding.path].get(finding.line)
-            if directives is not None and (
-                _NOQA_ALL in directives or finding.rule in directives
-            ):
-                reason = directives.get(
-                    finding.rule, directives.get(_NOQA_ALL, "")
-                )
-                report.suppressed.append(Suppression(finding, reason))
-            else:
-                report.findings.append(finding)
-    report_out = AnalysisReport()
-    for file_report in by_display.values():
-        file_report.findings.sort()
-        report_out.files.append(file_report)
-    return report_out
-
-
-def analyze_protocol(
-    paths: Iterable[str | Path],
-    rules: Sequence[ProtocolRule] | None = None,
-    project: Project | None = None,
-) -> AnalysisReport:
-    """Build the project model for ``paths`` and run the protocol rules."""
-    if project is None:
-        project = load_project(paths)
-    return _run_project(project, PROTOCOL_RULES if rules is None else rules)
-
-
-def analyze_protocol_source(
-    source: str,
-    path: str,
-    rules: Sequence[ProtocolRule] | None = None,
-) -> FileReport:
-    """Protocol-analyse one module given as text (the test-fixture entry).
-
-    The module is its own one-file project, exactly like
-    :func:`repro.analysis.flow.analyze_deep_source`.
-    """
-    project = Project.from_sources([(source, path, path)])
-    report = _run_project(project, PROTOCOL_RULES if rules is None else rules)
-    for file_report in report.files:
-        if file_report.path == path:
-            return file_report
-    return FileReport(path=path)  # pragma: no cover - defensive

@@ -39,6 +39,7 @@ from repro.analysis.flow.project import (
     Project,
     _is_runner_run,
     _is_step_with_item,
+    call_root,
     name_chain,
 )
 
@@ -97,16 +98,6 @@ def step_literal(call: ast.Call) -> str:
     if len(args) >= 2 and isinstance(args[1], ast.Constant) and isinstance(args[1].value, str):
         return args[1].value
     return ""
-
-
-def _call_root(call: ast.Call) -> Optional[ast.expr]:
-    """The root argument of a gather/bcast/scatter call (kw or positional)."""
-    for kw in call.keywords:
-        if kw.arg == "root":
-            return kw.value
-    if len(call.args) >= 2:
-        return call.args[1]
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -544,10 +535,8 @@ class _OpWalker:
                 src = node.args[0] if len(node.args) >= 1 else None
                 dst = node.args[1] if len(node.args) >= 2 else None
                 self._emit("send", node, chain, ctx, src=src, dst=dst)
-            elif op in ("gather", "bcast", "scatter"):
-                self._emit(op, node, chain, ctx, root=_call_root(node))
             else:
-                self._emit(op, node, chain, ctx)
+                self._emit(op, node, chain, ctx, root=call_root(node))
         elif barrier_call_chain(node) is not None:
             self._emit("barrier", node, barrier_call_chain(node), ctx)
         elif transfer_call_chain(node) is not None:

@@ -54,7 +54,7 @@ class ProtocolRule(DeepRule):
 
     def _finding(self, summary: FunctionSummary, node: ast.AST, message: str) -> Finding:
         return summary.fn.module.finding(
-            self,  # type: ignore[arg-type]  # duck-typed Rule metadata
+            self,
             node,
             f"{message} [in {summary.fn.qualname}()]",
         )

@@ -36,6 +36,7 @@ from repro.analysis.flow.project import (
     Project,
     _is_runner_run,
     _is_step_with_item,
+    call_root,
 )
 from repro.analysis.protocol.extract import (
     barrier_call_chain,
@@ -166,11 +167,7 @@ class SchemaBuilder:
         self.entry = entry
         self.algorithm = algorithm
         self.steps: dict[str, _StepEntry] = {}
-        # Resolve call nodes via the already-built call graph.
-        self._callee_by_node: dict[int, FunctionInfo] = {}
-        for fn in project.functions.values():
-            for site in fn.callers:
-                self._callee_by_node[id(site.node)] = fn
+        self._callee_by_node = project.callee_map
 
     def build(self) -> dict:
         self._discover(self.entry.node.body, optional=False, in_loop=False,
@@ -380,14 +377,7 @@ class SchemaBuilder:
                 out.extend(self._expr_ops(kw.value, visited, depth))
             chain = comm_call_chain(expr)
             if chain is not None:
-                root = None
-                if chain[-1] in ("gather", "bcast", "scatter"):
-                    for kw in expr.keywords:
-                        if kw.arg == "root":
-                            root = kw.value
-                    if root is None and len(expr.args) >= 2:
-                        root = expr.args[1]
-                out.append(_prim(chain[-1], root))
+                out.append(_prim(chain[-1], call_root(expr)))
             elif barrier_call_chain(expr) is not None:
                 out.append(_prim("barrier", None))
             elif transfer_call_chain(expr) is not None:

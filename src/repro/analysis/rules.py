@@ -15,9 +15,9 @@ must be charged; determinism and state rules apply package-wide.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.analysis.engine import AnalysisError, Finding, ModuleContext, Rule
+from repro.analysis.engine import Finding, ModuleContext, Rule
 
 #: The subpackages whose data plane must be fully accounted.
 ACCOUNTED_CORE = ("core/", "extsort/", "pdm/")
@@ -610,33 +610,3 @@ class SharedMutableStateRule(Rule):
         if isinstance(node, ast.Call):
             return _terminal_name(node.func) in cls._MUTABLE_CALLS
         return False
-
-
-#: All rules, in code order.  This is the registry the CLI and tests use.
-ALL_RULES: tuple[Rule, ...] = (
-    RawHostIORule(),
-    InCoreSortRule(),
-    NondeterminismRule(),
-    MagicBlockSizeRule(),
-    NodeIsolationRule(),
-    MemoryBypassRule(),
-    SwallowedFaultRule(),
-    SharedMutableStateRule(),
-)
-
-RULES_BY_CODE: dict[str, Rule] = {r.code: r for r in ALL_RULES}
-
-
-def get_rules(codes: Sequence[str] | None = None) -> tuple[Rule, ...]:
-    """Resolve ``--rule`` selections to rule instances."""
-    if not codes:
-        return ALL_RULES
-    out = []
-    for code in codes:
-        rule = RULES_BY_CODE.get(code.upper())
-        if rule is None:
-            raise AnalysisError(
-                f"unknown rule {code!r}; have {', '.join(sorted(RULES_BY_CODE))}"
-            )
-        out.append(rule)
-    return tuple(out)

@@ -28,20 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.analysis.cli import select
 from repro.analysis.cost import (
     COST_BASELINE_NAME,
-    COST_RULES,
-    COST_RULES_BY_CODE,
-    analyze_cost,
-    analyze_cost_source,
     baseline_payload,
     certify_bench,
     certify_cells,
     certify_corpus,
     derive_costs,
-    get_cost_rules,
 )
-from repro.analysis.cost.rules import BoundRegressionRule
+from repro.analysis.cost.rules import COST_BASELINE_KEY, BoundRegressionRule
 from repro.pdm.sym import (
     SYMBOLS,
     BitLen,
@@ -65,7 +61,7 @@ from repro.pdm.sym import (
     simplify,
 )
 from repro.analysis.engine import AnalysisError
-from repro.analysis.flow import load_project
+from repro.analysis.flow import analyze_project_source, load_project, run_project
 from repro.analysis.flow.project import Project
 from repro.obs.audit import RunMeta, node_envs
 
@@ -78,8 +74,15 @@ def project() -> Project:
     return load_project([Path(repro.__file__).parent])
 
 
-def check(source: str, rules=None, path: str = ENTRY_PATH):
-    return analyze_cost_source(textwrap.dedent(source), path, rules=rules)
+def get_cost_rules(codes=None):
+    return select(codes, {"cost"})["cost"]
+
+
+COST_RULES = get_cost_rules()
+
+
+def check(source: str, rules=COST_RULES, path: str = ENTRY_PATH):
+    return analyze_project_source(textwrap.dedent(source), path, rules)
 
 
 def codes(report) -> list[str]:
@@ -93,7 +96,6 @@ def test_registry_covers_rep301_to_306() -> None:
     assert [r.code for r in COST_RULES] == [
         "REP301", "REP302", "REP303", "REP304", "REP305", "REP306",
     ]
-    assert set(COST_RULES_BY_CODE) == {r.code for r in COST_RULES}
     for rule in COST_RULES:
         assert rule.summary and rule.rationale and rule.fix_hint
         assert rule.scope == ("core/",)
@@ -335,7 +337,7 @@ def test_rep305_bound_regression_via_injected_baseline() -> None:
                 polyphase_sort(f, node.disk, node.mem)
     """)
     project = Project.from_sources([(source, ENTRY_PATH, ENTRY_PATH)])
-    project.cache["cost:baseline"] = {
+    project.cache[COST_BASELINE_KEY] = {
         "algorithms": {
             "external_psrs": {"1:local-sort": {"expr": Const(1.0).to_dict()}}
         }
@@ -346,7 +348,7 @@ def test_rep305_bound_regression_via_injected_baseline() -> None:
     # same derivation, baseline matching the derived bound: clean
     project2 = Project.from_sources([(source, ENTRY_PATH, ENTRY_PATH)])
     derived = derive_costs(project2)["external_psrs"].steps["1:local-sort"]
-    project2.cache["cost:baseline"] = {
+    project2.cache[COST_BASELINE_KEY] = {
         "algorithms": {
             "external_psrs": {"1:local-sort": {"expr": derived.expr.to_dict()}}
         }
@@ -358,6 +360,22 @@ def test_rep306_dead_bound() -> None:
     report = check(BAD_306, rules=get_cost_rules(["REP306"]))
     assert codes(report) and set(codes(report)) == {"REP306"}
     assert any("no charge site" in f.message for f in report.findings)
+
+
+def test_rep306_reachability_sees_every_charged_method() -> None:
+    """``write_one`` charges a disk (REP105 has always said so): a
+    contracted primitive whose only charge site it is is not dead."""
+    source = """
+    def merge_many(runs, w):
+        for x in runs:
+            w.{method}(x)
+    """
+    rules = get_cost_rules(["REP306"])
+    for method in ("write_one", "write", "take_upto"):
+        report = check(source.format(method=method), rules, "repro/core/mod.py")
+        assert codes(report) == [], method
+    report = check(source.format(method="peek"), rules, "repro/core/mod.py")
+    assert codes(report) == ["REP306"]
 
 
 def test_noqa_suppresses_cost_findings() -> None:
@@ -380,12 +398,10 @@ def test_real_tree_is_cost_clean(project: Project) -> None:
     """The repo self-check: REP301..306 clean vs the checked-in baseline."""
     baseline = REPO_ROOT / COST_BASELINE_NAME
     assert baseline.is_file(), "cost-baseline.json must be checked in"
-    report = analyze_cost(
-        [Path(repro.__file__).parent],
-        rules=get_cost_rules(baseline_path=baseline),
-        project=project,
+    project.cache[COST_BASELINE_KEY] = json.loads(
+        baseline.read_text(encoding="utf-8")
     )
-    assert report.findings == []
+    assert run_project(project, COST_RULES).findings == []
 
 
 def test_checked_in_baseline_matches_current_derivation(

@@ -24,20 +24,18 @@ from repro.analysis.cli import (
     EXIT_FINDINGS,
     EXIT_INTERNAL_ERROR,
     main,
+    select,
 )
-from repro.analysis.flow import (
-    DEEP_RULES,
-    DEEP_RULES_BY_CODE,
-    analyze_deep,
-    analyze_deep_source,
-)
+from repro.analysis.flow import analyze_project_source, load_project, run_project
+
+DEEP_RULES = select(None, {"deep"})["deep"]
 
 PATH = "repro/core/mod.py"
 
 
 def deep(source: str, path: str = PATH):
     """Run all deep rules on a dedented snippet; return the FileReport."""
-    return analyze_deep_source(textwrap.dedent(source), path)
+    return analyze_project_source(textwrap.dedent(source), path, DEEP_RULES)
 
 
 def codes(report) -> list[str]:
@@ -66,7 +64,6 @@ class TestRegistry:
         assert [r.code for r in DEEP_RULES] == [
             "REP101", "REP102", "REP103", "REP104", "REP105",
         ]
-        assert set(DEEP_RULES_BY_CODE) == {r.code for r in DEEP_RULES}
 
 
 class TestHandleLeakREP101:
@@ -330,6 +327,21 @@ class TestPhaseAttributionREP105:
         assert "append_block" in report.findings[0].message
         assert "run" in report.findings[0].message  # names the bad caller
 
+    def test_bad_cursor_read_in_unstepped_helper(self):
+        # RunCursor.take_upto charges a block read like read_block does:
+        # the cost pass and this rule share one charged-call set
+        report = deep(
+            """
+            def _next_chunk(cur, n):
+                return cur.take_upto(n)
+
+            def salvage(cluster, cur, n):
+                return _next_chunk(cur, n)
+            """
+        )
+        assert codes(report) == ["REP105"]
+        assert "cur.take_upto" in report.findings[0].message
+
     def test_good_all_callers_under_step(self):
         report = deep(
             """
@@ -427,7 +439,7 @@ class TestTypestateProperty:
     @settings(max_examples=60, deadline=None)
     @given(source=leak_free_snippets())
     def test_disciplined_snippets_are_clean(self, source: str):
-        report = analyze_deep_source(source, PATH)
+        report = analyze_project_source(source, PATH, DEEP_RULES)
         typestate = [c for c in codes(report) if c in ("REP101", "REP102", "REP103")]
         assert typestate == []
 
@@ -481,8 +493,8 @@ class TestDeepCli:
     def test_list_rules_includes_deep(self):
         code, out, _ = lint("--list-rules")
         assert code == EXIT_CLEAN
-        for rule_code in DEEP_RULES_BY_CODE:
-            assert rule_code in out
+        for rule in DEEP_RULES:
+            assert rule.code in out
         assert "[deep]" in out
 
     def test_deep_baseline_roundtrip(self, tmp_path):
@@ -501,7 +513,7 @@ class TestSelfCheckDeep:
     def test_repo_is_deep_clean(self):
         """The package itself carries zero un-suppressed deep findings."""
         pkg = Path(repro.__file__).parent
-        report = analyze_deep([pkg])
+        report = run_project(load_project([pkg]), DEEP_RULES)
         findings = [f for fr in report.files for f in fr.findings]
         assert findings == []
 

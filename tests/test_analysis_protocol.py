@@ -15,22 +15,17 @@ import pytest
 
 import repro
 from repro.analysis.engine import AnalysisError
-from repro.analysis.protocol import (
-    KNOWN_ENTRIES,
-    PROTOCOL_RULES,
-    PROTOCOL_RULES_BY_CODE,
-    analyze_protocol,
-    analyze_protocol_source,
-    extract_schema,
-    get_protocol_rules,
-)
-from repro.analysis.flow import load_project
+from repro.analysis.cli import select
+from repro.analysis.protocol import KNOWN_ENTRIES, extract_schema
+from repro.analysis.flow import analyze_project_source, load_project, run_project
+
+PROTOCOL_RULES = select(None, {"protocol"})["protocol"]
 
 PATH = "repro/core/mod.py"
 
 
 def check(source: str, path: str = PATH):
-    return analyze_protocol_source(textwrap.dedent(source), path)
+    return analyze_project_source(textwrap.dedent(source), path, PROTOCOL_RULES)
 
 
 def codes(report) -> list[str]:
@@ -180,10 +175,9 @@ class TestGoodFixtures:
 
 class TestRegistry:
     def test_codes_are_the_documented_range(self):
-        assert sorted(PROTOCOL_RULES_BY_CODE) == [
+        assert [r.code for r in PROTOCOL_RULES] == [
             f"REP20{n}" for n in range(1, 7)
         ]
-        assert len(PROTOCOL_RULES) == len(PROTOCOL_RULES_BY_CODE)
 
     def test_metadata_is_complete(self):
         for rule in PROTOCOL_RULES:
@@ -191,18 +185,18 @@ class TestRegistry:
             assert rule.scope  # every protocol rule is scoped
 
     def test_selection_resolves_case_insensitively(self):
-        (rule,) = get_protocol_rules(["rep204"])
+        (rule,) = select(["rep204"], {"protocol"})["protocol"]
         assert rule.code == "REP204"
 
     def test_unknown_code_raises(self):
-        with pytest.raises(AnalysisError, match="unknown protocol rule"):
-            get_protocol_rules(["REP999"])
+        with pytest.raises(AnalysisError, match="unknown rule"):
+            select(["REP999"], {"protocol"})
 
 
 class TestRepoSelfCheck:
     def test_package_is_protocol_clean(self):
         pkg = Path(repro.__file__).parent
-        report = analyze_protocol([pkg])
+        report = run_project(load_project([pkg]), PROTOCOL_RULES)
         assert [f.render() for f in report.findings] == []
 
 

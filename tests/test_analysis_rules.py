@@ -14,15 +14,19 @@ from repro.analysis import (
     Baseline,
     analyze_source,
     fingerprint,
-    get_rules,
     package_relpath,
     parse_noqa,
 )
+from repro.analysis.cli import select
 
 CORE = "repro/core/mod.py"
 EXTSORT = "repro/extsort/mod.py"
 PDM = "repro/pdm/mod.py"
 OUTSIDE = "repro/metrics/mod.py"
+
+
+def get_rules(codes=None):
+    return select(codes, {"shallow"})["shallow"]
 
 
 def run(src: str, path: str = CORE, codes=None):
@@ -287,6 +291,17 @@ class TestNoqa:
         report = analyze_source(src, CORE, get_rules())
         assert report.findings == []
         assert len(report.suppressed) == 2
+
+
+class TestProjectRunner:
+    def test_per_module_rules_run_through_the_project_runner_unchanged(self):
+        from repro.analysis.flow import analyze_project_source
+
+        src = "y = sorted(open(p))  # repro: noqa REP002(charged below)\n"
+        for path in (CORE, OUTSIDE):  # scope matching included
+            assert analyze_project_source(src, path, get_rules()) == (
+                analyze_source(src, path, get_rules())
+            )
 
 
 class TestBaselineMatching:

@@ -212,3 +212,104 @@ class TestCacheCompatibility:
         stats = json.loads(out)["cache"]["passes"]
         assert stats["cost"]["misses"] == 1 and stats["protocol"]["hits"] == 1
         assert len(set(Path("cache").rglob("*.json")) - before) == 4
+
+
+class TestLazyProject:
+    """The call graph is built on the first whole-project cache miss (or
+    emitter request), once, and the project digest is computed once."""
+
+    ARGS = ("--all", "--no-baseline", "--cache-dir", "cache")
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, int]:
+        from repro.analysis import cli
+        from repro.analysis.flow.project import Project
+
+        counts = {"from_sources": 0, "project_digest": 0}
+        build, digest = Project.from_sources, cli.project_digest
+
+        def from_sources(sources):
+            counts["from_sources"] += 1
+            return build(sources)
+
+        def project_digest(files):
+            counts["project_digest"] += 1
+            return digest(files)
+
+        monkeypatch.setattr(Project, "from_sources", from_sources)
+        monkeypatch.setattr(cli, "project_digest", project_digest)
+        return counts
+
+    def test_cold_run_builds_one_project_for_three_passes(self, tree, calls):
+        lint(*self.ARGS, str(tree))
+        assert calls == {"from_sources": 1, "project_digest": 1}
+
+    def test_fully_cached_run_builds_no_project(self, tree, calls):
+        lint(*self.ARGS, str(tree))
+        calls.update(from_sources=0, project_digest=0)
+        code, out, _ = lint(*self.ARGS, str(tree))
+        assert code == EXIT_FINDINGS and "2 finding(s)" in out
+        assert calls == {"from_sources": 0, "project_digest": 1}
+
+    def test_single_pass_miss_builds_it_once(self, tree, calls):
+        lint(*self.ARGS, str(tree))
+        calls.update(from_sources=0, project_digest=0)
+        Path("cost-baseline.json").write_text("{ }\n", encoding="utf-8")
+        lint(*self.ARGS, str(tree))  # only the cost entry is stale
+        assert calls == {"from_sources": 1, "project_digest": 1}
+
+    def test_emitter_on_a_cached_run_builds_it_once(self, tree, calls):
+        lint(*self.ARGS, str(tree))
+        calls.update(from_sources=0, project_digest=0)
+        lint(*self.ARGS, "--emit-schema", "schemas", "--emit-costs", "costs",
+             str(tree))
+        assert calls == {"from_sources": 1, "project_digest": 1}
+
+
+class TestWriteCostBaseline:
+    SOURCE = (
+        "def _sort_impl(cluster, inputs, config):\n"
+        "    with cluster.step('1:local-sort'):\n"
+        "        for node, f in zip(cluster.nodes, inputs):\n"
+        "            polyphase_sort(f, node.disk, node.mem)\n"
+    )
+    # REP305 alone: the one-step fixture is (rightly) full of dead bounds
+    ARGS = ("--cost", "--rule", "REP305", "--no-cache", "--no-baseline")
+
+    @pytest.fixture
+    def entry(self, tmp_path, monkeypatch) -> str:
+        pkg = tmp_path / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (pkg / "external_psrs.py").write_text(self.SOURCE, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return "repro"
+
+    def test_writes_to_the_named_cost_baseline_and_lints_against_it(self, entry):
+        code, out, err = lint(*self.ARGS, "--write-cost-baseline",
+                              "--cost-baseline", "other.json", entry)
+        assert (code, err) == (EXIT_CLEAN, "")
+        assert out.startswith("wrote cost baseline other.json\n")
+        assert not Path("cost-baseline.json").exists()
+        pinned = json.loads(Path("other.json").read_text(encoding="utf-8"))
+        assert list(pinned["algorithms"]["external_psrs"]) == ["1:local-sort"]
+
+    def test_default_target_is_the_cwd_baseline(self, entry):
+        code, out, err = lint(*self.ARGS, "--write-cost-baseline",
+                              "--format", "json", entry)
+        assert code == EXIT_CLEAN
+        json.loads(out)  # the notice went to stderr
+        assert err == "wrote cost baseline cost-baseline.json\n"
+        assert Path("cost-baseline.json").is_file()
+
+    def test_fresh_pin_is_what_rep305_compares_against(self, entry):
+        args = (*self.ARGS, "--cost-baseline", "other.json", entry)
+        lint("--write-cost-baseline", *args)
+        # a second full pass over the step's data regresses past the pin
+        Path("repro/core/external_psrs.py").write_text(
+            self.SOURCE + "            polyphase_sort(f, node.disk, node.mem)\n",
+            encoding="utf-8",
+        )
+        code, out, _ = lint(*args)
+        assert code == EXIT_FINDINGS and "REP305" in out
+        code, _, _ = lint("--write-cost-baseline", *args)  # re-pin: clean again
+        assert code == EXIT_CLEAN
