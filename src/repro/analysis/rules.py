@@ -336,9 +336,9 @@ class NodeIsolationRule(Rule):
     read data without charging any disk and without a
     :meth:`~repro.cluster.network.Network.transfer` — in a real cluster
     that data does not exist on the reading node.  Inside ``core`` and
-    ``extsort`` these are simulated races on node state.  Reading
-    ``inspect_block(i).size`` only is allowed: block sizes are directory
-    metadata, free in the model.  The runtime half of this rule (the
+    ``extsort`` these are simulated races on node state.  Block sizes
+    are directory metadata, free in the model: ``block_items(i)`` reads
+    them without touching the payload.  The runtime half of this rule (the
     sanitizer's dead-node and foreign-write checks) covers what syntax
     cannot see.
     """
@@ -353,7 +353,7 @@ class NodeIsolationRule(Rule):
     )
     fix_hint = (
         "Use read_block/BlockReader (charged) and Network.transfer for "
-        "cross-node movement; .size-only metadata access is free and legal."
+        "cross-node movement; block_items(i) metadata access is free and legal."
     )
     scope = ("core/", "extsort/")
     # obs/ is the observation plane: it reads event metadata only (never
@@ -363,10 +363,6 @@ class NodeIsolationRule(Rule):
     _PRIVATE_STATE = {"_blocks", "_store_load", "_store_append", "_block_sizes"}
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(ctx.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 name = _terminal_name(node.func)
@@ -376,11 +372,11 @@ class NodeIsolationRule(Rule):
                         "to_array() reads the whole file charge-free; "
                         "algorithms must use charged block reads",
                     )
-                elif name == "inspect_block" and not self._size_only(node, parents):
+                elif name == "inspect_block":
                     yield ctx.finding(
                         self, node,
                         "inspect_block() payload read is charge-free; only "
-                        ".size metadata access is free in the model",
+                        "block_items() metadata access is free in the model",
                     )
             elif (
                 isinstance(node, ast.Attribute)
@@ -392,11 +388,6 @@ class NodeIsolationRule(Rule):
                     f"private storage access .{node.attr} bypasses the "
                     "accounted BlockFile interface",
                 )
-
-    @staticmethod
-    def _size_only(call: ast.Call, parents: dict[ast.AST, ast.AST]) -> bool:
-        parent = parents.get(call)
-        return isinstance(parent, ast.Attribute) and parent.attr == "size"
 
 
 class MemoryBypassRule(Rule):

@@ -11,8 +11,7 @@ The cluster supports two interchangeable schedulers:
   independently between *true* synchronization points (explicit
   barriers and network rendezvous); there are no implicit barriers at
   step boundaries.  Disk service is modelled per drive with a free-time
-  timeline and a pending-completion heap of ``(time, seq, rank, event)``
-  entries:
+  timeline, and write-behind per node with the latest queued completion:
 
   - **sequential-stream seek amortization** — a block access that
     continues a stream (same file, next block index) pays only the
@@ -22,10 +21,11 @@ The cluster supports two interchangeable schedulers:
     external sorting generates (the same rationale as
     :func:`~repro.cluster.machine.paper_cluster`'s effective seek).
   - **write-behind** — a block write occupies the drive (its free-time
-    timeline moves forward) but does not block the node: completion is
-    pushed on the event heap and folded into the node's clock at the
-    next read on that drive (which must wait for the queue to drain)
-    or at the next synchronization point.
+    timeline moves forward) but does not block the node: the node's
+    clock absorbs the completion at the next read on that drive (which
+    must wait for the queue to drain) or, through the per-rank
+    high-water mark of queued completions, at the next synchronization
+    point.
 
 Both kernels charge the *same I/O operations in the same order* — only
 the mapping from operations to simulated time differs.  Block and item
@@ -36,7 +36,6 @@ therefore kernel-independent, which is what the differential harness
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cluster.simclock import barrier
@@ -136,34 +135,13 @@ class EventKernel(ExecutionKernel):
     name = "event"
 
     def __init__(self) -> None:
-        #: Pending write completions: (time, seq, rank, disk_name).
-        self._pending: list[tuple[float, int, int, str]] = []
-        self._seq = 0
         #: Per-drive free time (when the last queued access completes).
         self._disk_free: dict[str, float] = {}
         #: Per-(drive, stream) next sequential block offset.
         self._streams: dict[tuple[str, str], int] = {}
-        #: Per-rank high-water mark of queued write completions.
+        #: Per-rank high-water mark of write completions queued since the
+        #: rank last settled — all a sync needs of its pending writes.
         self._rank_free: dict[int, float] = {}
-
-    # -- cost model --------------------------------------------------------
-
-    def _service_time(
-        self,
-        disk: "SimDisk",
-        n_items: int,
-        itemsize: int,
-        stream: Optional[str],
-        offset: Optional[int],
-    ) -> float:
-        nbytes = n_items * itemsize
-        seek = disk.params.seek_time
-        if stream is not None and offset is not None:
-            key = (disk.name, stream)
-            if self._streams.get(key) == offset:
-                seek = 0.0  # readahead/write-behind: sequential continuation
-            self._streams[key] = offset + 1
-        return (seek + nbytes / disk.params.bandwidth) * disk.slowdown / disk.parallelism
 
     # -- I/O ---------------------------------------------------------------
 
@@ -180,7 +158,20 @@ class EventKernel(ExecutionKernel):
         if owner is None:
             # Standalone drive (no cluster): behave synchronously.
             return disk.serve_sync(n_items, itemsize)
-        cost = self._service_time(disk, n_items, itemsize, stream, offset)
+        # Service time: ``serve_sync``'s expression with the seek amortized
+        # over a sequential stream (readahead / write-behind).
+        params = disk.params
+        seek = params.seek_time
+        if stream is not None and offset is not None:
+            key = (disk.name, stream)
+            if self._streams.get(key) == offset:
+                seek = 0.0  # continues the stream: transfer term only
+            self._streams[key] = offset + 1
+        cost = (
+            (seek + n_items * itemsize / params.bandwidth)
+            * disk.slowdown
+            / disk.parallelism
+        )
         clock = owner.clock
         start = max(clock.time, self._disk_free.get(disk.name, 0.0))
         end = start + cost
@@ -195,44 +186,26 @@ class EventKernel(ExecutionKernel):
         else:
             # Write-behind: the drive is busy until ``end`` but the node
             # continues; completion is settled at the next sync point.
-            self._seq += 1
-            heapq.heappush(self._pending, (end, self._seq, owner.rank, disk.name))
-            prev = self._rank_free.get(owner.rank, 0.0)
-            if end > prev:
-                self._rank_free[owner.rank] = end
+            rank = owner.rank
+            if end > self._rank_free.get(rank, 0.0):
+                self._rank_free[rank] = end
         return cost
 
     # -- synchronization ---------------------------------------------------
 
-    def _settle(self, nodes: Sequence["SimNode"]) -> None:
-        """Fold pending write completions into the given nodes' clocks."""
-        ranks = {n.rank: n for n in nodes}
-        keep: list[tuple[float, int, int, str]] = []
-        while self._pending:
-            t, seq, rank, disk_name = heapq.heappop(self._pending)
-            node = ranks.get(rank)
-            if node is None:
-                keep.append((t, seq, rank, disk_name))
-                continue
-            node.clock.advance_to(t)
-        for entry in keep:
-            heapq.heappush(self._pending, entry)
-        for rank, node in ranks.items():
-            self._rank_free.pop(rank, None)
-
     def sync(self, nodes: Sequence["SimNode"]) -> float:
-        self._settle(nodes)
+        # Settle: each participant first waits out its own queued writes.
+        for node in nodes:
+            node.clock.advance_to(self._rank_free.pop(node.rank, 0.0))
         return barrier([n.clock for n in nodes])
 
     def node_time(self, node: "SimNode") -> float:
         return max(node.clock.time, self._rank_free.get(node.rank, 0.0))
 
     def reset(self) -> None:
-        self._pending.clear()
         self._disk_free.clear()
         self._streams.clear()
         self._rank_free.clear()
-        self._seq = 0
 
 
 def make_kernel(kernel: Union[str, ExecutionKernel]) -> ExecutionKernel:

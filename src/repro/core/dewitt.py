@@ -114,7 +114,7 @@ def _splitters_from_random_sample(
         idxs = rng.choice(f.n_blocks, size=n_blocks, replace=False)
         parts = []
         for b in sorted(int(x) for x in idxs):  # repro: noqa REP002(orders O(n/B) sampled block indices, metadata not records)
-            with node.mem.reserve(f.inspect_block(b).size):
+            with node.mem.reserve(f.block_items(b)):
                 parts.append(f.read_block(b))
         pool = np.concatenate(parts)
         take = min(want, pool.size)
@@ -186,7 +186,7 @@ def sort_dewitt_distributed(
             pending: list[list[np.ndarray]] = [[] for _ in range(p)]
             pending_n = [0] * p
             for b in range(f.n_blocks):
-                with node.mem.reserve(f.inspect_block(b).size):
+                with node.mem.reserve(f.block_items(b)):
                     block = f.read_block(b)
                     which = np.searchsorted(splitters, block, side="right")
                     node.compute(block.size * float(np.log2(max(2, p))))

@@ -43,7 +43,7 @@ def lower_bound_offset(
     target = -1
     while lo <= hi:
         mid = (lo + hi) // 2
-        with mem.reserve(sorted_file.inspect_block(mid).size):
+        with mem.reserve(sorted_file.block_items(mid)):
             blk = sorted_file.read_block(mid)
             if blk[-1] > pivot:
                 target = mid
@@ -52,7 +52,7 @@ def lower_bound_offset(
                 lo = mid + 1
     if target == -1:
         return sorted_file.n_items  # everything <= pivot
-    with mem.reserve(sorted_file.inspect_block(target).size):
+    with mem.reserve(sorted_file.block_items(target)):
         blk = sorted_file.read_block(target)
         within = int(np.searchsorted(blk, pivot, side="right"))
     return target * sorted_file.B + within
@@ -86,7 +86,7 @@ def _joint_lower_bounds(
         if plo >= phi or blo > bhi:
             continue
         mid = (blo + bhi) // 2
-        with mem.reserve(sorted_file.inspect_block(mid).size):
+        with mem.reserve(sorted_file.block_items(mid)):
             blk = sorted_file.read_block(mid)
             # Pivots strictly below the block's last key have their
             # target (first block with last > pivot) at or before ``mid``.

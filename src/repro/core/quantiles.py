@@ -65,9 +65,9 @@ def _key_space(cluster: Cluster, files: Sequence[BlockFile]) -> tuple[int, int]:
     for node, f in zip(cluster.nodes, files):
         if f.n_items == 0:
             continue
-        with node.mem.reserve(f.inspect_block(0).size):
+        with node.mem.reserve(f.block_items(0)):
             first = int(f.read_block(0)[0])
-        with node.mem.reserve(f.inspect_block(f.n_blocks - 1).size):
+        with node.mem.reserve(f.block_items(f.n_blocks - 1)):
             last = int(f.read_block(f.n_blocks - 1)[-1])
         lo = first if lo is None else min(lo, first)
         hi = last if hi is None else max(hi, last)

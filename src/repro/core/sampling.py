@@ -93,7 +93,7 @@ def read_samples(
     out = np.empty(pos.size, dtype=sorted_file.dtype)
     blocks = pos // B
     for b in np.unique(blocks):
-        with mem.reserve(sorted_file.inspect_block(int(b)).size):
+        with mem.reserve(sorted_file.block_items(int(b))):
             blk = sorted_file.read_block(int(b))
             sel = blocks == b
             out[sel] = blk[pos[sel] - b * B]

@@ -6,10 +6,13 @@ Two engines, identical observable semantics:
   holds one buffered block; the safe horizon ``t`` is the minimum of the
   per-run buffer maxima; every buffered item ``<= t`` can be emitted this
   round (any unseen item of run *i* is ``>=`` its buffer max ``>= t``),
-  so the round gathers them, sorts the gathered chunk in core and streams
-  it out.  At least one whole buffer drains per round, so the number of
-  rounds is bounded by the total block count — the Python-level overhead
-  is O(blocks·k) while the data plane stays in numpy.
+  so the round cuts every buffer at ``t``, natural-merges the cut-off
+  heads in core (:func:`~repro.extsort.losertree.kway_merge_sorted`)
+  and streams the chunk out.  A round is two passes over the cursors —
+  refill + horizon, then cut + release — and at least one whole buffer
+  drains per round, so the number of rounds is bounded by the total
+  block count: the Python-level overhead is O(blocks·k) while the data
+  plane stays in numpy.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree engine
   (ceil(log2 k) comparisons per item).  Used for cross-checking and for
   small merges.
@@ -82,8 +85,8 @@ class RunCursor:
         self.run = run
         self.mem = mem
         self._pos = run.start  # next unread item offset in the file
+        #: Unconsumed tail of the current block (never empty), or None.
         self._buf: Optional[np.ndarray] = None
-        self._buf_pos = 0
 
     @property
     def exhausted(self) -> bool:
@@ -91,17 +94,30 @@ class RunCursor:
 
     def _fill(self) -> None:
         """Ensure a non-empty buffer or exhaustion."""
-        if self._buf is not None or self._pos >= self.run.stop:
-            return
+        if self._buf is None and self._pos < self.run.stop:
+            self._refill()
+
+    def _refill(self) -> np.ndarray:
+        """Read and pin the run's next block (the buffer must be drained
+        and the run not exhausted); returns the new buffer."""
         B = self.run.file.B
         block_index = self._pos // B
         block = self.run.file.read_block(block_index)
         lo = self._pos - block_index * B
         hi = min(block.size, self.run.stop - block_index * B)
-        self._buf = block[lo:hi]
-        self._buf_pos = 0
+        self._buf = buf = block[lo:hi]
         self._pos = block_index * B + hi
-        self.mem.acquire(self._buf.size)
+        self.mem.acquire(hi - lo)
+        return buf
+
+    def _pop(self, n: int) -> np.ndarray:
+        """Consume and unpin the first ``n`` buffered items (maybe none)."""
+        buf = self._buf
+        assert buf is not None, "pop from a drained cursor"
+        if n:
+            self.mem.release(n)
+        self._buf = buf[n:] if n < buf.size else None
+        return buf[:n]
 
     def buffer_max(self) -> np.generic:
         """Largest key currently buffered (fills the buffer if needed)."""
@@ -115,27 +131,14 @@ class RunCursor:
         self._fill()
         if self._buf is None:
             return np.empty(0, dtype=self.run.file.dtype)
-        cut = int(np.searchsorted(self._buf, t, side="right"))
-        out = self._buf[self._buf_pos : cut]
-        taken = cut - self._buf_pos
-        if taken:
-            self.mem.release(taken)
-        self._buf_pos = cut
-        if self._buf_pos >= self._buf.size:
-            self._buf = None
-        return out
+        return self._pop(int(self._buf.searchsorted(t, "right")))
 
     def take_one(self) -> np.generic:
         """Pop a single item (item-at-a-time engine)."""
         self._fill()
         if self._buf is None:
             raise RuntimeError("cursor exhausted")
-        item = self._buf[self._buf_pos]
-        self._buf_pos += 1
-        self.mem.release(1)
-        if self._buf_pos >= self._buf.size:
-            self._buf = None
-        return item
+        return self._pop(1)[0]
 
     def take_upto(self, n: int) -> np.ndarray:
         """Pop up to ``n`` items from the current buffer (message chunking)."""
@@ -144,25 +147,19 @@ class RunCursor:
         self._fill()
         if self._buf is None:
             return np.empty(0, dtype=self.run.file.dtype)
-        cut = min(self._buf_pos + n, self._buf.size)
-        out = self._buf[self._buf_pos : cut]
-        self.mem.release(cut - self._buf_pos)
-        self._buf_pos = cut
-        if self._buf_pos >= self._buf.size:
-            self._buf = None
-        return out
+        return self._pop(min(n, self._buf.size))
 
     def peek(self) -> "np.generic | None":
         """Current head item without consuming, or None if exhausted."""
         self._fill()
         if self._buf is None:
             return None
-        return self._buf[self._buf_pos]
+        return self._buf[0]
 
     def drop(self) -> None:
         """Release any buffered items (abandon the cursor)."""
         if self._buf is not None:
-            self.mem.release(self._buf.size - self._buf_pos)
+            self.mem.release(self._buf.size)
             self._buf = None
 
 
@@ -174,29 +171,32 @@ def merge_cursors(
 ) -> int:
     """Vectorised k-way merge; returns the number of items written."""
     active = [c for c in cursors if not c.exhausted]
-    k = max(1, len(active))
+    log_k = float(np.log2(max(2, len(active))))
     total = 0
-    log_k = float(np.log2(max(2, k)))
     while active:
-        t = active[0].buffer_max()
-        for c in active[1:]:
-            m = c.buffer_max()
-            if m < t:
-                t = m
-        parts = [p for p in (c.take_leq(t) for c in active) if p.size]
-        if len(parts) == 1:
-            chunk = parts[0]
-            with mem.reserve(chunk.size):
-                writer.write(chunk)
-        else:
-            n = sum(p.size for p in parts)
-            with mem.reserve(n):
-                chunk = kway_merge_sorted(parts)  # block-frontier numpy merge
-                writer.write(chunk)
-        total += chunk.size
+        # Pass 1: refill drained buffers; the horizon is the least tail.
+        bufs = [c._buf if c._buf is not None else c._refill() for c in active]
+        t = min([buf[-1] for buf in bufs])
+        # Pass 2: cut every buffer at the horizon and unpin what leaves.
+        parts = []
+        finished = False
+        for c, buf in zip(active, bufs):
+            cut = int(buf.searchsorted(t, "right"))
+            if cut:
+                parts.append(c._pop(cut))
+                finished = finished or c.exhausted
+        n = sum([p.size for p in parts])
+        mem.acquire(n)
+        try:
+            # A lone part is already the chunk; the writer copies it out.
+            writer.write(parts[0] if len(parts) == 1 else kway_merge_sorted(parts))
+        finally:
+            mem.release(n)
+        total += n
         if compute is not None:
-            compute(chunk.size * log_k)
-        active = [c for c in active if not c.exhausted]
+            compute(n * log_k)
+        if finished:
+            active = [c for c in active if not c.exhausted]
     return total
 
 

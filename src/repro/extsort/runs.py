@@ -129,19 +129,15 @@ def _iter_loads(source: BlockFile, L: int, mem: MemoryManager) -> Iterator[np.nd
     """Stream the source in consecutive loads of about L items.
 
     Loads are whole numbers of blocks (block-granular reads), pinned in
-    memory for the duration of each yield.
+    memory for the duration of each yield.  Each load is a fresh array
+    the consumer owns (it may sort it in place).
     """
     blocks_per_load = max(1, L // source.B)
     i = 0
     while i < source.n_blocks:
         j = min(i + blocks_per_load, source.n_blocks)
-        parts = []
-        n = 0
-        for b in range(i, j):
-            n += source.inspect_block(b).size
-        with mem.reserve(n):
-            for b in range(i, j):
-                parts.append(source.read_block(b))
+        with mem.reserve(sum(source.block_items(b) for b in range(i, j))):
+            parts = [source.read_block(b) for b in range(i, j)]
             yield np.concatenate(parts) if len(parts) > 1 else parts[0]
         i = j
 
@@ -152,7 +148,6 @@ def _form_runs_load(
     L = _load_size(mem, source.B)
     n_runs = 0
     for load in _iter_loads(source, L, mem):
-        load = load.copy()
         load.sort(kind="stable")
         if compute is not None:
             compute(_sort_ops(load.size))
@@ -188,7 +183,7 @@ def _form_runs_replacement(
 
     def input_items() -> Iterator[np.ndarray]:
         for i in range(source.n_blocks):
-            with mem.reserve(source.inspect_block(i).size):
+            with mem.reserve(source.block_items(i)):
                 yield source.read_block(i)
 
     blocks = input_items()

@@ -23,38 +23,6 @@ from repro.pdm.disk import SimDisk
 from repro.pdm.memory import MemoryManager
 
 
-def _charged_write(
-    disk: SimDisk,
-    n_items: int,
-    itemsize: int,
-    stream: Optional[str] = None,
-    offset: Optional[int] = None,
-) -> None:
-    """One block write, sanitizer-bracketed (charged exactly once)."""
-    san = active_sanitizer()
-    if san is None:
-        disk.charge_write(n_items, itemsize, stream=stream, offset=offset)
-        return
-    with san.expect_block_charge(disk, "write"):
-        disk.charge_write(n_items, itemsize, stream=stream, offset=offset)
-
-
-def _charged_read(
-    disk: SimDisk,
-    n_items: int,
-    itemsize: int,
-    stream: Optional[str] = None,
-    offset: Optional[int] = None,
-) -> None:
-    """One block read, sanitizer-bracketed (charged exactly once)."""
-    san = active_sanitizer()
-    if san is None:
-        disk.charge_read(n_items, itemsize, stream=stream, offset=offset)
-        return
-    with san.expect_block_charge(disk, "read"):
-        disk.charge_read(n_items, itemsize, stream=stream, offset=offset)
-
-
 class BlockFile:
     """A file of fixed-size blocks on a simulated disk.
 
@@ -115,6 +83,10 @@ class BlockFile:
     def __len__(self) -> int:
         return self._n_items
 
+    def block_items(self, index: int) -> int:
+        """Item count of block ``index`` (what a reader must reserve)."""
+        return self._block_sizes[index]
+
     # -- charged block I/O ------------------------------------------------
 
     def append_block(self, items: np.ndarray) -> None:
@@ -131,30 +103,37 @@ class BlockFile:
         arr = np.asarray(items, dtype=self.dtype)
         if arr.ndim != 1:
             raise ValueError(f"blocks must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
+        size = arr.size
+        if size == 0:
             return
-        if arr.size > self.B:
-            raise ValueError(f"block of {arr.size} items exceeds B={self.B}")
-        if self._block_sizes and self._block_sizes[-1] < self.B:
+        if size > self.B:
+            raise ValueError(f"block of {size} items exceeds B={self.B}")
+        sizes = self._block_sizes
+        if sizes and sizes[-1] < self.B:
             raise ValueError(
                 f"file {self.name!r} already ends in a partial block; "
                 "blocks must be packed compactly"
             )
-        _charged_write(
-            self.disk,
-            arr.size,
-            self.itemsize,
-            stream=self.name,
-            offset=len(self._block_sizes),
-        )
+        # Sanitizer-bracketed: the block is charged exactly once.
+        san = active_sanitizer()
+        if san is None:
+            self.disk.charge_write(size, self.dtype.itemsize, self.name, len(sizes))
+        else:
+            with san.expect_block_charge(self.disk, "write"):
+                self.disk.charge_write(size, self.dtype.itemsize, self.name, len(sizes))
         self._store_append(arr)
-        self._block_sizes.append(arr.size)
-        self._n_items += arr.size
+        sizes.append(size)
+        self._n_items += size
 
     def read_block(self, index: int) -> np.ndarray:
         """Read block ``index``.  Charges one block read."""
         blk = self._store_load(index)  # IndexError propagates
-        _charged_read(self.disk, blk.size, self.itemsize, stream=self.name, offset=index)
+        san = active_sanitizer()
+        if san is None:
+            self.disk.charge_read(blk.size, self.dtype.itemsize, self.name, index)
+        else:
+            with san.expect_block_charge(self.disk, "read"):
+                self.disk.charge_read(blk.size, self.dtype.itemsize, self.name, index)
         return blk.copy()
 
     def clear(self) -> None:
@@ -201,17 +180,31 @@ class BlockWriter:
         if self._closed:
             raise ValueError("writer is closed")
         arr = np.asarray(items, dtype=self.file.dtype).ravel()
-        pos = 0
+        n = arr.size
         B = self.file.B
-        while pos < arr.size:
-            take = min(B - self._fill, arr.size - pos)
-            self._buf[self._fill : self._fill + take] = arr[pos : pos + take]
-            self._fill += take
-            pos += take
+        pos = 0
+        if self._fill:  # top up the staged partial block first
+            pos = min(B - self._fill, n)
+            self._buf[self._fill : self._fill + pos] = arr[:pos]
+            self._fill += pos
             if self._fill == B:
                 self.file.append_block(self._buf)
                 self._fill = 0
-        self.items_written += arr.size
+        # Whole blocks go straight from the caller's array (the file
+        # stores its own copy); only a partial tail is staged.
+        try:
+            while n - pos >= B:
+                self.file.append_block(arr[pos : pos + B])
+                pos += B
+        except BaseException:
+            # A faulted block stays staged, so close() retries the flush.
+            self._buf[:] = arr[pos : pos + B]
+            self._fill = B
+            raise
+        if pos < n:
+            self._fill = n - pos
+            self._buf[: self._fill] = arr[pos:]
+        self.items_written += n
 
     def write_one(self, item) -> None:
         """Append a single item (used by item-at-a-time merges)."""
@@ -313,9 +306,7 @@ class BlockReader:
         Reserves the full range size — only legal when it fits in memory
         (the in-core fast path the paper uses for the pivot sample).
         """
-        n = sum(
-            self.file.inspect_block(i).size for i in range(self.start, self.stop)
-        )
+        n = sum(self.file.block_items(i) for i in range(self.start, self.stop))
         out = np.empty(n, dtype=self.file.dtype)
         with self.mem.reserve(n):
             pos = 0

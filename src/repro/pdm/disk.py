@@ -185,10 +185,14 @@ class SimDisk:
             san.on_disk_charge(self, "read", n_items, itemsize)
         if self.fault_hook is not None:
             self.fault_hook(self, "read", n_items, itemsize)
-        cost = self._serve("read", n_items, itemsize, stream, offset)
+        self.last_queued = -1.0  # synchronous unless the kernel says otherwise
+        if self.kernel is not None:
+            cost = self.kernel.on_io(self, "read", n_items, itemsize, stream, offset)
+        else:
+            cost = self.serve_sync(n_items, itemsize)
         self.stats.record_read(n_items, cost)
         if self.bus is not None:
-            self._publish("read", n_items, itemsize, cost, stream, offset)
+            self._publish(self.bus, "read", n_items, itemsize, cost, stream, offset)
         return cost
 
     def charge_write(
@@ -204,34 +208,21 @@ class SimDisk:
             san.on_disk_charge(self, "write", n_items, itemsize)
         if self.fault_hook is not None:
             self.fault_hook(self, "write", n_items, itemsize)
-        cost = self._serve("write", n_items, itemsize, stream, offset)
-        self.stats.record_write(n_items, cost)
-        if self.bus is not None:
-            self._publish("write", n_items, itemsize, cost, stream, offset)
-        return cost
-
-    def _serve(
-        self,
-        op: str,
-        n_items: int,
-        itemsize: int,
-        stream: Optional[str],
-        offset: Optional[int],
-    ) -> float:
-        """Map one access to simulated time via the attached kernel.
-
-        Without a kernel (standalone drives, unit tests) the synchronous
-        model of :meth:`serve_sync` applies.
-        """
         self.last_queued = -1.0  # synchronous unless the kernel says otherwise
         if self.kernel is not None:
-            return self.kernel.on_io(self, op, n_items, itemsize, stream, offset)
-        return self.serve_sync(n_items, itemsize)
+            cost = self.kernel.on_io(self, "write", n_items, itemsize, stream, offset)
+        else:
+            cost = self.serve_sync(n_items, itemsize)
+        self.stats.record_write(n_items, cost)
+        if self.bus is not None:
+            self._publish(self.bus, "write", n_items, itemsize, cost, stream, offset)
+        return cost
 
     def serve_sync(self, n_items: int, itemsize: int) -> float:
         """The synchronous model: one access costs the full ``seek +
         transfer`` service time and the observer (the owning clock) is
-        advanced by it immediately."""
+        advanced by it immediately.  Applies without a kernel
+        (standalone drives, unit tests) and under the lockstep kernel."""
         cost = (
             self.params.access_cost(n_items * itemsize)
             * self.slowdown
@@ -243,6 +234,7 @@ class SimDisk:
 
     def _publish(
         self,
+        bus: "TelemetryBus",
         op: str,
         n_items: int,
         itemsize: int,
@@ -259,12 +251,11 @@ class SimDisk:
         are the exception: the clock is not advanced, so ``t`` is the
         issue time and ``queued`` carries the drive-timeline start.
         """
-        bus = self.bus
-        if bus is None:  # pragma: no cover - guarded by callers
-            return
         step = bus.current_step
         if step:
             self.stats.bump(step)
+        if not bus.captures_io:
+            return
         owner = self.owner
         t = owner.clock.time if owner is not None else self.stats.busy_time
         queued = self.last_queued if self.last_queued >= 0.0 else t - cost

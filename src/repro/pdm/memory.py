@@ -73,8 +73,9 @@ class MemoryManager:
         self.total_reservations += 1
         if self.in_use > self.high_water:
             self.high_water = self.in_use
-        if self.bus is not None:
-            self._publish("reserve", n_items)
+        bus = self.bus
+        if bus is not None and bus.captures_memory:
+            self._publish(bus, "reserve", n_items)
 
     def release(self, n_items: int) -> None:
         """Unpin ``n_items`` previously acquired items."""
@@ -85,8 +86,9 @@ class MemoryManager:
                 f"releasing {n_items} items but only {self.in_use} are in use"
             )
         self.in_use -= n_items
-        if self.bus is not None:
-            self._publish("release", n_items)
+        bus = self.bus
+        if bus is not None and bus.captures_memory:
+            self._publish(bus, "release", n_items)
 
     @contextmanager
     def reserve(self, n_items: int) -> Iterator[None]:
@@ -97,11 +99,8 @@ class MemoryManager:
         finally:
             self.release(n_items)
 
-    def _publish(self, op: str, n_items: int) -> None:
-        """Publish one reservation change to the telemetry bus."""
-        bus = self.bus
-        if bus is None or not bus.captures_memory:
-            return
+    def _publish(self, bus: "TelemetryBus", op: str, n_items: int) -> None:
+        """Publish one reservation change to a memory-capturing bus."""
         owner = self.owner
         bus.record_mem(
             op,

@@ -61,6 +61,10 @@ class StripedFile:
     def n_items(self) -> int:
         return self._n_items
 
+    def block_items(self, index: int) -> int:
+        """Item count of logical block ``index`` (metadata, not charged)."""
+        return self._members[index % self.D].block_items(index // self.D)
+
     def append_stripe(self, blocks: Sequence[np.ndarray]) -> float:
         """Write up to D blocks in one parallel I/O; returns elapsed time.
 

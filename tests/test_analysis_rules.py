@@ -158,7 +158,9 @@ class TestNodeIsolation:
         assert len(run(src, codes=["REP005"])) == 2
 
     def test_size_metadata_access_allowed(self):
-        assert run("n = f.inspect_block(i).size\n", codes=["REP005"]) == []
+        assert run("n = f.block_items(i)\n", codes=["REP005"]) == []
+        # Sizing through the payload accessor loads the block: flagged.
+        assert len(run("n = f.inspect_block(i).size\n", codes=["REP005"])) == 1
 
     def test_foreign_private_state_flagged_but_self_allowed(self):
         src = """

@@ -71,6 +71,40 @@ class TestDiskBackedBlockFile:
         with pytest.raises(ValueError, match="partial block"):
             f.append_block(np.arange(8))
 
+    def test_each_block_is_host_read_once(self, tmp_path, disk):
+        """Sizing a reservation is directory metadata (``block_items``):
+        run formation and ``read_all`` open the host file once per block,
+        not once to learn its length and again to read it."""
+        from repro.extsort.runs import CollectingSink, form_runs
+        from repro.pdm.blockfile import BlockReader
+
+        class Counting(DiskBackedBlockFile):
+            loads: list[int]
+
+            def _store_load(self, index):
+                self.loads.append(index)
+                return super()._store_load(index)
+
+        data = np.random.default_rng(1).integers(0, 2**32, 77).astype(np.uint32)
+        f = Counting(disk, B=8, directory=str(tmp_path))
+        f.loads = []
+        with BlockWriter(f, MemoryManager.unlimited()) as w:
+            w.write(data)
+        assert [f.block_items(i) for i in range(f.n_blocks)] == [8] * 9 + [5]
+        assert f.loads == []  # metadata never touches the payload
+
+        for policy in ("load", "replacement"):
+            mem = MemoryManager(32)
+            sink = CollectingSink(disk, 8, np.uint32, mem)
+            form_runs(f, sink, mem, policy=policy)
+            assert sorted(f.loads) == list(range(f.n_blocks)), policy
+            assert sum(r.n_items for r in sink.runs) == data.size
+            f.loads.clear()
+
+        out = BlockReader(f, MemoryManager(80), start=2).read_all()
+        np.testing.assert_array_equal(out, data[16:])
+        assert f.loads == list(range(2, f.n_blocks))
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 2**32 - 1), max_size=150))
     def test_property_roundtrip(self, items):

@@ -73,6 +73,19 @@ class TestRunCursor:
         c.drop()
         assert mem.in_use == 0
 
+    def test_take_leq_below_consumed_key_takes_nothing(self, disk):
+        # Regression: a horizon below an already-consumed key used to cut
+        # before the read position and release a negative item count.
+        f = file_from_array(np.arange(8, dtype=np.uint32), disk, B=8)
+        mem = MemoryManager(capacity=16)
+        c = RunCursor(RunRef.whole(f), mem)
+        np.testing.assert_array_equal(c.take_leq(5), [0, 1, 2, 3, 4, 5])
+        out = c.take_leq(2)
+        assert out.size == 0 and out.dtype == np.uint32
+        assert mem.in_use == 2  # 6 and 7 are still buffered, untouched
+        np.testing.assert_array_equal(c.take_leq(7), [6, 7])
+        assert c.exhausted and mem.in_use == 0
+
     def test_take_one_and_peek(self, disk):
         f = file_from_array(np.array([3, 7], dtype=np.uint32), disk, B=8)
         c = RunCursor(RunRef.whole(f), MemoryManager.unlimited())

@@ -180,6 +180,30 @@ class TestBlockWriter:
         w.close()
         assert mem.in_use == 0
 
+    @pytest.mark.parametrize("staged", [0, 3])
+    def test_faulted_block_stays_staged_for_close(self, disk, staged):
+        # Block writes are atomic, and a block whose write faulted is
+        # still the writer's to flush: close() retries exactly that block,
+        # whether it went through the staging buffer or straight from the
+        # caller's array.
+        f = BlockFile(disk, B=4)
+        w = BlockWriter(f, MemoryManager.unlimited())
+        w.write(np.arange(staged))
+        calls = []
+
+        def hook(d, op, n_items, itemsize):
+            calls.append(op)
+            if len(calls) == 2:
+                raise OSError("injected")
+
+        disk.fault_hook = hook
+        with pytest.raises(OSError, match="injected"):
+            w.write(np.arange(staged, 14))
+        assert f.n_blocks == 1 and w.items_written == staged
+        w.close()
+        np.testing.assert_array_equal(f.to_array(), np.arange(8))
+        assert disk.stats.blocks_written == 2
+
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
     def test_roundtrip_any_items(self, items):
         disk = make_disk()

@@ -3,10 +3,10 @@
 Three kernels got numpy block-at-a-time implementations in the event-
 kernel PR; each is checked here against its scalar reference:
 
-* :func:`~repro.extsort.losertree.merge_two_sorted` /
-  :func:`~repro.extsort.losertree.kway_merge_sorted` — equivalent to a
+* :func:`~repro.extsort.losertree.kway_merge_sorted` — equivalent to a
   stable sort of the concatenation (ties keep part order), across
-  dtypes including the signed/unsigned twin pairs;
+  dtypes including the signed/unsigned twin pairs, for two parts
+  (``TestMergeTwoSorted``) and for k;
 * :func:`~repro.core.partition.partition_offsets` — the joint
   multi-pivot descent returns exactly what per-pivot
   :func:`~repro.core.partition.lower_bound_offset` binary searches
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import lower_bound_offset, partition_offsets
-from repro.extsort.losertree import kway_merge_sorted, merge_two_sorted
+from repro.extsort.losertree import kway_merge_sorted
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.disk import DiskParams, SimDisk
 from repro.pdm.memory import MemoryManager
@@ -43,36 +43,37 @@ def sorted_arrays(draw, dtype, max_size=64):
 
 
 class TestMergeTwoSorted:
+    """The two-part case of the kernel (what ``merge_two_sorted`` was)."""
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @settings(deadline=None)
     @given(data=st.data())
     def test_equals_stable_concat_sort(self, dtype, data):
         a = data.draw(sorted_arrays(dtype))
         b = data.draw(sorted_arrays(dtype))
-        out = merge_two_sorted(a, b)
+        out = kway_merge_sorted([a, b])
         ref = np.sort(np.concatenate([a, b]), kind="stable")
         assert out.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(out, ref)
 
     def test_tie_order_is_a_before_b(self):
-        # Same keys, distinguishable payload via a structured trick:
-        # merge index arrays through the same scatter math.
-        a = np.array([5, 5, 7], dtype=np.uint32)
-        b = np.array([5, 7, 7], dtype=np.uint32)
-        out = np.empty(a.size + b.size, dtype=np.int64)
-        out[np.arange(a.size) + np.searchsorted(b, a, side="left")] = [0, 1, 2]
-        out[np.arange(b.size) + np.searchsorted(a, b, side="right")] = [10, 11, 12]
-        # a's ties land before b's ties at every key.
-        assert out.tolist() == [0, 1, 10, 2, 11, 12]
+        # -0.0 == 0.0 as keys, but the sign bit tells the parts apart.
+        a = np.array([-0.0, -0.0, 7.0])
+        b = np.array([0.0, 7.0, 7.0])
+        out = kway_merge_sorted([a, b])
+        np.testing.assert_array_equal(out, [0, 0, 0, 7, 7, 7])
+        # a's ties land before b's ties; swapping the parts swaps them.
+        assert np.signbit(out[:3]).tolist() == [True, True, False]
+        assert np.signbit(kway_merge_sorted([b, a])[:3]).tolist() == [False, True, True]
 
     def test_empty_edges(self):
         e = np.empty(0, dtype=np.uint32)
         x = np.array([1, 2], dtype=np.uint32)
-        np.testing.assert_array_equal(merge_two_sorted(e, x), x)
-        np.testing.assert_array_equal(merge_two_sorted(x, e), x)
-        assert merge_two_sorted(e, e).size == 0
+        np.testing.assert_array_equal(kway_merge_sorted([e, x]), x)
+        np.testing.assert_array_equal(kway_merge_sorted([x, e]), x)
+        assert kway_merge_sorted([e, e]).size == 0
         # Returned arrays are fresh, never aliases of the inputs.
-        out = merge_two_sorted(x, e)
+        out = kway_merge_sorted([x, e])
         out[0] = 99
         assert x[0] == 1
 
