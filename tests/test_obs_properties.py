@@ -3,8 +3,13 @@
 Every run, whatever its shape, must produce a well-formed stream: step
 begins and ends pair up per (step, node), and each node's events carry
 non-decreasing timestamps (simulated time never runs backwards on one
-clock).
+clock).  And every stream, whatever its events hold, must export to
+JSONL exactly as the per-event reference encoder
+(``json.dumps(e.to_dict())``) writes it, and read back.
 """
+
+import json
+from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +17,8 @@ from hypothesis import strategies as st
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
-from repro.obs.events import StepBegin, StepEnd
+from repro.obs.events import EVENT_TYPES, StepBegin, StepEnd
+from repro.obs.exporters import events_to_jsonl, read_jsonl
 from repro.workloads.generators import make_benchmark
 
 SPEEDS = {2: [1.0, 2.0], 3: [1.0, 1.0, 4.0]}
@@ -75,3 +81,54 @@ def test_event_stream_is_well_formed(params):
             te.node == node and te.duration == end.duration
             for te in cluster.trace.for_step(step)
         )
+
+
+# -- JSONL export against the per-event reference encoder ---------------------
+
+#: Values per annotated field type.  Float fields also take what real
+#: callers can hand in instead of a float (an int, a bool, ``None``) and
+#: the non-finite values, which JSON spells differently from ``repr``.
+_FIELD_VALUES = {
+    "float": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+        st.none(),
+    ),
+    "int": st.one_of(st.integers(-(2**70), 2**70), st.booleans()),
+    # Quotes, backslashes, control and non-ASCII characters included.
+    "str": st.one_of(st.text(), st.sampled_from(['"', "\\", "a\"b\\c", "\n\t\x00", "é→𝄞"])),
+}
+
+
+@st.composite
+def any_event(draw):
+    cls = draw(st.sampled_from(sorted(EVENT_TYPES.values(), key=lambda c: c.kind)))
+    return cls(**{f.name: draw(_FIELD_VALUES[f.type]) for f in fields(cls)})
+
+
+def _reference_line(event):
+    return json.dumps(event.to_dict())
+
+
+def test_strategy_covers_all_eleven_kinds():
+    assert len(EVENT_TYPES) == 11
+    for cls in EVENT_TYPES.values():
+        assert {f.type for f in fields(cls)} <= set(_FIELD_VALUES)
+
+
+@given(st.lists(any_event(), max_size=12), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_jsonl_export_equals_reference_encoder_and_round_trips(tmp_path_factory, events, with_meta):
+    meta = {"n_items": 7, "note": 'q"\\'} if with_meta else None
+    head = [json.dumps({"kind": "run_meta", **meta})] if with_meta else []
+    text = events_to_jsonl(events, meta)
+    assert text == "\n".join(head + [_reference_line(e) for e in events]) + "\n"
+
+    path = tmp_path_factory.mktemp("jsonl") / "e.jsonl"
+    path.write_text(text, encoding="utf-8")
+    meta_back, back = read_jsonl(str(path))
+    assert meta_back == meta
+    assert len(back) == len(events)
+    # NaN != NaN, so the re-export being identical is the round-trip check.
+    assert events_to_jsonl(back, meta) == text
