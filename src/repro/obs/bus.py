@@ -33,13 +33,17 @@ from repro.obs.events import (
     BlockWrite,
     Compute,
     Event,
+    EventLog,
     FaultInjected,
     MemRelease,
     MemReserve,
     NetTransfer,
     Retry,
+    Row,
     StepBegin,
     StepEnd,
+    event_row,
+    row_event,
 )
 
 #: Capture levels, cheapest first; each includes everything before it.
@@ -50,7 +54,7 @@ class TelemetryBus:
     """Append-only, SimClock-stamped event stream with step attribution."""
 
     def __init__(self, level: str = "steps") -> None:
-        self.events: list[Event] = []
+        self.events = EventLog()
         self._level = 0
         self.set_level(level)
         self._step_stack: list[str] = []
@@ -108,7 +112,7 @@ class TelemetryBus:
 
     def clear(self) -> None:
         """Drop all events and derived views; the capture level is kept."""
-        self.events.clear()
+        self.events.rows.clear()
         self._step_stack.clear()
         self._trace = Trace()
 
@@ -120,22 +124,31 @@ class TelemetryBus:
         self._subscribers.remove(fn)
 
     def emit(self, event: Event) -> None:
-        self.events.append(event)
+        """Publish a prebuilt event object (stored, like every event, as a row)."""
+        self.events.rows.append(event_row(event))
         for fn in list(self._subscribers):
             fn(event)
 
+    def _emit_row(self, row: Row) -> None:
+        self.events.rows.append(row)
+        if self._subscribers:
+            event = row_event(row)
+            for fn in list(self._subscribers):
+                fn(event)
+
     # -- typed recorders (the only emit sites components should use) -------
+    # Each builds its class's row directly: (cls, t, node, step, *own fields).
 
     def record_step_begin(self, name: str, node: int, t: float) -> None:
-        self.emit(StepBegin(t=t, node=node, step=name))
+        self._emit_row((StepBegin, t, node, name))
 
     def record_step_end(self, name: str, node: int, t_start: float, t_end: float) -> None:
         """Record one node's step interval; also feeds the Trace view."""
         self._trace.record(name, node, t_start, t_end)
-        self.emit(StepEnd(t=t_end, node=node, step=name, duration=t_end - t_start))
+        self._emit_row((StepEnd, t_end, node, name, t_end - t_start))
 
     def record_barrier_wait(self, name: str, node: int, t: float, wait: float) -> None:
-        self.emit(BarrierWait(t=t, node=node, step=name, wait=wait))
+        self._emit_row((BarrierWait, t, node, name, wait))
 
     def record_block_io(
         self,
@@ -154,19 +167,8 @@ class TelemetryBus:
         if not self.captures_io:
             return
         cls = BlockRead if op == "read" else BlockWrite
-        self.emit(
-            cls(
-                t=t,
-                node=node,
-                step=self.current_step,
-                disk=disk,
-                n_items=n_items,
-                itemsize=itemsize,
-                cost=cost,
-                queued=queued,
-                stream=stream,
-                offset=offset,
-            )
+        self._emit_row(
+            (cls, t, node, self.current_step, disk, n_items, itemsize, cost, queued, stream, offset)
         )
 
     def record_compute(
@@ -175,69 +177,44 @@ class TelemetryBus:
         """Record charged CPU work; consecutive same-node charges coalesce.
 
         Compute charges arrive in tight per-chunk loops; merging a charge
-        into a same-node, same-step ``Compute`` event at the stream tail
+        into a same-node, same-step ``Compute`` row at the stream tail
         keeps the stream bounded by the node interleaving, not the chunk
         count.  Coalesced merges do not re-notify subscribers.
         """
         if not self.captures_compute:
             return
-        events = self.events
-        if events:
-            prev = events[-1]
-            if (
-                isinstance(prev, Compute)
-                and prev.node == node
-                and prev.step == self.current_step
-            ):
-                events[-1] = Compute(
-                    t=t,
-                    node=node,
-                    step=prev.step,
-                    seconds=prev.seconds + seconds,
-                    ops=prev.ops + ops,
-                )
+        rows = self.events.rows
+        step = self.current_step
+        if rows:
+            prev = rows[-1]
+            if prev[0] is Compute and prev[2] == node and prev[3] == step:
+                rows[-1] = (Compute, t, node, step, prev[4] + seconds, prev[5] + ops)
                 return
-        self.emit(
-            Compute(t=t, node=node, step=self.current_step, seconds=seconds, ops=ops)
-        )
+        self._emit_row((Compute, t, node, step, seconds, ops))
 
     def record_net_transfer(
         self, *, src: int, dst: int, t_end: float, nbytes: int, duration: float
     ) -> None:
         if not self.captures_io:
             return
-        self.emit(
-            NetTransfer(
-                t=t_end,
-                node=src,
-                step=self.current_step,
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                duration=duration,
-            )
+        self._emit_row(
+            (NetTransfer, t_end, src, self.current_step, src, dst, nbytes, duration)
         )
 
     def record_mem(self, op: str, *, node: int, t: float, n_items: int, in_use: int) -> None:
         if not self.captures_memory:
             return
         cls = MemReserve if op == "reserve" else MemRelease
-        self.emit(
-            cls(t=t, node=node, step=self.current_step, n_items=n_items, in_use=in_use)
-        )
+        self._emit_row((cls, t, node, self.current_step, n_items, in_use))
 
     def record_fault(self, category: str, *, node: int, t: float, detail: str = "") -> None:
         """Faults are recorded at every capture level (rare and load-bearing)."""
-        self.emit(
-            FaultInjected(
-                t=t, node=node, step=self.current_step, category=category, detail=detail
-            )
-        )
+        self._emit_row((FaultInjected, t, node, self.current_step, category, detail))
 
     def record_retry(
         self, name: str, *, node: int, t: float, attempt: int, backoff: float
     ) -> None:
-        self.emit(Retry(t=t, node=node, step=name, attempt=attempt, backoff=backoff))
+        self._emit_row((Retry, t, node, name, attempt, backoff))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TelemetryBus(level={self.level!r}, {len(self.events)} events)"

@@ -21,8 +21,10 @@ the ``repro audit`` replay reads back.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Mapping
+from operator import eq
+from typing import Any, ClassVar, Optional, Union, overload
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -200,18 +202,90 @@ EVENT_TYPES: dict[str, type[Event]] = {
 }
 
 
+#: One stored event: ``(cls, *field values)``, in the order ``fields(cls)``
+#: gives — the one place the row layout is stated.
+Row = tuple[Any, ...]
+
+FIELD_NAMES: dict[type[Event], tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in EVENT_TYPES.values()
+}
+
+
+def event_row(event: Event) -> Row:
+    cls = type(event)
+    return (cls, *[getattr(event, name) for name in FIELD_NAMES[cls]])
+
+
+def row_event(row: Row) -> Event:
+    cls: type[Event] = row[0]
+    return cls(**dict(zip(FIELD_NAMES[cls], row[1:])))
+
+
+class EventLog(Sequence[Event]):
+    """An event stream held as rows, read as a sequence of events.
+
+    The bus appends one plain tuple per event and the bulk consumers
+    (exporters, audit fold, timeline builder) read :attr:`rows`,
+    dispatching on ``row[0]``.  Everyone else sees a ``Sequence[Event]``:
+    indexing and iteration build an equal frozen object per access.
+    None is kept: a run's objects cached beside its rows cost more
+    resident memory than the rows.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Optional[list[Row]] = None) -> None:
+        self.rows: list[Row] = [] if rows is None else rows
+
+    @staticmethod
+    def of(events: Iterable[Event]) -> "EventLog":
+        """``events`` itself if it is a log, else a log of its rows."""
+        if isinstance(events, EventLog):
+            return events
+        return EventLog([event_row(e) for e in events])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @overload
+    def __getitem__(self, index: int) -> Event: ...
+    @overload
+    def __getitem__(self, index: slice) -> "EventLog": ...
+    def __getitem__(self, index: Union[int, slice]) -> Union[Event, "EventLog"]:
+        if isinstance(index, slice):
+            return EventLog(self.rows[index])
+        return row_event(self.rows[index])
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(row_event, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventLog):
+            return self.rows == other.rows
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self.rows) and all(map(eq, self, other))
+        return NotImplemented
+
+
 def event_from_dict(data: Mapping[str, object]) -> Event:
     """Inverse of :meth:`Event.to_dict` (used by the JSONL replay)."""
+    return row_event(row_from_dict(data))
+
+
+def row_from_dict(data: Mapping[str, object]) -> Row:
+    """The row of a decoded JSONL line."""
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in EVENT_TYPES:
         raise ValueError(f"unknown event kind {kind!r}")
     cls = EVENT_TYPES[kind]
-    kwargs: dict[str, object] = {}
+    row: list[object] = [cls]
     for f in fields(cls):
         if f.name in data:
-            kwargs[f.name] = data[f.name]
+            row.append(data[f.name])
         elif f.default is MISSING:
             # Defaulted fields may be absent (logs written before the
             # field existed deserialise with the default).
             raise ValueError(f"event {kind!r} is missing field {f.name!r}")
-    return cls(**kwargs)  # type: ignore[arg-type]
+        else:
+            row.append(f.default)
+    return tuple(row)

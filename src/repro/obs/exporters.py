@@ -27,14 +27,17 @@ from repro.obs.events import (
     BarrierWait,
     BlockRead,
     BlockWrite,
+    FIELD_NAMES,
     Event,
+    EventLog,
     FaultInjected,
     MemRelease,
     MemReserve,
     NetTransfer,
     Retry,
     StepEnd,
-    event_from_dict,
+    row_event,
+    row_from_dict,
 )
 from repro.obs.profiler.timeline import merge_intervals
 
@@ -47,17 +50,48 @@ _US = 1e6  # seconds -> microseconds
 # -- JSONL ------------------------------------------------------------------
 
 
+def _line_template(cls: type[Event]) -> str:
+    """``json.dumps(e.to_dict())`` of ``cls`` with ``%s`` for every value."""
+    pairs = [("kind", json.dumps(cls.kind))] + [(n, "%s") for n in FIELD_NAMES[cls]]
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+_LINE_TEMPLATES = {cls: _line_template(cls) for cls in FIELD_NAMES}
+
+
 def events_to_jsonl(
     events: Iterable[Event], meta: Optional[Mapping[str, object]] = None
 ) -> str:
-    """Serialise events (and an optional leading run_meta line) to JSONL."""
+    """Serialise events (and an optional leading run_meta line) to JSONL.
+
+    Each row goes through its class's line template, byte-identical to
+    the reference ``json.dumps(e.to_dict())``: strings are JSON-encoded
+    once per distinct value, ints and finite floats render by ``repr``
+    as JSON renders them, and a row holding anything else (``inf``,
+    ``nan``, a bool, ``None``, a numpy scalar) takes the reference encoder.
+    """
     lines = []
     if meta is not None:
         record = {"kind": "run_meta"}
         record.update(meta)
         lines.append(json.dumps(record))
-    for e in events:
-        lines.append(json.dumps(e.to_dict()))
+    text: dict[object, str] = {}  # value -> its JSON text, strings only
+    for row in EventLog.of(events).rows:
+        cells = []
+        for v in row[1:]:
+            if type(v) is str:
+                if v not in text:
+                    text[v] = json.dumps(v)
+                cells.append(text[v])
+            elif type(v) in (int, float) and v - v == 0:  # exactly these, and finite
+                cells.append(repr(v))
+            else:
+                cells = None
+                break
+        if cells is None:
+            lines.append(json.dumps(row_event(row).to_dict()))
+        else:
+            lines.append(_LINE_TEMPLATES[row[0]] % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -68,10 +102,10 @@ def write_jsonl(
         fh.write(events_to_jsonl(events, meta))
 
 
-def read_jsonl(path: str) -> tuple[Optional[dict], list[Event]]:
+def read_jsonl(path: str) -> tuple[Optional[dict], EventLog]:
     """Parse a JSONL event log; returns ``(run_meta or None, events)``."""
     meta: Optional[dict] = None
-    events: list[Event] = []
+    events = EventLog()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -81,7 +115,7 @@ def read_jsonl(path: str) -> tuple[Optional[dict], list[Event]]:
             if data.get("kind") == "run_meta":
                 meta = {k: v for k, v in data.items() if k != "kind"}
             else:
-                events.append(event_from_dict(data))
+                events.rows.append(row_from_dict(data))
     return meta, events
 
 
@@ -163,43 +197,31 @@ def to_chrome_trace(
         }
 
     flow_id = 0
-    for e in events:
-        pid = ensure_process(e.node)
-        if isinstance(e, StepEnd):
-            tid = tid_of(pid, "steps")
-            spans.append(
-                span(e.step, "step", e.t - e.duration, e.duration, pid, tid, {})
-            )
-        elif isinstance(e, BarrierWait):
+    for row in EventLog.of(events).rows:
+        cls, t, node, step = row[:4]
+        pid = ensure_process(node)
+        if cls is StepEnd:
+            duration = row[4]
+            spans.append(span(step, "step", t - duration, duration, pid, tid_of(pid, "steps"), {}))
+        elif cls is BarrierWait:
+            wait = row[4]
             tid = tid_of(pid, "barrier")
-            spans.append(
-                span(f"wait:{e.step}", "barrier", e.t - e.wait, e.wait, pid, tid, {})
-            )
-        elif isinstance(e, (BlockRead, BlockWrite)):
-            tid = tid_of(pid, f"disk:{e.disk}")
-            op = "read" if isinstance(e, BlockRead) else "write"
-            spans.append(
-                span(
-                    op,
-                    "io",
-                    e.t - e.cost,
-                    e.cost,
-                    pid,
-                    tid,
-                    {"items": e.n_items, "itemsize": e.itemsize, "step": e.step},
-                )
-            )
-        elif isinstance(e, NetTransfer):
+            spans.append(span(f"wait:{step}", "barrier", t - wait, wait, pid, tid, {}))
+        elif cls is BlockRead or cls is BlockWrite:
+            disk, n_items, itemsize, cost = row[4:8]
+            args = {"items": n_items, "itemsize": itemsize, "step": step}
+            op = "read" if cls is BlockRead else "write"
+            spans.append(span(op, "io", t - cost, cost, pid, tid_of(pid, f"disk:{disk}"), args))
+        elif cls is NetTransfer:
+            src, dst, nbytes, duration = row[4:]
             flow_id += 1
-            start = e.t - e.duration
-            args = {"bytes": e.nbytes, "step": e.step}
+            start = t - duration
+            args = {"bytes": nbytes, "step": step}
             tid = tid_of(pid, "net")
-            spans.append(span(f"send->{e.dst}", "net", start, e.duration, pid, tid, args))
-            dst_pid = ensure_process(e.dst)
+            spans.append(span(f"send->{dst}", "net", start, duration, pid, tid, args))
+            dst_pid = ensure_process(dst)
             dst_tid = tid_of(dst_pid, "net")
-            spans.append(
-                span(f"recv<-{e.src}", "net", start, e.duration, dst_pid, dst_tid, args)
-            )
+            spans.append(span(f"recv<-{src}", "net", start, duration, dst_pid, dst_tid, args))
             # Flow arrow linking the send to its receive: the start
             # binds inside the send span, the end (bp: "e") binds to
             # the end of the enclosing recv span.
@@ -221,48 +243,37 @@ def to_chrome_trace(
                     "ph": "f",
                     "bp": "e",
                     "id": flow_id,
-                    "ts": e.t * _US,
+                    "ts": t * _US,
                     "pid": dst_pid,
                     "tid": dst_tid,
                 }
             )
-        elif isinstance(e, (MemReserve, MemRelease)):
+        elif cls is MemReserve or cls is MemRelease:
             spans.append(
                 {
                     "name": "mem_in_use",
                     "cat": "mem",
                     "ph": "C",
-                    "ts": e.t * _US,
+                    "ts": t * _US,
                     "pid": pid,
-                    "args": {"items": e.in_use},
+                    "args": {"items": row[5]},
                 }
             )
-        elif isinstance(e, FaultInjected):
-            tid = tid_of(pid, "faults")
+        elif cls is FaultInjected or cls is Retry:
+            if cls is FaultInjected:
+                name, args = f"fault:{row[4]}", {"detail": row[5], "step": step}
+            else:
+                name, args = f"retry:{step}", {"attempt": row[4], "backoff": row[5]}
             spans.append(
                 {
-                    "name": f"fault:{e.category}",
+                    "name": name,
                     "cat": "fault",
                     "ph": "i",
-                    "ts": e.t * _US,
+                    "ts": t * _US,
                     "pid": pid,
-                    "tid": tid,
+                    "tid": tid_of(pid, "faults"),
                     "s": "t",
-                    "args": {"detail": e.detail, "step": e.step},
-                }
-            )
-        elif isinstance(e, Retry):
-            tid = tid_of(pid, "faults")
-            spans.append(
-                {
-                    "name": f"retry:{e.step}",
-                    "cat": "fault",
-                    "ph": "i",
-                    "ts": e.t * _US,
-                    "pid": pid,
-                    "tid": tid,
-                    "s": "t",
-                    "args": {"attempt": e.attempt, "backoff": e.backoff},
+                    "args": args,
                 }
             )
         # StepBegin carries no information a StepEnd span doesn't.
@@ -295,9 +306,9 @@ def write_chrome_trace(
     node_names: Optional[Mapping[int, str]] = None,
     critical: Optional[Sequence] = None,
 ) -> None:
+    # One call into the C encoder; ``python -m json.tool`` indents it.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace(events, node_names, critical=critical), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(to_chrome_trace(events, node_names, critical=critical)) + "\n")
 
 
 # -- Prometheus text --------------------------------------------------------

@@ -10,6 +10,8 @@ from repro.obs.bus import LEVELS, TelemetryBus
 from repro.obs.events import (
     BlockRead,
     BlockWrite,
+    Compute,
+    EventLog,
     FaultInjected,
     MemReserve,
     NetTransfer,
@@ -104,6 +106,120 @@ class TestBusBasics:
             event_from_dict({"kind": "bogus"})
         with pytest.raises(ValueError, match="missing field"):
             event_from_dict({"kind": "block_read", "t": 0.0})
+
+
+class TestEventLogFacade:
+    """``bus.events`` stores rows and reads as a ``Sequence[Event]``."""
+
+    def _bus(self):
+        bus = TelemetryBus(level="full")
+        bus.record_step_begin("s", 0, 0.0)
+        with bus.step_scope("s"):
+            bus.record_block_io(
+                "read", disk="d", node=0, t=1.0, n_items=4, itemsize=4, cost=0.5,
+                queued=0.5, stream="f", offset=2,
+            )
+            bus.record_mem("reserve", node=0, t=1.0, n_items=4, in_use=4)
+        bus.record_step_end("s", 0, 0.0, 1.5)
+        return bus
+
+    def test_empty_log_equals_empty_list(self):
+        bus = TelemetryBus()
+        assert bus.events == [] and [] == bus.events
+        assert len(bus.events) == 0 and not bus.events
+        assert bus.events != [None]
+
+    def test_reads_as_a_sequence_of_constructor_built_events(self):
+        log = self._bus().events
+        expected = [
+            StepBegin(t=0.0, node=0, step="s"),
+            BlockRead(t=1.0, node=0, step="s", disk="d", n_items=4, itemsize=4,
+                      cost=0.5, queued=0.5, stream="f", offset=2),
+            MemReserve(t=1.0, node=0, step="s", n_items=4, in_use=4),
+            StepEnd(t=1.5, node=0, step="s", duration=1.5),
+        ]
+        assert isinstance(log, EventLog) and len(log) == 4
+        assert log == expected and expected == log and list(log) == expected
+        assert log[0] == expected[0] and log[-1] == expected[-1]
+        assert log[1:3] == expected[1:3] and log[::-1] == expected[::-1]
+        assert log[:2] != expected[1:3]
+        assert expected[1] in log and log.index(expected[2]) == 2
+        with pytest.raises(IndexError):
+            log[4]
+
+    def test_two_iterations_build_equal_hashable_frozen_objects(self):
+        log = self._bus().events
+        first, second = list(log), list(log)
+        assert first == second
+        assert [hash(e) for e in first] == [hash(e) for e in second]
+        assert all(a is not b for a, b in zip(first, second))  # none is kept
+        with pytest.raises(AttributeError):  # FrozenInstanceError
+            first[0].t = 9.0
+        with pytest.raises(TypeError):
+            hash(log)
+
+    def test_compute_coalescing_rewrites_the_tail_without_renotifying(self):
+        bus = TelemetryBus(level="full")
+        seen = []
+        bus.subscribe(seen.append)
+        with bus.step_scope("s"):
+            bus.record_compute(node=0, t=1.0, seconds=1.0, ops=10.0)
+            bus.record_compute(node=0, t=1.5, seconds=0.5, ops=5.0)
+            assert bus.events == [Compute(t=1.5, node=0, step="s", seconds=1.5, ops=15.0)]
+            bus.record_compute(node=1, t=0.25, seconds=0.25, ops=2.0)  # other node
+        bus.record_compute(node=1, t=0.5, seconds=0.25, ops=2.0)  # other step
+        assert [(e.node, e.step, e.seconds) for e in bus.events] == [
+            (0, "s", 1.5), (1, "s", 0.25), (1, "", 0.25),
+        ]
+        assert seen == [
+            Compute(t=1.0, node=0, step="s", seconds=1.0, ops=10.0),
+            Compute(t=0.25, node=1, step="s", seconds=0.25, ops=2.0),
+            Compute(t=0.5, node=1, step="", seconds=0.25, ops=2.0),
+        ]
+
+    def test_subscriber_receives_what_is_later_read_back(self):
+        bus = TelemetryBus(level="full")
+        seen = []
+        bus.subscribe(seen.append)
+        bus.record_fault("disk", node=2, t=0.5, detail="x")
+        bus.record_retry("s", node=-1, t=0.5, attempt=1, backoff=0.1)
+        bus.record_net_transfer(src=0, dst=1, t_end=1.0, nbytes=8, duration=0.5)
+        bus.record_barrier_wait("s", 1, 2.0, 0.5)
+        assert seen == bus.events and len(seen) == 4
+
+    def test_emit_takes_a_prebuilt_object(self):
+        bus = TelemetryBus()
+        seen = []
+        bus.subscribe(seen.append)
+        event = MemReserve(t=0.0, node=0, step="", n_items=1, in_use=1)
+        bus.emit(event)
+        assert seen[0] is event
+        assert bus.events == [event] and bus.events.rows == [(MemReserve, 0.0, 0, "", 1, 1)]
+
+    def test_of_wraps_an_iterable_and_passes_a_log_through(self):
+        log = self._bus().events
+        assert EventLog.of(log) is log
+        assert EventLog.of(iter(list(log))) == log
+        assert EventLog.of(list(log)).rows == log.rows
+
+    def test_clear_empties_the_rows(self):
+        bus = self._bus()
+        log = bus.events
+        bus.clear()
+        assert log.rows == [] and bus.events is log and bus.events == []
+
+    def test_entry_points_the_benchmark_resolves_stay_on_their_classes(self):
+        from repro.obs import audit, exporters, profiler
+
+        for name in (
+            "emit", "record_step_begin", "record_step_end", "record_barrier_wait",
+            "record_block_io", "record_compute", "record_net_transfer", "record_mem",
+            "record_fault", "record_retry",
+        ):
+            assert callable(vars(TelemetryBus)[name])
+        assert callable(audit.audit_run)
+        assert callable(exporters.write_jsonl) and callable(exporters.write_chrome_trace)
+        assert isinstance(vars(profiler.RunProfile)["from_cluster"], staticmethod)
 
 
 class TestClusterWiring:
