@@ -51,6 +51,7 @@ from repro.obs.audit import (
     POLYPHASE_SLACK,
     AuditReport,
     RunMeta,
+    StepNodeIO,
     audit_run,
     collect_step_io,
 )
@@ -212,6 +213,8 @@ class ScenarioExecutor:
                         "crash", f"{type(exc).__name__}: {exc}"
                     )
 
+                # One fold of the stream serves the audit and io_counters.
+                step_io = collect_step_io(cluster.bus.events)
                 if violation is None and res is not None:
                     sim_elapsed = res.elapsed
                     n_sorted = res.n_items
@@ -235,7 +238,7 @@ class ScenarioExecutor:
                             pivot_method=scenario.pivot_method,
                         )
                         report = audit_run(
-                            cluster.bus.events, meta, polyphase_slack=slack
+                            cluster.bus.events, meta, polyphase_slack=slack, step_io=step_io
                         )
                         worst_ratio = report.worst_ratio
                         if not report.ok:
@@ -265,18 +268,17 @@ class ScenarioExecutor:
             sim_elapsed=sim_elapsed,
             n_sorted=n_sorted,
             output_digest=output_digest,
-            io_counters=_io_counters(cluster),
+            io_counters=_io_counters(step_io),
         )
 
 
 def _io_counters(
-    cluster: Cluster,
+    step_io: dict[tuple[str, int], StepNodeIO],
 ) -> frozenset[tuple[str, int, int, int, int, int]]:
-    """Fold the bus's block I/O events into hashable per-cell tuples."""
-    cells = collect_step_io(cluster.bus.events)
+    """The folded block I/O cells as hashable per-cell tuples."""
     return frozenset(
         (step, node, c.blocks_read, c.blocks_written, c.items_read, c.items_written)
-        for (step, node), c in cells.items()
+        for (step, node), c in step_io.items()
     )
 
 
@@ -284,10 +286,10 @@ def _signature(
     cluster: Cluster, perf: PerfVector
 ) -> frozenset[tuple[str, str, str]]:
     """Fold the telemetry stream into ``(step, kind, node-class)`` triples."""
-    p = perf.p
-    triples: set[tuple[str, str, str]] = set()
-    for event in cluster.bus.events:
-        rank = event.node
-        node_class = f"perf{perf.values[rank]}" if 0 <= rank < p else "cluster"
-        triples.add((event.step, type(event).kind, node_class))
-    return frozenset(triples)
+    classes = [f"perf{v}" for v in perf.values]
+    # Thousands of rows (cls, t, node, step, ...) share a few dozen heads.
+    heads = {(row[0], row[2], row[3]) for row in cluster.bus.events.rows}
+    return frozenset(
+        (step, cls.kind, classes[rank] if 0 <= rank < perf.p else "cluster")
+        for cls, rank, step in heads
+    )

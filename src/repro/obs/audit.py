@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional
 from repro.core.perf import PerfVector
 from repro.core.theory import NUMBERED_STEPS, step_bounds
 from repro.metrics.report import Table
-from repro.obs.events import BlockRead, BlockWrite, Event
+from repro.obs.events import BlockRead, BlockWrite, Event, EventLog
 from repro.pdm.sym import POLYPHASE_SLACK, Expr, find_tops
 
 #: One (step, node, measured item I/O) cell of a recorded run.
@@ -112,24 +112,31 @@ class StepNodeIO:
 def collect_step_io(events: Iterable[Event]) -> dict[tuple[str, int], StepNodeIO]:
     """Fold block I/O events into per-(step, node) counters."""
     out: dict[tuple[str, int], StepNodeIO] = {}
-    for e in events:
-        if isinstance(e, BlockRead):
-            cell = out.setdefault((e.step, e.node), StepNodeIO())
-            cell.items_read += e.n_items
-            cell.blocks_read += 1
-        elif isinstance(e, BlockWrite):
-            cell = out.setdefault((e.step, e.node), StepNodeIO())
-            cell.items_written += e.n_items
-            cell.blocks_written += 1
+    for row in EventLog.of(events).rows:
+        cls = row[0]
+        if cls is BlockRead or cls is BlockWrite:
+            # (cls, t, node, step, disk, n_items, ...)
+            cell = out.get((row[3], row[2]))
+            if cell is None:
+                cell = out[(row[3], row[2])] = StepNodeIO()
+            if cls is BlockRead:
+                cell.items_read += row[5]
+                cell.blocks_read += 1
+            else:
+                cell.items_written += row[5]
+                cell.blocks_written += 1
     return out
 
 
-def fold_cells(events: Iterable[Event]) -> list[Cell]:
-    """The (step, node, measured item I/O) cells of an event stream."""
-    return [
-        (step, node, io.item_ios)
-        for (step, node), io in collect_step_io(events).items()
-    ]
+def fold_cells(
+    events: Iterable[Event],
+    step_io: Optional[Mapping[tuple[str, int], StepNodeIO]] = None,
+) -> list[Cell]:
+    """The (step, node, measured item I/O) cells of an event stream
+    (``step_io``: its :func:`collect_step_io` fold, if already made)."""
+    if step_io is None:
+        step_io = collect_step_io(events)
+    return [(step, node, io.item_ios) for (step, node), io in step_io.items()]
 
 
 @dataclass(frozen=True)
@@ -350,6 +357,7 @@ def audit_run(
     meta: RunMeta,
     *,
     polyphase_slack: float = POLYPHASE_SLACK,
+    step_io: Optional[Mapping[tuple[str, int], StepNodeIO]] = None,
 ) -> AuditReport:
     """Check a run's folded per-step I/O against the paper bounds,
     :func:`repro.core.theory.step_bounds` at ``polyphase_slack``.
@@ -357,7 +365,8 @@ def audit_run(
     Assumes a fault-free, full-cluster run: in degraded mode the node
     positions and shares are rescaled mid-run and the Algorithm-1
     per-node bounds no longer describe the execution (the CLI skips
-    enforcement for degraded runs).
+    enforcement for degraded runs).  A caller that has already folded
+    ``events`` with :func:`collect_step_io` passes the fold as ``step_io``.
     """
     if polyphase_slack <= 0:
         raise ValueError(f"polyphase_slack must be > 0, got {polyphase_slack}")
@@ -369,5 +378,5 @@ def audit_run(
         "5:final-merge": "2l'(1+ceil(log_m l')) on l'<=2l_i+d",
     }
     return evaluate_cells(
-        fold_cells(events), meta, step_bounds(polyphase_slack), notes=notes
+        fold_cells(events, step_io), meta, step_bounds(polyphase_slack), notes=notes
     )

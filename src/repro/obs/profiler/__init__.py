@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from repro.obs.events import Event
+from repro.obs.events import Event, EventLog
 from repro.obs.profiler.blame import BlameReport, StepBlame, blame_report
 from repro.obs.profiler.critical import CriticalPath, critical_path
 from repro.obs.profiler.model import (
@@ -68,7 +68,8 @@ class RunProfile:
         hw: Optional[HardwareMeta] = None,
         block_items: Optional[int] = None,
     ) -> None:
-        self.events = list(events)
+        #: A snapshot: later emits on a live bus are not seen.
+        self.events = EventLog(list(EventLog.of(events).rows))
         self.hw = hw if hw is not None else HardwareMeta()
         self.block_items = block_items
         self.timeline = build_timeline(self.events, self.hw)
@@ -82,7 +83,7 @@ class RunProfile:
     ) -> "RunProfile":
         """Profile a just-finished run straight off its cluster's bus."""
         return RunProfile(
-            list(cluster.bus.events),
+            cluster.bus.events,
             hw=HardwareMeta.from_cluster(cluster),
             block_items=block_items,
         )

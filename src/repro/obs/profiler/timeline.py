@@ -28,8 +28,10 @@ from repro.obs.events import (
     BlockWrite,
     Compute,
     Event,
+    EventLog,
     NetTransfer,
     Retry,
+    Row,
     StepBegin,
     StepEnd,
 )
@@ -142,42 +144,42 @@ class _Builder:
         if t1 > t0:
             self.drive_busy.setdefault((node, disk), []).append((t0, t1))
 
-    # -- event handlers ----------------------------------------------------
+    # -- row handlers: called with a row's fields, ``handler(*row[1:])`` -----
 
-    def on_compute(self, ev: Compute) -> None:
-        start = ev.t - ev.seconds
-        self.advance(ev.node, start, OTHER, ev.step)
-        self.advance(ev.node, ev.t, COMPUTE, ev.step)
+    def on_compute(self, t: float, node: int, step: str, seconds: float, ops: float) -> None:
+        self.advance(node, t - seconds, OTHER, step)
+        self.advance(node, t, COMPUTE, step)
 
-    def on_read(self, ev: BlockRead) -> None:
-        queued = ev.queued if ev.queued >= 0.0 else ev.t - ev.cost
+    def on_read(self, t, node, step, disk, n_items, itemsize, cost, queued, *stream) -> None:
+        if queued < 0.0:
+            queued = t - cost
         gap_kind = DISK_QUEUE if self.has_compute else OTHER
-        self.advance(ev.node, queued, gap_kind, ev.step)
-        self.advance(ev.node, ev.t, DISK, ev.step)
-        self.busy(ev.node, ev.disk, queued, queued + ev.cost)
+        self.advance(node, queued, gap_kind, step)
+        self.advance(node, t, DISK, step)
+        self.busy(node, disk, queued, queued + cost)
         # A read drains the drive's queue: nothing is pending any more.
-        self.pending_flush[ev.node] = 0.0
+        self.pending_flush[node] = 0.0
 
-    def on_write(self, ev: BlockWrite) -> None:
-        queued = ev.queued if ev.queued >= 0.0 else ev.t - ev.cost
-        self.busy(ev.node, ev.disk, queued, queued + ev.cost)
+    def on_write(self, t, node, step, disk, n_items, itemsize, cost, queued, *stream) -> None:
+        if queued < 0.0:
+            queued = t - cost
+        self.busy(node, disk, queued, queued + cost)
         # Discriminate write-behind (t = issue time, service starts at or
         # after it) from synchronous writes (t = completion, service was
         # [t - cost, t]) by where the service interval sits relative to t.
-        write_behind = ev.cost <= 0.0 or queued > ev.t - ev.cost * 0.5
+        write_behind = cost <= 0.0 or queued > t - cost * 0.5
         if write_behind:
-            end = queued + ev.cost
-            if end > self.pending_flush[ev.node]:
-                self.pending_flush[ev.node] = end
-            self.advance(ev.node, ev.t, OTHER, ev.step)
+            end = queued + cost
+            if end > self.pending_flush[node]:
+                self.pending_flush[node] = end
+            self.advance(node, t, OTHER, step)
         else:
             gap_kind = DISK_QUEUE if self.has_compute else OTHER
-            self.advance(ev.node, queued, gap_kind, ev.step)
-            self.advance(ev.node, ev.t, DISK, ev.step)
+            self.advance(node, queued, gap_kind, step)
+            self.advance(node, t, DISK, step)
 
-    def on_transfer(self, ev: NetTransfer) -> None:
-        start = ev.t - ev.duration
-        src, dst = ev.src, ev.dst
+    def on_transfer(self, t, node, step, src, dst, nbytes, duration) -> None:
+        start = t - duration
         # Sender side: a gap before the transmission means the message
         # waited for the receiver's inbound channel — the previous
         # transfer into ``dst`` is the cause (the sender's own outbound
@@ -189,141 +191,127 @@ class _Builder:
                 cause = (prev[1], start)
             else:
                 cause = (dst, start)
-            self.advance(src, start, NET_WAIT, ev.step, link=cause)
-            self.advance(src, ev.t, NET_SEND, ev.step)
+            self.advance(src, start, NET_WAIT, step, link=cause)
+            self.advance(src, t, NET_SEND, step)
         # Receiver side: blocked until the data fully arrived; any gap
         # before the transfer started is waiting on the sender.
-        if dst < self.n and self.tau[dst] < ev.t:
-            self.advance(dst, start, NET_WAIT, ev.step, link=(src, start))
-            self.advance(dst, ev.t, NET_RECV, ev.step)
-        self.in_channel[dst] = (ev.t, src)
+        if dst < self.n and self.tau[dst] < t:
+            self.advance(dst, start, NET_WAIT, step, link=(src, start))
+            self.advance(dst, t, NET_RECV, step)
+        self.in_channel[dst] = (t, src)
 
-    def on_barrier_group(self, group: Sequence[BarrierWait]) -> None:
-        t1 = group[0].t
-        waits = [(ev.node, ev.wait) for ev in group]
-        bg = BarrierGroup(t=t1, step=group[0].step, waits=waits)
+    def on_barrier_group(self, group: Sequence[Row]) -> None:
+        """``group``: consecutive ``BarrierWait`` rows of one rendezvous."""
+        _, t1, _, step, _ = group[0]
+        bg = BarrierGroup(t=t1, step=step, waits=[(row[2], row[4]) for row in group])
         gating = bg.gating_node()
-        for ev in group:
-            node = ev.node
+        for _, _, node, step, wait in group:
             if node >= self.n:
                 continue
-            arrival = max(self.tau[node], t1 - ev.wait)
+            arrival = max(self.tau[node], t1 - wait)
             flush = self.pending_flush[node]
             if flush > self.tau[node]:
-                self.advance(node, min(flush, arrival), DISK_FLUSH, ev.step)
-            self.advance(node, arrival, OTHER, ev.step)
-            self.advance(node, t1, BARRIER, ev.step, link=(gating, t1))
+                self.advance(node, min(flush, arrival), DISK_FLUSH, step)
+            self.advance(node, arrival, OTHER, step)
+            self.advance(node, t1, BARRIER, step, link=(gating, t1))
             self.pending_flush[node] = 0.0
         self.groups.append(bg)
 
-    def on_step_begin_group(self, group: Sequence[StepBegin]) -> None:
+    def on_step_begin_group(self, group: Sequence[Row]) -> None:
+        """``group``: consecutive ``StepBegin`` rows of one step."""
         # Under the lockstep kernel step entry is a barrier: members
         # share one timestamp and the gap up to it is rendezvous idle.
         # Under the event kernel timestamps differ per node and any gap
         # is just untracked residue.
-        by_t: dict[float, list[StepBegin]] = {}
-        for ev in group:
-            by_t.setdefault(ev.t, []).append(ev)
+        by_t: dict[float, list[int]] = {}
+        for _, t, node, _ in group:
+            by_t.setdefault(t, []).append(node)
+        step = group[0][3]
         for t, members in by_t.items():
+            ranks = [node for node in members if node < self.n]
             if len(members) >= 2:
-                waits = [(ev.node, t - self.tau[ev.node]) for ev in members if ev.node < self.n]
+                waits = [(node, t - self.tau[node]) for node in ranks]
                 if not waits:
                     continue
-                bg = BarrierGroup(t=t, step=group[0].step, waits=waits)
+                bg = BarrierGroup(t=t, step=step, waits=waits)
                 gating = bg.gating_node()
                 emitted = False
-                for ev in members:
-                    if ev.node >= self.n:
-                        continue
-                    before = len(self.segs[ev.node])
-                    self.advance(ev.node, t, BARRIER, ev.step, link=(gating, t))
-                    emitted = emitted or len(self.segs[ev.node]) > before
+                for node in ranks:
+                    before = len(self.segs[node])
+                    self.advance(node, t, BARRIER, step, link=(gating, t))
+                    emitted = emitted or len(self.segs[node]) > before
                 if emitted:
                     self.groups.append(bg)
             else:
-                for ev in members:
-                    if ev.node < self.n:
-                        self.advance(ev.node, t, OTHER, ev.step)
+                for node in ranks:
+                    self.advance(node, t, OTHER, step)
 
-    def on_step_end(self, ev: StepEnd) -> None:
-        spans = self.step_spans.setdefault(ev.step, {})
-        spans.setdefault(ev.node, []).append((ev.t - ev.duration, ev.t))
-        self.advance(ev.node, ev.t, OTHER, ev.step)
+    def on_step_end(self, t: float, node: int, step: str, duration: float) -> None:
+        spans = self.step_spans.setdefault(step, {})
+        spans.setdefault(node, []).append((t - duration, t))
+        self.advance(node, t, OTHER, step)
 
-    def on_retry(self, ev: Retry) -> None:
+    def on_retry(self, t: float, node: int, step: str, attempt: int, backoff: float) -> None:
         # Backoff is charged to every node's clock from where it stands.
-        ranks = range(self.n) if ev.node < 0 else [ev.node]
+        ranks = range(self.n) if node < 0 else [node]
         for r in ranks:
-            self.advance(r, self.tau[r] + ev.backoff, BACKOFF, ev.step)
+            self.advance(r, self.tau[r] + backoff, BACKOFF, step)
 
 
 def build_timeline(
     events: Iterable[Event], hw: Optional[HardwareMeta] = None
 ) -> Timeline:
     """Reconstruct per-node timelines from a recorded event stream."""
-    stream = list(events)
+    stream = EventLog.of(events).rows
     ranks: set[int] = set()
     has_compute = False
-    for ev in stream:
-        if ev.node >= 0:
-            ranks.add(ev.node)
-        if isinstance(ev, NetTransfer):
-            ranks.add(ev.src)
-            ranks.add(ev.dst)
-        elif isinstance(ev, Compute):
+    for row in stream:
+        if row[2] >= 0:
+            ranks.add(row[2])
+        if row[0] is NetTransfer:
+            ranks.update(row[4:6])  # src, dst
+        elif row[0] is Compute:
             has_compute = True
     if hw is not None and hw.speeds:
         ranks.update(range(len(hw.speeds)))
     n = (max(ranks) + 1) if ranks else 0
     b = _Builder(n, has_compute)
+    handlers = {
+        Compute: b.on_compute,
+        BlockRead: b.on_read,
+        BlockWrite: b.on_write,
+        NetTransfer: b.on_transfer,
+        StepEnd: b.on_step_end,
+        Retry: b.on_retry,
+        # FaultInjected / MemReserve / MemRelease carry no clock advance.
+    }
 
     i = 0
     while i < len(stream):
-        ev = stream[i]
-        if isinstance(ev, BarrierWait):
-            group: list[BarrierWait] = []
+        cls, t, _, step = stream[i][:4]
+        j = i
+        if cls is BarrierWait:
             seen: set[int] = set()
-            j = i
-            tol = EPS * max(1.0, abs(ev.t))
+            tol = EPS * max(1.0, abs(t))
             while (
                 j < len(stream)
-                and isinstance(stream[j], BarrierWait)
-                and abs(stream[j].t - ev.t) <= tol
-                and stream[j].node not in seen
+                and stream[j][0] is BarrierWait
+                and abs(stream[j][1] - t) <= tol
+                and stream[j][2] not in seen
             ):
-                group.append(stream[j])  # type: ignore[arg-type]
-                seen.add(stream[j].node)
+                seen.add(stream[j][2])
                 j += 1
-            b.on_barrier_group(group)
-            i = j
-            continue
-        if isinstance(ev, StepBegin):
-            sgroup: list[StepBegin] = []
-            j = i
-            while (
-                j < len(stream)
-                and isinstance(stream[j], StepBegin)
-                and stream[j].step == ev.step
-            ):
-                sgroup.append(stream[j])  # type: ignore[arg-type]
+            b.on_barrier_group(stream[i:j])
+        elif cls is StepBegin:
+            while j < len(stream) and stream[j][0] is StepBegin and stream[j][3] == step:
                 j += 1
-            b.on_step_begin_group(sgroup)
-            i = j
-            continue
-        if isinstance(ev, Compute):
-            b.on_compute(ev)
-        elif isinstance(ev, BlockRead):
-            b.on_read(ev)
-        elif isinstance(ev, BlockWrite):
-            b.on_write(ev)
-        elif isinstance(ev, NetTransfer):
-            b.on_transfer(ev)
-        elif isinstance(ev, StepEnd):
-            b.on_step_end(ev)
-        elif isinstance(ev, Retry):
-            b.on_retry(ev)
-        # FaultInjected / MemReserve / MemRelease carry no clock advance.
-        i += 1
+            b.on_step_begin_group(stream[i:j])
+        else:
+            handler = handlers.get(cls)
+            if handler is not None:
+                handler(*stream[i][1:])
+            j += 1
+        i = j
 
     final_times = list(b.tau)
     elapsed = max(final_times) if final_times else 0.0

@@ -316,6 +316,27 @@ class TestJsonlRoundtrip:
         assert prof2.elapsed == pytest.approx(res.elapsed, rel=1e-9)
         assert prof2.critical.total == pytest.approx(prof.critical.total, rel=1e-9)
 
+    def test_saved_log_reads_back_equal_events(self, baseline, tmp_path):
+        cluster, _, prof = baseline
+        path = str(tmp_path / "run.jsonl")
+        write_jsonl(path, cluster.bus.events)
+        _, back = read_jsonl(path)
+        assert back == cluster.bus.events == prof.events
+
+    def test_profile_is_a_snapshot_of_a_live_bus(self):
+        """Later emits (and a later Compute coalesce into the tail row)
+        must not reach a profile already built from the bus."""
+        cluster, _ = run_sort([1, 1], n=2**12)
+        bus = cluster.bus
+        bus.record_compute(node=0, t=9.0, seconds=0.5, ops=1.0)
+        prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
+        before = list(prof.events)
+        bus.record_compute(node=0, t=9.5, seconds=0.5, ops=1.0)  # rewrites the bus tail
+        bus.record_step_begin("late", 0, 10.0)
+        assert len(bus.events) == len(before) + 1
+        assert bus.events[-2].seconds == 1.0
+        assert prof.events == before and prof.events[-1].seconds == 0.5
+
     def test_missing_hw_defaults(self):
         prof = profile_from_jsonl_meta({}, [])
         assert prof.hw == HardwareMeta()
