@@ -133,8 +133,9 @@ def to_chrome_trace(
     within the node — ``steps`` and ``barrier`` first, then one track
     per disk, ``net``, and ``faults``.  Step/barrier/IO/net events
     become complete (``X``) spans whose ``ts`` is the *start* time
-    (event timestamps are completion times); memory events become ``C``
-    counter samples; faults and retries become instants (``i``).
+    (event timestamps are completion times; an ``io`` span is the
+    drive's busy interval ``[queued, queued + cost]``); memory events
+    become ``C`` counter samples; faults and retries become instants (``i``).
 
     Each ``NetTransfer`` renders on *both* ends — a ``send->dst`` span
     on the sender's net track and a ``recv<-src`` span on the
@@ -208,10 +209,13 @@ def to_chrome_trace(
             tid = tid_of(pid, "barrier")
             spans.append(span(f"wait:{step}", "barrier", t - wait, wait, pid, tid, {}))
         elif cls is BlockRead or cls is BlockWrite:
-            disk, n_items, itemsize, cost = row[4:8]
+            disk, n_items, itemsize, cost, queued = row[4:9]
             args = {"items": n_items, "itemsize": itemsize, "step": step}
             op = "read" if cls is BlockRead else "write"
-            spans.append(span(op, "io", t - cost, cost, pid, tid_of(pid, f"disk:{disk}"), args))
+            # The drive's busy interval, not the node's: a write-behind
+            # write is stamped with its issue time and served later.
+            start = queued if queued >= 0.0 else t - cost
+            spans.append(span(op, "io", start, cost, pid, tid_of(pid, f"disk:{disk}"), args))
         elif cls is NetTransfer:
             src, dst, nbytes, duration = row[4:]
             flow_id += 1

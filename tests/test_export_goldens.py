@@ -58,7 +58,7 @@ GOLDEN = {
     "event": {
         "events": 3650,
         "jsonl": "630ed6dde2ba9776351c9cf53481fb5cc12c9e69fe0e1230bd228eab04627bb8",
-        "chrome": "9768a45e6f1e9b827b36c073a2ae7cad28a920876e5587c64672beb982bf37dc",
+        "chrome": "3092b8f2deb23cb9bb5ba4d2a82ee42571cbd331bbdc2e18f20ec5c24951e87e",
         "prometheus": "4907fe5ce78ddefef9265b5023cc4b51743dc4b34f85864ae6df030ae6ca3b2a",
     },
     "lockstep": {
@@ -70,7 +70,7 @@ GOLDEN = {
     "faulted": {
         "events": 3688,
         "jsonl": "9521fa4e7f8409b8ad6a4904ce40e79ad133febee05cde35202cffb5d94f5ba4",
-        "chrome": "3bc3a91b802cca5d0503b37c63abc836bca988ed4d18a891cad1064fa017d8d0",
+        "chrome": "eec9959db4acad3e15f1240aca02a6476a4fe56669545a38075a9d141c1c9009",
         "prometheus": "806262a473c831091bd88fefb908cffdcc66ac5cdd572d53f7cea84078e7177c",
     },
 }

@@ -147,3 +147,36 @@ class TestRealRunTrace:
             ]
             assert len(steps) >= 5
         assert all(e["dur"] >= 0 for e in spans)
+
+    @pytest.mark.parametrize("kernel", ["event", "lockstep"])
+    def test_io_spans_are_the_drive_intervals_and_never_overlap(self, kernel):
+        """An ``io`` span is ``[queued, queued + cost]`` — when the drive
+        served the access, not when the node issued it (a write-behind
+        ``BlockWrite`` is stamped with its issue time) — so the spans of
+        one disk track tile the drive's timeline without overlapping."""
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(16_000), seed=0)
+        cluster = Cluster(
+            heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048),
+            kernel=kernel,
+        )
+        cluster.bus.set_level("io")
+        sort_array(cluster, perf, data, PSRSConfig(block_items=256, message_items=2048))
+        accesses = [
+            e for e in cluster.bus.events if isinstance(e, (BlockRead, BlockWrite))
+        ]
+        assert accesses and all(e.queued >= 0.0 for e in accesses)
+        trace = to_chrome_trace(cluster.bus.events)
+        io = [e for e in trace["traceEvents"] if e.get("cat") == "io"]
+        assert sorted((e["pid"], e["ts"], e["dur"]) for e in io) == sorted(
+            (e.node, e.queued * 1e6, e.cost * 1e6) for e in accesses
+        )
+        tracks = {}
+        for e in io:
+            tracks.setdefault((e["pid"], e["tid"]), []).append((e["ts"], e["ts"] + e["dur"]))
+        assert len(tracks) == 4
+        for intervals in tracks.values():
+            intervals.sort()
+            for (_, end), (start, _) in zip(intervals, intervals[1:]):
+                # 1e-3 µs = 1 ns of simulated time: float noise only.
+                assert start >= end - 1e-3
