@@ -25,6 +25,7 @@ from repro.obs.events import (
     BlockRead,
     BlockWrite,
     Event,
+    EventLog,
     FaultInjected,
     MemRelease,
     MemReserve,
@@ -40,6 +41,7 @@ __all__ = [
     "BlockRead",
     "BlockWrite",
     "Event",
+    "EventLog",
     "FaultInjected",
     "MemRelease",
     "MemReserve",

@@ -134,8 +134,7 @@ def fold_cells(
 ) -> list[Cell]:
     """The (step, node, measured item I/O) cells of an event stream
     (``step_io``: its :func:`collect_step_io` fold, if already made)."""
-    if step_io is None:
-        step_io = collect_step_io(events)
+    step_io = collect_step_io(events) if step_io is None else step_io
     return [(step, node, io.item_ios) for (step, node), io in step_io.items()]
 
 

@@ -16,15 +16,20 @@ observable about a run:
 Capture levels keep the always-on default cheap: ``"steps"`` records
 only step/barrier/fault/retry events (what the Trace view needs),
 ``"io"`` adds block I/O and network transfers (exporters, audit),
-``"full"`` adds memory reserve/release.  Levels only gate *event
-object* creation; step attribution for ``IOStats.labels`` works at
+``"full"`` adds compute charges and memory reserve/release.  Levels only
+gate what is *stored*; step attribution for ``IOStats.labels`` works at
 every level.
+
+Storage: :attr:`TelemetryBus.events` is an
+:class:`~repro.obs.events.EventLog`.  A ``record_*`` call appends one row
+tuple ``(cls, *fields)`` and builds no event object (unless someone
+subscribed); the log reads as a ``Sequence[Event]``, objects on access.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from repro.cluster.trace import Trace
 from repro.obs.events import (
@@ -58,6 +63,8 @@ class TelemetryBus:
         self._level = 0
         self.set_level(level)
         self._step_stack: list[str] = []
+        #: Innermost active step name, ``""`` outside any step.
+        self.current_step = ""
         self._subscribers: list[Callable[[Event], None]] = []
         self._trace = Trace()
 
@@ -71,37 +78,26 @@ class TelemetryBus:
         if level not in LEVELS:
             raise ValueError(f"unknown capture level {level!r}, expected one of {LEVELS}")
         self._level = LEVELS.index(level)
-
-    @property
-    def captures_io(self) -> bool:
-        """True when block I/O and network events are recorded."""
-        return self._level >= 1
-
-    @property
-    def captures_memory(self) -> bool:
-        """True when memory reserve/release events are recorded."""
-        return self._level >= 2
-
-    @property
-    def captures_compute(self) -> bool:
-        """True when charged CPU work is recorded (profiler replay input)."""
-        return self._level >= 2
+        # Plain attributes: producers read them once per block / reservation.
+        #: True when block I/O and network events are recorded.
+        self.captures_io = self._level >= 1
+        #: True when memory reserve/release events are recorded.
+        self.captures_memory = self._level >= 2
+        #: True when charged CPU work is recorded (profiler replay input).
+        self.captures_compute = self._level >= 2
 
     # -- step attribution --------------------------------------------------
-
-    @property
-    def current_step(self) -> str:
-        """Innermost active step name, ``""`` outside any step."""
-        return self._step_stack[-1] if self._step_stack else ""
 
     @contextmanager
     def step_scope(self, name: str) -> Iterator[None]:
         """Attribute every event emitted inside the body to ``name``."""
         self._step_stack.append(name)
+        self.current_step = name
         try:
             yield
         finally:
             self._step_stack.pop()
+            self.current_step = self._step_stack[-1] if self._step_stack else ""
 
     # -- views and lifecycle -----------------------------------------------
 
@@ -114,6 +110,7 @@ class TelemetryBus:
         """Drop all events and derived views; the capture level is kept."""
         self.events.rows.clear()
         self._step_stack.clear()
+        self.current_step = ""
         self._trace = Trace()
 
     def subscribe(self, fn: Callable[[Event], None]) -> None:
@@ -125,14 +122,12 @@ class TelemetryBus:
 
     def emit(self, event: Event) -> None:
         """Publish a prebuilt event object (stored, like every event, as a row)."""
-        self.events.rows.append(event_row(event))
-        for fn in list(self._subscribers):
-            fn(event)
+        self._emit_row(event_row(event), event)
 
-    def _emit_row(self, row: Row) -> None:
+    def _emit_row(self, row: Row, event: Optional[Event] = None) -> None:
         self.events.rows.append(row)
         if self._subscribers:
-            event = row_event(row)
+            event = event or row_event(row)
             for fn in list(self._subscribers):
                 fn(event)
 
@@ -167,9 +162,8 @@ class TelemetryBus:
         if not self.captures_io:
             return
         cls = BlockRead if op == "read" else BlockWrite
-        self._emit_row(
-            (cls, t, node, self.current_step, disk, n_items, itemsize, cost, queued, stream, offset)
-        )
+        step = self.current_step
+        self._emit_row((cls, t, node, step, disk, n_items, itemsize, cost, queued, stream, offset))
 
     def record_compute(
         self, *, node: int, t: float, seconds: float, ops: float
@@ -197,9 +191,7 @@ class TelemetryBus:
     ) -> None:
         if not self.captures_io:
             return
-        self._emit_row(
-            (NetTransfer, t_end, src, self.current_step, src, dst, nbytes, duration)
-        )
+        self._emit_row((NetTransfer, t_end, src, self.current_step, src, dst, nbytes, duration))
 
     def record_mem(self, op: str, *, node: int, t: float, n_items: int, in_use: int) -> None:
         if not self.captures_memory:

@@ -224,12 +224,11 @@ def row_event(row: Row) -> Event:
 class EventLog(Sequence[Event]):
     """An event stream held as rows, read as a sequence of events.
 
-    The bus appends one plain tuple per event and the bulk consumers
-    (exporters, audit fold, timeline builder) read :attr:`rows`,
-    dispatching on ``row[0]``.  Everyone else sees a ``Sequence[Event]``:
-    indexing and iteration build an equal frozen object per access.
-    None is kept: a run's objects cached beside its rows cost more
-    resident memory than the rows.
+    The bus appends one tuple per event; bulk consumers (exporters, audit
+    fold, timeline builder) read :attr:`rows` and dispatch on ``row[0]``.
+    Everyone else sees a ``Sequence[Event]`` that builds an equal frozen
+    object per access and keeps none: cached beside the rows, a run's
+    objects cost more resident memory than the rows.
     """
 
     __slots__ = ("rows",)

@@ -16,6 +16,11 @@ Three machine-readable renderings of one
 All timestamps are simulated seconds from the bus; the Chrome exporter
 converts to microseconds (the format's unit) and emits spans sorted by
 start time, so ``ts`` is non-decreasing across the file.
+
+The JSONL and Chrome exporters read the rows of an
+:class:`~repro.obs.events.EventLog` (``EventLog.of`` wraps any other
+iterable) and build no event object.  The Chrome file is compact JSON
+from one encoder call; ``python -m json.tool`` indents it.
 """
 
 from __future__ import annotations
@@ -50,13 +55,11 @@ _US = 1e6  # seconds -> microseconds
 # -- JSONL ------------------------------------------------------------------
 
 
-def _line_template(cls: type[Event]) -> str:
-    """``json.dumps(e.to_dict())`` of ``cls`` with ``%s`` for every value."""
-    pairs = [("kind", json.dumps(cls.kind))] + [(n, "%s") for n in FIELD_NAMES[cls]]
-    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
-
-
-_LINE_TEMPLATES = {cls: _line_template(cls) for cls in FIELD_NAMES}
+#: The reference encoding of each class, ``%s`` in place of every value.
+_LINE_TEMPLATES = {
+    cls: json.dumps({"kind": cls.kind, **dict.fromkeys(names, "%s")}).replace('"%s"', "%s")
+    for cls, names in FIELD_NAMES.items()
+}
 
 
 def events_to_jsonl(
@@ -64,32 +67,27 @@ def events_to_jsonl(
 ) -> str:
     """Serialise events (and an optional leading run_meta line) to JSONL.
 
-    Each row goes through its class's line template, byte-identical to
-    the reference ``json.dumps(e.to_dict())``: strings are JSON-encoded
-    once per distinct value, ints and finite floats render by ``repr``
-    as JSON renders them, and a row holding anything else (``inf``,
-    ``nan``, a bool, ``None``, a numpy scalar) takes the reference encoder.
+    Each row is formatted through its class's line template, byte for
+    byte what the reference ``json.dumps(e.to_dict())`` writes: strings
+    are JSON-encoded once per distinct value, ints and finite floats
+    print by ``repr`` exactly as JSON prints them.
     """
     lines = []
     if meta is not None:
         record = {"kind": "run_meta"}
         record.update(meta)
         lines.append(json.dumps(record))
-    text: dict[object, str] = {}  # value -> its JSON text, strings only
+    text: dict[str, str] = {}  # string value -> its JSON text
     for row in EventLog.of(events).rows:
         cells = []
         for v in row[1:]:
             if type(v) is str:
-                if v not in text:
-                    text[v] = json.dumps(v)
-                cells.append(text[v])
+                cells.append(text.get(v) or text.setdefault(v, json.dumps(v)))
             elif type(v) in (int, float) and v - v == 0:  # exactly these, and finite
                 cells.append(repr(v))
-            else:
-                cells = None
+            else:  # inf, nan, a bool, None, a numpy scalar: the reference encoder
+                lines.append(json.dumps(row_event(row).to_dict()))
                 break
-        if cells is None:
-            lines.append(json.dumps(row_event(row).to_dict()))
         else:
             lines.append(_LINE_TEMPLATES[row[0]] % tuple(cells))
     return "\n".join(lines) + "\n"
@@ -260,7 +258,7 @@ def to_chrome_trace(
                     "ph": "C",
                     "ts": t * _US,
                     "pid": pid,
-                    "args": {"items": row[5]},
+                    "args": {"items": row[5]},  # in_use
                 }
             )
         elif cls is FaultInjected or cls is Retry:
@@ -310,9 +308,9 @@ def write_chrome_trace(
     node_names: Optional[Mapping[int, str]] = None,
     critical: Optional[Sequence] = None,
 ) -> None:
-    # One call into the C encoder; ``python -m json.tool`` indents it.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(to_chrome_trace(events, node_names, critical=critical)) + "\n")
+        fh.write(json.dumps(to_chrome_trace(events, node_names, critical=critical)))
+        fh.write("\n")
 
 
 # -- Prometheus text --------------------------------------------------------

@@ -144,13 +144,15 @@ class _Builder:
         if t1 > t0:
             self.drive_busy.setdefault((node, disk), []).append((t0, t1))
 
-    # -- row handlers: called with a row's fields, ``handler(*row[1:])`` -----
+    # -- row handlers (a row is ``(cls, t, node, step, *own fields)``) --------
 
-    def on_compute(self, t: float, node: int, step: str, seconds: float, ops: float) -> None:
+    def on_compute(self, row: Row) -> None:
+        _, t, node, step, seconds, _ = row
         self.advance(node, t - seconds, OTHER, step)
         self.advance(node, t, COMPUTE, step)
 
-    def on_read(self, t, node, step, disk, n_items, itemsize, cost, queued, *stream) -> None:
+    def on_read(self, row: Row) -> None:
+        _, t, node, step, disk, _, _, cost, queued = row[:9]
         if queued < 0.0:
             queued = t - cost
         gap_kind = DISK_QUEUE if self.has_compute else OTHER
@@ -160,7 +162,8 @@ class _Builder:
         # A read drains the drive's queue: nothing is pending any more.
         self.pending_flush[node] = 0.0
 
-    def on_write(self, t, node, step, disk, n_items, itemsize, cost, queued, *stream) -> None:
+    def on_write(self, row: Row) -> None:
+        _, t, node, step, disk, _, _, cost, queued = row[:9]
         if queued < 0.0:
             queued = t - cost
         self.busy(node, disk, queued, queued + cost)
@@ -178,7 +181,8 @@ class _Builder:
             self.advance(node, queued, gap_kind, step)
             self.advance(node, t, DISK, step)
 
-    def on_transfer(self, t, node, step, src, dst, nbytes, duration) -> None:
+    def on_transfer(self, row: Row) -> None:
+        _, t, _, step, src, dst, _, duration = row
         start = t - duration
         # Sender side: a gap before the transmission means the message
         # waited for the receiver's inbound channel — the previous
@@ -246,12 +250,14 @@ class _Builder:
                 for node in ranks:
                     self.advance(node, t, OTHER, step)
 
-    def on_step_end(self, t: float, node: int, step: str, duration: float) -> None:
+    def on_step_end(self, row: Row) -> None:
+        _, t, node, step, duration = row
         spans = self.step_spans.setdefault(step, {})
         spans.setdefault(node, []).append((t - duration, t))
         self.advance(node, t, OTHER, step)
 
-    def on_retry(self, t: float, node: int, step: str, attempt: int, backoff: float) -> None:
+    def on_retry(self, row: Row) -> None:
+        _, _, node, step, _, backoff = row
         # Backoff is charged to every node's clock from where it stands.
         ranks = range(self.n) if node < 0 else [node]
         for r in ranks:
@@ -309,7 +315,7 @@ def build_timeline(
         else:
             handler = handlers.get(cls)
             if handler is not None:
-                handler(*stream[i][1:])
+                handler(stream[i])
             j += 1
         i = j
 

@@ -97,7 +97,9 @@ _FIELD_VALUES = {
     ),
     "int": st.one_of(st.integers(-(2**70), 2**70), st.booleans()),
     # Quotes, backslashes, control and non-ASCII characters included.
-    "str": st.one_of(st.text(), st.sampled_from(['"', "\\", "a\"b\\c", "\n\t\x00", "é→𝄞"])),
+    "str": st.one_of(
+        st.text(), st.sampled_from(['"', "\\", "a\"b\\c", "\n\t\x00", "é→𝄞"])
+    ),
 }
 
 
@@ -119,7 +121,9 @@ def test_strategy_covers_all_eleven_kinds():
 
 @given(st.lists(any_event(), max_size=12), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_jsonl_export_equals_reference_encoder_and_round_trips(tmp_path_factory, events, with_meta):
+def test_jsonl_export_equals_reference_encoder_and_round_trips(
+    tmp_path_factory, events, with_meta
+):
     meta = {"n_items": 7, "note": 'q"\\'} if with_meta else None
     head = [json.dumps({"kind": "run_meta", **meta})] if with_meta else []
     text = events_to_jsonl(events, meta)
