@@ -97,6 +97,10 @@ def exact_quantile_pivots(
     if perf.p != p or len(sorted_files) != p:
         raise ValueError("perf/files must match the cluster size")
     dtype = sorted_files[0].dtype
+    if dtype.kind not in "iu":
+        raise TypeError(f"quantile pivots search an integer key space, got dtype {dtype}")
+    # Probes and replies travel as 8-byte integers of the keys' signedness.
+    wire = np.uint64 if dtype.kind == "u" else np.int64
     report = QuantileSearchReport()
     if p == 1:
         return np.empty(0, dtype=dtype), report
@@ -115,7 +119,7 @@ def exact_quantile_pivots(
             break
         mids = {j: (lo[j] + hi[j]) // 2 for j in unresolved}
         # Root broadcasts probes; every node answers with local counts.
-        probe_arr = np.asarray(sorted(set(mids.values())), dtype=np.int64)
+        probe_arr = np.asarray(sorted(set(mids.values())), dtype=wire)
         probes_by_rank = cluster.comm.bcast(probe_arr, root=root)
         counts = {int(v): 0 for v in probe_arr}
         local = []
@@ -127,7 +131,7 @@ def exact_quantile_pivots(
             probes = probes_by_rank[pos]
             row = np.asarray(
                 [lower_bound_offset(f, dtype.type(v), node.mem) for v in probes],
-                dtype=np.int64,
+                dtype=wire,
             )
             local.append(row)
         gathered = cluster.comm.gather(local, root=root)

@@ -17,7 +17,7 @@ from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.core.theory import load_balance_bound, max_duplicate_count
 from repro.workloads.generators import make_benchmark
-from repro.workloads.records import verify_sorted_permutation
+from repro.workloads.records import SUPPORTED_KEY_DTYPES, verify_sorted_permutation
 
 PERF = PerfVector([1, 3])
 N = PERF.nearest_exact(4_000)
@@ -25,7 +25,9 @@ N = PERF.nearest_exact(4_000)
 
 def _run(**cfg_overrides):
     link = cfg_overrides.pop("link", FAST_ETHERNET)
-    data = make_benchmark(cfg_overrides.pop("bench", 0), N, seed=7)
+    data = make_benchmark(
+        cfg_overrides.pop("bench", 0), N, seed=7, dtype=cfg_overrides.pop("dtype", np.uint32)
+    )
     cluster = Cluster(
         heterogeneous_cluster([1.0, 3.0], memory_items=1024, link=link)
     )
@@ -49,6 +51,24 @@ def _run(**cfg_overrides):
 @pytest.mark.parametrize("pivot_method", ["regular", "random", "quantile"])
 def test_engine_policy_pivot_matrix(engine, run_policy, pivot_method):
     _run(engine=engine, run_policy=run_policy, pivot_method=pivot_method)
+
+
+@pytest.mark.parametrize("dtype", SUPPORTED_KEY_DTYPES, ids=str)
+@pytest.mark.parametrize("pivot_method", ["regular", "random", "quantile"])
+def test_dtype_pivot_matrix(dtype, pivot_method):
+    """Uniform keys span the whole dtype: uint64 keys reach past 2**63."""
+    res = _run(dtype=dtype, pivot_method=pivot_method)
+    assert res.pivots.dtype == dtype
+    if dtype.itemsize == 8:
+        assert int(res.to_array()[-1]) > 2**62
+
+
+def test_quantile_pivots_reject_non_integer_keys():
+    data = np.random.default_rng(7).random(N)
+    cluster = Cluster(heterogeneous_cluster([1.0, 3.0], memory_items=1024))
+    cfg = PSRSConfig(block_items=128, pivot_method="quantile")
+    with pytest.raises(TypeError, match="float64"):
+        sort_array(cluster, PERF, data, cfg)
 
 
 @pytest.mark.parametrize("materialize", [True, False])

@@ -39,7 +39,7 @@ from repro.core.perf import PerfVector
 from repro.core.quantiles import boundary_targets, exact_quantile_pivots
 from repro.faults.plan import FaultPlan, NodeKill
 from repro.workloads.generators import BENCHMARKS, make_benchmark
-from repro.workloads.records import verify_sorted_permutation
+from repro.workloads.records import SUPPORTED_KEY_DTYPES, verify_sorted_permutation
 from tests.conftest import file_from_array
 
 GOLDEN_PATH = os.path.join(
@@ -50,7 +50,7 @@ GOLDEN_PATH = os.path.join(
 # (a) every pivot equals the selection oracle
 # ---------------------------------------------------------------------------
 
-INT_DTYPES = (np.uint16, np.int16, np.uint32, np.int32, np.int64)
+INT_DTYPES = tuple(d.type for d in SUPPORTED_KEY_DTYPES)
 INPUTS = ("full-range", "four-distinct", "all-equal", "within-50", "min-max")
 
 
