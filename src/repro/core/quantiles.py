@@ -7,20 +7,41 @@ PSRS with equal time performances."  This module implements the
 out-of-core version: instead of sampling, the designated node finds each
 performance-proportional boundary *exactly* by binary search on the key
 space, where each probe value ``v`` is resolved into a global rank by
-asking every node for ``|{x <= v}|`` on its sorted file (a charged
-O(log n_blocks) binary search per node per probe).
+asking every node for ``|{x <= v}|`` on its sorted file.
+
+Search state.  The root keeps one key interval per boundary with
+``count_leq(lo) < target <= count_leq(hi)``.  Every node keeps the
+probes it has answered, sorted (:class:`_ProbeMemo`): ``value -> (cut,
+pred, succ)``, its local ``|{x <= value}|`` and the two file items on
+either side of that cut, seeded from the file's first and last key.  A
+new probe falls between two answered neighbours, which either settle it
+with no read (nothing of the file lies between them, or all of it lies
+on one side of the probe) or confine a block binary search to the blocks
+between their cuts, each read once.
+
+Reply.  A node answers each probe with the triple ``(count, pred,
+succ)``, so the root knows the largest real key ``<= v`` (max of the
+``pred``) and the smallest one ``> v`` (min of the ``succ``) and moves
+``hi`` or ``lo`` onto it: an interval ends on real keys after one probe,
+and the empty stretches of the key space (2**32 / n per gap for uniform
+32-bit keys) are never bisected.
 
 Trade-off (measured in the sampling ablation bench): S(max) becomes
-1 + O(p/l_i) — essentially perfect — at the price of
-O(p * log(key range) * log(n_blocks)) extra step-2 block reads and one
-small message round-trip per probe round, where sampling needs a single
-gather.  Memory: only the p-1 search intervals, no candidate buffer.
+1 + O(p/l_i) — essentially perfect — at the price of, per node and
+boundary, O(log^2(n_blocks) + rounds) step-2 block reads at worst
+(measured: about log(n_blocks) plus a handful) and one small message
+round-trip per probe round, where sampling needs a single gather.
+Rounds are about log2(distinct keys), never more than the key width + 1:
+each still halves the key interval.  Memory: the p-1 search intervals at
+the root and, per node, one small tuple per probe answered (at most
+rounds * (p-1)); no candidate buffer, one block pinned at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +49,11 @@ from repro.cluster.machine import Cluster
 from repro.core.partition import lower_bound_offset
 from repro.core.perf import PerfVector
 from repro.pdm.blockfile import BlockFile
+from repro.pdm.memory import MemoryManager
+
+#: One answered probe: local ``|{x <= v}|``, the file item just below
+#: that cut and the one just above it.
+Answer = tuple[int, int, int]
 
 
 @dataclass
@@ -59,21 +85,85 @@ def global_count_leq(
     return total
 
 
-def _key_space(cluster: Cluster, files: Sequence[BlockFile]) -> tuple[int, int]:
-    """Global [min, max] keys, read (charged) from each file's end blocks."""
-    lo, hi = None, None
-    for node, f in zip(cluster.nodes, files):
-        if f.n_items == 0:
-            continue
-        with node.mem.reserve(f.block_items(0)):
-            first = int(f.read_block(0)[0])
-        with node.mem.reserve(f.block_items(f.n_blocks - 1)):
-            last = int(f.read_block(f.n_blocks - 1)[-1])
-        lo = first if lo is None else min(lo, first)
-        hi = last if hi is None else max(hi, last)
-    if lo is None:
-        raise ValueError("cannot take quantiles of an empty input")
-    return lo, hi
+def _end_keys(f: BlockFile, mem: MemoryManager) -> Optional[tuple[int, int]]:
+    """A file's first and last key, read (charged) from its end blocks."""
+    if f.n_items == 0:
+        return None
+    with mem.reserve(f.block_items(0)):
+        first = int(f.read_block(0)[0])
+    with mem.reserve(f.block_items(f.n_blocks - 1)):
+        last = int(f.read_block(f.n_blocks - 1)[-1])
+    return first, last
+
+
+class _ProbeMemo:
+    """One node's side of the search: every probe it has answered.
+
+    ``values`` is sorted and ``answers[i]`` belongs to ``values[i]``.  The
+    two seeds, ``key_lo - 1`` and ``key_hi``, bracket every probe the root
+    can send; ``key_lo`` / ``key_hi`` also stand in for a ``pred`` /
+    ``succ`` the file does not have, where they cannot win the root's
+    max / min against a real key.
+    """
+
+    __slots__ = ("file", "mem", "values", "answers")
+
+    def __init__(
+        self,
+        file: BlockFile,
+        mem: MemoryManager,
+        key_lo: int,
+        key_hi: int,
+        ends: Optional[tuple[int, int]],
+    ) -> None:
+        self.file = file
+        self.mem = mem
+        first, last = ends if ends is not None else (key_hi, key_lo)
+        self.values = [key_lo - 1, key_hi]
+        self.answers: list[Answer] = [(0, key_lo, first), (file.n_items, last, key_hi)]
+
+    def answer(self, v: int) -> Answer:
+        """``(cut, pred, succ)`` of probe ``v``; reads only what the
+        answered neighbours leave open."""
+        i = bisect_left(self.values, v)
+        if self.values[i] == v:
+            return self.answers[i]
+        below, above = self.answers[i - 1], self.answers[i]
+        if below[0] == above[0] or below[2] > v:
+            found = below  # no item in (lower neighbour, v]
+        elif above[1] <= v:
+            found = above  # no item in (v, upper neighbour]
+        else:
+            found = self._search(v, below, above)
+        self.values.insert(i, v)
+        self.answers.insert(i, found)
+        return found
+
+    def _search(self, v: int, below: Answer, above: Answer) -> Answer:
+        """The cut lies strictly between the neighbours' cuts: take it
+        from the leftmost block whose last key exceeds ``v``, among the
+        blocks that can hold it, reading each at most once."""
+        f, B = self.file, self.file.B
+        key = f.dtype.type(v)
+        lo, hi = (below[0] + 1) // B, (above[0] - 1) // B
+        # Last key of the block left of the answer; should the answer
+        # open the window's first block, the item at the lower cut.
+        before = below[2]
+        # Block ``hi`` holds the upper neighbour's pred, which exceeds v.
+        cut, inside, succ = above[0], None, above[2]
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            with self.mem.reserve(f.block_items(mid)):
+                blk = f.read_block(mid)
+                if blk[-1] > key:
+                    within = int(np.searchsorted(blk, key, side="right"))
+                    cut, succ = mid * B + within, int(blk[within])
+                    inside = int(blk[within - 1]) if within else None
+                    hi = mid - 1
+                else:
+                    before = int(blk[-1])
+                    lo = mid + 1
+        return cut, before if inside is None else inside, succ
 
 
 def exact_quantile_pivots(
@@ -90,8 +180,9 @@ def exact_quantile_pivots(
     sizes differ from the targets only by duplicate ties at v.
 
     Communication per round: the root broadcasts the unresolved probe
-    values and gathers one count per node (tiny messages); the per-node
-    counting reads are charged to each node's disk and clock.
+    values and gathers one ``(count, pred, succ)`` row per probe from
+    every node (tiny messages); the per-node counting reads are charged
+    to each node's disk and clock.
     """
     p = cluster.p
     if perf.p != p or len(sorted_files) != p:
@@ -109,7 +200,13 @@ def exact_quantile_pivots(
     if n == 0:
         raise ValueError("cannot take quantiles of an empty input")
     targets = boundary_targets(perf, n)
-    key_lo, key_hi = _key_space(cluster, sorted_files)
+    ends = [_end_keys(f, node.mem) for node, f in zip(cluster.nodes, sorted_files)]
+    key_lo = min(e[0] for e in ends if e is not None)
+    key_hi = max(e[1] for e in ends if e is not None)
+    memos = [
+        _ProbeMemo(f, node.mem, key_lo, key_hi, e)
+        for node, f, e in zip(cluster.nodes, sorted_files, ends)
+    ]
 
     lo = [key_lo - 1] * len(targets)  # invariant: count_leq(lo) < target
     hi = [key_hi] * len(targets)  # invariant: count_leq(hi) >= target
@@ -118,31 +215,28 @@ def exact_quantile_pivots(
         if not unresolved:
             break
         mids = {j: (lo[j] + hi[j]) // 2 for j in unresolved}
-        # Root broadcasts probes; every node answers with local counts.
+        # Root broadcasts probes; every node answers with local triples.
         probe_arr = np.asarray(sorted(set(mids.values())), dtype=wire)
-        probes_by_rank = cluster.comm.bcast(probe_arr, root=root)
-        counts = {int(v): 0 for v in probe_arr}
-        local = []
-        for pos, (node, f) in enumerate(zip(cluster.nodes, sorted_files)):
-            # Each node answers from its own received copy of the probes.
-            # Collectives index by *position* in the (possibly degraded)
-            # view, not by global rank — a survivor view of ranks [0, 2]
-            # returns a 2-element list.
-            probes = probes_by_rank[pos]
-            row = np.asarray(
-                [lower_bound_offset(f, dtype.type(v), node.mem) for v in probes],
-                dtype=wire,
-            )
-            local.append(row)
-        gathered = cluster.comm.gather(local, root=root)
-        for row in gathered:
-            for v, c in zip(probe_arr, row):
-                counts[int(v)] += int(c)
+        # Each node answers from its own received copy of the probes.
+        # Collectives index by *position* in the (possibly degraded)
+        # view, not by global rank — a survivor view of ranks [0, 2]
+        # returns a 2-element list.
+        local = [
+            np.asarray([memo.answer(v) for v in probes.tolist()], dtype=wire)
+            for memo, probes in zip(memos, cluster.comm.bcast(probe_arr, root=root))
+        ]
+        reply = np.stack(cluster.comm.gather(local, root=root))  # node, probe, field
+        counts = reply[:, :, 0].sum(axis=0).tolist()
+        preds = reply[:, :, 1].max(axis=0).tolist()
+        succs = reply[:, :, 2].min(axis=0).tolist()
+        column = {v: i for i, v in enumerate(probe_arr.tolist())}
         for j in unresolved:
-            if counts[mids[j]] >= targets[j]:
-                hi[j] = mids[j]
+            i = column[mids[j]]
+            # Snap onto the real keys around the probe.
+            if counts[i] >= targets[j]:
+                hi[j] = preds[i]
             else:
-                lo[j] = mids[j]
+                lo[j] = succs[i] - 1
         report.bump(len(unresolved))
 
     pivots = np.asarray(hi, dtype=dtype)

@@ -22,6 +22,7 @@ Regenerate (the ``parent`` cost record is kept from the existing file)::
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -122,6 +123,33 @@ def test_every_pivot_is_the_selection_oracle(search):
     assert all(node.mem.in_use == 0 for node in cluster.nodes)
     if len(set(ordered)) == 1:
         assert report.rounds == 0  # lo + 1 == hi from the start
+    # every round at least halves a key interval that starts no wider
+    # than the dtype
+    assert report.rounds <= np.dtype(dtype).itemsize * 8 + 1
+
+
+def test_a_probe_the_neighbours_settle_reads_nothing():
+    """Between two answered probes with the same cut there is no item to
+    find; left of every item above the lower one, or right of every item
+    below the upper one, the neighbour's answer stands."""
+    cluster = Cluster(heterogeneous_cluster([1.0], memory_items=64))
+    node = cluster.nodes[0]
+    keys = np.array([10, 20, 30, 40, 1000, 1010, 1020, 1030], dtype=np.uint32)
+    f = file_from_array(keys, node.disk, 2, node.mem)
+    memo = quantiles._ProbeMemo(f, node.mem, 10, 1030, (10, 1030))
+
+    def reads_of(v):
+        before = node.disk.stats.blocks_read
+        return memo.answer(v), node.disk.stats.blocks_read - before
+
+    assert reads_of(500) == ((4, 40, 1000), 2)  # blocks 0..3: reads 1, then 2
+    assert reads_of(25) == ((2, 20, 30), 2)  # blocks 0..1, pred from block 0
+    assert reads_of(200) == ((4, 40, 1000), 0)  # the upper pred is below it
+    assert reads_of(700) == ((4, 40, 1000), 0)  # the lower succ is above it
+    assert reads_of(300) == ((4, 40, 1000), 0)  # equal cuts on both sides
+    assert reads_of(500) == ((4, 40, 1000), 0)  # asked before
+    assert reads_of(12) == ((1, 10, 20), 1)  # block 0 only
+    assert node.mem.in_use == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +255,13 @@ def test_downstream_of_the_search_is_pinned(g, monkeypatch):
         assert got[key] == want[key], key
     # one search per attempt at step 2: two when a node died after it
     assert len(got["search"]["rounds"]) == len(want["parent"]["rounds"])
+    # The search's own budget, against what it cost before it kept a memo.
+    if want["distinct_keys"] > 1:
+        assert 4 * got["search"]["step2_blocks_read"] <= want["parent"]["step2_blocks_read"]
+        most = math.ceil(math.log2(want["distinct_keys"])) + 3
+        assert all(r <= most for r in got["search"]["rounds"])
+    else:
+        assert got["search"] == want["parent"]  # the end-block reads, no round
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration
