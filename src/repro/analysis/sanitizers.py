@@ -141,26 +141,14 @@ class RuntimeSanitizer:
                 "node's disk is salvage-readable but never writable",
             )
 
-    @contextmanager
-    def expect_block_charge(self, disk: "SimDisk", op: str) -> Iterator[None]:
+    def expect_block_charge(self, disk: "SimDisk", op: str) -> "_BlockChargeBracket":
         """Bracket one BlockFile block I/O: exactly one counter increment.
 
         Guards the "every block read/write charged exactly once"
         invariant against future caching or subclass shortcuts: the
         block move must land in the owning disk's IOStats exactly once.
         """
-        self.stats.block_ios += 1
-        stats = disk.stats
-        before = stats.blocks_read if op == "read" else stats.blocks_written
-        yield
-        after = stats.blocks_read if op == "read" else stats.blocks_written
-        if self.config.unaccounted_block_io and after - before != 1:
-            self._violation(
-                "SAN-DISK-UNACCOUNTED",
-                f"block {op} on disk {disk.name!r} incremented the "
-                f"{op} counter by {after - before} instead of exactly 1; "
-                "every block I/O must be charged exactly once",
-            )
+        return _BlockChargeBracket(self, disk, op)
 
     # -- Network ----------------------------------------------------------
 
@@ -217,6 +205,37 @@ class RuntimeSanitizer:
                 "memory reservations still pinned at scope end: "
                 + "; ".join(leaks)
                 + " — every acquire must be released (use mem.reserve)",
+            )
+
+
+class _BlockChargeBracket:
+    """``with san.expect_block_charge(disk, op):`` — the counter is read
+    on entry and compared on exit, unless the body raised."""
+
+    __slots__ = ("san", "disk", "op", "before")
+
+    def __init__(self, san: RuntimeSanitizer, disk: "SimDisk", op: str) -> None:
+        self.san = san
+        self.disk = disk
+        self.op = op
+
+    def __enter__(self) -> None:
+        self.san.stats.block_ios += 1
+        stats = self.disk.stats
+        self.before = stats.blocks_read if self.op == "read" else stats.blocks_written
+
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        if exc_type is not None:
+            return
+        stats = self.disk.stats
+        after = stats.blocks_read if self.op == "read" else stats.blocks_written
+        moved = after - self.before
+        if moved != 1 and self.san.config.unaccounted_block_io:
+            self.san._violation(
+                "SAN-DISK-UNACCOUNTED",
+                f"block {self.op} on disk {self.disk.name!r} incremented the "
+                f"{self.op} counter by {moved} instead of exactly 1; "
+                "every block I/O must be charged exactly once",
             )
 
 

@@ -12,8 +12,7 @@ hundreds of items) to force genuinely out-of-core execution paths.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.sanitizers import active_sanitizer
 
@@ -24,6 +23,22 @@ if TYPE_CHECKING:
 
 class MemoryBudgetError(RuntimeError):
     """Raised when an algorithm tries to pin more than M items in core."""
+
+
+class _Reservation:
+    """``with mem.reserve(n):`` — acquire on entry, release on exit."""
+
+    __slots__ = ("mem", "n_items")
+
+    def __init__(self, mem: "MemoryManager", n_items: int) -> None:
+        self.mem = mem
+        self.n_items = n_items
+
+    def __enter__(self) -> None:
+        self.mem.acquire(self.n_items)
+
+    def __exit__(self, *exc: object) -> None:
+        self.mem.release(self.n_items)
 
 
 class MemoryManager:
@@ -90,14 +105,9 @@ class MemoryManager:
         if bus is not None and bus.captures_memory:
             self._publish(bus, "release", n_items)
 
-    @contextmanager
-    def reserve(self, n_items: int) -> Iterator[None]:
+    def reserve(self, n_items: int) -> _Reservation:
         """Context-managed acquire/release of ``n_items`` items."""
-        self.acquire(n_items)
-        try:
-            yield
-        finally:
-            self.release(n_items)
+        return _Reservation(self, n_items)
 
     def _publish(self, bus: "TelemetryBus", op: str, n_items: int) -> None:
         """Publish one reservation change to a memory-capturing bus."""
