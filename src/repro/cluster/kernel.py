@@ -173,7 +173,9 @@ class EventKernel(ExecutionKernel):
             / disk.parallelism
         )
         clock = owner.clock
-        start = max(clock.time, self._disk_free.get(disk.name, 0.0))
+        start = self._disk_free.get(disk.name, 0.0)  # the drive's queue ...
+        if clock.time > start:
+            start = clock.time  # ... or the issue time, whichever is later
         end = start + cost
         self._disk_free[disk.name] = end
         # Expose the drive-timeline busy interval [start, end] to the
@@ -182,7 +184,8 @@ class EventKernel(ExecutionKernel):
         if op == "read":
             # The node blocks until the data is in memory — which also
             # waits out every queued write-behind on the same drive.
-            clock.advance_to(end)
+            if end > clock.time:
+                clock.time = end
         else:
             # Write-behind: the drive is busy until ``end`` but the node
             # continues; completion is settled at the next sync point.

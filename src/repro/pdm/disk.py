@@ -130,7 +130,7 @@ class SimDisk:
         self.fault_hook: Optional[Callable[["SimDisk", str, int, int], None]] = None
         #: Telemetry bus (wired by the owning Cluster).  Every charged
         #: block I/O is published as a ``BlockRead``/``BlockWrite`` event
-        #: and attributed, via ``stats.bump``, to the bus's current step.
+        #: and attributed, in ``stats.labels``, to the bus's current step.
         self.bus: Optional["TelemetryBus"] = None
         #: Execution kernel (wired by the owning Cluster).  When set it
         #: owns the cost-to-clock mapping of every charged access; a
@@ -190,9 +190,18 @@ class SimDisk:
             cost = self.kernel.on_io(self, "read", n_items, itemsize, stream, offset)
         else:
             cost = self.serve_sync(n_items, itemsize)
-        self.stats.record_read(n_items, cost)
-        if self.bus is not None:
-            self._publish(self.bus, "read", n_items, itemsize, cost, stream, offset)
+        stats = self.stats
+        stats.blocks_read += 1
+        stats.items_read += n_items
+        stats.seeks += 1
+        stats.busy_time += cost
+        bus = self.bus
+        if bus is not None:
+            step = bus.current_step
+            if step:  # attribute the access to the step in progress
+                stats.labels[step] = stats.labels.get(step, 0) + 1
+            if bus.captures_io:
+                self._publish(bus, "read", n_items, itemsize, cost, stream, offset)
         return cost
 
     def charge_write(
@@ -213,9 +222,18 @@ class SimDisk:
             cost = self.kernel.on_io(self, "write", n_items, itemsize, stream, offset)
         else:
             cost = self.serve_sync(n_items, itemsize)
-        self.stats.record_write(n_items, cost)
-        if self.bus is not None:
-            self._publish(self.bus, "write", n_items, itemsize, cost, stream, offset)
+        stats = self.stats
+        stats.blocks_written += 1
+        stats.items_written += n_items
+        stats.seeks += 1
+        stats.busy_time += cost
+        bus = self.bus
+        if bus is not None:
+            step = bus.current_step
+            if step:  # attribute the access to the step in progress
+                stats.labels[step] = stats.labels.get(step, 0) + 1
+            if bus.captures_io:
+                self._publish(bus, "write", n_items, itemsize, cost, stream, offset)
         return cost
 
     def serve_sync(self, n_items: int, itemsize: int) -> float:
@@ -242,7 +260,7 @@ class SimDisk:
         stream: Optional[str],
         offset: Optional[int],
     ) -> None:
-        """Publish one completed block I/O to the telemetry bus.
+        """Publish one completed block I/O to an I/O-capturing bus.
 
         Called after the stats and observer updates so the event's
         timestamp is the access's *completion* time on the owning node's
@@ -251,11 +269,6 @@ class SimDisk:
         are the exception: the clock is not advanced, so ``t`` is the
         issue time and ``queued`` carries the drive-timeline start.
         """
-        step = bus.current_step
-        if step:
-            self.stats.bump(step)
-        if not bus.captures_io:
-            return
         owner = self.owner
         t = owner.clock.time if owner is not None else self.stats.busy_time
         queued = self.last_queued if self.last_queued >= 0.0 else t - cost
