@@ -225,12 +225,10 @@ class _BlockChargeBracket:
         self.before = stats.blocks_read if self.op == "read" else stats.blocks_written
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
-        if exc_type is not None:
-            return
         stats = self.disk.stats
         after = stats.blocks_read if self.op == "read" else stats.blocks_written
         moved = after - self.before
-        if moved != 1 and self.san.config.unaccounted_block_io:
+        if exc_type is None and moved != 1 and self.san.config.unaccounted_block_io:
             self.san._violation(
                 "SAN-DISK-UNACCOUNTED",
                 f"block {self.op} on disk {self.disk.name!r} incremented the "

@@ -12,28 +12,27 @@ asking every node for ``|{x <= v}|`` on its sorted file.
 Search state.  The root keeps one key interval per boundary with
 ``count_leq(lo) < target <= count_leq(hi)``.  Every node keeps the
 probes it has answered, sorted (:class:`_ProbeMemo`): ``value -> (cut,
-pred, succ)``, its local ``|{x <= value}|`` and the two file items on
-either side of that cut, seeded from the file's first and last key.  A
-new probe falls between two answered neighbours, which either settle it
-with no read (nothing of the file lies between them, or all of it lies
-on one side of the probe) or confine a block binary search to the blocks
-between their cuts, each read once.
+pred, succ)``, its local ``|{x <= value}|`` and the file items on either
+side of that cut, seeded from the file's first and last key.  The two
+answered neighbours of a new probe either settle it with no read
+(nothing of the file lies between them, or all of it on one side of the
+probe) or confine a block binary search to the blocks between their
+cuts, each read once.
 
-Reply.  A node answers each probe with the triple ``(count, pred,
-succ)``, so the root knows the largest real key ``<= v`` (max of the
-``pred``) and the smallest one ``> v`` (min of the ``succ``) and moves
-``hi`` or ``lo`` onto it: an interval ends on real keys after one probe,
-and the empty stretches of the key space (2**32 / n per gap for uniform
-32-bit keys) are never bisected.
+Reply.  A node answers each probe with that triple, so the root knows
+the largest real key ``<= v`` (max of the ``pred``) and the smallest one
+``> v`` (min of the ``succ``) and moves ``hi`` or ``lo`` onto it: the
+empty stretches of the key space (2**32 / n per gap for uniform 32-bit
+keys) are never bisected.
 
 Trade-off (measured in the sampling ablation bench): S(max) becomes
 1 + O(p/l_i) — essentially perfect — at the price of, per node and
 boundary, O(log^2(n_blocks) + rounds) step-2 block reads at worst
 (measured: about log(n_blocks) plus a handful) and one small message
-round-trip per probe round, where sampling needs a single gather.
-Rounds are about log2(distinct keys), never more than the key width + 1:
-each still halves the key interval.  Memory: the p-1 search intervals at
-the root and, per node, one small tuple per probe answered (at most
+round-trip per round, where sampling needs a single gather.  Rounds are
+about log2(distinct keys), never more than the key width + 1: each still
+halves the key interval.  Memory: the p-1 search intervals at the root
+and, per node, one small tuple per probe answered (at most
 rounds * (p-1)); no candidate buffer, one block pinned at a time.
 """
 
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,42 +84,33 @@ def global_count_leq(
     return total
 
 
-def _end_keys(f: BlockFile, mem: MemoryManager) -> Optional[tuple[int, int]]:
-    """A file's first and last key, read (charged) from its end blocks."""
-    if f.n_items == 0:
-        return None
-    with mem.reserve(f.block_items(0)):
-        first = int(f.read_block(0)[0])
-    with mem.reserve(f.block_items(f.n_blocks - 1)):
-        last = int(f.read_block(f.n_blocks - 1)[-1])
-    return first, last
-
-
 class _ProbeMemo:
     """One node's side of the search: every probe it has answered.
 
     ``values`` is sorted and ``answers[i]`` belongs to ``values[i]``.  The
-    two seeds, ``key_lo - 1`` and ``key_hi``, bracket every probe the root
-    can send; ``key_lo`` / ``key_hi`` also stand in for a ``pred`` /
-    ``succ`` the file does not have, where they cannot win the root's
-    max / min against a real key.
+    two seeds bracket every probe the root can send and cost the two
+    end-block reads.  The key dtype's extremes stand in for a ``pred`` /
+    ``succ`` the file does not have: they cannot win the root's max / min
+    against a real key.
     """
 
-    __slots__ = ("file", "mem", "values", "answers")
+    __slots__ = ("file", "mem", "first", "last", "values", "answers")
 
-    def __init__(
-        self,
-        file: BlockFile,
-        mem: MemoryManager,
-        key_lo: int,
-        key_hi: int,
-        ends: Optional[tuple[int, int]],
-    ) -> None:
+    def __init__(self, file: BlockFile, mem: MemoryManager) -> None:
         self.file = file
         self.mem = mem
-        first, last = ends if ends is not None else (key_hi, key_lo)
-        self.values = [key_lo - 1, key_hi]
-        self.answers: list[Answer] = [(0, key_lo, first), (file.n_items, last, key_hi)]
+        info = np.iinfo(file.dtype)
+        self.first, self.last = info.max, info.min  # of an empty file: the stand-ins
+        if file.n_items:
+            with mem.reserve(file.block_items(0)):
+                self.first = int(file.read_block(0)[0])
+            with mem.reserve(file.block_items(file.n_blocks - 1)):
+                self.last = int(file.read_block(file.n_blocks - 1)[-1])
+        self.values = [info.min - 1, info.max]
+        self.answers: list[Answer] = [
+            (0, info.min, self.first),
+            (file.n_items, self.last, info.max),
+        ]
 
     def answer(self, v: int) -> Answer:
         """``(cut, pred, succ)`` of probe ``v``; reads only what the
@@ -200,13 +190,9 @@ def exact_quantile_pivots(
     if n == 0:
         raise ValueError("cannot take quantiles of an empty input")
     targets = boundary_targets(perf, n)
-    ends = [_end_keys(f, node.mem) for node, f in zip(cluster.nodes, sorted_files)]
-    key_lo = min(e[0] for e in ends if e is not None)
-    key_hi = max(e[1] for e in ends if e is not None)
-    memos = [
-        _ProbeMemo(f, node.mem, key_lo, key_hi, e)
-        for node, f, e in zip(cluster.nodes, sorted_files, ends)
-    ]
+    memos = [_ProbeMemo(f, node.mem) for node, f in zip(cluster.nodes, sorted_files)]
+    key_lo = min(memo.first for memo in memos)
+    key_hi = max(memo.last for memo in memos)
 
     lo = [key_lo - 1] * len(targets)  # invariant: count_leq(lo) < target
     hi = [key_hi] * len(targets)  # invariant: count_leq(hi) >= target

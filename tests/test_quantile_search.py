@@ -136,7 +136,7 @@ def test_a_probe_the_neighbours_settle_reads_nothing():
     node = cluster.nodes[0]
     keys = np.array([10, 20, 30, 40, 1000, 1010, 1020, 1030], dtype=np.uint32)
     f = file_from_array(keys, node.disk, 2, node.mem)
-    memo = quantiles._ProbeMemo(f, node.mem, 10, 1030, (10, 1030))
+    memo = quantiles._ProbeMemo(f, node.mem)  # reads the two end blocks
 
     def reads_of(v):
         before = node.disk.stats.blocks_read
@@ -195,7 +195,7 @@ def _geometries() -> list[Geometry]:
 GEOMETRIES = _geometries()
 
 
-def run_geometry(g: Geometry, monkeypatch: Optional[pytest.MonkeyPatch] = None) -> dict:
+def run_geometry(g: Geometry) -> dict:
     """Sort once; the fields pinned downstream of the search, and its cost."""
     reports = []
     search = quantiles.exact_quantile_pivots
@@ -205,16 +205,15 @@ def run_geometry(g: Geometry, monkeypatch: Optional[pytest.MonkeyPatch] = None) 
         reports.append(report)
         return pivots, report
 
+    perf = PerfVector(list(g.perf))
+    data = make_benchmark(g.kind, perf.nearest_exact(g.n_items), seed=17)
+    cluster = Cluster(
+        heterogeneous_cluster([float(v) for v in g.perf], memory_items=g.memory_items),
+        kernel=g.kernel,
+    )
     # ``_pivot_step`` imports the function from its module at call time.
-    patch = monkeypatch if monkeypatch is not None else pytest.MonkeyPatch()
-    patch.setattr(quantiles, "exact_quantile_pivots", recording)
-    try:
-        perf = PerfVector(list(g.perf))
-        data = make_benchmark(g.kind, perf.nearest_exact(g.n_items), seed=17)
-        cluster = Cluster(
-            heterogeneous_cluster([float(v) for v in g.perf], memory_items=g.memory_items),
-            kernel=g.kernel,
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantiles, "exact_quantile_pivots", recording)
         res = sort_array(
             cluster,
             perf,
@@ -222,9 +221,6 @@ def run_geometry(g: Geometry, monkeypatch: Optional[pytest.MonkeyPatch] = None) 
             PSRSConfig(block_items=g.block_items, pivot_method="quantile"),
             faults=FaultPlan(node_kills=(g.kill,)) if g.kill is not None else None,
         )
-    finally:
-        if monkeypatch is None:
-            patch.undo()
     verify_sorted_permutation(data, res.to_array())
     return {
         "distinct_keys": int(np.unique(data).size),
@@ -248,8 +244,8 @@ def _golden() -> dict:
 
 
 @pytest.mark.parametrize("g", GEOMETRIES, ids=[g.name for g in GEOMETRIES])
-def test_downstream_of_the_search_is_pinned(g, monkeypatch):
-    got = run_geometry(g, monkeypatch)
+def test_downstream_of_the_search_is_pinned(g):
+    got = run_geometry(g)
     want = _golden()[g.name]
     for key in ("distinct_keys", "pivots", "received_sizes", "s_max", "step_io"):
         assert got[key] == want[key], key
@@ -270,8 +266,8 @@ if __name__ == "__main__":  # pragma: no cover - golden regeneration
     for geometry in GEOMETRIES:
         row = run_geometry(geometry)
         # What the search cost where the file was first generated.
-        row["parent"] = old.get(geometry.name, {}).get("parent", row.pop("search"))
-        row.pop("search", None)
+        search = row.pop("search")
+        row["parent"] = old.get(geometry.name, {}).get("parent", search)
         doc[geometry.name] = row
     with open(GOLDEN_PATH, "w", encoding="utf-8") as out_fh:
         json.dump(doc, out_fh, indent=1, sort_keys=True)
