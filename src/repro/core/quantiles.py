@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -140,7 +140,8 @@ class _ProbeMemo:
         # open the window's first block, the item at the lower cut.
         before = below[2]
         # Block ``hi`` holds the upper neighbour's pred, which exceeds v.
-        cut, inside, succ = above[0], None, above[2]
+        cut, succ = above[0], above[2]
+        inside: Optional[int] = None  # pred, when it lies in the answer's block
         while lo <= hi:
             mid = (lo + hi) // 2
             with self.mem.reserve(f.block_items(mid)):
