@@ -223,7 +223,7 @@ def _form_runs_replacement(
                     out.flush()
                     sink.end_run()
                 sink.start_run()
-                out = _SinkItemWriter(sink)
+                out = _SinkItemWriter(sink, source.dtype)
                 epoch = e
                 n_runs += 1
             out.write_one(key)
@@ -247,8 +247,9 @@ class _SinkItemWriter:
 
     _CHUNK = 1024
 
-    def __init__(self, sink: RunSink) -> None:
+    def __init__(self, sink: RunSink, dtype: np.dtype) -> None:
         self.sink = sink
+        self.dtype = dtype
         self._buf: list[int] = []
 
     def write_one(self, item: int) -> None:
@@ -258,7 +259,8 @@ class _SinkItemWriter:
 
     def flush(self) -> None:
         if self._buf:
-            self.sink.write(np.asarray(self._buf))
+            # inferred, uint64 keys either side of 2**63 come back float64
+            self.sink.write(np.array(self._buf, dtype=self.dtype))
             self._buf.clear()
 
     def __del__(self) -> None:  # pragma: no cover - defensive

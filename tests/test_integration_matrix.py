@@ -63,6 +63,14 @@ def test_dtype_pivot_matrix(dtype, pivot_method):
         assert int(res.to_array()[-1]) > 2**62
 
 
+@pytest.mark.parametrize("dtype", SUPPORTED_KEY_DTYPES, ids=str)
+@pytest.mark.parametrize("run_policy", ["load", "replacement"])
+def test_dtype_run_policy_matrix(dtype, run_policy):
+    """Full-range keys through both run formers: no key leaves its dtype."""
+    res = _run(dtype=dtype, run_policy=run_policy)
+    assert res.to_array().dtype == dtype
+
+
 def test_quantile_pivots_reject_non_integer_keys():
     data = np.random.default_rng(7).random(N)
     cluster = Cluster(heterogeneous_cluster([1.0, 3.0], memory_items=1024))

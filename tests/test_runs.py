@@ -94,6 +94,22 @@ class TestReplacementSelection:
         n, runs, _ = _form([], policy="replacement")
         assert n == 0
 
+    def test_uint64_keys_above_2_63_survive(self):
+        # np.asarray over Python ints mixing keys above and below 2**63
+        # infers float64: the item writer rounded such chunks to 53 bits.
+        data = np.random.default_rng(0).integers(
+            0, 2**64 - 1, size=400, dtype=np.uint64, endpoint=True
+        )
+        assert (data > 2**63).any() and (data < 2**63).any()
+        disk = make_disk()
+        mem = MemoryManager(capacity=1024)
+        src = file_from_array(data, disk, B=128, mem=mem, dtype=np.uint64)
+        sink = CollectingSink(disk, 128, np.dtype(np.uint64), mem)
+        form_runs(src, sink, mem, policy="replacement")
+        union = np.concatenate([r.to_array() for r in sink.runs])
+        assert union.dtype == np.uint64
+        assert verify_permutation(data, union)
+
     def test_too_small_budget_rejected(self, rng):
         with pytest.raises(ValueError, match="too small"):
             _form(rng.integers(0, 1000, 64), B=8, capacity=16, policy="replacement")
