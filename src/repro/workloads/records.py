@@ -105,6 +105,8 @@ def verify_sorted_permutation(inp: np.ndarray, out: np.ndarray, exact: bool = Tr
     out = np.asarray(out)
     if inp.size != out.size:
         raise AssertionError(f"size mismatch: input {inp.size}, output {out.size}")
+    if inp.dtype != out.dtype:
+        raise AssertionError(f"dtype mismatch: input {inp.dtype}, output {out.dtype}")
     if not is_sorted(out):
         bad = int(np.argmax(out[:-1] > out[1:]))
         raise AssertionError(

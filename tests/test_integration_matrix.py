@@ -59,6 +59,7 @@ def test_dtype_pivot_matrix(dtype, pivot_method):
     """Uniform keys span the whole dtype: uint64 keys reach past 2**63."""
     res = _run(dtype=dtype, pivot_method=pivot_method)
     assert res.pivots.dtype == dtype
+    assert res.to_array().dtype == dtype
     if dtype.itemsize == 8:
         assert int(res.to_array()[-1]) > 2**62
 

@@ -161,6 +161,11 @@ class TestRecords:
             verify_sorted_permutation([1, 2], [1, 3])
         verify_sorted_permutation([2, 1], [1, 2])  # happy path
 
+    def test_verify_sorted_permutation_rejects_a_changed_dtype(self):
+        keys = np.array([3, -1, 2], dtype=np.int32)
+        with pytest.raises(AssertionError, match="dtype mismatch: input int32, output int64"):
+            verify_sorted_permutation(keys, np.sort(keys).astype(np.int64))
+
     def test_checksum_order_independent(self, rng):
         arr = rng.integers(0, 2**32, 500).astype(np.uint32)
         shuffled = arr.copy()
