@@ -34,7 +34,7 @@ def sort_ops(n: int) -> float:
 
 
 def sort_in_memory(arr: np.ndarray, node: "SimNode") -> np.ndarray:
-    """Stable-sort ``arr`` in ``node``'s RAM, pinned and charged.
+    """Sort ``arr`` in ``node``'s RAM, pinned and charged.
 
     The returned array is a sorted copy; the working set (input + copy
     share the same item count bound) is reserved against the node's
@@ -43,7 +43,7 @@ def sort_in_memory(arr: np.ndarray, node: "SimNode") -> np.ndarray:
     """
     a = np.asarray(arr)
     with node.mem.reserve(int(a.size)):
-        out = np.sort(a, kind="stable")
+        out = np.sort(a)
     node.compute(sort_ops(int(out.size)))
     return out
 

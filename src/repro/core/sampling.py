@@ -168,7 +168,7 @@ def select_pivots(
     (any order); this runs in core on the designated node — the paper
     notes the sample is tiny relative to M.
     """
-    cand = np.sort(np.asarray(candidates), kind="stable")  # repro: noqa REP002(pivot candidates are tiny vs M per the paper; charged via compute below)
+    cand = np.sort(np.asarray(candidates))  # repro: noqa REP002(pivot candidates are tiny vs M per the paper; charged via compute below)
     if compute is not None and cand.size > 1:
         compute(cand.size * float(np.log2(cand.size)))
     if perf.p == 1:

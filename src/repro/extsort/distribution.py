@@ -63,7 +63,7 @@ def _sample_splitters(
         parts = [source.read_block(int(i)) for i in idxs]
         sample = np.concatenate(parts)
         del parts
-        sample.sort(kind="stable")  # repro: noqa REP002(block sample held under mem.reserve; compute charged below)
+        sample.sort()  # repro: noqa REP002(block sample held under mem.reserve; compute charged below)
         sample = sample.copy()
     if compute is not None:
         compute(_sort_ops(sample.size))
@@ -132,7 +132,7 @@ def _sort_into(
     if bucket.n_items <= in_core_cap:
         if bucket.n_items:
             data = BlockReader(bucket, mem).read_all()
-            data.sort(kind="stable")  # repro: noqa REP002(in-core base case under the read_all reservation; compute charged below)
+            data.sort()  # repro: noqa REP002(in-core base case under the read_all reservation; compute charged below)
             if compute is not None:
                 compute(_sort_ops(data.size))
             with mem.reserve(data.size):

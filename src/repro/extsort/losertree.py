@@ -10,12 +10,12 @@ Keys may be any comparable Python objects (numpy scalars included);
 ``None`` is the +infinity sentinel marking an exhausted source.
 
 Alongside the item-at-a-time tree, this module provides the *block*
-merge kernel the production engines use: :func:`kway_merge_sorted` is a
-*natural merge* — it concatenates the k sorted arrays and stable-sorts
-the result, so the sort finds the k presorted runs already in place and
-only has to merge them.  No Python-level loop, one pass through numpy,
-and ties keep part order (lower part index first) exactly as a loser
-tree that breaks ties by source index would emit them.
+merge kernel the production engines use: :func:`kway_merge_sorted`
+concatenates the k sorted arrays and sorts the result with numpy's
+default kind — no Python-level loop, one pass through numpy, and faster
+than a merge that exploits the presorted parts at every size the
+engines produce.  Keys are integers, so tied keys are indistinguishable
+and the output is exactly what a loser tree would emit.
 """
 
 from __future__ import annotations
@@ -136,16 +136,16 @@ class LoserTree:
 
 
 def kway_merge_sorted(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge k sorted arrays into a new sorted array (natural merge).
+    """Merge k sorted arrays into a new sorted array.
 
-    A stable sort of the concatenation: ties keep part order (lower part
-    index first).  Always returns a fresh array, never a view of an
-    input.  An empty ``parts`` yields an empty uint32 array.
+    Concatenate, then numpy's default sort: ties are indistinguishable
+    (integer keys), so no order among them is kept or needed.  Always a
+    fresh array, never a view of an input; no ``parts``, empty uint32.
     """
     if not parts:
         return np.empty(0, dtype=np.uint32)
     out = np.concatenate(parts)  # repro: noqa REP006(callers reserve the merge working set — multiway.merge_cursors / incore.merge_in_memory)
-    out.sort(kind="stable")  # repro: noqa REP002(merges the k presorted parts in place under the caller's reservation; callers charge the n log2 k comparisons)
+    out.sort()  # repro: noqa REP002(merges the k presorted parts in place under the caller's reservation; callers charge the n log2 k comparisons)
     return out
 
 

@@ -6,8 +6,8 @@ Two engines, identical observable semantics:
   holds one buffered block; the safe horizon ``t`` is the minimum of the
   per-run buffer maxima; every buffered item ``<= t`` can be emitted this
   round (any unseen item of run *i* is ``>=`` its buffer max ``>= t``),
-  so the round cuts every buffer at ``t``, natural-merges the cut-off
-  heads in core (:func:`~repro.extsort.losertree.kway_merge_sorted`)
+  so the round cuts every buffer at ``t``, merges the cut-off heads
+  in core (:func:`~repro.extsort.losertree.kway_merge_sorted`)
   and streams the chunk out.  A round is two passes over the cursors —
   refill + horizon, then cut + release — and at least one whole buffer
   drains per round, so the number of rounds is bounded by the total

@@ -3,7 +3,7 @@
 Two policies are provided:
 
 * ``"load"`` — memory-load sorting: stream ``L`` items into core, sort
-  them (numpy introsort), write them out as one run.  Produces
+  them (numpy's default kind), write them out as one run.  Produces
   ``ceil(N / L)`` runs of length ``L`` (last one shorter).  This is the
   policy the paper's step-1 bound ``2 l_i (1 + ceil(log_m l_i))``
   assumes.
@@ -148,7 +148,7 @@ def _form_runs_load(
     L = _load_size(mem, source.B)
     n_runs = 0
     for load in _iter_loads(source, L, mem):
-        load.sort(kind="stable")
+        load.sort()
         if compute is not None:
             compute(_sort_ops(load.size))
         sink.start_run()
