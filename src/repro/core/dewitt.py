@@ -212,7 +212,7 @@ def sort_dewitt_distributed(
         for j, node in enumerate(cluster.nodes):
             refs = [RunRef.whole(f) for f in runs[j] if f.n_items > 0]
             out = merge_many(
-                refs, node, config.engine, f"dwout{j}", config.block_items, inputs[0].dtype
+                refs, node, config.engine, name=f"dwout{j}", B=config.block_items, dtype=inputs[0].dtype
             )
             for f in runs[j]:
                 if f is not out:

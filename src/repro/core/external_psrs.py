@@ -446,7 +446,7 @@ def _merge_step(
     for j, node in enumerate(view.nodes):
         refs = [RunRef.whole(f) for f in received[j] if f.n_items > 0]
         out = merge_many(
-            refs, node, config.engine, f"out{j}", config.block_items, received[j][0].dtype
+            refs, node, config.engine, name=f"out{j}", B=config.block_items, dtype=received[j][0].dtype
         )
         if clear_inputs:
             for f in received[j]:

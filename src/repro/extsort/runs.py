@@ -259,7 +259,7 @@ class _SinkItemWriter:
 
     def flush(self) -> None:
         if self._buf:
-            # inferred, uint64 keys either side of 2**63 come back float64
+            # explicit dtype: inferred, uint64 keys either side of 2**63 become float64
             self.sink.write(np.array(self._buf, dtype=self.dtype))
             self._buf.clear()
 

@@ -67,9 +67,9 @@ def test_dtype_pivot_matrix(dtype, pivot_method):
 @pytest.mark.parametrize("dtype", SUPPORTED_KEY_DTYPES, ids=str)
 @pytest.mark.parametrize("run_policy", ["load", "replacement"])
 def test_dtype_run_policy_matrix(dtype, run_policy):
-    """Full-range keys through both run formers: no key leaves its dtype."""
-    res = _run(dtype=dtype, run_policy=run_policy)
-    assert res.to_array().dtype == dtype
+    """Full-range keys through both run formers: no key leaves its dtype
+    (``_run``'s oracle compares values and dtype)."""
+    _run(dtype=dtype, run_policy=run_policy)
 
 
 def test_quantile_pivots_reject_non_integer_keys():

@@ -12,11 +12,11 @@ from repro.workloads.records import is_sorted, verify_permutation
 from tests.conftest import file_from_array, make_disk
 
 
-def _form(arr, B=8, capacity=32, policy="load"):
+def _form(arr, B=8, capacity=32, policy="load", dtype=np.uint32):
     disk = make_disk()
     mem = MemoryManager(capacity=capacity)
-    src = file_from_array(np.asarray(arr, dtype=np.uint32), disk, B=B, mem=mem)
-    sink = CollectingSink(disk, B, np.dtype(np.uint32), mem)
+    src = file_from_array(np.asarray(arr, dtype=dtype), disk, B=B, mem=mem, dtype=dtype)
+    sink = CollectingSink(disk, B, np.dtype(dtype), mem)
     n = form_runs(src, sink, mem, policy=policy)
     assert mem.in_use == 0, "run formation leaked memory reservations"
     return n, sink.runs, src
@@ -101,12 +101,8 @@ class TestReplacementSelection:
             0, 2**64 - 1, size=400, dtype=np.uint64, endpoint=True
         )
         assert (data > 2**63).any() and (data < 2**63).any()
-        disk = make_disk()
-        mem = MemoryManager(capacity=1024)
-        src = file_from_array(data, disk, B=128, mem=mem, dtype=np.uint64)
-        sink = CollectingSink(disk, 128, np.dtype(np.uint64), mem)
-        form_runs(src, sink, mem, policy="replacement")
-        union = np.concatenate([r.to_array() for r in sink.runs])
+        _, runs, _ = _form(data, B=128, capacity=1024, policy="replacement", dtype=np.uint64)
+        union = np.concatenate([r.to_array() for r in runs])
         assert union.dtype == np.uint64
         assert verify_permutation(data, union)
 
