@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from repro.core.perf import PerfVector
 from repro.obs.audit import (
     AuditReport,
     Cell,
@@ -117,46 +116,27 @@ def certify_corpus(
     exist precisely to exceed bounds (under tightened slack), so the
     fault-free static bounds do not describe them.
     """
-    import numpy as np
-
-    from repro.core.theory import max_duplicate_count
     from repro.fuzz import ScenarioExecutor, load_case
-    from repro.workloads.generators import make_benchmark
 
     executor = ScenarioExecutor(collect_coverage=False, kernel=kernel)
     results: list[CertifyCaseResult] = []
     for path in sorted(glob.glob(os.path.join(str(corpus_dir), "*.jsonl"))):
         name = os.path.splitext(os.path.basename(path))[0]
-        scenario = load_case(path).scenario
-        outcome = executor.run(scenario)
+        outcome = executor.run(load_case(path).scenario)
         if outcome.status != "ok":
             results.append(CertifyCaseResult(
                 name, None,
                 f"status {outcome.status!r}: fault-free bounds do not apply",
             ))
             continue
-        perf = PerfVector(list(scenario.perf))
-        n = perf.nearest_exact(scenario.n_items)
-        data = make_benchmark(
-            scenario.benchmark, n, seed=scenario.seed,
-            dtype=np.dtype(scenario.dtype),
-        )
-        meta = RunMeta(
-            n_items=outcome.n_sorted,
-            perf=tuple(int(v) for v in scenario.perf),
-            memory_items=scenario.memory_items,
-            block_items=scenario.block_items,
-            oversample=scenario.oversample,
-            d_duplicates=max_duplicate_count(data),
-            pivot_method=scenario.pivot_method,
-        )
+        assert outcome.meta is not None  # every "ok" run was audited
         cells = [
             (step, node, items_read + items_written)
             for step, node, _br, _bw, items_read, items_written
             in outcome.io_counters
         ]
         results.append(CertifyCaseResult(
-            name, certify_cells(cells, meta)
+            name, certify_cells(cells, outcome.meta)
         ))
     return results
 

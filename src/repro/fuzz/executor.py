@@ -109,6 +109,9 @@ class RunOutcome:
     #: ``(step, node, blocks_read, blocks_written, items_read,
     #: items_written)``.  Timing-free, so identical across kernels.
     io_counters: frozenset[tuple[str, int, int, int, int, int]] = frozenset()
+    #: The run parameters the auditor was given (``None`` when the run was
+    #: not audited: it did not finish, or finished degraded / recovered).
+    meta: Optional[RunMeta] = None
 
     @property
     def is_violation(self) -> bool:
@@ -180,6 +183,7 @@ class ScenarioExecutor:
         output_digest = ""
         res = None
         report: Optional[AuditReport] = None
+        meta: Optional[RunMeta] = None
 
         collector = LineCoverage() if self.collect_coverage else _NoCoverage()
         san = install_sanitizers()
@@ -269,6 +273,7 @@ class ScenarioExecutor:
             n_sorted=n_sorted,
             output_digest=output_digest,
             io_counters=_io_counters(step_io),
+            meta=meta,
         )
 
 
