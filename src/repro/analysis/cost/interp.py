@@ -85,7 +85,6 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "pivot_method": "regular",
     "materialize_partitions": True,
     "run_policy": "load",
-    "engine": "vector",
 }
 
 

@@ -19,7 +19,11 @@ that class of machine deterministically:
   over node clocks (:mod:`~repro.cluster.simclock`),
 * :class:`~repro.cluster.machine.Cluster` wires it all together from a
   :class:`~repro.cluster.machine.ClusterSpec`; ``paper_cluster()``
-  recreates Table 1.
+  recreates Table 1.  Steps, barriers and aggregate readings are stated
+  once, on :class:`~repro.cluster.machine.NodeSet`, for the cluster and
+  for a :class:`~repro.cluster.machine.ClusterView` of its survivors;
+  a step's seconds are read back from the telemetry bus
+  (:func:`repro.obs.events.step_seconds`), which is the only record.
 """
 
 from repro.cluster.machine import (
@@ -34,7 +38,6 @@ from repro.cluster.mpi import SimComm
 from repro.cluster.network import FAST_ETHERNET, MYRINET, LinkModel, Network
 from repro.cluster.node import CpuParams, SimNode
 from repro.cluster.simclock import VirtualClock, barrier
-from repro.cluster.trace import Trace, TraceEvent
 
 __all__ = [
     "Cluster",
@@ -47,8 +50,6 @@ __all__ = [
     "NodeSpec",
     "SimComm",
     "SimNode",
-    "Trace",
-    "TraceEvent",
     "VirtualClock",
     "barrier",
     "heterogeneous_cluster",

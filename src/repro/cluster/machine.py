@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.cluster.kernel import ExecutionKernel, make_kernel
 from repro.cluster.mpi import SimComm
 from repro.cluster.network import FAST_ETHERNET, LinkModel, Network
 from repro.cluster.node import CpuParams, SimNode
-from repro.cluster.trace import Trace
 from repro.obs.bus import TelemetryBus
 from repro.pdm.disk import DiskParams
 from repro.pdm.stats import IOStats
@@ -62,76 +61,32 @@ class ClusterSpec:
         )
 
 
-def _synced_barrier(
-    kernel: ExecutionKernel, nodes: Sequence[SimNode], bus: TelemetryBus
-) -> float:
-    """Kernel sync with per-participant ``BarrierWait`` telemetry."""
-    before = [kernel.node_time(n) for n in nodes]
-    t1 = kernel.sync(nodes)
-    name = bus.current_step or "sync"
-    for n, t0 in zip(nodes, before):
-        bus.record_barrier_wait(name, n.rank, t1, t1 - t0)
-    return t1
+class NodeSet:
+    """What an algorithm step is written against: some of a cluster's
+    nodes on its shared kernel, telemetry bus and step observers.
 
-
-class Cluster:
-    """A live simulated cluster built from a :class:`ClusterSpec`.
-
-    ``kernel`` selects the execution scheduler (see
-    :mod:`repro.cluster.kernel`): ``"event"`` (default) lets nodes
-    advance independently between true synchronization points with
-    overlap-aware disk service; ``"lockstep"`` reproduces the original
-    barrier-per-step BSP semantics bit for bit.
+    A :class:`Cluster` is the set of all its nodes, a :class:`ClusterView`
+    a subset of them (degraded-mode survivors).  The step protocol, the
+    barrier and the aggregate readings are stated here, once, over
+    ``self.nodes`` — so every step written against a cluster runs
+    unchanged over a view.
     """
 
-    def __init__(
-        self, spec: ClusterSpec, kernel: Union[str, ExecutionKernel] = "event"
-    ) -> None:
-        self.spec = spec
-        self.nodes: list[SimNode] = [
-            SimNode(
-                rank=i,
-                speed=ns.speed,
-                memory_items=ns.memory_items,
-                disk_params=ns.disk,
-                cpu_params=ns.cpu,
-                name=ns.name,
-                io_scaled_by_speed=ns.io_scaled_by_speed,
-                n_disks=ns.n_disks,
-            )
-            for i, ns in enumerate(spec.nodes)
-        ]
-        self.network = Network(spec.link, spec.p, spec.packet_bytes)
-        self.comm = SimComm(self.nodes, self.network)
-        #: The cluster's telemetry bus — single source of truth for step
-        #: intervals (the :attr:`trace` view), phase-attributed I/O
-        #: counters and every exported event stream.
-        self.bus = TelemetryBus()
-        self.network.bus = self.bus
-        #: Execution kernel: owns the cost-to-clock mapping and the
-        #: synchronization semantics of every step and barrier.
-        self.kernel = make_kernel(kernel)
-        self.kernel.attach(self.nodes)
-        for node in self.nodes:
-            node.disk.bus = self.bus
-            node.mem.bus = self.bus
-            node.bus = self.bus
-        #: Callbacks fired (with the step name) at the start of every
-        #: :meth:`step`; the fault injector's node kills are raised here.
-        self.step_observers: list = []
-
-    @property
-    def trace(self) -> Trace:
-        """Per-step interval view derived from the telemetry bus."""
-        return self.bus.trace
+    nodes: list[SimNode]
+    #: Execution kernel: owns the cost-to-clock mapping and the
+    #: synchronization semantics of every step and barrier.
+    kernel: ExecutionKernel
+    #: The cluster's telemetry bus — single source of truth for step
+    #: intervals, phase-attributed I/O counters and every exported
+    #: event stream.
+    bus: TelemetryBus
+    #: Callbacks fired (with the step name) at the start of every
+    #: :meth:`step`; the fault injector's node kills are raised here.
+    step_observers: list[Callable[[str], None]]
 
     @property
     def p(self) -> int:
         return len(self.nodes)
-
-    @property
-    def speeds(self) -> list[float]:
-        return [n.speed for n in self.nodes]
 
     def elapsed(self) -> float:
         """Simulated wall time = the furthest node, pending work included."""
@@ -147,48 +102,103 @@ class Cluster:
         are what gives the profiler explicit rendezvous points under the
         event kernel (step boundaries are barrier-free there).
         """
-        return _synced_barrier(self.kernel, self.nodes, self.bus)
+        before = [self.kernel.node_time(n) for n in self.nodes]
+        t1 = self.kernel.sync(self.nodes)
+        name = self.bus.current_step or "sync"
+        for n, t0 in zip(self.nodes, before):
+            self.bus.record_barrier_wait(name, n.rank, t1, t1 - t0)
+        return t1
 
     @contextmanager
     def step(self, name: str) -> Iterator[None]:
         """Kernel-delimited algorithm step; publishes step telemetry.
 
         Emits per-node ``StepBegin`` / ``StepEnd`` events on the bus
-        (the ``StepEnd`` records also maintain the :attr:`trace` view)
-        and attributes every event emitted inside the body to ``name``
-        via the bus's step scope.  Under the lockstep kernel the step is
-        barrier-delimited and per-node ``BarrierWait`` events are
-        emitted; under the event kernel nodes flow through the boundary
-        at their own clocks.  A body that raises (an injected fault)
-        leaves no end events, matching the pre-bus trace semantics:
-        only completed attempts are timed.
+        (what :func:`repro.obs.events.step_seconds` folds into per-step
+        seconds) and attributes every event emitted inside the body to
+        ``name`` via the bus's step scope.  Under the lockstep kernel
+        the step is barrier-delimited and per-node ``BarrierWait``
+        events are emitted; under the event kernel nodes flow through
+        the boundary at their own clocks.  A body that raises (an
+        injected fault) leaves no end events: only completed attempts
+        are timed.
         """
         self.kernel.step_enter(self.nodes)
         for obs in list(self.step_observers):
             obs(name)
+        bus = self.bus
         starts = [n.clock.time for n in self.nodes]
-        for n in self.nodes:
-            self.bus.record_step_begin(name, n.rank, starts[n.rank])
-        with self.bus.step_scope(name):
+        for start, n in zip(starts, self.nodes):
+            bus.record_step_begin(name, n.rank, start)
+        with bus.step_scope(name):
             yield
         ends = [n.clock.time for n in self.nodes]
-        for n in self.nodes:
-            self.bus.record_step_end(name, n.rank, starts[n.rank], ends[n.rank])
+        for start, end, n in zip(starts, ends, self.nodes):
+            bus.record_step_end(name, n.rank, start, end)
         t1 = self.kernel.step_exit(self.nodes)
         if t1 is not None:
-            for n in self.nodes:
-                self.bus.record_barrier_wait(name, n.rank, t1, t1 - ends[n.rank])
+            for end, n in zip(ends, self.nodes):
+                bus.record_barrier_wait(name, n.rank, t1, t1 - end)
 
     def io_stats(self) -> IOStats:
-        """Aggregate disk counters across all nodes."""
+        """Aggregate disk counters across the nodes."""
         return IOStats.merge([n.disk.stats for n in self.nodes])
+
+
+class Cluster(NodeSet):
+    """A live simulated cluster built from a :class:`ClusterSpec`.
+
+    ``kernel`` selects the execution scheduler (see
+    :mod:`repro.cluster.kernel`): ``"event"`` (default) lets nodes
+    advance independently between true synchronization points with
+    overlap-aware disk service; ``"lockstep"`` reproduces the original
+    barrier-per-step BSP semantics bit for bit.
+    """
+
+    # benchmarks/perf/trace.py instruments the step and the barrier of a
+    # cluster and of a view under separate labels, through ``vars(cls)``.
+    step = NodeSet.step
+    barrier = NodeSet.barrier
+
+    def __init__(
+        self, spec: ClusterSpec, kernel: Union[str, ExecutionKernel] = "event"
+    ) -> None:
+        self.spec = spec
+        self.nodes = [
+            SimNode(
+                rank=i,
+                speed=ns.speed,
+                memory_items=ns.memory_items,
+                disk_params=ns.disk,
+                cpu_params=ns.cpu,
+                name=ns.name,
+                io_scaled_by_speed=ns.io_scaled_by_speed,
+                n_disks=ns.n_disks,
+            )
+            for i, ns in enumerate(spec.nodes)
+        ]
+        self.network = Network(spec.link, spec.p, spec.packet_bytes)
+        self.comm = SimComm(self.nodes, self.network)
+        self.bus = TelemetryBus()
+        self.network.bus = self.bus
+        self.kernel = make_kernel(kernel)
+        self.kernel.attach(self.nodes)
+        for node in self.nodes:
+            node.disk.bus = self.bus
+            node.mem.bus = self.bus
+            node.bus = self.bus
+        self.step_observers = []
+
+    @property
+    def speeds(self) -> list[float]:
+        return [n.speed for n in self.nodes]
 
     def view(self, ranks: Sequence[int]) -> "ClusterView":
         """A live view over a subset of nodes (degraded-mode survivors)."""
         return ClusterView(self, ranks)
 
     def reset(self) -> None:
-        """Zero clocks, counters, network channels and the trace.
+        """Zero clocks, counters, network channels and the event stream.
 
         Used after untimed setup (the paper excludes the initial data
         distribution from its measurements).
@@ -204,16 +214,19 @@ class Cluster:
         return f"Cluster[{names}] over {self.spec.link.name}"
 
 
-class ClusterView:
+class ClusterView(NodeSet):
     """A subset of a cluster's nodes presented with the Cluster interface.
 
     Degraded mode runs steps 2-5 over the surviving nodes only: the view
-    shares the parent's network, trace and step observers, but its
+    shares the parent's network, kernel, bus and step observers, but its
     ``nodes`` / ``comm`` / ``barrier`` cover the chosen ranks, so every
     algorithm step written against a :class:`Cluster` runs unchanged over
     the survivors.  A full-range view (``ranks == range(p)``) behaves
     identically to the cluster itself.
     """
+
+    step = NodeSet.step
+    barrier = NodeSet.barrier
 
     def __init__(self, cluster: Cluster, ranks: Sequence[int]) -> None:
         ranks = list(ranks)
@@ -227,51 +240,9 @@ class ClusterView:
         self.network = cluster.network
         self.comm = SimComm(self.nodes, cluster.network)
         self.spec = cluster.spec
-
-    @property
-    def p(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def trace(self) -> Trace:
-        return self.cluster.trace
-
-    @property
-    def bus(self) -> TelemetryBus:
-        return self.cluster.bus
-
-    @property
-    def kernel(self) -> ExecutionKernel:
-        return self.cluster.kernel
-
-    def elapsed(self) -> float:
-        return max(self.kernel.node_time(n) for n in self.nodes)
-
-    def barrier(self) -> float:
-        return _synced_barrier(self.kernel, self.nodes, self.bus)
-
-    @contextmanager
-    def step(self, name: str) -> Iterator[None]:
-        """Kernel-delimited step over the view's nodes only."""
-        self.kernel.step_enter(self.nodes)
-        for obs in list(self.cluster.step_observers):
-            obs(name)
-        bus = self.cluster.bus
-        starts = [n.clock.time for n in self.nodes]
-        for start, n in zip(starts, self.nodes):
-            bus.record_step_begin(name, n.rank, start)
-        with bus.step_scope(name):
-            yield
-        ends = [n.clock.time for n in self.nodes]
-        for start, end, n in zip(starts, ends, self.nodes):
-            bus.record_step_end(name, n.rank, start, end)
-        t1 = self.kernel.step_exit(self.nodes)
-        if t1 is not None:
-            for end, n in zip(ends, self.nodes):
-                bus.record_barrier_wait(name, n.rank, t1, t1 - end)
-
-    def io_stats(self) -> IOStats:
-        return IOStats.merge([n.disk.stats for n in self.nodes])
+        self.kernel = cluster.kernel
+        self.bus = cluster.bus
+        self.step_observers = cluster.step_observers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClusterView(ranks={self.ranks})"

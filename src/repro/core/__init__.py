@@ -7,6 +7,7 @@
 * :mod:`~repro.core.external_psrs` — Algorithm 1 end to end,
 * :mod:`~repro.core.in_core_psrs` — the in-core foundation (§3),
 * :mod:`~repro.core.overpartition` — the Li & Sevcik comparator (§3.3),
+* :mod:`~repro.core.result` — what every sort returns (Table 3's columns),
 * :mod:`~repro.core.calibration` — the Table-2 perf-filling protocol,
 * :mod:`~repro.core.theory` — the stated bounds, for tests and reports.
 """
@@ -47,6 +48,7 @@ from repro.core.quantiles import (
     exact_quantile_pivots,
     global_count_leq,
 )
+from repro.core.result import SortResult
 from repro.core.sampling import (
     pivot_ranks,
     regular_sample,
@@ -81,6 +83,7 @@ __all__ = [
     "PSRSConfig",
     "PSRSResult",
     "PerfVector",
+    "SortResult",
     "assign_buckets",
     "calibrate",
     "distribute_array",

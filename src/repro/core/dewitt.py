@@ -35,9 +35,11 @@ import numpy as np
 from repro.cluster.machine import Cluster
 from repro.cluster.node import SimNode
 from repro.core.external_psrs import distribute_array, merge_many
-from repro.core.incore import concat_in_memory, files_to_array, sort_in_memory
+from repro.core.incore import concat_in_memory, sort_in_memory
 from repro.core.perf import PerfVector
+from repro.core.result import SortResult
 from repro.extsort.multiway import RunRef
+from repro.obs.events import step_seconds
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.stats import IOStats
 
@@ -49,7 +51,6 @@ class DeWittConfig:
     block_items: int = 1024
     message_items: int = 8192
     oversample: int = 16  # random sample size per splitter
-    engine: str = "vector"
     root: int = 0
     seed: int = 0
 
@@ -63,35 +64,14 @@ class DeWittConfig:
 
 
 @dataclass
-class DeWittResult:
-    """Outputs plus the metrics shared with :class:`PSRSResult`."""
+class DeWittResult(SortResult):
+    """Outputs and shared metrics plus the splitters and run counts."""
 
-    outputs: list[BlockFile]
-    perf: PerfVector
-    n_items: int
-    elapsed: float
-    step_times: dict[str, float]
     splitters: np.ndarray
-    received_sizes: list[int]
-    optimal_sizes: list[float]
     runs_per_node: list[int]
     io: IOStats = field(default_factory=IOStats)
     network_bytes: int = 0
     network_messages: int = 0
-
-    @property
-    def expansions(self) -> list[float]:
-        return [
-            r / o if o > 0 else 1.0
-            for r, o in zip(self.received_sizes, self.optimal_sizes)
-        ]
-
-    @property
-    def s_max(self) -> float:
-        return max(self.expansions)
-
-    def to_array(self) -> np.ndarray:
-        return files_to_array(self.outputs)
 
 
 def _splitters_from_random_sample(
@@ -212,7 +192,7 @@ def sort_dewitt_distributed(
         for j, node in enumerate(cluster.nodes):
             refs = [RunRef.whole(f) for f in runs[j] if f.n_items > 0]
             out = merge_many(
-                refs, node, config.engine, name=f"dwout{j}", B=config.block_items, dtype=inputs[0].dtype
+                refs, node, name=f"dwout{j}", B=config.block_items, dtype=inputs[0].dtype
             )
             for f in runs[j]:
                 if f is not out:
@@ -225,10 +205,9 @@ def sort_dewitt_distributed(
         perf=perf,
         n_items=n_items,
         elapsed=elapsed,
-        step_times=cluster.trace.summary(),
+        step_times=step_seconds(cluster.bus.events),
         splitters=np.asarray(splitters),
         received_sizes=received_sizes,
-        optimal_sizes=[perf.optimal_share(n_items, i) for i in range(p)],
         runs_per_node=runs_per_node,
         io=cluster.io_stats() - io_before,
         network_bytes=cluster.network.bytes_sent,

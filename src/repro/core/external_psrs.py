@@ -50,10 +50,10 @@ import numpy as np
 
 from repro.cluster.machine import Cluster, ClusterView
 from repro.cluster.node import SimNode
-from repro.core.incore import files_to_array
 from repro.core.partition import materialize_partitions, partition_offsets, partition_refs
 from repro.core.perf import PerfVector
 from repro.core.redistribute import RedistributionReport, message_items_for, redistribute
+from repro.core.result import SortResult
 from repro.core.sampling import random_sample, regular_sample, sample_count, select_pivots
 from repro.extsort.multiway import RunCursor, RunRef, max_merge_order, merge_runs
 from repro.extsort.polyphase import polyphase_sort
@@ -61,6 +61,7 @@ from repro.extsort.runs import RunPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultCounters, FaultPlan, NodeKilledError, RetryPolicy
 from repro.faults.recovery import StepRunner
+from repro.obs.events import step_seconds
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.stats import IOStats
 
@@ -83,8 +84,6 @@ class PSRSConfig:
         picks from the memory budget).
     run_policy:
         Run formation in step 1: ``"load"`` or ``"replacement"``.
-    engine:
-        Merge engine: ``"vector"`` or ``"itemwise"``.
     materialize_partitions:
         Step 3 paper-faithful sublist files (True) or zero-copy ranges
         (False) — an ablation.
@@ -106,7 +105,6 @@ class PSRSConfig:
     message_items: int = 8192
     n_tapes: Optional[int] = None
     run_policy: RunPolicy = "load"
-    engine: str = "vector"
     materialize_partitions: bool = True
     pivot_method: Literal["regular", "random", "quantile"] = "regular"
     oversample: int = 4
@@ -125,23 +123,14 @@ class PSRSConfig:
 
 
 @dataclass
-class PSRSResult:
+class PSRSResult(SortResult):
     """Everything the paper's Table 3 reports, plus diagnostics.
 
-    In degraded mode the per-node lists (``outputs``, ``received_sizes``,
-    ``optimal_sizes``) cover the *surviving* nodes only — ``active_ranks``
-    maps positions back to original cluster ranks and ``perf`` is the
-    rescaled survivor perf vector.
+    In degraded mode ``active_ranks`` maps the positions of the per-node
+    lists back to original cluster ranks.
     """
 
-    outputs: list[BlockFile]
-    perf: PerfVector
-    n_items: int
-    elapsed: float
-    step_times: dict[str, float]
     pivots: np.ndarray
-    received_sizes: list[int]
-    optimal_sizes: list[float]
     io: IOStats
     network_bytes: int
     network_messages: int
@@ -149,33 +138,6 @@ class PSRSResult:
     step_io: dict[str, IOStats] = field(default_factory=dict)
     faults: FaultCounters = field(default_factory=FaultCounters)
     active_ranks: list[int] = field(default_factory=list)
-
-    @property
-    def mean_partition(self) -> float:
-        """Mean final partition size (paper Table 3 'Mean')."""
-        return float(np.mean(self.received_sizes))
-
-    @property
-    def max_partition(self) -> int:
-        """Largest final partition (paper Table 3 'Max')."""
-        return max(self.received_sizes)
-
-    @property
-    def expansions(self) -> list[float]:
-        """Per-node received/optimal ratio (perf-normalised)."""
-        return [
-            r / o if o > 0 else 1.0
-            for r, o in zip(self.received_sizes, self.optimal_sizes)
-        ]
-
-    @property
-    def s_max(self) -> float:
-        """The sublist-expansion metric S(max) = max_i received_i/optimal_i."""
-        return max(self.expansions)
-
-    def to_array(self) -> np.ndarray:
-        """Charge-free concatenation of the global sorted output."""
-        return files_to_array(self.outputs)
 
 
 def sort_distributed(
@@ -259,7 +221,6 @@ def _sort_impl(
                 n_tapes=config.n_tapes,
                 run_policy=config.run_policy,
                 compute=node.compute,
-                engine=config.engine,
             )
             files.append(res.output)
         return files
@@ -357,16 +318,14 @@ def _sort_impl(
                     f.clear()
 
     elapsed = view.barrier()
-    optimal = [aperf.optimal_share(n_items, i) for i in range(view.p)]
     return PSRSResult(
         outputs=outputs,
         perf=aperf,
         n_items=n_items,
         elapsed=elapsed,
-        step_times=cluster.trace.summary(),
+        step_times=step_seconds(cluster.bus.events),
         pivots=np.asarray(pivots),
         received_sizes=received_sizes,
-        optimal_sizes=optimal,
         io=cluster.io_stats() - io_before,
         network_bytes=cluster.network.bytes_sent,
         network_messages=cluster.network.messages_sent,
@@ -446,7 +405,7 @@ def _merge_step(
     for j, node in enumerate(view.nodes):
         refs = [RunRef.whole(f) for f in received[j] if f.n_items > 0]
         out = merge_many(
-            refs, node, config.engine, name=f"out{j}", B=config.block_items, dtype=received[j][0].dtype
+            refs, node, name=f"out{j}", B=config.block_items, dtype=received[j][0].dtype
         )
         if clear_inputs:
             for f in received[j]:
@@ -511,7 +470,7 @@ def _salvage_step(
             return buddy_file
         if len(refs) == 1:
             return refs[0].file
-        return merge_many(refs, buddy, config.engine, name="resort")
+        return merge_many(refs, buddy, name="resort")
 
     merged = runner.run(view, "recover:remerge", _remerge)
     for f in (dead_file, buddy_file, salvaged):
@@ -523,7 +482,6 @@ def _salvage_step(
 def merge_many(
     refs: list[RunRef],
     node: SimNode,
-    engine: str,
     name: str = "out",
     B: int | None = None,
     dtype: np.dtype | type = np.uint32,
@@ -552,7 +510,7 @@ def merge_many(
         for i in range(0, len(level), k):
             group = level[i : i + k]
             out = disk.new_file(B, dtype, name=disk.next_file_name(name))
-            merge_runs(group, out, mem, compute=node.compute, engine=engine)
+            merge_runs(group, out, mem, compute=node.compute)
             nxt.append(RunRef.whole(out))
         level = nxt
 
@@ -570,16 +528,13 @@ def distribute_array(
     ``timed=False`` (default) all clocks and counters are reset after the
     files are written.
     """
-    portions = perf.portions(data.size)
     files: list[BlockFile] = []
-    start = 0
-    for node, l_i in zip(cluster.nodes, portions):
+    for node, portion in zip(cluster.nodes, perf.split(data)):
         f = node.disk.new_file(
             block_items, data.dtype, name=node.disk.next_file_name("input")
         )
         with BlockWriter(f, node.mem) as w:
-            w.write(data[start : start + l_i])  # repro: noqa REP105(setup distribution; excluded from measurement, clocks reset below unless timed)
-        start += l_i
+            w.write(portion)  # repro: noqa REP105(setup distribution; excluded from measurement, clocks reset below unless timed)
         files.append(f)
     if not timed:
         cluster.reset()
@@ -616,8 +571,6 @@ def gather_output(
     a concatenation.  In degraded mode ``result.active_ranks`` maps the
     outputs back to their owning nodes.
     """
-    from repro.extsort.multiway import RunCursor
-
     root_node = cluster.nodes[root]
     B = result.outputs[0].B if result.outputs else 1024
     dtype = result.outputs[0].dtype if result.outputs else np.uint32
@@ -632,8 +585,6 @@ def gather_output(
                     continue
                 src = cluster.nodes[rank]
                 cur = RunCursor(RunRef.whole(f), src.mem)
-                from repro.core.redistribute import message_items_for
-
                 caps = [
                     c
                     for c in (src.mem.capacity, root_node.mem.capacity)

@@ -34,40 +34,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.machine import Cluster
-from repro.core.incore import (
-    concat_for_verification,
-    concat_in_memory,
-    merge_in_memory,
-    sort_in_memory,
-)
+from repro.core.incore import concat_in_memory, merge_in_memory, sort_in_memory
 from repro.core.perf import PerfVector
+from repro.core.result import SortResult
+from repro.obs.events import step_seconds
 
 
 @dataclass
-class HyperquicksortResult:
+class HyperquicksortResult(SortResult):
     """Sorted per-node arrays plus load-balance metrics."""
 
-    outputs: list[np.ndarray]
-    perf: PerfVector
-    n_items: int
-    elapsed: float
     levels: int
-    received_sizes: list[int]
-    optimal_sizes: list[float]
-
-    @property
-    def expansions(self) -> list[float]:
-        return [
-            r / o if o > 0 else 1.0
-            for r, o in zip(self.received_sizes, self.optimal_sizes)
-        ]
-
-    @property
-    def s_max(self) -> float:
-        return max(self.expansions)
-
-    def to_array(self) -> np.ndarray:
-        return concat_for_verification(self.outputs)
 
 
 def split_group(group: list[int], perf: PerfVector) -> tuple[list[int], list[int], float]:
@@ -134,9 +111,9 @@ def sort_hyperquicksort(
         perf=perf,
         n_items=n_items,
         elapsed=elapsed,
+        step_times=step_seconds(cluster.bus.events),
         levels=levels,
         received_sizes=received,
-        optimal_sizes=[perf.optimal_share(n_items, i) for i in range(p)],
     )
 
 
@@ -222,12 +199,7 @@ def sort_array_hyperquicksort(
     seed: int = 0,
 ) -> HyperquicksortResult:
     """Distribute ``data`` perf-proportionally (untimed) and sort."""
-    portions = perf.portions(data.size)
-    arrays, start = [], 0
-    for l_i in portions:
-        arrays.append(np.asarray(data[start : start + l_i]))
-        start += l_i
     cluster.reset()
     return sort_hyperquicksort(
-        cluster, perf, arrays, sample_per_node=sample_per_node, seed=seed
+        cluster, perf, perf.split(data), sample_per_node=sample_per_node, seed=seed
     )

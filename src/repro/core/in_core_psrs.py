@@ -16,48 +16,24 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.machine import Cluster
-from repro.core.incore import (
-    concat_for_verification,
-    concat_in_memory,
-    merge_in_memory,
-    sort_in_memory,
-)
+from repro.core.incore import concat_in_memory, merge_in_memory, sort_in_memory
 from repro.core.partition import partition_array
 from repro.core.perf import PerfVector
+from repro.core.result import SortResult
 from repro.core.sampling import (
     regular_sample_positions,
     sample_count,
     sample_interval,
     select_pivots,
 )
+from repro.obs.events import step_seconds
 
 
 @dataclass
-class InCorePSRSResult:
+class InCorePSRSResult(SortResult):
     """Sorted per-node arrays plus the same metrics as the external run."""
 
-    outputs: list[np.ndarray]
-    perf: PerfVector
-    n_items: int
-    elapsed: float
-    step_times: dict[str, float]
     pivots: np.ndarray
-    received_sizes: list[int]
-    optimal_sizes: list[float]
-
-    @property
-    def expansions(self) -> list[float]:
-        return [
-            r / o if o > 0 else 1.0
-            for r, o in zip(self.received_sizes, self.optimal_sizes)
-        ]
-
-    @property
-    def s_max(self) -> float:
-        return max(self.expansions)
-
-    def to_array(self) -> np.ndarray:
-        return concat_for_verification(self.outputs)
 
 
 def sort_in_core(
@@ -138,10 +114,9 @@ def sort_in_core(
         perf=perf,
         n_items=n_items,
         elapsed=elapsed,
-        step_times=cluster.trace.summary(),
+        step_times=step_seconds(cluster.bus.events),
         pivots=np.asarray(pivots),
         received_sizes=received_sizes,
-        optimal_sizes=[perf.optimal_share(n_items, i) for i in range(p)],
     )
 
 
@@ -149,11 +124,5 @@ def sort_array_in_core(
     cluster: Cluster, perf: PerfVector, data: np.ndarray, oversample: int = 4
 ) -> InCorePSRSResult:
     """Distribute ``data`` perf-proportionally (untimed) and sort in core."""
-    portions = perf.portions(data.size)
-    arrays = []
-    start = 0
-    for l_i in portions:
-        arrays.append(np.asarray(data[start : start + l_i]))
-        start += l_i
     cluster.reset()
-    return sort_in_core(cluster, perf, arrays, oversample=oversample)
+    return sort_in_core(cluster, perf, perf.split(data), oversample=oversample)

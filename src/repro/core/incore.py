@@ -12,8 +12,8 @@ way ``extsort/runs.py`` is exempt for run formation), so the comparators
 themselves stay lint-clean without per-line annotations or baseline
 entries.
 
-The two ``*_for_verification`` accessors at the bottom are the opposite
-case: deliberately *uncharged* reads used only by tests and result
+The ``concat_for_verification`` accessor at the bottom is the opposite
+case: a deliberately *uncharged* read used only by tests and result
 inspection, documented as such in place.
 """
 
@@ -54,7 +54,7 @@ def merge_in_memory(pieces: Sequence[np.ndarray], node: "SimNode") -> np.ndarray
     ``pieces`` must be non-empty.  The merged buffer is pinned while it
     is formed and the node is charged ``n * log2(k)`` comparisons — the
     cost of an in-core k-way merge, matching the charge the external
-    merge engines apply per item.
+    merge engine applies per item.
     """
     if not pieces:
         raise ValueError("merge_in_memory needs at least one piece")
@@ -84,18 +84,12 @@ def concat_in_memory(pieces: Sequence[np.ndarray], node: "SimNode") -> np.ndarra
         return np.concatenate(arrs)
 
 
-def concat_for_verification(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Charge-free concatenation for result accessors and tests.
+def concat_for_verification(pieces: Iterable["np.ndarray | BlockFile"]) -> np.ndarray:
+    """Charge-free concatenation of output pieces, arrays or files alike.
 
     Used by the ``to_array()`` verification accessors of the result
     dataclasses — outside the simulated run, after the barrier, so no
     node is charged and no budget applies.
     """
-    arrs = [np.asarray(a) for a in arrays]
+    arrs = [q if isinstance(q, np.ndarray) else q.to_array() for q in pieces]  # repro: noqa REP005(verification accessor; documented charge-free)
     return np.concatenate(arrs) if arrs else np.empty(0)  # repro: noqa REP006(verification accessor; outside the simulated run)
-
-
-def files_to_array(files: Iterable["BlockFile"]) -> np.ndarray:
-    """Charge-free gather of per-node output files, for verification only."""
-    parts = [f.to_array() for f in files]  # repro: noqa REP005(verification accessor; documented charge-free)
-    return concat_for_verification(parts)

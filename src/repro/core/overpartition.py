@@ -30,36 +30,26 @@ from repro.core.incore import (
     sort_in_memory,
 )
 from repro.core.perf import PerfVector
+from repro.core.result import SortResult
+from repro.obs.events import step_seconds
 
 
 @dataclass
-class OverpartitionResult:
-    """Outputs plus the load-balance metrics of an overpartitioned sort."""
+class OverpartitionResult(SortResult):
+    """Outputs plus the load-balance metrics of an overpartitioned sort.
 
-    outputs: list[np.ndarray]  # per node, concatenation of its sorted buckets
+    ``outputs[j]`` is the concatenation of node j's sorted buckets; the
+    global order is the *bucket* order, which ``bucket_arrays`` keeps.
+    """
+
     bucket_owner: list[int]  # owner node of each of the p*s buckets
     bucket_sizes: list[int]
-    perf: PerfVector
-    n_items: int
-    elapsed: float
-    received_sizes: list[int]
-    optimal_sizes: list[float]
+    bucket_arrays: list[np.ndarray]  # each bucket, sorted by its owner
     s: int
-
-    @property
-    def expansions(self) -> list[float]:
-        return [
-            r / o if o > 0 else 1.0
-            for r, o in zip(self.received_sizes, self.optimal_sizes)
-        ]
-
-    @property
-    def s_max(self) -> float:
-        return max(self.expansions)
 
     def to_array(self) -> np.ndarray:
         """Global sorted output: buckets in order, each sorted by its owner."""
-        return concat_for_verification(self._bucket_arrays)
+        return concat_for_verification(self.bucket_arrays)
 
 
 def assign_buckets(
@@ -73,7 +63,7 @@ def assign_buckets(
     machines generalised to the heterogeneous case.
     """
     total = sum(bucket_sizes)
-    remaining = [perf.optimal_share(total, i) for i in range(perf.p)]
+    remaining = perf.optimal_shares(total)
     owner = [0] * len(bucket_sizes)
     order = sorted(range(len(bucket_sizes)), key=lambda b: -bucket_sizes[b])
     for b in order:
@@ -190,19 +180,18 @@ def sort_overpartitioned(
         )
         for j in range(p)
     ]
-    result = OverpartitionResult(
+    return OverpartitionResult(
         outputs=outputs,
-        bucket_owner=owner,
-        bucket_sizes=[int(x) for x in bucket_sizes],
         perf=perf,
         n_items=n_items,
         elapsed=elapsed,
+        step_times=step_seconds(cluster.bus.events),
         received_sizes=received_sizes,
-        optimal_sizes=[perf.optimal_share(n_items, i) for i in range(p)],
+        bucket_owner=owner,
+        bucket_sizes=[int(x) for x in bucket_sizes],
+        bucket_arrays=bucket_arrays,
         s=s,
     )
-    result._bucket_arrays = bucket_arrays  # type: ignore[attr-defined]
-    return result
 
 
 def sort_array_overpartitioned(
@@ -214,11 +203,7 @@ def sort_array_overpartitioned(
     seed: int = 0,
 ) -> OverpartitionResult:
     """Distribute ``data`` perf-proportionally (untimed) and sort."""
-    portions = perf.portions(data.size)
-    arrays = []
-    start = 0
-    for l_i in portions:
-        arrays.append(np.asarray(data[start : start + l_i]))
-        start += l_i
     cluster.reset()
-    return sort_overpartitioned(cluster, perf, arrays, s=s, oversample=oversample, seed=seed)
+    return sort_overpartitioned(
+        cluster, perf, perf.split(data), s=s, oversample=oversample, seed=seed
+    )

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PerfVector:
@@ -156,11 +159,29 @@ class PerfVector:
             base[i] += 1
         return base
 
+    def split(self, data: "np.ndarray") -> list["np.ndarray"]:
+        """``data`` dealt into consecutive slices of :meth:`portions` sizes."""
+        slices, start = [], 0
+        for l_i in self.portions(data.size):
+            slices.append(data[start : start + l_i])
+            start += l_i
+        return slices
+
     def optimal_share(self, n: int, i: int) -> float:
         """The ideal (real-valued) share of node i: ``n * perf[i] / total``."""
         if not (0 <= i < self.p):
             raise IndexError(f"node {i} out of range 0..{self.p - 1}")
         return n * self.values[i] / self.total
+
+    def optimal_shares(self, n: int) -> list[float]:
+        """:meth:`optimal_share` of every node."""
+        return [n * v / self.total for v in self.values]
+
+    def share_ratios(self, sizes: Sequence[int], n: int) -> list[float]:
+        """Per-node ``sizes[i] / optimal_share(n, i)`` — the sublist
+        expansion, whose maximum is the paper's S(max); 1.0 where the
+        share is empty."""
+        return [s / o if o > 0 else 1.0 for s, o in zip(sizes, self.optimal_shares(n))]
 
     def subset(self, indices: Sequence[int]) -> "PerfVector":
         """The perf vector of a node subset (degraded-mode rescaling).

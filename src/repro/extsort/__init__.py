@@ -14,8 +14,8 @@ This package provides:
 * :mod:`~repro.extsort.losertree` — the tournament (loser) tree used by
   item-at-a-time merging,
 * :mod:`~repro.extsort.multiway` — block-buffered k-way merging of sorted
-  runs under a memory budget (both a vectorised engine and the textbook
-  item-at-a-time engine),
+  runs under a memory budget (the vectorised engine every sort runs, and
+  the textbook item-at-a-time merge kept as its reference),
 * :mod:`~repro.extsort.polyphase` — polyphase merge sort (the paper's
   sequential engine),
 * :mod:`~repro.extsort.balanced` — balanced k-way external merge sort

@@ -4,7 +4,7 @@ The straightforward external sort: form runs, then repeatedly merge
 groups of k runs until one remains, writing every item once per pass.
 Compared with polyphase (which avoids moving all data every phase), a
 balanced sort makes exactly ``ceil(log_k(initial_runs))`` full passes —
-the §2/§4 ablation bench contrasts the two engines' measured I/O.
+the §2/§4 ablation bench contrasts the two sorts' measured I/O.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def balanced_merge_sort(
     merge_order: Optional[int] = None,
     run_policy: RunPolicy = "load",
     compute: ComputeHook = None,
-    engine: str = "vector",
 ) -> BalancedResult:
     """Sort ``source`` into a fresh file on ``disk`` by balanced merging.
 
@@ -71,7 +70,7 @@ def balanced_merge_sort(
                 nxt.append(group[0])
                 continue
             out = disk.new_file(B, source.dtype, name=disk.next_file_name("merge"))
-            merge_runs(group, out, mem, compute=compute, engine=engine)
+            merge_runs(group, out, mem, compute=compute)
             for r in group:
                 if r.start == 0 and r.stop == r.file.n_items:
                     r.file.clear()

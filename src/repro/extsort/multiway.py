@@ -1,8 +1,9 @@
 """Block-buffered k-way merging of sorted runs under a memory budget.
 
-Two engines, identical observable semantics:
+One production engine and one reference, identical observable semantics
+(same output, same block I/O; ``tests/test_multiway.py`` holds them to it):
 
-* :func:`merge_cursors` — the production engine.  Per round, each run
+* :func:`merge_cursors` — what every sort runs.  Per round, each run
   holds one buffered block; the safe horizon ``t`` is the minimum of the
   per-run buffer maxima; every buffered item ``<= t`` can be emitted this
   round (any unseen item of run *i* is ``>=`` its buffer max ``>= t``),
@@ -13,9 +14,11 @@ Two engines, identical observable semantics:
   drains per round, so the number of rounds is bounded by the total
   block count: the Python-level overhead is O(blocks·k) while the data
   plane stays in numpy.
-* :func:`merge_cursors_itemwise` — the textbook loser-tree engine
-  (ceil(log2 k) comparisons per item).  Used for cross-checking and for
-  small merges.
+* :func:`merge_cursors_itemwise` — the textbook loser-tree merge
+  (ceil(log2 k) comparisons per item), kept as the reference the
+  differential tests and the micro-benchmark compare against.  Only
+  :func:`merge_runs` can select it (``engine="itemwise"``); no sort
+  and no config passes that on.
 
 A k-way merge needs k input buffers plus one output buffer in core:
 ``k <= M/B - 1`` (:func:`max_merge_order`).

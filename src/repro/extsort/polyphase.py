@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.extsort.multiway import RunCursor, RunRef, merge_cursors, merge_cursors_itemwise
+from repro.extsort.multiway import RunCursor, RunRef, merge_cursors
 from repro.extsort.runs import CollectingSink, ComputeHook, RunPolicy, form_runs
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.disk import SimDisk
@@ -92,7 +92,6 @@ def polyphase_sort(
     n_tapes: Optional[int] = None,
     run_policy: RunPolicy = "load",
     compute: ComputeHook = None,
-    engine: str = "vector",
 ) -> PolyphaseResult:
     """Sort ``source`` into a fresh file on ``disk`` with polyphase merging.
 
@@ -112,8 +111,6 @@ def polyphase_sort(
     compute:
         Optional hook receiving abstract comparison counts, for the
         cluster time model.
-    engine:
-        ``"vector"`` (block-batched) or ``"itemwise"`` (loser tree).
     """
     B = source.B
     m = mem.available // B if mem.capacity is not None else 1 << 16
@@ -162,7 +159,6 @@ def polyphase_sort(
     # -- merge phases --------------------------------------------------------
     out_idx = T - 1  # the idle tape
     n_phases = 0
-    merge = merge_cursors if engine == "vector" else merge_cursors_itemwise
     while sum(t.real for t in tapes) > 1 or tapes[out_idx].real > 0:
         inputs = [t for i, t in enumerate(tapes) if i != out_idx]
         out_tape = tapes[out_idx]
@@ -186,7 +182,7 @@ def polyphase_sort(
                 start = writer.items_written
                 cursors = [RunCursor(r, mem) for r in refs]
                 try:
-                    merge(cursors, writer, mem, compute)
+                    merge_cursors(cursors, writer, mem, compute)
                 finally:
                     for c in cursors:
                         c.drop()

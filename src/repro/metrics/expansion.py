@@ -52,15 +52,14 @@ def partition_stats(sizes: Sequence[int], perf: PerfVector, n: int) -> Partition
         raise ValueError(f"{len(sizes)} sizes for a {perf.p}-node perf vector")
     if any(s < 0 for s in sizes):
         raise ValueError("partition sizes must be >= 0")
-    optimal = [perf.optimal_share(n, i) for i in range(perf.p)]
-    expansions = [s / o if o > 0 else 1.0 for s, o in zip(sizes, optimal)]
+    expansions = perf.share_ratios(sizes, n)
     fastest = max(perf.values)
     fast_idx = [i for i, v in enumerate(perf.values) if v == fastest]
     mean_fast = float(np.mean([sizes[i] for i in fast_idx]))
     s_max_fast = max(expansions[i] for i in fast_idx)
     return PartitionStats(
         sizes=tuple(int(s) for s in sizes),
-        optimal=tuple(optimal),
+        optimal=tuple(perf.optimal_shares(n)),
         mean=float(np.mean(sizes)),
         max=int(max(sizes)),
         s_max=float(max(expansions)),

@@ -4,10 +4,10 @@ Every instrumented component (:class:`~repro.pdm.disk.SimDisk`,
 :class:`~repro.cluster.network.Network`,
 :class:`~repro.pdm.memory.MemoryManager`, the fault injector and the
 barrier-delimited cluster steps) publishes typed, SimClock-stamped
-events onto one :class:`~repro.obs.bus.TelemetryBus` per cluster.  The
-legacy :class:`~repro.cluster.trace.Trace` and the per-disk
-``IOStats.labels`` phase attribution are *views* over this stream — the
-bus is the single source of truth.
+events onto one :class:`~repro.obs.bus.TelemetryBus` per cluster.
+Per-step seconds (:func:`~repro.obs.events.step_seconds`) are a fold
+over this stream and the per-disk ``IOStats.labels`` phase attribution
+is derived from its step scope — the bus is the single source of truth.
 
 On top of the stream:
 

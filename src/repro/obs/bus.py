@@ -5,8 +5,9 @@ A :class:`TelemetryBus` is owned by a
 wired to one by hand) and is the single source of truth for everything
 observable about a run:
 
-* the legacy :class:`~repro.cluster.trace.Trace` is maintained here,
-  incrementally, from ``StepEnd`` records — ``Cluster.trace`` is a view;
+* per-step seconds are a fold over its ``StepBegin``/``StepEnd`` rows
+  (:func:`~repro.obs.events.step_seconds`) — the bus keeps no second
+  record of a step;
 * per-disk ``IOStats.labels`` phase attribution is derived from the
   bus's context-scoped *step stack* (:meth:`step_scope`): a disk charge
   inside ``with bus.step_scope("1:local-sort")`` is attributed to that
@@ -14,7 +15,7 @@ observable about a run:
 * exporters and the bounds auditor consume :attr:`events` after a run.
 
 Capture levels keep the always-on default cheap: ``"steps"`` records
-only step/barrier/fault/retry events (what the Trace view needs),
+only step/barrier/fault/retry events (what ``step_seconds`` needs),
 ``"io"`` adds block I/O and network transfers (exporters, audit),
 ``"full"`` adds compute charges and memory reserve/release.  Levels only
 gate what is *stored*; step attribution for ``IOStats.labels`` works at
@@ -31,7 +32,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from repro.cluster.trace import Trace
 from repro.obs.events import (
     BarrierWait,
     BlockRead,
@@ -66,7 +66,6 @@ class TelemetryBus:
         #: Innermost active step name, ``""`` outside any step.
         self.current_step = ""
         self._subscribers: list[Callable[[Event], None]] = []
-        self._trace = Trace()
 
     # -- capture level -----------------------------------------------------
 
@@ -99,19 +98,13 @@ class TelemetryBus:
             self._step_stack.pop()
             self.current_step = self._step_stack[-1] if self._step_stack else ""
 
-    # -- views and lifecycle -----------------------------------------------
-
-    @property
-    def trace(self) -> Trace:
-        """Per-step interval view (the legacy ``Cluster.trace`` API)."""
-        return self._trace
+    # -- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all events and derived views; the capture level is kept."""
+        """Drop all events; the capture level is kept."""
         self.events.rows.clear()
         self._step_stack.clear()
         self.current_step = ""
-        self._trace = Trace()
 
     def subscribe(self, fn: Callable[[Event], None]) -> None:
         """Call ``fn`` with every event as it is emitted (live consumers)."""
@@ -138,8 +131,6 @@ class TelemetryBus:
         self._emit_row((StepBegin, t, node, name))
 
     def record_step_end(self, name: str, node: int, t_start: float, t_end: float) -> None:
-        """Record one node's step interval; also feeds the Trace view."""
-        self._trace.record(name, node, t_start, t_end)
         self._emit_row((StepEnd, t_end, node, name, t_end - t_start))
 
     def record_barrier_wait(self, name: str, node: int, t: float, wait: float) -> None:

@@ -17,6 +17,10 @@ attribution fields the whole observability layer is built on:
 Events serialise losslessly to flat JSON objects (``to_dict`` /
 :func:`event_from_dict`), which is what the JSONL exporter writes and
 the ``repro audit`` replay reads back.
+
+``StepBegin``/``StepEnd`` are the one record of a step;
+:func:`step_intervals` and :func:`step_seconds` at the bottom read them
+back into per-node intervals and per-step seconds.
 """
 
 from __future__ import annotations
@@ -288,3 +292,65 @@ def row_from_dict(data: Mapping[str, object]) -> Row:
         else:
             row.append(f.default)
     return tuple(row)
+
+
+# -- the step record: StepBegin/StepEnd rows, read back ------------------------
+
+#: One node's completed interval inside one execution of a step.
+Interval = tuple[float, float]
+
+
+def step_intervals(events: Iterable[Event]) -> dict[str, list[dict[int, Interval]]]:
+    """``step -> executions -> node -> (t_start, t_end)`` of a stream.
+
+    One execution is one run of consecutive ``StepBegin`` rows of the
+    step — a step re-entered in degraded mode executes twice.  Each
+    ``StepEnd`` is paired with the latest ``StepBegin`` of its (step,
+    node), which carries the exact start.  An attempt that raised left
+    no ends and is not listed: only completed intervals are timed.
+    """
+    out: dict[str, list[dict[int, Interval]]] = {}
+    begun: dict[tuple[str, int], tuple[float, dict[int, Interval]]] = {}
+    entering = ""
+    execution: dict[int, Interval] = {}
+    for row in EventLog.of(events).rows:
+        cls = row[0]
+        if cls is StepBegin:
+            _, t, node, step = row
+            if step != entering:
+                entering, execution = step, {}
+            begun[(step, node)] = (t, execution)
+            continue
+        entering = ""
+        if cls is StepEnd:
+            _, t, node, step, _ = row
+            paired = begun.get((step, node))
+            if paired is None or t < paired[0]:
+                raise ValueError(
+                    f"StepEnd of {step!r} on node {node} at t={t}: no StepBegin at or before it"
+                )
+            start, ended = paired
+            if not ended:
+                out.setdefault(step, []).append(ended)
+            ended[node] = (start, t)
+    return out
+
+
+def step_seconds(events: Iterable[Event]) -> dict[str, float]:
+    """Step -> simulated seconds, steps ordered by when they first start.
+
+    An execution lasts from its first node's start to its last node's
+    end (barrier to barrier under the lockstep kernel); a step that
+    executed more than once reports the sum of its executions, not the
+    hull around them.
+    """
+    totals: dict[str, float] = {}
+    hulls: dict[str, Interval] = {}
+    for step, executions in step_intervals(events).items():
+        spans = [
+            (min(t0 for t0, _ in ex.values()), max(t1 for _, t1 in ex.values()))
+            for ex in executions
+        ]
+        totals[step] = sum(t1 - t0 for t0, t1 in spans)
+        hulls[step] = (min(t0 for t0, _ in spans), max(t1 for _, t1 in spans))
+    return {step: totals[step] for step in sorted(hulls, key=hulls.__getitem__)}

@@ -86,3 +86,15 @@ def mem_unlimited() -> MemoryManager:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def reference_merge(monkeypatch) -> None:
+    """Run every k-way merge of the test through the textbook loser-tree
+    reference (``merge_cursors_itemwise``) in place of the production
+    engine: the through-the-stack half of the two-engine differential,
+    now that no sort or config can select the reference."""
+    from repro.extsort import multiway, polyphase
+
+    monkeypatch.setattr(multiway, "merge_cursors", multiway.merge_cursors_itemwise)
+    monkeypatch.setattr(polyphase, "merge_cursors", multiway.merge_cursors_itemwise)

@@ -1,4 +1,4 @@
-"""Tests for virtual clocks, nodes and traces."""
+"""Tests for virtual clocks, nodes and the step record read off the bus."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.node import CpuParams, SimNode
 from repro.cluster.simclock import VirtualClock, barrier
-from repro.cluster.trace import Trace
+from repro.obs.bus import TelemetryBus
+from repro.obs.events import step_intervals, step_seconds
+from repro.obs.profiler import RunProfile
 from repro.pdm.disk import DiskParams
 
 
@@ -100,65 +102,87 @@ class TestSimNode:
         assert SimNode(3).name == "node3"
 
 
+def _stream(*executions):
+    """The bus stream of ``(step, [(node, t_start, t_end), ...])`` step
+    executions: each one's begins, then its ends, as ``Cluster.step`` emits."""
+    bus = TelemetryBus()
+    for step, intervals in executions:
+        for node, t0, _ in intervals:
+            bus.record_step_begin(step, node, t0)
+        for node, t0, t1 in intervals:
+            bus.record_step_end(step, node, t0, t1)
+    return bus.events
+
+
 class TestTrace:
+    """The queries the ``Trace`` view answered, asked of the fold over the
+    bus's ``StepBegin``/``StepEnd`` rows (and of the profiler's blame
+    report for the per-step imbalance)."""
+
     def test_record_and_summary(self):
-        t = Trace()
-        t.record("sort", 0, 0.0, 2.0)
-        t.record("sort", 1, 0.0, 4.0)
-        t.record("merge", 0, 4.0, 5.0)
-        assert t.steps() == ["sort", "merge"]
-        assert t.step_duration("sort") == pytest.approx(4.0)
-        assert t.summary()["merge"] == pytest.approx(1.0)
+        events = _stream(
+            ("sort", [(0, 0.0, 2.0), (1, 0.0, 4.0)]), ("merge", [(0, 4.0, 5.0)])
+        )
+        times = step_seconds(events)
+        assert list(times) == ["sort", "merge"]
+        assert times["sort"] == pytest.approx(4.0)
+        assert times["merge"] == pytest.approx(1.0)
 
     def test_imbalance(self):
-        t = Trace()
-        t.record("s", 0, 0.0, 1.0)
-        t.record("s", 1, 0.0, 3.0)
-        assert t.imbalance("s") == pytest.approx(1.5)
+        events = _stream(("s", [(0, 0.0, 1.0), (1, 0.0, 3.0)]))
+        assert RunProfile(events).blame.step("s").time_skew == pytest.approx(1.5)
 
     def test_imbalance_empty_and_zero(self):
-        t = Trace()
-        assert t.imbalance("none") == 1.0
-        t.record("z", 0, 1.0, 1.0)
-        assert t.imbalance("z") == 1.0
+        blame = RunProfile(_stream(("z", [(0, 1.0, 1.0)]))).blame
+        assert blame.step("z").time_skew == 1.0
+        with pytest.raises(KeyError):
+            blame.step("none")
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Trace().record("s", 0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="no StepBegin at or before"):
+            step_seconds(_stream(("s", [(0, 2.0, 1.0)])))
 
-    def test_render_contains_steps(self):
-        t = Trace()
-        t.record("phase1", 0, 0.0, 1.0)
-        out = t.render()
-        assert "phase1" in out and "duration" in out
+    def test_end_without_begin_rejected(self):
+        bus = TelemetryBus()
+        bus.record_step_end("s", 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="no StepBegin at or before"):
+            step_intervals(bus.events)
 
     def test_queries_are_arrival_order_insensitive(self):
         """Event-kernel regression: nodes flow through step boundaries at
-        their own clocks, so the bus can record a fast node's step-2
-        interval before a slow node's step-1 interval.  Every Trace query
-        must be a function of the event *set*, not the arrival order."""
-        intervals = [
-            ("sort", 0, 0.0, 2.0),
-            ("sort", 1, 1.0, 4.0),
-            ("merge", 0, 2.0, 5.0),
-            ("merge", 1, 4.0, 6.0),
-            ("merge", 2, 4.5, 4.5),
-        ]
-        in_order = Trace()
-        shuffled = Trace()
-        for rec in intervals:
-            in_order.record(*rec)
-        # Worst-case arrival: later steps and nodes first.
-        for rec in reversed(intervals):
-            shuffled.record(*rec)
-        assert shuffled.steps() == in_order.steps() == ["sort", "merge"]
-        assert shuffled.for_step("merge") == in_order.for_step("merge")
-        assert shuffled.summary() == in_order.summary()
+        their own clocks, so a fast node's step-2 interval can lie before
+        a slow node's step-1 interval.  The fold must be a function of
+        the recorded intervals, not of the order the rows arrived in."""
+        sort = ("sort", [(0, 0.0, 2.0), (1, 1.0, 4.0)])
+        merge = ("merge", [(0, 2.0, 5.0), (1, 4.0, 6.0), (2, 4.5, 4.5)])
+        in_order = _stream(sort, merge)
+        # Worst-case arrival: the later step and the later nodes first.
+        shuffled = _stream(*[(step, iv[::-1]) for step, iv in (merge, sort)])
+        assert list(step_seconds(shuffled)) == list(step_seconds(in_order)) == ["sort", "merge"]
+        assert step_seconds(shuffled) == step_seconds(in_order) == {"sort": 4.0, "merge": 4.0}
+        assert step_intervals(shuffled) == step_intervals(in_order)
+        skew = lambda events, step: RunProfile(events).blame.step(step).time_skew  # noqa: E731
         for step in ("sort", "merge"):
-            assert shuffled.step_duration(step) == in_order.step_duration(step)
-            assert shuffled.imbalance(step) == in_order.imbalance(step)
-            for node in range(3):
-                assert shuffled.node_busy(step, node) == in_order.node_busy(
-                    step, node
-                )
-        assert shuffled.render() == in_order.render()
+            assert skew(shuffled, step) == skew(in_order, step)
+
+    def test_a_step_executed_twice_reports_the_sum_not_the_hull(self):
+        events = _stream(
+            ("pivots", [(0, 0.0, 1.0), (1, 0.0, 2.0)]),
+            ("salvage", [(0, 2.0, 7.0)]),
+            ("pivots", [(0, 7.0, 8.5)]),
+        )
+        assert step_intervals(events)["pivots"] == [
+            {0: (0.0, 1.0), 1: (0.0, 2.0)},
+            {0: (7.0, 8.5)},
+        ]
+        assert step_seconds(events) == {"pivots": 3.5, "salvage": 5.0}
+        assert list(step_seconds(events)) == ["pivots", "salvage"]
+
+    def test_an_attempt_that_raised_is_not_timed(self):
+        bus = TelemetryBus()
+        bus.record_step_begin("s", 0, 0.0)  # first attempt: no end
+        bus.record_retry("s", node=-1, t=1.0, attempt=1, backoff=0.5)
+        bus.record_step_begin("s", 0, 1.5)
+        bus.record_step_end("s", 0, 1.5, 2.0)
+        assert step_intervals(bus.events) == {"s": [{0: (1.5, 2.0)}]}
+        assert step_seconds(bus.events) == {"s": 0.5}

@@ -77,8 +77,8 @@ class TestCorrectness:
         data, res, _ = _run([1, 2], 4_000, run_policy="replacement")
         verify_sorted_permutation(data, res.to_array())
 
-    def test_itemwise_engine(self):
-        data, res, _ = _run([1, 2], 3_000, engine="itemwise")
+    def test_itemwise_engine(self, reference_merge):
+        data, res, _ = _run([1, 2], 3_000)
         verify_sorted_permutation(data, res.to_array())
 
 

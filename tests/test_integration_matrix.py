@@ -49,8 +49,10 @@ def _run(**cfg_overrides):
 @pytest.mark.parametrize("engine", ["vector", "itemwise"])
 @pytest.mark.parametrize("run_policy", ["load", "replacement"])
 @pytest.mark.parametrize("pivot_method", ["regular", "random", "quantile"])
-def test_engine_policy_pivot_matrix(engine, run_policy, pivot_method):
-    _run(engine=engine, run_policy=run_policy, pivot_method=pivot_method)
+def test_engine_policy_pivot_matrix(engine, run_policy, pivot_method, request):
+    if engine == "itemwise":
+        request.getfixturevalue("reference_merge")
+    _run(run_policy=run_policy, pivot_method=pivot_method)
 
 
 @pytest.mark.parametrize("dtype", SUPPORTED_KEY_DTYPES, ids=str)
@@ -120,10 +122,9 @@ def test_oversample_matrix(oversample):
     _run(oversample=oversample)
 
 
-def test_all_switches_at_once():
+def test_all_switches_at_once(reference_merge):
     """The kitchen sink: every non-default switch simultaneously."""
     res = _run(
-        engine="itemwise",
         run_policy="replacement",
         pivot_method="quantile",
         materialize_partitions=False,

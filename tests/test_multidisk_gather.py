@@ -14,6 +14,7 @@ from repro.core.external_psrs import (
 )
 from repro.core.perf import PerfVector
 from repro.extsort.multiway import RunRef
+from repro.obs.events import step_seconds
 from repro.pdm.disk import DiskParams, SimDisk
 from repro.pdm.memory import MemoryManager
 from repro.workloads.generators import make_benchmark
@@ -92,7 +93,7 @@ class TestGatherOutput:
         msgs_before = cluster.network.messages_sent
         gather_output(cluster, res)
         assert cluster.network.messages_sent > msgs_before
-        assert "gather" in cluster.trace.steps()
+        assert "gather" in step_seconds(cluster.bus.events)
 
     def test_gather_time_excluded_from_sort_elapsed(self):
         cluster, res, _ = self._sorted_result()
@@ -117,34 +118,34 @@ class TestMergeMany:
             arr = np.sort(rng.integers(0, 10**6, 50)).astype(np.uint32)
             all_items.append(arr)
             runs.append(RunRef.whole(file_from_array(arr, node.disk, 32, node.mem)))
-        out = merge_many(runs, node, "vector")
+        out = merge_many(runs, node)
         expected = np.sort(np.concatenate(all_items))
         np.testing.assert_array_equal(out.to_array(), expected)
         assert node.mem.in_use == 0
 
     def test_empty_refs(self):
         node = SimNode(0)
-        out = merge_many([], node, "vector", B=64)
+        out = merge_many([], node, B=64)
         assert out.n_items == 0
         assert out.B == 64
 
     def test_empty_refs_require_explicit_block_size(self):
         node = SimNode(0)
         with pytest.raises(ValueError, match="explicit B"):
-            merge_many([], node, "vector")
+            merge_many([], node)
 
     def test_single_whole_run_returned_directly(self, rng):
         node = SimNode(0)
         arr = np.sort(rng.integers(0, 100, 20)).astype(np.uint32)
         f = file_from_array(arr, node.disk, 8, node.mem)
-        out = merge_many([RunRef.whole(f)], node, "vector")
+        out = merge_many([RunRef.whole(f)], node)
         assert out is f  # no copy
 
     def test_partial_ref_copied_out(self, rng):
         node = SimNode(0)
         arr = np.sort(rng.integers(0, 100, 20)).astype(np.uint32)
         f = file_from_array(arr, node.disk, 8, node.mem)
-        out = merge_many([RunRef(f, 5, 15)], node, "vector")
+        out = merge_many([RunRef(f, 5, 15)], node)
         np.testing.assert_array_equal(out.to_array(), arr[5:15])
 
 

@@ -1,9 +1,10 @@
-"""Tests for the telemetry bus, its views, and the IOStats/Trace fixes."""
+"""Tests for the telemetry bus, the step fold over it, and the IOStats fixes."""
+
+import inspect
 
 import pytest
 
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.cluster.trace import Trace
+from repro.cluster.machine import Cluster, ClusterView, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.obs.bus import LEVELS, TelemetryBus
@@ -18,7 +19,10 @@ from repro.obs.events import (
     StepBegin,
     StepEnd,
     event_from_dict,
+    step_intervals,
+    step_seconds,
 )
+from repro.obs.profiler import RunProfile
 from repro.pdm.stats import IOStats
 from repro.workloads.generators import make_benchmark
 
@@ -90,11 +94,11 @@ class TestBusBasics:
         bus = TelemetryBus(level="full")
         bus.record_step_begin("s", 0, 0.0)
         bus.record_step_end("s", 0, 0.0, 1.0)
-        old_trace = bus.trace
+        assert step_seconds(bus.events) == {"s": 1.0}
         bus.clear()
         assert bus.level == "full"
         assert bus.events == []
-        assert bus.trace is not old_trace and bus.trace.events == []
+        assert step_seconds(bus.events) == {}
 
     def test_event_roundtrip_through_dict(self):
         e = BlockRead(
@@ -217,6 +221,9 @@ class TestEventLogFacade:
             "record_fault", "record_retry",
         ):
             assert callable(vars(TelemetryBus)[name])
+        for owner in (Cluster, ClusterView):
+            assert inspect.isgeneratorfunction(inspect.unwrap(vars(owner)["step"]))
+            assert callable(vars(owner)["barrier"])
         assert callable(audit.audit_run)
         assert callable(exporters.write_jsonl) and callable(exporters.write_chrome_trace)
         assert isinstance(vars(profiler.RunProfile)["from_cluster"], staticmethod)
@@ -252,13 +259,13 @@ class TestClusterWiring:
             if isinstance(e, (BlockRead, BlockWrite)):
                 assert e.step != ""
 
-    def test_trace_property_is_bus_view(self):
-        cluster, _ = _run(level="steps")
-        assert cluster.trace is cluster.bus.trace
-        assert set(cluster.trace.steps()) >= {
+    def test_step_times_are_the_fold_over_the_bus(self):
+        cluster, res = _run(level="steps")
+        assert list(res.step_times.items()) == list(step_seconds(cluster.bus.events).items())
+        assert list(res.step_times) == [
             "1:local-sort", "2:pivots", "3:partition",
             "4:redistribute", "5:final-merge",
-        }
+        ]
 
     def test_labels_view_matches_step_io(self):
         cluster, res = _run(level="steps")  # labels work at every level
@@ -272,7 +279,7 @@ class TestClusterWiring:
         assert cluster.bus.events
         cluster.reset()
         assert cluster.bus.events == []
-        assert cluster.trace.events == []
+        assert step_seconds(cluster.bus.events) == {}
         assert cluster.bus.level == "io"
 
 
@@ -325,39 +332,42 @@ class TestIOStatsFixes:
 
 
 class TestTraceIndex:
-    def _trace(self):
-        t = Trace()
-        t.record("a", 0, 0.0, 1.0)
-        t.record("a", 1, 0.0, 2.0)
-        t.record("b", 0, 2.0, 5.0)
-        return t
+    """The per-step queries of the retired ``Trace`` index, asked of the
+    fold over the bus's step rows."""
+
+    def _bus(self):
+        bus = TelemetryBus()
+        for node in (0, 1):
+            bus.record_step_begin("a", node, 0.0)
+        bus.record_step_end("a", 0, 0.0, 1.0)
+        bus.record_step_end("a", 1, 0.0, 2.0)
+        bus.record_step_begin("b", 0, 2.0)
+        bus.record_step_end("b", 0, 2.0, 5.0)
+        return bus
 
     def test_for_step_and_steps(self):
-        t = self._trace()
-        assert t.steps() == ["a", "b"]
-        assert [e.node for e in t.for_step("a")] == [0, 1]
-        assert t.for_step("missing") == []
+        intervals = step_intervals(self._bus().events)
+        assert list(intervals) == ["a", "b"]
+        assert [sorted(ex) for ex in intervals["a"]] == [[0, 1]]
+        assert "missing" not in intervals
 
     def test_indexed_queries_match_events(self):
-        t = self._trace()
-        assert t.step_duration("a") == pytest.approx(2.0)
-        assert t.node_busy("a", 0) == pytest.approx(1.0)
-        assert t.node_busy("a", 1) == pytest.approx(2.0)
-        assert t.node_busy("b", 0) == pytest.approx(3.0)
-        assert t.imbalance("a") == pytest.approx(2.0 / 1.5)
-        assert t.summary() == {"a": pytest.approx(2.0), "b": pytest.approx(3.0)}
+        events = self._bus().events
+        assert step_seconds(events) == {"a": pytest.approx(2.0), "b": pytest.approx(3.0)}
+        assert step_intervals(events)["a"] == [{0: (0.0, 1.0), 1: (0.0, 2.0)}]
+        assert step_intervals(events)["b"] == [{0: (2.0, 5.0)}]
+        assert RunProfile(events).blame.step("a").time_skew == pytest.approx(2.0 / 1.5)
 
     def test_post_init_indexes_preexisting_events(self):
-        t = self._trace()
-        t2 = Trace(events=list(t.events))
-        assert t2.steps() == t.steps()
-        assert t2.step_duration("b") == t.step_duration("b")
+        """Events that already exist as objects (not a bus's rows) fold the same."""
+        events = self._bus().events
+        assert step_seconds(list(events)) == step_seconds(events)
+        assert step_intervals(iter(events)) == step_intervals(events)
 
     def test_extend_maintains_index(self):
-        t = self._trace()
-        t2 = Trace()
-        t2.extend(t.events)
-        t2.record("c", 0, 5.0, 6.0)
-        assert t2.steps() == ["a", "b", "c"]
-        assert t2.node_busy("c", 0) == pytest.approx(1.0)
-        assert t2.step_duration("a") == pytest.approx(2.0)
+        """Nothing is cached: rows recorded after a fold show in the next one."""
+        bus = self._bus()
+        assert list(step_seconds(bus.events)) == ["a", "b"]
+        bus.record_step_begin("c", 0, 5.0)
+        bus.record_step_end("c", 0, 5.0, 6.0)
+        assert step_seconds(bus.events) == {"a": 2.0, "b": 3.0, "c": 1.0}

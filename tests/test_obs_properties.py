@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
-from repro.obs.events import EVENT_TYPES, StepBegin, StepEnd
+from repro.obs.events import EVENT_TYPES, StepBegin, StepEnd, step_intervals
 from repro.obs.exporters import events_to_jsonl, read_jsonl
 from repro.workloads.generators import make_benchmark
 
@@ -75,12 +75,12 @@ def test_event_stream_is_well_formed(params):
         )
         last[e.node] = e.t
 
-    # The trace view agrees with the paired events.
+    # The step fold agrees with the paired events.
+    intervals = step_intervals(events)
     for (step, node), end in ends.items():
-        assert any(
-            te.node == node and te.duration == end.duration
-            for te in cluster.trace.for_step(step)
-        )
+        (execution,) = intervals[step]
+        assert execution[node] == (begins[(step, node)].t, end.t)
+        assert end.t - begins[(step, node)].t == end.duration
 
 
 # -- JSONL export against the per-event reference encoder ---------------------

@@ -32,6 +32,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.metrics.report import fault_table
+from repro.obs.events import step_intervals
 
 PERF = PerfVector([1, 2, 1])
 SPEEDS = [1.0, 2.0, 1.0]
@@ -267,6 +268,50 @@ class TestDegradedModeMatrix:
         res = sort_array(cluster, PERF, _data(), CONFIG, faults=plan)
         assert "recover:salvage" in res.step_times
         assert "recover:remerge" in res.step_times
+
+
+class TestDegradedStepTimes:
+    """A degraded re-entry executes steps 2 and 3 twice; their reported
+    seconds are the sum of the two executions, not the hull around both
+    (which swallowed the salvage and everything else in between)."""
+
+    def _killed_at_step4(self, kernel):
+        perf = PerfVector([1, 1, 4, 4])
+        data = np.random.default_rng(0).integers(
+            0, 2**32, size=perf.nearest_exact(40_000), dtype=np.uint32
+        )
+        cluster = Cluster(
+            heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048), kernel=kernel
+        )
+        plan = FaultPlan(node_kills=[NodeKill(node=1, step=4)])
+        res = sort_array(cluster, perf, data, PSRSConfig(block_items=256), faults=plan)
+        assert res.faults.degraded
+        return cluster, res
+
+    def test_lockstep_steps_tile_the_run(self):
+        """Barrier-delimited executions are disjoint, so the step seconds
+        add up to the elapsed time — the salvage interval is counted once,
+        under ``recover:*``, and not again inside ``2:pivots``."""
+        _, res = self._killed_at_step4("lockstep")
+        assert sum(res.step_times.values()) == pytest.approx(res.elapsed, rel=1e-12)
+        salvage = res.step_times["recover:salvage"] + res.step_times["recover:remerge"]
+        assert res.step_times["2:pivots"] < salvage
+
+    @pytest.mark.parametrize("kernel", ["event", "lockstep"])
+    def test_twice_executed_step_is_the_sum_of_its_executions(self, kernel):
+        cluster, res = self._killed_at_step4(kernel)
+        intervals = step_intervals(cluster.bus.events)
+        for step in ("2:pivots", "3:partition"):
+            first, second = intervals[step]
+            spans = [
+                max(t1 for _, t1 in ex.values()) - min(t0 for t0, _ in ex.values())
+                for ex in (first, second)
+            ]
+            assert res.step_times[step] == pytest.approx(sum(spans), rel=1e-12)
+            hull = max(t1 for _, t1 in second.values()) - min(t0 for t0, _ in first.values())
+            assert res.step_times[step] < hull
+        assert len(intervals["4:redistribute"]) == 1  # the killed attempt left no ends
+        assert max(res.step_times.values()) <= res.elapsed
 
 
 class TestKillEdgeCases:

@@ -1,10 +1,11 @@
-"""Tests for per-step I/O attribution and trace-level balance."""
+"""Tests for per-step I/O attribution and per-step time balance."""
 
 import pytest
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster, paper_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
+from repro.obs.profiler import RunProfile
 from repro.workloads.generators import make_benchmark
 
 
@@ -81,8 +82,9 @@ class TestTraceBalance:
         # behind the node's own write-behind from earlier steps.
         cluster, _ = _run([4, 4, 1, 1], [4.0, 4.0, 1.0, 1.0], n=32_000,
                           kernel="lockstep")
+        blame = RunProfile.from_cluster(cluster).blame
         for step in ("1:local-sort", "3:partition", "5:final-merge"):
-            assert cluster.trace.imbalance(step) < 1.35
+            assert blame.step(step).time_skew < 1.35
 
     def test_naive_perf_imbalances_local_sort(self):
         """On the loaded cluster with the naive vector, the slow nodes'
@@ -92,10 +94,4 @@ class TestTraceBalance:
         data = make_benchmark(0, n, seed=1)
         cluster = Cluster(paper_cluster(memory_items=2048))
         sort_array(cluster, perf, data, PSRSConfig(block_items=256, message_items=2048))
-        assert cluster.trace.imbalance("1:local-sort") > 1.5
-
-    def test_render_lists_all_steps(self):
-        cluster, _ = _run([1, 2], [1.0, 2.0])
-        out = cluster.trace.render()
-        for step in cluster.trace.steps():
-            assert step in out
+        assert RunProfile.from_cluster(cluster).blame.step("1:local-sort").time_skew > 1.5
