@@ -64,7 +64,7 @@ class DeWittConfig:
 
 
 @dataclass
-class DeWittResult(SortResult):
+class DeWittResult(SortResult[BlockFile]):
     """Outputs and shared metrics plus the splitters and run counts."""
 
     splitters: np.ndarray

@@ -123,7 +123,7 @@ class PSRSConfig:
 
 
 @dataclass
-class PSRSResult(SortResult):
+class PSRSResult(SortResult[BlockFile]):
     """Everything the paper's Table 3 reports, plus diagnostics.
 
     In degraded mode ``active_ranks`` maps the positions of the per-node

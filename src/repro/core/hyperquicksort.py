@@ -41,7 +41,7 @@ from repro.obs.events import step_seconds
 
 
 @dataclass
-class HyperquicksortResult(SortResult):
+class HyperquicksortResult(SortResult[np.ndarray]):
     """Sorted per-node arrays plus load-balance metrics."""
 
     levels: int

@@ -30,7 +30,7 @@ from repro.obs.events import step_seconds
 
 
 @dataclass
-class InCorePSRSResult(SortResult):
+class InCorePSRSResult(SortResult[np.ndarray]):
     """Sorted per-node arrays plus the same metrics as the external run."""
 
     pivots: np.ndarray

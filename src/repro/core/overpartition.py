@@ -35,7 +35,7 @@ from repro.obs.events import step_seconds
 
 
 @dataclass
-class OverpartitionResult(SortResult):
+class OverpartitionResult(SortResult[np.ndarray]):
     """Outputs plus the load-balance metrics of an overpartitioned sort.
 
     ``outputs[j]`` is the concatenation of node j's sorted buckets; the

@@ -9,7 +9,7 @@ them once; each algorithm's result class adds only its own diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Generic, TypeVar
 
 import numpy as np
 
@@ -19,9 +19,12 @@ from repro.core.perf import PerfVector
 if TYPE_CHECKING:
     from repro.pdm.blockfile import BlockFile
 
+#: A node's output: a disk file out of core, an array in core.
+OutputT = TypeVar("OutputT", "BlockFile", np.ndarray)
+
 
 @dataclass
-class SortResult:
+class SortResult(Generic[OutputT]):
     """Per-node sorted outputs plus the load-balance and timing figures.
 
     In a degraded run the per-node lists cover the *surviving* nodes only
@@ -29,9 +32,8 @@ class SortResult:
     2x bound is checked against are the rescaled ones.
     """
 
-    #: Node i's sorted output (a disk file out of core, an array in core);
-    #: outputs are globally ordered by position.
-    outputs: Union[list["BlockFile"], list[np.ndarray]]
+    #: Node i's sorted output; outputs are globally ordered by position.
+    outputs: list[OutputT]
     perf: PerfVector
     n_items: int
     #: Simulated seconds up to the closing barrier.
