@@ -27,7 +27,7 @@ from repro.obs.profiler.model import (
     HardwareMeta,
     Segment,
 )
-from repro.obs.profiler.replay import Op, extract_ops, replay
+from repro.obs.profiler.replay import replay
 from repro.obs.profiler.timeline import Timeline, build_timeline, merge_intervals
 from repro.obs.profiler.whatif import WhatIfError, WhatIfResult, predict
 
@@ -41,7 +41,6 @@ __all__ = [
     "COMPONENT_OF",
     "CriticalPath",
     "HardwareMeta",
-    "Op",
     "RunProfile",
     "Segment",
     "StepBlame",
@@ -51,7 +50,6 @@ __all__ = [
     "blame_report",
     "build_timeline",
     "critical_path",
-    "extract_ops",
     "merge_intervals",
     "predict",
     "profile_from_jsonl_meta",
@@ -75,7 +73,6 @@ class RunProfile:
         self.timeline = build_timeline(self.events, self.hw)
         self.critical = critical_path(self.timeline)
         self.blame = blame_report(self.timeline)
-        self._ops: Optional[list[Op]] = None
 
     @staticmethod
     def from_cluster(
@@ -92,23 +89,16 @@ class RunProfile:
     def elapsed(self) -> float:
         return self.timeline.elapsed
 
-    @property
-    def ops(self) -> list[Op]:
-        """The replayable operation sequence (extracted lazily)."""
-        if self._ops is None:
-            self._ops = extract_ops(self.events, self.hw)
-        return self._ops
-
     def baseline_replay(self) -> float:
         """Elapsed time of a replay on the run's own machine (fidelity check)."""
-        return replay(self.ops, self._machine(), self.hw.kernel)
+        return replay(self.events, self.hw, self._machine())
 
     def what_if(self, spec: str) -> WhatIfResult:
         """Predicted elapsed time under a hypothetical change."""
         return predict(
-            self.ops,
+            self.events,
+            self.hw,
             self._machine(),
-            self.hw.kernel,
             spec,
             recorded_elapsed=self.elapsed,
             block_items=self.block_items,
@@ -117,9 +107,9 @@ class RunProfile:
     def _machine(self) -> ClusterSpec:
         return self.hw.cluster_spec(self.timeline.n_nodes)
 
-    def to_dict(self, whatifs: Iterable[str] = ()) -> dict:
+    def to_dict(self) -> dict:
         """JSON-ready report (what the CLI's ``--format json`` prints)."""
-        out = {
+        return {
             "elapsed_seconds": self.elapsed,
             "n_nodes": self.timeline.n_nodes,
             "capture_has_compute": self.timeline.has_compute,
@@ -130,10 +120,6 @@ class RunProfile:
                 for (node, disk), intervals in self.timeline.drive_busy.items()
             },
         }
-        predictions = [self.what_if(spec).to_dict() for spec in whatifs]
-        if predictions:
-            out["what_if"] = predictions
-        return out
 
 
 def profile_from_jsonl_meta(

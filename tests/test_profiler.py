@@ -35,6 +35,7 @@ from repro.obs.events import (
     BlockWrite,
     FaultInjected,
     NetTransfer,
+    Retry,
     StepBegin,
     StepEnd,
 )
@@ -202,10 +203,18 @@ class TestReplayAndWhatIf:
         )
         assert res.faults.degraded and res.faults.total_retries == 1
         prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
-        kinds = {op.kind for op in prof.ops}
-        assert "backoff" in kinds
-        assert any(op.kind == "xfer" and op.extra > 0 for op in prof.ops)
-        assert any(op.kind == "barrier" and len(op.ranks) == 3 for op in prof.ops)
+        rows = prof.events.rows
+        link, packet = prof.hw.link, prof.hw.packet_bytes
+        assert any(row[0] is Retry for row in rows)
+        assert any(
+            row[0] is NetTransfer and row[7] > link.message_time(row[6], packet)
+            for row in rows
+        )
+        barrier_ranks = {}
+        for row in rows:
+            if row[0] is BarrierWait:
+                barrier_ranks.setdefault(row[1], set()).add(row[2])
+        assert any(len(ranks) == 3 for ranks in barrier_ranks.values())
         assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     @pytest.mark.parametrize(

@@ -44,6 +44,14 @@ def test_all_resolves_and_lists_no_name_twice(package):
 def test_retired_names_are_gone_not_aliased():
     import repro.cluster
     import repro.core.incore
+    import repro.obs.profiler
+    import repro.obs.profiler.replay
+
+    for name in ("Op", "extract_ops"):
+        assert name not in repro.obs.profiler.__all__
+        assert not hasattr(repro.obs.profiler, name)
+        assert not hasattr(repro.obs.profiler.replay, name)
+    assert not hasattr(repro.obs.profiler.RunProfile, "ops")
 
     assert not hasattr(repro.cluster, "Trace") and "Trace" not in repro.cluster.__all__
     assert not hasattr(repro.cluster.Cluster, "trace")
