@@ -17,8 +17,8 @@ Two kinds of objects live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, Optional
 
 from repro.cluster.machine import Cluster, ClusterSpec, NodeSpec
 from repro.cluster.network import LinkModel
@@ -164,45 +164,21 @@ class HardwareMeta:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "speeds": list(self.speeds),
-            "io_scaled_by_speed": self.io_scaled_by_speed,
-            "seek_time": self.seek_time,
-            "disk_bandwidth": self.disk_bandwidth,
-            "n_disks": self.n_disks,
-            "seconds_per_op": self.seconds_per_op,
-            "link_latency": self.link_latency,
-            "link_bandwidth": self.link_bandwidth,
-            "link_small_overhead": self.link_small_overhead,
-            "link_mtu_bytes": self.link_mtu_bytes,
-            "link_name": self.link_name,
-            "packet_bytes": self.packet_bytes,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["speeds"] = list(self.speeds)
+        return out
 
     @staticmethod
-    def from_dict(data: Optional[Mapping[str, object]]) -> "HardwareMeta":
-        """Lenient inverse of :meth:`to_dict` (missing keys use defaults)."""
-        if not data:
-            return HardwareMeta()
-        base = HardwareMeta()
-        return HardwareMeta(
-            kernel=str(data.get("kernel", base.kernel)),
-            speeds=tuple(float(v) for v in data.get("speeds", ())),  # type: ignore[union-attr]
-            io_scaled_by_speed=bool(data.get("io_scaled_by_speed", True)),
-            seek_time=float(data.get("seek_time", base.seek_time)),  # type: ignore[arg-type]
-            disk_bandwidth=float(data.get("disk_bandwidth", base.disk_bandwidth)),  # type: ignore[arg-type]
-            n_disks=int(data.get("n_disks", base.n_disks)),  # type: ignore[arg-type]
-            seconds_per_op=float(data.get("seconds_per_op", base.seconds_per_op)),  # type: ignore[arg-type]
-            link_latency=float(data.get("link_latency", base.link_latency)),  # type: ignore[arg-type]
-            link_bandwidth=float(data.get("link_bandwidth", base.link_bandwidth)),  # type: ignore[arg-type]
-            link_small_overhead=float(
-                data.get("link_small_overhead", base.link_small_overhead)  # type: ignore[arg-type]
-            ),
-            link_mtu_bytes=int(data.get("link_mtu_bytes", base.link_mtu_bytes)),  # type: ignore[arg-type]
-            link_name=str(data.get("link_name", base.link_name)),
-            packet_bytes=int(data.get("packet_bytes", base.packet_bytes)),  # type: ignore[arg-type]
-        )
+    def from_dict(data: Optional[Mapping[str, Any]]) -> "HardwareMeta":
+        """Lenient inverse of :meth:`to_dict`: a missing key takes its
+        default, a present one is coerced to its default's type."""
+        values: dict[str, Any] = {}
+        for f in fields(HardwareMeta):
+            if data and f.name in data:
+                kind: Any = type(f.default)
+                raw = data[f.name]
+                values[f.name] = tuple(map(float, raw)) if kind is tuple else kind(raw)
+        return HardwareMeta(**values)
 
 
 @dataclass
