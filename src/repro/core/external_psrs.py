@@ -19,8 +19,7 @@ count d) — checked by the test suite via the returned metrics.
 
 Fault tolerance (docs/FAULTS.md)
 --------------------------------
-Passing ``faults=`` (a :class:`~repro.faults.plan.FaultPlan` or an
-installed :class:`~repro.faults.injector.FaultInjector`) and/or
+Passing ``faults=`` (a :class:`~repro.faults.plan.FaultPlan`) and/or
 ``retry=`` (a :class:`~repro.faults.plan.RetryPolicy`) turns on
 step-level recovery:
 
@@ -44,7 +43,7 @@ bit-identical to the fault-free implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +51,12 @@ from repro.cluster.machine import Cluster, ClusterView
 from repro.cluster.node import SimNode
 from repro.core.partition import materialize_partitions, partition_offsets, partition_refs
 from repro.core.perf import PerfVector
-from repro.core.redistribute import RedistributionReport, message_items_for, redistribute
+from repro.core.redistribute import (
+    RedistributionReport,
+    message_items_for,
+    redistribute,
+    take_chunk,
+)
 from repro.core.result import SortResult
 from repro.core.sampling import random_sample, regular_sample, sample_count, select_pivots
 from repro.extsort.multiway import RunCursor, RunRef, max_merge_order, merge_runs
@@ -64,8 +68,6 @@ from repro.faults.recovery import StepRunner
 from repro.obs.events import step_seconds
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.stats import IOStats
-
-FaultsArg = Union[FaultPlan, FaultInjector, None]
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def sort_distributed(
     inputs: Sequence[BlockFile],
     config: PSRSConfig = PSRSConfig(),
     *,
-    faults: FaultsArg = None,
+    faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> PSRSResult:
     """Run Algorithm 1 on per-node input files already on the node disks.
@@ -155,22 +157,17 @@ def sort_distributed(
     should be node i's portion ``l_i`` (use :meth:`PerfVector.portions`).
 
     ``faults`` injects a :class:`~repro.faults.plan.FaultPlan` for the
-    duration of the sort (an already-installed
-    :class:`~repro.faults.injector.FaultInjector` is used as-is);
-    ``retry`` enables step-level retry of transient faults.  Either
-    argument switches the sort into checkpointed, recoverable execution.
+    duration of the sort; ``retry`` enables step-level retry of transient
+    faults.  Either argument switches the sort into checkpointed,
+    recoverable execution.  An injector installed on the cluster
+    beforehand still fires through the cluster's hooks, but its faults
+    are recovered from only when ``retry`` is given.
     """
-    injector: Optional[FaultInjector] = None
-    installed_here = False
-    if faults is not None:
-        injector = faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        if not injector.installed:
-            injector.install(cluster)
-            installed_here = True
+    injector = FaultInjector(faults).install(cluster) if faults is not None else None
     try:
         return _sort_impl(cluster, perf, inputs, config, injector, retry)
     finally:
-        if installed_here:
+        if injector is not None:
             injector.uninstall()
 
 
@@ -447,14 +444,9 @@ def _salvage_step(
         try:
             with BlockWriter(out, buddy.mem) as w:
                 while not cur.exhausted:
-                    parts, got = [], 0
-                    while got < size and not cur.exhausted:
-                        part = cur.take_upto(size - got)
-                        got += part.size
-                        parts.append(part)
-                    if not got:
+                    chunk = take_chunk(cur, size)
+                    if chunk.size == 0:
                         continue
-                    chunk = parts[0] if len(parts) == 1 else np.concatenate(parts)
                     cluster.network.transfer(dead, buddy, chunk.nbytes, item_bytes=chunk.dtype.itemsize)
                     with buddy.mem.reserve(chunk.size):
                         w.write(chunk)
@@ -547,7 +539,7 @@ def sort_array(
     data: np.ndarray,
     config: PSRSConfig = PSRSConfig(),
     *,
-    faults: FaultsArg = None,
+    faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> PSRSResult:
     """Convenience wrapper: distribute ``data`` (untimed), then sort."""
@@ -594,12 +586,7 @@ def gather_output(
                     message_items, f.B, min(caps) if caps else None
                 )
                 while not cur.exhausted:
-                    parts, got = [], 0
-                    while got < size and not cur.exhausted:
-                        part = cur.take_upto(size - got)
-                        got += part.size
-                        parts.append(part)
-                    chunk = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    chunk = take_chunk(cur, size)
                     if rank != root:
                         cluster.network.transfer(src, root_node, chunk.nbytes, item_bytes=chunk.dtype.itemsize)
                     with root_node.mem.reserve(chunk.size):

@@ -129,7 +129,7 @@ def _chunk_size(cluster: Cluster, i: int, j: int, message_items: int, B: int) ->
     return message_items_for(message_items, B, cap)
 
 
-def _take_chunk(cur: RunCursor, size: int) -> np.ndarray:
+def take_chunk(cur: RunCursor, size: int) -> np.ndarray:
     """Gather up to ``size`` items from the cursor (spanning blocks).
 
     Fills one preallocated message buffer instead of accumulating a list
@@ -159,7 +159,7 @@ def _stream_local(
     cur = RunCursor(ref, node.mem)
     try:
         while not cur.exhausted:
-            chunk = _take_chunk(cur, size)
+            chunk = take_chunk(cur, size)
             with node.mem.reserve(chunk.size):
                 writer.write(chunk)
             report.items_moved += chunk.size
@@ -183,7 +183,7 @@ def _stream_remote(
     itemsize = ref.file.itemsize
     try:
         while not cur.exhausted:
-            chunk = _take_chunk(cur, size)
+            chunk = take_chunk(cur, size)
             if chunk.size == 0:
                 continue
             cluster.network.transfer(src, dst, chunk.size * itemsize, item_bytes=itemsize)
