@@ -568,13 +568,8 @@ def cmd_audit(args) -> int:
     if getattr(args, "protocol", None) is not None:
         from repro.obs.conformance import check_conformance
 
-        try:
-            with open(args.protocol, encoding="utf-8") as fh:
-                schema = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read schema {args.protocol}: {exc}",
-                  file=sys.stderr)
-            return 2
+        with open(args.protocol, encoding="utf-8") as fh:
+            schema = json.load(fh)
         conformance = check_conformance(schema, events)
     certification = None
     if getattr(args, "certify", False):
@@ -666,7 +661,7 @@ def cmd_profile(args) -> int:
     import json
 
     from repro.obs.exporters import read_jsonl, write_chrome_trace
-    from repro.obs.profiler import WhatIfError, profile_from_jsonl_meta
+    from repro.obs.profiler import profile_from_jsonl_meta
 
     meta_dict, events = read_jsonl(args.events_file)
     if not events:
@@ -679,11 +674,7 @@ def cmd_profile(args) -> int:
             "what-ifs assume the stock hardware model",
             file=sys.stderr,
         )
-    try:
-        whatifs = [prof.what_if(spec) for spec in (args.what_if or [])]
-    except WhatIfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    whatifs = [prof.what_if(spec) for spec in (args.what_if or [])]
     if args.trace:
         write_chrome_trace(
             args.trace, events, critical=prof.critical.segments
@@ -703,14 +694,10 @@ def cmd_profile(args) -> int:
 def cmd_bench(args) -> int:
     import json
 
-    from repro.metrics.bench import BenchFormatError, load_bench, report_rows
+    from repro.metrics.bench import load_bench, report_rows
 
     # Only one sub-action today; argparse enforces bench_command.
-    try:
-        doc = load_bench(args.bench_file)
-    except BenchFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_bench(args.bench_file)
     rows = report_rows(doc, factor=args.factor)
     regressions = [r for r in rows if r["regressed"]]
     payload = {
@@ -930,9 +917,20 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  Exit codes: 0 ok, 1 a finding (violation,
+    regression, mismatch), 2 bad input (unreadable file, malformed plan
+    or log) — reported as one ``repro <cmd>: error:`` line."""
     args = build_parser().parse_args(argv)
     np.set_printoptions(threshold=16)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        from repro.faults.plan import FaultError
+
+        if isinstance(exc, FaultError):
+            raise  # an unrecovered simulated disk fault is not bad input
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -73,6 +73,7 @@ class NodeSet:
     """
 
     nodes: list[SimNode]
+    network: Network
     #: Execution kernel: owns the cost-to-clock mapping and the
     #: synchronization semantics of every step and barrier.
     kernel: ExecutionKernel

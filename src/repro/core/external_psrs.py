@@ -8,8 +8,9 @@ The five steps of the paper, executed on a simulated
    the designated node, pivot pick, broadcast;
 3. **partition** — binary partitioning of the sorted portion into p
    sublists;
-4. **redistribution** — sublist j travels to node j in block-multiple
-   messages;
+4. **redistribution** — sublist j travels to node j
+   (:func:`~repro.core.redistribute.stream_run` applies the paper's
+   message rule);
 5. **final merge** — each node externally merges the p received runs
    (reusing the polyphase machinery's k-way merge).
 
@@ -23,9 +24,11 @@ Passing ``faults=`` (a :class:`~repro.faults.plan.FaultPlan`) and/or
 ``retry=`` (a :class:`~repro.faults.plan.RetryPolicy`) turns on
 step-level recovery:
 
-* every step's inputs are *checkpointed* at the preceding barrier (the
-  sorted-run files, the pivots, the partition refs stay on disk until the
-  sort commits), so a step that raises a transient
+* every step's inputs are *checkpointed* at the preceding barrier: the
+  files a step consumes are released to the
+  :class:`~repro.faults.recovery.StepRunner`, which holds them on disk
+  until the sort commits instead of clearing them at once, so a step
+  that raises a transient
   :class:`~repro.faults.plan.FaultError` is simply re-run after the
   policy's backoff — charged to the simulated clocks;
 * a node killed during steps 2-5 triggers *degraded mode*: its
@@ -51,12 +54,7 @@ from repro.cluster.machine import Cluster, ClusterView
 from repro.cluster.node import SimNode
 from repro.core.partition import materialize_partitions, partition_offsets, partition_refs
 from repro.core.perf import PerfVector
-from repro.core.redistribute import (
-    RedistributionReport,
-    message_items_for,
-    redistribute,
-    take_chunk,
-)
+from repro.core.redistribute import RedistributionReport, redistribute, stream_run
 from repro.core.result import SortResult
 from repro.core.sampling import random_sample, regular_sample, sample_count, select_pivots
 from repro.extsort.multiway import RunCursor, RunRef, max_merge_order, merge_runs
@@ -187,26 +185,18 @@ def _sort_impl(
     n_items = sum(f.n_items for f in inputs)
     io_before = cluster.io_stats()
     rng = np.random.default_rng(config.seed)
-    step_io: dict[str, IOStats] = {}
-    _io_mark = [io_before]
-
-    def _snap(step: str) -> None:
-        now = cluster.io_stats()
-        delta = now - _io_mark[0]
-        step_io[step] = step_io[step] + delta if step in step_io else delta
-        _io_mark[0] = now
-
     counters = injector.counters if injector is not None else FaultCounters()
-    recovery = injector is not None or retry is not None
-    runner = StepRunner(retry, counters)
+    runner = StepRunner(
+        cluster, retry, counters, checkpoint=injector is not None or retry is not None
+    )
 
     active = list(range(p))
     view = cluster.view(active)
     aperf = perf
 
     # ---- Step 1: local external sort -------------------------------------
-    # With recovery on, the sorted runs double as the step-1 checkpoint:
-    # they stay on disk until the sort commits, so any later step (or a
+    # The sorted runs double as the step-1 checkpoint: with checkpointing
+    # on they stay on disk until the sort commits, so any later step (or a
     # survivor taking over a dead node's portion) can restart from them.
     def _step1() -> list[BlockFile]:
         files: list[BlockFile] = []
@@ -223,7 +213,6 @@ def _sort_impl(
         return files
 
     sorted_by_rank = dict(zip(active, runner.run(view, "1:local-sort", _step1)))
-    _snap("1:local-sort")
 
     # ---- Steps 2-5, re-entered from step 2 in degraded mode ---------------
     while True:
@@ -234,37 +223,32 @@ def _sort_impl(
                 "2:pivots",
                 lambda: _pivot_step(view, aperf, sorted_files, config, rng),
             )
-            _snap("2:pivots")
 
             partitions = runner.run(
                 view,
                 "3:partition",
                 lambda: _partition_step(view, sorted_files, pivots, config),
             )
-            _snap("3:partition")
 
             # Linear-space discipline (PDM: "algorithms should use O(n)
-            # blocks of storage"): once a phase's files are consumed,
-            # reclaim them.  With recovery on, reclamation is deferred to
-            # the commit point — the consumed files are the checkpoint.
-            if not recovery and config.materialize_partitions:
-                for sf in sorted_files:
-                    sf.clear()  # partitions hold the data now
+            # blocks of storage"): once a phase's files are consumed, the
+            # runner reclaims them.
+            if config.materialize_partitions:
+                runner.release(sorted_files)  # partitions hold the data now
 
             received, redist_report = runner.run(
                 view,
                 "4:redistribute",
                 lambda: redistribute(view, partitions, config.message_items),
             )
-            if not recovery:
-                for row in partitions:
-                    for ref in row:
-                        if ref.start == 0 and ref.stop == ref.file.n_items:
-                            ref.file.clear()  # receivers hold the data now
-                if not config.materialize_partitions:
-                    for sf in sorted_files:
-                        sf.clear()
-            _snap("4:redistribute")
+            runner.release(  # receivers hold the data now
+                ref.file
+                for row in partitions
+                for ref in row
+                if ref.start == 0 and ref.stop == ref.file.n_items
+            )
+            if not config.materialize_partitions:
+                runner.release(sorted_files)
 
             received_sizes = [
                 sum(f.n_items for f in received[j]) for j in range(view.p)
@@ -273,12 +257,11 @@ def _sort_impl(
             outputs = runner.run(
                 view,
                 "5:final-merge",
-                lambda: _merge_step(view, received, config, clear_inputs=not recovery),
+                lambda: _merge_step(view, received, config, runner),
             )
-            _snap("5:final-merge")
             break
         except NodeKilledError as exc:
-            if not recovery or exc.step < 2:
+            if not runner.checkpoint or exc.step < 2:
                 raise  # no checkpoint before the step-1 barrier
             counters.degraded = True
             active = [r for r in active if r != exc.rank]
@@ -299,21 +282,8 @@ def _sort_impl(
                 sorted_by_rank[buddy],
                 config,
             )
-            _snap("recover:salvage")
 
-    if recovery:
-        # Commit: the sort succeeded, reclaim every checkpointed file.
-        for sf in sorted_files:
-            sf.clear()
-        for row in partitions:
-            for ref in row:
-                if ref.start == 0 and ref.stop == ref.file.n_items:
-                    ref.file.clear()
-        for j in range(view.p):
-            for f in received[j]:
-                if f is not outputs[j]:
-                    f.clear()
-
+    runner.commit()
     elapsed = view.barrier()
     return PSRSResult(
         outputs=outputs,
@@ -327,7 +297,7 @@ def _sort_impl(
         network_bytes=cluster.network.bytes_sent,
         network_messages=cluster.network.messages_sent,
         redistribution=redist_report,
-        step_io=step_io,
+        step_io=runner.step_io,
         faults=counters,
         active_ranks=list(active),
     )
@@ -395,7 +365,7 @@ def _merge_step(
     view: ClusterView,
     received: Sequence[list[BlockFile]],
     config: PSRSConfig,
-    clear_inputs: bool,
+    runner: StepRunner,
 ) -> list[BlockFile]:
     """Step 5: every node merges its received runs."""
     outputs: list[BlockFile] = []
@@ -404,10 +374,7 @@ def _merge_step(
         out = merge_many(
             refs, node, name=f"out{j}", B=config.block_items, dtype=received[j][0].dtype
         )
-        if clear_inputs:
-            for f in received[j]:
-                if f is not out:
-                    f.clear()
+        runner.release(f for f in received[j] if f is not out)
         outputs.append(out)
     return outputs
 
@@ -425,8 +392,8 @@ def _salvage_step(
     """Recover a dead node's checkpointed sorted run onto a survivor.
 
     The node process is dead but its disk is not (a crash is not media
-    loss): the buddy streams the dead node's step-1 run over the network
-    in block-multiple messages — charged to the dead disk, the link and
+    loss): the buddy streams the dead node's step-1 run into its own
+    memory and over the network — charged to the dead disk, the link and
     the buddy's disk — then k-way-merges it with its own run so the
     survivor set again holds one sorted portion per active node.
     """
@@ -437,21 +404,11 @@ def _salvage_step(
         out = buddy.disk.new_file(
             dead_file.B, dead_file.dtype, name=buddy.disk.next_file_name("salvage")
         )
-        size = message_items_for(
-            config.message_items, dead_file.B, buddy.mem.capacity
-        )
-        cur = RunCursor(RunRef.whole(dead_file), buddy.mem)
-        try:
-            with BlockWriter(out, buddy.mem) as w:
-                while not cur.exhausted:
-                    chunk = take_chunk(cur, size)
-                    if chunk.size == 0:
-                        continue
-                    cluster.network.transfer(dead, buddy, chunk.nbytes, item_bytes=chunk.dtype.itemsize)
-                    with buddy.mem.reserve(chunk.size):
-                        w.write(chunk)
-        finally:
-            cur.drop()
+        with BlockWriter(out, buddy.mem) as w:
+            stream_run(
+                cluster.network, dead, buddy, RunCursor(RunRef.whole(dead_file), buddy.mem),
+                w, config.message_items,
+            )
         return out
 
     salvaged = runner.run(view, "recover:salvage", _salvage)
@@ -573,22 +530,9 @@ def gather_output(
     with cluster.step("gather"):
         with BlockWriter(out, root_node.mem) as w:
             for rank, f in zip(ranks, result.outputs):
-                if f.n_items == 0:
-                    continue
                 src = cluster.nodes[rank]
-                cur = RunCursor(RunRef.whole(f), src.mem)
-                caps = [
-                    c
-                    for c in (src.mem.capacity, root_node.mem.capacity)
-                    if c is not None
-                ]
-                size = message_items_for(
-                    message_items, f.B, min(caps) if caps else None
+                stream_run(
+                    cluster.network, src, root_node, RunCursor(RunRef.whole(f), src.mem),
+                    w, message_items,
                 )
-                while not cur.exhausted:
-                    chunk = take_chunk(cur, size)
-                    if rank != root:
-                        cluster.network.transfer(src, root_node, chunk.nbytes, item_bytes=chunk.dtype.itemsize)
-                    with root_node.mem.reserve(chunk.size):
-                        w.write(chunk)
     return out

@@ -1,15 +1,14 @@
 """Redistribution of the partitions (paper step 4).
 
-Sublist j of every node travels to node j, in messages that are (a) a
-multiple of the block size B and (b) small enough to fit in both the
-local and the remote memory — the paper's two message-formation rules.
-The schedule is the p-1 round rotation of
-:meth:`~repro.cluster.mpi.SimComm.alltoallv`, but streaming: each
-message chunk is read from the sender's disk, transferred (charging the
-link and both NIC channels) and written to a per-sender run file on the
-receiver's disk, so the per-node I/O stays within the paper's
-``2 * l_i / B`` bound (read on the sender side + write on the receiver
-side).
+Sublist j of every node travels to node j.  The schedule is the p-1
+round rotation of :meth:`~repro.cluster.mpi.SimComm.alltoallv`, but
+streaming: each message chunk is read from the sender's disk,
+transferred (charging the link and both NIC channels) and written to a
+per-sender run file on the receiver's disk, so the per-node I/O stays
+within the paper's ``2 * l_i / B`` bound (read on the sender side +
+write on the receiver side).  :func:`stream_run` moves every run —
+here, in the degraded-mode salvage and in the output gather — and is
+where the paper's message rule is applied.
 
 The result at node j is a list of p sorted run files — one per sender,
 including its own partition — ready for the step-5 merge.
@@ -18,12 +17,15 @@ including its own partition — ready for the step-5 merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.cluster.machine import Cluster
+from repro.cluster.machine import NodeSet
+from repro.cluster.network import Network
+from repro.cluster.node import SimNode
 from repro.extsort.multiway import RunCursor, RunRef
-from repro.pdm.blockfile import BlockFile, BlockWriter, close_all
+from repro.pdm.blockfile import BlockFile, BlockWriter
 
 
 @dataclass
@@ -37,7 +39,7 @@ class RedistributionReport:
 
 
 def message_items_for(
-    message_items: int, B: int, memory_capacity: int | None
+    message_items: int, B: int, *memory_capacities: int | None
 ) -> int:
     """Clamp the configured message size to the paper's rules.
 
@@ -45,14 +47,16 @@ def message_items_for(
     (step 4: "the size is also a multiple of the block size B"); smaller
     requests are kept as-is — the paper's in-text packet-size experiment
     sweeps down to 8-integer messages, far below a block.  Either way the
-    message is capped so it fits in memory on both ends alongside a
-    working block.
+    message is capped so it fits, alongside a working block, in each of
+    the given memories (``None`` = unbounded) — the sender's and the
+    receiver's.
     """
     if message_items < 1:
         raise ValueError(f"message_items must be >= 1, got {message_items}")
     size = (message_items // B) * B if message_items >= B else message_items
-    if memory_capacity is not None:
-        cap = max(1, memory_capacity // 2)
+    caps = [c for c in memory_capacities if c is not None]
+    if caps:
+        cap = max(1, min(caps) // 2)
         if cap >= B:
             cap = (cap // B) * B
         size = min(size, cap)
@@ -60,7 +64,7 @@ def message_items_for(
 
 
 def redistribute(
-    cluster: Cluster,
+    cluster: NodeSet,
     partitions: list[list[RunRef]],
     message_items: int,
 ) -> tuple[list[list[BlockFile]], RedistributionReport]:
@@ -77,56 +81,25 @@ def redistribute(
         raise ValueError(f"partitions must be a {p}x{p} structure")
     report = RedistributionReport()
     received: list[list[BlockFile]] = [[None] * p for _ in range(p)]  # type: ignore[list-item]
-
-    def recv_file(j: int, i: int) -> BlockFile:
-        node_j = cluster.nodes[j]
-        f = node_j.disk.new_file(
-            partitions[i][j].file.B,
-            partitions[i][j].file.dtype,
-            name=node_j.disk.next_file_name(f"recv_from{i}_"),
-        )
-        received[j][i] = f
-        return f
-
-    # The rotation schedule gives every receiver exactly one sender per
-    # round, so each receiving file is written start-to-finish within its
-    # round by a single writer — one receive buffer in memory at a time,
+    # Round r: node i sends to (i + r) mod p; round 0 is every node's own
+    # partition, a disk-to-disk copy.  Every receiver has exactly one
+    # sender per round, so each receiving file is written start-to-finish
+    # by a single writer — one receive buffer in memory at a time,
     # independent of p.
-    #
-    # Round 0: local partitions (no network, charged as a disk copy).
-    for i in range(p):
-        writer = BlockWriter(recv_file(i, i), cluster.nodes[i].mem)
-        try:
-            _stream_local(cluster, i, partitions[i][i], writer, message_items, report)
-        finally:
-            writer.close()
-    # Rounds 1..p-1: node i sends to (i + r) mod p.
-    for r in range(1, p):
-        round_writers = []
-        try:
-            for i in range(p):
-                j = (i + r) % p
-                writer = BlockWriter(recv_file(j, i), cluster.nodes[j].mem)
-                round_writers.append(writer)
-                try:
-                    _stream_remote(
-                        cluster, i, j, partitions[i][j], writer, message_items, report
-                    )
-                finally:
-                    writer.close()
-                    round_writers.pop()
-        finally:
-            close_all(round_writers)
+    for r in range(p):
+        for i in range(p):
+            j = (i + r) % p
+            src, dst, ref = cluster.nodes[i], cluster.nodes[j], partitions[i][j]
+            f = dst.disk.new_file(
+                ref.file.B, ref.file.dtype, name=dst.disk.next_file_name(f"recv_from{i}_")
+            )
+            received[j][i] = f
+            with BlockWriter(f, dst.mem) as writer:
+                stream_run(
+                    cluster.network, src, dst, RunCursor(ref, src.mem), writer,
+                    message_items, report,
+                )
     return received, report
-
-
-def _chunk_size(cluster: Cluster, i: int, j: int, message_items: int, B: int) -> int:
-    cap_i = cluster.nodes[i].mem.capacity
-    cap_j = cluster.nodes[j].mem.capacity
-    cap = None
-    if cap_i is not None or cap_j is not None:
-        cap = min(c for c in (cap_i, cap_j) if c is not None)
-    return message_items_for(message_items, B, cap)
 
 
 def take_chunk(cur: RunCursor, size: int) -> np.ndarray:
@@ -145,53 +118,43 @@ def take_chunk(cur: RunCursor, size: int) -> np.ndarray:
     return out[:got]
 
 
-def _stream_local(
-    cluster: Cluster,
-    i: int,
-    ref: RunRef,
+def stream_run(
+    network: Network,
+    src: SimNode,
+    dst: SimNode,
+    cur: RunCursor,
     writer: BlockWriter,
     message_items: int,
-    report: RedistributionReport,
+    report: Optional[RedistributionReport] = None,
 ) -> None:
-    """Node i's own partition: disk-to-disk copy on the same host."""
-    node = cluster.nodes[i]
-    size = _chunk_size(cluster, i, i, message_items, ref.file.B)
-    cur = RunCursor(ref, node.mem)
+    """Move what is left of ``cur`` from ``src`` into ``writer`` on ``dst``.
+
+    Step 4's message rule, stated once for every run that moves between
+    nodes: each message is a multiple of B (unless configured below one
+    block) that fits both in the memory the cursor reads into and in the
+    receiving writer's memory (:func:`message_items_for`).  A message is
+    charged to the network only when it crosses nodes; the receiver
+    reserves it before writing.  The cursor is dropped on return, normal
+    or not.
+    """
+    size = message_items_for(
+        message_items, cur.run.file.B, cur.mem.capacity, writer.mem.capacity
+    )
+    itemsize = cur.run.file.itemsize
+    remote = src is not dst
     try:
         while not cur.exhausted:
             chunk = take_chunk(cur, size)
-            with node.mem.reserve(chunk.size):
+            nbytes = chunk.size * itemsize
+            if remote:
+                network.transfer(src, dst, nbytes, item_bytes=itemsize)
+            with writer.mem.reserve(chunk.size):
                 writer.write(chunk)
-            report.items_moved += chunk.size
-            report.max_message_items = max(report.max_message_items, chunk.size)
-    finally:
-        cur.drop()
-
-
-def _stream_remote(
-    cluster: Cluster,
-    i: int,
-    j: int,
-    ref: RunRef,
-    writer: BlockWriter,
-    message_items: int,
-    report: RedistributionReport,
-) -> None:
-    src, dst = cluster.nodes[i], cluster.nodes[j]
-    size = _chunk_size(cluster, i, j, message_items, ref.file.B)
-    cur = RunCursor(ref, src.mem)
-    itemsize = ref.file.itemsize
-    try:
-        while not cur.exhausted:
-            chunk = take_chunk(cur, size)
-            if chunk.size == 0:
-                continue
-            cluster.network.transfer(src, dst, chunk.size * itemsize, item_bytes=itemsize)
-            with dst.mem.reserve(chunk.size):
-                writer.write(chunk)
-            report.messages += 1
-            report.bytes_moved += chunk.size * itemsize
-            report.items_moved += chunk.size
-            report.max_message_items = max(report.max_message_items, chunk.size)
+            if report is not None:
+                if remote:
+                    report.messages += 1
+                    report.bytes_moved += nbytes
+                report.items_moved += chunk.size
+                report.max_message_items = max(report.max_message_items, chunk.size)
     finally:
         cur.drop()

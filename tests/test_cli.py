@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults.plan import DiskFaultError
 
 
 class TestParser:
@@ -107,3 +108,39 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "512" in out
+
+
+class TestInputErrors:
+    """Bad input exits 2 with one error line — never 1, which CI reads as
+    a violation, and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "missing.jsonl"],
+            ["profile", "missing.jsonl"],
+            ["sort", "--n", "2000", "--fault-plan", '{"disk": ['],
+            ["sort", "--n", "2000", "--fault-plan", '{"bogus": []}'],
+            ["sort", "--n", "2000", "--fault-plan", "missing-plan.json"],
+        ],
+        ids=["audit-missing", "profile-missing", "plan-json", "plan-keys", "plan-missing"],
+    )
+    def test_exits_two_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"repro {argv[0]}: error: "), err
+
+    @pytest.mark.parametrize("command", ["audit", "profile"])
+    def test_malformed_log_exits_two(self, command, capsys, tmp_path):
+        log = tmp_path / "run.jsonl"
+        log.write_text('{"kind": "run_meta"\n', encoding="utf-8")
+        assert main([command, str(log)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro {command}: error: ")
+
+    def test_unrecovered_fault_still_raises(self):
+        """A simulated disk fault with no retry policy is a failed run, not
+        bad input (``DiskFaultError`` is also an ``IOError``)."""
+        with pytest.raises(DiskFaultError):
+            main(["sort", "--n", "8000",
+                  "--fault-plan", '{"disk": [{"node": 1, "after_ios": 40}]}'])

@@ -30,9 +30,11 @@ from repro.faults import (
     NodeKill,
     NodeKilledError,
     RetryPolicy,
+    StepRunner,
 )
 from repro.metrics.report import fault_table
 from repro.obs.events import step_intervals
+from repro.pdm.blockfile import BlockWriter
 
 PERF = PerfVector([1, 2, 1])
 SPEEDS = [1.0, 2.0, 1.0]
@@ -232,6 +234,49 @@ class TestRetryAccounting:
 
         text = fault_table(FaultCounters()).render()
         assert "no faults injected" in text
+
+
+# -- file reclamation: StepRunner.release / commit ---------------------------
+
+
+class TestReclamation:
+    @staticmethod
+    def _file(cluster: Cluster):
+        node = cluster.nodes[0]
+        f = node.disk.new_file(32, np.uint32, name="consumed")
+        with BlockWriter(f, node.mem) as w:
+            w.write(np.arange(100, dtype=np.uint32))
+        return f
+
+    def test_release_clears_at_once_without_checkpointing(self):
+        cluster = _cluster()
+        f = self._file(cluster)
+        StepRunner(cluster).release([f])
+        assert f.n_items == 0
+
+    def test_release_holds_until_commit_with_checkpointing(self):
+        cluster = _cluster()
+        f = self._file(cluster)
+        runner = StepRunner(cluster, checkpoint=True)
+        runner.release([f])
+        assert np.array_equal(f.to_array(), np.arange(100, dtype=np.uint32))
+        runner.commit()
+        assert f.n_items == 0
+
+    def test_retried_step5_finds_its_received_runs(self, probe):
+        """The last node faults mid-merge after the others have merged and
+        released their received runs; the retry merges them again."""
+        rank = PERF.p - 1
+        lo, hi = _io_window(probe, rank, "5:final-merge")
+        data = _data()
+        plan = FaultPlan(disk_faults=[DiskFault(node=rank, after_ios=(lo + hi) // 2, count=1)])
+        res = sort_array(
+            _cluster(), PERF, data, CONFIG,
+            faults=plan, retry=RetryPolicy(max_attempts=2, backoff=0.01),
+        )
+        assert res.faults.retries == {"5:final-merge": 1}
+        assert np.array_equal(res.to_array(), np.sort(data))
+        assert [out.n_items for out in res.outputs] == res.received_sizes
 
 
 # -- node kills x steps: degraded mode ---------------------------------------

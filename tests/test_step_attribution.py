@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.machine import Cluster, heterogeneous_cluster, paper_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
+from repro.faults.plan import FaultPlan, NodeKill
 from repro.obs.profiler import RunProfile
 from repro.workloads.generators import make_benchmark
 
@@ -73,6 +74,28 @@ class TestStepIO:
         _, res = _run([1, 1], [1.0, 1.0])
         n_blocks = -(-res.n_items // 256)
         assert res.step_io["4:redistribute"].block_ios <= 2 * (n_blocks + res.perf.p * 2)
+
+    @pytest.mark.parametrize("kernel", ["event", "lockstep"])
+    def test_degraded_run_attributes_every_step(self, kernel):
+        """A kill at step 4: the salvage and the remerge each get their
+        own entry, and every step's I/O is the I/O the disks labelled
+        with its name while it ran."""
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(2**14), seed=0)
+        cluster = Cluster(
+            heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048), kernel=kernel
+        )
+        res = sort_array(
+            cluster, perf, data, PSRSConfig(block_items=256),
+            faults=FaultPlan(node_kills=[NodeKill(node=1, step=4)]),
+        )
+        assert res.faults.degraded
+        assert set(res.step_io) == set(res.step_times)
+        for step, io in res.step_io.items():
+            assert io.block_ios == res.io.labels[step], step
+        assert sum(s.block_ios for s in res.step_io.values()) == res.io.block_ios
+        assert sum(s.item_ios for s in res.step_io.values()) == res.io.item_ios
+        assert res.step_io["recover:remerge"].block_ios > 0
 
 
 class TestTraceBalance:
