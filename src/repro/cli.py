@@ -548,20 +548,14 @@ def cmd_audit(args) -> int:
             return 1
 
     if args.events_file is None:
-        print(
-            "error: events_file is required unless --certify-corpus or "
-            "--certify-bench is given",
-            file=sys.stderr,
+        raise ValueError(
+            "events_file is required unless --certify-corpus or --certify-bench is given"
         )
-        return 2
     meta_dict, events = read_jsonl(args.events_file)
     if meta_dict is None:
-        print(
-            f"error: {args.events_file} has no run_meta line "
-            "(write it with 'repro sort --events PATH')",
-            file=sys.stderr,
+        raise ValueError(
+            f"{args.events_file} has no run_meta line (write it with 'repro sort --events PATH')"
         )
-        return 2
     meta = RunMeta.from_dict(meta_dict)
     report = audit_run(events, meta)
     conformance = None
@@ -665,8 +659,7 @@ def cmd_profile(args) -> int:
 
     meta_dict, events = read_jsonl(args.events_file)
     if not events:
-        print(f"error: {args.events_file} contains no events", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.events_file} contains no events")
     prof = profile_from_jsonl_meta(meta_dict, events)
     if meta_dict is None or "hw" not in meta_dict:
         print(

@@ -19,14 +19,18 @@ start time, so ``ts`` is non-decreasing across the file.
 
 The JSONL and Chrome exporters read the rows of an
 :class:`~repro.obs.events.EventLog` (``EventLog.of`` wraps any other
-iterable) and build no event object.  The Chrome file is compact JSON
-from one encoder call; ``python -m json.tool`` indents it.
+iterable) and build no event object and no JSON document: each line or
+span is a per-kind text template filled with its values' JSON text,
+byte for byte what ``json.dumps`` writes for it (:class:`_Text`).  The
+Chrome file is one line with ``json.dumps``' default separators;
+``python -m json.tool`` indents it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import defaultdict
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.obs.events import (
     BarrierWait,
@@ -52,14 +56,115 @@ CLUSTER_PID = 10_000
 _US = 1e6  # seconds -> microseconds
 
 
+# -- value text ---------------------------------------------------------------
+
+
+def _template(record: Mapping[str, object]) -> str:
+    """``json.dumps(record)`` with each ``"%s"`` value left as ``%s``."""
+    return json.dumps(record).replace('"%s"', "%s")
+
+
+class _StrText(dict):
+    """String -> its JSON text, encoded once per distinct string."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = json.dumps(value)
+        return text
+
+
+class _FloatText(dict):
+    """Finite float -> its JSON text, which is its ``repr``.
+
+    ``inf`` and ``nan`` raise ``KeyError`` (JSON spells them
+    ``Infinity``/``NaN``).  Zero is never stored: ``0.0`` and ``-0.0``
+    are one dict key but two texts.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        if value - value != 0:
+            raise KeyError(value)
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+class _Text:
+    """Fills text templates with the JSON text of values, a column at a time.
+
+    One per export, so its caches hold each distinct string and each
+    distinct finite non-zero float of that export once.
+    """
+
+    def __init__(self) -> None:
+        #: Exact type -> the function giving a value's JSON text: only the
+        #: types whose text is their ``repr`` or a cached ``json.dumps``.
+        #: A bool, ``None``, a numpy scalar — or ``inf``/``nan`` — is a
+        #: ``KeyError``.
+        self.of_type: dict[type, Callable[[Any], str]] = {
+            str: _StrText().__getitem__,
+            int: int.__repr__,
+            float: _FloatText().__getitem__,
+        }
+
+    def fill(
+        self,
+        template: str,
+        rows: Sequence[Any],
+        columns: Iterable[Sequence[Any]],
+        reference: Callable[[Any], str],
+    ) -> list[str]:
+        """``template % values`` of each row, every value as its JSON text.
+
+        ``columns`` holds the rows' values column by column.  A column of
+        one type is encoded in one pass (an int column as it is: ``%s``
+        prints an int as JSON does), any other value by value.  A row
+        holding a value ``repr`` spells unlike JSON is written by
+        ``reference(row)`` instead.
+        """
+        cells: list[Sequence[Any]] = []
+        odd: set[int] = set()
+        for column in columns:
+            kinds = set(map(type, column))
+            if kinds == {int}:
+                cells.append(column)
+                continue
+            if len(kinds) == 1:
+                try:
+                    cells.append(list(map(self.of_type[kinds.pop()], column)))
+                    continue
+                except KeyError:  # not a listed type, or inf/nan in the column
+                    pass
+            texts = []
+            for j, value in enumerate(column):
+                try:
+                    texts.append(self.of_type[type(value)](value))
+                except KeyError:
+                    texts.append("")
+                    odd.add(j)
+            cells.append(texts)
+        lines = list(map(template.__mod__, zip(*cells)))
+        for j in odd:
+            lines[j] = reference(rows[j])
+        return lines
+
+
 # -- JSONL ------------------------------------------------------------------
 
 
 #: The reference encoding of each class, ``%s`` in place of every value.
 _LINE_TEMPLATES = {
-    cls: json.dumps({"kind": cls.kind, **dict.fromkeys(names, "%s")}).replace('"%s"', "%s")
+    cls: _template({"kind": cls.kind, **dict.fromkeys(names, "%s")})
     for cls, names in FIELD_NAMES.items()
 }
+
+
+def _reference_line(row: tuple) -> str:
+    return json.dumps(row_event(row).to_dict())
 
 
 def events_to_jsonl(
@@ -67,29 +172,30 @@ def events_to_jsonl(
 ) -> str:
     """Serialise events (and an optional leading run_meta line) to JSONL.
 
-    Each row is formatted through its class's line template, byte for
-    byte what the reference ``json.dumps(e.to_dict())`` writes: strings
-    are JSON-encoded once per distinct value, ints and finite floats
-    print by ``repr`` exactly as JSON prints them.
+    Each row is its class's line template filled with its values, byte
+    for byte what the reference ``json.dumps(e.to_dict())`` writes: the
+    rows of one class are encoded column by column, strings and finite
+    non-zero floats once per distinct value, and a row holding a value
+    ``repr`` spells unlike JSON (inf, nan, a bool, ``None``, a numpy
+    scalar) goes to the reference encoder.
     """
     lines = []
     if meta is not None:
         record = {"kind": "run_meta"}
         record.update(meta)
         lines.append(json.dumps(record))
-    text: dict[str, str] = {}  # string value -> its JSON text
-    for row in EventLog.of(events).rows:
-        cells = []
-        for v in row[1:]:
-            if type(v) is str:
-                cells.append(text.get(v) or text.setdefault(v, json.dumps(v)))
-            elif type(v) in (int, float) and v - v == 0:  # exactly these, and finite
-                cells.append(repr(v))
-            else:  # inf, nan, a bool, None, a numpy scalar: the reference encoder
-                lines.append(json.dumps(row_event(row).to_dict()))
-                break
-        else:
-            lines.append(_LINE_TEMPLATES[row[0]] % tuple(cells))
+    rows = EventLog.of(events).rows
+    at_of: dict[type, list[int]] = defaultdict(list)  # class -> its rows' indices
+    for i, row in enumerate(rows):
+        at_of[row[0]].append(i)
+    body = [""] * len(rows)
+    text = _Text()
+    for cls, at in at_of.items():
+        group = [rows[i] for i in at]
+        columns = list(zip(*group))[1:]
+        for i, line in zip(at, text.fill(_LINE_TEMPLATES[cls], group, columns, _reference_line)):
+            body[i] = line
+    lines.extend(body)
     return "\n".join(lines) + "\n"
 
 
@@ -120,43 +226,105 @@ def read_jsonl(path: str) -> tuple[Optional[dict], EventLog]:
 # -- Chrome trace -----------------------------------------------------------
 
 
-def to_chrome_trace(
+class _Span:
+    """One kind of trace entry, written from a text template.
+
+    ``build`` returns the entry as the reference dict; ``template`` is
+    that dict's JSON text with ``%s`` for each of ``build``'s parameters,
+    which the dict must use in parameter order; ``ts_at`` indexes the
+    ``ts`` parameter, the entry's sort key.
+    """
+
+    def __init__(self, build: Callable[..., dict]) -> None:
+        code = build.__code__
+        self.build = build
+        self.template = _template(build(*["%s"] * code.co_argcount))
+        self.ts_at = code.co_varnames.index("ts")
+
+    def reference(self, values: tuple) -> str:
+        return json.dumps(self.build(*values))
+
+
+@_Span
+def _x_span(name, cat, ts, dur, pid, tid) -> dict:  # a step or a barrier wait
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid,
+            "args": {}}
+
+
+@_Span
+def _io_span(name, ts, dur, pid, tid, items, itemsize, step) -> dict:
+    return {"name": name, "cat": "io", "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid,
+            "args": {"items": items, "itemsize": itemsize, "step": step}}
+
+
+@_Span
+def _net_span(name, ts, dur, pid, tid, nbytes, step) -> dict:
+    return {"name": name, "cat": "net", "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid,
+            "args": {"bytes": nbytes, "step": step}}
+
+
+@_Span
+def _flow_start(flow, ts, pid, tid) -> dict:
+    return {"name": "msg", "cat": "net", "ph": "s", "id": flow, "ts": ts, "pid": pid, "tid": tid}
+
+
+@_Span
+def _flow_end(flow, ts, pid, tid) -> dict:
+    return {"name": "msg", "cat": "net", "ph": "f", "bp": "e", "id": flow, "ts": ts, "pid": pid,
+            "tid": tid}
+
+
+@_Span
+def _mem_counter(ts, pid, items) -> dict:
+    return {"name": "mem_in_use", "cat": "mem", "ph": "C", "ts": ts, "pid": pid,
+            "args": {"items": items}}
+
+
+@_Span
+def _fault_instant(name, ts, pid, tid, detail, step) -> dict:
+    return {"name": name, "cat": "fault", "ph": "i", "ts": ts, "pid": pid, "tid": tid, "s": "t",
+            "args": {"detail": detail, "step": step}}
+
+
+@_Span
+def _retry_instant(name, ts, pid, tid, attempt, backoff) -> dict:
+    return {"name": name, "cat": "fault", "ph": "i", "ts": ts, "pid": pid, "tid": tid, "s": "t",
+            "args": {"attempt": attempt, "backoff": backoff}}
+
+
+@_Span
+def _critical_span(name, ts, dur, pid, tid, step) -> dict:
+    return {"name": name, "cat": "critical", "ph": "X", "ts": ts, "dur": dur, "pid": pid,
+            "tid": tid, "args": {"step": step}}
+
+
+def _chrome_trace_text(
     events: Sequence[Event],
     node_names: Optional[Mapping[int, str]] = None,
     critical: Optional[Sequence] = None,
-) -> dict:
-    """Fold an event stream into a Chrome-trace/Perfetto JSON object.
+) -> str:
+    """The text :func:`write_chrome_trace` writes, without the newline.
 
-    Layout: pid = node rank (``CLUSTER_PID`` for node -1), tid = track
-    within the node — ``steps`` and ``barrier`` first, then one track
-    per disk, ``net``, and ``faults``.  Step/barrier/IO/net events
-    become complete (``X``) spans whose ``ts`` is the *start* time
-    (event timestamps are completion times; an ``io`` span is the
-    drive's busy interval ``[queued, queued + cost]``); memory events
-    become ``C`` counter samples; faults and retries become instants (``i``).
-
-    Each ``NetTransfer`` renders on *both* ends — a ``send->dst`` span
-    on the sender's net track and a ``recv<-src`` span on the
-    receiver's — joined by a flow (``ph: "s"``/``"f"``) arrow, so the
-    message's causal hop is visible across node tracks in Perfetto.
-
-    ``critical`` optionally takes the segments of a
-    :class:`~repro.obs.profiler.critical.CriticalPath` (any iterable of
-    objects with ``node``/``t0``/``t1``/``kind``/``step``); they render
-    as a ``critical path`` track on each node, highlighting which spans
-    gate the run end-to-end.
+    It is byte for byte ``json.dumps`` of the document: the spans of one
+    kind are its template filled column by column (a span holding a
+    value ``repr`` spells unlike JSON is ``json.dumps`` of its dict),
+    then all spans are ordered by a stable sort on their ``ts``.
     """
     names = dict(node_names or {})
     tids: dict[tuple[int, str], int] = {}
     process_meta: dict[int, dict] = {}
     thread_meta: list[dict] = []
-    spans: list[dict] = []
+    starts: list[Any] = []  # each span's ts, in emission order
+    at_of: dict[_Span, list[int]] = defaultdict(list)  # kind -> its spans' indices
+    values_of: dict[_Span, list[tuple]] = defaultdict(list)
 
-    def pid_of(node: int) -> int:
-        return node if node >= 0 else CLUSTER_PID
+    def emit(kind: _Span, *values: Any) -> None:
+        at_of[kind].append(len(starts))
+        starts.append(values[kind.ts_at])
+        values_of[kind].append(values)
 
     def ensure_process(node: int) -> int:
-        pid = pid_of(node)
+        pid = node if node >= 0 else CLUSTER_PID
         if pid not in process_meta:
             name = names.get(node, f"node{node}") if node >= 0 else "cluster"
             process_meta[pid] = {
@@ -183,123 +351,76 @@ def to_chrome_trace(
             )
         return tids[key]
 
-    def span(name, cat, ts, dur, pid, tid, args) -> dict:
-        return {
-            "name": name,
-            "cat": cat,
-            "ph": "X",
-            "ts": ts * _US,
-            "dur": dur * _US,
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        }
-
     flow_id = 0
     for row in EventLog.of(events).rows:
         cls, t, node, step = row[:4]
         pid = ensure_process(node)
-        if cls is StepEnd:
-            duration = row[4]
-            spans.append(span(step, "step", t - duration, duration, pid, tid_of(pid, "steps"), {}))
-        elif cls is BarrierWait:
-            wait = row[4]
-            tid = tid_of(pid, "barrier")
-            spans.append(span(f"wait:{step}", "barrier", t - wait, wait, pid, tid, {}))
+        if cls is MemReserve or cls is MemRelease:
+            emit(_mem_counter, t * _US, pid, row[5])  # in_use
         elif cls is BlockRead or cls is BlockWrite:
             disk, n_items, itemsize, cost, queued = row[4:9]
-            args = {"items": n_items, "itemsize": itemsize, "step": step}
-            op = "read" if cls is BlockRead else "write"
             # The drive's busy interval, not the node's: a write-behind
             # write is stamped with its issue time and served later.
             start = queued if queued >= 0.0 else t - cost
-            spans.append(span(op, "io", start, cost, pid, tid_of(pid, f"disk:{disk}"), args))
+            tid = tid_of(pid, f"disk:{disk}")
+            op = "read" if cls is BlockRead else "write"
+            emit(_io_span, op, start * _US, cost * _US, pid, tid, n_items, itemsize, step)
+        elif cls is StepEnd:
+            duration = row[4]
+            start = t - duration
+            tid = tid_of(pid, "steps")
+            emit(_x_span, step, "step", start * _US, duration * _US, pid, tid)
+        elif cls is BarrierWait:
+            wait = row[4]
+            tid = tid_of(pid, "barrier")
+            emit(_x_span, f"wait:{step}", "barrier", (t - wait) * _US, wait * _US, pid, tid)
         elif cls is NetTransfer:
             src, dst, nbytes, duration = row[4:]
             flow_id += 1
             start = t - duration
-            args = {"bytes": nbytes, "step": step}
             tid = tid_of(pid, "net")
-            spans.append(span(f"send->{dst}", "net", start, duration, pid, tid, args))
+            emit(_net_span, f"send->{dst}", start * _US, duration * _US, pid, tid, nbytes, step)
             dst_pid = ensure_process(dst)
             dst_tid = tid_of(dst_pid, "net")
-            spans.append(span(f"recv<-{src}", "net", start, duration, dst_pid, dst_tid, args))
+            emit(_net_span, f"recv<-{src}", start * _US, duration * _US, dst_pid, dst_tid,
+                 nbytes, step)
             # Flow arrow linking the send to its receive: the start
             # binds inside the send span, the end (bp: "e") binds to
             # the end of the enclosing recv span.
-            spans.append(
-                {
-                    "name": "msg",
-                    "cat": "net",
-                    "ph": "s",
-                    "id": flow_id,
-                    "ts": start * _US,
-                    "pid": pid,
-                    "tid": tid,
-                }
-            )
-            spans.append(
-                {
-                    "name": "msg",
-                    "cat": "net",
-                    "ph": "f",
-                    "bp": "e",
-                    "id": flow_id,
-                    "ts": t * _US,
-                    "pid": dst_pid,
-                    "tid": dst_tid,
-                }
-            )
-        elif cls is MemReserve or cls is MemRelease:
-            spans.append(
-                {
-                    "name": "mem_in_use",
-                    "cat": "mem",
-                    "ph": "C",
-                    "ts": t * _US,
-                    "pid": pid,
-                    "args": {"items": row[5]},  # in_use
-                }
-            )
-        elif cls is FaultInjected or cls is Retry:
-            if cls is FaultInjected:
-                name, args = f"fault:{row[4]}", {"detail": row[5], "step": step}
-            else:
-                name, args = f"retry:{step}", {"attempt": row[4], "backoff": row[5]}
-            spans.append(
-                {
-                    "name": name,
-                    "cat": "fault",
-                    "ph": "i",
-                    "ts": t * _US,
-                    "pid": pid,
-                    "tid": tid_of(pid, "faults"),
-                    "s": "t",
-                    "args": args,
-                }
-            )
+            emit(_flow_start, flow_id, start * _US, pid, tid)
+            emit(_flow_end, flow_id, t * _US, dst_pid, dst_tid)
+        elif cls is FaultInjected:
+            emit(_fault_instant, f"fault:{row[4]}", t * _US, pid, tid_of(pid, "faults"),
+                 row[5], step)
+        elif cls is Retry:
+            emit(_retry_instant, f"retry:{step}", t * _US, pid, tid_of(pid, "faults"),
+                 row[4], row[5])
         # StepBegin carries no information a StepEnd span doesn't.
 
     for seg in critical or ():
         pid = ensure_process(seg.node)
         tid = tid_of(pid, "critical path")
-        spans.append(
-            span(
-                seg.kind,
-                "critical",
-                seg.t0,
-                seg.t1 - seg.t0,
-                pid,
-                tid,
-                {"step": seg.step},
-            )
-        )
+        emit(_critical_span, seg.kind, seg.t0 * _US, (seg.t1 - seg.t0) * _US, pid, tid, seg.step)
 
-    spans.sort(key=lambda s: s["ts"])  # stable: ties keep emission order
-    trace_events = [process_meta[pid] for pid in sorted(process_meta)]
-    trace_events.extend(thread_meta)
-    trace_events.extend(spans)
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+    spans = [""] * len(starts)
+    text = _Text()
+    for kind, rows in values_of.items():
+        for i, span in zip(at_of[kind], text.fill(kind.template, rows, zip(*rows), kind.reference)):
+            spans[i] = span
+    order = sorted(range(len(starts)), key=starts.__getitem__)  # stable: ties keep emission order
+    entries = [json.dumps(process_meta[pid]) for pid in sorted(process_meta)]
+    entries.extend(map(json.dumps, thread_meta))
+    entries.extend(map(spans.__getitem__, order))
+    return '{"traceEvents": [' + ", ".join(entries) + '], "displayTimeUnit": "ms"}'
+
+
+def to_chrome_trace(
+    events: Sequence[Event],
+    node_names: Optional[Mapping[int, str]] = None,
+    critical: Optional[Sequence] = None,
+) -> dict:
+    """The document :func:`write_chrome_trace` writes, parsed."""
+    return json.loads(_chrome_trace_text(events, node_names, critical))
 
 
 def write_chrome_trace(
@@ -308,8 +429,29 @@ def write_chrome_trace(
     node_names: Optional[Mapping[int, str]] = None,
     critical: Optional[Sequence] = None,
 ) -> None:
+    """Write an event stream as a Chrome-trace/Perfetto JSON file.
+
+    Layout: pid = node rank (``CLUSTER_PID`` for node -1), tid = track
+    within the node — ``steps`` and ``barrier`` first, then one track
+    per disk, ``net``, and ``faults``.  Step/barrier/IO/net events
+    become complete (``X``) spans whose ``ts`` is the *start* time
+    (event timestamps are completion times; an ``io`` span is the
+    drive's busy interval ``[queued, queued + cost]``); memory events
+    become ``C`` counter samples; faults and retries become instants (``i``).
+
+    Each ``NetTransfer`` renders on *both* ends — a ``send->dst`` span
+    on the sender's net track and a ``recv<-src`` span on the
+    receiver's — joined by a flow (``ph: "s"``/``"f"``) arrow, so the
+    message's causal hop is visible across node tracks in Perfetto.
+
+    ``critical`` optionally takes the segments of a
+    :class:`~repro.obs.profiler.critical.CriticalPath` (any iterable of
+    objects with ``node``/``t0``/``t1``/``kind``/``step``); they render
+    as a ``critical path`` track on each node, highlighting which spans
+    gate the run end-to-end.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(to_chrome_trace(events, node_names, critical=critical)))
+        fh.write(_chrome_trace_text(events, node_names, critical))
         fh.write("\n")
 
 

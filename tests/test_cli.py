@@ -131,6 +131,29 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"repro {argv[0]}: error: "), err
 
+    @pytest.mark.parametrize(
+        "command, log_text, message",
+        [
+            ("audit", None, "events_file is required"),
+            ("audit", '{"kind": "step_begin", "t": 0.0, "node": 0, "step": "s"}\n',
+             "has no run_meta line"),
+            ("profile", "", "contains no events"),
+        ],
+        ids=["audit-no-log", "audit-no-run-meta", "profile-empty-log"],
+    )
+    def test_unusable_log_exits_two_with_one_error_line(
+        self, command, log_text, message, capsys, tmp_path
+    ):
+        argv = [command]
+        if log_text is not None:
+            log = tmp_path / "run.jsonl"
+            log.write_text(log_text, encoding="utf-8")
+            argv.append(str(log))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"repro {command}: error: "), err
+        assert message in err[0]
+
     @pytest.mark.parametrize("command", ["audit", "profile"])
     def test_malformed_log_exits_two(self, command, capsys, tmp_path):
         log = tmp_path / "run.jsonl"

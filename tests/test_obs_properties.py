@@ -11,13 +11,21 @@ JSONL exactly as the per-event reference encoder
 import json
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
-from repro.obs.events import EVENT_TYPES, StepBegin, StepEnd, step_intervals
+from repro.obs.events import (
+    EVENT_TYPES,
+    BarrierWait,
+    BlockRead,
+    Compute,
+    StepBegin,
+    StepEnd,
+    step_intervals,
+)
 from repro.obs.exporters import events_to_jsonl, read_jsonl
 from repro.workloads.generators import make_benchmark
 
@@ -120,6 +128,29 @@ def test_strategy_covers_all_eleven_kinds():
 
 
 @given(st.lists(any_event(), max_size=12), st.booleans())
+@example(  # 0.0 and -0.0 in one stream, 0.0 first: one dict key, two texts
+    events=[
+        StepEnd(t=0.0, node=0, step="", duration=-0.0),
+        StepEnd(t=-0.0, node=0, step="", duration=0.0),
+    ],
+    with_meta=False,
+)
+@example(  # ... and -0.0 first
+    events=[
+        BarrierWait(t=-0.0, node=0, step="", wait=0.0),
+        BarrierWait(t=0.0, node=0, step="", wait=-0.0),
+    ],
+    with_meta=False,
+)
+@example(  # one float in several fields; 1, 1.0 and True are one dict key
+    events=[
+        BlockRead(t=2.5, node=1, step="2.5", disk="d", n_items=1, itemsize=1,
+                  cost=2.5, queued=2.5, stream="2.5", offset=1),
+        Compute(t=1.0, node=1, step="1", seconds=1, ops=1.0),
+        Compute(t=1, node=1, step="1.0", seconds=1.0, ops=True),
+    ],
+    with_meta=True,
+)
 @settings(max_examples=300, deadline=None)
 def test_jsonl_export_equals_reference_encoder_and_round_trips(
     tmp_path_factory, events, with_meta
