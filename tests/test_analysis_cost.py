@@ -18,6 +18,7 @@ Four layers of assurance, mirroring the subpackage:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import textwrap
@@ -411,6 +412,40 @@ def test_checked_in_baseline_matches_current_derivation(
         (REPO_ROOT / COST_BASELINE_NAME).read_text(encoding="utf-8")
     )
     assert on_disk == json.loads(json.dumps(baseline_payload(project)))
+
+
+def test_widened_contract_moves_the_emitted_costs(monkeypatch, tmp_path) -> None:
+    """A primitive's contract doubled (``merge_many``, the step-5 merge
+    engine) on a fresh package project: the emitted costs no longer equal
+    the emitted-artifacts golden, which is what pins every derived bound.
+    DeWitt's merge step and the degraded re-merge are bounded by their
+    own step contracts, so Algorithm 1's final merge is the one cell
+    that reads the planted primitive."""
+    from repro.analysis.cost import charges, emit_costs
+    from tests.test_emitted_artifacts import GOLDEN_PATH, _strip
+
+    merge = charges.CONTRACTS["merge_many"]
+    monkeypatch.setitem(charges.CONTRACTS, "merge_many", dataclasses.replace(
+        merge, expr=lambda size, count: mul(Const(2.0), merge.expr(size, count)),
+    ))
+    planted = load_project([Path(repro.__file__).parent])
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    emitted = {
+        path.name: _strip(json.loads(path.read_text(encoding="utf-8")))
+        for path in emit_costs(planted, tmp_path)
+    }
+    assert {name for name in emitted if emitted[name] != golden[name]} == {
+        "costs-external_psrs.json"
+    }
+    steps = emitted["costs-external_psrs.json"]["steps"]
+    pinned = golden["costs-external_psrs.json"]["steps"]
+    assert {s for s in steps if steps[s] != pinned[s]} == {"5:final-merge"}
+    # REP305 catches the same plant against the checked-in cost baseline
+    planted.cache[COST_BASELINE_KEY] = json.loads(
+        (REPO_ROOT / COST_BASELINE_NAME).read_text(encoding="utf-8")
+    )
+    findings = list(BoundRegressionRule().check_project(planted))
+    assert findings and {f.rule for f in findings} == {"REP305"}
 
 
 # -- certification: measured <= derived(static) ------------------------------
