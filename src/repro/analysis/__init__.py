@@ -12,7 +12,6 @@ Two complementary halves (see ``docs/ANALYSIS.md``):
   MemoryManager, Network, BlockFile) consult when installed.
 """
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.engine import (
     AnalysisError,
     AnalysisReport,
@@ -39,7 +38,6 @@ from repro.analysis.sanitizers import (
 __all__ = [
     "AnalysisError",
     "AnalysisReport",
-    "Baseline",
     "FileReport",
     "Finding",
     "ModuleContext",
@@ -51,7 +49,6 @@ __all__ = [
     "Suppression",
     "active_sanitizer",
     "analyze_source",
-    "fingerprint",
     "install_sanitizers",
     "package_relpath",
     "parse_noqa",

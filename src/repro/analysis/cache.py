@@ -17,10 +17,7 @@ Two granularities, matching the ``per_file`` column of the pass table
   module A can depend on module B's source, so its key carries the digest
   of the *whole* file set instead.  It hits only when nothing changed —
   which is still the common case in CI re-runs and pre-commit loops, and
-  a run that hits on every pass never builds the call graph.  The cost
-  pass adds one more input to its key, the digest of the cost baseline
-  file (``"no-cost-baseline"`` when there is none): REP305's findings
-  depend on that file's content as much as on the sources.
+  a run that hits on every pass never builds the call graph.
 
 Entries live under ``.lint-cache/`` (git-ignored) as small JSON files,
 written atomically.  ``repro lint --no-cache`` bypasses the cache, and

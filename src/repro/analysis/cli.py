@@ -2,20 +2,19 @@
 
 Exit codes (CI contract, tested):
 
-* ``0`` — clean, or every finding is suppressed/baselined;
-* ``1`` — at least one *new* finding;
+* ``0`` — clean, or every finding is suppressed by ``# repro: noqa``;
+* ``1`` — at least one finding;
 * ``2`` — internal error (unreadable path, unparsable file, bad rule
-  code, malformed baseline), so infrastructure breakage can never be
-  mistaken for a clean run.
+  code), so infrastructure breakage can never be mistaken for a clean
+  run.
 
 ``--deep`` additionally runs the flow-aware interprocedural rules
 (REP101..REP105, :mod:`repro.analysis.flow`), ``--protocol`` the
 communication-protocol rules (REP201..REP206,
 :mod:`repro.analysis.protocol`) and ``--cost`` the symbolic I/O-cost
-certifier (REP301..REP306, :mod:`repro.analysis.cost`) on top of the
-syntactic pass — same exit contract, same noqa/baseline machinery; all
-findings fingerprint identically, so one baseline file covers every
-pass.  ``--all`` enables every pass at once and produces one merged,
+certifier (REP301..REP304 and REP306, :mod:`repro.analysis.cost`) on top
+of the syntactic pass — same exit contract, same ``noqa`` machinery.
+``--all`` enables every pass at once and produces one merged,
 stably-sorted report with one combined exit code (the single-job CI
 entry point).
 
@@ -23,9 +22,7 @@ entry point).
 communication schema of every known algorithm entry point as
 ``protocol-<name>.json`` (the input to ``repro audit --protocol``);
 ``--emit-costs DIR`` writes the derived symbolic per-step I/O bounds as
-``costs-<name>.json`` (the input to ``repro audit --certify``);
-``--write-cost-baseline`` pins the derived expressions into
-``cost-baseline.json`` (the REP305 regression reference).
+``costs-<name>.json`` (the input to ``repro audit --certify``).
 
 Results are cached under ``.lint-cache/`` keyed by content sha256 +
 engine version (:mod:`repro.analysis.cache`); ``--no-cache`` bypasses,
@@ -46,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Collection, Sequence, TextIO, TypeVar
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, fingerprint
 from repro.analysis.cache import (
     DEFAULT_CACHE_DIR,
     LintCache,
@@ -59,15 +55,8 @@ from repro.analysis.cache import (
     rule_selection_token,
     source_digest,
 )
-from repro.analysis.cost import (
-    COST_BASELINE_NAME,
-    COST_ENGINE_VERSION,
-    emit_costs,
-    write_cost_baseline,
-)
+from repro.analysis.cost import COST_ENGINE_VERSION, emit_costs
 from repro.analysis.cost.rules import (
-    COST_BASELINE_KEY,
-    BoundRegressionRule,
     DeadBoundRule,
     DerivedExceedsPaperRule,
     ExtraPassRule,
@@ -172,36 +161,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(costs-<name>.json) into DIR",
     )
     parser.add_argument(
-        "--cost-baseline",
-        default=None,
-        metavar="FILE",
-        help=f"cost-regression baseline REP305 compares against "
-        f"(default: ./{COST_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--write-cost-baseline",
-        action="store_true",
-        help=f"pin the currently derived bounds into {COST_BASELINE_NAME} "
-        "(then continue linting)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file of grandfathered findings "
-        f"(default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help=f"bypass the incremental result cache ({DEFAULT_CACHE_DIR}/)",
@@ -236,19 +195,6 @@ def _default_paths() -> list[str]:
     return [str(Path(repro.__file__).parent)]
 
 
-def _resolve_file(explicit: str | None, name: str) -> Path | None:
-    """``explicit`` if given, else ``name`` in the cwd, else beside the
-    source checkout, else None."""
-    if explicit is not None:
-        return Path(explicit)
-    import repro
-
-    for candidate in (Path(name), Path(repro.__file__).parent.parent.parent / name):
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 # -- the pass table ------------------------------------------------------------
 
 
@@ -261,9 +207,7 @@ class Pass:
     ``version`` are the engine-version entry of the JSON report and of
     every cache key.  A ``per_file`` pass analyses and caches one module
     at a time; the others see the whole :class:`Project` and cache by its
-    digest — plus, when ``baseline`` names a ``(file, project.cache
-    slot)`` pair, the digest of that file, whose parsed content the rules
-    read from the slot.
+    digest.
     """
 
     name: str
@@ -273,7 +217,6 @@ class Pass:
     version: str
     rules: tuple[Rule, ...]
     per_file: bool = False
-    baseline: tuple[str, str] | None = None
 
 
 #: Every lint pass and every rule, in code order — the one registry
@@ -323,10 +266,8 @@ PASSES: tuple[Pass, ...] = (
             UnboundedIORule(),
             ExtraPassRule(),
             UnboundedLoopIORule(),
-            BoundRegressionRule(),
             DeadBoundRule(),
         ),
-        baseline=(COST_BASELINE_NAME, COST_BASELINE_KEY),
     ),
 )
 
@@ -445,66 +386,33 @@ def _run_whole_project(
     cache: LintCache | None,
     project: Callable[[], Project],
     digest: Callable[[], str],
-    cost_baseline: str | None,
 ) -> AnalysisReport:
     """An interprocedural pass: one entry keyed by the project digest; the
     model itself is only asked for on a miss."""
-    extra_key, inject = _baseline_input(p.baseline, cost_baseline)
-
-    def compute() -> AnalysisReport:
-        project().cache.update(inject)
-        return run_project(project(), rules)
-
     return _cached(
         cache, p.name,
-        cache_key(p.name, p.version, token, digest(), extra_key),
-        compute, report_to_dict, report_from_dict,
+        # the empty last part keeps the keys older checkouts wrote valid
+        cache_key(p.name, p.version, token, digest(), ""),
+        lambda: run_project(project(), rules),
+        report_to_dict, report_from_dict,
     )
-
-
-def _baseline_input(
-    baseline: tuple[str, str] | None, explicit: str | None
-) -> tuple[str, dict[str, object]]:
-    """A pass's baseline file as (cache-key part, ``project.cache`` entry).
-
-    The pass's findings depend on that file's content as much as on the
-    sources, so its digest is part of the key; the rules get the parsed
-    payload (None when it is not JSON: nothing to compare against).
-    """
-    if baseline is None:
-        return "", {}
-    name, cache_slot = baseline
-    path = _resolve_file(explicit, name)
-    if path is None:
-        return "no-cost-baseline", {}
-    if not path.is_file():
-        raise AnalysisError(f"{path}: cost baseline file not found")
-    text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        payload = None
-    return source_digest(text), {cache_slot: payload}
 
 
 # -- rendering ---------------------------------------------------------------
 
 
 def _render_text(
-    out: TextIO,
-    new: list[Finding],
-    baselined: list[Finding],
-    report: AnalysisReport,
-    show_suppressed: bool,
+    out: TextIO, report: AnalysisReport, show_suppressed: bool
 ) -> None:
-    for f in new:
+    findings = report.findings
+    for f in findings:
         out.write(f.render() + "\n")
     if show_suppressed:
         for s in report.suppressed:
             reason = f" ({s.reason})" if s.reason else ""
             out.write(f"{s.finding.render()} [suppressed: noqa{reason}]\n")
     out.write(
-        f"{len(new)} finding(s), {len(baselined)} baselined, "
+        f"{len(findings)} finding(s), "
         f"{len(report.suppressed)} suppressed, "
         f"{len(report.files)} file(s) analysed\n"
     )
@@ -517,31 +425,22 @@ def _finding_order(f: Finding) -> tuple[str, int, str, int]:
 
 def _render_json(
     out: TextIO,
-    new: list[Finding],
-    baselined: list[Finding],
     report: AnalysisReport,
     enabled: Collection[str],
     cache: LintCache | None,
 ) -> None:
+    findings = report.findings
     payload = {
-        "version": 1,
+        "version": 2,
         **{p.version_key: p.version if p.name in enabled else None for p in PASSES},
-        "findings": [
-            {**f.to_dict(), "fingerprint": fingerprint(f)}
-            for f in sorted(new, key=_finding_order)
-        ],
-        "baselined": [
-            {**f.to_dict(), "fingerprint": fingerprint(f)}
-            for f in sorted(baselined, key=_finding_order)
-        ],
+        "findings": [f.to_dict() for f in sorted(findings, key=_finding_order)],
         "suppressed": [
             {**s.finding.to_dict(), "reason": s.reason}
             for s in sorted(report.suppressed, key=lambda s: _finding_order(s.finding))
         ],
         "summary": {
             "files": len(report.files),
-            "findings": len(new),
-            "baselined": len(baselined),
+            "findings": len(findings),
             "suppressed": len(report.suppressed),
         },
         "cache": cache.stats.to_dict() if cache is not None else None,
@@ -578,13 +477,6 @@ def run_lint(
             lambda: project_digest([(p.as_posix(), s) for p, s in sources])
         )
 
-        if args.write_cost_baseline:
-            # pin first so the same invocation lints against the fresh pin
-            target = write_cost_baseline(
-                project(), Path(args.cost_baseline or COST_BASELINE_NAME)
-            )
-            notice_out.write(f"wrote cost baseline {target.as_posix()}\n")
-
         report = AnalysisReport()
         for p in PASSES:
             rules = selected[p.name]
@@ -596,9 +488,7 @@ def run_lint(
             if p.per_file:
                 part = _run_per_file(p, rules, token, sources, cache)
             else:
-                part = _run_whole_project(
-                    p, rules, token, cache, project, digest, args.cost_baseline
-                )
+                part = _run_whole_project(p, rules, token, cache, project, digest)
             report = _merge_reports(report, part)
 
         for directory, what, emit in (
@@ -608,34 +498,12 @@ def run_lint(
             if directory is not None:
                 for path in emit(project(), directory):
                     notice_out.write(f"wrote {what} {path.as_posix()}\n")
-        findings = report.findings
-
-        baseline_path = (
-            None if args.no_baseline
-            else _resolve_file(args.baseline, DEFAULT_BASELINE_NAME)
-        )
-        if args.write_baseline:
-            target = baseline_path if baseline_path is not None else Path(
-                DEFAULT_BASELINE_NAME
-            )
-            Baseline.write(target, findings)
-            out.write(
-                f"wrote {len(findings)} finding(s) to baseline {target}\n"
-            )
-            return EXIT_CLEAN
-
-        if baseline_path is not None:
-            if not baseline_path.is_file():
-                raise AnalysisError(f"{baseline_path}: baseline file not found")
-            new, baselined = Baseline.load(baseline_path).split(findings)
-        else:
-            new, baselined = findings, []
 
         if args.format == "json":
-            _render_json(out, new, baselined, report, enabled, cache)
+            _render_json(out, report, enabled, cache)
         else:
-            _render_text(out, new, baselined, report, args.show_suppressed)
-        return EXIT_FINDINGS if new else EXIT_CLEAN
+            _render_text(out, report, args.show_suppressed)
+        return EXIT_FINDINGS if report.findings else EXIT_CLEAN
     except AnalysisError as exc:
         err.write(f"repro lint: internal error: {exc}\n")
         return EXIT_INTERNAL_ERROR

@@ -1,11 +1,13 @@
-"""REP301..REP306: symbolic I/O-cost certification rules.
+"""REP301..REP304 and REP306: symbolic I/O-cost certification rules.
 
-All six rules are queries over the derived per-(algorithm, step) cost
+All five rules are queries over the derived per-(algorithm, step) cost
 model (:func:`repro.analysis.cost.interp.derive_costs`): the abstract
 interpreter turns each registered entry point into symbolic per-step
 item-I/O bounds, and the rules compare those bounds against the paper's
-formulas (:mod:`repro.analysis.cost.paper`), the three-pass discipline,
-and the checked-in baseline.
+formulas (:mod:`repro.analysis.cost.paper`) and the three-pass
+discipline.  REP305 (bound regression against a checked-in baseline) is
+retired and its code is not reused: the derived bounds are pinned by
+``tests/data/emitted_artifacts_golden.json``.
 
 Findings anchor at the entry function (or the step's registration site)
 in the algorithm's own module, so ``# noqa: REP30x`` directives work
@@ -23,19 +25,7 @@ from repro.analysis.flow.typestate import DeepRule
 from repro.analysis.cost.charges import CONTRACTS, STEP_CONTRACTS
 from repro.analysis.cost.interp import AlgorithmCosts, StepCost, derive_costs
 from repro.analysis.cost.paper import PAPER_STEP_BOUNDS, paper_bound_for
-from repro.pdm.sym import (
-    Const,
-    Expr,
-    dominates,
-    from_dict,
-    sample_envs,
-)
-
-#: Default location of the checked-in per-step expression baseline.
-COST_BASELINE_NAME = "cost-baseline.json"
-
-#: ``project.cache`` key REP305 reads the parsed baseline payload from.
-COST_BASELINE_KEY = "cost:baseline"
+from repro.pdm.sym import Const, dominates, sample_envs
 
 #: Algorithm 1 allows at most this many full passes over a step's data.
 MAX_SWEEPS = 3
@@ -213,78 +203,6 @@ class UnboundedLoopIORule(CostRule):
                     step,
                     f"{where}: I/O charge at line {line} is not covered "
                     f"by a derivable loop bound ({reason})",
-                )
-
-
-class BoundRegressionRule(CostRule):
-    code = "REP305"
-    name = "bound-regression"
-    summary = "a derived bound regressed vs the checked-in baseline"
-    rationale = (
-        "cost-baseline.json pins every derived per-step expression.  A "
-        "new derivation that numerically exceeds the pinned one (over "
-        "the sample grid) is an I/O-cost regression no test input need "
-        "have triggered; an equal-or-lower bound updates the baseline "
-        "silently via --write-cost-baseline."
-    )
-    fix_hint = (
-        "If the regression is intended (new feature with documented "
-        "extra I/O), regenerate the baseline with "
-        "`repro lint --cost --write-cost-baseline` and commit it; "
-        "otherwise find the loop or charge that grew."
-    )
-
-    def _load_baseline(
-        self, project: Project
-    ) -> Optional[dict[str, dict[str, Expr]]]:
-        # the parsed baseline file, injected by whoever runs the pass
-        raw = project.cache.get(COST_BASELINE_KEY)
-        if not isinstance(raw, dict):
-            return None
-        algorithms = raw.get("algorithms")
-        if not isinstance(algorithms, dict):
-            return None
-        out: dict[str, dict[str, Expr]] = {}
-        for algo, steps in algorithms.items():
-            if not isinstance(steps, dict):
-                continue
-            table: dict[str, Expr] = {}
-            for step, payload in steps.items():
-                expr_dict = (
-                    payload.get("expr")
-                    if isinstance(payload, dict) and "expr" in payload
-                    else payload
-                )
-                if isinstance(expr_dict, dict):
-                    try:
-                        table[step] = from_dict(expr_dict)
-                    except (KeyError, TypeError, ValueError):
-                        continue
-            out[algo] = table
-        return out
-
-    def check_costs(
-        self, project: Project, costs: AlgorithmCosts
-    ) -> Iterator[Finding]:
-        baseline = self._load_baseline(project)
-        if baseline is None:
-            return
-        pinned = baseline.get(costs.algorithm)
-        if pinned is None:
-            return
-        envs = sample_envs()
-        for name, step in costs.steps.items():
-            old = pinned.get(name)
-            if old is None or not step.bounded:
-                continue
-            witness = dominates(step.expr, old, envs)
-            if witness is not None:
-                yield self._finding(
-                    costs,
-                    step,
-                    f"step {name!r}: derived bound {step.expr.render()} "
-                    f"regressed past the baseline {old.render()} at "
-                    f"({_fmt_env(witness)})",
                 )
 
 

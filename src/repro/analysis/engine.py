@@ -12,8 +12,7 @@ that codify the invariants as syntax patterns.
 Design
 ------
 * :class:`Finding` — one diagnostic: rule code, location, message and
-  the stripped source line (the *snippet*, also used for baseline
-  fingerprints that survive line-number drift).
+  the stripped source line (the *snippet*).
 * :class:`Rule` — the protocol every check implements: class-level
   metadata (``code``, ``name``, ``rationale``, ``fix_hint``, path
   ``scope`` / ``exempt``) plus ``check(ctx)`` yielding findings — or,
@@ -44,7 +43,7 @@ if TYPE_CHECKING:
 
 
 #: Version of the analysis engine, reported in the stable JSON payload.
-#: Bumped when rules, fingerprints, or output semantics change.
+#: Bumped when rules or output semantics change.
 ENGINE_VERSION = "2.0"
 
 

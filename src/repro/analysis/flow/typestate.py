@@ -31,7 +31,7 @@ from repro.analysis.rules import ACCOUNTED_CORE
 class DeepRule(Rule):
     """A rule whose unit of analysis is the whole :class:`Project`.
 
-    Same metadata, scope matching, findings, fingerprints and baselines as
+    Same metadata, scope matching, findings and ``noqa`` handling as
     every :class:`~repro.analysis.engine.Rule`; it has no per-module
     :meth:`check`, only :meth:`check_project`.
     """

@@ -40,6 +40,8 @@ def _parse_perf(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.external_psrs import PIVOT_METHODS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Out-of-core PSRS sorting for heterogeneous clusters "
@@ -53,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--memory", type=int, default=2048, help="per-node M (items)")
     p_sort.add_argument("--block", type=int, default=256, help="block size B (items)")
     p_sort.add_argument("--message", type=int, default=8192, help="message size (items)")
-    p_sort.add_argument(
-        "--pivot-method", choices=["regular", "random", "quantile"], default="regular"
-    )
+    p_sort.add_argument("--pivot-method", choices=PIVOT_METHODS, default="regular")
     p_sort.add_argument("--link", choices=["ethernet", "myrinet"], default="ethernet")
     p_sort.add_argument("--benchmark", default="0", help="workload id or name")
     p_sort.add_argument("--seed", type=int, default=0)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="simulation-invariant static analysis (REP001..REP008)",
         description="AST linter enforcing the cost-model invariants; "
-        "exit 0 clean, 1 new findings, 2 internal error.",
+        "exit 0 clean, 1 findings, 2 internal error.",
     )
     add_lint_arguments(p_lint)
     return parser
@@ -484,9 +484,10 @@ def cmd_sort(args) -> int:
         if report is not None:
             print(report.table().render())
     if report is not None:
-        if res.faults.degraded:
+        if not res.faults.fault_free:
             if args.format != "json":
-                print("audit: degraded run — bounds not enforced")
+                kind = "degraded" if res.faults.degraded else "recovered"
+                print(f"audit: {kind} run — bounds not enforced")
             return 0
         return 0 if report.ok else 1
     return 0

@@ -67,6 +67,9 @@ from repro.obs.events import step_seconds
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.stats import IOStats
 
+#: The values of ``PSRSConfig.pivot_method``, in the order they are offered.
+PIVOT_METHODS: tuple[str, ...] = ("regular", "random", "quantile")
+
 
 @dataclass(frozen=True)
 class PSRSConfig:
@@ -116,7 +119,7 @@ class PSRSConfig:
             raise ValueError(f"block_items must be >= 1, got {self.block_items}")
         if self.message_items < 1:
             raise ValueError(f"message_items must be >= 1, got {self.message_items}")
-        if self.pivot_method not in ("regular", "random", "quantile"):
+        if self.pivot_method not in PIVOT_METHODS:
             raise ValueError(f"unknown pivot_method {self.pivot_method!r}")
         if self.oversample < 1:
             raise ValueError(f"oversample must be >= 1, got {self.oversample}")

@@ -320,6 +320,16 @@ class FaultCounters:
     def total_retries(self) -> int:
         return sum(self.retries.values())
 
+    @property
+    def fault_free(self) -> bool:
+        """No fault fired, no step was retried, the run is not degraded.
+
+        The one condition under which the paper's per-step bounds are
+        enforced: a retried step repeats its I/O and a degraded run
+        rescales the shares, so neither is described by them.
+        """
+        return not (self.degraded or self.total_faults or self.total_retries)
+
     def note_retry(self, step: str) -> None:
         self.retries[step] = self.retries.get(step, 0) + 1
 

@@ -224,13 +224,8 @@ class ScenarioExecutor:
                     n_sorted = res.n_items
                     out = np.ascontiguousarray(res.to_array())
                     output_digest = hashlib.sha256(out.tobytes()).hexdigest()
-                    if res.faults.degraded:
-                        # rescaled shares: Algorithm-1 bounds don't apply
-                        status = "degraded"
-                    elif res.faults.total_faults or res.faults.total_retries:
-                        # recovered run: retried steps legitimately repeat
-                        # I/O, so the fault-free bounds don't describe it
-                        status = "recovered"
+                    if not res.faults.fault_free:
+                        status = "degraded" if res.faults.degraded else "recovered"
                     else:
                         meta = RunMeta(
                             n_items=res.n_items,

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from repro.core.external_psrs import PIVOT_METHODS
 from repro.faults.plan import DiskFault, FaultPlan, MessageFault, NodeKill
 from repro.fuzz.scenario import (
     DTYPES,
@@ -36,7 +37,6 @@ from repro.fuzz.scenario import (
     MIN_MEMORY_BLOCKS,
     MIN_MESSAGE,
     MIN_N,
-    PIVOT_METHODS,
     WORKLOADS,
     Scenario,
     ScenarioError,

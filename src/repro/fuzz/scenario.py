@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
+from repro.core.external_psrs import PIVOT_METHODS
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.workloads.generators import BENCHMARKS
 
@@ -28,8 +29,6 @@ WORKLOADS: tuple[str, ...] = tuple(spec.name for spec in BENCHMARKS.values())
 
 #: Key dtypes the fuzzer exercises (a subset of SUPPORTED_KEY_DTYPES).
 DTYPES: tuple[str, ...] = ("uint16", "uint32", "int32", "uint64")
-
-PIVOT_METHODS: tuple[str, ...] = ("regular", "random", "quantile")
 
 MIN_N, MAX_N = 64, 1 << 20
 MAX_P = 16

@@ -475,7 +475,7 @@ _ExprDict = Mapping[str, object]
 
 
 def from_dict(data: _ExprDict) -> Expr:
-    """Inverse of :meth:`Expr.to_dict` (used by the cost baseline/cache)."""
+    """Inverse of :meth:`Expr.to_dict` (reads an emitted ``costs-*.json`` back)."""
     if not isinstance(data, Mapping) or "op" not in data:
         raise CostExprError(f"not a cost expression: {data!r}")
     op = data["op"]
@@ -543,7 +543,7 @@ def dominates(
 
     Returns ``None`` when dominance holds everywhere, else the first
     environment (as a plain dict) where it fails — the counterexample
-    REP301/REP305 report.
+    REP301 reports.
     """
     for env in envs if envs is not None else sample_envs():
         lo, hi = lower.eval(env), upper.eval(env)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def file_from_array(
     with BlockWriter(f, m) as w:
         w.write(np.asarray(arr, dtype=dtype))
     return f
+
+
+@pytest.fixture(scope="session")
+def package_project():
+    """The whole ``repro`` package as one analysis :class:`Project`, built
+    once per session for every test that analyses the real tree.  The
+    analyses memoise what they derive in ``project.cache``; nothing else
+    may be written there (a test that plants a change builds its own)."""
+    import repro
+    from repro.analysis.flow import load_project
+
+    return load_project([Path(repro.__file__).parent])
 
 
 @pytest.fixture

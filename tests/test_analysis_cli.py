@@ -6,6 +6,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.cli import (
     EXIT_CLEAN,
@@ -45,39 +47,39 @@ def core_file(tmp_path: Path, source: str, name: str = "mod.py") -> Path:
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path):
         f = core_file(tmp_path, CLEAN)
-        code, out, _ = lint("--no-baseline", str(f))
+        code, out, _ = lint(str(f))
         assert code == EXIT_CLEAN
         assert "0 finding(s)" in out
 
     def test_findings_exit_one(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
-        code, out, _ = lint("--no-baseline", str(f))
+        code, out, _ = lint(str(f))
         assert code == EXIT_FINDINGS
         assert "REP002" in out and "REP003" in out
 
     def test_syntax_error_exits_two(self, tmp_path):
         f = core_file(tmp_path, "def broken(:\n")
-        code, _, err = lint("--no-baseline", str(f))
+        code, _, err = lint(str(f))
         assert code == EXIT_INTERNAL_ERROR
         assert "internal error" in err
 
     def test_unknown_rule_exits_two(self, tmp_path):
         f = core_file(tmp_path, CLEAN)
-        code, _, err = lint("--no-baseline", "--rule", "REP999", str(f))
+        code, _, err = lint("--rule", "REP999", str(f))
         assert code == EXIT_INTERNAL_ERROR
         assert "unknown rule" in err
 
-    def test_missing_baseline_file_exits_two(self, tmp_path):
+    def test_removed_baseline_flag_is_a_usage_error(self, tmp_path):
         f = core_file(tmp_path, CLEAN)
-        code, _, err = lint("--baseline", str(tmp_path / "none.json"), str(f))
-        assert code == EXIT_INTERNAL_ERROR
-        assert "baseline file not found" in err
+        with pytest.raises(SystemExit) as exc:
+            lint("--baseline", str(tmp_path / "none.json"), str(f))
+        assert exc.value.code == 2
 
 
 class TestRuleFilter:
     def test_rule_filter_restricts_findings(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
-        code, out, _ = lint("--no-baseline", "--rule", "REP003", str(f))
+        code, out, _ = lint("--rule", "REP003", str(f))
         assert code == EXIT_FINDINGS
         assert "REP003" in out and "REP002" not in out
 
@@ -91,16 +93,15 @@ class TestRuleFilter:
 class TestJsonFormat:
     def test_json_payload_shape_and_stability(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
-        code1, out1, _ = lint("--no-baseline", "--format", "json", str(f))
-        code2, out2, _ = lint("--no-baseline", "--format", "json", str(f))
+        code1, out1, _ = lint("--format", "json", str(f))
+        code2, out2, _ = lint("--format", "json", str(f))
         assert code1 == code2 == EXIT_FINDINGS
         assert out1 == out2  # byte-stable for tooling
         payload = json.loads(out1)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["summary"]["findings"] == len(payload["findings"]) == 2
         first = payload["findings"][0]
-        for key in ("path", "line", "col", "rule", "message", "snippet", "fingerprint"):
-            assert key in first
+        assert sorted(first) == ["col", "line", "message", "path", "rule", "snippet"]
         rules = [x["rule"] for x in payload["findings"]]
         assert rules == sorted(rules) or len(set(rules)) == len(rules)
 
@@ -108,44 +109,14 @@ class TestJsonFormat:
         f = core_file(
             tmp_path, "y = sorted(xs)  # repro: noqa REP002(bounded sample)\n"
         )
-        code, out, _ = lint("--no-baseline", "--format", "json", str(f))
+        code, out, _ = lint("--format", "json", str(f))
         assert code == EXIT_CLEAN
         payload = json.loads(out)
         assert payload["findings"] == []
         assert payload["suppressed"][0]["reason"] == "bounded sample"
 
 
-class TestBaselineWorkflow:
-    def test_write_then_lint_clean_then_new_violation(self, tmp_path):
-        f = core_file(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-
-        code, out, _ = lint("--baseline", str(baseline), "--write-baseline", str(f))
-        assert code == EXIT_CLEAN and "wrote 2 finding(s)" in out
-
-        code, out, _ = lint("--baseline", str(baseline), str(f))
-        assert code == EXIT_CLEAN
-        assert "0 finding(s), 2 baselined" in out
-
-        # A new violation fails the gate and is the only one reported.
-        f.write_text(DIRTY + "f = open(p)\n", encoding="utf-8")
-        code, out, _ = lint("--baseline", str(baseline), str(f))
-        assert code == EXIT_FINDINGS
-        assert "REP001" in out and "REP002" not in out
-
-    def test_baselined_findings_survive_line_drift(self, tmp_path):
-        f = core_file(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        lint("--baseline", str(baseline), "--write-baseline", str(f))
-        f.write_text("# pushed down\n\n" + DIRTY, encoding="utf-8")
-        code, _, _ = lint("--baseline", str(baseline), str(f))
-        assert code == EXIT_CLEAN
-
-
 class TestSelfCheck:
-    def test_repro_package_lints_clean_against_repo_baseline(self):
-        pkg = Path(repro.__file__).parent
-        baseline = pkg.parent.parent / "lint-baseline.json"
-        assert baseline.is_file(), "repo baseline missing"
-        code, out, _ = lint("--baseline", str(baseline), str(pkg))
+    def test_repro_package_lints_clean(self):
+        code, out, _ = lint(str(Path(repro.__file__).parent))
         assert code == EXIT_CLEAN, out

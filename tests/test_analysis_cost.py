@@ -10,7 +10,7 @@ Four layers of assurance, mirroring the subpackage:
   acceptance bar), pinned so a derivation change is a visible diff;
 * the rules: one bad fixture per code (each fires the code under
   test), a clean counterpart, and the self-check that the real tree is
-  REP301..REP306-clean against the checked-in cost baseline;
+  cost-clean;
 * certification: unit cells, the recorded ``BENCH_sort.json`` audit
   blocks, and a fault-free fuzz-corpus replay all satisfy
   measured <= derived(static).
@@ -31,14 +31,11 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.cli import select
 from repro.analysis.cost import (
-    COST_BASELINE_NAME,
-    baseline_payload,
     certify_bench,
     certify_cells,
     certify_corpus,
     derive_costs,
 )
-from repro.analysis.cost.rules import COST_BASELINE_KEY, BoundRegressionRule
 from repro.pdm.sym import (
     SYMBOLS,
     BitLen,
@@ -70,11 +67,6 @@ REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 ENTRY_PATH = "repro/core/external_psrs.py"
 
 
-@pytest.fixture(scope="module")
-def project() -> Project:
-    return load_project([Path(repro.__file__).parent])
-
-
 def get_cost_rules(codes=None):
     return select(codes, {"cost"})["cost"]
 
@@ -95,7 +87,7 @@ def codes(report) -> list[str]:
 
 def test_registry_covers_rep301_to_306() -> None:
     assert [r.code for r in COST_RULES] == [
-        "REP301", "REP302", "REP303", "REP304", "REP305", "REP306",
+        "REP301", "REP302", "REP303", "REP304", "REP306",
     ]
     for rule in COST_RULES:
         assert rule.summary and rule.rationale and rule.fix_hint
@@ -218,8 +210,8 @@ GOLDEN = {
 }
 
 
-def test_golden_derived_expressions(project: Project) -> None:
-    derived = derive_costs(project)
+def test_golden_derived_expressions(package_project: Project) -> None:
+    derived = derive_costs(package_project)
     assert set(derived) == set(GOLDEN)
     rendered = {
         algo: {name: sc.expr.render() for name, sc in costs.steps.items()}
@@ -228,9 +220,9 @@ def test_golden_derived_expressions(project: Project) -> None:
     assert rendered == GOLDEN
 
 
-def test_every_step_of_every_algorithm_is_bounded(project: Project) -> None:
+def test_every_step_of_every_algorithm_is_bounded(package_project: Project) -> None:
     """The acceptance bar: non-TOP bounds everywhere, outside included."""
-    for algo, costs in derive_costs(project).items():
+    for algo, costs in derive_costs(package_project).items():
         assert not find_tops(costs.outside.expr), algo
         for name, sc in costs.steps.items():
             assert sc.bounded, f"{algo} {name}"
@@ -238,11 +230,11 @@ def test_every_step_of_every_algorithm_is_bounded(project: Project) -> None:
             assert not sc.unbounded, f"{algo} {name}"
 
 
-def test_external_psrs_derived_dominated_by_paper(project: Project) -> None:
+def test_external_psrs_derived_dominated_by_paper(package_project: Project) -> None:
     """REP301's invariant, asserted directly: derived <= paper per step."""
     from repro.core.theory import step_bounds
 
-    costs = derive_costs(project)["external_psrs"]
+    costs = derive_costs(package_project)["external_psrs"]
     for name, paper in step_bounds().items():
         assert dominates(costs.steps[name].expr, paper) is None, name
 
@@ -330,33 +322,6 @@ def test_rep304_io_outside_derivable_loop_bound() -> None:
     assert codes(report) == ["REP304"]
 
 
-def test_rep305_bound_regression_via_injected_baseline() -> None:
-    source = textwrap.dedent("""
-    def _sort_impl(cluster, inputs, config):
-        with cluster.step("1:local-sort"):
-            for node, f in zip(cluster.nodes, inputs):
-                polyphase_sort(f, node.disk, node.mem)
-    """)
-    project = Project.from_sources([(source, ENTRY_PATH, ENTRY_PATH)])
-    project.cache[COST_BASELINE_KEY] = {
-        "algorithms": {
-            "external_psrs": {"1:local-sort": {"expr": Const(1.0).to_dict()}}
-        }
-    }
-    findings = list(BoundRegressionRule().check_project(project))
-    assert [f.rule for f in findings] == ["REP305"]
-    assert "regressed" in findings[0].message
-    # same derivation, baseline matching the derived bound: clean
-    project2 = Project.from_sources([(source, ENTRY_PATH, ENTRY_PATH)])
-    derived = derive_costs(project2)["external_psrs"].steps["1:local-sort"]
-    project2.cache[COST_BASELINE_KEY] = {
-        "algorithms": {
-            "external_psrs": {"1:local-sort": {"expr": derived.expr.to_dict()}}
-        }
-    }
-    assert list(BoundRegressionRule().check_project(project2)) == []
-
-
 def test_rep306_dead_bound() -> None:
     report = check(BAD_306, rules=get_cost_rules(["REP306"]))
     assert codes(report) and set(codes(report)) == {"REP306"}
@@ -395,23 +360,9 @@ def test_zero_io_in_core_fixture_is_clean() -> None:
     assert codes(report) == []
 
 
-def test_real_tree_is_cost_clean(project: Project) -> None:
-    """The repo self-check: REP301..306 clean vs the checked-in baseline."""
-    baseline = REPO_ROOT / COST_BASELINE_NAME
-    assert baseline.is_file(), "cost-baseline.json must be checked in"
-    project.cache[COST_BASELINE_KEY] = json.loads(
-        baseline.read_text(encoding="utf-8")
-    )
-    assert run_project(project, COST_RULES).findings == []
-
-
-def test_checked_in_baseline_matches_current_derivation(
-    project: Project,
-) -> None:
-    on_disk = json.loads(
-        (REPO_ROOT / COST_BASELINE_NAME).read_text(encoding="utf-8")
-    )
-    assert on_disk == json.loads(json.dumps(baseline_payload(project)))
+def test_real_tree_is_cost_clean(package_project: Project) -> None:
+    """The repo self-check: every cost rule is clean on the real tree."""
+    assert run_project(package_project, COST_RULES).findings == []
 
 
 def test_widened_contract_moves_the_emitted_costs(monkeypatch, tmp_path) -> None:
@@ -440,12 +391,6 @@ def test_widened_contract_moves_the_emitted_costs(monkeypatch, tmp_path) -> None
     steps = emitted["costs-external_psrs.json"]["steps"]
     pinned = golden["costs-external_psrs.json"]["steps"]
     assert {s for s in steps if steps[s] != pinned[s]} == {"5:final-merge"}
-    # REP305 catches the same plant against the checked-in cost baseline
-    planted.cache[COST_BASELINE_KEY] = json.loads(
-        (REPO_ROOT / COST_BASELINE_NAME).read_text(encoding="utf-8")
-    )
-    findings = list(BoundRegressionRule().check_project(planted))
-    assert findings and {f.rule for f in findings} == {"REP305"}
 
 
 # -- certification: measured <= derived(static) ------------------------------

@@ -4,7 +4,7 @@ Every rule gets at least one *bad* fixture (must flag) and one *good*
 fixture (must stay silent); a hypothesis property generates leak-free
 writer-discipline snippets and asserts the typestate rules never fire on
 them; and the repo self-check pins ``repro lint --deep`` to zero
-un-baselined findings on the real package.
+un-suppressed findings on the real package.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.analysis.cli import (
     main,
     select,
 )
-from repro.analysis.flow import analyze_project_source, load_project, run_project
+from repro.analysis.flow import analyze_project_source, run_project
 
 DEEP_RULES = select(None, {"deep"})["deep"]
 
@@ -458,27 +458,27 @@ class TestDeepCli:
 
     def test_deep_findings_exit_one(self, tmp_path):
         f = core_file(tmp_path, self.BAD)
-        code, out, _ = lint("--deep", "--no-baseline", str(f))
+        code, out, _ = lint("--deep", str(f))
         assert code == EXIT_FINDINGS
         assert "REP105" in out
 
     def test_shallow_pass_ignores_deep_rules(self, tmp_path):
         f = core_file(tmp_path, self.BAD)
-        code, out, _ = lint("--no-baseline", str(f))
+        code, out, _ = lint(str(f))
         assert code == EXIT_CLEAN
 
     def test_deep_rule_requires_deep_flag(self, tmp_path):
         f = core_file(tmp_path, self.BAD)
-        code, _, err = lint("--rule", "REP105", "--no-baseline", str(f))
+        code, _, err = lint("--rule", "REP105", str(f))
         assert code == EXIT_INTERNAL_ERROR
         assert "--deep" in err
 
     def test_json_has_engine_versions_and_stable_order(self, tmp_path):
         f = core_file(tmp_path, self.BAD)
-        code, out, _ = lint("--deep", "--no-baseline", "--format", "json", str(f))
+        code, out, _ = lint("--deep", "--format", "json", str(f))
         assert code == EXIT_FINDINGS
         payload = json.loads(out)
-        assert payload["version"] == 1  # unchanged: existing tooling contract
+        assert payload["version"] == 2
         assert payload["engine_version"]
         assert payload["flow_engine_version"]
         keys = [(x["path"], x["line"], x["rule"]) for x in payload["findings"]]
@@ -486,7 +486,7 @@ class TestDeepCli:
 
     def test_json_without_deep_has_null_flow_version(self, tmp_path):
         f = core_file(tmp_path, "def double(x):\n    return 2 * x\n")
-        code, out, _ = lint("--no-baseline", "--format", "json", str(f))
+        code, out, _ = lint("--format", "json", str(f))
         assert code == EXIT_CLEAN
         assert json.loads(out)["flow_engine_version"] is None
 
@@ -497,27 +497,15 @@ class TestDeepCli:
             assert rule.code in out
         assert "[deep]" in out
 
-    def test_deep_baseline_roundtrip(self, tmp_path):
-        f = core_file(tmp_path, self.BAD)
-        baseline = tmp_path / "baseline.json"
-        code, _, _ = lint(
-            "--deep", "--baseline", str(baseline), "--write-baseline", str(f)
-        )
-        assert code == EXIT_CLEAN
-        code, out, _ = lint("--deep", "--baseline", str(baseline), str(f))
-        assert code == EXIT_CLEAN
-        assert "1 baselined" in out
-
 
 class TestSelfCheckDeep:
-    def test_repo_is_deep_clean(self):
+    def test_repo_is_deep_clean(self, package_project):
         """The package itself carries zero un-suppressed deep findings."""
-        pkg = Path(repro.__file__).parent
-        report = run_project(load_project([pkg]), DEEP_RULES)
+        report = run_project(package_project, DEEP_RULES)
         findings = [f for fr in report.files for f in fr.findings]
         assert findings == []
 
     def test_cli_deep_self_check_exits_clean(self):
         pkg = Path(repro.__file__).parent
-        code, out, _ = lint("--deep", "--no-baseline", str(pkg))
+        code, out, _ = lint("--deep", str(pkg))
         assert code == EXIT_CLEAN, out

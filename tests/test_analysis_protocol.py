@@ -17,7 +17,7 @@ import repro
 from repro.analysis.engine import AnalysisError
 from repro.analysis.cli import select
 from repro.analysis.protocol import KNOWN_ENTRIES, extract_schema
-from repro.analysis.flow import analyze_project_source, load_project, run_project
+from repro.analysis.flow import analyze_project_source, run_project
 
 PROTOCOL_RULES = select(None, {"protocol"})["protocol"]
 
@@ -194,9 +194,8 @@ class TestRegistry:
 
 
 class TestRepoSelfCheck:
-    def test_package_is_protocol_clean(self):
-        pkg = Path(repro.__file__).parent
-        report = run_project(load_project([pkg]), PROTOCOL_RULES)
+    def test_package_is_protocol_clean(self, package_project):
+        report = run_project(package_project, PROTOCOL_RULES)
         assert [f.render() for f in report.findings] == []
 
 
@@ -223,21 +222,19 @@ class TestCliIntegration:
 
     def test_protocol_finding_exits_one(self, tmp_path):
         f = self.core_file(tmp_path, BAD_204)
-        code, out, _ = self.lint("--no-baseline", "--no-cache",
-                                 "--protocol", str(f))
+        code, out, _ = self.lint("--no-cache", "--protocol", str(f))
         assert code == 1
         assert "REP204" in out
 
     def test_protocol_rule_requires_flag(self, tmp_path):
         f = self.core_file(tmp_path, BAD_204)
-        code, _, err = self.lint("--no-baseline", "--no-cache",
-                                 "--rule", "REP204", str(f))
+        code, _, err = self.lint("--no-cache", "--rule", "REP204", str(f))
         assert code == 2
         assert "--protocol" in err
 
     def test_rule_filter_within_protocol_pass(self, tmp_path):
         f = self.core_file(tmp_path, BAD_204 + BAD_203)
-        code, out, _ = self.lint("--no-baseline", "--no-cache", "--protocol",
+        code, out, _ = self.lint("--no-cache", "--protocol",
                                  "--rule", "REP203", str(f))
         assert code == 1
         assert "REP203" in out and "REP204" not in out
@@ -246,7 +243,7 @@ class TestCliIntegration:
         import json
 
         f = self.core_file(tmp_path, "x = 1\n")
-        code, out, _ = self.lint("--no-baseline", "--no-cache", "--protocol",
+        code, out, _ = self.lint("--no-cache", "--protocol",
                                  "--format", "json", str(f))
         assert code == 0
         payload = json.loads(out)
@@ -258,7 +255,7 @@ class TestCliIntegration:
         schemas = tmp_path / "schemas"
         pkg = Path(repro.__file__).parent
         code, out, err = self.lint(
-            "--no-baseline", "--no-cache", "--protocol", "--format", "json",
+            "--no-cache", "--protocol", "--format", "json",
             "--emit-schema", str(schemas), str(pkg),
         )
         assert code == 0
@@ -275,16 +272,12 @@ class TestCliIntegration:
 
 
 class TestSchemaExtraction:
-    @pytest.fixture(scope="class")
-    def project(self):
-        return load_project([Path(repro.__file__).parent])
-
-    def test_known_entries_resolve(self, project):
+    def test_known_entries_resolve(self, package_project):
         for key in KNOWN_ENTRIES.values():
-            assert key in project.functions, key
+            assert key in package_project.functions, key
 
-    def test_external_psrs_schema_shape(self, project):
-        schema = extract_schema(project, "external_psrs")
+    def test_external_psrs_schema_shape(self, package_project):
+        schema = extract_schema(package_project, "external_psrs")
         assert schema["algorithm"] == "external_psrs"
         names = [s["name"] for s in schema["steps"]]
         # the paper's step skeleton, in superstep order
@@ -294,12 +287,12 @@ class TestSchemaExtraction:
         by_name = {s["name"]: s for s in schema["steps"]}
         assert by_name["2:pivots"]["ops"]  # quantile/sample traffic
 
-    def test_all_entries_extract(self, project):
+    def test_all_entries_extract(self, package_project):
         for algorithm in KNOWN_ENTRIES:
-            schema = extract_schema(project, algorithm)
+            schema = extract_schema(package_project, algorithm)
             assert schema["version"] >= 1
             assert isinstance(schema["steps"], list)
 
-    def test_unknown_algorithm_raises(self, project):
+    def test_unknown_algorithm_raises(self, package_project):
         with pytest.raises(AnalysisError):
-            extract_schema(project, "bogosort")
+            extract_schema(package_project, "bogosort")

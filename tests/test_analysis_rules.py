@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     AnalysisError,
-    Baseline,
     analyze_source,
-    fingerprint,
     package_relpath,
     parse_noqa,
 )
@@ -304,40 +302,6 @@ class TestProjectRunner:
             assert analyze_project_source(src, path, get_rules()) == (
                 analyze_source(src, path, get_rules())
             )
-
-
-class TestBaselineMatching:
-    def _finding(self, src="y = sorted(xs)\n", path=CORE):
-        (f,) = run(src, path=path, codes=["REP002"])
-        return f
-
-    def test_fingerprint_survives_line_drift(self):
-        a = self._finding("y = sorted(xs)\n")
-        b = self._finding("\n\n# moved down\ny = sorted(xs)\n")
-        assert a.line != b.line
-        assert fingerprint(a) == fingerprint(b)
-
-    def test_fingerprint_changes_with_snippet_or_path(self):
-        a = self._finding("y = sorted(xs)\n")
-        b = self._finding("y = sorted(ys)\n")
-        c = self._finding("y = sorted(xs)\n", path="repro/core/other.py")
-        assert fingerprint(a) != fingerprint(b)
-        assert fingerprint(a) != fingerprint(c)
-
-    def test_split_is_multiset(self, tmp_path):
-        one = self._finding("y = sorted(xs)\n")
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, [one])
-        baseline = Baseline.load(path)
-        # Two identical occurrences against a count-1 baseline: 1 old, 1 new.
-        pair = run("y = sorted(xs)\ny = sorted(xs)\n", codes=["REP002"])
-        assert fingerprint(pair[0]) == fingerprint(pair[1]) == fingerprint(one)
-        new, old = baseline.split(pair)
-        assert len(old) == 1 and len(new) == 1
-
-    def test_missing_baseline_rejected(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            Baseline.load(tmp_path / "nope.json")
 
 
 class TestEngineErrors:

@@ -66,6 +66,21 @@ class TestCommands:
         assert sum(steps.values()) == pytest.approx(doc["elapsed_seconds"], rel=1e-12)
         assert steps["2:pivots"] < steps["recover:salvage"] + steps["recover:remerge"]
 
+    def test_recovered_sort_audit_does_not_enforce_bounds(self, capsys):
+        """A retried step repeats its I/O, so the fault-free bounds do not
+        describe the run: the audit table prints, the verdict is not
+        enforced (as in the fuzz executor's ``recovered`` status)."""
+        rc = main(
+            ["sort", "--n", "16388", "--perf", "1,1,4,4", "--memory", "2048",
+             "--block", "256", "--audit", "--retries", "3",
+             "--fault-plan", '{"disk": [{"node": 1, "after_ios": 40}]}']
+        )
+        out = capsys.readouterr().out
+        assert "verified" in out and "retries[3:partition]" in out
+        assert "VIOLATION" in out  # the retried step's repeated reads
+        assert "audit: recovered run — bounds not enforced" in out
+        assert rc == 0
+
     def test_sort_with_spill_dir(self, capsys, tmp_path):
         rc = main(
             ["sort", "--n", "2000", "--perf", "1,1", "--memory", "512",

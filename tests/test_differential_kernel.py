@@ -26,14 +26,11 @@ from __future__ import annotations
 
 import glob
 import os
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro
-from repro.analysis.flow import load_project
 from repro.analysis.protocol import extract_schema
 from repro.faults.plan import FaultPlan, NodeKill
 from repro.fuzz.engine import load_case
@@ -181,9 +178,8 @@ class TestGoldenTraceConformance:
     """Event-kernel runs still satisfy the extracted protocol schema."""
 
     @pytest.fixture(scope="class")
-    def psrs_schema(self):
-        project = load_project([Path(repro.__file__).parent])
-        return extract_schema(project, "external_psrs")
+    def psrs_schema(self, package_project):
+        return extract_schema(package_project, "external_psrs")
 
     def test_event_kernel_run_conforms(self, psrs_schema, tmp_path):
         import numpy as np

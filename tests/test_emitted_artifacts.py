@@ -2,9 +2,9 @@
 
 The protocol schema and the derived cost bounds of each of the five
 algorithms are read off the source by the analyzers, so a refactor of an
-algorithm's code may move them without any test noticing: REP305 only
-checks that derived costs stay dominated by ``cost-baseline.json``, and
-nothing else looks at the schemas.  ``tests/data/emitted_artifacts_golden.json``
+algorithm's code may move them without any test noticing.  This golden
+is the one pin of the derived bounds: a bound changes only by
+regenerating it in a reviewed diff.  ``tests/data/emitted_artifacts_golden.json``
 holds all ten emitted documents with their source-position fields
 (``line``, ``charge_lines``) stripped, so code may move within a file
 but the extracted protocol and the derived bounds may not change.
@@ -47,7 +47,7 @@ def emitted() -> dict[str, object]:
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main([
-                "--no-cache", "--no-baseline",
+                "--no-cache",
                 "--emit-schema", str(out / "schemas"),
                 "--emit-costs", str(out / "costs"),
                 str(Path(repro.__file__).parent),

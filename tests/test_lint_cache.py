@@ -62,8 +62,7 @@ class TestCliCacheFlow:
     def test_second_run_is_all_hits_with_same_result(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
         cache = tmp_path / "cache"
-        args = ("--no-baseline", "--format", "json",
-                "--cache-dir", str(cache), str(f))
+        args = ("--format", "json", "--cache-dir", str(cache), str(f))
         code1, out1 = lint(*args)
         code2, out2 = lint(*args)
         assert code1 == code2 == EXIT_FINDINGS
@@ -83,8 +82,7 @@ class TestCliCacheFlow:
         a = core_file(tmp_path, DIRTY, "a.py")
         core_file(tmp_path, CLEAN, "b.py")
         cache = tmp_path / "cache"
-        args = ("--no-baseline", "--format", "json",
-                "--cache-dir", str(cache), str(tmp_path))
+        args = ("--format", "json", "--cache-dir", str(cache), str(tmp_path))
         lint(*args)
         a.write_text(CLEAN, encoding="utf-8")
         code, out = lint(*args)
@@ -98,7 +96,7 @@ class TestCliCacheFlow:
         core_file(tmp_path, CLEAN, "a.py")
         b = core_file(tmp_path, CLEAN, "b.py")
         cache = tmp_path / "cache"
-        args = ("--no-baseline", "--protocol", "--format", "json",
+        args = ("--protocol", "--format", "json",
                 "--cache-dir", str(cache), str(tmp_path))
         _, out1 = lint(*args)
         _, out2 = lint(*args)
@@ -118,7 +116,7 @@ class TestCliCacheFlow:
     def test_no_cache_bypasses_and_reports_null(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
         cache = tmp_path / "cache"
-        args = ("--no-baseline", "--format", "json", "--no-cache",
+        args = ("--format", "json", "--no-cache",
                 "--cache-dir", str(cache), str(f))
         _, out = lint(*args)
         assert json.loads(out)["cache"] is None
@@ -127,7 +125,7 @@ class TestCliCacheFlow:
     def test_text_mode_still_caches(self, tmp_path):
         f = core_file(tmp_path, CLEAN)
         cache = tmp_path / "cache"
-        lint("--no-baseline", "--cache-dir", str(cache), str(f))
+        lint("--cache-dir", str(cache), str(f))
         assert any(cache.rglob("*.json"))
 
 
@@ -135,8 +133,7 @@ class TestDegradation:
     def test_corrupt_entry_is_a_miss_then_repaired(self, tmp_path):
         f = core_file(tmp_path, DIRTY)
         cache = tmp_path / "cache"
-        args = ("--no-baseline", "--format", "json",
-                "--cache-dir", str(cache), str(f))
+        args = ("--format", "json", "--cache-dir", str(cache), str(f))
         lint(*args)
         for entry in cache.rglob("*.json"):
             entry.write_text("{not json", encoding="utf-8")

@@ -34,7 +34,7 @@ ALL_CODES = [
     *(f"REP00{n}" for n in range(1, 9)),
     *(f"REP10{n}" for n in range(1, 6)),
     *(f"REP20{n}" for n in range(1, 7)),
-    *(f"REP30{n}" for n in range(1, 7)),
+    *(f"REP30{n}" for n in (1, 2, 3, 4, 6)),  # REP305 retired
 ]
 
 DIRTY = "y = sorted(xs)\n"
@@ -56,7 +56,6 @@ def tree(tmp_path, monkeypatch) -> Path:
     pkg.mkdir(parents=True)
     (pkg / "a.py").write_text(DIRTY, encoding="utf-8")
     (pkg / "b.py").write_text(DISCARD, encoding="utf-8")
-    (tmp_path / "cost-baseline.json").write_text("{}\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     return Path("repro")
 
@@ -75,8 +74,7 @@ class TestGoldenOutput:
 
 
 class TestNoticeRouting:
-    FLAGS = ("--all", "--no-cache", "--no-baseline",
-             "--emit-schema", "schemas", "--emit-costs", "costs")
+    FLAGS = ("--all", "--no-cache", "--emit-schema", "schemas", "--emit-costs", "costs")
 
     @staticmethod
     def notices(text: str) -> list[str]:
@@ -112,23 +110,24 @@ class TestSelectionErrors:
         return str(pkg)
 
     def error(self, *argv: str) -> str:
-        code, out, err = lint("--no-cache", "--no-baseline", *argv)
+        code, out, err = lint("--no-cache", *argv)
         assert (code, out) == (EXIT_INTERNAL_ERROR, "")
         return err
 
     def test_unknown_rule_lists_every_code(self, target):
         for flags in ((), ("--all",)):
-            assert self.error(*flags, "--rule", "REP999", target) == (
-                "repro lint: internal error: unknown rule 'REP999'; have "
-                + ", ".join(ALL_CODES) + "\n"
-            )
+            for code in ("REP999", "REP305"):
+                assert self.error(*flags, "--rule", code, target) == (
+                    f"repro lint: internal error: unknown rule '{code}'; have "
+                    + ", ".join(ALL_CODES) + "\n"
+                )
 
     @pytest.mark.parametrize(
         "codes, kind, flag",
         [
             (["REP105", "rep101"], "flow-aware deep", "--deep"),
             (["REP204"], "protocol", "--protocol"),
-            (["rep305", "REP301"], "I/O-cost", "--cost"),
+            (["rep306", "REP301"], "I/O-cost", "--cost"),
         ],
     )
     def test_rule_of_a_disabled_pass_names_its_flag(self, target, codes, kind, flag):
@@ -145,33 +144,26 @@ class TestSelectionErrors:
         assert "pass --deep" in err and "--cost" not in err
 
     def test_enabled_pass_accepts_its_rules_case_insensitively(self, target):
-        code, _, _ = lint("--no-cache", "--no-baseline", "--deep",
-                          "--rule", "rep105", target)
+        code, _, _ = lint("--no-cache", "--deep", "--rule", "rep105", target)
         assert code == EXIT_CLEAN
-
-    def test_missing_cost_baseline_file_exits_two(self, target, tmp_path):
-        missing = tmp_path / "none.json"
-        assert self.error("--cost", "--cost-baseline", str(missing), target) == (
-            f"repro lint: internal error: {missing}: cost baseline file not found\n"
-        )
 
 
 # Cache entry names of `lint --all` over the `tree` fixture.  A key is the
 # sha256 of (cache format, pass name, engine version, rule-selection token,
-# path or project digest, source or cost-baseline digest); if this list
+# path or project digest, source digest or ""); if this list
 # changes, every `.lint-cache/` written by an older checkout goes cold —
 # bump an engine version on purpose instead.
 CACHE_ENTRIES = [
+    "474d639b10d17dd7bbeda5aab3e35f56e0efb52504b60a6162a9ade139a7bc51.json",
     "5f64ffc4a61333af39920b5b5c474bac087441e7ec8f3154c179f6a6959d330f.json",
     "60e90489b54f64a0c521e50eada241df0ae908cf8cbf15681f5bf46f0a128762.json",
     "bdc3ba1eceb211256db03542c7dab432f7a77da8ae42d673ae3b3b640d18e2bf.json",
     "cd6818dae705ac9261e94793bdf2dcb918883c1079bfae9ae00bdb4bdab4e929.json",
-    "cfadd549af9991f1572c18f19caac76da24dda16f9aa6db4bfa2d139411e5357.json",
 ]
 
 
 class TestCacheCompatibility:
-    ARGS = ("--all", "--no-baseline", "--format", "json", "--cache-dir", "cache")
+    ARGS = ("--all", "--format", "json", "--cache-dir", "cache")
 
     def test_entry_names_match_the_pinned_keys(self, tree):
         code, _, _ = lint(*self.ARGS, str(tree))
@@ -196,10 +188,10 @@ class TestCacheCompatibility:
         }
         # replayed from the cache, the report is the computed one
         assert [f["rule"] for f in first["findings"]] == ["REP002", "REP104"]
-        for key in ("findings", "baselined", "suppressed", "summary"):
+        for key in ("findings", "suppressed", "summary"):
             assert first[key] == second[key]
 
-    def test_rule_selection_and_cost_baseline_are_part_of_the_key(self, tree):
+    def test_rule_selection_is_part_of_the_key(self, tree):
         lint(*self.ARGS, str(tree))
         before = set(Path("cache").rglob("*.json"))
         _, out, _ = lint(*self.ARGS, "--rule", "REP002", "--rule", "REP104",
@@ -207,18 +199,14 @@ class TestCacheCompatibility:
         stats = json.loads(out)["cache"]["passes"]
         assert set(stats) == {"shallow", "deep"}  # filtered-out passes skipped
         assert all(s["hits"] == 0 for s in stats.values())
-        Path("cost-baseline.json").write_text("{ }\n", encoding="utf-8")
-        _, out, _ = lint(*self.ARGS, str(tree))
-        stats = json.loads(out)["cache"]["passes"]
-        assert stats["cost"]["misses"] == 1 and stats["protocol"]["hits"] == 1
-        assert len(set(Path("cache").rglob("*.json")) - before) == 4
+        assert len(set(Path("cache").rglob("*.json")) - before) == 3
 
 
 class TestLazyProject:
     """The call graph is built on the first whole-project cache miss (or
     emitter request), once, and the project digest is computed once."""
 
-    ARGS = ("--all", "--no-baseline", "--cache-dir", "cache")
+    ARGS = ("--all", "--cache-dir", "cache")
 
     @pytest.fixture
     def calls(self, monkeypatch) -> dict[str, int]:
@@ -252,10 +240,9 @@ class TestLazyProject:
         assert calls == {"from_sources": 0, "project_digest": 1}
 
     def test_single_pass_miss_builds_it_once(self, tree, calls):
-        lint(*self.ARGS, str(tree))
+        lint("--deep", "--protocol", "--cache-dir", "cache", str(tree))
         calls.update(from_sources=0, project_digest=0)
-        Path("cost-baseline.json").write_text("{ }\n", encoding="utf-8")
-        lint(*self.ARGS, str(tree))  # only the cost entry is stale
+        lint(*self.ARGS, str(tree))  # only the cost entry is missing
         assert calls == {"from_sources": 1, "project_digest": 1}
 
     def test_emitter_on_a_cached_run_builds_it_once(self, tree, calls):
@@ -264,52 +251,3 @@ class TestLazyProject:
         lint(*self.ARGS, "--emit-schema", "schemas", "--emit-costs", "costs",
              str(tree))
         assert calls == {"from_sources": 1, "project_digest": 1}
-
-
-class TestWriteCostBaseline:
-    SOURCE = (
-        "def _sort_impl(cluster, inputs, config):\n"
-        "    with cluster.step('1:local-sort'):\n"
-        "        for node, f in zip(cluster.nodes, inputs):\n"
-        "            polyphase_sort(f, node.disk, node.mem)\n"
-    )
-    # REP305 alone: the one-step fixture is (rightly) full of dead bounds
-    ARGS = ("--cost", "--rule", "REP305", "--no-cache", "--no-baseline")
-
-    @pytest.fixture
-    def entry(self, tmp_path, monkeypatch) -> str:
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "external_psrs.py").write_text(self.SOURCE, encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        return "repro"
-
-    def test_writes_to_the_named_cost_baseline_and_lints_against_it(self, entry):
-        code, out, err = lint(*self.ARGS, "--write-cost-baseline",
-                              "--cost-baseline", "other.json", entry)
-        assert (code, err) == (EXIT_CLEAN, "")
-        assert out.startswith("wrote cost baseline other.json\n")
-        assert not Path("cost-baseline.json").exists()
-        pinned = json.loads(Path("other.json").read_text(encoding="utf-8"))
-        assert list(pinned["algorithms"]["external_psrs"]) == ["1:local-sort"]
-
-    def test_default_target_is_the_cwd_baseline(self, entry):
-        code, out, err = lint(*self.ARGS, "--write-cost-baseline",
-                              "--format", "json", entry)
-        assert code == EXIT_CLEAN
-        json.loads(out)  # the notice went to stderr
-        assert err == "wrote cost baseline cost-baseline.json\n"
-        assert Path("cost-baseline.json").is_file()
-
-    def test_fresh_pin_is_what_rep305_compares_against(self, entry):
-        args = (*self.ARGS, "--cost-baseline", "other.json", entry)
-        lint("--write-cost-baseline", *args)
-        # a second full pass over the step's data regresses past the pin
-        Path("repro/core/external_psrs.py").write_text(
-            self.SOURCE + "            polyphase_sort(f, node.disk, node.mem)\n",
-            encoding="utf-8",
-        )
-        code, out, _ = lint(*args)
-        assert code == EXIT_FINDINGS and "REP305" in out
-        code, _, _ = lint("--write-cost-baseline", *args)  # re-pin: clean again
-        assert code == EXIT_CLEAN

@@ -1,5 +1,7 @@
 """Tests for run cursors and the two k-way merge engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,7 +242,10 @@ def test_property_engines_agree_with_numpy(runs):
     )
     np.testing.assert_array_equal(vec_out, expected)
     np.testing.assert_array_equal(ref_out, expected)
-    assert vec_io == ref_io
+    # the same block I/Os, issued in a different order: the float sum of
+    # their service times may differ in the last bit, every counter may not
+    assert replace(vec_io, busy_time=0.0) == replace(ref_io, busy_time=0.0)
+    assert vec_io.busy_time == pytest.approx(ref_io.busy_time, rel=1e-12)
     assert vec_mem == ref_mem
     bound = expected.size * int(np.ceil(np.log2(max(2, len(runs))))) + len(runs)
     assert 0 <= ref_ops <= bound and 0 <= vec_ops <= bound

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
-import repro
-from repro.analysis.flow import load_project
 from repro.analysis.protocol import emit_schemas, extract_schema
 from repro.cli import main
 from repro.cluster.machine import Cluster, heterogeneous_cluster
@@ -161,9 +158,8 @@ def _recorded_run(tmp_path=None):
 
 
 @pytest.fixture(scope="module")
-def psrs_schema():
-    project = load_project([Path(repro.__file__).parent])
-    return extract_schema(project, "external_psrs")
+def psrs_schema(package_project):
+    return extract_schema(package_project, "external_psrs")
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +222,8 @@ class TestExternalPsrsConformance:
         rc = main(["audit", str(run), "--protocol", str(tmp_path / "no.json")])
         assert rc == 2
 
-    def test_emit_schemas_writes_all_known_algorithms(self, tmp_path):
-        project = load_project([Path(repro.__file__).parent])
-        written = emit_schemas(project, tmp_path)
+    def test_emit_schemas_writes_all_known_algorithms(self, package_project, tmp_path):
+        written = emit_schemas(package_project, tmp_path)
         names = {p.name for p in written}
         assert "protocol-external_psrs.json" in names
         for p in written:
