@@ -1,23 +1,30 @@
 """Tests for run cursors and the two k-way merge engines."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.kernel import KERNELS
+from repro.cluster.machine import Cluster, heterogeneous_cluster
+from repro.extsort import multiway
 from repro.extsort.multiway import (
     RunCursor,
     RunRef,
     max_merge_order,
     merge_runs,
 )
-from repro.pdm.blockfile import BlockFile
+from repro.faults import DiskFault, DiskFaultError, install_disk_faults
+from repro.obs.exporters import events_to_jsonl
+from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.memory import MemoryBudgetError, MemoryManager
-from repro.workloads.records import is_sorted, verify_permutation
+from repro.workloads.records import SUPPORTED_KEY_DTYPES, is_sorted, verify_permutation
 
 from tests.conftest import file_from_array, make_disk
+from tests.merge_reference import reference_merge_cursors
 
 
 class TestMaxMergeOrder:
@@ -249,3 +256,116 @@ def test_property_engines_agree_with_numpy(runs):
     assert vec_mem == ref_mem
     bound = expected.size * int(np.ceil(np.log2(max(2, len(runs))))) + len(runs)
     assert 0 <= ref_ops <= bound and 0 <= vec_ops <= bound
+
+
+def _extremes(dtype: np.dtype) -> list[int]:
+    """The dtype's boundary keys: min, max, their neighbours, 0 and ±1,
+    and 2**63 ± 1 for ``uint64`` (the keys a float64 round trip breaks)."""
+    info = np.iinfo(dtype)
+    near = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
+    if dtype == np.uint64:
+        near += [2**63 - 1, 2**63, 2**63 + 1]
+    return sorted({v for v in near if info.min <= v <= info.max})
+
+
+@st.composite
+def _merge_inputs(draw):
+    """``(dtype, B, pad, runs)``: up to 16 runs laid end to end on one
+    tape after ``pad`` leading items, so ranges start mid-block and end in
+    partial blocks.  Keys are tie-heavy (every run draws from the same 0-2
+    values, 0 meaning empty runs) or uniform, with the dtype's extremes
+    weighted in."""
+    dtype = draw(st.sampled_from(SUPPORTED_KEY_DTYPES))
+    info = np.iinfo(dtype)
+    key = st.one_of(st.sampled_from(_extremes(dtype)), st.integers(info.min, info.max))
+    max_len = 30
+    if draw(st.booleans()):
+        pool = draw(st.lists(key, max_size=2, unique=True))
+        key = st.sampled_from(pool) if pool else st.just(0)
+        max_len = max_len if pool else 0
+    k = draw(st.integers(1, 16))
+    B = draw(st.integers(1, 8))
+    pad = draw(st.integers(0, B - 1))
+    runs = draw(st.lists(st.lists(key, max_size=max_len), min_size=k, max_size=k))
+    return dtype, B, pad, runs
+
+
+def _merge_on_node(loop, kernel, dtype, B, pad, runs, fault=None) -> dict:
+    """One ``merge_runs`` with ``loop`` as its merge loop, on a fresh
+    one-node cluster at capture ``full``; everything it observably did."""
+    k = len(runs)
+    cluster = Cluster(
+        heterogeneous_cluster([2.0], memory_items=(max(k, 2) + 1) * B), kernel=kernel
+    )
+    cluster.bus.set_level("full")
+    node = cluster.nodes[0]
+    tape = node.disk.new_file(B, dtype)
+    bounds = np.cumsum([pad] + [len(r) for r in runs])
+    with cluster.step("load"):
+        with BlockWriter(tape, node.mem) as w:
+            w.write(np.zeros(pad, dtype=dtype))
+            for r in runs:
+                w.write(np.sort(np.asarray(r, dtype=dtype)))
+    refs = [RunRef(tape, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    out = node.disk.new_file(B, dtype)
+    if fault is not None:
+        install_disk_faults(node.disk, [fault])
+    error = None
+    with mock.patch.object(multiway, "merge_cursors", loop):
+        try:
+            with cluster.step("merge"):
+                merge_runs(refs, out, node.mem, compute=node.compute)
+        except DiskFaultError as exc:
+            error = (str(exc), exc.io_index, repr(exc.__context__))
+    assert node.mem.in_use == 0, "merge leaked memory reservations"
+    return {
+        "error": error,
+        "out": out.to_array(),
+        "elapsed": cluster.barrier(),
+        "stats": node.disk.stats,
+        "mem": (node.mem.high_water, node.mem.total_reservations),
+        "jsonl": events_to_jsonl(cluster.bus.events),
+    }
+
+
+def _assert_same_merge(got: dict, want: dict) -> None:
+    assert got["error"] == want["error"]
+    assert got["out"].dtype == want["out"].dtype
+    np.testing.assert_array_equal(got["out"], want["out"])
+    for key in ("elapsed", "stats", "mem"):
+        assert got[key] == want[key], key
+    assert got["jsonl"] == want["jsonl"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(case=_merge_inputs())
+def test_property_merge_loop_equals_reference(kernel, case):
+    """``merge_cursors`` against the loop it replaced
+    (``tests/merge_reference.py``): the same output, the same JSONL op
+    stream byte for byte, the same disk counters, clock, memory high-water
+    mark and reservation count."""
+    dtype, B, pad, runs = case
+    got = _merge_on_node(multiway.merge_cursors, kernel, dtype, B, pad, runs)
+    want = _merge_on_node(reference_merge_cursors, kernel, dtype, B, pad, runs)
+    _assert_same_merge(got, want)
+    expected = np.sort(np.concatenate([np.asarray(r, dtype=dtype) for r in runs]))
+    np.testing.assert_array_equal(got["out"], expected)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(
+    case=_merge_inputs(),
+    after_ios=st.integers(0, 60),
+    count=st.sampled_from([1, 2, None]),
+)
+def test_property_merge_loop_faults_like_reference(kernel, case, after_ios, count):
+    """A disk that faults after ``after_ios`` merge I/Os: both loops raise
+    the same error at the same ``io_index``, unpin everything (no buffer
+    released twice) and leave the same op stream behind."""
+    dtype, B, pad, runs = case
+    fault = DiskFault(after_ios=after_ios, count=count)
+    got = _merge_on_node(multiway.merge_cursors, kernel, dtype, B, pad, runs, fault)
+    want = _merge_on_node(reference_merge_cursors, kernel, dtype, B, pad, runs, fault)
+    _assert_same_merge(got, want)
