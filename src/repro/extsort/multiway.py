@@ -1,7 +1,9 @@
 """Block-buffered k-way merging of sorted runs under a memory budget.
 
 One production engine and one reference, identical observable semantics
-(same output, same block I/O; ``tests/test_multiway.py`` holds them to it):
+(same output, same block I/O; ``tests/test_multiway.py`` holds them to it,
+and holds the production loop to the op stream of the two-pass loop it
+replaced, ``tests/merge_reference.py``):
 
 * :func:`merge_cursors` — what every sort runs.  Per round, each run
   holds one buffered block; the safe horizon ``t`` is the minimum of the
@@ -9,11 +11,18 @@ One production engine and one reference, identical observable semantics
   round (any unseen item of run *i* is ``>=`` its buffer max ``>= t``),
   so the round cuts every buffer at ``t``, merges the cut-off heads
   in core (:func:`~repro.extsort.losertree.kway_merge_sorted`)
-  and streams the chunk out.  A round is two passes over the cursors —
-  refill + horizon, then cut + release — and at least one whole buffer
-  drains per round, so the number of rounds is bounded by the total
-  block count: the Python-level overhead is O(blocks·k) while the data
-  plane stays in numpy.
+  and streams the chunk out.  A round is one pass over the cursors: the
+  horizon comes from tails cached at refill; a buffer whose tail equals
+  ``t`` drains whole (keys are integers, so no NaN), one whose head
+  exceeds ``t`` is skipped, any other is cut by one ``searchsorted``
+  and releases its cut in cursor order; then the chunk is written and
+  the drained cursors are refilled, in cursor order.  Each drained
+  buffer is cleared during the cut, before the write and any refill, so
+  a fault in either leaves no stale buffer for :meth:`RunCursor.drop`
+  to release a second time.  At least one whole buffer drains per
+  round, so the number of rounds is bounded by the total block count:
+  the Python-level overhead is O(blocks·k) while the data plane stays
+  in numpy.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree merge
   (ceil(log2 k) comparisons per item), kept as the reference the
   differential tests and the micro-benchmark compare against.  Only
@@ -147,10 +156,15 @@ class RunCursor:
         """Pop up to ``n`` items from the current buffer (message chunking)."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self._fill()
-        if self._buf is None:
-            return np.empty(0, dtype=self.run.file.dtype)
-        return self._pop(min(n, self._buf.size))
+        buf = self._buf
+        if buf is None:
+            if self._pos >= self.run.stop:
+                return np.empty(0, dtype=self.run.file.dtype)
+            buf = self._refill()
+        n = min(n, buf.size)
+        self.mem.release(n)
+        self._buf = buf[n:] if n < buf.size else None
+        return buf[:n]
 
     def peek(self) -> "np.generic | None":
         """Current head item without consuming, or None if exhausted."""
@@ -175,31 +189,53 @@ def merge_cursors(
     """Vectorised k-way merge; returns the number of items written."""
     active = [c for c in cursors if not c.exhausted]
     log_k = float(np.log2(max(2, len(active))))
+    # Parallel to ``active``: each buffer and its tail, read once per refill.
+    bufs = [c._buf if c._buf is not None else c._refill() for c in active]
+    tails = [buf[-1] for buf in bufs]
+    release = mem.release
     total = 0
     while active:
-        # Pass 1: refill drained buffers; the horizon is the least tail.
-        bufs = [c._buf if c._buf is not None else c._refill() for c in active]
-        t = min([buf[-1] for buf in bufs])
-        # Pass 2: cut every buffer at the horizon and unpin what leaves.
+        t = min(tails)  # a numpy scalar: searchsorted takes it fastest
         parts = []
-        finished = False
-        for c, buf in zip(active, bufs):
-            cut = int(buf.searchsorted(t, "right"))
-            if cut:
-                parts.append(c._pop(cut))
-                finished = finished or c.exhausted
-        n = sum([p.size for p in parts])
+        drained = []
+        n = 0
+        for i, buf in enumerate(bufs):
+            if tails[i] == t:  # integer keys: equal tail, whole buffer
+                cut = buf.size
+                parts.append(buf)
+                active[i]._buf = None
+                drained.append(i)
+            elif buf[0] > t:
+                continue
+            else:
+                cut = int(buf.searchsorted(t, "right"))
+                parts.append(buf[:cut])
+                active[i]._buf = bufs[i] = buf[cut:]
+            release(cut)
+            n += cut
         mem.acquire(n)
         try:
             # A lone part is already the chunk; the writer copies it out.
             writer.write(parts[0] if len(parts) == 1 else kway_merge_sorted(parts))
         finally:
-            mem.release(n)
+            release(n)
         total += n
         if compute is not None:
             compute(n * log_k)
-        if finished:
-            active = [c for c in active if not c.exhausted]
+        # Drained buffers are already None: a fault here strands none.
+        exhausted = False
+        for i in drained:
+            c = active[i]
+            if c._pos < c.run.stop:
+                bufs[i] = buf = c._refill()
+                tails[i] = buf[-1]
+            else:
+                exhausted = True
+        if exhausted:
+            live = [i for i, c in enumerate(active) if c._buf is not None]
+            active = [active[i] for i in live]
+            bufs = [bufs[i] for i in live]
+            tails = [tails[i] for i in live]
     return total
 
 
