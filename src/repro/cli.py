@@ -448,7 +448,7 @@ def cmd_sort(args) -> int:
                 "items_read": res.io.items_read,
                 "items_written": res.io.items_written,
                 "busy_seconds": res.io.busy_time,
-                "labels": dict(res.io.labels),
+                "labels": {s: io.block_ios for s, io in res.step_io.items() if io.block_ios},
             },
             "network": {
                 "messages": res.network_messages,

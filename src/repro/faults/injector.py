@@ -58,7 +58,6 @@ class _DiskArm:
             return  # transient fault exhausted: the disk has healed
         self.fired += 1
         counters.disk_faults += 1
-        disk.stats.record_fault()
         bus = disk.bus
         if bus is not None:
             owner = disk.owner

@@ -52,18 +52,21 @@ class StepRunner:
         self.policy = policy
         self.counters = counters if counters is not None else FaultCounters()
         self.checkpoint = checkpoint
-        #: Cluster-wide I/O of every run of a step, summed per step name.
+        #: Cluster-wide I/O of every run of a step, summed per step name,
+        #: in the order the steps began (the order of ``step_seconds``).
         self.step_io: dict[str, IOStats] = {}
         self._held: list[BlockFile] = []
 
     def run(self, view: NodeSet, name: str, fn: Callable[[], T]) -> T:
         """Run ``fn`` as step ``name`` on ``view``, retrying transient faults."""
         before = self.cluster.io_stats()
+        began = False
         try:
             attempt = 1
             while True:
                 try:
                     with view.step(name):
+                        began = True
                         return fn()
                 except NodeKilledError:
                     raise  # dead nodes are handled by degraded mode, not retry
@@ -85,9 +88,12 @@ class StepRunner:
                         self.counters.backoff_time += pause
                     attempt += 1
         finally:
-            delta = self.cluster.io_stats() - before
-            prev = self.step_io.get(name)
-            self.step_io[name] = delta if prev is None else prev + delta
+            # A step killed on entry did no I/O: booking it would list it
+            # before the recovery steps that run ahead of its re-execution.
+            if began:
+                delta = self.cluster.io_stats() - before
+                prev = self.step_io.get(name)
+                self.step_io[name] = delta if prev is None else prev + delta
 
     def release(self, files: Iterable[BlockFile]) -> None:
         """Reclaim files a completed step has consumed (PDM linear space).

@@ -51,10 +51,10 @@ from repro.obs.audit import (
     POLYPHASE_SLACK,
     AuditReport,
     RunMeta,
-    StepNodeIO,
     audit_run,
     collect_step_io,
 )
+from repro.pdm.stats import IOStats
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation
 
@@ -273,7 +273,7 @@ class ScenarioExecutor:
 
 
 def _io_counters(
-    step_io: dict[tuple[str, int], StepNodeIO],
+    step_io: dict[tuple[str, int], IOStats],
 ) -> frozenset[tuple[str, int, int, int, int, int]]:
     """The folded block I/O cells as hashable per-cell tuples."""
     return frozenset(

@@ -5,9 +5,11 @@ Every instrumented component (:class:`~repro.pdm.disk.SimDisk`,
 :class:`~repro.pdm.memory.MemoryManager`, the fault injector and the
 barrier-delimited cluster steps) publishes typed, SimClock-stamped
 events onto one :class:`~repro.obs.bus.TelemetryBus` per cluster.
-Per-step seconds (:func:`~repro.obs.events.step_seconds`) are a fold
-over this stream and the per-disk ``IOStats.labels`` phase attribution
-is derived from its step scope — the bus is the single source of truth.
+Per-step seconds (:func:`~repro.obs.events.step_seconds`) and, from
+capture level ``io`` up, per-(step, node) block I/O
+(:func:`~repro.obs.audit.collect_step_io`) are folds over this stream;
+the per-step I/O recorded at every level is
+:attr:`~repro.faults.recovery.StepRunner.step_io`.
 
 On top of the stream:
 

@@ -39,6 +39,7 @@ from repro.core.perf import PerfVector
 from repro.core.theory import NUMBERED_STEPS, step_bounds
 from repro.metrics.report import Table
 from repro.obs.events import BlockRead, BlockWrite, Event, EventLog
+from repro.pdm.stats import IOStats
 from repro.pdm.sym import POLYPHASE_SLACK, Expr, find_tops
 
 #: One (step, node, measured item I/O) cell of a recorded run.
@@ -91,46 +92,30 @@ class RunMeta:
             raise ValueError(f"invalid run_meta record: {exc}") from exc
 
 
-@dataclass
-class StepNodeIO:
-    """Folded I/O counters for one (step, node) cell."""
-
-    items_read: int = 0
-    items_written: int = 0
-    blocks_read: int = 0
-    blocks_written: int = 0
-
-    @property
-    def item_ios(self) -> int:
-        return self.items_read + self.items_written
-
-    @property
-    def block_ios(self) -> int:
-        return self.blocks_read + self.blocks_written
-
-
-def collect_step_io(events: Iterable[Event]) -> dict[tuple[str, int], StepNodeIO]:
-    """Fold block I/O events into per-(step, node) counters."""
-    out: dict[tuple[str, int], StepNodeIO] = {}
+def collect_step_io(events: Iterable[Event]) -> dict[tuple[str, int], IOStats]:
+    """Fold block I/O rows into per-(step, node) :class:`IOStats` cells
+    (``busy_time`` sums each row's service ``cost``)."""
+    out: dict[tuple[str, int], IOStats] = {}
     for row in EventLog.of(events).rows:
         cls = row[0]
         if cls is BlockRead or cls is BlockWrite:
-            # (cls, t, node, step, disk, n_items, ...)
+            # (cls, t, node, step, disk, n_items, itemsize, cost, ...)
             cell = out.get((row[3], row[2]))
             if cell is None:
-                cell = out[(row[3], row[2])] = StepNodeIO()
+                cell = out[(row[3], row[2])] = IOStats()
             if cls is BlockRead:
                 cell.items_read += row[5]
                 cell.blocks_read += 1
             else:
                 cell.items_written += row[5]
                 cell.blocks_written += 1
+            cell.busy_time += row[7]
     return out
 
 
 def fold_cells(
     events: Iterable[Event],
-    step_io: Optional[Mapping[tuple[str, int], StepNodeIO]] = None,
+    step_io: Optional[Mapping[tuple[str, int], IOStats]] = None,
 ) -> list[Cell]:
     """The (step, node, measured item I/O) cells of an event stream
     (``step_io``: its :func:`collect_step_io` fold, if already made)."""
@@ -356,7 +341,7 @@ def audit_run(
     meta: RunMeta,
     *,
     polyphase_slack: float = POLYPHASE_SLACK,
-    step_io: Optional[Mapping[tuple[str, int], StepNodeIO]] = None,
+    step_io: Optional[Mapping[tuple[str, int], IOStats]] = None,
 ) -> AuditReport:
     """Check a run's folded per-step I/O against the paper bounds,
     :func:`repro.core.theory.step_bounds` at ``polyphase_slack``.

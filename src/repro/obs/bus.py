@@ -8,18 +8,20 @@ observable about a run:
 * per-step seconds are a fold over its ``StepBegin``/``StepEnd`` rows
   (:func:`~repro.obs.events.step_seconds`) — the bus keeps no second
   record of a step;
-* per-disk ``IOStats.labels`` phase attribution is derived from the
-  bus's context-scoped *step stack* (:meth:`step_scope`): a disk charge
-  inside ``with bus.step_scope("1:local-sort")`` is attributed to that
-  step;
+* every row carries the innermost step of the bus's context-scoped
+  *step stack* (:meth:`step_scope`): a block I/O inside
+  ``with bus.step_scope("1:local-sort")`` is recorded as that step's,
+  and :func:`~repro.obs.audit.collect_step_io` folds those rows into
+  per-(step, node) I/O;
 * exporters and the bounds auditor consume :attr:`events` after a run.
 
 Capture levels keep the always-on default cheap: ``"steps"`` records
 only step/barrier/fault/retry events (what ``step_seconds`` needs),
 ``"io"`` adds block I/O and network transfers (exporters, audit),
 ``"full"`` adds compute charges and memory reserve/release.  Levels only
-gate what is *stored*; step attribution for ``IOStats.labels`` works at
-every level.
+gate what is *stored*; the per-step I/O a run reports,
+:attr:`~repro.faults.recovery.StepRunner.step_io`, is recorded at every
+level.
 
 Storage: :attr:`TelemetryBus.events` is an
 :class:`~repro.obs.events.EventLog`.  A ``record_*`` call appends one row

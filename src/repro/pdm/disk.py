@@ -9,6 +9,9 @@ A :class:`SimDisk` does not store bytes itself (block payloads live in the
 
 optionally scaled by the owning node's I/O slowdown (heterogeneity), and
 reported to an observer callback so the node's virtual clock advances.
+The drive keeps no per-step record: a step's I/O is
+:attr:`~repro.faults.recovery.StepRunner.step_io`, and each
+``BlockRead``/``BlockWrite`` row on the bus names its step.
 
 Default constants approximate the paper's late-90s SCSI drives (Table 1):
 ~8 ms average access, ~20 MB/s sustained transfer.
@@ -128,9 +131,9 @@ class SimDisk:
         #: Optional fault-injection hook ``(disk, op, n_items, itemsize) -> None``;
         #: may raise :class:`~repro.faults.plan.DiskFaultError`.
         self.fault_hook: Optional[Callable[["SimDisk", str, int, int], None]] = None
-        #: Telemetry bus (wired by the owning Cluster).  Every charged
-        #: block I/O is published as a ``BlockRead``/``BlockWrite`` event
-        #: and attributed, in ``stats.labels``, to the bus's current step.
+        #: Telemetry bus (wired by the owning Cluster).  On a bus that
+        #: captures I/O, every charged block I/O is published as a
+        #: ``BlockRead``/``BlockWrite`` row of the bus's current step.
         self.bus: Optional["TelemetryBus"] = None
         #: Execution kernel (wired by the owning Cluster).  When set it
         #: owns the cost-to-clock mapping of every charged access; a
@@ -193,15 +196,10 @@ class SimDisk:
         stats = self.stats
         stats.blocks_read += 1
         stats.items_read += n_items
-        stats.seeks += 1
         stats.busy_time += cost
         bus = self.bus
-        if bus is not None:
-            step = bus.current_step
-            if step:  # attribute the access to the step in progress
-                stats.labels[step] = stats.labels.get(step, 0) + 1
-            if bus.captures_io:
-                self._publish(bus, "read", n_items, itemsize, cost, stream, offset)
+        if bus is not None and bus.captures_io:
+            self._publish(bus, "read", n_items, itemsize, cost, stream, offset)
         return cost
 
     def charge_write(
@@ -225,15 +223,10 @@ class SimDisk:
         stats = self.stats
         stats.blocks_written += 1
         stats.items_written += n_items
-        stats.seeks += 1
         stats.busy_time += cost
         bus = self.bus
-        if bus is not None:
-            step = bus.current_step
-            if step:  # attribute the access to the step in progress
-                stats.labels[step] = stats.labels.get(step, 0) + 1
-            if bus.captures_io:
-                self._publish(bus, "write", n_items, itemsize, cost, stream, offset)
+        if bus is not None and bus.captures_io:
+            self._publish(bus, "write", n_items, itemsize, cost, stream, offset)
         return cost
 
     def serve_sync(self, n_items: int, itemsize: int) -> float:

@@ -3,12 +3,18 @@
 Every :class:`~repro.pdm.disk.SimDisk` owns an :class:`IOStats`; the
 external-sorting engines and the parallel algorithm report these counters,
 and the test suite checks them against the theoretical bounds in
-:mod:`repro.pdm.model` and :mod:`repro.core.theory`.
+:mod:`repro.pdm.model` and :mod:`repro.core.theory`.  An ``IOStats``
+counts block I/O and nothing else: per-step I/O is
+:attr:`~repro.faults.recovery.StepRunner.step_io` (or the bus's block
+rows, folded by :func:`repro.obs.audit.collect_step_io` into ``IOStats``
+cells), and injected faults are counted by
+:class:`~repro.faults.plan.FaultCounters`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass
@@ -25,10 +31,7 @@ class IOStats:
     blocks_written: int = 0
     items_read: int = 0
     items_written: int = 0
-    seeks: int = 0
     busy_time: float = 0.0
-    faults: int = 0
-    labels: dict[str, int] = field(default_factory=dict)
 
     @property
     def block_ios(self) -> int:
@@ -40,83 +43,38 @@ class IOStats:
         """Total items moved to or from the device."""
         return self.items_read + self.items_written
 
-    def record_read(self, n_items: int, cost: float) -> None:
-        self.blocks_read += 1
-        self.items_read += n_items
-        self.seeks += 1
-        self.busy_time += cost
-
-    def record_write(self, n_items: int, cost: float) -> None:
-        self.blocks_written += 1
-        self.items_written += n_items
-        self.seeks += 1
-        self.busy_time += cost
-
-    def record_fault(self) -> None:
-        """Count one injected I/O fault (the aborted access is *not*
-        counted in the read/write counters — it never completed)."""
-        self.faults += 1
-
-    def bump(self, label: str, amount: int = 1) -> None:
-        """Increment a free-form named counter (phase attribution)."""
-        self.labels[label] = self.labels.get(label, 0) + amount
-
     def snapshot(self) -> "IOStats":
         """An independent copy of the current counters."""
-        s = IOStats(
+        return IOStats(
             blocks_read=self.blocks_read,
             blocks_written=self.blocks_written,
             items_read=self.items_read,
             items_written=self.items_written,
-            seeks=self.seeks,
             busy_time=self.busy_time,
-            faults=self.faults,
         )
-        s.labels = dict(self.labels)
-        return s
 
     def reset(self) -> None:
         self.blocks_read = 0
         self.blocks_written = 0
         self.items_read = 0
         self.items_written = 0
-        self.seeks = 0
         self.busy_time = 0.0
-        self.faults = 0
-        self.labels.clear()
 
     def __add__(self, other: "IOStats") -> "IOStats":
-        out = self.snapshot()
-        out.blocks_read += other.blocks_read
-        out.blocks_written += other.blocks_written
-        out.items_read += other.items_read
-        out.items_written += other.items_written
-        out.seeks += other.seeks
-        out.busy_time += other.busy_time
-        out.faults += other.faults
-        for k, v in other.labels.items():
-            out.labels[k] = out.labels.get(k, 0) + v
-        return out
+        return IOStats.merge((self, other))
 
     def __sub__(self, other: "IOStats") -> "IOStats":
         """Counter delta (``self`` must be a later snapshot of ``other``)."""
-        out = IOStats(
+        return IOStats(
             blocks_read=self.blocks_read - other.blocks_read,
             blocks_written=self.blocks_written - other.blocks_written,
             items_read=self.items_read - other.items_read,
             items_written=self.items_written - other.items_written,
-            seeks=self.seeks - other.seeks,
             busy_time=self.busy_time - other.busy_time,
-            faults=self.faults - other.faults,
         )
-        for k, v in self.labels.items():
-            d = v - other.labels.get(k, 0)
-            if d:
-                out.labels[k] = d
-        return out
 
     @staticmethod
-    def merge(stats: "list[IOStats] | tuple[IOStats, ...]") -> "IOStats":
+    def merge(stats: Iterable["IOStats"]) -> "IOStats":
         """Aggregate several devices' counters into one.
 
         Accumulates in place on a single fresh instance — O(total
@@ -128,11 +86,7 @@ class IOStats:
             out.blocks_written += s.blocks_written
             out.items_read += s.items_read
             out.items_written += s.items_written
-            out.seeks += s.seeks
             out.busy_time += s.busy_time
-            out.faults += s.faults
-            for k, v in s.labels.items():
-                out.labels[k] = out.labels.get(k, 0) + v
         return out
 
     def __str__(self) -> str:
@@ -141,8 +95,4 @@ class IOStats:
             f"items r/w={self.items_read}/{self.items_written}",
             f"busy={self.busy_time:.4f}s",
         ]
-        if self.labels:
-            pairs = sorted(self.labels.items())
-            inner = ", ".join(f"{k}: {v}" for k, v in pairs)
-            parts.append("labels{" + inner + "}")
         return "IOStats(" + ", ".join(parts) + ")"

@@ -66,6 +66,21 @@ class TestCommands:
         assert sum(steps.values()) == pytest.approx(doc["elapsed_seconds"], rel=1e-12)
         assert steps["2:pivots"] < steps["recover:salvage"] + steps["recover:remerge"]
 
+    @pytest.mark.parametrize("kernel", ["event", "lockstep"])
+    def test_degraded_sort_json_lists_io_steps_in_run_order(self, kernel, capsys):
+        """``io.labels`` lists steps as ``step_seconds`` does: a step killed
+        on entry is booked when it runs again, after the recovery steps."""
+        rc = main(
+            ["sort", "--n", "16390", "--perf", "1,1,4,4", "--memory", "2048",
+             "--block", "256", "--kernel", kernel, "--format", "json",
+             "--fault-plan", '{"kills": [{"node": 1, "step": 4}]}']
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        labels, steps = doc["io"]["labels"], doc["step_seconds"]
+        assert doc["degraded"] is True and "recover:remerge" in labels
+        assert list(labels) == [s for s in steps if s in labels]
+
     def test_recovered_sort_audit_does_not_enforce_bounds(self, capsys):
         """A retried step repeats its I/O, so the fault-free bounds do not
         describe the run: the audit table prints, the verdict is not

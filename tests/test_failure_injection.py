@@ -25,6 +25,8 @@ from repro.faults import (
     FaultPlan,
     install_disk_faults,
 )
+from repro.obs.bus import TelemetryBus
+from repro.obs.events import FaultInjected
 from repro.pdm.disk import DiskParams, SimDisk
 from repro.pdm.memory import MemoryManager
 from repro.workloads.generators import make_benchmark
@@ -34,6 +36,7 @@ from tests.conftest import file_from_array
 
 def _faulty_setup(fail_after: int, n: int = 800, capacity: int = 64):
     disk = SimDisk(DiskParams(1e-4, 1e8), name="faulty")
+    disk.bus = TelemetryBus()  # fault rows are recorded at every level
     mem = MemoryManager(capacity=capacity)
     data = make_benchmark(0, n, seed=0)
     src = file_from_array(data, disk, B=8, mem=mem)
@@ -53,7 +56,7 @@ class TestSequentialEnginesUnderFaults:
         assert mem.in_use == 0, "leaked memory reservations after fault"
         # A permanent fault may fire again during cleanup I/O.
         assert counters.disk_faults >= 1
-        assert disk.stats.faults == counters.disk_faults
+        assert sum(isinstance(e, FaultInjected) for e in disk.bus.events) == counters.disk_faults
 
     def test_balanced_propagates_and_balances(self, fail_after):
         disk, mem, src, counters = _faulty_setup(fail_after)

@@ -41,6 +41,7 @@ from repro.cluster.node import SimNode
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.extsort.multiway import RunRef, merge_runs
+from repro.obs.audit import collect_step_io
 from repro.obs.exporters import events_to_jsonl
 from repro.pdm.blockfile import BlockWriter
 from repro.workloads.generators import make_benchmark
@@ -95,6 +96,7 @@ CASES = [
 
 def _digest(cluster: Cluster, elapsed: float, step_io: dict) -> dict:
     stream = events_to_jsonl(cluster.bus.events)
+    fold = collect_step_io(cluster.bus.events)
     return {
         "jsonl_sha256": hashlib.sha256(stream.encode("utf-8")).hexdigest(),
         "events": len(cluster.bus.events),
@@ -107,7 +109,7 @@ def _digest(cluster: Cluster, elapsed: float, step_io: dict) -> dict:
                 n.disk.stats.blocks_written,
                 n.disk.stats.items_read,
                 n.disk.stats.items_written,
-                dict(sorted(n.disk.stats.labels.items())),
+                {s: io.block_ios for (s, r), io in sorted(fold.items()) if s and r == n.rank},
             ]
             for n in cluster.nodes
         ],

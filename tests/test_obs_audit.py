@@ -7,20 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.cluster.kernel import KERNELS
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.core.theory import max_duplicate_count
-from repro.obs.audit import (
-    AuditRow,
-    RunMeta,
-    StepNodeIO,
-    audit_run,
-    collect_step_io,
-)
+from repro.faults.plan import DiskFault, FaultPlan, NodeKill, RetryPolicy
+from repro.obs.audit import AuditRow, RunMeta, audit_run, collect_step_io
 from repro.obs.events import BlockRead, BlockWrite
+from repro.pdm.stats import IOStats
 from repro.workloads.generators import make_benchmark
 
 NUMBERED_STEPS = {
@@ -94,9 +93,11 @@ class TestAuditE2E:
                       itemsize=4, cost=0.1),
         ]
         cells = collect_step_io(events)
-        assert cells[("s", 1)].item_ios == 30
-        assert cells[("s", 1)].block_ios == 2
-        assert cells[("s", 2)].items_read == 5
+        assert cells == {
+            ("s", 1): IOStats(blocks_read=1, blocks_written=1, items_read=10,
+                              items_written=20, busy_time=0.1 + 0.1),
+            ("s", 2): IOStats(blocks_read=1, items_read=5, busy_time=0.1),
+        }
 
     def test_informational_rows_for_unnumbered_steps(self):
         meta = RunMeta(n_items=100, perf=(1, 1), memory_items=None,
@@ -123,7 +124,50 @@ class TestAuditE2E:
         assert row.ok and row.ratio == pytest.approx(0.5)
         info = AuditRow(step="s", node=0, measured_items=50, bound_items=None)
         assert info.ok and info.ratio is None
-        assert StepNodeIO(items_read=3, items_written=4).item_ios == 7
+        assert IOStats(items_read=3, items_written=4).item_ios == 7
+
+
+@st.composite
+def _full_capture_runs(draw):
+    perf = draw(st.sampled_from([(1,), (1, 2), (1, 1, 4, 4)]))
+    block = draw(st.sampled_from([32, 64]))
+    faults = ["none", "disk"] + (["kill"] if len(perf) > 1 else [])
+    return (
+        perf, draw(st.integers(500, 5000)), block * draw(st.integers(4, 10)), block,
+        draw(st.sampled_from([0, "zipf"])), draw(st.sampled_from(KERNELS)),
+        draw(st.sampled_from(faults)), draw(st.integers(0, 200)),
+    )
+
+
+@given(_full_capture_runs())
+@settings(max_examples=20, deadline=None)
+def test_property_fold_cells_sum_to_each_drive(params):
+    """Every charged block is one row, so a node's cells summed over its
+    steps are its drive's counters; ``busy_time`` sums the same costs in
+    another order."""
+    perf_vals, n, memory, block, bench, kernel, fault, after = params
+    perf = PerfVector(list(perf_vals))
+    data = make_benchmark(bench, perf.nearest_exact(n), seed=0)
+    cluster = Cluster(
+        heterogeneous_cluster([float(v) for v in perf_vals], memory_items=memory),
+        kernel=kernel,
+    )
+    cluster.bus.set_level("full")
+    plan = {
+        "none": None,
+        "disk": FaultPlan(disk_faults=[DiskFault(node=0, after_ios=after, count=1)]),
+        "kill": FaultPlan(node_kills=[NodeKill(node=1, step=3 + after % 2)]),
+    }[fault]
+    sort_array(cluster, perf, data, PSRSConfig(block_items=block, message_items=2 * block),
+               faults=plan, retry=RetryPolicy(max_attempts=3))
+    fold = collect_step_io(cluster.bus.events)
+    for node in cluster.nodes:
+        total = IOStats.merge(io for (_, rank), io in fold.items() if rank == node.rank)
+        stats = node.disk.stats
+        assert (total.blocks_read, total.blocks_written, total.items_read,
+                total.items_written) == (stats.blocks_read, stats.blocks_written,
+                                         stats.items_read, stats.items_written)
+        assert total.busy_time == pytest.approx(stats.busy_time, rel=1e-12)
 
 
 DATA = Path(__file__).parent / "data"

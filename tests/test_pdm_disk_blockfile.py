@@ -60,22 +60,12 @@ class TestIOStats:
         a = IOStats(blocks_read=3, items_read=24, busy_time=1.0)
         b = IOStats(blocks_written=2, items_written=10, busy_time=0.5)
         c = a + b
-        assert c.blocks_read == 3 and c.blocks_written == 2
-        assert (c - a).blocks_written == 2
-        assert c.busy_time == pytest.approx(1.5)
+        assert c == IOStats(3, 2, 24, 10, 1.5)
+        assert c - a == b and c - b == a
 
     def test_merge(self):
         parts = [IOStats(blocks_read=i) for i in range(5)]
         assert IOStats.merge(parts).blocks_read == 10
-
-    def test_labels_roundtrip(self):
-        s = IOStats()
-        s.bump("phase1", 3)
-        s.bump("phase1")
-        t = s.snapshot()
-        s.bump("phase2")
-        assert t.labels == {"phase1": 4}
-        assert (s - t).labels == {"phase2": 1}
 
     def test_reset(self):
         s = IOStats(blocks_read=5)

@@ -6,8 +6,9 @@ the fault subsystem's core guarantees:
 
 * **atomic block I/O** — a faulted write leaves the file unchanged (no
   phantom blocks), a faulted read charges nothing;
-* **consistent IOStats** — ``stats.faults`` counts exactly the observed
-  typed errors, and the block/item counters never move on a faulted op;
+* **consistent accounting** — the armed faults' ``FaultCounters`` and
+  the bus's ``FaultInjected`` rows count exactly the observed typed
+  errors, and the block/item counters never move on a faulted op;
 * **balanced memory** — reservations stay bounded while open and return
   to zero at teardown, no matter where a fault interrupted an operation.
 """
@@ -25,6 +26,8 @@ from hypothesis.stateful import (
 
 from repro.extsort.multiway import RunCursor, RunRef
 from repro.faults import DiskFault, DiskFaultError, install_disk_faults
+from repro.obs.bus import TelemetryBus
+from repro.obs.events import FaultInjected
 from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.disk import DiskParams, SimDisk
 from repro.pdm.memory import MemoryManager
@@ -38,6 +41,8 @@ class FaultyStorageMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.disk = SimDisk(DiskParams(seek_time=1e-5, bandwidth=1e9))
+        self.disk.bus = TelemetryBus()  # fault rows are recorded at every level
+        self.armed = []  # the FaultCounters of every arming
         self.mem = MemoryManager.unlimited()
         self.files: list[BlockFile] = []
         self.expected: list[list[int]] = []  # mirror of each file's items
@@ -50,9 +55,9 @@ class FaultyStorageMachine(RuleBasedStateMachine):
     @rule(after_ios=st.integers(0, 40), count=st.integers(1, 3))
     def arm_fault(self, after_ios, count):
         """(Re)arm the disk: the k-th I/O from now will fault."""
-        install_disk_faults(
+        self.armed.append(install_disk_faults(
             self.disk, [DiskFault(after_ios=after_ios, count=count)]
-        )
+        ))
 
     @rule()
     def disarm(self):
@@ -173,7 +178,9 @@ class FaultyStorageMachine(RuleBasedStateMachine):
 
     @invariant()
     def fault_counter_matches_observed(self):
-        assert self.disk.stats.faults == self.observed_faults
+        assert sum(c.disk_faults for c in self.armed) == self.observed_faults
+        rows = sum(isinstance(e, FaultInjected) for e in self.disk.bus.events)
+        assert rows == self.observed_faults
 
     @invariant()
     def accounting_is_bounded(self):

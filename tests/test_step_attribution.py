@@ -6,7 +6,9 @@ from repro.cluster.machine import Cluster, heterogeneous_cluster, paper_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.faults.plan import FaultPlan, NodeKill
+from repro.obs.audit import collect_step_io
 from repro.obs.profiler import RunProfile
+from repro.pdm.stats import IOStats
 from repro.workloads.generators import make_benchmark
 
 
@@ -78,21 +80,24 @@ class TestStepIO:
     @pytest.mark.parametrize("kernel", ["event", "lockstep"])
     def test_degraded_run_attributes_every_step(self, kernel):
         """A kill at step 4: the salvage and the remerge each get their
-        own entry, and every step's I/O is the I/O the disks labelled
-        with its name while it ran."""
+        own entry, and every step's I/O is the bus's block rows of that
+        step, folded over the nodes."""
         perf = PerfVector([1, 1, 4, 4])
         data = make_benchmark(0, perf.nearest_exact(2**14), seed=0)
         cluster = Cluster(
             heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048), kernel=kernel
         )
+        cluster.bus.set_level("io")
         res = sort_array(
             cluster, perf, data, PSRSConfig(block_items=256),
             faults=FaultPlan(node_kills=[NodeKill(node=1, step=4)]),
         )
         assert res.faults.degraded
         assert set(res.step_io) == set(res.step_times)
+        fold = collect_step_io(cluster.bus.events)
         for step, io in res.step_io.items():
-            assert io.block_ios == res.io.labels[step], step
+            folded = IOStats.merge(c for (s, _), c in fold.items() if s == step)
+            assert (io.block_ios, io.item_ios) == (folded.block_ios, folded.item_ios), step
         assert sum(s.block_ios for s in res.step_io.values()) == res.io.block_ios
         assert sum(s.item_ios for s in res.step_io.values()) == res.io.item_ios
         assert res.step_io["recover:remerge"].block_ios > 0
