@@ -93,7 +93,7 @@ class TestStepIO:
             faults=FaultPlan(node_kills=[NodeKill(node=1, step=4)]),
         )
         assert res.faults.degraded
-        assert set(res.step_io) == set(res.step_times)
+        assert list(res.step_io) == list(res.step_times)  # in the order the steps began
         fold = collect_step_io(cluster.bus.events)
         for step, io in res.step_io.items():
             folded = IOStats.merge(c for (s, _), c in fold.items() if s == step)
