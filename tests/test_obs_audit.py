@@ -175,11 +175,15 @@ DATA = Path(__file__).parent / "data"
 #: Block-quantised bound and note per (numbered step, node) for every
 #: audited BENCH_sort.json run, every fuzz-corpus scenario, the six
 #: benchmarks/perf geometries and a seeded grid of 209 metas (non-exact
-#: n, memory None, d > 0, quantile pivots, p = 16, slack 1.0) — written
-#: from the closed-form auditor this one replaced; one entry per line.
+#: n, memory None, d > 0, quantile pivots, p = 16) — written from the
+#: closed-form auditor this one replaced; one entry per line.  Each entry
+#: records the polyphase slack it was written at.  Entries at 1.3, the
+#: table's fixed slack, pin every step; the rest pinned the removed slack
+#: override and are checked on steps 2-4 only, which carry no slack.
 GOLDEN_BOUNDS = json.loads(
     (DATA / "audit_bounds_golden.json").read_text(encoding="utf-8")
 )["entries"]
+_SLACK_STEPS = ("1:local-sort", "5:final-merge")
 
 
 def _touch(step, node):
@@ -196,7 +200,7 @@ def test_audit_run_reproduces_golden_bounds(entry):
     p = len(meta.perf)
     steps = list(entry["steps"]) + ["gather", "recover:salvage"]
     events = [_touch(s, node) for s in steps for node in range(-1, p + 1)]
-    report = audit_run(events, meta, polyphase_slack=entry["slack"])
+    report = audit_run(events, meta)
     got = {(r.step, r.node): (r.bound_items, r.note) for r in report.rows}
     assert len(got) == len(events)
     for step in steps:
@@ -206,6 +210,8 @@ def test_audit_run_reproduces_golden_bounds(entry):
         for node in range(p):
             assert got[step, node] == (None, "outside Algorithm 1")
     for step, want in entry["steps"].items():
+        if step in _SLACK_STEPS and entry["slack"] != 1.3:
+            continue
         for node, bound in enumerate(want["bounds"]):
             assert got[step, node] == (bound, want["note"]), (step, node)
 
