@@ -15,6 +15,7 @@ from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.disk import DiskParams, SimDisk
 from repro.pdm.memory import MemoryManager
 from repro.pdm.model import PDMConfig
+from repro.pdm.sym import POLYPHASE_SLACK
 from repro.workloads.generators import make_benchmark
 
 SIZES = [2**13, 2**14, 2**15, 2**16, 2**17, 2**18]
@@ -84,7 +85,7 @@ def test_io_complexity_matches_theorem(benchmark):
         ratio = r["blocks"] / max(r["theory_blocks"], 1.0)
         assert 0.5 < ratio < 8.0
         # Within dummy-run slack of the paper's explicit step-1 item bound.
-        assert r["items"] <= 1.3 * r["step1_bound_items"]
+        assert r["items"] <= POLYPHASE_SLACK * r["step1_bound_items"]
     # Growth is near-linear in N (log_m n term is a small constant).
     doubling = [rows[i + 1]["blocks"] / rows[i]["blocks"] for i in range(len(rows) - 1)]
     assert all(1.7 < d < 3.0 for d in doubling)

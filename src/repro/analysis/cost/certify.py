@@ -112,9 +112,8 @@ def certify_corpus(
     """Replay and certify every scenario in a fuzz-corpus directory.
 
     Only fault-free (``status == "ok"``) replays are certified: degraded
-    and recovered runs rescale node shares mid-run, and violation cases
-    exist precisely to exceed bounds (under tightened slack), so the
-    fault-free static bounds do not describe them.
+    and recovered runs rescale node shares mid-run or repeat retried
+    I/O, so the fault-free static bounds do not describe them.
     """
     from repro.fuzz import ScenarioExecutor, load_case
 

@@ -233,14 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 0 on match, 1 on mismatch)",
     )
     p_fuzz.add_argument(
-        "--tighten-slack",
-        type=float,
-        default=None,
-        metavar="X",
-        help="audit with polyphase slack X instead of the calibrated "
-        "default (1.0 = the ideal merge formula; used to plant violations)",
-    )
-    p_fuzz.add_argument(
         "--max-corpus", type=int, default=64, help="corpus size cap"
     )
     p_fuzz.add_argument(
@@ -859,7 +851,6 @@ def cmd_fuzz(args) -> int:
         time_budget=args.time_budget,
         corpus_dir=args.corpus_dir,
         max_corpus=args.max_corpus,
-        tighten_slack=args.tighten_slack,
         kernel=args.kernel,
     )
     log = (lambda msg: print(msg, file=sys.stderr)) if args.format == "text" else None

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.perf import PerfVector
 from repro.pdm.sym import (
-    POLYPHASE_SLACK,
     Add,
     BitLen,
     Ceil,
@@ -71,20 +70,17 @@ def redistribute_cost(sent: Expr, share: Expr) -> Expr:
     return Add((sent, load_balance(share), Mul((_P, _B))))
 
 
-def step_bounds(slack: float = POLYPHASE_SLACK) -> dict[str, Expr]:
+def step_bounds() -> dict[str, Expr]:
     """Algorithm 1's per-(step, node) item-I/O bounds, at a node's actual
-    portion ``l`` and ideal share ``n*g/G``.
-
-    ``slack`` is the table's only parameter: the scenario fuzzer
-    tightens it toward 1.0 to hunt for runs that exceed the paper's
-    *ideal* merge formula, not just the engineering envelope.
-    """
+    portion ``l`` and ideal share ``n*g/G``.  Steps 1 and 5 carry the
+    fixed :data:`~repro.pdm.sym.POLYPHASE_SLACK`; the table has no
+    parameter."""
     return {
-        "1:local-sort": poly_cost(_L, slack),
+        "1:local-sort": poly_cost(_L),
         "2:pivots": SAMPLE_COST,
         "3:partition": Add((Mul((Const(2), _L)), probe_cost(_L, 2))),
         "4:redistribute": redistribute_cost(_L, IDEAL_SHARE),
-        "5:final-merge": merge_cost(Ceil(load_balance(IDEAL_SHARE)), _P, slack),
+        "5:final-merge": merge_cost(Ceil(load_balance(IDEAL_SHARE)), _P),
     }
 
 

@@ -83,9 +83,6 @@ class FuzzConfig:
     #: Load/save corpus and violation cases under this directory.
     corpus_dir: Optional[str] = None
     max_corpus: int = 64
-    #: Run every scenario with this auditor polyphase slack (1.0 audits
-    #: against the ideal merge formula — the planted-violation knob).
-    tighten_slack: Optional[float] = None
     #: Cap on n_items for *mutated* scenarios, so one unlucky draw can't
     #: eat the whole budget (the envelope itself still allows MAX_N).
     max_n: int = 1 << 16
@@ -314,12 +311,6 @@ def _same_bug(target: Violation, outcome: RunOutcome) -> bool:
     return True
 
 
-def _apply_slack(scenario: Scenario, config: FuzzConfig) -> Scenario:
-    if config.tighten_slack is None:
-        return scenario
-    return scenario.with_(audit_slack=config.tighten_slack).validate()
-
-
 def _load_corpus_dir(corpus_dir: str, log: Callable[[str], None]) -> list[Scenario]:
     saved = []
     directory = os.path.join(corpus_dir, "corpus")
@@ -380,9 +371,9 @@ def fuzz(
             _handle_violation(outcome, executor, config, report, seen_bugs, trails, log)
         return outcome
 
-    seeds = [_apply_slack(s, config) for s in DEFAULT_SEEDS]
+    seeds = list(DEFAULT_SEEDS)
     if config.corpus_dir is not None:
-        seeds += [_apply_slack(s, config) for s in _load_corpus_dir(config.corpus_dir, log)]
+        seeds += _load_corpus_dir(config.corpus_dir, log)
     for scenario in seeds:
         if past_deadline():
             break
@@ -403,7 +394,6 @@ def fuzz(
         name, candidate = mutate(rng, base_scenario)
         if candidate.n_items > config.max_n:
             candidate = candidate.with_(n_items=config.max_n).validate()
-        candidate = _apply_slack(candidate, config)
         trails[candidate.fingerprint()] = trails.get(
             base_scenario.fingerprint(), ()
         ) + (name,)
@@ -446,12 +436,12 @@ def _handle_violation(
     log(f"violation [{violation.kind}] {violation.detail} — shrinking")
 
     def predicate(candidate: Scenario) -> bool:
-        return _same_bug(violation, executor.run(_apply_slack(candidate, config)))
+        return _same_bug(violation, executor.run(candidate))
 
     result = shrink(
         outcome.scenario, predicate, max_attempts=config.shrink_attempts
     )
-    shrunk = _apply_slack(result.scenario, config)
+    shrunk = result.scenario
     case = ViolationCase(
         violation=violation,
         scenario=outcome.scenario,

@@ -6,8 +6,7 @@ The executor is the fuzzer's measurement instrument.  For a scenario it
 2. runs the external PSRS sort under an installed runtime sanitizer
    with full telemetry capture,
 3. verifies the output is a sorted permutation of the input,
-4. audits the event stream against the paper bounds (with the
-   scenario's optional tightened polyphase slack),
+4. audits the event stream against the paper bounds,
 
 and folds the run into the two feedback signals the corpus scores on —
 the executed line set of ``src/repro`` and the event-stream *signature*
@@ -47,13 +46,7 @@ from repro.core.theory import max_duplicate_count
 from repro.faults.plan import FaultError, RetryPolicy
 from repro.fuzz.coverage import LineCoverage
 from repro.fuzz.scenario import Scenario
-from repro.obs.audit import (
-    POLYPHASE_SLACK,
-    AuditReport,
-    RunMeta,
-    audit_run,
-    collect_step_io,
-)
+from repro.obs.audit import AuditReport, RunMeta, audit_run, collect_step_io
 from repro.pdm.stats import IOStats
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation
@@ -169,11 +162,6 @@ class ScenarioExecutor:
             if scenario.retries is not None
             else None
         )
-        slack = (
-            scenario.audit_slack
-            if scenario.audit_slack is not None
-            else POLYPHASE_SLACK
-        )
 
         status = "ok"
         violation: Optional[Violation] = None
@@ -236,9 +224,7 @@ class ScenarioExecutor:
                             d_duplicates=max_duplicate_count(data),
                             pivot_method=scenario.pivot_method,
                         )
-                        report = audit_run(
-                            cluster.bus.events, meta, polyphase_slack=slack, step_io=step_io
-                        )
+                        report = audit_run(cluster.bus.events, meta, step_io=step_io)
                         worst_ratio = report.worst_ratio
                         if not report.ok:
                             worst = report.violations[0]
@@ -246,8 +232,7 @@ class ScenarioExecutor:
                                 "audit",
                                 f"step {worst.step} node {worst.node}: measured "
                                 f"{worst.measured_items} items > bound "
-                                f"{worst.bound_items:.1f} ({worst.note}; "
-                                f"slack {slack:g})",
+                                f"{worst.bound_items:.1f} ({worst.note})",
                                 check=f"{worst.step}:{worst.node}",
                             )
         finally:

@@ -23,12 +23,13 @@ from typing import Mapping, Optional
 from repro.core.external_psrs import PIVOT_METHODS
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.workloads.generators import BENCHMARKS
+from repro.workloads.records import SUPPORTED_KEY_DTYPES
 
 #: Workload names the scenario space draws from (the 8 paper benchmarks).
 WORKLOADS: tuple[str, ...] = tuple(spec.name for spec in BENCHMARKS.values())
 
-#: Key dtypes the fuzzer exercises (a subset of SUPPORTED_KEY_DTYPES).
-DTYPES: tuple[str, ...] = ("uint16", "uint32", "int32", "uint64")
+#: Key dtypes the fuzzer exercises: every dtype the engines support.
+DTYPES: tuple[str, ...] = tuple(str(d) for d in SUPPORTED_KEY_DTYPES)
 
 MIN_N, MAX_N = 64, 1 << 20
 MAX_P = 16
@@ -62,11 +63,6 @@ class Scenario:
     seed: int = 0
     fault_plan: Optional[FaultPlan] = None
     retries: Optional[int] = None
-    #: Override of the auditor's step-1/5 polyphase slack.  ``None`` uses
-    #: the paper-calibrated :data:`~repro.obs.audit.POLYPHASE_SLACK`;
-    #: tightening toward 1.0 audits against the *ideal* merge formula —
-    #: the knob the planted-violation tests and ``--tighten-slack`` use.
-    audit_slack: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perf", tuple(int(v) for v in self.perf))
@@ -124,10 +120,6 @@ class Scenario:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.retries is not None and not (1 <= self.retries <= MAX_RETRIES):
             raise ScenarioError(f"retries {self.retries} outside [1, {MAX_RETRIES}]")
-        if self.audit_slack is not None and not (0.5 <= self.audit_slack <= 4.0):
-            raise ScenarioError(
-                f"audit_slack {self.audit_slack} outside [0.5, 4.0]"
-            )
         if self.fault_plan is not None:
             try:
                 self.fault_plan.validate_for(self.p)
@@ -160,7 +152,6 @@ class Scenario:
             "seed": self.seed,
             "fault_plan": None if self.fault_plan is None else self.fault_plan.to_dict(),
             "retries": self.retries,
-            "audit_slack": self.audit_slack,
         }
         return out
 

@@ -340,11 +340,10 @@ def audit_run(
     events: Iterable[Event],
     meta: RunMeta,
     *,
-    polyphase_slack: float = POLYPHASE_SLACK,
     step_io: Optional[Mapping[tuple[str, int], IOStats]] = None,
 ) -> AuditReport:
     """Check a run's folded per-step I/O against the paper bounds,
-    :func:`repro.core.theory.step_bounds` at ``polyphase_slack``.
+    :func:`repro.core.theory.step_bounds`.
 
     Assumes a fault-free, full-cluster run: in degraded mode the node
     positions and shares are rescaled mid-run and the Algorithm-1
@@ -352,15 +351,13 @@ def audit_run(
     enforcement for degraded runs).  A caller that has already folded
     ``events`` with :func:`collect_step_io` passes the fold as ``step_io``.
     """
-    if polyphase_slack <= 0:
-        raise ValueError(f"polyphase_slack must be > 0, got {polyphase_slack}")
     notes = {
-        "1:local-sort": f"2l(1+max(1,ceil(log_m l))) x{polyphase_slack:g} polyphase slack",
+        "1:local-sort": f"2l(1+max(1,ceil(log_m l))) x{POLYPHASE_SLACK:g} polyphase slack",
         "2:pivots": "c(p-1)perf[i] sample blocks",
         "3:partition": "2Q + pivot binary-search probes",
         "4:redistribute": "l_i reads + (2l_i+d) writes (+partial blocks)",
         "5:final-merge": "2l'(1+ceil(log_m l')) on l'<=2l_i+d",
     }
     return evaluate_cells(
-        fold_cells(events, step_io), meta, step_bounds(polyphase_slack), notes=notes
+        fold_cells(events, step_io), meta, step_bounds(), notes=notes
     )

@@ -579,29 +579,26 @@ def sort_cost(size: Expr) -> Expr:
     return Mul((Const(2), size, Add((Const(1), MergePasses(size)))))
 
 
-def _padded(size: Expr, floor: Expr, slack: float) -> Expr:
-    """``slack * max(sort_cost(s), floor)``: the polyphase engine pads
-    with dummy runs (the slack) and never does less than ``floor``."""
-    return Mul((Const(slack), Max((sort_cost(size), floor))))
+def _padded(size: Expr, floor: Expr) -> Expr:
+    """``POLYPHASE_SLACK * max(sort_cost(s), floor)``: the polyphase
+    engine pads with dummy runs (the slack) and never does less than
+    ``floor``."""
+    return Mul((Const(POLYPHASE_SLACK), Max((sort_cost(size), floor))))
 
 
-def poly_cost(size: Expr, slack: float = POLYPHASE_SLACK) -> Expr:
+def poly_cost(size: Expr) -> Expr:
     """Polyphase external sort of ``size`` items: :func:`sort_cost`,
     floored at ``4s`` (run formation plus >= 1 merge/output pass even
     when ``s <= M``, where the formula's pass count is 0)."""
-    return _padded(size, Mul((Const(4), size)), slack)
+    return _padded(size, Mul((Const(4), size)))
 
 
-def merge_cost(size: Expr, count: Expr, slack: float = POLYPHASE_SLACK) -> Expr:
+def merge_cost(size: Expr, count: Expr) -> Expr:
     """Multi-pass k-way merge of ``count`` runs totalling ``size``
     items: :func:`sort_cost`, floored at the explicit merge depth
     ``2s*levels(count)`` (the formula's ``s/M`` run count can undercount
     many small runs), plus one partial block per run."""
     return Add((
-        _padded(
-            size,
-            Mul((Const(2), size, Max((Const(1), MergeLevels(count))))),
-            slack,
-        ),
+        _padded(size, Mul((Const(2), size, Max((Const(1), MergeLevels(count)))))),
         Mul((count, Sym("B"))),
     ))

@@ -487,8 +487,7 @@ def test_certify_fuzz_corpus() -> None:
     results = certify_corpus(REPO_ROOT / "tests" / "data" / "fuzz_corpus")
     by_name = {r.name: r for r in results}
     assert all(r.ok for r in results)
-    # fault-free replays certify; faulted/violation replays are skipped
+    # fault-free replays certify; faulted replays are skipped
     assert by_name["all-equal-tight-memory"].report is not None
     assert by_name["zipf-extreme-perf"].report is not None
     assert by_name["kill-step4-degraded"].skipped is not None
-    assert by_name["tightened-slack-polyphase"].skipped is not None

@@ -10,6 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.core import external_psrs
+from repro.core.partition import partition_offsets
 from repro.faults.plan import DiskFault, FaultPlan, NodeKill
 from repro.fuzz import (
     Corpus,
@@ -26,8 +29,9 @@ from repro.fuzz import (
 )
 from repro.fuzz.engine import DEFAULT_SEEDS
 from repro.fuzz.executor import RunOutcome, Violation
-from repro.fuzz.mutators import MUTATORS, mutate
-from repro.fuzz.scenario import DEFAULTS, MIN_N
+from repro.fuzz.mutators import MUTATORS, mut_dtype, mutate
+from repro.fuzz.scenario import DEFAULTS, DTYPES, MIN_N
+from repro.workloads.records import SUPPORTED_KEY_DTYPES
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -46,7 +50,6 @@ def test_scenario_roundtrip_with_fault_plan():
             node_kills=(NodeKill(node=2, step=4),),
         ),
         retries=2,
-        audit_slack=1.1,
     ).validate()
     again = Scenario.from_json(s.to_json())
     assert again == s
@@ -101,6 +104,18 @@ def test_mutators_are_closed_over_validation():
             frontier.pop(0)
     # the walk must actually exercise a spread of axes, not one mutator
     assert len(names_seen) >= len(MUTATORS) // 2
+
+
+def test_dtype_mutator_reaches_every_supported_dtype():
+    assert set(DTYPES) == {str(d) for d in SUPPORTED_KEY_DTYPES}
+    rng = np.random.default_rng(0)
+    seen = {DEFAULTS.dtype}
+    s = DEFAULTS
+    for _ in range(60):
+        s = mut_dtype(rng, s)
+        assert s.validate() is s
+        seen.add(s.dtype)
+    assert seen == set(DTYPES)
 
 
 def test_mutate_is_deterministic_in_the_rng():
@@ -296,20 +311,24 @@ def test_fuzz_is_deterministic_for_a_seed():
     assert a.runs == b.runs
 
 
-def test_fuzz_finds_shrinks_and_replays_a_planted_violation(tmp_path):
-    """End to end: tightening the auditor's slack to the ideal merge
-    formula makes a real multi-pass polyphase run genuinely exceed the
-    step-1 bound; the loop must catch it, shrink it, write a case file,
-    and the case file must reproduce."""
+def _read_every_block_first(sorted_file, pivots, mem):
+    """Planted step-3 bug: an unbounded read loop over the whole sorted
+    portion before the real pivot binary search."""
+    for b in range(sorted_file.n_blocks):
+        with mem.reserve(sorted_file.block_items(b)):
+            sorted_file.read_block(b)
+    return partition_offsets(sorted_file, pivots, mem)
+
+
+def test_fuzz_finds_shrinks_and_replays_a_planted_violation(tmp_path, monkeypatch):
+    """End to end: a step-3 partition that reads its whole sorted portion
+    exceeds the ``2Q + probes`` bound; the loop must catch it, shrink it,
+    write a case file that reproduces while the bug is in place, and the
+    same case must run clean once the bug is gone."""
+    monkeypatch.setattr(external_psrs, "partition_offsets", _read_every_block_first)
     corpus_dir = str(tmp_path / "fuzz")
     report = fuzz(
-        FuzzConfig(
-            seed=0,
-            max_runs=2,
-            tighten_slack=1.0,
-            corpus_dir=corpus_dir,
-            shrink_attempts=80,
-        )
+        FuzzConfig(seed=0, max_runs=2, corpus_dir=corpus_dir, shrink_attempts=80)
     )
     assert not report.ok
     audit_cases = [
@@ -317,16 +336,58 @@ def test_fuzz_finds_shrinks_and_replays_a_planted_violation(tmp_path):
     ]
     assert audit_cases, f"expected an audit violation, got {report.statuses}"
     case = audit_cases[0]
+    assert case.violation.check.startswith("3:partition:")
     assert case.path is not None and os.path.exists(case.path)
     # the shrunk scenario is no bigger than the seed that violated
     assert case.shrunk.n_items <= case.scenario.n_items
-    assert case.shrunk.audit_slack == 1.0
     result = replay_case(case.path)
     assert result.matched, result.reason
     # the corpus snapshot and report land next to the violations
     assert os.path.isdir(os.path.join(corpus_dir, "corpus"))
     with open(os.path.join(corpus_dir, "report.json")) as fh:
         assert json.load(fh)["violations"]
+    monkeypatch.undo()
+    fixed = replay_case(case.path)
+    assert fixed.outcome.status == "ok" and not fixed.matched, fixed.reason
+
+
+#: A scenario as written before ``audit_slack`` was removed.
+_STALE_SCENARIO = {**DEFAULTS.to_dict(), "audit_slack": None}
+
+
+def test_removed_tighten_slack_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--tighten-slack", "1.0"])
+    assert exc.value.code == 2
+
+
+def test_replaying_a_case_with_audit_slack_exits_two(tmp_path, capsys):
+    path = tmp_path / "stale.jsonl"
+    path.write_text(
+        json.dumps({"fuzz_case": 1, "expect": {"status": "ok"}}) + "\n"
+        + json.dumps({"scenario": _STALE_SCENARIO}) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["fuzz", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro fuzz: error: "), err
+    assert "audit_slack" in err[0]
+
+
+def test_corpus_file_with_audit_slack_is_skipped(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "stale.json").write_text(
+        json.dumps(_STALE_SCENARIO), encoding="utf-8"
+    )
+    lines: list[str] = []
+    report = fuzz(
+        FuzzConfig(max_runs=0, corpus_dir=str(tmp_path)),
+        executor=ScenarioExecutor(collect_coverage=False),
+        log=lines.append,
+    )
+    skipped = [m for m in lines if m.startswith("skipping unreadable corpus file stale.json")]
+    assert len(skipped) == 1 and "audit_slack" in skipped[0], lines
+    assert report.runs == len(DEFAULT_SEEDS)
 
 
 def test_fuzz_config_validates():

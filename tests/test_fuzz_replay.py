@@ -54,6 +54,8 @@ def test_case_replays(path):
 
 def test_expected_statuses_cover_the_interesting_outcomes():
     statuses = {load_case(p).expect_status for p in CASE_FILES}
-    # the checked-in corpus must keep exercising the ok, degraded and
-    # violation arms of the oracle (not collapse into all-ok)
-    assert {"ok", "degraded", "violation"} <= statuses
+    # the checked-in corpus must keep exercising the ok and degraded arms
+    # of the oracle (not collapse into all-ok); a correct tree violates no
+    # bound, so the violation arm is covered by the planted-bug test in
+    # tests/test_fuzz_engine.py
+    assert {"ok", "degraded"} <= statuses
