@@ -65,10 +65,15 @@ class DiskBackedBlockFile(BlockFile):
         if not (0 <= index < len(self._block_sizes)):
             raise IndexError(f"block {index} out of range 0..{len(self._block_sizes) - 1}")
         offset = index * self.B * self.itemsize
-        count = self._block_sizes[index]
+        nbytes = self._block_sizes[index] * self.itemsize
         with open(self.path, "rb") as fh:
             fh.seek(offset)
-            raw = fh.read(count * self.itemsize)
+            raw = fh.read(nbytes)
+        if len(raw) != nbytes:
+            raise OSError(
+                f"spill file {self.path!r} is truncated: block {index} "
+                f"needs {nbytes} bytes at offset {offset}, read {len(raw)}"
+            )
         return np.frombuffer(raw, dtype=self.dtype)
 
     def _store_clear(self) -> None:

@@ -58,6 +58,49 @@ class TestDiskBackedBlockFile:
         with pytest.raises(IndexError):
             f.read_block(0)
 
+    @pytest.mark.parametrize(
+        "size, got", [(24, 8), (26, 10)], ids=["whole-items", "torn-item"]
+    )
+    def test_truncated_file_raises_instead_of_a_short_block(
+        self, tmp_path, disk, size, got
+    ):
+        """A 2-block file cut to 1.5 blocks (or mid-item) must not read
+        back a short block charged as a full one."""
+        f = DiskBackedBlockFile(disk, B=4, directory=str(tmp_path))
+        f.append_block(np.arange(4))
+        f.append_block(np.arange(4, 8))
+        os.truncate(f.path, size)
+        with pytest.raises(OSError) as exc:
+            f.read_block(1)
+        msg = str(exc.value)
+        assert f.path in msg and "block 1" in msg
+        assert "needs 16 bytes" in msg and f"read {got}" in msg
+        assert disk.stats.blocks_read == 0
+        np.testing.assert_array_equal(f.read_block(0), np.arange(4))
+
+    def test_sort_on_a_truncated_spill_file_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """One spilled block loses its last item on the way to the host
+        file; ``repro sort`` reports that as bad input, not a wrong sort."""
+        from repro.cli import main
+
+        store_append = DiskBackedBlockFile._store_append
+        appends = []
+
+        def short_append(self, arr):
+            store_append(self, arr)
+            appends.append(self.path)
+            if len(appends) == 10:
+                os.truncate(self.path, os.path.getsize(self.path) - self.itemsize)
+
+        monkeypatch.setattr(DiskBackedBlockFile, "_store_append", short_append)
+        code = main(["sort", "--n", "4000", "--spill-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("repro sort: error: spill file")
+        assert "truncated" in err[0]
+
     def test_delete(self, tmp_path, disk):
         f = DiskBackedBlockFile(disk, B=8, directory=str(tmp_path))
         f.append_block(np.arange(4))
