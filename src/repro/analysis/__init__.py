@@ -26,7 +26,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.sanitizers import (
     RuntimeSanitizer,
-    SanitizerConfig,
     SanitizerError,
     SanitizerStats,
     active_sanitizer,
@@ -43,7 +42,6 @@ __all__ = [
     "ModuleContext",
     "Rule",
     "RuntimeSanitizer",
-    "SanitizerConfig",
     "SanitizerError",
     "SanitizerStats",
     "Suppression",

@@ -104,11 +104,7 @@ class CertifyCaseResult:
         return self.report is None or self.report.ok
 
 
-def certify_corpus(
-    corpus_dir: Union[str, Path],
-    *,
-    kernel: str = "event",
-) -> list[CertifyCaseResult]:
+def certify_corpus(corpus_dir: Union[str, Path]) -> list[CertifyCaseResult]:
     """Replay and certify every scenario in a fuzz-corpus directory.
 
     Only fault-free (``status == "ok"``) replays are certified: degraded
@@ -117,7 +113,7 @@ def certify_corpus(
     """
     from repro.fuzz import ScenarioExecutor, load_case
 
-    executor = ScenarioExecutor(collect_coverage=False, kernel=kernel)
+    executor = ScenarioExecutor(collect_coverage=False)
     results: list[CertifyCaseResult] = []
     for path in sorted(glob.glob(os.path.join(str(corpus_dir), "*.jsonl"))):
         name = os.path.splitext(os.path.basename(path))[0]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # import only for annotations: avoid runtime cycles
@@ -59,18 +59,6 @@ class SanitizerError(AssertionError):
         self.check = check
 
 
-@dataclass(frozen=True)
-class SanitizerConfig:
-    """Which dynamic checks are armed (all on by default)."""
-
-    empty_io: bool = True
-    dead_disk_write: bool = True
-    unaccounted_block_io: bool = True
-    dead_network_dst: bool = True
-    torn_messages: bool = True
-    memory_leaks: bool = True
-
-
 @dataclass
 class SanitizerStats:
     """How many times each hook ran (visibility that checks are live)."""
@@ -79,8 +67,6 @@ class SanitizerStats:
     block_ios: int = 0
     transfers: int = 0
     managers_tracked: int = 0
-    violations: int = 0
-    by_check: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -100,16 +86,13 @@ class SanitizerTrip:
 class RuntimeSanitizer:
     """One installed set of dynamic invariant checks."""
 
-    def __init__(self, config: Optional[SanitizerConfig] = None) -> None:
-        self.config = config if config is not None else SanitizerConfig()
+    def __init__(self) -> None:
         self.stats = SanitizerStats()
         #: Every violation this sanitizer raised, in firing order.
         self.trips: list[SanitizerTrip] = []
         self._managers: list[weakref.ref["MemoryManager"]] = []
 
     def _violation(self, check: str, message: str) -> None:
-        self.stats.violations += 1
-        self.stats.by_check[check] = self.stats.by_check.get(check, 0) + 1
         self.trips.append(SanitizerTrip(check, message))
         raise SanitizerError(check, message)
 
@@ -120,7 +103,7 @@ class RuntimeSanitizer:
     ) -> None:
         """Called by :meth:`SimDisk.charge_read` / ``charge_write``."""
         self.stats.disk_charges += 1
-        if self.config.empty_io and (n_items < 1 or itemsize < 1):
+        if n_items < 1 or itemsize < 1:
             self._violation(
                 "SAN-DISK-EMPTY",
                 f"disk {disk.name!r} charged a degenerate {op} of "
@@ -128,12 +111,7 @@ class RuntimeSanitizer:
                 "not be accounted",
             )
         owner = getattr(disk, "owner", None)
-        if (
-            self.config.dead_disk_write
-            and op == "write"
-            and owner is not None
-            and not owner.alive
-        ):
+        if op == "write" and owner is not None and not owner.alive:
             self._violation(
                 "SAN-DISK-DEAD-WRITE",
                 f"write charged to disk {disk.name!r} of dead node "
@@ -162,19 +140,14 @@ class RuntimeSanitizer:
     ) -> None:
         """Called by :meth:`Network.transfer` before the charge."""
         self.stats.transfers += 1
-        if self.config.dead_network_dst and not dst.alive:
+        if not dst.alive:
             self._violation(
                 "SAN-NET-DEAD-DST",
                 f"message of {nbytes} byte(s) from {src.name!r} addressed "
                 f"to dead node {dst.name!r} (died at {dst.failed_at!r}); "
                 "dead nodes receive nothing",
             )
-        if (
-            self.config.torn_messages
-            and item_bytes is not None
-            and item_bytes > 0
-            and nbytes % item_bytes != 0
-        ):
+        if item_bytes is not None and item_bytes > 0 and nbytes % item_bytes != 0:
             self._violation(
                 "SAN-NET-TORN",
                 f"message {src.name!r} -> {dst.name!r} of {nbytes} byte(s) "
@@ -187,13 +160,10 @@ class RuntimeSanitizer:
     def on_manager_created(self, manager: "MemoryManager") -> None:
         """Called by :meth:`MemoryManager.__init__` while installed."""
         self.stats.managers_tracked += 1
-        if self.config.memory_leaks:
-            self._managers.append(weakref.ref(manager))
+        self._managers.append(weakref.ref(manager))
 
     def assert_no_leaks(self) -> None:
         """Raise SAN-MEM-LEAK if any tracked manager still pins memory."""
-        if not self.config.memory_leaks:
-            return
         leaks = []
         for ref in self._managers:
             mgr = ref()
@@ -228,7 +198,7 @@ class _BlockChargeBracket:
         stats = self.disk.stats
         after = stats.blocks_read if self.op == "read" else stats.blocks_written
         moved = after - self.before
-        if exc_type is None and moved != 1 and self.san.config.unaccounted_block_io:
+        if exc_type is None and moved != 1:
             self.san._violation(
                 "SAN-DISK-UNACCOUNTED",
                 f"block {self.op} on disk {self.disk.name!r} incremented the "
@@ -247,11 +217,9 @@ def active_sanitizer() -> Optional[RuntimeSanitizer]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def install_sanitizers(
-    config: Optional[SanitizerConfig] = None,
-) -> RuntimeSanitizer:
+def install_sanitizers() -> RuntimeSanitizer:
     """Arm a new sanitizer and return it (stack discipline: LIFO)."""
-    san = RuntimeSanitizer(config)
+    san = RuntimeSanitizer()
     _ACTIVE.append(san)
     return san
 
@@ -270,15 +238,11 @@ def uninstall_sanitizers(san: Optional[RuntimeSanitizer] = None) -> None:
 
 
 @contextmanager
-def sanitized(
-    config: Optional[SanitizerConfig] = None,
-    check_leaks: bool = True,
-) -> Iterator[RuntimeSanitizer]:
+def sanitized() -> Iterator[RuntimeSanitizer]:
     """Context-managed install: arm, run, leak-check (on success), disarm."""
-    san = install_sanitizers(config)
+    san = install_sanitizers()
     try:
         yield san
-        if check_leaks:
-            san.assert_no_leaks()
+        san.assert_no_leaks()
     finally:
         uninstall_sanitizers(san)

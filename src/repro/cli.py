@@ -233,20 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 0 on match, 1 on mismatch)",
     )
     p_fuzz.add_argument(
-        "--max-corpus", type=int, default=64, help="corpus size cap"
-    )
-    p_fuzz.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
         help="report format (json: the full machine-readable report)",
-    )
-    p_fuzz.add_argument(
-        "--kernel",
-        choices=["event", "lockstep"],
-        default="event",
-        help="execution kernel every scenario runs under (oracle verdicts "
-        "are kernel-independent; see tests/test_differential_kernel.py)",
     )
 
     p_prof = sub.add_parser(
@@ -818,7 +808,7 @@ def cmd_fuzz(args) -> int:
     from repro.fuzz import FuzzConfig, fuzz, replay_case
 
     if args.replay is not None:
-        result = replay_case(args.replay, kernel=args.kernel)
+        result = replay_case(args.replay)
         if args.format == "json":
             print(
                 json.dumps(
@@ -850,8 +840,6 @@ def cmd_fuzz(args) -> int:
         ),
         time_budget=args.time_budget,
         corpus_dir=args.corpus_dir,
-        max_corpus=args.max_corpus,
-        kernel=args.kernel,
     )
     log = (lambda msg: print(msg, file=sys.stderr)) if args.format == "text" else None
     report = fuzz(config, log=log)

@@ -270,7 +270,7 @@ class FaultPlan:
 class RetryPolicy:
     """Step-level retry budget with exponential backoff.
 
-    ``backoff * backoff_factor**(attempt-1)`` simulated seconds are
+    ``backoff * 2**(attempt-1)`` simulated seconds are
     charged to every surviving node's clock before attempt+1 — failure
     handling costs wall time, exactly like a real MPI job waiting out an
     I/O hiccup.
@@ -278,19 +278,16 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
     def delay(self, attempt: int) -> float:
         """Backoff charged after failed attempt number ``attempt`` (1-based)."""
-        return self.backoff * self.backoff_factor ** (attempt - 1)
+        return self.backoff * 2 ** (attempt - 1)
 
 
 @dataclass

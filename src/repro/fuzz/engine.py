@@ -31,12 +31,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.cluster.kernel import KERNELS
 from repro.faults.plan import FaultPlan, NodeKill
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.executor import RunOutcome, ScenarioExecutor, Violation
 from repro.fuzz.mutators import mutate
-from repro.fuzz.scenario import MAX_N, Scenario, ScenarioError
+from repro.fuzz.scenario import Scenario, ScenarioError
 from repro.fuzz.shrink import shrink
 
 CASE_VERSION = 1
@@ -71,9 +70,20 @@ DEFAULT_SEEDS: tuple[Scenario, ...] = (
 )
 
 
+#: Corpus size cap.
+MAX_CORPUS = 64
+#: Cap on n_items for *mutated* scenarios, so one unlucky draw can't
+#: eat the whole budget (the scenario envelope itself still allows MAX_N).
+MAX_MUTATED_N = 1 << 16
+#: Shrink attempts spent on each new violation.
+SHRINK_ATTEMPTS = 200
+#: Stop shrinking and writing cases after this many distinct violations.
+MAX_VIOLATIONS = 10
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Knobs of one fuzz run (mirrors the ``repro fuzz`` CLI)."""
+    """Knobs of one fuzz run (the ``repro fuzz`` CLI's run flags)."""
 
     seed: int = 0
     #: Stop after this many post-seed iterations (the deterministic mode).
@@ -82,29 +92,14 @@ class FuzzConfig:
     time_budget: Optional[float] = None
     #: Load/save corpus and violation cases under this directory.
     corpus_dir: Optional[str] = None
-    max_corpus: int = 64
-    #: Cap on n_items for *mutated* scenarios, so one unlucky draw can't
-    #: eat the whole budget (the envelope itself still allows MAX_N).
-    max_n: int = 1 << 16
-    shrink_attempts: int = 200
-    max_violations: int = 10
-    #: Execution kernel every scenario runs under (see
-    #: :mod:`repro.cluster.kernel`); the oracles are timing-free, so both
-    #: kernels must produce identical verdicts — the differential harness
-    #: in ``tests/test_differential_kernel.py`` checks exactly that.
-    kernel: str = "event"
 
     def __post_init__(self) -> None:
         if self.max_runs is None and self.time_budget is None:
             raise ValueError("need max_runs or time_budget (or both)")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r} (choose from {KERNELS})")
         if self.max_runs is not None and self.max_runs < 0:
             raise ValueError(f"max_runs must be >= 0, got {self.max_runs}")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError(f"time_budget must be > 0, got {self.time_budget}")
-        if not (1 <= self.max_n <= MAX_N):
-            raise ValueError(f"max_n {self.max_n} outside [1, {MAX_N}]")
 
 
 @dataclass(frozen=True)
@@ -260,14 +255,11 @@ def load_case(path: str) -> FuzzCase:
 
 
 def replay_case(
-    path: str,
-    *,
-    executor: Optional[ScenarioExecutor] = None,
-    kernel: str = "event",
+    path: str, *, executor: Optional[ScenarioExecutor] = None
 ) -> ReplayResult:
     """Re-run a case file and compare the verdict to its expectation."""
     case = load_case(path)
-    executor = executor if executor is not None else ScenarioExecutor(kernel=kernel)
+    executor = executor if executor is not None else ScenarioExecutor()
     outcome = executor.run(case.scenario)
     matched, reason = _matches(case, outcome)
     return ReplayResult(case=case, outcome=outcome, matched=matched, reason=reason)
@@ -344,11 +336,9 @@ def fuzz(
     ``<corpus_dir>/corpus/``.
     """
     log = log if log is not None else (lambda _msg: None)
-    executor = (
-        executor if executor is not None else ScenarioExecutor(kernel=config.kernel)
-    )
+    executor = executor if executor is not None else ScenarioExecutor()
     rng = np.random.default_rng(config.seed)
-    corpus = Corpus(max_size=config.max_corpus)
+    corpus = Corpus(max_size=MAX_CORPUS)
     report = FuzzReport(seed=config.seed)
     seen_bugs: set[tuple[str, str]] = set()
     trails: dict[str, tuple[str, ...]] = {}
@@ -392,8 +382,8 @@ def fuzz(
         base = corpus.pick(rng)
         base_scenario = base.scenario if base is not None else seeds[0]
         name, candidate = mutate(rng, base_scenario)
-        if candidate.n_items > config.max_n:
-            candidate = candidate.with_(n_items=config.max_n).validate()
+        if candidate.n_items > MAX_MUTATED_N:
+            candidate = candidate.with_(n_items=MAX_MUTATED_N).validate()
         trails[candidate.fingerprint()] = trails.get(
             base_scenario.fingerprint(), ()
         ) + (name,)
@@ -430,7 +420,7 @@ def _handle_violation(
     violation = outcome.violation
     assert violation is not None
     key = violation.key()
-    if key in seen_bugs or len(report.violations) >= config.max_violations:
+    if key in seen_bugs or len(report.violations) >= MAX_VIOLATIONS:
         return
     seen_bugs.add(key)
     log(f"violation [{violation.kind}] {violation.detail} — shrinking")
@@ -438,9 +428,7 @@ def _handle_violation(
     def predicate(candidate: Scenario) -> bool:
         return _same_bug(violation, executor.run(candidate))
 
-    result = shrink(
-        outcome.scenario, predicate, max_attempts=config.shrink_attempts
-    )
+    result = shrink(outcome.scenario, predicate, max_attempts=SHRINK_ATTEMPTS)
     shrunk = result.scenario
     case = ViolationCase(
         violation=violation,

@@ -255,20 +255,15 @@ MUTATORS: tuple[tuple[str, Mutator], ...] = (
 )
 
 
-def mutate(
-    rng: np.random.Generator,
-    scenario: Scenario,
-    *,
-    max_tries: int = 32,
-) -> tuple[str, Scenario]:
+def mutate(rng: np.random.Generator, scenario: Scenario) -> tuple[str, Scenario]:
     """One validated single-axis mutation of ``scenario``.
 
     Draws a mutator (and fresh axis values) until the candidate both
     passes :meth:`Scenario.validate` and actually differs from the
     input.  Falls back to a seed bump — always valid, always different —
-    if ``max_tries`` draws all miss, so the fuzz loop can never stall.
+    if 32 draws all miss, so the fuzz loop can never stall.
     """
-    for _ in range(max_tries):
+    for _ in range(32):
         name, fn = _choice(rng, MUTATORS)
         try:
             candidate = fn(rng, scenario).validate()

@@ -21,7 +21,8 @@ analysis revolves around:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.obs.profiler.model import BARRIER, COMPONENT_OF, COMPONENTS
 from repro.obs.profiler.timeline import Timeline
@@ -76,7 +77,8 @@ class BlameReport:
     #: max/mean per-node productive time over the numbered steps (>= 1);
     #: the time-domain counterpart of the paper's 2x bound.
     straggler_index: float
-    straggler_reference: float = field(default=2.0)
+    #: The paper's 2x load-balance bound the straggler index is read against.
+    straggler_reference: ClassVar[float] = 2.0
 
     def step(self, name: str) -> StepBlame:
         for sb in self.steps:

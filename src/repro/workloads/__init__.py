@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     make_benchmark,
 )
 from repro.workloads.records import (
-    checksum,
     is_sorted,
     key_dtype,
     pack_records,
@@ -26,7 +25,6 @@ from repro.workloads.records import (
 __all__ = [
     "BENCHMARKS",
     "WorkloadSpec",
-    "checksum",
     "generate",
     "is_sorted",
     "key_dtype",

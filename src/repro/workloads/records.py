@@ -2,8 +2,7 @@
 
 Every sort run in tests, examples and benches validates its output with
 :func:`verify_sorted_permutation`: the result must be non-decreasing and
-a true multiset permutation of the input.  For large inputs a
-collision-resistant multiset checksum avoids holding two full copies.
+a true multiset permutation of the input.
 """
 
 from __future__ import annotations
@@ -44,27 +43,6 @@ def is_sorted(arr: np.ndarray) -> bool:
     if a.size <= 1:
         return True
     return bool(np.all(a[:-1] <= a[1:]))
-
-
-_P = (1 << 61) - 1  # Mersenne prime for the multiset hash
-
-
-def checksum(arr: np.ndarray, salt: int = 0x9E3779B97F4A7C15) -> int:
-    """Order-independent multiset checksum.
-
-    Sums ``h(x)`` over items, where ``h`` is a degree-3 polynomial of the
-    key in GF(p) — order-insensitive but sensitive to multiplicity, so a
-    permutation check reduces to checksum equality plus length equality
-    (collisions need adversarial inputs w.r.t. the salt).
-    """
-    a = np.asarray(arr).astype(np.uint64, copy=False)
-    total = 0
-    for chunk in np.array_split(a, max(1, a.size // (1 << 20))):
-        xs = [int(x) for x in chunk.tolist()]
-        for x in xs:
-            v = (x + salt) % _P
-            total = (total + v + (v * v) % _P + (v * v * v) % _P) % _P
-    return total
 
 
 def pack_records(keys: np.ndarray, payload_ids: np.ndarray) -> np.ndarray:
@@ -108,11 +86,8 @@ def verify_permutation(inp: np.ndarray, out: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
-def verify_sorted_permutation(inp: np.ndarray, out: np.ndarray, exact: bool = True) -> None:
-    """Assert ``out`` is a sorted permutation of ``inp``; raises AssertionError.
-
-    ``exact=False`` switches to the checksum comparison for large inputs.
-    """
+def verify_sorted_permutation(inp: np.ndarray, out: np.ndarray) -> None:
+    """Assert ``out`` is a sorted permutation of ``inp``; raises AssertionError."""
     inp = np.asarray(inp)
     out = np.asarray(out)
     if inp.size != out.size:
@@ -124,9 +99,5 @@ def verify_sorted_permutation(inp: np.ndarray, out: np.ndarray, exact: bool = Tr
         raise AssertionError(
             f"output not sorted: out[{bad}]={out[bad]} > out[{bad + 1}]={out[bad + 1]}"
         )
-    if exact:
-        if not verify_permutation(inp, out):
-            raise AssertionError("output is not a permutation of the input")
-    else:
-        if checksum(inp) != checksum(out):
-            raise AssertionError("output multiset checksum differs from input")
+    if not verify_permutation(inp, out):
+        raise AssertionError("output is not a permutation of the input")

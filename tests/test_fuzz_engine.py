@@ -327,9 +327,7 @@ def test_fuzz_finds_shrinks_and_replays_a_planted_violation(tmp_path, monkeypatc
     same case must run clean once the bug is gone."""
     monkeypatch.setattr(external_psrs, "partition_offsets", _read_every_block_first)
     corpus_dir = str(tmp_path / "fuzz")
-    report = fuzz(
-        FuzzConfig(seed=0, max_runs=2, corpus_dir=corpus_dir, shrink_attempts=80)
-    )
+    report = fuzz(FuzzConfig(seed=0, max_runs=2, corpus_dir=corpus_dir))
     assert not report.ok
     audit_cases = [
         v for v in report.violations if v.violation.kind == "audit"
@@ -359,6 +357,20 @@ def test_removed_tighten_slack_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--tighten-slack", "1.0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--kernel", "event"], ["--max-corpus", "8"]], ids=["kernel", "max-corpus"]
+)
+def test_removed_fuzz_flags_are_usage_errors(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", *flags])
+    assert exc.value.code == 2
+
+
+def test_fuzz_config_has_no_kernel():
+    with pytest.raises(TypeError):
+        FuzzConfig(kernel="event")
 
 
 def test_replaying_a_case_with_audit_slack_exits_two(tmp_path, capsys):

@@ -64,6 +64,13 @@ def test_retired_names_are_gone_not_aliased():
     with pytest.raises(TypeError):
         repro.DeWittConfig(engine="vector")
 
+    for module in ("repro.analysis", "repro.analysis.sanitizers"):
+        assert not hasattr(importlib.import_module(module), "SanitizerConfig")
+    assert "SanitizerConfig" not in repro.analysis.__all__
+    for module in ("repro.workloads", "repro.workloads.records"):
+        assert not hasattr(importlib.import_module(module), "checksum")
+    assert "checksum" not in repro.workloads.__all__
+
 
 def test_the_bus_imports_nothing_from_the_cluster_layer():
     """``repro.obs.bus`` is below ``repro.cluster`` (a cluster owns a bus,

@@ -101,7 +101,7 @@ def _msg_window(probe, step: str) -> tuple[int, int]:
     "policy",
     [
         RetryPolicy(max_attempts=2, backoff=0.05),
-        RetryPolicy(max_attempts=3, backoff=0.01, backoff_factor=3.0),
+        RetryPolicy(max_attempts=3, backoff=0.01),
     ],
     ids=["attempts2", "attempts3"],
 )
@@ -181,7 +181,7 @@ class TestRetryAccounting:
         retries — all of it charged to the simulated clock."""
         rank = 1
         lo, hi = _io_window(probe, rank, "3:partition")
-        policy = RetryPolicy(max_attempts=3, backoff=0.04, backoff_factor=2.0)
+        policy = RetryPolicy(max_attempts=3, backoff=0.04)
         data = _data()
         cluster = _cluster()
         plan = FaultPlan(
@@ -195,6 +195,12 @@ class TestRetryAccounting:
         expected = sum(policy.delay(i) for i in range(1, n_retries + 1))
         assert res.faults.backoff_time == pytest.approx(expected)
         assert res.elapsed >= probe["elapsed"] + expected
+
+    def test_backoff_doubles_per_attempt(self):
+        policy = RetryPolicy(backoff=0.04)
+        assert [policy.delay(i) for i in (1, 2, 3)] == [0.04, 0.08, 0.16]
+        with pytest.raises(TypeError):
+            RetryPolicy(backoff_factor=3.0)
 
     def test_attempts_exhausted_raises(self, probe):
         """A fault outlasting the retry budget propagates after charging

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitizers import (
-    SanitizerConfig,
     SanitizerError,
     active_sanitizer,
     install_sanitizers,
@@ -77,7 +76,7 @@ class TestDiskChecks:
             for i in range(f.n_blocks):
                 f.read_block(i)
             assert san.stats.block_ios == f.n_blocks * 2
-            assert san.stats.violations == 0
+            assert not san.trips
 
 
 class TestNetworkChecks:
@@ -109,7 +108,7 @@ class TestNetworkChecks:
         with sanitized() as san:
             net.transfer(src, dst, 12, item_bytes=4)
             assert san.stats.transfers == 1
-            assert san.stats.violations == 0
+            assert not san.trips
 
 
 class TestMemoryLeakCheck:
@@ -126,22 +125,16 @@ class TestMemoryLeakCheck:
             mem.release(16)
             assert san.stats.managers_tracked == 1
 
-    def test_leak_check_can_be_disabled(self):
-        with sanitized(check_leaks=False):
-            mem = MemoryManager(128)
-            mem.acquire(16)
-
 
 class TestConfigAndStack:
-    def test_disabled_check_does_not_fire(self):
-        node = SimNode(0)
-        with sanitized(SanitizerConfig(empty_io=False), check_leaks=False) as san:
-            node.disk.charge_read(0, 4)
-            assert san.stats.violations == 0
+    def test_every_check_is_always_armed(self):
+        with pytest.raises(TypeError):
+            with sanitized(check_leaks=False):
+                pass
 
     def test_stats_count_consulted_operations(self):
         node = SimNode(0)
-        with sanitized(check_leaks=False) as san:
+        with sanitized() as san:
             node.disk.charge_read(8, 4)
             node.disk.charge_write(8, 4)
             assert san.stats.disk_charges == 2
@@ -163,11 +156,11 @@ class TestConfigAndStack:
 
     def test_violation_stats_recorded(self):
         node = SimNode(0)
-        with sanitized(check_leaks=False) as san:
+        with sanitized() as san:
             with pytest.raises(SanitizerError) as exc_info:
                 node.disk.charge_read(0, 4)
             assert exc_info.value.check == "SAN-DISK-EMPTY"
-            assert san.stats.by_check["SAN-DISK-EMPTY"] == 1
+            assert [t.check for t in san.trips] == ["SAN-DISK-EMPTY"]
 
     def test_sanitizer_error_is_assertion_error(self):
         # pytest.raises(AssertionError) therefore also catches SAN failures.
@@ -177,7 +170,7 @@ class TestConfigAndStack:
         # consumers that translate the error (the fuzzer classifying a
         # run) read the machine-readable record off .trips afterwards
         node = SimNode(0)
-        with sanitized(check_leaks=False) as san:
+        with sanitized() as san:
             with pytest.raises(SanitizerError):
                 node.disk.charge_read(0, 4)
             with pytest.raises(SanitizerError):
@@ -196,6 +189,6 @@ class TestEndToEnd:
             res = sort_array(
                 cluster, perf, data, PSRSConfig(block_items=64, message_items=256)
             )
-            assert san.stats.violations == 0
+            assert not san.trips
             assert san.stats.block_ios > 0 and san.stats.transfers > 0
         np.testing.assert_array_equal(res.to_array(), np.sort(data))

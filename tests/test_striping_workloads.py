@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.pdm.striping import StripedFile
 from repro.workloads.generators import BENCHMARKS, make_benchmark
 from repro.workloads.records import (
-    checksum,
     is_sorted,
     key_dtype,
     verify_permutation,
@@ -165,19 +162,3 @@ class TestRecords:
         keys = np.array([3, -1, 2], dtype=np.int32)
         with pytest.raises(AssertionError, match="dtype mismatch: input int32, output int64"):
             verify_sorted_permutation(keys, np.sort(keys).astype(np.int64))
-
-    def test_checksum_order_independent(self, rng):
-        arr = rng.integers(0, 2**32, 500).astype(np.uint32)
-        shuffled = arr.copy()
-        rng.shuffle(shuffled)
-        assert checksum(arr) == checksum(shuffled)
-
-    def test_checksum_multiplicity_sensitive(self):
-        assert checksum(np.array([5, 5, 7])) != checksum(np.array([5, 7, 7]))
-
-    @settings(max_examples=30)
-    @given(st.lists(st.integers(0, 2**32 - 1), max_size=100))
-    def test_checksum_verify_agrees_with_exact(self, items):
-        arr = np.asarray(items, dtype=np.uint32)
-        out = np.sort(arr)
-        verify_sorted_permutation(arr, out, exact=False)
