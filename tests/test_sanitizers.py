@@ -127,7 +127,7 @@ class TestMemoryLeakCheck:
 
 
 class TestConfigAndStack:
-    def test_every_check_is_always_armed(self):
+    def test_leak_check_cannot_be_switched_off(self):
         with pytest.raises(TypeError):
             with sanitized(check_leaks=False):
                 pass
