@@ -643,7 +643,10 @@ def cmd_profile(args) -> int:
     meta_dict, events = read_jsonl(args.events_file)
     if not events:
         raise ValueError(f"{args.events_file} contains no events")
-    prof = profile_from_jsonl_meta(meta_dict, events)
+    try:
+        prof = profile_from_jsonl_meta(meta_dict, events)
+    except ValueError as exc:
+        raise ValueError(f"{args.events_file}: hw head: {exc}") from exc
     if meta_dict is None or "hw" not in meta_dict:
         print(
             "warning: log has no 'hw' metadata (written by older versions); "

@@ -8,8 +8,8 @@ on Fast-Ethernet (optionally Myrinet).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.cluster.kernel import ExecutionKernel, make_kernel
 from repro.cluster.mpi import SimComm
@@ -49,16 +49,32 @@ class ClusterSpec:
     def p(self) -> int:
         return len(self.nodes)
 
-    def with_link(self, link: LinkModel) -> "ClusterSpec":
-        return replace(self, link=link)
+    def to_dict(self) -> dict:
+        return asdict(self)
 
-    def with_packet_bytes(self, packet_bytes: int) -> "ClusterSpec":
-        return replace(self, packet_bytes=packet_bytes)
-
-    def with_memory(self, memory_items: Optional[int]) -> "ClusterSpec":
-        return replace(
-            self, nodes=tuple(replace(n, memory_items=memory_items) for n in self.nodes)
-        )
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "ClusterSpec":
+        """Inverse of :meth:`to_dict`; a record of another shape is a
+        ``ValueError`` that names what it lacks."""
+        try:
+            return ClusterSpec(
+                nodes=tuple(
+                    NodeSpec(
+                        **{
+                            **node,
+                            "disk": DiskParams(**node["disk"]),
+                            "cpu": CpuParams(**node["cpu"]),
+                        }
+                    )
+                    for node in data["nodes"]
+                ),
+                link=LinkModel(**data["link"]),
+                packet_bytes=data["packet_bytes"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"not a machine record: missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"not a machine record: {exc}") from exc
 
 
 class NodeSet:
@@ -253,7 +269,6 @@ def paper_cluster(
     loaded: bool = True,
     memory_items: Optional[int] = None,
     link: LinkModel = FAST_ETHERNET,
-    packet_bytes: int = 32 * 1024,
 ) -> ClusterSpec:
     """The paper's Table-1 machine.
 
@@ -285,34 +300,18 @@ def paper_cluster(
             mk("rossweisse", slow),
         ),
         link=link,
-        packet_bytes=packet_bytes,
     )
 
 
-def homogeneous_cluster(
-    p: int,
-    memory_items: Optional[int] = None,
-    link: LinkModel = FAST_ETHERNET,
-    packet_bytes: int = 32 * 1024,
-    disk: DiskParams = DiskParams(),
-    cpu: CpuParams = CpuParams(),
-) -> ClusterSpec:
+def homogeneous_cluster(p: int, memory_items: Optional[int] = None) -> ClusterSpec:
     """A p-node homogeneous cluster (the perf = {1,...,1} configuration)."""
-    return ClusterSpec(
-        nodes=tuple(
-            NodeSpec(name=f"node{i}", speed=1.0, memory_items=memory_items, disk=disk, cpu=cpu)
-            for i in range(p)
-        ),
-        link=link,
-        packet_bytes=packet_bytes,
-    )
+    return heterogeneous_cluster([1.0] * p, memory_items=memory_items)
 
 
 def heterogeneous_cluster(
     speeds: Sequence[float],
     memory_items: Optional[int] = None,
     link: LinkModel = FAST_ETHERNET,
-    packet_bytes: int = 32 * 1024,
     disk: DiskParams = DiskParams(),
     cpu: CpuParams = CpuParams(),
 ) -> ClusterSpec:
@@ -323,5 +322,4 @@ def heterogeneous_cluster(
             for i, s in enumerate(speeds)
         ),
         link=link,
-        packet_bytes=packet_bytes,
     )

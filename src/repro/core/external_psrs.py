@@ -98,8 +98,8 @@ class PSRSConfig:
         Sample-count multiplier c (L_i = c*(p-1)*perf[i]); c=1 is the
         paper's literal count, the default c=4 refines the pivot grid.
     root:
-        The designated pivot-selection node (falls back to the fastest
-        survivor if it dies in degraded mode).
+        The designated pivot-selection node (falls back to the lowest
+        surviving rank if it dies in degraded mode).
     seed:
         RNG seed (used only by ``pivot_method="random"``).
     """

@@ -15,8 +15,9 @@ Entry point: :class:`RunProfile` — build one from a live cluster's bus
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
+from repro.cluster.machine import Cluster, homogeneous_cluster
 from repro.obs.events import Event, EventLog
 from repro.obs.profiler.blame import BlameReport, StepBlame, blame_report
 from repro.obs.profiler.critical import CriticalPath, critical_path
@@ -30,9 +31,6 @@ from repro.obs.profiler.model import (
 from repro.obs.profiler.replay import replay
 from repro.obs.profiler.timeline import Timeline, build_timeline, merge_intervals
 from repro.obs.profiler.whatif import WhatIfError, WhatIfResult, predict
-
-if TYPE_CHECKING:
-    from repro.cluster.machine import Cluster, ClusterSpec
 
 __all__ = [
     "BarrierGroup",
@@ -68,15 +66,16 @@ class RunProfile:
     ) -> None:
         #: A snapshot: later emits on a live bus are not seen.
         self.events = EventLog(list(EventLog.of(events).rows))
-        self.hw = hw if hw is not None else HardwareMeta()
         self.block_items = block_items
-        self.timeline = build_timeline(self.events, self.hw)
+        self.timeline = build_timeline(self.events, hw)
+        #: A log with no machine record replays on stock nodes.
+        self.hw = hw or HardwareMeta(homogeneous_cluster(max(self.timeline.n_nodes, 1)))
         self.critical = critical_path(self.timeline)
         self.blame = blame_report(self.timeline)
 
     @staticmethod
     def from_cluster(
-        cluster: "Cluster", block_items: Optional[int] = None
+        cluster: Cluster, block_items: Optional[int] = None
     ) -> "RunProfile":
         """Profile a just-finished run straight off its cluster's bus."""
         return RunProfile(
@@ -91,21 +90,17 @@ class RunProfile:
 
     def baseline_replay(self) -> float:
         """Elapsed time of a replay on the run's own machine (fidelity check)."""
-        return replay(self.events, self.hw, self._machine())
+        return replay(self.events, self.hw, self.hw.spec)
 
     def what_if(self, spec: str) -> WhatIfResult:
         """Predicted elapsed time under a hypothetical change."""
         return predict(
             self.events,
             self.hw,
-            self._machine(),
             spec,
             recorded_elapsed=self.elapsed,
             block_items=self.block_items,
         )
-
-    def _machine(self) -> ClusterSpec:
-        return self.hw.cluster_spec(self.timeline.n_nodes)
 
     def to_dict(self) -> dict:
         """JSON-ready report (what the CLI's ``--format json`` prints)."""
@@ -123,22 +118,22 @@ class RunProfile:
 
 
 def profile_from_jsonl_meta(
-    meta: Optional[Mapping[str, object]], events: Iterable[Event]
+    meta: Optional[Mapping[str, Any]], events: Iterable[Event]
 ) -> RunProfile:
     """Build a profile from ``exporters.read_jsonl`` output.
 
     The ``hw`` key of the run_meta line (written by ``repro sort
-    --events``) restores the hardware model; ``block_items`` enables the
+    --events``) restores the machine; ``block_items`` enables the
     ``block=`` what-if.  Both degrade gracefully when absent (older
     logs): reconstruction and blame still work, what-ifs assume the
-    stock hardware.
+    stock hardware.  A present ``hw`` that is not a machine record is a
+    ``ValueError``.
     """
     hw = None
     block_items = None
     if meta:
-        raw_hw = meta.get("hw")
-        if isinstance(raw_hw, Mapping):
-            hw = HardwareMeta.from_dict(raw_hw)
+        if "hw" in meta:
+            hw = HardwareMeta.from_dict(meta["hw"])
         raw_b = meta.get("block_items")
         if isinstance(raw_b, (int, float)):
             block_items = int(raw_b)

@@ -2,12 +2,12 @@
 
 Two kinds of objects live here:
 
-* :class:`HardwareMeta` — the run's hardware/cost-model parameters
-  (speeds, disk and link models, kernel name), serialised into the
-  JSONL ``run_meta`` line under the ``"hw"`` key.  The bounds auditor's
-  :class:`~repro.obs.audit.RunMeta` describes the *algorithm*
-  configuration; ``HardwareMeta`` describes the *machine*, which is
-  what the what-if engine needs to re-cost a recorded run.
+* :class:`HardwareMeta` — the run's machine (its
+  :class:`~repro.cluster.machine.ClusterSpec` and kernel name),
+  serialised into the JSONL ``run_meta`` line under the ``"hw"`` key.
+  The bounds auditor's :class:`~repro.obs.audit.RunMeta` describes the
+  *algorithm* configuration; ``HardwareMeta`` describes the *machine*,
+  which is what the what-if engine needs to re-cost a recorded run.
 * :class:`Segment` — one contiguous interval of one node's time, with
   a *kind* (compute, disk service, network, barrier idle, ...).  The
   timeline reconstruction tiles every node's clock from 0 to the run's
@@ -17,13 +17,10 @@ Two kinds of objects live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from repro.cluster.machine import Cluster, ClusterSpec, NodeSpec
-from repro.cluster.network import LinkModel
-from repro.cluster.node import CpuParams
-from repro.pdm.disk import DiskParams
+from repro.cluster.machine import Cluster, ClusterSpec
 
 # -- segment kinds ----------------------------------------------------------
 
@@ -85,100 +82,32 @@ class Segment:
 
 @dataclass(frozen=True)
 class HardwareMeta:
-    """Hardware/cost-model parameters of a recorded run.
+    """The machine a recorded run ran on: its spec and its kernel.
 
-    Serialised under the ``"hw"`` key of the JSONL ``run_meta`` line;
-    every field has a default matching the CLI's stock configuration, so
-    logs written before the profiler existed still replay (with a
-    fidelity warning when re-costing is requested).
+    Serialised under the ``"hw"`` key of the JSONL ``run_meta`` line as
+    the kernel name plus :meth:`ClusterSpec.to_dict
+    <repro.cluster.machine.ClusterSpec.to_dict>`, so every node's speed,
+    drives and CPU, the link and the packet size survive the log.
     """
 
+    spec: ClusterSpec
     kernel: str = "event"
-    speeds: tuple[float, ...] = ()
-    io_scaled_by_speed: bool = True
-    seek_time: float = 8e-3
-    disk_bandwidth: float = 20e6
-    n_disks: int = 1
-    seconds_per_op: float = 2e-8
-    link_latency: float = 90e-6
-    link_bandwidth: float = 12.5e6
-    link_small_overhead: float = 2e-3
-    link_mtu_bytes: int = 1500
-    link_name: str = "Fast-Ethernet"
-    packet_bytes: int = 32 * 1024
 
     @staticmethod
     def from_cluster(cluster: Cluster) -> "HardwareMeta":
-        """Snapshot a live cluster's cost-model parameters."""
-        node0 = cluster.nodes[0]
-        spec0 = cluster.spec.nodes[0]
-        link = cluster.spec.link
-        return HardwareMeta(
-            kernel=cluster.kernel.name,
-            speeds=tuple(n.speed for n in cluster.nodes),
-            io_scaled_by_speed=spec0.io_scaled_by_speed,
-            seek_time=node0.disk.params.seek_time,
-            disk_bandwidth=node0.disk.params.bandwidth,
-            n_disks=node0.disk.parallelism,
-            seconds_per_op=node0.cpu.seconds_per_op,
-            link_latency=link.latency,
-            link_bandwidth=link.bandwidth,
-            link_small_overhead=link.small_message_overhead,
-            link_mtu_bytes=link.mtu_bytes,
-            link_name=link.name,
-            packet_bytes=cluster.network.packet_bytes,
-        )
-
-    @property
-    def link(self) -> LinkModel:
-        """The recorded interconnect."""
-        return LinkModel(
-            latency=self.link_latency,
-            bandwidth=self.link_bandwidth,
-            name=self.link_name,
-            small_message_overhead=self.link_small_overhead,
-            mtu_bytes=self.link_mtu_bytes,
-        )
-
-    def cluster_spec(self, n_nodes: int) -> ClusterSpec:
-        """The recorded machine as a buildable spec (inverse of
-        :meth:`from_cluster`).  Nodes beyond the recorded speed vector
-        (a log with no ``hw`` head) run at speed 1."""
-        speeds = self.speeds + (1.0,) * (max(n_nodes, 1) - len(self.speeds))
-        disk = DiskParams(seek_time=self.seek_time, bandwidth=self.disk_bandwidth)
-        cpu = CpuParams(seconds_per_op=self.seconds_per_op)
-        return ClusterSpec(
-            nodes=tuple(
-                NodeSpec(
-                    name=f"node{i}",
-                    speed=s,
-                    disk=disk,
-                    cpu=cpu,
-                    io_scaled_by_speed=self.io_scaled_by_speed,
-                    n_disks=self.n_disks,
-                )
-                for i, s in enumerate(speeds)
-            ),
-            link=self.link,
-            packet_bytes=self.packet_bytes,
-        )
+        return HardwareMeta(cluster.spec, cluster.kernel.name)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["speeds"] = list(self.speeds)
-        return out
+        return {"kernel": self.kernel, **self.spec.to_dict()}
 
     @staticmethod
-    def from_dict(data: Optional[Mapping[str, Any]]) -> "HardwareMeta":
-        """Lenient inverse of :meth:`to_dict`: a missing key takes its
-        default, a present one is coerced to its default's type."""
-        values: dict[str, Any] = {}
-        for f in fields(HardwareMeta):
-            if data and f.name in data:
-                kind: Any = type(f.default)
-                raw = data[f.name]
-                values[f.name] = tuple(map(float, raw)) if kind is tuple else kind(raw)
-        return HardwareMeta(**values)
+    def from_dict(data: Mapping[str, Any]) -> "HardwareMeta":
+        """Inverse of :meth:`to_dict`; a head of another shape is a
+        ``ValueError`` that names the missing key."""
+        try:
+            return HardwareMeta(ClusterSpec.from_dict(data), data["kernel"])
+        except KeyError as exc:
+            raise ValueError(f"not a machine record: missing key {exc}") from exc
 
 
 @dataclass

@@ -55,7 +55,7 @@ def replay(
     cluster = Cluster(spec, kernel=hw.kernel)
     nodes, network, sched = cluster.nodes, cluster.network, cluster.kernel
     volume = list(volume_scale) or [1.0] * spec.p
-    link = hw.link
+    link, packet_bytes = hw.spec.link, hw.spec.packet_bytes
     stream = EventLog.of(events).rows
     i = 0
     while i < len(stream):
@@ -102,7 +102,7 @@ def replay(
             # Injected network faults (drops, delays) inflate the recorded
             # duration beyond the link model; the excess rides the
             # injector's own hook so faulty runs replay faithfully.
-            extra = max(0.0, duration - link.message_time(nbytes, hw.packet_bytes))
+            extra = max(0.0, duration - link.message_time(nbytes, packet_bytes))
             network.fault_hook = lambda *_, extra=extra: extra
             scale = volume[dst]
             if scale != 1.0:

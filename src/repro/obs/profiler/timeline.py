@@ -278,8 +278,8 @@ def build_timeline(
             ranks.update(row[4:6])  # src, dst
         elif row[0] is Compute:
             has_compute = True
-    if hw is not None and hw.speeds:
-        ranks.update(range(len(hw.speeds)))
+    if hw is not None:
+        ranks.update(range(hw.spec.p))
     n = (max(ranks) + 1) if ranks else 0
     b = _Builder(n, has_compute)
     handlers = {

@@ -110,6 +110,10 @@ def _each_disk(spec: ClusterSpec, edit: Callable[[DiskParams], DiskParams]) -> C
     return _each_node(spec, lambda ns: replace(ns, disk=edit(ns.disk)))
 
 
+def _edit_link(spec: ClusterSpec, **changes: float) -> ClusterSpec:
+    return replace(spec, link=replace(spec.link, **changes))
+
+
 def apply_spec(
     base: ClusterSpec, spec: str, block_items: Optional[int] = None
 ) -> tuple[ClusterSpec, tuple[float, ...], bool]:
@@ -157,17 +161,15 @@ def apply_spec(
                     raise WhatIfError(
                         f"unknown link preset {value!r}; have {sorted(LINK_PRESETS)}"
                     )
-                edited = edited.with_link(preset)
+                edited = replace(edited, link=preset)
             elif key == "net.latency":
-                edited = edited.with_link(replace(edited.link, latency=float(value)))
+                edited = _edit_link(edited, latency=float(value))
             elif key == "net.bandwidth":
-                edited = edited.with_link(replace(edited.link, bandwidth=float(value)))
+                edited = _edit_link(edited, bandwidth=float(value))
             elif key == "net.overhead":
-                edited = edited.with_link(
-                    replace(edited.link, small_message_overhead=float(value))
-                )
+                edited = _edit_link(edited, small_message_overhead=float(value))
             elif key == "packet":
-                edited = edited.with_packet_bytes(int(value))
+                edited = replace(edited, packet_bytes=int(value))
             elif key == "disk.seek":
                 seek = float(value)
                 edited = _each_disk(edited, lambda d: replace(d, seek_time=seek))
@@ -208,15 +210,16 @@ def apply_spec(
 def predict(
     events: Sequence[Event],
     hw: HardwareMeta,
-    base: ClusterSpec,
     spec: str,
     recorded_elapsed: float,
     block_items: Optional[int] = None,
 ) -> WhatIfResult:
-    """Predict the elapsed time of the recorded run ``events`` (on ``hw``,
-    as the machine ``base``) under a hypothetical change."""
-    edited, volume_scale, approximate = apply_spec(base, spec, block_items=block_items)
-    base_model = replay(events, hw, base)
+    """Predict the elapsed time of the recorded run ``events`` (on the
+    machine ``hw``) under a hypothetical change."""
+    edited, volume_scale, approximate = apply_spec(
+        hw.spec, spec, block_items=block_items
+    )
+    base_model = replay(events, hw, hw.spec)
     what_model = replay(events, hw, edited, volume_scale)
     if base_model > 0:
         predicted = recorded_elapsed * what_model / base_model

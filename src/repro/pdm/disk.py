@@ -65,13 +65,6 @@ class DiskParams:
         return self.seek_time + nbytes / self.bandwidth
 
 
-#: Paper-era SCSI drive (Table 1: 8 GB / 4 GB SCSI disks).
-SCSI_1999 = DiskParams(seek_time=8e-3, bandwidth=20e6)
-
-#: A fast modern-ish drive, for sensitivity experiments.
-FAST_DISK = DiskParams(seek_time=1e-4, bandwidth=500e6)
-
-
 class SimDisk:
     """One simulated independent drive (the PDM's ``D`` dimension).
 
@@ -103,7 +96,7 @@ class SimDisk:
 
     def __init__(
         self,
-        params: DiskParams = SCSI_1999,
+        params: DiskParams = DiskParams(),
         name: str = "disk",
         slowdown: float = 1.0,
         observer: Optional[Callable[[float], None]] = None,

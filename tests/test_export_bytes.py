@@ -47,7 +47,7 @@ GOLDEN = {
     },
     "observed4": {
         "chrome": "7688387d6b1e59c6fdba0eb570cef01094eec10cc16f33a1d1df82d11a137226",
-        "jsonl": "45465b269249662933ed9b1adac89e5be4575afbcf4b06f9d3dcb6b8d2140096",
+        "jsonl": "53aa0bf3b371fcfddf649d875ce4a1bdd7d73c42f7f1f4486d99b6f83ce493b8",
     },
 }
 

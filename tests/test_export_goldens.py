@@ -57,19 +57,19 @@ RUNS = {
 GOLDEN = {
     "event": {
         "events": 3650,
-        "jsonl": "630ed6dde2ba9776351c9cf53481fb5cc12c9e69fe0e1230bd228eab04627bb8",
+        "jsonl": "baf0faf15fb6c716cac58a93585fdbe27870b7f28d180d2f854a649d8f8c1f57",
         "chrome": "3092b8f2deb23cb9bb5ba4d2a82ee42571cbd331bbdc2e18f20ec5c24951e87e",
         "prometheus": "4907fe5ce78ddefef9265b5023cc4b51743dc4b34f85864ae6df030ae6ca3b2a",
     },
     "lockstep": {
         "events": 3670,
-        "jsonl": "d752c54f622fd1598d794991ba005bdd3e2ec3477faa15c35ad71d9fbe34ffc1",
+        "jsonl": "ab472e44b571b14b84a4a8474c05b594984f873bb6724e660695f5276e551394",
         "chrome": "826a2e190e8ea3f23809a3240724abc857852e79266aa81ce966a2aef6c547c3",
         "prometheus": "edf4995ab6932248c4edeacbb9683633cc65ab20c6b9791c87a235dbd6eb7923",
     },
     "faulted": {
         "events": 3688,
-        "jsonl": "9521fa4e7f8409b8ad6a4904ce40e79ad133febee05cde35202cffb5d94f5ba4",
+        "jsonl": "72146af0f6fba7d5fbc20f75d5ec14eb7b186b248fac55f2283d5855893ac45f",
         "chrome": "eec9959db4acad3e15f1240aca02a6476a4fe56669545a38075a9d141c1c9009",
         "prometheus": "806262a473c831091bd88fefb908cffdcc66ac5cdd572d53f7cea84078e7177c",
     },

@@ -325,9 +325,16 @@ class TestCluster:
         assert [n.speed for n in spec.nodes] == [1.0, 1.0, 0.25, 0.25]
         het = heterogeneous_cluster([1, 2, 4])
         assert Cluster(het).speeds == [1, 2, 4]
-        assert spec.with_packet_bytes(64).packet_bytes == 64
-        assert spec.with_link(MYRINET).link.name == "Myrinet"
-        assert spec.with_memory(4096).nodes[0].memory_items == 4096
+
+    def test_spec_round_trips_through_a_dict(self):
+        from repro.cluster.machine import ClusterSpec, paper_cluster
+
+        spec = paper_cluster(memory_items=4096, link=MYRINET)
+        assert ClusterSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ValueError, match="missing key 'link'"):
+            ClusterSpec.from_dict({"nodes": spec.to_dict()["nodes"]})
+        with pytest.raises(ValueError, match="not a machine record"):
+            ClusterSpec.from_dict({**spec.to_dict(), "nodes": [{"speed": 1.0}]})
 
     def test_empty_cluster_rejected(self):
         from repro.cluster.machine import ClusterSpec

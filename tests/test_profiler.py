@@ -22,7 +22,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.machine import Cluster, heterogeneous_cluster
+from repro.cluster.machine import (
+    Cluster,
+    ClusterSpec,
+    NodeSpec,
+    heterogeneous_cluster,
+    homogeneous_cluster,
+)
 from repro.cluster.network import FAST_ETHERNET, MYRINET
 from repro.cluster.node import CpuParams
 from repro.core.external_psrs import PSRSConfig, sort_array
@@ -179,7 +185,7 @@ class TestReplayAndWhatIf:
         the node count inferred from the operations."""
         cluster, res = run_sort([1, 1, 1], n=2**14)
         prof = profile_from_jsonl_meta({}, cluster.bus.events)
-        assert prof.hw == HardwareMeta()
+        assert prof.hw == HardwareMeta(homogeneous_cluster(3))
         assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", ["event", "lockstep"])
@@ -204,7 +210,7 @@ class TestReplayAndWhatIf:
         assert res.faults.degraded and res.faults.total_retries == 1
         prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
         rows = prof.events.rows
-        link, packet = prof.hw.link, prof.hw.packet_bytes
+        link, packet = prof.hw.spec.link, prof.hw.spec.packet_bytes
         assert any(row[0] is Retry for row in rows)
         assert any(
             row[0] is NetTransfer and row[7] > link.message_time(row[6], packet)
@@ -311,6 +317,58 @@ class TestReplayAndWhatIf:
             bare.what_if("block=512")
 
 
+def mixed_generation_spec(n_disks=None):
+    """The four-generation machine of ``examples/mixed_generation_cluster.py``:
+    every node has its own drive and the newest has two (``n_disks``, when
+    given, sets every node's drive count instead)."""
+
+    def gen(name, speed, seek, bandwidth, disks=1):
+        return NodeSpec(
+            name=name,
+            speed=speed,
+            memory_items=2048,
+            disk=DiskParams(seek_time=seek, bandwidth=bandwidth),
+            cpu=CpuParams(seconds_per_op=2e-8),
+            n_disks=disks if n_disks is None else n_disks,
+        )
+
+    return ClusterSpec(
+        nodes=(
+            gen("gen2024", 8.0, 2e-4, 60e6, disks=2),
+            gen("gen2018", 5.0, 3e-4, 40e6),
+            gen("gen2012", 3.0, 4e-4, 25e6),
+            gen("gen2006", 1.0, 5e-4, 15e6),
+        )
+    )
+
+
+def run_mixed(spec, kernel):
+    perf = PerfVector([8, 5, 3, 1])
+    data = make_benchmark(0, perf.nearest_admissible(50_000), seed=11)
+    cluster = Cluster(spec, kernel=kernel)
+    cluster.bus.set_level("full")
+    cfg = PSRSConfig(block_items=BLOCK, message_items=MESSAGE)
+    return cluster, sort_array(cluster, perf, data, cfg)
+
+
+@pytest.mark.parametrize("kernel", ["event", "lockstep"])
+def test_replay_keeps_every_nodes_hardware(kernel, tmp_path):
+    """On nodes with different drives the log must record each node: the
+    baseline replay is the run itself, ``disks=2`` is a real re-run with
+    two drives everywhere, and the ``hw`` head survives a JSONL round trip."""
+    cluster, res = run_mixed(mixed_generation_spec(), kernel)
+    prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
+    assert prof.baseline_replay() == pytest.approx(res.elapsed, rel=1e-12)
+    _, rerun = run_mixed(mixed_generation_spec(n_disks=2), kernel)
+    assert prof.what_if("disks=2").predicted_elapsed == pytest.approx(
+        rerun.elapsed, rel=1e-9
+    )
+    path = str(tmp_path / "run.jsonl")
+    write_jsonl(path, prof.events, {"hw": prof.hw.to_dict()})
+    prof2 = profile_from_jsonl_meta(*read_jsonl(path))
+    assert prof2.hw == prof.hw
+
+
 class TestJsonlRoundtrip:
     def test_profile_from_saved_log(self, baseline, tmp_path):
         """Recorded run: JSONL roundtrip preserves hw model and profile."""
@@ -348,7 +406,7 @@ class TestJsonlRoundtrip:
 
     def test_missing_hw_defaults(self):
         prof = profile_from_jsonl_meta({}, [])
-        assert prof.hw == HardwareMeta()
+        assert prof.hw == HardwareMeta(homogeneous_cluster(1))
         assert prof.block_items is None
 
 
@@ -640,7 +698,7 @@ class TestCLIProfile:
     def test_events_meta_records_hardware(self, events_file):
         meta, _ = read_jsonl(events_file)
         hw = HardwareMeta.from_dict(meta["hw"])
-        assert hw.speeds == (1.0, 1.0, 4.0, 4.0)
+        assert [ns.speed for ns in hw.spec.nodes] == [1.0, 1.0, 4.0, 4.0]
         assert hw.kernel == "event"
         assert meta["block_items"] == 256
 
@@ -672,6 +730,25 @@ class TestCLIProfile:
         trace = json.loads(trace_path.read_text())
         assert any(e.get("cat") == "critical" for e in trace["traceEvents"])
         assert any(e.get("ph") == "s" for e in trace["traceEvents"])
+
+    def test_profile_of_a_flat_hw_head_is_bad_input(
+        self, events_file, tmp_path, capsys
+    ):
+        """A ``hw`` head that is not a machine record (the flat one older
+        versions wrote) is one error line naming the log, exit 2."""
+        from repro.cli import main
+
+        with open(events_file, encoding="utf-8") as fh:
+            head, *rest = fh.readlines()
+        meta = json.loads(head)
+        meta["hw"] = {"kernel": "event", "speeds": [1.0, 1.0, 4.0, 4.0]}
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text(json.dumps(meta) + "\n" + "".join(rest))
+        assert main(["profile", str(flat)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro profile: error: ")
+        assert str(flat) in err[0] and "'nodes'" in err[0]
 
     def test_profile_bad_whatif(self, events_file, capsys):
         from repro.cli import main

@@ -71,6 +71,19 @@ def test_retired_names_are_gone_not_aliased():
         assert not hasattr(importlib.import_module(module), "checksum")
     assert "checksum" not in repro.workloads.__all__
 
+    for name in ("with_link", "with_packet_bytes", "with_memory"):
+        assert not hasattr(repro.ClusterSpec, name)
+    for name in ("cluster_spec", "link"):
+        assert not hasattr(repro.obs.profiler.HardwareMeta, name)
+    for name in ("FAST_DISK", "SCSI_1999"):
+        assert not hasattr(importlib.import_module("repro.pdm.disk"), name)
+    with pytest.raises(TypeError):
+        repro.paper_cluster(packet_bytes=1024)
+    with pytest.raises(TypeError):
+        repro.heterogeneous_cluster([1.0], packet_bytes=1024)
+    with pytest.raises(TypeError):
+        repro.homogeneous_cluster(2, link=repro.FAST_ETHERNET)
+
 
 def test_the_bus_imports_nothing_from_the_cluster_layer():
     """``repro.obs.bus`` is below ``repro.cluster`` (a cluster owns a bus,

@@ -33,8 +33,9 @@ from repro.faults import (
     StepRunner,
 )
 from repro.metrics.report import fault_table
-from repro.obs.events import step_intervals
+from repro.obs.events import NetTransfer, StepBegin, step_intervals
 from repro.pdm.blockfile import BlockWriter
+from repro.workloads.generators import make_benchmark
 
 PERF = PerfVector([1, 2, 1])
 SPEEDS = [1.0, 2.0, 1.0]
@@ -405,6 +406,34 @@ class TestKillEdgeCases:
         assert res.faults.node_kills == 2
         for nd in cluster.nodes:
             assert nd.mem.in_use == 0
+
+    def test_dead_pivot_root_falls_back_to_lowest_survivor(self):
+        """``PSRSConfig.root`` (rank 0) dies at step 4: the re-run pivot
+        step gathers its samples at rank 1, the lowest survivor, not at
+        the fastest one (ranks 2 and 3 run at speed 4)."""
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(2**14), seed=0)
+        cluster = Cluster(
+            heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048)
+        )
+        cluster.bus.set_level("io")
+        plan = FaultPlan(node_kills=[NodeKill(node=0, step=4)])
+        res = sort_array(
+            cluster, perf, data, PSRSConfig(block_items=256), faults=plan,
+            retry=RetryPolicy(),
+        )
+        assert PSRSConfig().root == 0 and res.active_ranks == [1, 2, 3]
+        executions: list[list[tuple[int, int]]] = []
+        for ev in cluster.bus.events:
+            if ev.step != "2:pivots":
+                continue
+            if isinstance(ev, StepBegin) and (not executions or executions[-1]):
+                executions.append([])
+            elif isinstance(ev, NetTransfer):
+                executions[-1].append((ev.src, ev.dst))
+        first, second = executions
+        assert first[:3] == [(1, 0), (2, 0), (3, 0)]
+        assert second[:2] == [(2, 1), (3, 1)]
 
     def test_degraded_combined_with_transient_retry(self):
         """A kill and a transient disk fault in one plan: retry handles
