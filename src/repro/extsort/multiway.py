@@ -5,13 +5,14 @@ One production engine and one reference, identical observable semantics
 and holds the production loop to the op stream of the two-pass loop it
 replaced, ``tests/merge_reference.py``):
 
-* :func:`merge_cursors` — what every sort runs.  Per round, each run
-  holds one buffered block; the safe horizon ``t`` is the minimum of the
-  per-run buffer maxima; every buffered item ``<= t`` can be emitted this
-  round (any unseen item of run *i* is ``>=`` its buffer max ``>= t``),
-  so the round cuts every buffer at ``t``, merges the cut-off heads
-  in core (:func:`~repro.extsort.losertree.kway_merge_sorted`)
-  and streams the chunk out.  A round is one pass over the cursors: the
+* :func:`merge_cursors` — what every sort runs.  Each run buffers its
+  whole-block share of the budget (:func:`share_budget`); per round, the
+  safe horizon ``t`` is the minimum of the per-run buffer maxima; every
+  buffered item ``<= t`` can be emitted this round (any unseen item of
+  run *i* is ``>=`` its buffer max ``>= t``), so the round cuts every
+  buffer at ``t``, merges the cut-off heads in core
+  (:func:`~repro.extsort.losertree.kway_merge_sorted`) and streams the
+  chunk out.  A round is one pass over the cursors: the
   horizon comes from tails cached at refill; a buffer whose tail equals
   ``t`` drains whole (keys are integers, so no NaN), one whose head
   exceeds ``t`` is skipped, any other is cut by one ``searchsorted``
@@ -29,8 +30,8 @@ replaced, ``tests/merge_reference.py``):
   :func:`merge_runs` can select it (``engine="itemwise"``); no sort
   and no config passes that on.
 
-A k-way merge needs k input buffers plus one output buffer in core:
-``k <= M/B - 1`` (:func:`max_merge_order`).
+A k-way merge needs k input buffers of at least one block plus one
+output block in core: ``k <= M/B - 1`` (:func:`max_merge_order`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ ComputeHook = Optional[Callable[[float], None]]
 
 
 def max_merge_order(mem: MemoryManager, B: int) -> int:
-    """Largest k for a k-way merge: k input blocks + 1 output block <= M."""
+    """Largest k for a k-way merge: k input blocks + 1 output block <= M.
+    A smaller k leaves each run a deeper buffer (:func:`share_budget`)."""
     if mem.capacity is None:
         return 1 << 16
     k = mem.available // B - 1
@@ -87,18 +89,21 @@ class RunRef:
 class RunCursor:
     """Buffered forward cursor over one sorted run.
 
-    Reads the underlying file block by block (each read charged to the
-    disk), pinning buffered-but-unconsumed items in the memory manager.
-    Item addressing exploits the BlockFile invariant that every block
-    except the last holds exactly B items.
+    Each refill reads ``depth`` consecutive blocks of the run (one unless
+    :func:`share_budget` gave it more; never past the run's last block),
+    each read charged to the disk, and pins the buffered-but-unconsumed
+    items in the memory manager.  Item addressing exploits the BlockFile
+    invariant that every block except the last holds exactly B items.
     """
 
     def __init__(self, run: RunRef, mem: MemoryManager) -> None:
         self.run = run
         self.mem = mem
         self._pos = run.start  # next unread item offset in the file
-        #: Unconsumed tail of the current block (never empty), or None.
+        #: Unconsumed tail of the current refill (never empty), or None.
         self._buf: Optional[np.ndarray] = None
+        #: Blocks per refill (set by :func:`share_budget`).
+        self.depth = 1
 
     @property
     def exhausted(self) -> bool:
@@ -110,11 +115,17 @@ class RunCursor:
             self._refill()
 
     def _refill(self) -> np.ndarray:
-        """Read and pin the run's next block (the buffer must be drained
-        and the run not exhausted); returns the new buffer."""
+        """Read and pin the run's next ``depth`` blocks (the buffer must be
+        drained and the run not exhausted); returns the new buffer."""
         B = self.run.file.B
         block_index = self._pos // B
-        block = self.run.file.read_block(block_index)
+        if self.depth == 1:
+            block = self.run.file.read_block(block_index)
+        else:  # clamped at the run's last block: a tape holds the next run
+            last = min(block_index + self.depth, -(-self.run.stop // B))
+            block = np.concatenate(
+                [self.run.file.read_block(i) for i in range(block_index, last)]
+            )
         lo = self._pos - block_index * B
         hi = min(block.size, self.run.stop - block_index * B)
         self._buf = buf = block[lo:hi]
@@ -180,6 +191,15 @@ class RunCursor:
             self._buf = None
 
 
+def share_budget(cursors: Sequence[RunCursor], mem: MemoryManager) -> None:
+    """Set each cursor's refill depth to an equal whole-block share of the
+    free budget, ``max(1, available // (k·B))``; unlimited keeps 1."""
+    if mem.capacity is None:
+        return
+    for c in cursors:
+        c.depth = max(1, mem.available // (len(cursors) * c.run.file.B))
+
+
 def merge_cursors(
     cursors: Sequence[RunCursor],
     writer: BlockWriter,
@@ -188,6 +208,7 @@ def merge_cursors(
 ) -> int:
     """Vectorised k-way merge; returns the number of items written."""
     active = [c for c in cursors if not c.exhausted]
+    share_budget(active, mem)
     log_k = float(np.log2(max(2, len(active))))
     # Parallel to ``active``: each buffer and its tail, read once per refill.
     bufs = [c._buf if c._buf is not None else c._refill() for c in active]

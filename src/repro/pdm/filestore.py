@@ -58,8 +58,16 @@ class DiskBackedBlockFile(BlockFile):
             pass  # truncate
 
     def _store_append(self, arr: np.ndarray) -> None:
-        with open(self.path, "ab") as fh:
-            fh.write(np.ascontiguousarray(arr, dtype=self.dtype).tobytes())
+        """Append one block's bytes.  A write that fails partway (a full
+        disk, a file-size limit) is cut back to the last whole block and
+        re-raised, so later blocks land at their offsets; the failed
+        attempt stays charged (``append_block`` charges before it stores)."""
+        try:
+            with open(self.path, "ab") as fh:
+                fh.write(np.ascontiguousarray(arr, dtype=self.dtype).tobytes())
+        except OSError:
+            os.truncate(self.path, self._n_items * self.itemsize)
+            raise
 
     def _store_load(self, index: int) -> np.ndarray:
         if not (0 <= index < len(self._block_sizes)):

@@ -8,6 +8,8 @@ through ``RunCursor._pop``.  The two must produce the same output through
 the same operation stream — the same block I/Os, memory reservations,
 releases and compute charges in the same order
 (``tests/test_multiway.py::test_property_merge_loop_equals_reference``).
+Both size their refills with the shared ``share_budget``; the multi-block
+read itself is held to depth 1 by ``test_property_deep_refills_equal_one_block_refills``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.extsort.losertree import kway_merge_sorted
-from repro.extsort.multiway import ComputeHook, RunCursor
+from repro.extsort.multiway import ComputeHook, RunCursor, share_budget
 from repro.pdm.blockfile import BlockWriter
 from repro.pdm.memory import MemoryManager
 
@@ -30,6 +32,7 @@ def reference_merge_cursors(
 ) -> int:
     """Vectorised k-way merge; returns the number of items written."""
     active = [c for c in cursors if not c.exhausted]
+    share_budget(active, mem)
     log_k = float(np.log2(max(2, len(active))))
     total = 0
     while active:

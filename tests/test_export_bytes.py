@@ -37,13 +37,13 @@ OBSERVED_BLOCK = 256
 
 GOLDEN = {
     "event": {
-        "chrome": "a121dd4300de4481420950c08a828192d1049af07a7ddb56901fc6866c71642e",
+        "chrome": "9084e2c65332a05c5fdf7d30e1b6bc4549f5b4d444805174b133f97199b1a842",
     },
     "lockstep": {
-        "chrome": "5394e88baca1e48a4e192cc18caa6350d6aaa554219c7394e12e10c2d706b76b",
+        "chrome": "ffbf3a314acee29e8d2db9ac99e5838b0e953a6a587e81dcf673c8ee9909fb50",
     },
     "faulted": {
-        "chrome": "a3d883524908aeed5e6abfd1ee6d81f0c781524477d1dd6a9490880e61fe6b08",
+        "chrome": "48a9acaa91208a8026ff5133c4abc1a0cc6226cbee2bc42893aed12e1ad3651c",
     },
     "observed4": {
         "chrome": "7688387d6b1e59c6fdba0eb570cef01094eec10cc16f33a1d1df82d11a137226",

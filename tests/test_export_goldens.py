@@ -56,21 +56,21 @@ RUNS = {
 
 GOLDEN = {
     "event": {
-        "events": 3650,
-        "jsonl": "baf0faf15fb6c716cac58a93585fdbe27870b7f28d180d2f854a649d8f8c1f57",
-        "chrome": "3092b8f2deb23cb9bb5ba4d2a82ee42571cbd331bbdc2e18f20ec5c24951e87e",
+        "events": 3578,
+        "jsonl": "2da82948cd16c6769c7ad835a39ac88a4e3bf2aea3c5be37c230b6ac333da3da",
+        "chrome": "9a1cc49480001f45666a8932c027760a9a268a21012d0a3247665c85b451be3b",
         "prometheus": "4907fe5ce78ddefef9265b5023cc4b51743dc4b34f85864ae6df030ae6ca3b2a",
     },
     "lockstep": {
-        "events": 3670,
-        "jsonl": "ab472e44b571b14b84a4a8474c05b594984f873bb6724e660695f5276e551394",
-        "chrome": "826a2e190e8ea3f23809a3240724abc857852e79266aa81ce966a2aef6c547c3",
-        "prometheus": "edf4995ab6932248c4edeacbb9683633cc65ab20c6b9791c87a235dbd6eb7923",
+        "events": 3598,
+        "jsonl": "6a9c2feaf571e8113faa3a3a96cc8f0ebdf85a1fe47e939c832d2d60cf325081",
+        "chrome": "2699eacdb4b161f6f0de9b372d942ff41607a15a35ac74766e5a33af308dcd62",
+        "prometheus": "c86137d33d7993b510b3a805cac3013ef8ba05e4d4d1536ac53d07e9095d1d76",
     },
     "faulted": {
-        "events": 3688,
-        "jsonl": "72146af0f6fba7d5fbc20f75d5ec14eb7b186b248fac55f2283d5855893ac45f",
-        "chrome": "eec9959db4acad3e15f1240aca02a6476a4fe56669545a38075a9d141c1c9009",
+        "events": 3616,
+        "jsonl": "ce5f9a36e2b469b5b5f9dbc49cabde3d43ff2fd4c6edb22dd48b1c77d3d0b26b",
+        "chrome": "4f6b8061e3e41c9b8d6e2837c2107010b4bf900c8a6dfd6f1d84becf6d2d5ec9",
         "prometheus": "806262a473c831091bd88fefb908cffdcc66ac5cdd572d53f7cea84078e7177c",
     },
 }

@@ -1,6 +1,11 @@
 """Tests for real-file-backed block files and the spill store."""
 
+import errno
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,38 @@ from repro.pdm.filestore import DiskBackedBlockFile, FileStore
 from repro.pdm.memory import MemoryManager
 
 from tests.conftest import make_disk
+
+#: Appends a block under a file-size limit that leaves room for half of
+#: it (SIGXFSZ ignored, so the write fails with EFBIG), lifts the limit,
+#: appends another block and reports what the host file then holds.
+SHORT_WRITE = """
+import json, os, resource, signal, sys
+import numpy as np
+from repro.pdm.disk import DiskParams, SimDisk
+from repro.pdm.filestore import DiskBackedBlockFile
+
+disk = SimDisk(DiskParams(seek_time=1e-3, bandwidth=50e6))
+f = DiskBackedBlockFile(disk, B=256, directory=sys.argv[1])
+f.append_block(np.arange(256))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1536, hard))
+try:
+    f.append_block(np.arange(256, 512))
+    error = None
+except OSError as exc:
+    error = exc.errno
+size = os.path.getsize(f.path)
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+f.append_block(np.arange(1000, 1256))
+print(json.dumps({
+    "error": error,
+    "size_after_failure": size,
+    "n_blocks": f.n_blocks,
+    "block1": f.read_block(1).tolist(),
+    "blocks_written": disk.stats.blocks_written,
+}))
+"""
 
 
 class TestDiskBackedBlockFile:
@@ -77,6 +114,23 @@ class TestDiskBackedBlockFile:
         assert "needs 16 bytes" in msg and f"read {got}" in msg
         assert disk.stats.blocks_read == 0
         np.testing.assert_array_equal(f.read_block(0), np.arange(4))
+
+    def test_short_write_is_cut_back_to_the_last_whole_block(self, tmp_path):
+        """An append that fails partway leaves no stray bytes: the next
+        block lands at its own offset.  Run in a subprocess, so the
+        file-size limit cannot reach pytest."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", SHORT_WRITE, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True, capture_output=True, text=True, timeout=120,
+        )
+        got = json.loads(out.stdout)
+        assert got["error"] == errno.EFBIG
+        assert got["size_after_failure"] == 256 * 4
+        assert got["n_blocks"] == 2
+        assert got["block1"] == list(range(1000, 1256))
+        assert got["blocks_written"] == 3  # the failed attempt stays charged
 
     def test_sort_on_a_truncated_spill_file_exits_two(
         self, tmp_path, monkeypatch, capsys

@@ -369,3 +369,92 @@ def test_property_merge_loop_faults_like_reference(kernel, case, after_ios, coun
     got = _merge_on_node(multiway.merge_cursors, kernel, dtype, B, pad, runs, fault)
     want = _merge_on_node(reference_merge_cursors, kernel, dtype, B, pad, runs, fault)
     _assert_same_merge(got, want)
+
+
+class TestShareBudget:
+    """Refill depth: an equal whole-block share of the budget at entry."""
+
+    @staticmethod
+    def _first_refills(k: int, blocks: int, B: int = 4) -> list[int]:
+        """Items each of ``k`` cursors pins on its first refill, in one
+        ``merge_runs`` of ``k`` 8-block runs at ``M = blocks·B``."""
+        disk = make_disk()
+        refs = [
+            RunRef.whole(file_from_array(np.arange(i, 8 * B * k, k), disk, B))
+            for i in range(k)
+        ]
+        mem = MemoryManager(blocks * B)
+        with mock.patch.object(mem, "acquire", wraps=mem.acquire) as acquire:
+            merge_runs(refs, BlockFile(disk, B, np.uint32), mem)
+        # the output writer's block first, then one refill per cursor
+        assert acquire.call_args_list[0] == mock.call(B)
+        return [call.args[0] // B for call in acquire.call_args_list[1 : k + 1]]
+
+    def test_fan_in_16_at_64_blocks_pins_3_blocks_per_cursor(self):
+        assert self._first_refills(16, 64) == [3] * 16
+
+    def test_fan_in_7_at_8_blocks_pins_1_block_per_cursor(self):
+        assert self._first_refills(7, 8) == [1] * 7
+
+
+def _merge_at_budget(dtype, B, pad, runs, extra, fault=None) -> dict:
+    """``merge_cursors`` of ``runs`` (laid end to end on one tape after
+    ``pad`` items) on a fresh disk whose budget is one block per non-empty
+    run plus one for the output — depth 1 — and ``extra`` items more."""
+    disk = make_disk()
+    tape = BlockFile(disk, B, dtype)
+    with BlockWriter(tape, MemoryManager.unlimited()) as w:
+        w.write(np.zeros(pad, dtype=dtype))
+        for r in runs:
+            w.write(np.sort(np.asarray(r, dtype=dtype)))
+    bounds = np.cumsum([pad] + [len(r) for r in runs])
+    refs = [RunRef(tape, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    mem = MemoryManager((sum(1 for r in runs if r) + 1) * B + extra)
+    out = BlockFile(disk, B, dtype)
+    before = disk.stats.snapshot()
+    if fault is not None:
+        install_disk_faults(disk, [fault])
+    cursors = [RunCursor(r, mem) for r in refs]
+    charged: list[float] = []
+    error = None
+    try:
+        with BlockWriter(out, mem) as w:
+            multiway.merge_cursors(cursors, w, mem, charged.append)
+    except DiskFaultError as exc:
+        error = exc
+    finally:
+        for c in cursors:
+            c.drop()
+    assert mem.high_water <= mem.capacity
+    assert mem.in_use == 0, "merge leaked memory reservations"
+    return {
+        "error": error,
+        "out": out.to_array(),
+        "io": disk.stats - before,
+        "compute": sum(charged),
+        "depth": max([c.depth for c in cursors], default=1),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_merge_inputs(), extra=st.integers(0, 96 * 8), data=st.data())
+def test_property_deep_refills_equal_one_block_refills(case, extra, data):
+    """Multi-block refills, against depth 1 rather than against the
+    reference loop (which shares ``_refill``): on the same runs, a larger
+    budget writes the same bytes through the same block and item I/O and
+    charges the same compute; a disk fault below the I/O total makes both
+    budgets raise and unpin everything."""
+    dtype, B, pad, runs = case
+    one = _merge_at_budget(dtype, B, pad, runs, 0)
+    deep = _merge_at_budget(dtype, B, pad, runs, extra)
+    assert one["depth"] == 1 and one["error"] is None and deep["error"] is None
+    assert deep["out"].dtype == one["out"].dtype
+    assert deep["out"].tobytes() == one["out"].tobytes()
+    assert replace(deep["io"], busy_time=0.0) == replace(one["io"], busy_time=0.0)
+    assert deep["io"].busy_time == pytest.approx(one["io"].busy_time, rel=1e-12)
+    assert deep["compute"] == pytest.approx(one["compute"], rel=1e-12)
+    total = one["io"].block_ios
+    if total:
+        fault = DiskFault(after_ios=data.draw(st.integers(0, total - 1)))
+        for got in (_merge_at_budget(dtype, B, pad, runs, e, fault) for e in (0, extra)):
+            assert isinstance(got["error"], DiskFaultError)
