@@ -102,8 +102,9 @@ class RunCursor:
         self._pos = run.start  # next unread item offset in the file
         #: Unconsumed tail of the current refill (never empty), or None.
         self._buf: Optional[np.ndarray] = None
-        #: Blocks per refill (set by :func:`share_budget`).
-        self.depth = 1
+        #: Blocks per refill (set only by :func:`share_budget`).
+        self._depth = 1
+        self._end_block = -(-run.stop // run.file.B)  # past the run's last block
 
     @property
     def exhausted(self) -> bool:
@@ -117,15 +118,16 @@ class RunCursor:
     def _refill(self) -> np.ndarray:
         """Read and pin the run's next ``depth`` blocks (the buffer must be
         drained and the run not exhausted); returns the new buffer."""
-        B = self.run.file.B
+        file = self.run.file
+        B = file.B
         block_index = self._pos // B
-        if self.depth == 1:
-            block = self.run.file.read_block(block_index)
-        else:  # clamped at the run's last block: a tape holds the next run
-            last = min(block_index + self.depth, -(-self.run.stop // B))
-            block = np.concatenate(
-                [self.run.file.read_block(i) for i in range(block_index, last)]
-            )
+        block = file.read_block(block_index)
+        last = block_index + self._depth
+        if last > self._end_block:  # an `if`, not min(): no call per refill
+            last = self._end_block
+        if last > block_index + 1:  # one block is used as read, not copied
+            more = map(file.read_block, range(block_index + 1, last))
+            block = np.concatenate([block, *more])
         lo = self._pos - block_index * B
         hi = min(block.size, self.run.stop - block_index * B)
         self._buf = buf = block[lo:hi]
@@ -192,12 +194,11 @@ class RunCursor:
 
 
 def share_budget(cursors: Sequence[RunCursor], mem: MemoryManager) -> None:
-    """Set each cursor's refill depth to an equal whole-block share of the
-    free budget, ``max(1, available // (k·B))``; unlimited keeps 1."""
+    """Give each cursor an equal whole-block share of the free budget."""
     if mem.capacity is None:
         return
     for c in cursors:
-        c.depth = max(1, mem.available // (len(cursors) * c.run.file.B))
+        c._depth = max(1, mem.available // (len(cursors) * c.run.file.B))
 
 
 def merge_cursors(

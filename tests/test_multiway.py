@@ -432,7 +432,7 @@ def _merge_at_budget(dtype, B, pad, runs, extra, fault=None) -> dict:
         "out": out.to_array(),
         "io": disk.stats - before,
         "compute": sum(charged),
-        "depth": max([c.depth for c in cursors], default=1),
+        "depth": max([c._depth for c in cursors], default=1),
     }
 
 
