@@ -769,7 +769,7 @@ class CostInterpreter:
         w: _Walk,
     ) -> tuple[Expr, VarInfo]:
         w.ctx.charge_lines.append(node.lineno)
-        if method in ("read_block", "append_block"):
+        if method in ("read_block", "append_block", "charge_block"):
             return Sym("B"), VarInfo(size=Sym("B"))
         if method == "read_all":
             assert isinstance(node.func, ast.Attribute)

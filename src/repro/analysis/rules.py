@@ -332,8 +332,8 @@ class MagicBlockSizeRule(Rule):
 class NodeIsolationRule(Rule):
     """REP005: unaccounted state access crossing the simulation boundary.
 
-    ``inspect_block`` / ``to_array`` / private ``_blocks`` payload access
-    read data without charging any disk and without a
+    ``inspect_block`` / ``to_array`` / ``load_items`` / private ``_blocks``
+    payload access read data without charging any disk and without a
     :meth:`~repro.cluster.network.Network.transfer` — in a real cluster
     that data does not exist on the reading node.  Inside ``core`` and
     ``extsort`` these are simulated races on node state.  Block sizes
@@ -372,10 +372,10 @@ class NodeIsolationRule(Rule):
                         "to_array() reads the whole file charge-free; "
                         "algorithms must use charged block reads",
                     )
-                elif name == "inspect_block":
+                elif name in ("inspect_block", "load_items"):
                     yield ctx.finding(
                         self, node,
-                        "inspect_block() payload read is charge-free; only "
+                        f"{name}() payload read is charge-free; only "
                         "block_items() metadata access is free in the model",
                     )
             elif (

@@ -327,6 +327,15 @@ def _load_fault_plan(text: str):
 
 
 def cmd_sort(args) -> int:
+    from repro.pdm.filestore import FileStore
+
+    if not args.spill_dir:
+        return _sort(args, None)
+    with FileStore(args.spill_dir) as store:  # removes its run's files
+        return _sort(args, store)
+
+
+def _sort(args, store) -> int:
     import json
 
     from repro.cluster.machine import Cluster, heterogeneous_cluster
@@ -335,7 +344,6 @@ def cmd_sort(args) -> int:
     from repro.core.theory import max_duplicate_count
     from repro.faults.plan import RetryPolicy
     from repro.metrics.report import fault_table
-    from repro.pdm.filestore import FileStore
     from repro.workloads.generators import make_benchmark
     from repro.workloads.records import verify_sorted_permutation
 
@@ -354,7 +362,6 @@ def cmd_sort(args) -> int:
         cluster.bus.set_level("full")
     elif args.trace or args.audit:
         cluster.bus.set_level("io")
-    store = FileStore(args.spill_dir) if args.spill_dir else None
     if store is not None:
         for node in cluster.nodes:
             node.disk.file_factory = store.create

@@ -12,18 +12,34 @@ replaced, ``tests/merge_reference.py``):
   run *i* is ``>=`` its buffer max ``>= t``), so the round cuts every
   buffer at ``t``, merges the cut-off heads in core
   (:func:`~repro.extsort.losertree.kway_merge_sorted`) and streams the
-  chunk out.  A round is one pass over the cursors: the
-  horizon comes from tails cached at refill; a buffer whose tail equals
-  ``t`` drains whole (keys are integers, so no NaN), one whose head
-  exceeds ``t`` is skipped, any other is cut by one ``searchsorted``
-  and releases its cut in cursor order; then the chunk is written and
-  the drained cursors are refilled, in cursor order.  Each drained
-  buffer is cleared during the cut, before the write and any refill, so
-  a fault in either leaves no stale buffer for :meth:`RunCursor.drop`
-  to release a second time.  At least one whole buffer drains per
-  round, so the number of rounds is bounded by the total block count:
-  the Python-level overhead is O(blocks·k) while the data plane stays
-  in numpy.
+  chunk out.  Two paths make the same charges in the same order:
+
+  - *The round loop.*  A round is one pass over the cursors: the
+    horizon comes from tails cached at refill; a buffer whose tail
+    equals ``t`` drains whole (keys are integers, so no NaN), one whose
+    head exceeds ``t`` is skipped, any other is cut by one
+    ``searchsorted`` and releases its cut in cursor order; then the
+    chunk is written and the drained cursors are refilled, in cursor
+    order.  Each drained buffer is cleared during the cut, before the
+    write and any refill, so a fault in either leaves no stale buffer
+    for :meth:`RunCursor.drop` to release a second time.  At most one
+    round per block: O(blocks·k) Python-level work.
+  - *The plan* (:func:`_merge_planned`).  Key each refill unit (one
+    ``_refill``: ``depth`` blocks clamped at the run's end, the first
+    maybe mid-block or already pinned) by (tail, layer), the layer
+    counting its cursor's earlier units of that tail.  While the horizon
+    is ``t`` no buffer has a smaller tail, so each cursor with tail-``t``
+    units is at its first and each such round drains one: round *r*
+    drains the units of the *r*-th distinct key, then refills their
+    successors in cursor order, and cursor *i* has emitted
+    ``min(items_i.searchsorted(t_r, "right"), items loaded)``.  The plan
+    applies that memory trajectory at once, replays every block and
+    compute charge in order, then sorts and stores the payload.
+
+  :func:`_plans` keeps the loop when a disk involved has a fault hook (a
+  raising charge must leave the loop's partial state), the bus captures
+  memory (one row per reservation), a file spills to the host (an O(M)
+  host footprint) or the merge reads under ``_PLAN_FLOOR`` blocks.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree merge
   (ceil(log2 k) comparisons per item), kept as the reference the
   differential tests and the micro-benchmark compare against.  Only
@@ -43,6 +59,7 @@ import numpy as np
 
 from repro.extsort.losertree import LoserTree, kway_merge_sorted
 from repro.pdm.blockfile import BlockFile, BlockWriter
+from repro.pdm.filestore import DiskBackedBlockFile
 from repro.pdm.memory import MemoryManager
 
 ComputeHook = Optional[Callable[[float], None]]
@@ -211,6 +228,10 @@ def merge_cursors(
     active = [c for c in cursors if not c.exhausted]
     share_budget(active, mem)
     log_k = float(np.log2(max(2, len(active))))
+    if active and _plans(active, writer, mem):
+        total = _merge_planned(active, writer, mem, compute, log_k)
+        if total is not None:
+            return total
     # Parallel to ``active``: each buffer and its tail, read once per refill.
     bufs = [c._buf if c._buf is not None else c._refill() for c in active]
     tails = [buf[-1] for buf in bufs]
@@ -259,6 +280,115 @@ def merge_cursors(
             bufs = [bufs[i] for i in live]
             tails = [tails[i] for i in live]
     return total
+
+
+#: Below this many blocks a plan does not pay (B = 256: 4 × 4 break even).
+_PLAN_FLOOR = 16
+_SORT_CHUNK = 1 << 15  #: items per payload sort: cache-sized chunks sort faster
+
+
+def _plans(active: Sequence[RunCursor], writer: BlockWriter, mem: MemoryManager) -> bool:
+    """Whether :func:`merge_cursors` plans this merge (module docstring)."""
+    files = [*(c.run.file for c in active), writer.file]
+    if any(isinstance(f, DiskBackedBlockFile) or f.disk.fault_hook is not None for f in files):
+        return False
+    blocks = sum(c._end_block - c._pos // c.run.file.B for c in active if c._pos < c.run.stop)
+    return not (mem.bus is not None and mem.bus.captures_memory) and blocks >= _PLAN_FLOOR
+
+
+def _merge_planned(
+    active: Sequence[RunCursor],
+    writer: BlockWriter,
+    mem: MemoryManager,
+    compute: ComputeHook,
+    log_k: float,
+) -> Optional[int]:
+    """The round loop's merge planned from its block tails: its charges
+    replayed in the loop's order, its payload moved in bulk.  None, with
+    nothing done, if the loop would overflow M (it raises there)."""
+    runs: list[np.ndarray] = []  # each cursor's items still to merge
+    tails: list[np.generic] = []  # per refill unit, cursor by cursor:
+    ends: list[int] = []  # where it ends in its cursor's items
+    reads: list[range] = []  # the blocks it reads
+    owner: list[int] = []  # its cursor
+    pinned = [c._buf.size for c in active if c._buf is not None]
+    for i, c in enumerate(active):
+        f, B, pos, stop, depth = c.run.file, c.run.file.B, c._pos, c.run.stop, c._depth
+        parts: list[np.ndarray] = []
+        size = 0
+        if c._buf is not None:  # the first unit is the pinned buffer
+            parts.append(c._buf)
+            size = c._buf.size
+            ends.append(size)
+            reads.append(range(0))
+            owner.append(i)
+        if pos < stop:  # _refill's units: each ends where the next starts
+            parts.append(f.load_items(pos, stop))  # repro: noqa REP005(the replay below charges every block it covers)
+            blocks = range(pos // B, c._end_block, depth)
+            reads += [range(b, min(b + depth, c._end_block)) for b in blocks]
+            ends += [b * B - pos + size for b in blocks[1:]]
+            size += stop - pos
+            ends.append(size)
+            owner += [i] * len(blocks)
+        a = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        runs.append(a)
+        tails += [a[e - 1] for e in ends[len(tails):]]
+    k = len(active)
+    end, cursor = np.array(ends), np.array(owner)
+    tail = np.array(tails, dtype=runs[0].dtype)
+    unit = np.arange(end.size)
+    group = np.ones(end.size, dtype=bool)
+    group[1:] = (cursor[1:] != cursor[:-1]) | (tail[1:] != tail[:-1])
+    layer = unit - np.maximum.accumulate(np.where(group, unit, 0))
+    # Rounds: the distinct (tail, layer) keys in order, ties in cursor order.
+    order = np.lexsort((cursor, layer, tail))  # repro: noqa REP002(orders the refill units, one key per unit: block metadata, not items)
+    ts, ls = tail[order], layer[order]
+    new = np.ones(end.size, dtype=bool)
+    new[1:] = (ts[1:] != ts[:-1]) | (ls[1:] != ls[:-1])
+    round_sorted = np.cumsum(new) - 1
+    R = int(round_sorted[-1]) + 1
+    # Round r: each cursor holds its first undrained unit, emits <= horizon.
+    drained = np.zeros((k, R + 1), dtype=np.intp)
+    drained[cursor[order], round_sorted + 1] = 1
+    first_unit = np.searchsorted(cursor, np.arange(k))
+    last_unit = np.append(first_unit[1:], end.size) - 1
+    unit_at = np.minimum(first_unit[:, None] + drained.cumsum(axis=1)[:, :R], last_unit[:, None])
+    held = end[unit_at]
+    out_by = np.minimum(np.array([a.searchsorted(ts[new], "right") for a in runs]), held)
+    emitted = np.zeros(R + 1, dtype=np.intp)  # by the end of round r - 1
+    emitted[1:] = out_by.sum(axis=0)
+    peak = mem.in_use - sum(pinned) + int((held.sum(axis=0) - emitted[:-1]).max())
+    if not mem.apply_planned(peak, end.size - len(pinned) + R, -sum(pinned)):
+        return None
+    for c in active:
+        c._buf, c._pos = None, c.run.stop
+    # Replay: first units' reads; per round its writes, compute, refills.
+    out = writer.file
+    done = (out.n_blocks + (writer.staged + emitted) // out.B).tolist()
+    n = (emitted[1:] - emitted[:-1]).tolist()
+    successor = order + 1
+    more = successor <= last_unit[cursor[order]]
+    refills = [*first_unit.tolist(), *successor[more].tolist()]
+    by_round = [0, *(k + round_sorted[more].searchsorted(np.arange(R + 1))).tolist()]
+    files = [active[i].run.file for i in owner]
+    for r in range(R + 1):
+        if r:
+            for b in range(done[r - 1], done[r]):
+                out.charge_block("write", out.B, b)
+            if compute is not None:
+                compute(n[r - 1] * log_k)
+        for u in refills[by_round[r] : by_round[r + 1]]:
+            f = files[u]
+            for b in reads[u]:
+                f.charge_block("read", f.block_items(b), b)
+    lo, prev = [0] * k, 0
+    for r in [*emitted.searchsorted(range(_SORT_CHUNK, int(emitted[-1]), _SORT_CHUNK)), R]:
+        if r > prev:
+            hi = out_by[:, r - 1].tolist()
+            parts = [a[i:j] for a, i, j in zip(runs, lo, hi)]
+            writer.write_charged(parts[0] if k == 1 else kway_merge_sorted(parts))
+            lo, prev = hi, r
+    return int(emitted[-1])
 
 
 def merge_cursors_itemwise(

@@ -14,7 +14,7 @@ of internal memory while open, which is how the
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -114,27 +114,32 @@ class BlockFile:
                 f"file {self.name!r} already ends in a partial block; "
                 "blocks must be packed compactly"
             )
-        # Sanitizer-bracketed: the block is charged exactly once.
-        san = active_sanitizer()
-        if san is None:
-            self.disk.charge_write(size, self.dtype.itemsize, self.name, len(sizes))
-        else:
-            with san.expect_block_charge(self.disk, "write"):
-                self.disk.charge_write(size, self.dtype.itemsize, self.name, len(sizes))
+        self.charge_block("write", size, len(sizes))
+        self._put(arr)
+
+    def _put(self, arr: np.ndarray) -> None:
+        """Store one already-charged block."""
         self._store_append(arr)
-        sizes.append(size)
-        self._n_items += size
+        self._block_sizes.append(arr.size)
+        self._n_items += arr.size
 
     def read_block(self, index: int) -> np.ndarray:
         """Read block ``index``.  Charges one block read."""
         blk = self._store_load(index)  # IndexError propagates
+        self.charge_block("read", blk.size, index)
+        return blk.copy()
+
+    def charge_block(self, op: str, n_items: int, index: int) -> None:
+        """Charge one block ``op`` ("read"/"write") of ``n_items`` items at
+        block ``index``, sanitizer-bracketed: every block charge, no payload."""
+        disk = self.disk
+        charge = disk.charge_read if op == "read" else disk.charge_write
         san = active_sanitizer()
         if san is None:
-            self.disk.charge_read(blk.size, self.dtype.itemsize, self.name, index)
+            charge(n_items, self.dtype.itemsize, self.name, index)
         else:
-            with san.expect_block_charge(self.disk, "read"):
-                self.disk.charge_read(blk.size, self.dtype.itemsize, self.name, index)
-        return blk.copy()
+            with san.expect_block_charge(disk, op):
+                charge(n_items, self.dtype.itemsize, self.name, index)
 
     def clear(self) -> None:
         """Truncate to empty (metadata operation, not charged)."""
@@ -147,6 +152,14 @@ class BlockFile:
     def inspect_block(self, index: int) -> np.ndarray:
         """Charge-free read-only view of a block.  *Not* for algorithms."""
         return self._store_load(index)
+
+    def load_items(self, start: int, stop: int) -> np.ndarray:
+        """Charge-free payload of items ``[start, stop)``; *not* for
+        algorithms, bar a merge that replays every block's charge."""
+        B = self.B
+        first = start // B
+        arr = np.concatenate([self._store_load(i) for i in range(first, -(-stop // B))])
+        return arr[start - first * B : stop - first * B]
 
     def to_array(self) -> np.ndarray:
         """Charge-free concatenation of the whole file.  *Not* for algorithms."""
@@ -180,6 +193,20 @@ class BlockWriter:
         if self._closed:
             raise ValueError("writer is closed")
         arr = np.asarray(items, dtype=self.file.dtype).ravel()
+        self._stage(arr, self.file.append_block)
+
+    def write_charged(self, items: np.ndarray) -> None:
+        """:meth:`write` for a caller that has charged every block write
+        it completes (:meth:`BlockFile.charge_block`): stores, no charge."""
+        self._stage(items, self.file._put)
+
+    @property
+    def staged(self) -> int:
+        """Items staged in the partial block, not yet stored."""
+        return self._fill
+
+    def _stage(self, arr: np.ndarray, store: Callable[[np.ndarray], None]) -> None:
+        """Top up the staged block, store whole blocks, stage the tail."""
         n = arr.size
         B = self.file.B
         pos = 0
@@ -188,13 +215,13 @@ class BlockWriter:
             self._buf[self._fill : self._fill + pos] = arr[:pos]
             self._fill += pos
             if self._fill == B:
-                self.file.append_block(self._buf)
+                store(self._buf)
                 self._fill = 0
         # Whole blocks go straight from the caller's array (the file
         # stores its own copy); only a partial tail is staged.
         try:
             while n - pos >= B:
-                self.file.append_block(arr[pos : pos + B])
+                store(arr[pos : pos + B])
                 pos += B
         except BaseException:
             # A faulted block stays staged, so close() retries the flush.

@@ -8,8 +8,9 @@ storage plane).  Used by the out-of-core example and the persistence
 tests; the in-memory store remains the default because the test suite's
 thousands of tiny files are faster that way.
 
-A :class:`FileStore` owns a spill directory and hands out backed files;
-it is also a context manager that removes the directory on exit.
+A :class:`FileStore` owns a spill directory of its own and hands out
+backed files; it is also a context manager that removes the directory on
+exit.
 """
 
 from __future__ import annotations
@@ -108,16 +109,17 @@ class FileStore:
     Plug it into a node with ``node.disk`` and pass ``store.create`` where
     a fresh file is needed; or use :func:`use_file_backed_files` to make a
     whole cluster spill to real storage.
+
+    Files go to a fresh private subdirectory of ``directory`` (of the
+    system's temp directory by default), which :meth:`cleanup` removes
+    while ``directory`` itself stays: two stores on one directory never
+    share a file, and no store reuses what an earlier run left there.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
-        if directory is None:
-            self.directory = tempfile.mkdtemp(prefix="repro-spill-")
-            self._owns_dir = True
-        else:
+        if directory is not None:
             os.makedirs(directory, exist_ok=True)
-            self.directory = directory
-            self._owns_dir = False
+        self.directory = tempfile.mkdtemp(prefix="repro-spill-", dir=directory)
         self._count = 0
 
     def create(
@@ -144,8 +146,7 @@ class FileStore:
         return total
 
     def cleanup(self) -> None:
-        if self._owns_dir and os.path.isdir(self.directory):
-            shutil.rmtree(self.directory, ignore_errors=True)
+        shutil.rmtree(self.directory, ignore_errors=True)
 
     def __enter__(self) -> "FileStore":
         return self

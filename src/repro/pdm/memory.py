@@ -105,6 +105,18 @@ class MemoryManager:
         if bus is not None and bus.captures_memory:
             self._publish(bus, "release", n_items)
 
+    def apply_planned(self, peak: int, reservations: int, delta: int) -> bool:
+        """Apply ``reservations`` planned acquires and their releases at
+        once: ``in_use`` peaks at ``peak`` and moves by ``delta``.  False,
+        changing nothing, if ``peak`` exceeds M.  Publishes no row."""
+        if self.capacity is not None and peak > self.capacity:
+            return False
+        self.in_use += delta
+        self.total_reservations += reservations
+        if peak > self.high_water:
+            self.high_water = peak
+        return True
+
     def reserve(self, n_items: int) -> _Reservation:
         """Context-managed acquire/release of ``n_items`` items."""
         return _Reservation(self, n_items)

@@ -155,6 +155,12 @@ class TestNodeIsolation:
         """
         assert len(run(src, codes=["REP005"])) == 2
 
+    def test_bulk_payload_load_flagged(self):
+        """``load_items`` is charge-free: an algorithm that calls it is
+        flagged unless the call replays its charges and says so."""
+        fs = run("a = f.load_items(0, n)\n", codes=["REP005"])
+        assert len(fs) == 1 and "load_items" in fs[0].message
+
     def test_size_metadata_access_allowed(self):
         assert run("n = f.block_items(i)\n", codes=["REP005"]) == []
         # Sizing through the payload accessor loads the block: flagged.

@@ -237,6 +237,33 @@ class TestFileStore:
         store.cleanup()
         assert os.path.isdir(d)  # caller-owned directory is kept
 
+    def test_two_stores_on_one_directory_keep_their_own_blocks(self, tmp_path, disk):
+        """Two runs sharing a spill directory: the second used to create
+        the first's ``f000001.blk`` again and overwrite its block."""
+        a = FileStore(str(tmp_path)).create(disk, B=4)
+        b = FileStore(str(tmp_path)).create(disk, B=4)
+        assert os.path.dirname(a.path) != os.path.dirname(b.path)
+        a.append_block(np.array([1, 2, 3, 4]))
+        b.append_block(np.array([9, 9, 9, 9]))
+        np.testing.assert_array_equal(a.read_block(0), [1, 2, 3, 4])
+        np.testing.assert_array_equal(b.read_block(0), [9, 9, 9, 9])
+
+    def test_debris_in_the_directory_is_left_untouched(self, tmp_path, disk):
+        debris = tmp_path / "f000001.blk"
+        debris.write_bytes(b"an earlier run")
+        store = FileStore(str(tmp_path))
+        store.create(disk, B=4).append_block(np.arange(4))
+        store.cleanup()
+        assert debris.read_bytes() == b"an earlier run"
+        assert sorted(os.listdir(tmp_path)) == ["f000001.blk"]
+
+    def test_sort_leaves_its_spill_directory_empty(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["sort", "--n", "4000", "--spill-dir", str(tmp_path)]) == 0
+        assert "(verified)" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+
     def test_bytes_on_disk(self, disk):
         with FileStore() as store:
             f = store.create(disk, B=8)

@@ -377,14 +377,16 @@ class TestShareBudget:
     @staticmethod
     def _first_refills(k: int, blocks: int, B: int = 4) -> list[int]:
         """Items each of ``k`` cursors pins on its first refill, in one
-        ``merge_runs`` of ``k`` 8-block runs at ``M = blocks·B``."""
+        ``merge_runs`` of ``k`` 8-block runs at ``M = blocks·B``, through
+        the round loop (a planned merge applies its reservations at once)."""
         disk = make_disk()
         refs = [
             RunRef.whole(file_from_array(np.arange(i, 8 * B * k, k), disk, B))
             for i in range(k)
         ]
         mem = MemoryManager(blocks * B)
-        with mock.patch.object(mem, "acquire", wraps=mem.acquire) as acquire:
+        loop = mock.patch.object(multiway, "_plans", return_value=False)
+        with loop, mock.patch.object(mem, "acquire", wraps=mem.acquire) as acquire:
             merge_runs(refs, BlockFile(disk, B, np.uint32), mem)
         # the output writer's block first, then one refill per cursor
         assert acquire.call_args_list[0] == mock.call(B)
@@ -458,3 +460,129 @@ def test_property_deep_refills_equal_one_block_refills(case, extra, data):
         fault = DiskFault(after_ios=data.draw(st.integers(0, total - 1)))
         for got in (_merge_at_budget(dtype, B, pad, runs, e, fault) for e in (0, extra)):
             assert isinstance(got["error"], DiskFaultError)
+
+
+def _merge_replayed(plan, kernel, dtype, B, pad, runs, extra, earlier, chunk=1 << 15) -> dict:
+    """One ``merge_cursors`` on a fresh one-node cluster at capture ``io``,
+    planned (floor 0, payload sorted ``chunk`` items at a time) or looped,
+    into a writer that already holds ``earlier`` items of a previous merge
+    (a staged partial block, as in polyphase); everything it observably
+    did."""
+    k = len(runs)
+    cluster = Cluster(
+        heterogeneous_cluster([2.0], memory_items=(k + 1) * B + extra), kernel=kernel
+    )
+    cluster.bus.set_level("io")
+    node = cluster.nodes[0]
+    tape = node.disk.new_file(B, dtype)
+    bounds = np.cumsum([pad] + [len(r) for r in runs])
+    with cluster.step("load"):
+        with BlockWriter(tape, node.mem) as w:
+            w.write(np.zeros(pad, dtype=dtype))
+            for r in runs:
+                w.write(np.sort(np.asarray(r, dtype=dtype)))
+    refs = [RunRef(tape, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    out = node.disk.new_file(B, dtype)
+    planned = mock.patch.object(multiway, "_merge_planned", wraps=multiway._merge_planned)
+    side = (
+        mock.patch.multiple(multiway, _PLAN_FLOOR=0, _SORT_CHUNK=chunk)
+        if plan
+        else mock.patch.object(multiway, "_plans", return_value=False)
+    )
+    with side, planned as spy, cluster.step("merge"):
+        with BlockWriter(out, node.mem) as w:
+            w.write(np.arange(earlier, dtype=dtype))
+            cursors = [RunCursor(r, node.mem) for r in refs]
+            try:
+                n = multiway.merge_cursors(cursors, w, node.mem, node.compute)
+            finally:
+                for c in cursors:
+                    c.drop()
+            writer = (n, w.items_written, w.staged, node.mem.in_use)
+    assert spy.call_count == (plan and any(runs))
+    return {
+        "out": out.to_array().tobytes(),
+        "jsonl": events_to_jsonl(cluster.bus.events),
+        "stats": node.disk.stats,
+        "clock": (node.clock.time, cluster.barrier(), node.ops_charged),
+        "mem": (node.mem.high_water, node.mem.total_reservations, node.mem.in_use),
+        "writer": writer,
+    }
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_merge_inputs(),
+    extra=st.one_of(st.just(0), st.integers(0, 96 * 8)),
+    earlier=st.integers(0, 20),
+    chunk=st.integers(1, 64),
+)
+def test_property_planned_merge_equals_loop(kernel, case, extra, earlier, chunk):
+    """The planned merge (block tails -> rounds, charges replayed, payload
+    moved in bulk) against the round loop, at capture ``io`` with the plan
+    floor at 0: the same output and JSONL bytes, ``IOStats`` (``busy_time``
+    too), clock, ``ops_charged``, memory high-water, reservation count and
+    ``in_use``, and the same items written and staged.  The budget gives
+    depth 1 (``extra`` 0) or deeper refills; ``chunk`` splits the payload
+    sort."""
+    dtype, B, pad, runs = case
+    got = _merge_replayed(True, kernel, dtype, B, pad, runs, extra, earlier, chunk)
+    want = _merge_replayed(False, kernel, dtype, B, pad, runs, extra, earlier)
+    assert got == want
+
+
+class TestMergeSelection:
+    """Which path ``merge_cursors`` takes: the plan for a large merge
+    nobody watches op by op, the round loop for each reason not to."""
+
+    @staticmethod
+    def _plan_results(k=7, blocks=8, B=4, level="io", fault=False, spill=None) -> list:
+        """What ``_merge_planned`` returned in one ``merge_runs`` of ``k``
+        interleaved ``blocks``-block runs at ``M = 8·B``: empty when the
+        merge ran the loop, its item count when it ran the plan."""
+        cluster = Cluster(heterogeneous_cluster([1.0], memory_items=8 * B))
+        cluster.bus.set_level(level)
+        node = cluster.nodes[0]
+        if spill is not None:
+            node.disk.file_factory = spill.create
+        refs = []
+        with cluster.step("load"):
+            for i in range(k):
+                f = node.disk.new_file(B, np.uint32)
+                with BlockWriter(f, node.mem) as w:
+                    w.write(np.arange(i, blocks * B * k, k, dtype=np.uint32))
+                refs.append(RunRef.whole(f))
+        if fault:
+            install_disk_faults(node.disk, [DiskFault(after_ios=10**9)])
+        results = []
+        planned = multiway._merge_planned
+
+        def spy(*args):
+            results.append(planned(*args))
+            return results[-1]
+
+        out = node.disk.new_file(B, np.uint32)
+        with mock.patch.object(multiway, "_merge_planned", spy), cluster.step("merge"):
+            assert merge_runs(refs, out, node.mem) == k * blocks * B
+        np.testing.assert_array_equal(out.to_array(), np.arange(k * blocks * B))
+        return results
+
+    def test_seven_by_eight_blocks_at_eight_blocks_of_memory_plan(self):
+        assert self._plan_results() == [7 * 8 * 4]
+
+    def test_full_capture_loops(self):
+        assert self._plan_results(level="full") == []
+
+    def test_a_disk_fault_hook_loops(self):
+        assert self._plan_results(fault=True) == []
+
+    def test_a_spill_file_loops(self):
+        from repro.pdm.filestore import FileStore
+
+        with FileStore() as store:
+            assert self._plan_results(spill=store) == []
+
+    def test_a_merge_below_the_floor_loops(self):
+        assert self._plan_results(k=3, blocks=5) == []
+        assert 3 * 5 < multiway._PLAN_FLOOR
