@@ -769,8 +769,23 @@ class CostInterpreter:
         w: _Walk,
     ) -> tuple[Expr, VarInfo]:
         w.ctx.charge_lines.append(node.lineno)
-        if method in ("read_block", "append_block", "charge_block"):
+        if method in ("read_block", "append_block"):
             return Sym("B"), VarInfo(size=Sym("B"))
+        if method == "charge_blocks":  # an entry covers any number of blocks
+            reason = "charge_blocks of a batch with underivable block count"
+            w.ctx.escapes.append((node.lineno, reason))
+            return Top(reason), VarInfo()
+        if method in ("append_blocks", "read_blocks"):
+            # B items per block: one block per element, or a block range.
+            count = arg_infos[0].count if arg_infos else None
+            if method == "read_blocks" and len(arg_infos) == 2:
+                lo, hi = arg_infos[0].value, arg_infos[1].value
+                count = None if lo is None or hi is None else add(hi, mul(Const(-1.0), lo))
+            if count is not None:
+                return mul(count, Sym("B")), VarInfo()
+            reason = f"{method} of a batch with underivable length"
+            w.ctx.escapes.append((node.lineno, reason))
+            return Top(reason), VarInfo()
         if method == "read_all":
             assert isinstance(node.func, ast.Attribute)
             recv = self._pure_info(node.func.value, w.frame)

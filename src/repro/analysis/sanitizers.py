@@ -101,7 +101,7 @@ class RuntimeSanitizer:
     def on_disk_charge(
         self, disk: "SimDisk", op: str, n_items: int, itemsize: int
     ) -> None:
-        """Called by :meth:`SimDisk.charge_read` / ``charge_write``."""
+        """Called by :meth:`SimDisk.charge` for every block it charges."""
         self.stats.disk_charges += 1
         if n_items < 1 or itemsize < 1:
             self._violation(
@@ -119,14 +119,17 @@ class RuntimeSanitizer:
                 "node's disk is salvage-readable but never writable",
             )
 
-    def expect_block_charge(self, disk: "SimDisk", op: str) -> "_BlockChargeBracket":
-        """Bracket one BlockFile block I/O: exactly one counter increment.
+    def expect_block_charge(
+        self, disk: "SimDisk", reads: int = 0, writes: int = 0
+    ) -> "_BlockChargeBracket":
+        """Bracket BlockFile block I/O: exactly ``reads`` and ``writes``
+        counter increments.
 
         Guards the "every block read/write charged exactly once"
-        invariant against future caching or subclass shortcuts: the
+        invariant against future caching or subclass shortcuts: each
         block move must land in the owning disk's IOStats exactly once.
         """
-        return _BlockChargeBracket(self, disk, op)
+        return _BlockChargeBracket(self, disk, reads, writes)
 
     # -- Network ----------------------------------------------------------
 
@@ -179,30 +182,30 @@ class RuntimeSanitizer:
 
 
 class _BlockChargeBracket:
-    """``with san.expect_block_charge(disk, op):`` — the counter is read
-    on entry and compared on exit, unless the body raised."""
+    """``with san.expect_block_charge(disk, reads, writes):`` — the
+    counters are read on entry and compared on exit, unless the body raised."""
 
-    __slots__ = ("san", "disk", "op", "before")
+    __slots__ = ("san", "disk", "reads", "writes", "before")
 
-    def __init__(self, san: RuntimeSanitizer, disk: "SimDisk", op: str) -> None:
+    def __init__(self, san: RuntimeSanitizer, disk: "SimDisk", reads: int, writes: int) -> None:
         self.san = san
         self.disk = disk
-        self.op = op
+        self.reads = reads
+        self.writes = writes
 
     def __enter__(self) -> None:
-        self.san.stats.block_ios += 1
+        self.san.stats.block_ios += self.reads + self.writes
         stats = self.disk.stats
-        self.before = stats.blocks_read if self.op == "read" else stats.blocks_written
+        self.before = (stats.blocks_read, stats.blocks_written)
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
         stats = self.disk.stats
-        after = stats.blocks_read if self.op == "read" else stats.blocks_written
-        moved = after - self.before
-        if exc_type is None and moved != 1:
+        moved = (stats.blocks_read - self.before[0], stats.blocks_written - self.before[1])
+        if exc_type is None and moved != (self.reads, self.writes):
             self.san._violation(
                 "SAN-DISK-UNACCOUNTED",
-                f"block {self.op} on disk {self.disk.name!r} incremented the "
-                f"{self.op} counter by {moved} instead of exactly 1; "
+                f"block I/O on disk {self.disk.name!r} moved the read/write "
+                f"counters by {moved} instead of {(self.reads, self.writes)}; "
                 "every block I/O must be charged exactly once",
             )
 

@@ -32,6 +32,14 @@ the mapping from operations to simulated time differs.  Block and item
 counts, fault triggers, audit verdicts and the sorted output are
 therefore kernel-independent, which is what the differential harness
 (``tests/test_differential_kernel.py``) proves run by run.
+
+Each kernel states its recurrence once (:meth:`~ExecutionKernel.on_batch`)
+over a *batch*: one disk's accesses in order, in stretches of one stream,
+with its owner's CPU work between them as floats.  Costs are per access
+and sums sequential, so a batch books (``disk.stats`` too) exactly what
+its accesses would one by one.  A planned merge, a multi-block
+``BlockWriter.write`` and ``BlockFile.read_blocks`` charge one batch
+each; any other access is a batch of one (``on_io``).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from repro.cluster.simclock import barrier
 
 if TYPE_CHECKING:
     from repro.cluster.node import SimNode
-    from repro.pdm.disk import SimDisk
+    from repro.pdm.disk import Charge, Rows, SimDisk
 
 #: Registry of kernel names accepted by :func:`make_kernel`.
 KERNELS = ("event", "lockstep")
@@ -51,7 +59,7 @@ KERNELS = ("event", "lockstep")
 class ExecutionKernel:
     """Scheduling policy for a simulated cluster.
 
-    A kernel receives every charged block I/O (:meth:`on_io`) and every
+    A kernel receives every charged block I/O (:meth:`on_batch`) and every
     synchronization request (:meth:`sync`), and decides how virtual
     clocks advance.  ``step_enter`` / ``step_exit`` hook the
     :meth:`~repro.cluster.machine.Cluster.step` boundaries; a kernel
@@ -76,6 +84,14 @@ class ExecutionKernel:
         offset: Optional[int] = None,
     ) -> float:
         """Charge one block access; returns the recorded service time."""
+        return self.on_batch(disk, ((op, itemsize, stream, offset, (n_items,)),))
+
+    def on_batch(
+        self, disk: "SimDisk", batch: Sequence["Charge"], rows: "Rows" = None
+    ) -> float:
+        """Apply ``batch`` to the clocks, the drive state and ``disk.stats``;
+        append each block's row to ``rows`` if given (``queued`` -1.0:
+        synchronous service).  Returns the last block's cost."""
         raise NotImplementedError
 
     def step_enter(self, nodes: Sequence["SimNode"]) -> None:
@@ -107,17 +123,13 @@ class LockstepKernel(ExecutionKernel):
     """
 
     name = "lockstep"
+    # benchmarks/perf/trace.py wraps each kernel's ``on_io`` through ``vars(cls)``.
+    on_io = ExecutionKernel.on_io
 
-    def on_io(
-        self,
-        disk: "SimDisk",
-        op: str,
-        n_items: int,
-        itemsize: int,
-        stream: Optional[str] = None,
-        offset: Optional[int] = None,
+    def on_batch(
+        self, disk: "SimDisk", batch: Sequence["Charge"], rows: "Rows" = None
     ) -> float:
-        return disk.serve_sync(n_items, itemsize)
+        return disk.serve_sync(batch, rows)
 
     def step_enter(self, nodes: Sequence["SimNode"]) -> None:
         barrier([n.clock for n in nodes])
@@ -145,53 +157,63 @@ class EventKernel(ExecutionKernel):
 
     # -- I/O ---------------------------------------------------------------
 
-    def on_io(
-        self,
-        disk: "SimDisk",
-        op: str,
-        n_items: int,
-        itemsize: int,
-        stream: Optional[str] = None,
-        offset: Optional[int] = None,
+    # benchmarks/perf/trace.py wraps each kernel's ``on_io`` through ``vars(cls)``.
+    on_io = ExecutionKernel.on_io
+
+    def on_batch(
+        self, disk: "SimDisk", batch: Sequence["Charge"], rows: "Rows" = None
     ) -> float:
         owner = disk.owner
         if owner is None:
             # Standalone drive (no cluster): behave synchronously.
-            return disk.serve_sync(n_items, itemsize)
-        # Service time: ``serve_sync``'s expression with the seek amortized
-        # over a sequential stream (readahead / write-behind).
-        params = disk.params
-        seek = params.seek_time
-        if stream is not None and offset is not None:
-            key = (disk.name, stream)
-            if self._streams.get(key) == offset:
-                seek = 0.0  # continues the stream: transfer term only
-            self._streams[key] = offset + 1
-        cost = (
-            (seek + n_items * itemsize / params.bandwidth)
-            * disk.slowdown
-            / disk.parallelism
-        )
-        clock = owner.clock
-        start = self._disk_free.get(disk.name, 0.0)  # the drive's queue ...
-        if clock.time > start:
-            start = clock.time  # ... or the issue time, whichever is later
-        end = start + cost
-        self._disk_free[disk.name] = end
-        # Expose the drive-timeline busy interval [start, end] to the
-        # telemetry bus: the disk publishes it as the event's ``queued``.
-        disk.last_queued = start
-        if op == "read":
-            # The node blocks until the data is in memory — which also
-            # waits out every queued write-behind on the same drive.
-            if end > clock.time:
-                clock.time = end
-        else:
-            # Write-behind: the drive is busy until ``end`` but the node
-            # continues; completion is settled at the next sync point.
-            rank = owner.rank
-            if end > self._rank_free.get(rank, 0.0):
-                self._rank_free[rank] = end
+            return disk.serve_sync(batch, rows)
+        params, name, streams, stats = disk.params, disk.name, self._streams, disk.stats
+        seek_time, bandwidth = params.seek_time, params.bandwidth
+        slowdown, parallelism = disk.slowdown, disk.parallelism
+        now, free = owner.clock.time, self._disk_free.get(name, 0.0)
+        start = mark = cost = -1.0  # last block's start and cost; latest write's end
+        for entry in batch:
+            if isinstance(entry, float):  # the owner's compute, in place
+                owner.ops_charged += entry
+                now += entry * owner.cpu.seconds_per_op / owner.speed
+                continue
+            op, itemsize, stream, offset, sizes = entry
+            # ``serve_sync``'s cost, the seek amortized over a stream.
+            seek = rest = seek_time
+            count = len(sizes)
+            if stream is not None and offset is not None:
+                key = (name, stream)
+                if streams.get(key) == offset:
+                    seek = 0.0  # continues the stream: transfer term only
+                streams[key] = offset + count
+                rest = 0.0  # the entry's later blocks continue it
+            read = op == "read"
+            if read:
+                stats.blocks_read += count
+                stats.items_read += sum(sizes)
+            else:
+                stats.blocks_written += count
+                stats.items_written += sum(sizes)
+            for n_items in sizes:
+                cost = (seek + n_items * itemsize / bandwidth) * slowdown / parallelism
+                seek = rest
+                start = now if now > free else free  # drive queue or issue time
+                free = start + cost
+                stats.busy_time += cost
+                if read:  # the node waits for the data (and queued writes)
+                    if free > now:
+                        now = free
+                elif free > mark:  # write-behind: settled at the next sync
+                    mark = free
+                if rows is not None:  # ``queued``: the drive-timeline start
+                    rows.append((op, n_items, itemsize, stream, offset, cost, now, start))
+                    offset = None if offset is None else offset + 1
+        owner.clock.time = now
+        if start >= 0.0:  # a block was charged
+            self._disk_free[name] = free
+            disk.last_queued = start
+            if mark >= 0.0 and mark > self._rank_free.get(owner.rank, 0.0):
+                self._rank_free[owner.rank] = mark
         return cost
 
     # -- synchronization ---------------------------------------------------

@@ -78,7 +78,7 @@ def regular_sample_positions(l_i: int, off: int, max_samples: int) -> np.ndarray
 def read_samples(
     sorted_file: BlockFile, positions: Sequence[int], mem: MemoryManager
 ) -> np.ndarray:
-    """Read the items at ``positions`` from a sorted block file.
+    """Read the items at sorted ``positions`` from a sorted block file.
 
     Charges one block read per *distinct* block touched (the paper's
     fseek/fread loop enjoys the same locality: consecutive sample
@@ -87,16 +87,16 @@ def read_samples(
     pos = np.asarray(list(positions), dtype=np.int64)
     if pos.size == 0:
         return np.empty(0, dtype=sorted_file.dtype)
-    if pos.min() < 0 or pos.max() >= sorted_file.n_items:
+    if (pos[1:] < pos[:-1]).any():
+        raise ValueError("sample positions must be non-decreasing")
+    if pos[0] < 0 or pos[-1] >= sorted_file.n_items:
         raise IndexError(f"sample positions out of range [0, {sorted_file.n_items})")
     B = sorted_file.B
     out = np.empty(pos.size, dtype=sorted_file.dtype)
-    blocks = pos // B
-    for b in np.unique(blocks):
-        with mem.reserve(sorted_file.block_items(int(b))):
-            blk = sorted_file.read_block(int(b))
-            sel = blocks == b
-            out[sel] = blk[pos[sel] - b * B]
+    blocks, starts = np.unique(pos // B, return_index=True)
+    for b, lo, hi in zip(blocks.tolist(), starts.tolist(), [*starts[1:].tolist(), pos.size]):
+        with mem.reserve(sorted_file.block_items(b)):
+            out[lo:hi] = sorted_file.read_block(b)[pos[lo:hi] - b * B]
     return out
 
 

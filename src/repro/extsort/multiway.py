@@ -34,12 +34,14 @@ replaced, ``tests/merge_reference.py``):
     successors in cursor order, and cursor *i* has emitted
     ``min(items_i.searchsorted(t_r, "right"), items loaded)``.  The plan
     applies that memory trajectory at once, replays every block and
-    compute charge in order, then sorts and stores the payload.
+    compute charge in order as one kernel batch (a compute hook other
+    than the node's own splits it), then sorts and stores the payload.
 
-  :func:`_plans` keeps the loop when a disk involved has a fault hook (a
-  raising charge must leave the loop's partial state), the bus captures
-  memory (one row per reservation), a file spills to the host (an O(M)
-  host footprint) or the merge reads under ``_PLAN_FLOOR`` blocks.
+  :func:`_plans` keeps the loop when the files span disks (a batch is
+  one disk's), a disk involved has a fault hook (a raising charge must
+  leave the loop's partial state), the bus captures memory (one row per
+  reservation), a file spills to the host (an O(M) host footprint) or
+  the merge reads under ``_PLAN_FLOOR`` blocks.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree merge
   (ceil(log2 k) comparisons per item), kept as the reference the
   differential tests and the micro-benchmark compare against.  Only
@@ -59,7 +61,7 @@ import numpy as np
 
 from repro.extsort.losertree import LoserTree, kway_merge_sorted
 from repro.pdm.blockfile import BlockFile, BlockWriter
-from repro.pdm.filestore import DiskBackedBlockFile
+from repro.pdm.disk import Blocks, Charge
 from repro.pdm.memory import MemoryManager
 
 ComputeHook = Optional[Callable[[float], None]]
@@ -138,13 +140,13 @@ class RunCursor:
         file = self.run.file
         B = file.B
         block_index = self._pos // B
-        block = file.read_block(block_index)
         last = block_index + self._depth
         if last > self._end_block:  # an `if`, not min(): no call per refill
             last = self._end_block
-        if last > block_index + 1:  # one block is used as read, not copied
-            more = map(file.read_block, range(block_index + 1, last))
-            block = np.concatenate([block, *more])
+        if last > block_index + 1:  # one batch read; one block as read
+            block = file.read_blocks(block_index, last)
+        else:
+            block = file.read_block(block_index)
         lo = self._pos - block_index * B
         hi = min(block.size, self.run.stop - block_index * B)
         self._buf = buf = block[lo:hi]
@@ -290,7 +292,7 @@ _SORT_CHUNK = 1 << 15  #: items per payload sort: cache-sized chunks sort faster
 def _plans(active: Sequence[RunCursor], writer: BlockWriter, mem: MemoryManager) -> bool:
     """Whether :func:`merge_cursors` plans this merge (module docstring)."""
     files = [*(c.run.file for c in active), writer.file]
-    if any(isinstance(f, DiskBackedBlockFile) or f.disk.fault_hook is not None for f in files):
+    if len({f.disk for f in files}) > 1 or not all(f._batched() for f in files):
         return False
     blocks = sum(c._end_block - c._pos // c.run.file.B for c in active if c._pos < c.run.stop)
     return not (mem.bus is not None and mem.bus.captures_memory) and blocks >= _PLAN_FLOOR
@@ -309,7 +311,7 @@ def _merge_planned(
     runs: list[np.ndarray] = []  # each cursor's items still to merge
     tails: list[np.generic] = []  # per refill unit, cursor by cursor:
     ends: list[int] = []  # where it ends in its cursor's items
-    reads: list[range] = []  # the blocks it reads
+    reads: list[Optional[Blocks]] = []  # the blocks it reads
     owner: list[int] = []  # its cursor
     pinned = [c._buf.size for c in active if c._buf is not None]
     for i, c in enumerate(active):
@@ -320,12 +322,12 @@ def _merge_planned(
             parts.append(c._buf)
             size = c._buf.size
             ends.append(size)
-            reads.append(range(0))
+            reads.append(None)
             owner.append(i)
         if pos < stop:  # _refill's units: each ends where the next starts
             parts.append(f.load_items(pos, stop))  # repro: noqa REP005(the replay below charges every block it covers)
             blocks = range(pos // B, c._end_block, depth)
-            reads += [range(b, min(b + depth, c._end_block)) for b in blocks]
+            reads += [f.reads(b, min(b + depth, c._end_block)) for b in blocks]
             ends += [b * B - pos + size for b in blocks[1:]]
             size += stop - pos
             ends.append(size)
@@ -370,17 +372,24 @@ def _merge_planned(
     more = successor <= last_unit[cursor[order]]
     refills = [*first_unit.tolist(), *successor[more].tolist()]
     by_round = [0, *(k + round_sorted[more].searchsorted(np.arange(R + 1))).tolist()]
-    files = [active[i].run.file for i in owner]
+    node = out.disk.owner  # the batch carries its node's compute, unless recorded
+    bus = node.bus if node is not None else None
+    carry = node is not None and compute == node.compute and not (bus and bus.captures_compute)
+    itemsize, name, B = out.itemsize, out.name, out.B
+    batch: list[Charge] = []
     for r in range(R + 1):
         if r:
-            for b in range(done[r - 1], done[r]):
-                out.charge_block("write", out.B, b)
-            if compute is not None:
+            if done[r] > done[r - 1]:
+                batch.append(("write", itemsize, name, done[r - 1], [B] * (done[r] - done[r - 1])))
+            if carry:
+                batch.append(n[r - 1] * log_k)
+            elif compute is not None:
+                out.charge_blocks(batch)
+                batch = []
                 compute(n[r - 1] * log_k)
-        for u in refills[by_round[r] : by_round[r + 1]]:
-            f = files[u]
-            for b in reads[u]:
-                f.charge_block("read", f.block_items(b), b)
+        # The round's refills; a pinned buffer's unit reads nothing.
+        batch += filter(None, (reads[u] for u in refills[by_round[r] : by_round[r + 1]]))
+    out.charge_blocks(batch)
     lo, prev = [0] * k, 0
     for r in [*emitted.searchsorted(range(_SORT_CHUNK, int(emitted[-1]), _SORT_CHUNK)), R]:
         if r > prev:

@@ -128,17 +128,16 @@ def _load_size(mem: MemoryManager, B: int) -> int:
 def _iter_loads(source: BlockFile, L: int, mem: MemoryManager) -> Iterator[np.ndarray]:
     """Stream the source in consecutive loads of about L items.
 
-    Loads are whole numbers of blocks (block-granular reads), pinned in
-    memory for the duration of each yield.  Each load is a fresh array
-    the consumer owns (it may sort it in place).
+    Loads are whole numbers of blocks (block-granular reads, one batch
+    charge per load), pinned in memory for the duration of each yield.
+    Each load is a fresh array the consumer owns (it may sort it in place).
     """
     blocks_per_load = max(1, L // source.B)
     i = 0
     while i < source.n_blocks:
         j = min(i + blocks_per_load, source.n_blocks)
         with mem.reserve(sum(source.block_items(b) for b in range(i, j))):
-            parts = [source.read_block(b) for b in range(i, j)]
-            yield np.concatenate(parts) if len(parts) > 1 else parts[0]
+            yield source.read_blocks(i, j)
         i = j
 
 

@@ -14,12 +14,12 @@ of internal memory while open, which is how the
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.sanitizers import active_sanitizer
-from repro.pdm.disk import SimDisk
+from repro.pdm.disk import Blocks, Charge, SimDisk
 from repro.pdm.memory import MemoryManager
 
 
@@ -103,43 +103,79 @@ class BlockFile:
         arr = np.asarray(items, dtype=self.dtype)
         if arr.ndim != 1:
             raise ValueError(f"blocks must be 1-D, got shape {arr.shape}")
-        size = arr.size
-        if size == 0:
-            return
-        if size > self.B:
-            raise ValueError(f"block of {size} items exceeds B={self.B}")
-        sizes = self._block_sizes
+        if arr.size > self.B:
+            raise ValueError(f"block of {arr.size} items exceeds B={self.B}")
+        if arr.size:
+            self.append_blocks((arr,))
+
+    def append_blocks(self, blocks: Sequence[np.ndarray]) -> None:
+        """Append blocks (all full but maybe the last): one batch charge,
+        then the stores; block by block where a charge or store can fault."""
+        sizes, itemsize = self._block_sizes, self.dtype.itemsize
         if sizes and sizes[-1] < self.B:
             raise ValueError(
                 f"file {self.name!r} already ends in a partial block; "
                 "blocks must be packed compactly"
             )
-        self.charge_block("write", size, len(sizes))
-        self._put(arr)
+        if self._batched():
+            entry = ("write", itemsize, self.name, len(sizes), list(map(len, blocks)))
+            self.charge_blocks((entry,))
+            self._put(blocks)
+            return
+        for arr in blocks:
+            self.charge_blocks((("write", itemsize, self.name, len(sizes), (arr.size,)),))
+            self._put((arr,))
 
-    def _put(self, arr: np.ndarray) -> None:
-        """Store one already-charged block."""
-        self._store_append(arr)
-        self._block_sizes.append(arr.size)
-        self._n_items += arr.size
+    def _put(self, blocks: Sequence[np.ndarray]) -> None:
+        """Store already-charged blocks."""
+        for arr in blocks:
+            self._store_append(arr)
+            self._block_sizes.append(arr.size)
+            self._n_items += arr.size
 
     def read_block(self, index: int) -> np.ndarray:
         """Read block ``index``.  Charges one block read."""
         blk = self._store_load(index)  # IndexError propagates
-        self.charge_block("read", blk.size, index)
+        self.charge_blocks((("read", blk.itemsize, self.name, index, (blk.size,)),))
         return blk.copy()
 
-    def charge_block(self, op: str, n_items: int, index: int) -> None:
-        """Charge one block ``op`` ("read"/"write") of ``n_items`` items at
-        block ``index``, sanitizer-bracketed: every block charge, no payload."""
+    def read_blocks(self, start: int, stop: int) -> np.ndarray:
+        """Blocks ``[start, stop)`` as one fresh array: one batch charge;
+        block by block (load, charge) where a charge or a load can fault."""
+        if not self._batched():
+            return np.concatenate([self.read_block(b) for b in range(start, stop)])
+        parts = [self._store_load(b) for b in range(start, stop)]
+        self.charge_blocks((self.reads(start, stop),))
+        return np.concatenate(parts)
+
+    def reads(self, start: int, stop: int) -> Blocks:
+        """The batch entry reading blocks ``[start, stop)`` (non-empty)."""
+        return ("read", self.dtype.itemsize, self.name, start, self._block_sizes[start:stop])
+
+    def _batched(self) -> bool:
+        """Whether this file's block I/Os may be charged in batches: no
+        fault hook, and a store that cannot fail (a spilled file's can)."""
+        return type(self) is BlockFile and self.disk.fault_hook is None
+
+    def charge_blocks(self, batch: Sequence[Charge]) -> None:
+        """Charge ``batch`` (:meth:`SimDisk.charge`, entries of any file on
+        this disk), sanitizer-bracketed: the disk's counters must move by
+        exactly its reads and writes.  Every block charge comes here."""
         disk = self.disk
-        charge = disk.charge_read if op == "read" else disk.charge_write
         san = active_sanitizer()
         if san is None:
-            charge(n_items, self.dtype.itemsize, self.name, index)
-        else:
-            with san.expect_block_charge(disk, op):
-                charge(n_items, self.dtype.itemsize, self.name, index)
+            disk.charge(batch)
+            return
+        reads = writes = 0
+        for e in batch:
+            if isinstance(e, float):
+                continue
+            if e[0] == "read":
+                reads += len(e[4])
+            else:
+                writes += len(e[4])
+        with san.expect_block_charge(disk, reads, writes):
+            disk.charge(batch)
 
     def clear(self) -> None:
         """Truncate to empty (metadata operation, not charged)."""
@@ -155,7 +191,7 @@ class BlockFile:
 
     def load_items(self, start: int, stop: int) -> np.ndarray:
         """Charge-free payload of items ``[start, stop)``; *not* for
-        algorithms, bar a merge that replays every block's charge."""
+        algorithms, bar a merge that charges every block it covers."""
         B = self.B
         first = start // B
         arr = np.concatenate([self._store_load(i) for i in range(first, -(-stop // B))])
@@ -193,11 +229,11 @@ class BlockWriter:
         if self._closed:
             raise ValueError("writer is closed")
         arr = np.asarray(items, dtype=self.file.dtype).ravel()
-        self._stage(arr, self.file.append_block)
+        self._stage(arr, self.file.append_blocks)
 
     def write_charged(self, items: np.ndarray) -> None:
         """:meth:`write` for a caller that has charged every block write
-        it completes (:meth:`BlockFile.charge_block`): stores, no charge."""
+        it completes (:meth:`BlockFile.charge_blocks`): stores, no charge."""
         self._stage(items, self.file._put)
 
     @property
@@ -205,32 +241,35 @@ class BlockWriter:
         """Items staged in the partial block, not yet stored."""
         return self._fill
 
-    def _stage(self, arr: np.ndarray, store: Callable[[np.ndarray], None]) -> None:
+    def _stage(self, arr: np.ndarray, store: Callable[[list[np.ndarray]], None]) -> None:
         """Top up the staged block, store whole blocks, stage the tail."""
         n = arr.size
-        B = self.file.B
-        pos = 0
-        if self._fill:  # top up the staged partial block first
-            pos = min(B - self._fill, n)
-            self._buf[self._fill : self._fill + pos] = arr[:pos]
-            self._fill += pos
-            if self._fill == B:
-                store(self._buf)
-                self._fill = 0
+        file = self.file
+        B, fill = file.B, self._fill
+        if fill + n < B:  # no block completes: stage it all
+            self._buf[fill : fill + n] = arr
+            self._fill = fill + n
+            self.items_written += n
+            return
+        pos = B - fill if fill else 0
+        if fill:  # top up the staged partial block first
+            self._buf[fill:] = arr[:pos]
+        blocks = [self._buf] if fill else []
         # Whole blocks go straight from the caller's array (the file
         # stores its own copy); only a partial tail is staged.
+        blocks += [arr[i : i + B] for i in range(pos, n - B + 1, B)]
+        pos += (n - pos) // B * B
+        before = file.n_blocks
         try:
-            while n - pos >= B:
-                store(arr[pos : pos + B])
-                pos += B
+            store(blocks)
         except BaseException:
             # A faulted block stays staged, so close() retries the flush.
-            self._buf[:] = arr[pos : pos + B]
+            self._buf[:] = blocks[file.n_blocks - before]
             self._fill = B
             raise
+        self._fill = n - pos
         if pos < n:
-            self._fill = n - pos
-            self._buf[: self._fill] = arr[pos:]
+            self._buf[: n - pos] = arr[pos:]
         self.items_written += n
 
     def write_one(self, item) -> None:

@@ -20,7 +20,7 @@ Default constants approximate the paper's late-90s SCSI drives (Table 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.analysis.sanitizers import active_sanitizer
 from repro.pdm.stats import IOStats
@@ -32,6 +32,13 @@ if TYPE_CHECKING:
     from repro.cluster.node import SimNode
     from repro.obs.bus import TelemetryBus
     from repro.pdm.blockfile import BlockFile
+
+#: Consecutive blocks of one stream: ``(op, itemsize, stream, first offset,
+#: items per block)``; a batch entry, as is a float of the owner's CPU ops.
+Blocks = tuple[str, int, Optional[str], Optional[int], Sequence[int]]
+Charge = Union[Blocks, float]
+#: Each block's ``(op, n_items, itemsize, stream, offset, cost, t, queued)``.
+Rows = Optional[list[tuple[str, int, int, Optional[str], Optional[int], float, float, float]]]
 
 #: Signature of :attr:`SimDisk.file_factory` — how a disk manufactures
 #: block files (in-memory by default, host-spilled via FileStore.create).
@@ -134,8 +141,8 @@ class SimDisk:
         self.kernel: Optional["ExecutionKernel"] = None
         #: Drive-timeline service start of the most recent access, set
         #: by the kernel per charge (``-1.0`` = synchronous semantics,
-        #: where service start is completion minus cost).  Published on
-        #: each block event as its ``queued`` field.
+        #: where service start is completion minus cost); each block
+        #: event carries its own as its ``queued`` field.
         self.last_queued: float = -1.0
         self._file_counter = 0
 
@@ -176,24 +183,7 @@ class SimDisk:
         detect sequential continuation (seek amortization); block counts
         and fault triggers are independent of them.
         """
-        san = active_sanitizer()
-        if san is not None:
-            san.on_disk_charge(self, "read", n_items, itemsize)
-        if self.fault_hook is not None:
-            self.fault_hook(self, "read", n_items, itemsize)
-        self.last_queued = -1.0  # synchronous unless the kernel says otherwise
-        if self.kernel is not None:
-            cost = self.kernel.on_io(self, "read", n_items, itemsize, stream, offset)
-        else:
-            cost = self.serve_sync(n_items, itemsize)
-        stats = self.stats
-        stats.blocks_read += 1
-        stats.items_read += n_items
-        stats.busy_time += cost
-        bus = self.bus
-        if bus is not None and bus.captures_io:
-            self._publish(bus, "read", n_items, itemsize, cost, stream, offset)
-        return cost
+        return self.charge((("read", itemsize, stream, offset, (n_items,)),))
 
     def charge_write(
         self,
@@ -203,73 +193,83 @@ class SimDisk:
         offset: Optional[int] = None,
     ) -> float:
         """Account one block write of ``n_items`` items; returns its cost."""
+        return self.charge((("write", itemsize, stream, offset, (n_items,)),))
+
+    def charge(self, batch: Sequence[Charge]) -> float:
+        """Account a batch in one kernel pass; returns the last block's
+        cost.  Every block gets the sanitizer's checks, its counters and
+        its bus row as if charged alone.  The :attr:`fault_hook` sees
+        every block before any is charged, so a raise leaves the whole
+        batch uncharged: on a hooked disk, callers that must leave
+        per-access state send one-block batches (``BlockFile._batched``)."""
+        hook = self.fault_hook
         san = active_sanitizer()
-        if san is not None:
-            san.on_disk_charge(self, "write", n_items, itemsize)
-        if self.fault_hook is not None:
-            self.fault_hook(self, "write", n_items, itemsize)
-        self.last_queued = -1.0  # synchronous unless the kernel says otherwise
-        if self.kernel is not None:
-            cost = self.kernel.on_io(self, "write", n_items, itemsize, stream, offset)
+        if san is not None or hook is not None:
+            for e in batch:
+                if not isinstance(e, float):
+                    for n_items in e[4]:
+                        if san is not None:
+                            san.on_disk_charge(self, e[0], n_items, e[1])
+                        if hook is not None:
+                            hook(self, e[0], n_items, e[1])
+        bus, kernel = self.bus, self.kernel
+        rows: Rows = [] if bus is not None and bus.captures_io else None
+        if kernel is not None:
+            cost = kernel.on_batch(self, batch, rows)
         else:
-            cost = self.serve_sync(n_items, itemsize)
-        stats = self.stats
-        stats.blocks_written += 1
-        stats.items_written += n_items
-        stats.busy_time += cost
-        bus = self.bus
-        if bus is not None and bus.captures_io:
-            self._publish(bus, "write", n_items, itemsize, cost, stream, offset)
+            cost = self.serve_sync(batch, rows)
+        if rows and bus is not None:
+            node = self.owner.rank if self.owner is not None else -1
+            for op, n_items, itemsize, stream, offset, c, t, queued in rows:
+                bus.record_block_io(
+                    op,
+                    disk=self.name,
+                    node=node,
+                    t=t,
+                    n_items=n_items,
+                    itemsize=itemsize,
+                    cost=c,
+                    queued=queued if queued >= 0.0 else t - c,
+                    stream=stream if stream is not None else "",
+                    offset=offset if offset is not None else -1,
+                )
         return cost
 
-    def serve_sync(self, n_items: int, itemsize: int) -> float:
-        """The synchronous model: one access costs the full ``seek +
+    def serve_sync(self, batch: Sequence[Charge], rows: Rows = None) -> float:
+        """The synchronous model: each access costs the full ``seek +
         transfer`` service time and the observer (the owning clock) is
         advanced by it immediately.  Applies without a kernel
-        (standalone drives, unit tests) and under the lockstep kernel."""
-        cost = (
-            self.params.access_cost(n_items * itemsize)
-            * self.slowdown
-            / self.parallelism
-        )
-        if self.observer is not None:
-            self.observer(cost)
+        (standalone drives, unit tests) and under the lockstep kernel.
+        A row's ``t`` is the owner's clock, or on a standalone drive its
+        accumulated busy time (equally monotone)."""
+        seek_time, bandwidth = self.params.seek_time, self.params.bandwidth
+        slowdown, parallelism = self.slowdown, self.parallelism
+        observer, owner, stats = self.observer, self.owner, self.stats
+        cost = -1.0
+        for entry in batch:
+            if isinstance(entry, float):  # the owner's compute, in place
+                assert owner is not None, "CPU work in a standalone drive's batch"
+                owner.ops_charged += entry
+                owner.clock.time += entry * owner.cpu.seconds_per_op / owner.speed
+                continue
+            op, itemsize, stream, offset, sizes = entry
+            if op == "read":
+                stats.blocks_read += len(sizes)
+                stats.items_read += sum(sizes)
+            else:
+                stats.blocks_written += len(sizes)
+                stats.items_written += sum(sizes)
+            for n_items in sizes:
+                cost = (seek_time + n_items * itemsize / bandwidth) * slowdown / parallelism
+                if observer is not None:
+                    observer(cost)
+                stats.busy_time += cost
+                if rows is not None:
+                    t = owner.clock.time if owner is not None else stats.busy_time
+                    rows.append((op, n_items, itemsize, stream, offset, cost, t, -1.0))
+                    offset = None if offset is None else offset + 1
+            self.last_queued = -1.0
         return cost
-
-    def _publish(
-        self,
-        bus: "TelemetryBus",
-        op: str,
-        n_items: int,
-        itemsize: int,
-        cost: float,
-        stream: Optional[str],
-        offset: Optional[int],
-    ) -> None:
-        """Publish one completed block I/O to an I/O-capturing bus.
-
-        Called after the stats and observer updates so the event's
-        timestamp is the access's *completion* time on the owning node's
-        clock (standalone disks fall back to their accumulated busy
-        time, which is equally monotone).  Writes under the event kernel
-        are the exception: the clock is not advanced, so ``t`` is the
-        issue time and ``queued`` carries the drive-timeline start.
-        """
-        owner = self.owner
-        t = owner.clock.time if owner is not None else self.stats.busy_time
-        queued = self.last_queued if self.last_queued >= 0.0 else t - cost
-        bus.record_block_io(
-            op,
-            disk=self.name,
-            node=owner.rank if owner is not None else -1,
-            t=t,
-            n_items=n_items,
-            itemsize=itemsize,
-            cost=cost,
-            queued=queued,
-            stream=stream if stream is not None else "",
-            offset=offset if offset is not None else -1,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimDisk({self.name!r}, {self.stats})"

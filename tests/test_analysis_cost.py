@@ -275,6 +275,13 @@ def _sort_impl(cluster, inputs, config):
             chunk = node.scratch.take_upto(4)
 """
 
+BAD_302_BATCH = """
+def _sort_impl(cluster, inputs, config):
+    with cluster.step("1:local-sort"):
+        for node, f in zip(cluster.nodes, inputs):
+            f.charge_blocks((f.reads(0, f.n_blocks),))
+"""
+
 BAD_303 = BAD_301  # two polyphase sorts = 4 sweeps, over the paper's 3
 
 BAD_304 = """
@@ -309,6 +316,13 @@ def test_rep302_unbounded_io_in_step() -> None:
     report = check(BAD_302, rules=get_cost_rules(["REP302"]))
     assert codes(report) == ["REP302"]
     assert "cursor read" in report.findings[0].message
+
+
+def test_rep302_one_entry_batch_is_not_one_block() -> None:
+    """A one-entry ``charge_blocks`` may cover every block of a file."""
+    report = check(BAD_302_BATCH, rules=get_cost_rules(["REP302"]))
+    assert codes(report) == ["REP302"]
+    assert "charge_blocks" in report.findings[0].message
 
 
 def test_rep303_extra_pass() -> None:

@@ -1,0 +1,254 @@
+"""One batch against the per-access charging it replaced.
+
+``SimDisk.charge`` applies a disk's accesses (and its owner's CPU work)
+in one kernel pass.  ``tests/kernel_reference.py`` holds the per-access
+path verbatim; the property applies a drawn sequence both ways, under
+each kernel and on a standalone disk, and demands the same clock, drive
+and stream state, ``IOStats``, ``ops_charged`` and JSONL bytes — also
+when a fault hook raises partway.  The pins below hold the three batching
+callers to one batch each, and a faulted multi-block write to its staged
+retry.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.kernel import EventKernel
+from repro.cluster.machine import Cluster, heterogeneous_cluster
+from repro.extsort import multiway
+from repro.extsort.multiway import RunCursor, RunRef
+from repro.extsort.runs import _iter_loads
+from repro.faults import DiskFault, DiskFaultError, install_disk_faults
+from repro.obs.bus import TelemetryBus
+from repro.obs.exporters import events_to_jsonl
+from repro.pdm.blockfile import BlockWriter
+from repro.pdm.disk import DiskParams, SimDisk
+from tests import kernel_reference as ref
+
+B = 8
+#: Item width per stream; ``None`` is an access outside any stream.
+STREAMS = {"s0": 4, "s1": 8, "s2": 2, "s3": 1, None: 4}
+
+
+@st.composite
+def _sequences(draw, cpu: bool):
+    """Up to 300 accesses (1..B items, streams continued or jumped, now
+    and then none) with CPU charges between them."""
+    nxt = {s: 0 for s in STREAMS}
+    seq: list = []
+    for _ in range(draw(st.integers(1, 300))):
+        if cpu and draw(st.integers(0, 3)) == 0:
+            seq.append(draw(st.floats(0.0, 1e6)))
+        stream = draw(st.sampled_from(sorted(STREAMS, key=str)))
+        offset = None
+        if stream is not None:
+            offset = nxt[stream] if draw(st.booleans()) else draw(st.integers(0, 40))
+            nxt[stream] = offset + 1
+        op = draw(st.sampled_from(["read", "write"]))
+        seq.append((op, draw(st.integers(1, B)), STREAMS[stream], stream, offset))
+    return seq
+
+
+def _batch(seq: list, group: bool) -> list:
+    """``seq`` as batch entries, a continuing stretch of one op and
+    stream as one entry when ``group``."""
+    batch: list = []
+    for a in seq:
+        if isinstance(a, float):
+            batch.append(a)
+            continue
+        op, n, size, stream, offset = a
+        last = batch[-1] if batch else None
+        if (
+            group
+            and isinstance(last, tuple)
+            and stream is not None
+            and last[:3] == (op, size, stream)
+            and last[3] + len(last[4]) == offset
+        ):
+            last[4].append(n)
+        else:
+            batch.append((op, size, stream, offset, [n]))
+    return batch
+
+
+def _setup(mode: str):
+    """A fresh disk (and its node and kernel) at capture ``io``."""
+    if mode == "standalone":
+        disk = SimDisk(DiskParams(seek_time=2e-3, bandwidth=3e6), name="d0", slowdown=1.5)
+        disk.bus = TelemetryBus("io")
+        return None, disk, disk.bus
+    cluster = Cluster(heterogeneous_cluster([2.5], memory_items=1 << 12), kernel=mode)
+    cluster.bus.set_level("io")
+    node = cluster.nodes[0]
+    node.clock.advance(0.25)  # the batch starts mid-run
+    return node, node.disk, cluster.bus
+
+
+def _state(node, disk, bus) -> dict:
+    kernel = disk.kernel
+    event = isinstance(kernel, EventKernel)
+    return {
+        "clock": None if node is None else node.clock.time,
+        "ops_charged": None if node is None else node.ops_charged,
+        "disk_free": dict(kernel._disk_free) if event else None,
+        "rank_free": dict(kernel._rank_free) if event else None,
+        "streams": dict(kernel._streams) if event else None,
+        "last_queued": disk.last_queued,
+        "stats": replace(disk.stats),
+        "jsonl": events_to_jsonl(bus.events),
+    }
+
+
+def _run(mode: str, seq: list, prefix: list, fault_at, batched: bool, group: bool):
+    node, disk, bus = _setup(mode)
+    for a in prefix:  # the same drive and stream state on both sides
+        ref.charge(disk, *a)
+    if fault_at is not None:
+        install_disk_faults(disk, [DiskFault(after_ios=fault_at)])
+    error = None
+    try:
+        if batched and fault_at is None:
+            disk.charge(_batch(seq, group))
+        elif batched:  # a hooked disk is charged one block per batch
+            for e in _batch(seq, False):
+                disk.charge((e,))
+        else:
+            for a in seq:
+                if isinstance(a, float):
+                    ref.compute(node, a)
+                else:
+                    ref.charge(disk, *a)
+    except DiskFaultError as exc:
+        error = (type(exc), str(exc))
+    return _state(node, disk, bus), error
+
+
+def _check(mode: str, data) -> None:
+    seq = data.draw(_sequences(cpu=mode != "standalone"))
+    prefix = data.draw(_sequences(cpu=False).map(lambda s: s[:4]))
+    blocks = sum(1 for a in seq if not isinstance(a, float))
+    fault_at = data.draw(st.none() | st.integers(0, blocks - 1))
+    group = data.draw(st.booleans())
+    got = _run(mode, seq, prefix, fault_at, True, group)
+    want = _run(mode, seq, prefix, fault_at, False, group)
+    assert got == want
+    assert (got[1] is not None) == (fault_at is not None)
+
+
+MODES = ["event", "lockstep", "standalone"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_batch_equals_per_access(mode, data):
+    """A drawn access sequence with CPU charges between its accesses,
+    applied as one batch and access by access through the verbatim
+    reference: the same clock, drive-free time, write-behind mark,
+    stream offsets, ``last_queued``, ``IOStats`` (``busy_time`` too),
+    ``ops_charged`` and JSONL bytes, and with a fault hook raising at a
+    drawn block (one-block batches, as ``BlockFile`` sends them on a
+    hooked disk), the same partial state and error."""
+    _check(mode, data)
+
+
+@pytest.mark.no_sanitizers
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_property_batch_equals_per_access_unsanitized(mode, data):
+    """The same property with the sanitizer off: the branch the
+    benchmark and ``repro sort`` run."""
+    _check(mode, data)
+
+
+def _counting_batches():
+    calls = []
+    real = SimDisk.charge
+
+    def spy(disk, batch):
+        calls.append(len(batch))
+        return real(disk, batch)
+
+    return calls, mock.patch.object(SimDisk, "charge", spy)
+
+
+def _node(memory_items: int):
+    cluster = Cluster(heterogeneous_cluster([1.0], memory_items=memory_items))
+    return cluster, cluster.nodes[0]
+
+
+class TestOneBatch:
+    """Each batching caller charges its blocks in one ``SimDisk.charge``."""
+
+    def test_a_planned_seven_by_eight_block_merge(self):
+        cluster, node = _node(8 * B)
+        refs = []
+        with cluster.step("load"):
+            for i in range(7):
+                f = node.disk.new_file(B, np.uint32)
+                with BlockWriter(f, node.mem) as w:
+                    w.write(np.arange(i, 8 * B * 7, 7, dtype=np.uint32))
+                refs.append(RunRef.whole(f))
+        out = node.disk.new_file(B, np.uint32)
+        calls, spy = _counting_batches()
+        planned = mock.patch.object(multiway, "_merge_planned", wraps=multiway._merge_planned)
+        with cluster.step("merge"), BlockWriter(out, node.mem) as w:
+            cursors = [RunCursor(r, node.mem) for r in refs]
+            with spy, planned as plan:
+                assert multiway.merge_cursors(cursors, w, node.mem, node.compute) == 7 * 8 * B
+        assert plan.call_count == 1 and len(calls) == 1
+        np.testing.assert_array_equal(out.to_array(), np.arange(7 * 8 * B))
+
+    def test_a_seven_block_load(self):
+        cluster, node = _node(16 * B)
+        src = node.disk.new_file(B, np.uint32)
+        with BlockWriter(src, node.mem) as w:
+            w.write(np.arange(7 * B, dtype=np.uint32))
+        calls, spy = _counting_batches()
+        with spy:
+            loads = list(_iter_loads(src, 8 * B, node.mem))
+        assert len(calls) == 1 and len(loads) == 1
+        np.testing.assert_array_equal(loads[0], np.arange(7 * B))
+        assert node.disk.stats.blocks_read == 7
+
+    def test_a_thirty_two_block_write(self):
+        cluster, node = _node(16 * B)
+        f = node.disk.new_file(B, np.uint32)
+        calls, spy = _counting_batches()
+        with BlockWriter(f, node.mem) as w:
+            with spy:
+                w.write(np.arange(32 * B, dtype=np.uint32))
+        assert len(calls) == 1 and f.n_blocks == 32
+
+
+def test_a_fault_at_the_third_block_of_a_five_block_write_stays_staged():
+    """Under a fault hook the write goes block by block: the 3rd block's
+    fault leaves 2 stored and the 3rd staged, and ``close`` retries it."""
+    cluster, node = _node(16 * B)
+    f = node.disk.new_file(B, np.uint32)
+    install_disk_faults(node.disk, [DiskFault(after_ios=2, count=1)])
+    w = BlockWriter(f, node.mem)
+    with pytest.raises(DiskFaultError):
+        w.write(np.arange(5 * B, dtype=np.uint32))
+    assert f.n_blocks == 2 and w.staged == B
+    w.close()
+    np.testing.assert_array_equal(f.to_array(), np.arange(3 * B))
+
+
+def test_a_hooked_disk_charges_a_faulting_multi_block_batch_not_at_all():
+    """The hook sees every block of a batch before any is charged."""
+    cluster, node = _node(16 * B)
+    install_disk_faults(node.disk, [DiskFault(after_ios=2, count=1)])
+    before = (node.clock.time, replace(node.disk.stats))
+    with pytest.raises(DiskFaultError):
+        node.disk.charge((("read", 4, "s", 0, [B] * 5),))
+    assert (node.clock.time, node.disk.stats) == before

@@ -110,6 +110,18 @@ class TestReadSamples:
         f = file_from_array(np.arange(10, dtype=np.uint32), disk, B=8)
         assert read_samples(f, [], MemoryManager.unlimited()).size == 0
 
+    def test_duplicate_positions_read_their_block_once(self, disk):
+        f = file_from_array(np.arange(64, dtype=np.uint32) * 3, disk, B=8)
+        before = disk.stats.blocks_read
+        got = read_samples(f, [3, 3, 9, 9, 9, 63], MemoryManager.unlimited())
+        np.testing.assert_array_equal(got, [9, 9, 27, 27, 27, 189])
+        assert disk.stats.blocks_read == before + 3  # blocks 0, 1 and 7
+
+    def test_unsorted_positions_rejected(self, disk):
+        f = file_from_array(np.arange(64, dtype=np.uint32), disk, B=8)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            read_samples(f, [9, 1], MemoryManager.unlimited())
+
 
 class TestRegularSample:
     def test_sample_is_sorted_subset(self, disk):

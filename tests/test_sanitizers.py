@@ -56,14 +56,14 @@ class TestDiskChecks:
         node = SimNode(0)
         with sanitized() as san:
             with _raises_check("SAN-DISK-UNACCOUNTED"):
-                with san.expect_block_charge(node.disk, "write"):
+                with san.expect_block_charge(node.disk, writes=1):
                     pass  # block moved, disk never charged
 
     def test_double_charged_block_io_detected(self):
         node = SimNode(0)
         with sanitized() as san:
             with _raises_check("SAN-DISK-UNACCOUNTED"):
-                with san.expect_block_charge(node.disk, "read"):
+                with san.expect_block_charge(node.disk, reads=1):
                     node.disk.charge_read(4, 4)
                     node.disk.charge_read(4, 4)
 
