@@ -771,8 +771,8 @@ class CostInterpreter:
         w.ctx.charge_lines.append(node.lineno)
         if method in ("read_block", "append_block"):
             return Sym("B"), VarInfo(size=Sym("B"))
-        if method == "charge_blocks":  # an entry covers any number of blocks
-            reason = "charge_blocks of a batch with underivable block count"
+        if method in ("charge_blocks", "read_planned"):  # an entry covers any number of blocks
+            reason = f"{method} of a batch with underivable block count"
             w.ctx.escapes.append((node.lineno, reason))
             return Top(reason), VarInfo()
         if method in ("append_blocks", "read_blocks"):

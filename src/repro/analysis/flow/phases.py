@@ -22,8 +22,9 @@ function — so they are skipped, as are functions whose name is
 address-taken (unknowable callers).  Charged primitives:
 
 * block I/O — the :data:`~repro.analysis.flow.project.CHARGED_METHODS`
-  (``append_block(s)``, ``read_block(s)``, ``charge_blocks``, ``read_all``,
-  ``take_upto``, ``write``, ``write_one``), the set the cost pass charges;
+  (``append_block(s)``, ``read_block(s)``, ``charge_blocks``,
+  ``read_planned``, ``read_all``, ``take_upto``, ``write``,
+  ``write_one``), the set the cost pass charges;
 * network — ``<...>.network.transfer(...)``;
 * comm — any SimComm operation (``send``/``gather``/``bcast``/
   ``scatter``/``alltoallv`` on a ``comm`` receiver).

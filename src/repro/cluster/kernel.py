@@ -38,8 +38,11 @@ over a *batch*: one disk's accesses in order, in stretches of one stream,
 with its owner's CPU work between them as floats.  Costs are per access
 and sums sequential, so a batch books (``disk.stats`` too) exactly what
 its accesses would one by one.  A planned merge, a multi-block
-``BlockWriter.write`` and ``BlockFile.read_blocks`` charge one batch
-each; any other access is a batch of one (``on_io``).
+``BlockWriter.write``, ``BlockFile.read_blocks`` and the planned loops of
+steps 2–4 (``BlockFile.read_planned``: per node the sample gather, the
+partition search and the partition copy, and per step-4 message its
+reads) charge one batch each; any other access is a batch of one
+(``on_io``), such as a stream's final partial block.
 """
 
 from __future__ import annotations

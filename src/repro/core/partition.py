@@ -10,17 +10,25 @@ Because a sublist of a sorted file is just an item range, the
 :class:`~repro.extsort.multiway.RunRef` ranges straight to the
 redistribution step — an ablation on the paper's design (it trades one
 full read+write pass for seekier reads during redistribution).
+
+Both loops, the search and the copy, have a plan: their charges are a
+pure function of the pivots' cuts and the block sizes, so where
+:func:`~repro.pdm.blockfile.plannable` allows, each charges its whole
+list as one batch (:meth:`~repro.pdm.blockfile.BlockFile.read_planned`),
+applies its memory trajectory at once and moves its payload in bulk.
+The loops stay: for fault-hooked disks, spill files and memory capture,
+and as the reference ``tests/test_step_plans.py`` holds the plans to.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.extsort.multiway import RunCursor, RunRef
-from repro.pdm.blockfile import BlockFile, BlockWriter
-from repro.pdm.disk import SimDisk
+from repro.pdm.blockfile import BlockFile, BlockWriter, plannable
+from repro.pdm.disk import Charge, SimDisk
 from repro.pdm.memory import MemoryManager
 
 
@@ -59,16 +67,17 @@ def lower_bound_offset(
 
 
 def _joint_lower_bounds(
-    sorted_file: BlockFile,
+    B: int,
     piv: np.ndarray,
-    mem: MemoryManager,
+    read: Callable[[int], np.ndarray],
     out: list[int],
     plo: int,
     phi: int,
     blo: int,
     bhi: int,
 ) -> None:
-    """Resolve ``out[plo:phi]`` over the block range ``[blo, bhi]``.
+    """Resolve ``out[plo:phi]`` over the block range ``[blo, bhi]``,
+    probing block ``b`` of the ``B``-item-block file as ``read(b)``.
 
     One probe of the midpoint block answers *every* pivot in the range at
     once: pivots below the block's last key descend left (recording the
@@ -86,16 +95,15 @@ def _joint_lower_bounds(
         if plo >= phi or blo > bhi:
             continue
         mid = (blo + bhi) // 2
-        with mem.reserve(sorted_file.block_items(mid)):
-            blk = sorted_file.read_block(mid)
-            # Pivots strictly below the block's last key have their
-            # target (first block with last > pivot) at or before ``mid``.
-            k = plo + int(np.searchsorted(piv[plo:phi], blk[-1], side="left"))
-            if k > plo:
-                within = np.searchsorted(blk, piv[plo:k], side="right")
-                base = mid * sorted_file.B
-                for idx, w in zip(range(plo, k), within):
-                    out[idx] = base + int(w)
+        blk = read(mid)
+        # Pivots strictly below the block's last key have their
+        # target (first block with last > pivot) at or before ``mid``.
+        k = plo + int(np.searchsorted(piv[plo:phi], blk[-1], side="left"))
+        if k > plo:
+            within = np.searchsorted(blk, piv[plo:k], side="right")
+            base = mid * B
+            for idx, w in zip(range(plo, k), within):
+                out[idx] = base + int(w)
         work.append((plo, k, blo, mid - 1))
         work.append((k, phi, mid + 1, bhi))
 
@@ -109,19 +117,39 @@ def partition_offsets(
     p-1 cuts are found by one joint memoized descent over the block tree
     (:func:`_joint_lower_bounds`); each cut equals what
     :func:`lower_bound_offset` would return for that pivot alone, with
-    strictly fewer block reads whenever pivots share search paths.
+    strictly fewer block reads whenever pivots share search paths.  Each
+    probe pins its block while it is read; where
+    :func:`~repro.pdm.blockfile.plannable` allows, the probes are charged
+    in descent order as one batch and their memory applied at once.
     """
     piv = list(pivots)
     for a, b in zip(piv, piv[1:]):
         if a > b:
             raise ValueError("pivots must be non-decreasing")
-    n = sorted_file.n_items
+    n, nb, B = sorted_file.n_items, sorted_file.n_blocks, sorted_file.B
     out = [n] * len(piv)  # "no block has last > pivot" => everything <= pivot
-    if piv and sorted_file.n_blocks:
-        _joint_lower_bounds(
-            sorted_file, np.asarray(piv), mem, out, 0, len(piv), 0,
-            sorted_file.n_blocks - 1,
-        )
+    if piv and nb:
+        # The peak: the first probe's block, a whole one unless it is the only one.
+        first = sorted_file.block_items(0)
+        if plannable(mem, sorted_file) and mem.available >= first:
+            probes: list[int] = []
+
+            def descend(charge: Callable[[Charge], np.ndarray]) -> None:
+                def probe(b: int) -> np.ndarray:
+                    probes.append(b)
+                    return charge(sorted_file.reads(b, b + 1))
+
+                _joint_lower_bounds(B, np.asarray(piv), probe, out, 0, len(piv), 0, nb - 1)
+
+            sorted_file.read_planned(descend)
+            mem.apply_planned(mem.in_use + first, len(probes), 0)
+        else:
+
+            def read(b: int) -> np.ndarray:
+                with mem.reserve(sorted_file.block_items(b)):
+                    return sorted_file.read_block(b)
+
+            _joint_lower_bounds(B, np.asarray(piv), read, out, 0, len(piv), 0, nb - 1)
     cuts = [0, *out, n]
     for a, b in zip(cuts, cuts[1:]):
         assert a <= b, "cut offsets must be monotone"
@@ -145,25 +173,72 @@ def materialize_partitions(
     """Copy each partition range into its own file (paper-faithful step 3).
 
     Costs one streaming read + write of the whole portion
-    (``<= 2 * Q / B`` block I/Os, the paper's bound).
+    (``<= 2 * Q / B`` block I/Os, the paper's bound): per sublist, a
+    cursor reads each source block and a writer writes each output block
+    it completes, then flushes the partial last one.  Where
+    :func:`~repro.pdm.blockfile.plannable` allows, that loop runs as its
+    plan (:func:`_copy_planned`).
     """
-    out: list[BlockFile] = []
+
+    def new(j: int) -> BlockFile:
+        name = disk.next_file_name(f"{name_prefix}{j}_")
+        return disk.new_file(sorted_file.B, sorted_file.dtype, name=name)
+
+    out = [new(0)]
+    if plannable(mem, sorted_file, out[0]):
+        out += map(new, range(1, len(cuts) - 1))
+        if _copy_planned(sorted_file, cuts, out, mem):
+            return out
     for j in range(len(cuts) - 1):
-        f = disk.new_file(
-            sorted_file.B,
-            sorted_file.dtype,
-            name=disk.next_file_name(f"{name_prefix}{j}_"),
-        )
+        if j == len(out):
+            out.append(new(j))
         ref = RunRef(sorted_file, cuts[j], cuts[j + 1])
         cur = RunCursor(ref, mem)
         try:
-            with BlockWriter(f, mem) as w:
+            with BlockWriter(out[j], mem) as w:
                 while not cur.exhausted:
                     w.write(cur.take_upto(sorted_file.B))
         finally:
             cur.drop()
-        out.append(f)
     return out
+
+
+def _copy_planned(
+    sorted_file: BlockFile, cuts: Sequence[int], out: Sequence[BlockFile], mem: MemoryManager
+) -> bool:
+    """:func:`materialize_partitions`' loop as its plan: each source block
+    read, followed by the write of the output block it completes, and
+    each sublist's final partial flush, charged as one batch; the loop's
+    memory (a writer's block per sublist, a cursor's part per read)
+    applied at once; the payload copied in bulk.  False, with nothing
+    done, if the loop would overflow M or reject a cut (it raises there)."""
+    B, itemsize, n = sorted_file.B, sorted_file.itemsize, sorted_file.n_items
+    batch: list[Charge] = []
+    parts: list[int] = []  # the items each read pins
+    first: dict[int, int] = {}  # source block -> its first read's entry
+    for f, lo, hi in zip(out, cuts, cuts[1:]):
+        if not 0 <= lo <= hi <= n:
+            return False
+        done = 0  # output blocks written
+        for b in range(lo // B, -(-hi // B) if hi > lo else 0):
+            end = min((b + 1) * B, hi)
+            first.setdefault(b, len(batch))
+            batch.append(sorted_file.reads(b, b + 1))
+            parts.append(end - max(b * B, lo))
+            if (end - lo) // B > done:
+                batch.append(("write", itemsize, f.name, done, (B,)))
+                done += 1
+        if (hi - lo) % B:
+            batch.append(("write", itemsize, f.name, done, ((hi - lo) % B,)))
+    if not mem.apply_planned(mem.in_use + B + max(parts, default=0), len(out) + len(parts), 0):
+        return False
+    loaded = sorted_file.read_planned(lambda charge: [charge(e) for e in batch])
+    if first:  # the sublists tile the blocks read from the first one on
+        items = np.concatenate([loaded[i] for i in first.values()])
+        base = next(iter(first)) * B
+        for f, lo, hi in zip(out, cuts, cuts[1:]):
+            f.store_charged([items[i : min(i + B, hi - base)] for i in range(lo - base, hi - base, B)])
+    return True
 
 
 def partition_array(

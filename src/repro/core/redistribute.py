@@ -6,7 +6,10 @@ streaming: each message chunk is read from the sender's disk,
 transferred (charging the link and both NIC channels) and written to a
 per-sender run file on the receiver's disk, so the per-node I/O stays
 within the paper's ``2 * l_i / B`` bound (read on the sender side +
-write on the receiver side).  :func:`stream_run` moves every run —
+write on the receiver side).  A message's reads are one batch entry
+where the sender's file and bus allow a plan (:func:`take_chunk`), its
+whole-block writes one batch always (``BlockWriter.write``); a stream's
+final partial block is a batch of its own.  :func:`stream_run` moves every run —
 here, in the degraded-mode salvage and in the output gather — and is
 where the paper's message rule is applied.
 
@@ -105,10 +108,15 @@ def redistribute(
 def take_chunk(cur: RunCursor, size: int) -> np.ndarray:
     """Gather up to ``size`` items from the cursor (spanning blocks).
 
-    Fills one preallocated message buffer instead of accumulating a list
-    of per-block slices and concatenating — a single allocation per
-    message regardless of how many blocks it spans.
+    Planned where it can be (:meth:`RunCursor.take_planned`: the
+    message's reads as one batch entry); otherwise this loop fills one
+    preallocated message buffer instead of accumulating a list of
+    per-block slices and concatenating — a single allocation per message
+    regardless of how many blocks it spans.
     """
+    planned = cur.take_planned(size)
+    if planned is not None:
+        return planned
     out = np.empty(size, dtype=cur.run.file.dtype)  # repro: noqa REP006(message-sized chunk; receiver reserves before writing it)
     got = 0
     while got < size and not cur.exhausted:

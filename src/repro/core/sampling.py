@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.perf import PerfVector
-from repro.pdm.blockfile import BlockFile
+from repro.pdm.blockfile import BlockFile, plannable
 from repro.pdm.memory import MemoryManager
 
 
@@ -82,7 +82,10 @@ def read_samples(
 
     Charges one block read per *distinct* block touched (the paper's
     fseek/fread loop enjoys the same locality: consecutive sample
-    positions often share a block).
+    positions often share a block), each pinned while it is read.  Where
+    :func:`~repro.pdm.blockfile.plannable` allows, the loop runs as its
+    plan: the distinct blocks, in stretches of consecutive ones, charged
+    as one batch, their memory applied at once.
     """
     pos = np.asarray(list(positions), dtype=np.int64)
     if pos.size == 0:
@@ -92,8 +95,17 @@ def read_samples(
     if pos[0] < 0 or pos[-1] >= sorted_file.n_items:
         raise IndexError(f"sample positions out of range [0, {sorted_file.n_items})")
     B = sorted_file.B
+    blocks, starts, inverse = np.unique(pos // B, return_index=True, return_inverse=True)
+    # The first distinct block is a whole one unless it is the file's last.
+    peak = mem.in_use + sorted_file.block_items(int(blocks[0]))
+    if plannable(mem, sorted_file) and mem.apply_planned(peak, blocks.size, 0):
+        cut = np.flatnonzero(np.diff(blocks) > 1) + 1
+        stretches = zip(blocks[np.r_[0, cut]].tolist(), (blocks[np.r_[cut - 1, -1]] + 1).tolist())
+        parts = sorted_file.read_planned(
+            lambda charge: [charge(sorted_file.reads(a, b)) for a, b in stretches]
+        )
+        return np.concatenate(parts)[inverse * B + pos % B]
     out = np.empty(pos.size, dtype=sorted_file.dtype)
-    blocks, starts = np.unique(pos // B, return_index=True)
     for b, lo, hi in zip(blocks.tolist(), starts.tolist(), [*starts[1:].tolist(), pos.size]):
         with mem.reserve(sorted_file.block_items(b)):
             out[lo:hi] = sorted_file.read_block(b)[pos[lo:hi] - b * B]

@@ -37,11 +37,12 @@ replaced, ``tests/merge_reference.py``):
     compute charge in order as one kernel batch (a compute hook other
     than the node's own splits it), then sorts and stores the payload.
 
-  :func:`_plans` keeps the loop when the files span disks (a batch is
-  one disk's), a disk involved has a fault hook (a raising charge must
-  leave the loop's partial state), the bus captures memory (one row per
-  reservation), a file spills to the host (an O(M) host footprint) or
-  the merge reads under ``_PLAN_FLOOR`` blocks.
+  :func:`_plans` keeps the loop where :func:`~repro.pdm.blockfile.plannable`
+  rules a plan out — the files span disks (a batch is one disk's), a
+  disk involved has a fault hook (a raising charge must leave the loop's
+  partial state), a file spills to the host (an O(M) host footprint) or
+  the bus captures memory (one row per reservation) — and when the merge
+  reads under ``_PLAN_FLOOR`` blocks.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree merge
   (ceil(log2 k) comparisons per item), kept as the reference the
   differential tests and the micro-benchmark compare against.  Only
@@ -60,7 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.extsort.losertree import LoserTree, kway_merge_sorted
-from repro.pdm.blockfile import BlockFile, BlockWriter
+from repro.pdm.blockfile import BlockFile, BlockWriter, plannable
 from repro.pdm.disk import Blocks, Charge
 from repro.pdm.memory import MemoryManager
 
@@ -149,9 +150,9 @@ class RunCursor:
             block = file.read_block(block_index)
         lo = self._pos - block_index * B
         hi = min(block.size, self.run.stop - block_index * B)
+        self.mem.acquire(hi - lo)  # before publishing: drop() releases only what is pinned
         self._buf = buf = block[lo:hi]
         self._pos = block_index * B + hi
-        self.mem.acquire(hi - lo)
         return buf
 
     def _pop(self, n: int) -> np.ndarray:
@@ -197,6 +198,37 @@ class RunCursor:
         self.mem.release(n)
         self._buf = buf[n:] if n < buf.size else None
         return buf[:n]
+
+    def take_planned(self, n: int) -> Optional[np.ndarray]:
+        """Up to ``n`` items across refills, as a loop of :meth:`take_upto`
+        calls pops them (``redistribute.take_chunk``), planned: the
+        refills' blocks charged as one read entry, their memory applied at
+        once.  None, with nothing done, where the loop must run: nothing
+        to read, a file or bus :func:`plannable` rules out, or a peak over
+        M (the loop raises there)."""
+        file, stop, pos, buf = self.run.file, self.run.stop, self._pos, self._buf
+        held = 0 if buf is None else buf.size
+        need = min(n - held, stop - pos)  # items the refills must supply
+        if need <= 0 or not plannable(self.mem, file):
+            return None
+        B, depth = file.B, self._depth
+        first = pos // B
+        # The refills: ``depth`` blocks each from ``first``, clamped at the run's end.
+        units = -(-((pos + need - 1) // B + 1 - first) // depth)
+        last = min(first + units * depth, self._end_block)
+        starts = [pos, *range((first + depth) * B, last * B, depth * B)]
+        ends = [*starts[1:], min(last * B, stop)]
+        rest = ends[-1] - pos - need  # left buffered
+        mem = self.mem
+        peak = mem.in_use - held + max(e - s for s, e in zip(starts, ends))
+        if not mem.apply_planned(peak, len(starts), rest - held):
+            return None
+        payload = file.read_planned(lambda charge: charge(file.reads(first, last)))
+        lo = pos - first * B
+        taken = payload[lo : lo + need]
+        self._buf = payload[lo + need : lo + need + rest] if rest else None
+        self._pos = ends[-1]
+        return taken if buf is None else np.concatenate((buf, taken))
 
     def peek(self) -> "np.generic | None":
         """Current head item without consuming, or None if exhausted."""
@@ -291,11 +323,10 @@ _SORT_CHUNK = 1 << 15  #: items per payload sort: cache-sized chunks sort faster
 
 def _plans(active: Sequence[RunCursor], writer: BlockWriter, mem: MemoryManager) -> bool:
     """Whether :func:`merge_cursors` plans this merge (module docstring)."""
-    files = [*(c.run.file for c in active), writer.file]
-    if len({f.disk for f in files}) > 1 or not all(f._batched() for f in files):
+    if not plannable(mem, *(c.run.file for c in active), writer.file):
         return False
     blocks = sum(c._end_block - c._pos // c.run.file.B for c in active if c._pos < c.run.stop)
-    return not (mem.bus is not None and mem.bus.captures_memory) and blocks >= _PLAN_FLOOR
+    return blocks >= _PLAN_FLOOR
 
 
 def _merge_planned(

@@ -4,7 +4,10 @@ A :class:`BlockFile` is the unit of on-disk storage for every external
 algorithm in this package: a growable sequence of ``B``-item blocks (all
 full except possibly the last) living on one :class:`~repro.pdm.disk.SimDisk`.
 Payloads are numpy arrays; every block-level access charges the disk's
-cost model and counters.
+cost model and counters.  A loop whose charges are a pure function of
+what is on disk may run as its plan instead (:func:`plannable` says when):
+:meth:`BlockFile.read_planned` hands the plan the payload of exactly the
+blocks it lists and charges the list as one batch.
 
 :class:`BlockWriter` and :class:`BlockReader` provide the buffered
 streaming interfaces the sorting engines use; both pin exactly one block
@@ -14,13 +17,15 @@ of internal memory while open, which is how the
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from repro.analysis.sanitizers import active_sanitizer
 from repro.pdm.disk import Blocks, Charge, SimDisk
 from repro.pdm.memory import MemoryManager
+
+T = TypeVar("T")
 
 
 class BlockFile:
@@ -120,14 +125,15 @@ class BlockFile:
         if self._batched():
             entry = ("write", itemsize, self.name, len(sizes), list(map(len, blocks)))
             self.charge_blocks((entry,))
-            self._put(blocks)
+            self.store_charged(blocks)
             return
         for arr in blocks:
             self.charge_blocks((("write", itemsize, self.name, len(sizes), (arr.size,)),))
-            self._put((arr,))
+            self.store_charged((arr,))
 
-    def _put(self, blocks: Sequence[np.ndarray]) -> None:
-        """Store already-charged blocks."""
+    def store_charged(self, blocks: Sequence[np.ndarray]) -> None:
+        """Store blocks whose writes the caller has charged
+        (:meth:`charge_blocks`): a plan's output, no charge."""
         for arr in blocks:
             self._store_append(arr)
             self._block_sizes.append(arr.size)
@@ -151,6 +157,32 @@ class BlockFile:
     def reads(self, start: int, stop: int) -> Blocks:
         """The batch entry reading blocks ``[start, stop)`` (non-empty)."""
         return ("read", self.dtype.itemsize, self.name, start, self._block_sizes[start:stop])
+
+    def read_planned(self, plan: Callable[[Callable[[Charge], np.ndarray]], T]) -> T:
+        """Run ``plan(charge)``, then charge every entry it passed to
+        ``charge``, in order, as one batch (:meth:`charge_blocks`); returns
+        what ``plan`` returned.  ``charge(entry)`` gives the payload of a
+        read of this file's blocks (read-only; empty for any other entry),
+        so a plan sees exactly the blocks it charges: the one accounted
+        payload access of a planned loop.  A plan that raises charges
+        nothing."""
+        batch: list[Charge] = []
+        name, load = self.name, self._store_load
+        empty = np.empty(0, dtype=self.dtype)
+
+        def charge(entry: Charge) -> np.ndarray:
+            batch.append(entry)
+            if isinstance(entry, float) or entry[0] != "read" or entry[2] != name:
+                return empty
+            first, count = entry[3], len(entry[4])
+            assert first is not None, "a planned read names its first block"
+            if count == 1:
+                return load(first)
+            return np.concatenate([load(b) for b in range(first, first + count)])
+
+        result = plan(charge)
+        self.charge_blocks(batch)
+        return result
 
     def _batched(self) -> bool:
         """Whether this file's block I/Os may be charged in batches: no
@@ -234,7 +266,7 @@ class BlockWriter:
     def write_charged(self, items: np.ndarray) -> None:
         """:meth:`write` for a caller that has charged every block write
         it completes (:meth:`BlockFile.charge_blocks`): stores, no charge."""
-        self._stage(items, self.file._put)
+        self._stage(items, self.file.store_charged)
 
     @property
     def staged(self) -> int:
@@ -316,6 +348,19 @@ class BlockWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def plannable(mem: MemoryManager, *files: BlockFile) -> bool:
+    """Whether a loop over ``files``' blocks may run as its plan: one
+    batch of charges, the memory trajectory applied at once, the payload
+    moved in bulk.  The files must share one disk (a batch is one disk's)
+    and charge in batches (:meth:`BlockFile._batched`: no fault hook, so
+    no charge raises midway, and no spill file), and ``mem``'s bus must
+    not record reservations (the loop publishes a row per acquire)."""
+    disk, bus = files[0].disk, mem.bus
+    if bus is not None and bus.captures_memory:
+        return False
+    return all(f.disk is disk and f._batched() for f in files)
 
 
 def close_all(writers) -> None:

@@ -282,6 +282,13 @@ def _sort_impl(cluster, inputs, config):
             f.charge_blocks((f.reads(0, f.n_blocks),))
 """
 
+BAD_302_PLANNED = """
+def _sort_impl(cluster, inputs, config):
+    with cluster.step("1:local-sort"):
+        for node, f in zip(cluster.nodes, inputs):
+            f.read_planned(lambda charge: charge(f.reads(0, f.n_blocks)))
+"""
+
 BAD_303 = BAD_301  # two polyphase sorts = 4 sweeps, over the paper's 3
 
 BAD_304 = """
@@ -323,6 +330,13 @@ def test_rep302_one_entry_batch_is_not_one_block() -> None:
     report = check(BAD_302_BATCH, rules=get_cost_rules(["REP302"]))
     assert codes(report) == ["REP302"]
     assert "charge_blocks" in report.findings[0].message
+
+
+def test_rep302_planned_read_is_not_one_block() -> None:
+    """A planned loop's one-entry read may cover every block of a file."""
+    report = check(BAD_302_PLANNED, rules=get_cost_rules(["REP302"]))
+    assert codes(report) == ["REP302"]
+    assert "read_planned" in report.findings[0].message
 
 
 def test_rep303_extra_pass() -> None:

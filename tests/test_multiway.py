@@ -118,6 +118,22 @@ class TestRunCursor:
         with pytest.raises(MemoryBudgetError):
             c.buffer_max()
 
+    @pytest.mark.parametrize("capacity, held", [(6, 3), (8, 5)])
+    def test_refill_over_budget_keeps_no_buffer(self, disk, capacity, held):
+        # Regression: a refill published its buffer before acquiring it, so
+        # after the budget error drop() released items it never pinned —
+        # raising a ValueError that masked the error (3 held, 4 released)
+        # or silently freeing another holder's memory (5 held).
+        f = file_from_array(np.arange(8, dtype=np.uint32), disk, B=4)
+        mem = MemoryManager(capacity=capacity)
+        mem.acquire(held)
+        c = RunCursor(RunRef.whole(f), mem)
+        with pytest.raises(MemoryBudgetError):
+            c.take_upto(4)
+        c.drop()
+        assert mem.in_use == held
+        assert not c.exhausted
+
 
 def _merge_case(run_arrays, engine, B=8, capacity=None):
     disk = make_disk()
