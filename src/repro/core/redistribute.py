@@ -9,9 +9,9 @@ within the paper's ``2 * l_i / B`` bound (read on the sender side +
 write on the receiver side).  A message's reads are one batch entry
 where the sender's file and bus allow a plan (:func:`take_chunk`), its
 whole-block writes one batch always (``BlockWriter.write``); a stream's
-final partial block is a batch of its own.  :func:`stream_run` moves every run —
-here, in the degraded-mode salvage and in the output gather — and is
-where the paper's message rule is applied.
+final partial block is a batch of its own.  :func:`stream_run` moves
+every run — here, in the degraded-mode salvage and in the output
+gather — and is where the paper's message rule is applied.
 
 The result at node j is a list of p sorted run files — one per sender,
 including its own partition — ready for the step-5 merge.
