@@ -107,11 +107,14 @@ def _same(got: dict, want: dict) -> None:
 
 
 def _budget(draw, B: int):
-    """``(memory, held)``: a budget from too small for one block to
-    ample, and items pinned elsewhere."""
+    """``(memory, held)``: a budget from unlimited down to three blocks,
+    and items pinned elsewhere — up to all of it, so that a plan's peak
+    can overflow and the loop must raise."""
     memory = draw(st.sampled_from([None, 3 * B, 4 * B + 1, 64 * B]))
-    held = draw(st.integers(0, B if memory is None else memory // 3))
-    return (memory or 10**9), held
+    if memory is None:
+        return 10**9, draw(st.integers(0, B))
+    edges = [memory - k * B + d for k in (1, 2) for d in (0, 1)]  # one or two blocks (don't) fit
+    return memory, draw(st.one_of(st.integers(0, memory // 3), st.sampled_from(edges)))
 
 
 # ---------------------------------------------------------------------------
