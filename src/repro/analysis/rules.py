@@ -332,7 +332,7 @@ class MagicBlockSizeRule(Rule):
 class NodeIsolationRule(Rule):
     """REP005: unaccounted state access crossing the simulation boundary.
 
-    ``inspect_block`` / ``to_array`` / ``load_items`` / private ``_blocks``
+    ``inspect_block`` / ``to_array`` / ``load_items`` / private ``_extent_of``
     payload access read data without charging any disk and without a
     :meth:`~repro.cluster.network.Network.transfer` — in a real cluster
     that data does not exist on the reading node.  Inside ``core`` and
@@ -347,7 +347,7 @@ class NodeIsolationRule(Rule):
     name = "node-isolation"
     summary = "charge-free payload access crosses the node/accounting boundary"
     rationale = (
-        "Payload read through inspect_block/to_array/_blocks is neither "
+        "Payload read through inspect_block/to_array/_extent_of is neither "
         "charged to a disk nor moved through the Network, so a node can "
         "observe data it could never hold — a simulated race."
     )
@@ -360,7 +360,7 @@ class NodeIsolationRule(Rule):
     # payload) and sits outside the simulated node boundary by design.
     exempt = ("obs/",)
 
-    _PRIVATE_STATE = {"_blocks", "_store_load", "_store_append", "_block_sizes"}
+    _PRIVATE_STATE = {"_extent_of", "_store_range", "_store_span"}
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -237,7 +237,7 @@ def _copy_planned(
         items = np.concatenate([loaded[i] for i in first.values()])
         base = next(iter(first)) * B
         for f, lo, hi in zip(out, cuts, cuts[1:]):
-            f.store_charged([items[i : min(i + B, hi - base)] for i in range(lo - base, hi - base, B)])
+            f.store_charged((items[lo - base : hi - base],))
     return True
 
 

@@ -58,7 +58,7 @@ def _sample_splitters(
     idxs = np.unique(
         np.linspace(0, source.n_blocks - 1, n_sample_blocks).astype(int)
     )
-    total = sum(source.block_items(int(i)) for i in idxs)
+    total = source.items_in(idxs)
     with mem.reserve(total):
         parts = [source.read_block(int(i)) for i in idxs]
         sample = np.concatenate(parts)

@@ -136,7 +136,7 @@ def _iter_loads(source: BlockFile, L: int, mem: MemoryManager) -> Iterator[np.nd
     i = 0
     while i < source.n_blocks:
         j = min(i + blocks_per_load, source.n_blocks)
-        with mem.reserve(sum(source.block_items(b) for b in range(i, j))):
+        with mem.reserve(source.items_in(range(i, j))):
             yield source.read_blocks(i, j)
         i = j
 

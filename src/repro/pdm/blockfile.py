@@ -3,11 +3,12 @@
 A :class:`BlockFile` is the unit of on-disk storage for every external
 algorithm in this package: a growable sequence of ``B``-item blocks (all
 full except possibly the last) living on one :class:`~repro.pdm.disk.SimDisk`.
-Payloads are numpy arrays; every block-level access charges the disk's
-cost model and counters.  A loop whose charges are a pure function of
-what is on disk may run as its plan instead (:func:`plannable` says when):
-:meth:`BlockFile.read_planned` hands the plan the payload of exactly the
-blocks it lists and charges the list as one batch.
+Payloads are numpy arrays, stored a span at a time (see :class:`BlockFile`);
+every block-level access charges the disk's cost model and counters.  A
+loop whose charges are a pure function of what is on disk may run as its
+plan instead (:func:`plannable` says when): :meth:`BlockFile.read_planned`
+hands the plan the payload of exactly the blocks it lists and charges
+the list as one batch.
 
 :class:`BlockWriter` and :class:`BlockReader` provide the buffered
 streaming interfaces the sorting engines use; both pin exactly one block
@@ -27,13 +28,20 @@ from repro.pdm.memory import MemoryManager
 
 T = TypeVar("T")
 
+_PARTIAL = "file {!r} already ends in a partial block; blocks must be packed compactly"
+
 
 class BlockFile:
     """A file of fixed-size blocks on a simulated disk.
 
     Invariant: every block holds exactly ``B`` items except possibly the
-    last.  Item-compact packing is what makes the paper's per-step block
-    I/O counts (`2 Q / B` etc.) well defined.
+    last, so block sizes are derived from ``n_items`` and ``B``.
+    Item-compact packing is what makes the paper's per-step block I/O
+    counts (`2 Q / B` etc.) well defined.
+
+    Each store copies its whole span once into an *extent*; extents start
+    at block boundaries, so a block is a slice of one extent, found in O(1).
+    Accessors raise ``IndexError`` outside the file, before any charge.
 
     Direct use of :meth:`append_block` / :meth:`read_block` charges the
     disk; the charge-free ``inspect_*`` / :meth:`to_array` accessors exist
@@ -53,23 +61,36 @@ class BlockFile:
         self.B = B
         self.dtype = np.dtype(dtype)
         self.name = name if name is not None else disk.next_file_name()
-        self._block_sizes: list[int] = []
         self._n_items = 0
         self._init_store()
 
     # -- storage hooks (overridden by DiskBackedBlockFile) ----------------
 
     def _init_store(self) -> None:
-        self._blocks: list[np.ndarray] = []
+        """Empty the store.  Extents are dropped, never overwritten, so a
+        view handed out earlier keeps what it read."""
+        self._extent_of: list[tuple[np.ndarray, int]] = []  # per block: its extent, and where that starts
 
-    def _store_append(self, arr: np.ndarray) -> None:
-        self._blocks.append(arr.copy())
+    def _store_span(self, parts: Sequence[np.ndarray], size: int) -> None:
+        """Store the ``size`` items of ``parts``, in order, after the
+        file's last whole block: one copy, into a new extent."""
+        ext = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+        self._extent_of += [(ext, self._n_items)] * -(-size // self.B)
 
-    def _store_load(self, index: int) -> np.ndarray:
-        return self._blocks[index]
-
-    def _store_clear(self) -> None:
-        self._blocks.clear()
+    def _store_range(self, lo: int, hi: int) -> np.ndarray:
+        """Items ``[lo, hi)`` (``0 <= lo < hi <= n_items``): a view of one
+        extent, or a fresh concatenation where the range crosses extents."""
+        B, of = self.B, self._extent_of
+        ext, s = of[lo // B]
+        if hi - s <= ext.size:
+            return ext[lo - s : hi - s]
+        parts: list[np.ndarray] = []
+        while hi - s > ext.size:
+            parts.append(ext[lo - s :])
+            lo = s = s + ext.size
+            ext = of[s // B][0]
+        parts.append(ext[: hi - s])
+        return np.concatenate(parts)
 
     # -- metadata (free: directory information, not data I/O) ------------
 
@@ -79,7 +100,7 @@ class BlockFile:
 
     @property
     def n_blocks(self) -> int:
-        return len(self._block_sizes)
+        return -(-self._n_items // self.B)
 
     @property
     def itemsize(self) -> int:
@@ -90,7 +111,21 @@ class BlockFile:
 
     def block_items(self, index: int) -> int:
         """Item count of block ``index`` (what a reader must reserve)."""
-        return self._block_sizes[index]
+        lo = index * self.B
+        if not 0 <= lo < self._n_items:
+            raise self._outside(index, index + 1)
+        return min(self.B, self._n_items - lo)
+
+    def items_in(self, blocks: Sequence[int] | np.ndarray) -> int:
+        """Item count of the distinct blocks ``blocks``, ascending (a
+        ``range`` or a sorted index array): all full but the file's last."""
+        if not len(blocks):
+            return 0
+        return (len(blocks) - 1) * self.B + self.block_items(int(blocks[-1]))
+
+    def _outside(self, start: int, stop: int) -> IndexError:
+        """The error for blocks ``[start, stop)``, not a non-empty range of the file."""
+        return IndexError(f"blocks [{start}, {stop}) outside the {self.n_blocks}-block file")
 
     # -- charged block I/O ------------------------------------------------
 
@@ -113,50 +148,69 @@ class BlockFile:
         if arr.size:
             self.append_blocks((arr,))
 
-    def append_blocks(self, blocks: Sequence[np.ndarray]) -> None:
-        """Append blocks (all full but maybe the last): one batch charge,
-        then the stores; block by block where a charge or store can fault."""
-        sizes, itemsize = self._block_sizes, self.dtype.itemsize
-        if sizes and sizes[-1] < self.B:
-            raise ValueError(
-                f"file {self.name!r} already ends in a partial block; "
-                "blocks must be packed compactly"
-            )
+    def append_blocks(self, parts: Sequence[np.ndarray]) -> None:
+        """Append the items of ``parts``, in order, as blocks (every part
+        but the last holds whole blocks): one batch charge, then one
+        store; block by block where a charge or store can fault."""
+        B, itemsize = self.B, self.dtype.itemsize
+        if self._n_items % B:
+            raise ValueError(_PARTIAL.format(self.name))
         if self._batched():
-            entry = ("write", itemsize, self.name, len(sizes), list(map(len, blocks)))
-            self.charge_blocks((entry,))
-            self.store_charged(blocks)
+            size = sum(map(len, parts))
+            sizes = [B] * -(-size // B)
+            if size % B:
+                sizes[-1] = size % B
+            self.charge_blocks((("write", itemsize, self.name, self._n_items // B, sizes),))
+            self._store_span(parts, size)
+            self._n_items += size
             return
-        for arr in blocks:
-            self.charge_blocks((("write", itemsize, self.name, len(sizes), (arr.size,)),))
-            self.store_charged((arr,))
+        for part in parts:
+            for i in range(0, part.size, B):
+                blk = part[i : i + B]
+                self.charge_blocks((("write", itemsize, self.name, self._n_items // B, (blk.size,)),))
+                self._store_span((blk,), blk.size)
+                self._n_items += blk.size
 
-    def store_charged(self, blocks: Sequence[np.ndarray]) -> None:
-        """Store blocks whose writes the caller has charged
-        (:meth:`charge_blocks`): a plan's output, no charge."""
-        for arr in blocks:
-            self._store_append(arr)
-            self._block_sizes.append(arr.size)
-            self._n_items += arr.size
+    def store_charged(self, parts: Sequence[np.ndarray]) -> None:
+        """Store the items of ``parts``, in order, as blocks whose writes
+        the caller has charged (:meth:`charge_blocks`): a plan's output,
+        no charge.  Every part but the last holds whole blocks."""
+        if self._n_items % self.B:
+            raise ValueError(_PARTIAL.format(self.name))
+        size = sum(map(len, parts))
+        if size:
+            self._store_span(parts, size)
+            self._n_items += size
 
     def read_block(self, index: int) -> np.ndarray:
         """Read block ``index``.  Charges one block read."""
-        blk = self._store_load(index)  # IndexError propagates
+        n, B = self._n_items, self.B
+        lo = index * B
+        if not 0 <= lo < n:
+            raise self._outside(index, index + 1)
+        blk = self._store_range(lo, lo + B if lo + B < n else n)
         self.charge_blocks((("read", blk.itemsize, self.name, index, (blk.size,)),))
         return blk.copy()
 
     def read_blocks(self, start: int, stop: int) -> np.ndarray:
         """Blocks ``[start, stop)`` as one fresh array: one batch charge;
         block by block (load, charge) where a charge or a load can fault."""
+        entry = self.reads(start, stop)
         if not self._batched():
             return np.concatenate([self.read_block(b) for b in range(start, stop)])
-        parts = [self._store_load(b) for b in range(start, stop)]
-        self.charge_blocks((self.reads(start, stop),))
-        return np.concatenate(parts)
+        arr = self._store_range(start * self.B, min(stop * self.B, self._n_items))
+        self.charge_blocks((entry,))
+        return arr if arr.base is None else arr.copy()
 
     def reads(self, start: int, stop: int) -> Blocks:
         """The batch entry reading blocks ``[start, stop)`` (non-empty)."""
-        return ("read", self.dtype.itemsize, self.name, start, self._block_sizes[start:stop])
+        B, n = self.B, self._n_items
+        if not (0 <= start < stop and (stop - 1) * B < n):
+            raise self._outside(start, stop)
+        sizes = [B] * (stop - start)
+        if stop * B > n:
+            sizes[-1] = n - (stop - 1) * B
+        return ("read", self.dtype.itemsize, self.name, start, sizes)
 
     def read_planned(self, plan: Callable[[Callable[[Charge], np.ndarray]], T]) -> T:
         """Run ``plan(charge)``, then charge every entry it passed to
@@ -167,18 +221,19 @@ class BlockFile:
         payload access of a planned loop.  A plan that raises charges
         nothing."""
         batch: list[Charge] = []
-        name, load = self.name, self._store_load
+        name, B, load = self.name, self.B, self._store_range
         empty = np.empty(0, dtype=self.dtype)
 
         def charge(entry: Charge) -> np.ndarray:
             batch.append(entry)
             if isinstance(entry, float) or entry[0] != "read" or entry[2] != name:
                 return empty
-            first, count = entry[3], len(entry[4])
+            first = entry[3]
             assert first is not None, "a planned read names its first block"
-            if count == 1:
-                return load(first)
-            return np.concatenate([load(b) for b in range(first, first + count)])
+            stop, n = first + len(entry[4]), self._n_items
+            if not (0 <= first < stop and (stop - 1) * B < n):
+                raise self._outside(first, stop)
+            return load(first * B, min(stop * B, n))
 
         result = plan(charge)
         self.charge_blocks(batch)
@@ -211,29 +266,29 @@ class BlockFile:
 
     def clear(self) -> None:
         """Truncate to empty (metadata operation, not charged)."""
-        self._store_clear()
-        self._block_sizes.clear()
+        self._init_store()
         self._n_items = 0
 
     # -- charge-free accessors (validation / tests only) -------------------
 
     def inspect_block(self, index: int) -> np.ndarray:
         """Charge-free read-only view of a block.  *Not* for algorithms."""
-        return self._store_load(index)
+        lo = index * self.B
+        return self.load_items(lo, lo + self.block_items(index))
 
     def load_items(self, start: int, stop: int) -> np.ndarray:
         """Charge-free payload of items ``[start, stop)``; *not* for
         algorithms, bar a merge that charges every block it covers."""
-        B = self.B
-        first = start // B
-        arr = np.concatenate([self._store_load(i) for i in range(first, -(-stop // B))])
-        return arr[start - first * B : stop - first * B]
+        if not 0 <= start <= stop <= self._n_items:
+            raise IndexError(f"items [{start}, {stop}) outside the {self._n_items}-item file")
+        if start == stop:
+            return np.empty(0, dtype=self.dtype)
+        return self._store_range(start, stop)
 
     def to_array(self) -> np.ndarray:
-        """Charge-free concatenation of the whole file.  *Not* for algorithms."""
-        if not self._block_sizes:
-            return np.empty(0, dtype=self.dtype)
-        return np.concatenate([self._store_load(i) for i in range(self.n_blocks)])
+        """Charge-free copy of the whole file.  *Not* for algorithms."""
+        arr = self.load_items(0, self._n_items)
+        return arr if arr.base is None else arr.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockFile({self.name!r}, {self._n_items} items in {self.n_blocks} blocks)"
@@ -274,7 +329,8 @@ class BlockWriter:
         return self._fill
 
     def _stage(self, arr: np.ndarray, store: Callable[[list[np.ndarray]], None]) -> None:
-        """Top up the staged block, store whole blocks, stage the tail."""
+        """Top up the staged block, store it and the whole blocks after
+        it as one span, stage the tail."""
         n = arr.size
         file = self.file
         B, fill = file.B, self._fill
@@ -284,24 +340,26 @@ class BlockWriter:
             self.items_written += n
             return
         pos = B - fill if fill else 0
-        if fill:  # top up the staged partial block first
-            self._buf[fill:] = arr[:pos]
-        blocks = [self._buf] if fill else []
+        end = pos + (n - pos) // B * B
         # Whole blocks go straight from the caller's array (the file
         # stores its own copy); only a partial tail is staged.
-        blocks += [arr[i : i + B] for i in range(pos, n - B + 1, B)]
-        pos += (n - pos) // B * B
-        before = file.n_blocks
+        span = [arr[pos:end]]
+        if fill:  # top up the staged partial block first
+            self._buf[fill:] = arr[:pos]
+            span.insert(0, self._buf)
+        before = file.n_items
         try:
-            store(blocks)
+            store(span)
         except BaseException:
             # A faulted block stays staged, so close() retries the flush.
-            self._buf[:] = blocks[file.n_blocks - before]
+            lo = pos + file.n_items - before - (B if fill else 0)
+            if lo >= pos:
+                self._buf[:] = arr[lo : lo + B]
             self._fill = B
             raise
-        self._fill = n - pos
-        if pos < n:
-            self._buf[: n - pos] = arr[pos:]
+        self._fill = n - end
+        if end < n:
+            self._buf[: n - end] = arr[end:]
         self.items_written += n
 
     def write_one(self, item) -> None:
@@ -417,7 +475,7 @@ class BlockReader:
         Reserves the full range size — only legal when it fits in memory
         (the in-core fast path the paper uses for the pivot sample).
         """
-        n = sum(self.file.block_items(i) for i in range(self.start, self.stop))
+        n = self.file.items_in(range(self.start, self.stop))
         out = np.empty(n, dtype=self.file.dtype)
         with self.mem.reserve(n):
             pos = 0

@@ -1,7 +1,9 @@
 """Real-file-backed block files.
 
 :class:`DiskBackedBlockFile` keeps block payloads in an actual operating
-system file instead of process memory, so the library can sort datasets
+system file instead of process memory (it implements the same storage
+hooks as the in-memory extents: a span stored with one write, an item
+range loaded with one read), so the library can sort datasets
 larger than host RAM *for real* (the simulation's cost model is
 unchanged — the SimDisk still charges model time; the OS file is the
 storage plane).  Used by the out-of-core example and the persistence
@@ -18,7 +20,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +32,9 @@ class DiskBackedBlockFile(BlockFile):
     """A BlockFile whose payload lives in one binary file on the host FS.
 
     Blocks are appended sequentially; the block-size invariant (all full
-    except possibly the last) makes item offsets computable, so a block
-    read is a single ``seek + read``.
+    except possibly the last) makes item offsets computable, so a load of
+    any item range is one ``open + seek + read`` and a store one
+    ``open + write`` of the whole span.
     """
 
     def __init__(
@@ -58,36 +61,31 @@ class DiskBackedBlockFile(BlockFile):
         with open(self.path, "wb"):
             pass  # truncate
 
-    def _store_append(self, arr: np.ndarray) -> None:
-        """Append one block's bytes.  A write that fails partway (a full
+    def _store_span(self, parts: Sequence[np.ndarray], size: int) -> None:
+        """Append the span's bytes.  A write that fails partway (a full
         disk, a file-size limit) is cut back to the last whole block and
         re-raised, so later blocks land at their offsets; the failed
         attempt stays charged (``append_block`` charges before it stores)."""
         try:
             with open(self.path, "ab") as fh:
-                fh.write(np.ascontiguousarray(arr, dtype=self.dtype).tobytes())
+                for part in parts:
+                    fh.write(np.ascontiguousarray(part, dtype=self.dtype).data)
         except OSError:
             os.truncate(self.path, self._n_items * self.itemsize)
             raise
 
-    def _store_load(self, index: int) -> np.ndarray:
-        if not (0 <= index < len(self._block_sizes)):
-            raise IndexError(f"block {index} out of range 0..{len(self._block_sizes) - 1}")
-        offset = index * self.B * self.itemsize
-        nbytes = self._block_sizes[index] * self.itemsize
+    def _store_range(self, lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo, dtype=self.dtype)
+        offset = lo * self.itemsize
         with open(self.path, "rb") as fh:
             fh.seek(offset)
-            raw = fh.read(nbytes)
-        if len(raw) != nbytes:
+            got = fh.readinto(out.data)
+        if got != out.nbytes:
             raise OSError(
-                f"spill file {self.path!r} is truncated: block {index} "
-                f"needs {nbytes} bytes at offset {offset}, read {len(raw)}"
+                f"spill file {self.path!r} is truncated: reading from block {lo // self.B} "
+                f"needs {out.nbytes} bytes at offset {offset}, read {got}"
             )
-        return np.frombuffer(raw, dtype=self.dtype)
-
-    def _store_clear(self) -> None:
-        with open(self.path, "wb"):
-            pass
+        return out
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -170,12 +170,12 @@ class TestNodeIsolation:
         src = """
             class F:
                 def ok(self):
-                    return self._blocks
+                    return self._extent_of
                 def bad(self, other):
-                    return other._blocks
+                    return other._extent_of
         """
         fs = run(src, codes=["REP005"])
-        assert len(fs) == 1 and "_blocks" in fs[0].message
+        assert len(fs) == 1 and "_extent_of" in fs[0].message
 
     def test_outside_core_and_extsort_silent(self):
         assert run("a = f.to_array()\n", path=OUTSIDE, codes=["REP005"]) == []

@@ -139,16 +139,16 @@ class TestDiskBackedBlockFile:
         file; ``repro sort`` reports that as bad input, not a wrong sort."""
         from repro.cli import main
 
-        store_append = DiskBackedBlockFile._store_append
+        store_span = DiskBackedBlockFile._store_span
         appends = []
 
-        def short_append(self, arr):
-            store_append(self, arr)
+        def short_append(self, parts, size):
+            store_span(self, parts, size)
             appends.append(self.path)
             if len(appends) == 10:
                 os.truncate(self.path, os.path.getsize(self.path) - self.itemsize)
 
-        monkeypatch.setattr(DiskBackedBlockFile, "_store_append", short_append)
+        monkeypatch.setattr(DiskBackedBlockFile, "_store_span", short_append)
         code = main(["sort", "--n", "4000", "--spill-dir", str(tmp_path)])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
@@ -178,9 +178,9 @@ class TestDiskBackedBlockFile:
         class Counting(DiskBackedBlockFile):
             loads: list[int]
 
-            def _store_load(self, index):
-                self.loads.append(index)
-                return super()._store_load(index)
+            def _store_range(self, lo, hi):
+                self.loads.append(lo // self.B)
+                return super()._store_range(lo, hi)
 
         data = np.random.default_rng(1).integers(0, 2**32, 77).astype(np.uint32)
         f = Counting(disk, B=8, directory=str(tmp_path))

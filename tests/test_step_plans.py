@@ -188,7 +188,7 @@ def test_property_planned_partition_copy_equals_loop(kernel, case, data):
     def copy(cluster, f):
         node = cluster.nodes[0]
         out = partition.materialize_partitions(f, cuts, node.disk, node.mem)
-        return [(g.name, g._block_sizes, g.to_array().tobytes()) for g in out]
+        return [(g.name, g.n_blocks, g.to_array().tobytes()) for g in out]
 
     got = _observe(True, kernel, B, items, 1, memory, held, copy)
     want = _observe(False, kernel, B, items, 1, memory, held, copy)
