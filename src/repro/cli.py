@@ -77,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max attempts per step for transient faults (enables retry)",
     )
     p_sort.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        help="base backoff seconds charged to the sim clock per retry",
-    )
-    p_sort.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -327,36 +321,39 @@ def _load_fault_plan(text: str):
 
 
 def cmd_sort(args) -> int:
+    from repro.fuzz.scenario import Scenario, workload_name
     from repro.pdm.filestore import FileStore
 
+    # The run spec; --kernel, --link, --spill-dir and the output flags are
+    # the machine and what to record, not part of it.
+    spec = Scenario(
+        benchmark=workload_name(args.benchmark),
+        n_items=args.n,
+        perf=tuple(args.perf.values),
+        memory_items=args.memory,
+        block_items=args.block,
+        message_items=args.message,
+        pivot_method=args.pivot_method,
+        seed=args.seed,
+        fault_plan=_load_fault_plan(args.fault_plan) if args.fault_plan else None,
+        retries=args.retries,
+    )
     if not args.spill_dir:
-        return _sort(args, None)
+        return _sort(args, spec, None)
     with FileStore(args.spill_dir) as store:  # removes its run's files
-        return _sort(args, store)
+        return _sort(args, spec, store)
 
 
-def _sort(args, store) -> int:
+def _sort(args, spec, store) -> int:
     import json
 
-    from repro.cluster.machine import Cluster, heterogeneous_cluster
     from repro.cluster.network import FAST_ETHERNET, MYRINET
-    from repro.core.external_psrs import PSRSConfig, sort_array
-    from repro.core.theory import max_duplicate_count
-    from repro.faults.plan import RetryPolicy
     from repro.metrics.report import fault_table
-    from repro.workloads.generators import make_benchmark
     from repro.workloads.records import verify_sorted_permutation
 
-    perf = args.perf
-    n = perf.nearest_exact(args.n)
-    bench = int(args.benchmark) if args.benchmark.isdigit() else args.benchmark
-    data = make_benchmark(bench, n, seed=args.seed)
-    link = FAST_ETHERNET if args.link == "ethernet" else MYRINET
-    cluster = Cluster(
-        heterogeneous_cluster(
-            [float(v) for v in perf.values], memory_items=args.memory, link=link
-        ),
-        kernel=args.kernel,
+    data = spec.input()
+    cluster = spec.cluster(
+        kernel=args.kernel, link=FAST_ETHERNET if args.link == "ethernet" else MYRINET
     )
     if args.events or args.profile:
         cluster.bus.set_level("full")
@@ -365,40 +362,20 @@ def _sort(args, store) -> int:
     if store is not None:
         for node in cluster.nodes:
             node.disk.file_factory = store.create
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    retry = (
-        RetryPolicy(max_attempts=args.retries, backoff=args.retry_backoff)
-        if args.retries is not None
-        else None
-    )
-    cfg = PSRSConfig(
-        block_items=args.block,
-        message_items=args.message,
-        pivot_method=args.pivot_method,
-        seed=args.seed,
-    )
-    res = sort_array(cluster, perf, data, cfg, faults=plan, retry=retry)
+    res = spec.sort(cluster, data)
     # Profile before gathering: the event stream then ends exactly at the
     # final barrier, so the reconstructed elapsed matches res.elapsed.
     from repro.obs.profiler import RunProfile
 
-    prof = RunProfile.from_cluster(cluster, block_items=args.block)
+    prof = RunProfile.from_cluster(cluster, block_items=spec.block_items)
     verify_sorted_permutation(data, res.to_array())
 
     report = None
     if args.trace or args.events or args.audit:
-        from repro.obs.audit import RunMeta, audit_run
+        from repro.obs.audit import audit_run
         from repro.obs.exporters import write_chrome_trace, write_jsonl
 
-        meta = RunMeta(
-            n_items=res.n_items,
-            perf=tuple(int(v) for v in perf.values),
-            memory_items=args.memory,
-            block_items=args.block,
-            oversample=cfg.oversample,
-            d_duplicates=max_duplicate_count(data),
-            pivot_method=args.pivot_method,
-        )
+        meta = spec.run_meta(data)
         if args.events:
             write_jsonl(
                 args.events,
@@ -420,9 +397,9 @@ def _sort(args, store) -> int:
         summary = {
             "command": "sort",
             "n_items": res.n_items,
-            "perf": [int(v) for v in perf.values],
-            "benchmark": str(args.benchmark),
-            "pivot_method": args.pivot_method,
+            "perf": list(spec.perf),
+            "benchmark": args.benchmark,
+            "pivot_method": spec.pivot_method,
             "verified": True,
             "elapsed_seconds": res.elapsed,
             "s_max": res.s_max,
@@ -456,7 +433,7 @@ def _sort(args, store) -> int:
             summary["audit"] = report.to_dict()
         print(json.dumps(summary, indent=2, sort_keys=False))
     else:
-        print(f"sorted {res.n_items} items (verified) on perf={perf.values}")
+        print(f"sorted {res.n_items} items (verified) on perf={list(spec.perf)}")
         print(f"simulated time: {res.elapsed:.3f} s   S(max): {res.s_max:.4f}")
         for step, t in res.step_times.items():
             print(f"  {step:<18} {t:9.4f} s")
@@ -466,7 +443,7 @@ def _sort(args, store) -> int:
             f"I/O blocks r/w: {res.io.blocks_read}/{res.io.blocks_written}   "
             f"network: {res.network_messages} msgs / {res.network_bytes} bytes"
         )
-        if plan is not None or retry is not None:
+        if spec.fault_plan is not None or spec.retries is not None:
             if res.faults.degraded:
                 print(f"completed DEGRADED on survivors {res.active_ranks}")
             print(fault_table(res.faults).render())

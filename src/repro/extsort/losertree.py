@@ -90,9 +90,6 @@ class LoserTree:
     def exhausted(self) -> bool:
         return self._keys[self._losers[0]] is None
 
-    def key_of(self, source: int) -> object:
-        return self._keys[source]
-
     # -- updates -----------------------------------------------------------
 
     def replace_winner(self, new_key: Optional[object]) -> None:

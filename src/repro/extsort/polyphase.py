@@ -85,6 +85,17 @@ class PolyphaseResult:
     n_dummy_runs: int
 
 
+def merge_blocks(available: int, B: int) -> int:
+    """Blocks ``m = available // B`` of a budget; ``ValueError`` below 3."""
+    m = available // B
+    if m < 3:
+        raise ValueError(
+            f"memory budget of {available} items (m={m} blocks) is too "
+            "small for external merging; need at least 3 blocks"
+        )
+    return m
+
+
 def polyphase_sort(
     source: BlockFile,
     disk: SimDisk,
@@ -113,12 +124,7 @@ def polyphase_sort(
         cluster time model.
     """
     B = source.B
-    m = mem.available // B if mem.capacity is not None else 1 << 16
-    if m < 3:
-        raise ValueError(
-            f"memory budget of {mem.available} items (m={m} blocks) is too "
-            "small for external merging; need at least 3 blocks"
-        )
+    m = merge_blocks(mem.available, B) if mem.capacity is not None else 1 << 16
     T = min(m, 8) if n_tapes is None else n_tapes
     if T > m:
         raise ValueError(f"n_tapes={T} exceeds the memory budget (m={m} blocks)")

@@ -178,10 +178,6 @@ class FaultPlan:
                 raise FaultPlanError(f"node {k.node} killed more than once")
             kills[k.node] = k
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.disk_faults or self.message_faults or self.node_kills)
-
     def validate_for(self, p: int) -> None:
         """Check every node index against a p-node cluster."""
         for f in self.disk_faults:

@@ -38,17 +38,12 @@ from repro.analysis.sanitizers import (
     uninstall_sanitizers,
 )
 from repro.cluster.kernel import ExecutionKernel
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.cluster.network import FAST_ETHERNET
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.core.theory import max_duplicate_count
-from repro.faults.plan import FaultError, RetryPolicy
+from repro.cluster.machine import Cluster
+from repro.faults.plan import FaultError
 from repro.fuzz.coverage import LineCoverage
 from repro.fuzz.scenario import Scenario
 from repro.obs.audit import AuditReport, RunMeta, audit_run, collect_step_io
 from repro.pdm.stats import IOStats
-from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation
 
 #: ``RunOutcome.status`` values.  ``ok`` means fault-free, verified and
@@ -106,10 +101,6 @@ class RunOutcome:
     #: not audited: it did not finish, or finished degraded / recovered).
     meta: Optional[RunMeta] = None
 
-    @property
-    def is_violation(self) -> bool:
-        return self.violation is not None
-
 
 class _NoCoverage:
     """Stand-in collector when coverage is disabled (replay fast path)."""
@@ -136,32 +127,11 @@ class ScenarioExecutor:
 
     def run(self, scenario: Scenario) -> RunOutcome:
         scenario.validate()
-        perf = PerfVector(list(scenario.perf))
-        n = perf.nearest_exact(scenario.n_items)
-        data = make_benchmark(
-            scenario.benchmark, n, seed=scenario.seed, dtype=np.dtype(scenario.dtype)
-        )
-        cluster = Cluster(
-            heterogeneous_cluster(
-                [float(v) for v in perf.values],
-                memory_items=scenario.memory_items,
-                link=FAST_ETHERNET,
-            ),
-            kernel=self.kernel,
-        )
+        data = scenario.input()
+        # Built before the sanitizers are installed: a MemoryManager created
+        # under an active sanitizer registers for leak tracking.
+        cluster = scenario.cluster(kernel=self.kernel)
         cluster.bus.set_level("full")
-        cfg = PSRSConfig(
-            block_items=scenario.block_items,
-            message_items=scenario.message_items,
-            pivot_method=scenario.pivot_method,
-            oversample=scenario.oversample,
-            seed=scenario.seed,
-        )
-        retry = (
-            RetryPolicy(max_attempts=scenario.retries)
-            if scenario.retries is not None
-            else None
-        )
 
         status = "ok"
         violation: Optional[Violation] = None
@@ -178,14 +148,7 @@ class ScenarioExecutor:
         try:
             with collector:
                 try:
-                    res = sort_array(
-                        cluster,
-                        perf,
-                        data,
-                        cfg,
-                        faults=scenario.fault_plan,
-                        retry=retry,
-                    )
+                    res = scenario.sort(cluster, data)
                     verify_sorted_permutation(data, res.to_array())
                     san.assert_no_leaks()
                 except SanitizerError as exc:
@@ -215,15 +178,7 @@ class ScenarioExecutor:
                     if not res.faults.fault_free:
                         status = "degraded" if res.faults.degraded else "recovered"
                     else:
-                        meta = RunMeta(
-                            n_items=res.n_items,
-                            perf=tuple(int(v) for v in perf.values),
-                            memory_items=scenario.memory_items,
-                            block_items=scenario.block_items,
-                            oversample=scenario.oversample,
-                            d_duplicates=max_duplicate_count(data),
-                            pivot_method=scenario.pivot_method,
-                        )
+                        meta = scenario.run_meta(data)
                         report = audit_run(cluster.bus.events, meta, step_io=step_io)
                         worst_ratio = report.worst_ratio
                         if not report.ok:
@@ -246,7 +201,7 @@ class ScenarioExecutor:
             status=status,
             violation=violation,
             coverage=frozenset(collector.lines),
-            signature=_signature(cluster, perf),
+            signature=_signature(cluster, scenario.perf),
             worst_ratio=worst_ratio,
             trips=tuple(san.trips),
             sim_elapsed=sim_elapsed,
@@ -268,13 +223,13 @@ def _io_counters(
 
 
 def _signature(
-    cluster: Cluster, perf: PerfVector
+    cluster: Cluster, perf: tuple[int, ...]
 ) -> frozenset[tuple[str, str, str]]:
     """Fold the telemetry stream into ``(step, kind, node-class)`` triples."""
-    classes = [f"perf{v}" for v in perf.values]
+    classes = [f"perf{v}" for v in perf]
     # Thousands of rows (cls, t, node, step, ...) share a few dozen heads.
     heads = {(row[0], row[2], row[3]) for row in cluster.bus.events.rows}
     return frozenset(
-        (step, cls.kind, classes[rank] if 0 <= rank < perf.p else "cluster")
+        (step, cls.kind, classes[rank] if 0 <= rank < len(perf) else "cluster")
         for cls, rank, step in heads
     )

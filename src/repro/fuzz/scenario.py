@@ -1,13 +1,17 @@
-"""The fuzzer's unit of work: one serializable, validated Scenario.
+"""The run spec: one serializable Scenario fixes a run of Algorithm 1.
 
 A scenario pins down everything a run depends on — workload spec + n +
 dtype, the perf vector, the PDM configuration (M, B, message size), the
 pivot method, the RNG seed and an optional :class:`~repro.faults.plan.FaultPlan`
 — so executing the same scenario twice is bit-identical and a JSONL case
-file replays years later.
+file replays years later.  ``repro sort`` parses its flags into one and
+the fuzz executor runs them, both through :meth:`Scenario.input`,
+``cluster``, ``sort`` and ``run_meta``; a run adds only the machine
+(kernel, link) and the capture level.
 
-Scenarios are *closed under mutation*: every mutator output must pass
-:meth:`Scenario.validate`, whose limits encode the real envelope of the
+:meth:`Scenario.validate` is the fuzzer's envelope, which ``repro sort``
+does not enforce.  Scenarios are *closed under mutation*: every mutator
+output must pass it, and its limits encode the real envelope of the
 simulator (e.g. the polyphase engine needs ``M >= 3B``, a kill needs a
 surviving node, step-1 kills are unrecoverable by design and therefore
 excluded from the space).
@@ -18,11 +22,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
-from repro.core.external_psrs import PIVOT_METHODS
-from repro.faults.plan import FaultPlan, FaultPlanError
-from repro.workloads.generators import BENCHMARKS
+import numpy as np
+
+from repro.cluster.kernel import ExecutionKernel
+from repro.cluster.machine import Cluster, heterogeneous_cluster
+from repro.cluster.network import FAST_ETHERNET, LinkModel
+from repro.core.external_psrs import PIVOT_METHODS, PSRSConfig, PSRSResult, sort_array
+from repro.core.perf import PerfVector
+from repro.core.theory import max_duplicate_count
+from repro.extsort.polyphase import merge_blocks
+from repro.faults.plan import FaultPlan, FaultPlanError, RetryPolicy
+from repro.obs.audit import RunMeta
+from repro.workloads.generators import BENCHMARKS, make_benchmark
 from repro.workloads.records import SUPPORTED_KEY_DTYPES
 
 #: Workload names the scenario space draws from (the 8 paper benchmarks).
@@ -47,9 +60,20 @@ class ScenarioError(ValueError):
     """A scenario violates the envelope the simulator supports."""
 
 
+def workload_name(which: str) -> str:
+    """The workload ``which`` names: one of :data:`WORKLOADS` or its id ("0")."""
+    if which.isdigit() and int(which) in BENCHMARKS:
+        return BENCHMARKS[int(which)].name
+    if which not in WORKLOADS:
+        raise ScenarioError(
+            f"unknown benchmark {which!r}; have ids {sorted(BENCHMARKS)} or {list(WORKLOADS)}"
+        )
+    return which
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One fully-specified fuzz input (pure data, deterministic to run)."""
+    """One fully-specified run (pure data, deterministic to run)."""
 
     benchmark: str = "uniform"
     n_items: int = 4096
@@ -76,6 +100,59 @@ class Scenario:
     def with_(self, **kwargs: object) -> "Scenario":
         """A copy with some axes replaced (not validated)."""
         return replace(self, **kwargs)  # type: ignore[arg-type]
+
+    # -- the run it specifies ------------------------------------------------
+
+    def perf_vector(self) -> PerfVector:
+        return PerfVector(list(self.perf))
+
+    def input(self) -> np.ndarray:
+        """The workload, at the nearest size the perf vector splits exactly."""
+        n = self.perf_vector().nearest_exact(self.n_items)
+        return make_benchmark(self.benchmark, n, seed=self.seed, dtype=np.dtype(self.dtype))
+
+    def cluster(
+        self,
+        kernel: Union[str, ExecutionKernel] = "event",
+        link: LinkModel = FAST_ETHERNET,
+    ) -> Cluster:
+        """One node per perf value, each with ``memory_items`` of memory."""
+        spec = heterogeneous_cluster(
+            [float(v) for v in self.perf], memory_items=self.memory_items, link=link
+        )
+        return Cluster(spec, kernel=kernel)
+
+    def sort(self, cluster: Cluster, data: np.ndarray) -> PSRSResult:
+        """Run the external PSRS sort of ``data`` on ``cluster``, with the
+        spec's fault plan and retry budget.
+
+        A memory budget too small to merge in raises ``ValueError`` here,
+        before the untimed distribution, which needs a block of memory too.
+        """
+        merge_blocks(self.memory_items, self.block_items)
+        config = PSRSConfig(
+            block_items=self.block_items,
+            message_items=self.message_items,
+            pivot_method=self.pivot_method,
+            oversample=self.oversample,
+            seed=self.seed,
+        )
+        retry = None if self.retries is None else RetryPolicy(max_attempts=self.retries)
+        return sort_array(
+            cluster, self.perf_vector(), data, config, faults=self.fault_plan, retry=retry
+        )
+
+    def run_meta(self, data: np.ndarray) -> RunMeta:
+        """The parameters the auditor checks a run of ``data`` against."""
+        return RunMeta(
+            n_items=int(data.size),
+            perf=self.perf,
+            memory_items=self.memory_items,
+            block_items=self.block_items,
+            oversample=self.oversample,
+            d_duplicates=max_duplicate_count(data),
+            pivot_method=self.pivot_method,
+        )
 
     # -- validation --------------------------------------------------------
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.pdm.model import merge_levels, merge_order, merge_passes
 
@@ -552,16 +552,6 @@ def dominates(
         if lo > hi * (1.0 + _REL_TOL) + 1e-6:
             return dict(env)
     return None
-
-
-ExprLike = Union[Expr, float, int]
-
-
-def as_expr(value: ExprLike) -> Expr:
-    """Coerce a number to a :class:`Const` (identity on expressions)."""
-    if isinstance(value, Expr):
-        return value
-    return Const(float(value))
 
 
 # --------------------------------------------------------------------------

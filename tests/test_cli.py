@@ -152,8 +152,11 @@ class TestInputErrors:
             ["sort", "--n", "2000", "--fault-plan", '{"disk": ['],
             ["sort", "--n", "2000", "--fault-plan", '{"bogus": []}'],
             ["sort", "--n", "2000", "--fault-plan", "missing-plan.json"],
+            ["sort", "--n", "2000", "--benchmark", "nosuch"],
+            ["sort", "--n", "2000", "--benchmark", "99"],
         ],
-        ids=["audit-missing", "profile-missing", "plan-json", "plan-keys", "plan-missing"],
+        ids=["audit-missing", "profile-missing", "plan-json", "plan-keys", "plan-missing",
+             "benchmark-name", "benchmark-id"],
     )
     def test_exits_two_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -190,6 +193,16 @@ class TestInputErrors:
         log.write_text('{"kind": "run_meta"\n', encoding="utf-8")
         assert main([command, str(log)]) == 2
         assert capsys.readouterr().err.startswith(f"repro {command}: error: ")
+
+    @pytest.mark.parametrize("memory", [100, 700], ids=["below-one-block", "two-blocks"])
+    def test_memory_below_three_blocks_exits_two(self, memory, capsys):
+        """M < B used to die in the untimed distribution with a traceback;
+        every M < 3B now gets polyphase's wording."""
+        assert main(["sort", "--n", "4000", "--memory", str(memory)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro sort: error: memory budget of {memory} items (m={memory // 256} "
+            "blocks) is too small for external merging; need at least 3 blocks"
+        ]
 
     def test_unrecovered_fault_still_raises(self):
         """A simulated disk fault with no retry policy is a failed run, not

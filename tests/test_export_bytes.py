@@ -20,20 +20,21 @@ import json
 
 import pytest
 
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.core.theory import max_duplicate_count
-from repro.obs.audit import RunMeta
+from repro.fuzz.scenario import Scenario
 from repro.obs.exporters import write_chrome_trace, write_jsonl
 from repro.obs.profiler import RunProfile
-from repro.workloads.generators import make_benchmark
 
 from tests.test_export_goldens import RUNS, _run
 
-OBSERVED_PERF = (1, 1, 4, 4)
-OBSERVED_MEMORY = 2048
-OBSERVED_BLOCK = 256
+OBSERVED = Scenario(
+    benchmark="uniform",
+    n_items=2**16,
+    perf=(1, 1, 4, 4),
+    memory_items=2048,
+    block_items=256,
+    message_items=8192,
+    seed=301,
+)
 
 GOLDEN = {
     "event": {
@@ -58,25 +59,12 @@ def _file_sha(path: str) -> str:
 
 
 def _observed_run():
-    perf = PerfVector(list(OBSERVED_PERF))
-    data = make_benchmark("uniform", perf.nearest_exact(2**16), seed=301)
-    cluster = Cluster(
-        heterogeneous_cluster([float(v) for v in OBSERVED_PERF], memory_items=OBSERVED_MEMORY)
-    )
+    data = OBSERVED.input()
+    cluster = OBSERVED.cluster()
     cluster.bus.set_level("full")
-    cfg = PSRSConfig(block_items=OBSERVED_BLOCK, message_items=8192)
-    res = sort_array(cluster, perf, data, cfg)
-    prof = RunProfile.from_cluster(cluster, block_items=OBSERVED_BLOCK)
-    meta = RunMeta(
-        n_items=res.n_items,
-        perf=OBSERVED_PERF,
-        memory_items=OBSERVED_MEMORY,
-        block_items=OBSERVED_BLOCK,
-        oversample=cfg.oversample,
-        d_duplicates=max_duplicate_count(data),
-        pivot_method=cfg.pivot_method,
-    )
-    return cluster, prof, {**meta.to_dict(), "hw": prof.hw.to_dict()}
+    OBSERVED.sort(cluster, data)
+    prof = RunProfile.from_cluster(cluster, block_items=OBSERVED.block_items)
+    return cluster, prof, {**OBSERVED.run_meta(data).to_dict(), "hw": prof.hw.to_dict()}
 
 
 def _digests(name: str, tmp_dir) -> dict:

@@ -28,29 +28,34 @@ import json
 
 import pytest
 
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.core.theory import max_duplicate_count
-from repro.faults.plan import DiskFault, FaultPlan, RetryPolicy
-from repro.obs.audit import RunMeta
+from repro.faults.plan import DiskFault, FaultPlan
+from repro.fuzz.scenario import Scenario
 from repro.obs.events import FaultInjected, Retry
 from repro.obs.exporters import events_to_jsonl, to_prometheus, write_chrome_trace
 from repro.obs.profiler import RunProfile
-from repro.workloads.generators import make_benchmark
 
-PERF = (1, 1, 4, 4)
-MEMORY = 1024
-BLOCK = 128
+SPEC = Scenario(
+    benchmark="uniform",
+    n_items=12_000,
+    perf=(1, 1, 4, 4),
+    memory_items=1024,
+    block_items=128,
+    message_items=1024,
+    seed=11,
+)
 
-#: name -> (kernel, fault plan, retry policy)
+#: name -> (kernel, run spec)
 RUNS = {
-    "event": ("event", None, None),
-    "lockstep": ("lockstep", None, None),
+    "event": ("event", SPEC),
+    "lockstep": ("lockstep", SPEC),
     "faulted": (
         "event",
-        FaultPlan(disk_faults=(DiskFault(node=1, after_ios=40, count=1),), seed=3),
-        RetryPolicy(max_attempts=3, backoff=0.05),
+        SPEC.with_(
+            fault_plan=FaultPlan(
+                disk_faults=(DiskFault(node=1, after_ios=40, count=1),), seed=3
+            ),
+            retries=3,
+        ),
     ),
 }
 
@@ -81,27 +86,13 @@ def _sha(text: str) -> str:
 
 
 def _run(name: str):
-    kernel, plan, retry = RUNS[name]
-    perf = PerfVector(list(PERF))
-    data = make_benchmark("uniform", perf.nearest_exact(12_000), seed=11)
-    cluster = Cluster(
-        heterogeneous_cluster([float(v) for v in PERF], memory_items=MEMORY),
-        kernel=kernel,
-    )
+    kernel, spec = RUNS[name]
+    data = spec.input()
+    cluster = spec.cluster(kernel=kernel)
     cluster.bus.set_level("full")
-    cfg = PSRSConfig(block_items=BLOCK, message_items=1024)
-    res = sort_array(cluster, perf, data, cfg, faults=plan, retry=retry)
-    prof = RunProfile.from_cluster(cluster, block_items=BLOCK)
-    meta = RunMeta(
-        n_items=res.n_items,
-        perf=PERF,
-        memory_items=MEMORY,
-        block_items=BLOCK,
-        oversample=cfg.oversample,
-        d_duplicates=max_duplicate_count(data),
-        pivot_method=cfg.pivot_method,
-    )
-    return cluster, prof, {**meta.to_dict(), "hw": prof.hw.to_dict()}
+    spec.sort(cluster, data)
+    prof = RunProfile.from_cluster(cluster, block_items=spec.block_items)
+    return cluster, prof, {**spec.run_meta(data).to_dict(), "hw": prof.hw.to_dict()}
 
 
 def _digests(name: str, tmp_dir) -> dict:

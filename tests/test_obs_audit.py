@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cluster.kernel import KERNELS
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.core.theory import max_duplicate_count
-from repro.faults.plan import DiskFault, FaultPlan, NodeKill, RetryPolicy
+from repro.faults.plan import DiskFault, FaultPlan, NodeKill
+from repro.fuzz.scenario import Scenario
 from repro.obs.audit import AuditRow, RunMeta, audit_run, collect_step_io
 from repro.obs.events import BlockRead, BlockWrite
 from repro.pdm.stats import IOStats
-from repro.workloads.generators import make_benchmark
 
 NUMBERED_STEPS = {
     "1:local-sort", "2:pivots", "3:partition", "4:redistribute", "5:final-merge",
@@ -28,25 +24,15 @@ NUMBERED_STEPS = {
 
 
 def _audited_run(n=2**14, memory=1024, pivot_method="regular"):
-    perf = PerfVector([1, 1, 4, 4])
-    n = perf.nearest_exact(n)
-    data = make_benchmark(0, n, seed=0)
-    cluster = Cluster(
-        heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=memory)
+    spec = Scenario(
+        benchmark="uniform", n_items=n, perf=(1, 1, 4, 4), memory_items=memory,
+        block_items=256, message_items=2048, pivot_method=pivot_method,
     )
+    data = spec.input()
+    cluster = spec.cluster()
     cluster.bus.set_level("io")
-    cfg = PSRSConfig(block_items=256, message_items=2048, pivot_method=pivot_method)
-    res = sort_array(cluster, perf, data, cfg)
-    meta = RunMeta(
-        n_items=res.n_items,
-        perf=(1, 1, 4, 4),
-        memory_items=memory,
-        block_items=256,
-        oversample=cfg.oversample,
-        d_duplicates=max_duplicate_count(data),
-        pivot_method=pivot_method,
-    )
-    return audit_run(cluster.bus.events, meta)
+    spec.sort(cluster, data)
+    return audit_run(cluster.bus.events, spec.run_meta(data))
 
 
 class TestAuditE2E:
@@ -134,7 +120,7 @@ def _full_capture_runs(draw):
     faults = ["none", "disk"] + (["kill"] if len(perf) > 1 else [])
     return (
         perf, draw(st.integers(500, 5000)), block * draw(st.integers(4, 10)), block,
-        draw(st.sampled_from([0, "zipf"])), draw(st.sampled_from(KERNELS)),
+        draw(st.sampled_from(["uniform", "zipf"])), draw(st.sampled_from(KERNELS)),
         draw(st.sampled_from(faults)), draw(st.integers(0, 200)),
     )
 
@@ -145,21 +131,20 @@ def test_property_fold_cells_sum_to_each_drive(params):
     """Every charged block is one row, so a node's cells summed over its
     steps are its drive's counters; ``busy_time`` sums the same costs in
     another order."""
-    perf_vals, n, memory, block, bench, kernel, fault, after = params
-    perf = PerfVector(list(perf_vals))
-    data = make_benchmark(bench, perf.nearest_exact(n), seed=0)
-    cluster = Cluster(
-        heterogeneous_cluster([float(v) for v in perf_vals], memory_items=memory),
-        kernel=kernel,
-    )
-    cluster.bus.set_level("full")
+    perf, n, memory, block, bench, kernel, fault, after = params
     plan = {
         "none": None,
         "disk": FaultPlan(disk_faults=[DiskFault(node=0, after_ios=after, count=1)]),
         "kill": FaultPlan(node_kills=[NodeKill(node=1, step=3 + after % 2)]),
     }[fault]
-    sort_array(cluster, perf, data, PSRSConfig(block_items=block, message_items=2 * block),
-               faults=plan, retry=RetryPolicy(max_attempts=3))
+    spec = Scenario(
+        benchmark=bench, n_items=n, perf=perf, memory_items=memory, block_items=block,
+        message_items=2 * block, fault_plan=plan, retries=3,
+    )
+    data = spec.input()
+    cluster = spec.cluster(kernel=kernel)
+    cluster.bus.set_level("full")
+    spec.sort(cluster, data)
     fold = collect_step_io(cluster.bus.events)
     for node in cluster.nodes:
         total = IOStats.merge(io for (_, rank), io in fold.items() if rank == node.rank)

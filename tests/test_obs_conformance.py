@@ -16,15 +16,10 @@ import pytest
 
 from repro.analysis.protocol import emit_schemas, extract_schema
 from repro.cli import main
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.core.theory import max_duplicate_count
-from repro.obs.audit import RunMeta
+from repro.fuzz.scenario import Scenario
 from repro.obs.conformance import check_conformance
 from repro.obs.events import FaultInjected, NetTransfer
 from repro.obs.exporters import write_jsonl
-from repro.workloads.generators import make_benchmark
 
 
 def prim(kind, root=None):
@@ -137,24 +132,15 @@ class TestRoundSemantics:
 
 
 def _recorded_run(tmp_path=None):
-    perf = PerfVector([1, 1, 4, 4])
-    n = perf.nearest_exact(2**14)
-    data = make_benchmark(0, n, seed=0)
-    cluster = Cluster(
-        heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=1024)
+    spec = Scenario(
+        benchmark="uniform", n_items=2**14, perf=(1, 1, 4, 4), memory_items=1024,
+        block_items=256, message_items=2048,
     )
+    data = spec.input()
+    cluster = spec.cluster()
     cluster.bus.set_level("io")
-    cfg = PSRSConfig(block_items=256, message_items=2048)
-    res = sort_array(cluster, perf, data, cfg)
-    meta = RunMeta(
-        n_items=res.n_items,
-        perf=(1, 1, 4, 4),
-        memory_items=1024,
-        block_items=256,
-        oversample=cfg.oversample,
-        d_duplicates=max_duplicate_count(data),
-    )
-    return cluster.bus.events, meta
+    spec.sort(cluster, data)
+    return cluster.bus.events, spec.run_meta(data)
 
 
 @pytest.fixture(scope="module")

@@ -29,25 +29,30 @@ import pytest
 from repro.cluster.kernel import KERNELS
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.dewitt import DeWittConfig, sort_array_dewitt
-from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.hyperquicksort import sort_array_hyperquicksort
 from repro.core.in_core_psrs import sort_array_in_core
 from repro.core.overpartition import sort_array_overpartitioned
-from repro.core.perf import PerfVector
+from repro.fuzz.scenario import Scenario
 from repro.obs.events import StepBegin, StepEnd
-from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "result_pins_golden.json")
 
 PERFS = {"p4-1144": (1, 1, 4, 4), "p3-123": (1, 2, 3)}
 
+#: Every case's input, and the whole run of the psrs rows (the case's perf
+#: vector replaces the spec's).
+SPEC = Scenario(
+    benchmark="uniform", n_items=6000, memory_items=512, block_items=64,
+    message_items=256, seed=11,
+)
+
 #: name -> (memory_items of the cluster, runner).  The external sorts run
 #: out of core (M = 8 blocks); the in-core comparators hold whole portions.
 ALGORITHMS = {
-    "psrs": (512, lambda c, perf, data: sort_array(
-        c, perf, data, PSRSConfig(block_items=64, message_items=256))),
-    "dewitt": (512, lambda c, perf, data: sort_array_dewitt(
+    "psrs": (SPEC.memory_items, lambda c, perf, data: SPEC.with_(
+        perf=tuple(perf.values)).sort(c, data)),
+    "dewitt": (SPEC.memory_items, lambda c, perf, data: sort_array_dewitt(
         c, perf, data, DeWittConfig(block_items=64, message_items=256))),
     "in_core": (None, sort_array_in_core),
     "hyperquicksort": (None, sort_array_hyperquicksort),
@@ -73,13 +78,13 @@ def reference_step_times(events) -> dict[str, float]:
 
 def run_case(algorithm: str, perf_name: str, kernel: str) -> dict:
     memory_items, run = ALGORITHMS[algorithm]
-    perf = PerfVector(list(PERFS[perf_name]))
-    data = make_benchmark("uniform", perf.nearest_exact(6000), seed=11)
+    spec = SPEC.with_(perf=PERFS[perf_name])
+    data = spec.input()
     cluster = Cluster(
-        heterogeneous_cluster([float(v) for v in perf], memory_items=memory_items),
+        heterogeneous_cluster([float(v) for v in spec.perf], memory_items=memory_items),
         kernel=kernel,
     )
-    res = run(cluster, perf, data)
+    res = run(cluster, spec.perf_vector(), data)
     verify_sorted_permutation(data, res.to_array())
     times = reference_step_times(cluster.bus.events)
     if hasattr(res, "step_times"):

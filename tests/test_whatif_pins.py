@@ -23,26 +23,26 @@ from functools import lru_cache
 
 import pytest
 
-from repro.cluster.machine import Cluster, heterogeneous_cluster
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.faults.plan import DiskFault, FaultPlan, MessageFault, NodeKill, RetryPolicy
+from repro.faults.plan import DiskFault, FaultPlan, MessageFault, NodeKill
+from repro.fuzz.scenario import Scenario
 from repro.obs.profiler import RunProfile
-from repro.workloads.generators import make_benchmark
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "whatif_pins_golden.json")
 
-PERF = (1, 1, 4, 4)
-MEMORY = 2048
-BLOCK = 256
-MESSAGE = 8192
+SPEC = Scenario(
+    benchmark="uniform",
+    perf=(1, 1, 4, 4),
+    memory_items=2048,
+    block_items=256,
+    message_items=8192,
+)
 
-#: name -> (n, fault plan, retry policy)
+#: name -> run spec
 LOGS = {
-    "clean": (131080, None, None),
-    "faulty": (
-        2**15,
-        FaultPlan(
+    "clean": SPEC.with_(n_items=131080),
+    "faulty": SPEC.with_(
+        n_items=2**15,
+        fault_plan=FaultPlan(
             disk_faults=(DiskFault(node=1, after_ios=40, count=1),),
             message_faults=(
                 MessageFault(drop_probability=0.3, delay_probability=0.3, delay=0.01),
@@ -50,7 +50,7 @@ LOGS = {
             node_kills=(NodeKill(node=2, step=4),),
             seed=3,
         ),
-        RetryPolicy(max_attempts=3, backoff=0.05),
+        retries=3,
     ),
 }
 KERNELS = ("event", "lockstep")
@@ -77,17 +77,12 @@ CLAUSES = (
 @lru_cache(maxsize=None)
 def recorded(log: str, kernel: str) -> tuple[float, RunProfile]:
     """One full-capture sort; returns (elapsed, profile of its log)."""
-    n, faults, retry = LOGS[log]
-    perf = PerfVector(list(PERF))
-    data = make_benchmark(0, perf.nearest_exact(n), seed=0)
-    cluster = Cluster(
-        heterogeneous_cluster([float(s) for s in PERF], memory_items=MEMORY),
-        kernel=kernel,
-    )
+    spec = LOGS[log]
+    data = spec.input()
+    cluster = spec.cluster(kernel=kernel)
     cluster.bus.set_level("full")
-    cfg = PSRSConfig(block_items=BLOCK, message_items=MESSAGE)
-    res = sort_array(cluster, perf, data, cfg, faults=faults, retry=retry)
-    return res.elapsed, RunProfile.from_cluster(cluster, block_items=BLOCK)
+    res = spec.sort(cluster, data)
+    return res.elapsed, RunProfile.from_cluster(cluster, block_items=spec.block_items)
 
 
 def run_case(log: str, kernel: str) -> dict:
