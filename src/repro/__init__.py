@@ -82,7 +82,6 @@ from repro.metrics import (
     TrialStats,
     fault_table,
     partition_stats,
-    repeat_trials,
 )
 from repro.pdm import (
     BlockFile,
@@ -173,7 +172,6 @@ __all__ = [
     "paper_cluster",
     "partition_stats",
     "polyphase_sort",
-    "repeat_trials",
     "sequential_sort_table",
     "sort_array",
     "sort_array_in_core",

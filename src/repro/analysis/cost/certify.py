@@ -111,7 +111,8 @@ def certify_corpus(corpus_dir: Union[str, Path]) -> list[CertifyCaseResult]:
     and recovered runs rescale node shares mid-run or repeat retried
     I/O, so the fault-free static bounds do not describe them.
     """
-    from repro.fuzz import ScenarioExecutor, load_case
+    from repro.fuzz.engine import load_case
+    from repro.fuzz.executor import ScenarioExecutor
 
     executor = ScenarioExecutor(collect_coverage=False)
     results: list[CertifyCaseResult] = []

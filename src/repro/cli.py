@@ -792,7 +792,7 @@ def cmd_sweep(args) -> int:
 def cmd_fuzz(args) -> int:
     import json
 
-    from repro.fuzz import FuzzConfig, fuzz, replay_case
+    from repro.fuzz.engine import FuzzConfig, fuzz, replay_case
 
     if args.replay is not None:
         result = replay_case(args.replay)

@@ -46,14 +46,12 @@ from repro.core.quantiles import (
     QuantileSearchReport,
     boundary_targets,
     exact_quantile_pivots,
-    global_count_leq,
 )
 from repro.core.result import SortResult
 from repro.core.sampling import (
     pivot_ranks,
     regular_sample,
     sample_count,
-    sample_interval,
     select_pivots,
 )
 from repro.core.theory import (
@@ -74,7 +72,6 @@ __all__ = [
     "QuantileSearchReport",
     "boundary_targets",
     "exact_quantile_pivots",
-    "global_count_leq",
     "sort_array_hyperquicksort",
     "sort_hyperquicksort",
     "split_group",
@@ -97,7 +94,6 @@ __all__ = [
     "pivot_ranks",
     "regular_sample",
     "sample_count",
-    "sample_interval",
     "select_pivots",
     "sequential_sort_table",
     "sort_array",

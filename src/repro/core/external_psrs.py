@@ -97,9 +97,6 @@ class PSRSConfig:
     oversample:
         Sample-count multiplier c (L_i = c*(p-1)*perf[i]); c=1 is the
         paper's literal count, the default c=4 refines the pivot grid.
-    root:
-        The designated pivot-selection node (falls back to the lowest
-        surviving rank if it dies in degraded mode).
     seed:
         RNG seed (used only by ``pivot_method="random"``).
     """
@@ -111,7 +108,6 @@ class PSRSConfig:
     materialize_partitions: bool = True
     pivot_method: Literal["regular", "random", "quantile"] = "regular"
     oversample: int = 4
-    root: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -317,7 +313,7 @@ def _pivot_step(
     p = view.p
     if p == 1:
         return np.empty(0, dtype=sorted_files[0].dtype)
-    root = view.ranks.index(config.root) if config.root in view.ranks else 0
+    root = 0  # the view's first node: rank 0, or the lowest survivor
     if config.pivot_method == "quantile":
         from repro.core.quantiles import exact_quantile_pivots
 

@@ -20,12 +20,7 @@ from repro.core.incore import concat_in_memory, merge_in_memory, sort_in_memory
 from repro.core.partition import partition_array
 from repro.core.perf import PerfVector
 from repro.core.result import SortResult
-from repro.core.sampling import (
-    regular_sample_positions,
-    sample_count,
-    sample_interval,
-    select_pivots,
-)
+from repro.core.sampling import regular_positions, select_pivots
 from repro.obs.events import step_seconds
 
 
@@ -64,10 +59,7 @@ def sort_in_core(
             if p == 1:
                 samples.append(np.empty(0, dtype=s.dtype))
                 continue
-            off = sample_interval(s.size, perf[node.rank], p, oversample)
-            pos = regular_sample_positions(
-                s.size, off, sample_count(perf[node.rank], p, oversample)
-            )
+            pos = regular_positions(s.size, perf[node.rank], p, oversample)
             node.compute(float(pos.size))
             samples.append(s[pos])
         if p > 1:

@@ -168,7 +168,6 @@ def materialize_partitions(
     cuts: Sequence[int],
     disk: SimDisk,
     mem: MemoryManager,
-    name_prefix: str = "part",
 ) -> list[BlockFile]:
     """Copy each partition range into its own file (paper-faithful step 3).
 
@@ -181,7 +180,7 @@ def materialize_partitions(
     """
 
     def new(j: int) -> BlockFile:
-        name = disk.next_file_name(f"{name_prefix}{j}_")
+        name = disk.next_file_name(f"part{j}_")
         return disk.new_file(sorted_file.B, sorted_file.dtype, name=name)
 
     out = [new(0)]

@@ -60,10 +60,6 @@ class PerfVector:
     def lcm(self) -> int:
         return reduce(math.lcm, self.values)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(set(self.values)) == 1
-
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
@@ -201,13 +197,13 @@ class PerfVector:
     # -- derivation ----------------------------------------------------------
 
     @staticmethod
-    def from_speeds(speeds: Sequence[float], max_value: int = 64) -> "PerfVector":
+    def from_speeds(speeds: Sequence[float]) -> "PerfVector":
         """Round measured relative speeds to a small-integer perf vector.
 
-        Normalises by the slowest node and rounds to the nearest integer
-        (the paper's protocol: "the ratios to the slower execution time
-        allow us to fill the perf array") — e.g. measured ratios
-        {4.06, 4.03, 1.0, 0.97} become {4, 4, 1, 1}.
+        Normalises by the slowest node and rounds to the nearest integer,
+        capped at 64 (the paper's protocol: "the ratios to the slower
+        execution time allow us to fill the perf array") — e.g. measured
+        ratios {4.06, 4.03, 1.0, 0.97} become {4, 4, 1, 1}.
         """
         sp = [float(s) for s in speeds]
         if not sp:
@@ -215,5 +211,5 @@ class PerfVector:
         if any(s <= 0 for s in sp):
             raise ValueError(f"speeds must be > 0, got {sp}")
         slowest = min(sp)
-        vals = [max(1, min(max_value, round(s / slowest))) for s in sp]
+        vals = [max(1, min(64, round(s / slowest))) for s in sp]
         return PerfVector(vals)

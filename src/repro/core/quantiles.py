@@ -45,7 +45,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.machine import Cluster
-from repro.core.partition import lower_bound_offset
 from repro.core.perf import PerfVector
 from repro.pdm.blockfile import BlockFile
 from repro.pdm.memory import MemoryManager
@@ -71,17 +70,6 @@ def boundary_targets(perf: PerfVector, n: int) -> list[int]:
     """Global ranks the p-1 pivots must realise: ``round(n*cum_j/total)``."""
     cum = np.cumsum(perf.values)[:-1]
     return [int(round(n * c / perf.total)) for c in cum]
-
-
-def global_count_leq(
-    cluster: Cluster, files: Sequence[BlockFile], value: "int | np.generic"
-) -> int:
-    """Cluster-wide ``|{x <= value}|`` (charges every node's disk)."""
-    total = 0
-    with cluster.step("count-leq"):
-        for node, f in zip(cluster.nodes, files):
-            total += lower_bound_offset(f, value, node.mem)
-    return total
 
 
 class _ProbeMemo:

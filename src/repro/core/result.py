@@ -3,7 +3,9 @@
 Table 3 reports three numbers per run — ``Mean``, ``Max`` and ``S(max)``,
 the largest final partition against its performance-proportional share.
 :class:`SortResult` holds the fields they are computed from and defines
-them once; each algorithm's result class adds only its own diagnostics.
+``Max`` and ``S(max)`` once (the heterogeneous ``Mean`` is over the
+fastest nodes: :func:`repro.metrics.expansion.partition_stats`); each
+algorithm's result class adds only its own diagnostics.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ class SortResult(Generic[OutputT]):
 
     @property
     def mean_partition(self) -> float:
-        """Mean final partition size (paper Table 3 'Mean')."""
+        """Mean final partition size over all nodes, ``n / p``.
+
+        Not Table 3's heterogeneous 'Mean', which averages the fastest
+        nodes only (:func:`repro.metrics.expansion.partition_stats`'s
+        ``mean_fastest``); the two agree on homogeneous rows."""
         return float(np.mean(self.received_sizes))
 
     @property

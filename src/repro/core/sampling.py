@@ -50,29 +50,20 @@ def sample_count(perf_i: int, p: int, oversample: int = 4) -> int:
     return oversample * (p - 1) * perf_i
 
 
-def sample_interval(l_i: int, perf_i: int, p: int, oversample: int = 4) -> int:
-    """Sampling offset ``off = l_i // L_i`` (>= 1); identical across
-    nodes when l_i satisfies Eq. 2."""
+def regular_positions(l_i: int, perf_i: int, p: int, oversample: int = 4) -> np.ndarray:
+    """Node i's regular sample positions ``off-1, 2*off-1, ...`` in its
+    sorted portion of ``l_i`` items — the paper's fseek/fread loop.
+
+    At most ``L_i`` (:func:`sample_count`) positions, all ``< l_i``, at the
+    offset ``off = l_i // L_i`` (at least 1), which Eq. 2 makes identical
+    across nodes.  One node (``p == 1``) samples nothing.
+    """
     if l_i < 0:
         raise ValueError(f"l_i must be >= 0, got {l_i}")
     L = sample_count(perf_i, p, oversample)
-    if L == 0:
-        return max(1, l_i)
-    return max(1, l_i // L)
-
-
-def regular_sample_positions(l_i: int, off: int, max_samples: int) -> np.ndarray:
-    """Positions ``off-1, 2*off-1, ...`` (at most ``max_samples`` of them,
-    all < l_i) — the paper's fseek/fread loop."""
-    if off < 1:
-        raise ValueError(f"off must be >= 1, got {off}")
-    if max_samples < 0:
-        raise ValueError(f"max_samples must be >= 0, got {max_samples}")
-    if l_i <= 0 or max_samples == 0:
-        return np.empty(0, dtype=np.int64)
-    count = min(max_samples, l_i // off)  # j*off - 1 < l_i  <=>  j <= l_i // off
-    pos = (np.arange(1, count + 1, dtype=np.int64) * off) - 1
-    return pos
+    off = max(1, l_i // L) if L else 1
+    count = min(L, l_i // off)  # j*off - 1 < l_i  <=>  j <= l_i // off
+    return np.arange(1, count + 1, dtype=np.int64) * off - 1
 
 
 def read_samples(
@@ -122,12 +113,7 @@ def regular_sample(
     """Node ``node``'s regular sample of its sorted portion (paper step 2)."""
     if not (0 <= node < perf.p):
         raise IndexError(f"node {node} out of range 0..{perf.p - 1}")
-    l_i = sorted_file.n_items
-    if perf.p == 1:
-        return np.empty(0, dtype=sorted_file.dtype)
-    off = sample_interval(l_i, perf[node], perf.p, oversample)
-    L = sample_count(perf[node], perf.p, oversample)
-    positions = regular_sample_positions(l_i, off, L)
+    positions = regular_positions(sorted_file.n_items, perf[node], perf.p, oversample)
     return read_samples(sorted_file, positions, mem)
 
 

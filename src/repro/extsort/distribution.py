@@ -14,7 +14,6 @@ distributions (see the duplicates tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,14 +75,13 @@ def distribution_sort(
     source: BlockFile,
     disk: SimDisk,
     mem: MemoryManager,
-    fanout: Optional[int] = None,
     oversample: int = 8,
     compute: ComputeHook = None,
 ) -> DistributionResult:
     """Sort ``source`` into a fresh file on ``disk`` by distribution.
 
-    ``fanout`` S defaults to the memory-feasible maximum ``m - 2`` (one
-    input block, S bucket writers, one shared output writer).  Buckets
+    The fanout S is the memory-feasible maximum ``m - 2`` (one input
+    block, S bucket writers, one shared output writer).  Buckets
     that fail to shrink (pathological splitters, e.g. a single massive
     duplicate value) fall back to a balanced merge sort — counted in the
     result's ``n_fallbacks``.
@@ -95,14 +93,7 @@ def distribution_sort(
             f"memory budget of {mem.available} items (m={m} blocks) is too "
             "small for distribution sort; need at least 4 blocks"
         )
-    S = (m - 2) if fanout is None else fanout
-    if S < 2:
-        raise ValueError(f"fanout must be >= 2, got {S}")
-    if mem.capacity is not None and (S + 2) * B > mem.available:
-        raise ValueError(
-            f"fanout {S} needs {(S + 2) * B} items of memory, "
-            f"only {mem.available} available"
-        )
+    S = m - 2
 
     out = disk.new_file(B, source.dtype, name=disk.next_file_name("sorted"))
     stats = {"max_depth": 0, "fallbacks": 0}

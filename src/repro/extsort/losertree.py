@@ -20,7 +20,7 @@ indistinguishable and the output is what a loser tree would emit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,20 +82,10 @@ class LoserTree:
         return self._losers[0]
 
     @property
-    def winner_key(self) -> object:
-        """Current minimum key, or ``None`` if every source is exhausted."""
-        return self._keys[self._losers[0]]
-
-    @property
     def exhausted(self) -> bool:
         return self._keys[self._losers[0]] is None
 
     # -- updates -----------------------------------------------------------
-
-    def replace_winner(self, new_key: Optional[object]) -> None:
-        """Replace the winner's key (``None`` = source exhausted) and
-        replay its path to the root."""
-        self.replace(self._losers[0], new_key)
 
     def replace(self, source: int, new_key: Optional[object]) -> None:
         """Replace ``source``'s key and replay its root path.
@@ -145,32 +135,3 @@ def kway_merge_sorted(parts: Sequence[np.ndarray]) -> np.ndarray:
     out.sort()  # repro: noqa REP002(merges the k presorted parts in place under the caller's reservation; callers charge the n log2 k comparisons)
     return out
 
-
-def merge_iterables(sources: Sequence, key: Optional[Callable] = None) -> list:
-    """Merge already-sorted iterables with a loser tree (reference path).
-
-    A convenience used by tests to cross-check the block-vectorised merge
-    engine against the textbook structure.
-    """
-    iters = [iter(s) for s in sources]
-
-    def pull(i: int) -> object:
-        try:
-            return next(iters[i])
-        except StopIteration:
-            return None
-
-    heads = [pull(i) for i in range(len(iters))]
-    if not heads:
-        return []
-    keyed = [None if h is None else (key(h) if key else h) for h in heads]
-    values = list(heads)
-    tree = LoserTree(keyed)
-    out = []
-    while not tree.exhausted:
-        src = tree.winner
-        out.append(values[src])
-        nxt = pull(src)
-        values[src] = nxt
-        tree.replace(src, None if nxt is None else (key(nxt) if key else nxt))
-    return out

@@ -97,10 +97,6 @@ class RunRef:
                 f"{self.file.n_items} items"
             )
 
-    @property
-    def length(self) -> int:
-        return self.stop - self.start
-
     @staticmethod
     def whole(file: BlockFile) -> "RunRef":
         return RunRef(file, 0, file.n_items)
@@ -163,20 +159,6 @@ class RunCursor:
             self.mem.release(n)
         self._buf = buf[n:] if n < buf.size else None
         return buf[:n]
-
-    def buffer_max(self) -> np.generic:
-        """Largest key currently buffered (fills the buffer if needed)."""
-        self._fill()
-        if self._buf is None:
-            raise RuntimeError("cursor exhausted")
-        return self._buf[-1]
-
-    def take_leq(self, t: "int | np.generic") -> np.ndarray:
-        """Pop every buffered item ``<= t`` (possibly none)."""
-        self._fill()
-        if self._buf is None:
-            return np.empty(0, dtype=self.run.file.dtype)
-        return self._pop(int(self._buf.searchsorted(t, "right")))
 
     def take_one(self) -> np.generic:
         """Pop a single item (item-at-a-time engine)."""

@@ -20,7 +20,6 @@ from repro.faults.plan import (
     NodeKill,
     NodeKilledError,
     RetryPolicy,
-    expand_faults,
     step_index,
 )
 from repro.faults.recovery import StepRunner
@@ -39,7 +38,6 @@ __all__ = [
     "NodeKilledError",
     "RetryPolicy",
     "StepRunner",
-    "expand_faults",
     "install_disk_faults",
     "step_index",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +248,6 @@ class FaultPlan:
         with open(path, "r", encoding="utf-8") as fh:
             return FaultPlan.from_json(fh.read())
 
-    def save(self, path: str) -> None:
-        """Inverse of :meth:`load`: ``FaultPlan.load(p)`` after ``plan.save(p)``
-        returns an equal plan (the fuzzer's shrunk-case files rely on the
-        round trip)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # Retry policy and counters
@@ -346,11 +338,3 @@ def step_index(name: str) -> Optional[int]:
     except ValueError:
         return None
 
-
-def expand_faults(faults: Sequence[DiskFault | MessageFault | NodeKill]) -> FaultPlan:
-    """Build a plan from a flat mixed list of fault specs (test helper)."""
-    return FaultPlan(
-        disk_faults=tuple(f for f in faults if isinstance(f, DiskFault)),
-        message_faults=tuple(f for f in faults if isinstance(f, MessageFault)),
-        node_kills=tuple(f for f in faults if isinstance(f, NodeKill)),
-    )

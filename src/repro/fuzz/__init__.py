@@ -23,49 +23,19 @@ the loop, in the spirit of hypofuzz's corpus/novelty architecture:
 * :mod:`~repro.fuzz.engine` — the fuzz loop, replayable JSONL case
   files and the ``repro fuzz`` CLI entry points.
 
-See docs/FUZZING.md for the full design.
+``import repro.fuzz`` loads the scenario and the executor only (a
+``repro sort`` needs the spec, not the loop); import the loop, the
+corpus, the mutators, the shrinker and the coverage collector from their
+own modules.  See docs/FUZZING.md for the full design.
 """
 
-from repro.fuzz.corpus import Corpus, CorpusEntry
-from repro.fuzz.coverage import LineCoverage
-from repro.fuzz.engine import (
-    DEFAULT_SEEDS,
-    FuzzCase,
-    FuzzConfig,
-    FuzzReport,
-    ReplayResult,
-    ViolationCase,
-    fuzz,
-    load_case,
-    replay_case,
-    write_case,
-)
 from repro.fuzz.executor import RunOutcome, ScenarioExecutor, Violation
-from repro.fuzz.mutators import MUTATORS, mutate
 from repro.fuzz.scenario import Scenario, ScenarioError
-from repro.fuzz.shrink import ShrinkResult, shrink
 
 __all__ = [
-    "Corpus",
-    "CorpusEntry",
-    "DEFAULT_SEEDS",
-    "FuzzCase",
-    "FuzzConfig",
-    "FuzzReport",
-    "ReplayResult",
-    "LineCoverage",
-    "MUTATORS",
     "RunOutcome",
     "Scenario",
     "ScenarioError",
     "ScenarioExecutor",
-    "ShrinkResult",
     "Violation",
-    "ViolationCase",
-    "fuzz",
-    "load_case",
-    "mutate",
-    "replay_case",
-    "shrink",
-    "write_case",
 ]

@@ -46,13 +46,6 @@ from repro.obs.audit import AuditReport, RunMeta, audit_run, collect_step_io
 from repro.pdm.stats import IOStats
 from repro.workloads.records import verify_sorted_permutation
 
-#: ``RunOutcome.status`` values.  ``ok`` means fault-free, verified and
-#: within bounds; ``recovered`` means faults fired but the retry layer
-#: absorbed them (verified, bounds not enforced — retried steps repeat
-#: I/O); ``degraded`` means the sort finished on survivors;
-#: ``unrecovered`` means an injected fault exhausted its retry budget.
-STATUSES = ("ok", "recovered", "degraded", "unrecovered", "violation")
-
 #: ``Violation.kind`` values, in rough severity order.
 VIOLATION_KINDS = ("sanitizer", "verify", "audit", "crash")
 
@@ -77,6 +70,11 @@ class RunOutcome:
     """Everything one scenario execution produced."""
 
     scenario: Scenario
+    #: ``ok``: fault-free, verified and within bounds; ``recovered``:
+    #: faults fired but the retry layer absorbed them (verified, bounds
+    #: not enforced — retried steps repeat I/O); ``degraded``: the sort
+    #: finished on survivors; ``unrecovered``: an injected fault exhausted
+    #: its retry budget; ``violation``: an oracle failed.
     status: str
     violation: Optional[Violation] = None
     #: Executed ``(relpath, line)`` set of ``src/repro``.

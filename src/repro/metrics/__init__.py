@@ -1,7 +1,7 @@
 """Metrics, trial statistics, and paper-style table reporting."""
 
 from repro.metrics.expansion import PartitionStats, partition_stats
-from repro.metrics.timing import TrialStats, repeat_trials
+from repro.metrics.timing import TrialStats
 from repro.metrics.report import Table, fault_table, format_table
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "fault_table",
     "format_table",
     "partition_stats",
-    "repeat_trials",
 ]

@@ -48,14 +48,14 @@ def _fmt(c: object) -> str:
     return str(c)
 
 
-def fault_table(counters, title: str = "fault injection") -> Table:
+def fault_table(counters) -> Table:
     """Render a :class:`~repro.faults.plan.FaultCounters` as a report table.
 
     One row per counter that is non-trivial, so a fault-free run prints a
     single "(no faults injected)" band; the ``sort --fault-plan`` CLI and
     the recovery test suite read retries/backoff out of this table.
     """
-    table = Table(title, ["counter", "value"])
+    table = Table("fault injection", ["counter", "value"])
     if counters.total_faults == 0 and counters.total_retries == 0:
         table.add_section("(no faults injected)")
         return table

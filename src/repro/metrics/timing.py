@@ -10,11 +10,8 @@ paper's deviation column captures net of OS noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -53,19 +50,3 @@ class TrialStats:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mean:.5f} ± {self.std:.5f} (n={self.n})"
 
-
-def repeat_trials(
-    fn: Callable[[int], float], seeds: Sequence[int]
-) -> TrialStats:
-    """Run ``fn(seed)`` for every seed and collect the statistics."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return TrialStats(tuple(float(fn(s)) for s in seeds))
-
-
-def collect_trials(
-    fn: Callable[[int], T], seeds: Sequence[int], metric: Callable[[T], float]
-) -> tuple[list[T], TrialStats]:
-    """Run trials keeping full results; stats over ``metric(result)``."""
-    results = [fn(s) for s in seeds]
-    return results, TrialStats(tuple(float(metric(r)) for r in results))

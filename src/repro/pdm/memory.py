@@ -136,10 +136,6 @@ class MemoryManager:
         """Current usage, for leak assertions in tests."""
         return self.in_use
 
-    @staticmethod
-    def unlimited() -> "MemoryManager":
-        return MemoryManager(None)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "inf" if self.capacity is None else str(self.capacity)
         return f"MemoryManager(in_use={self.in_use}/{cap}, high_water={self.high_water})"

@@ -101,20 +101,6 @@ class PDMConfig:
         """Memory size in blocks, ``floor(M / B)``."""
         return self.M // self.B
 
-    @property
-    def is_out_of_core(self) -> bool:
-        """True when the problem does not fit in internal memory."""
-        return self.N > self.M
-
-    def satisfies_practical_constraint(self) -> bool:
-        """Paper §2: ``1 <= D*B <= M/2`` "for practical reasons and to
-        match existing systems"."""
-        return 1 <= self.D * self.B <= self.M / 2
-
-    def merge_order(self) -> int:
-        """Largest merge arity sustainable in memory ``M``."""
-        return merge_order(self.M, self.B)
-
     def merge_passes(self, n_items: int | None = None) -> int:
         """Number of merge passes over the data, ``ceil(log_m n)``.
 

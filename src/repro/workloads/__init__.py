@@ -15,7 +15,6 @@ from repro.workloads.generators import (
 )
 from repro.workloads.records import (
     is_sorted,
-    key_dtype,
     pack_records,
     unpack_records,
     verify_permutation,
@@ -27,7 +26,6 @@ __all__ = [
     "WorkloadSpec",
     "generate",
     "is_sorted",
-    "key_dtype",
     "make_benchmark",
     "pack_records",
     "unpack_records",

@@ -26,17 +26,6 @@ SUPPORTED_KEY_DTYPES = (
 )
 
 
-def key_dtype(dtype: np.dtype | type) -> np.dtype:
-    """Validate and normalise a key dtype."""
-    dt = np.dtype(dtype)
-    if dt not in SUPPORTED_KEY_DTYPES:
-        raise TypeError(
-            f"unsupported key dtype {dt}; supported: "
-            f"{[str(d) for d in SUPPORTED_KEY_DTYPES]}"
-        )
-    return dt
-
-
 def is_sorted(arr: np.ndarray) -> bool:
     """True if ``arr`` is non-decreasing."""
     a = np.asarray(arr)

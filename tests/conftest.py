@@ -68,7 +68,7 @@ def file_from_array(
 ) -> BlockFile:
     """Write ``arr`` to a fresh BlockFile (charging the disk)."""
     f = BlockFile(disk, B, dtype, name=disk.next_file_name("in"))
-    m = mem if mem is not None else MemoryManager.unlimited()
+    m = mem if mem is not None else MemoryManager(None)
     with BlockWriter(f, m) as w:
         w.write(np.asarray(arr, dtype=dtype))
     return f
@@ -93,7 +93,7 @@ def disk() -> SimDisk:
 
 @pytest.fixture
 def mem_unlimited() -> MemoryManager:
-    return MemoryManager.unlimited()
+    return MemoryManager(None)
 
 
 @pytest.fixture

@@ -113,11 +113,6 @@ class TestDistributionSort:
         assert is_sorted(res.output.to_array())
         assert verify_permutation(data, res.output.to_array())
 
-    def test_fanout_too_big_rejected(self, rng):
-        disk, mem, src = _setup(rng.integers(0, 9, 100), capacity=40)
-        with pytest.raises(ValueError, match="fanout"):
-            distribution_sort(src, disk, mem, fanout=8)
-
     def test_budget_too_small_rejected(self, rng):
         disk, mem, src = _setup(rng.integers(0, 9, 100), capacity=24)
         with pytest.raises(ValueError, match="too small"):

@@ -130,7 +130,7 @@ def test_store_matches_list_of_blocks(store, B, dtype, data):
                     model.append(items)
             elif op in ("write", "write_charged"):
                 if writer is None:
-                    writer = BlockWriter(f, MemoryManager.unlimited())
+                    writer = BlockWriter(f, MemoryManager(None))
                 items = fresh(draw(st.integers(0, 3 * B)))
                 staged = np.concatenate((staged, items))
                 done = staged.size // B * B

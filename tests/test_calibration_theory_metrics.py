@@ -15,7 +15,7 @@ from repro.core.theory import (
 )
 from repro.metrics.expansion import partition_stats
 from repro.metrics.report import Table, format_table
-from repro.metrics.timing import TrialStats, collect_trials, repeat_trials
+from repro.metrics.timing import TrialStats
 
 
 class TestCalibration:
@@ -127,17 +127,6 @@ class TestTrialStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TrialStats(())
-
-    def test_repeat_trials(self):
-        stats = repeat_trials(lambda seed: float(seed * 2), [1, 2, 3])
-        assert stats.mean == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            repeat_trials(lambda s: 0.0, [])
-
-    def test_collect_trials(self):
-        results, stats = collect_trials(lambda s: {"v": s}, [1, 2], lambda r: r["v"])
-        assert len(results) == 2
-        assert stats.mean == pytest.approx(1.5)
 
 
 class TestReport:

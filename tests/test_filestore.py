@@ -54,7 +54,7 @@ print(json.dumps({
 class TestDiskBackedBlockFile:
     def test_roundtrip(self, tmp_path, disk):
         f = DiskBackedBlockFile(disk, B=8, directory=str(tmp_path))
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         data = np.arange(100, dtype=np.uint32)
         with BlockWriter(f, mem) as w:
             w.write(data)
@@ -63,14 +63,14 @@ class TestDiskBackedBlockFile:
 
     def test_payload_really_on_host_fs(self, tmp_path, disk):
         f = DiskBackedBlockFile(disk, B=8, directory=str(tmp_path))
-        with BlockWriter(f, MemoryManager.unlimited()) as w:
+        with BlockWriter(f, MemoryManager(None)) as w:
             w.write(np.arange(64, dtype=np.uint32))
         assert os.path.getsize(f.path) == 64 * 4
 
     def test_read_block_matches_memory_variant(self, tmp_path, disk):
         data = np.random.default_rng(0).integers(0, 2**32, 77).astype(np.uint32)
         f = DiskBackedBlockFile(disk, B=16, directory=str(tmp_path))
-        with BlockWriter(f, MemoryManager.unlimited()) as w:
+        with BlockWriter(f, MemoryManager(None)) as w:
             w.write(data)
         np.testing.assert_array_equal(f.read_block(2), data[32:48])
         np.testing.assert_array_equal(f.read_block(4), data[64:77])
@@ -185,7 +185,7 @@ class TestDiskBackedBlockFile:
         data = np.random.default_rng(1).integers(0, 2**32, 77).astype(np.uint32)
         f = Counting(disk, B=8, directory=str(tmp_path))
         f.loads = []
-        with BlockWriter(f, MemoryManager.unlimited()) as w:
+        with BlockWriter(f, MemoryManager(None)) as w:
             w.write(data)
         assert [f.block_items(i) for i in range(f.n_blocks)] == [8] * 9 + [5]
         assert f.loads == []  # metadata never touches the payload
@@ -208,7 +208,7 @@ class TestDiskBackedBlockFile:
         disk = make_disk()
         with FileStore() as store:
             f = store.create(disk, B=7)
-            with BlockWriter(f, MemoryManager.unlimited()) as w:
+            with BlockWriter(f, MemoryManager(None)) as w:
                 w.write(np.asarray(items, dtype=np.uint32))
             np.testing.assert_array_equal(
                 f.to_array(), np.asarray(items, dtype=np.uint32)

@@ -14,23 +14,20 @@ from repro.cli import main
 from repro.core import external_psrs
 from repro.core.partition import partition_offsets
 from repro.faults.plan import DiskFault, FaultPlan, NodeKill
-from repro.fuzz import (
-    Corpus,
+from repro.fuzz.corpus import Corpus
+from repro.fuzz.coverage import LineCoverage
+from repro.fuzz.engine import (
+    DEFAULT_SEEDS,
     FuzzConfig,
-    LineCoverage,
-    Scenario,
-    ScenarioError,
-    ScenarioExecutor,
     fuzz,
     load_case,
     replay_case,
-    shrink,
     write_case,
 )
-from repro.fuzz.engine import DEFAULT_SEEDS
-from repro.fuzz.executor import RunOutcome, Violation
+from repro.fuzz.executor import RunOutcome, ScenarioExecutor, Violation
 from repro.fuzz.mutators import MUTATORS, mut_dtype, mutate
-from repro.fuzz.scenario import DEFAULTS, DTYPES, MIN_N
+from repro.fuzz.scenario import DEFAULTS, DTYPES, MIN_N, Scenario, ScenarioError
+from repro.fuzz.shrink import shrink
 from repro.workloads.records import SUPPORTED_KEY_DTYPES
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")

@@ -19,7 +19,8 @@ import os
 
 import pytest
 
-from repro.fuzz import ScenarioExecutor, load_case, replay_case
+from repro.fuzz.engine import load_case, replay_case
+from repro.fuzz.executor import ScenarioExecutor
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
 

@@ -6,33 +6,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.extsort.losertree import LoserTree, merge_iterables
+from repro.extsort.losertree import LoserTree
 
 
 class TestLoserTree:
     def test_single_source(self):
         t = LoserTree([5])
         assert t.winner == 0
-        assert t.winner_key == 5
-        t.replace_winner(None)
+        t.replace(t.winner, None)
         assert t.exhausted
 
     def test_winner_is_minimum(self):
         t = LoserTree([7, 3, 9, 1, 5])
         assert t.winner == 3
-        assert t.winner_key == 1
 
     def test_replace_winner_promotes_next(self):
         t = LoserTree([7, 3, 9, 1, 5])
-        t.replace_winner(None)
-        assert t.winner_key == 3
-        t.replace_winner(None)
-        assert t.winner_key == 5
+        t.replace(t.winner, None)
+        assert t.winner == 1  # key 3
+        t.replace(t.winner, None)
+        assert t.winner == 4  # key 5
 
     def test_none_keys_at_init(self):
         t = LoserTree([None, 4, None])
         assert t.winner == 1
-        t.replace_winner(None)
+        t.replace(t.winner, None)
         assert t.exhausted
 
     def test_replace_out_of_range(self):
@@ -44,7 +42,7 @@ class TestLoserTree:
         t = LoserTree([4, 2, 6])
         key, src = t.pop_push(9)
         assert (key, src) == (2, 1)
-        assert t.winner_key == 4
+        assert t.winner == 0  # key 4
 
     def test_pop_push_exhausted_raises(self):
         t = LoserTree([None])
@@ -60,15 +58,14 @@ class TestLoserTree:
         t = LoserTree([5, 10, 20])
         t.replace(2, 1)  # leaf 2 was a loser; now smallest
         assert t.winner == 2
-        assert t.winner_key == 1
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=64))
     def test_drains_in_sorted_order(self, keys):
         t = LoserTree(list(keys))
         out = []
         while not t.exhausted:
-            out.append(t.winner_key)
-            t.replace_winner(None)
+            out.append(keys[t.winner])
+            t.replace(t.winner, None)
         assert out == sorted(keys)
 
     @given(
@@ -99,22 +96,3 @@ class TestLoserTree:
         # ceil(log2 64) = 6 comparisons per replacement
         assert t.comparisons <= 6 * n_ops
 
-
-class TestMergeIterables:
-    def test_merges_sorted_lists(self):
-        out = merge_iterables([[1, 4, 7], [2, 5], [0, 9]])
-        assert out == [0, 1, 2, 4, 5, 7, 9]
-
-    def test_empty_inputs(self):
-        assert merge_iterables([[], []]) == []
-        assert merge_iterables([]) == []
-
-    def test_key_function(self):
-        out = merge_iterables([[(1, "a"), (3, "b")], [(2, "c")]], key=lambda x: x[0])
-        assert out == [(1, "a"), (2, "c"), (3, "b")]
-
-    @given(st.lists(st.lists(st.integers(0, 50)), min_size=1, max_size=8))
-    def test_matches_sorted_concat(self, lists):
-        lists = [sorted(sub) for sub in lists]
-        out = merge_iterables(lists)
-        assert out == sorted(x for sub in lists for x in sub)

@@ -32,7 +32,7 @@ class TestMaxMergeOrder:
         assert max_merge_order(MemoryManager(capacity=64), B=8) == 7
 
     def test_unlimited(self):
-        assert max_merge_order(MemoryManager.unlimited(), B=8) > 1000
+        assert max_merge_order(MemoryManager(None), B=8) > 1000
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="too small"):
@@ -43,7 +43,7 @@ class TestRunRef:
     def test_whole(self, disk):
         f = file_from_array(np.arange(20, dtype=np.uint32), disk, B=8)
         r = RunRef.whole(f)
-        assert (r.start, r.stop, r.length) == (0, 20, 20)
+        assert (r.start, r.stop) == (0, 20)
 
     def test_invalid_range(self, disk):
         f = file_from_array(np.arange(20, dtype=np.uint32), disk, B=8)
@@ -60,63 +60,40 @@ class TestRunCursor:
         c = RunCursor(RunRef.whole(f), mem)
         got = []
         while not c.exhausted:
-            got.extend(c.take_leq(c.buffer_max()).tolist())
+            got.extend(c.take_upto(8).tolist())
         assert got == list(range(20))
         assert mem.in_use == 0
 
     def test_subrange_mid_block(self, disk):
         f = file_from_array(np.arange(32, dtype=np.uint32), disk, B=8)
-        c = RunCursor(RunRef(f, 5, 19), MemoryManager.unlimited())
+        c = RunCursor(RunRef(f, 5, 19), MemoryManager(None))
         got = []
         while not c.exhausted:
-            got.extend(c.take_leq(c.buffer_max()).tolist())
+            got.extend(c.take_upto(8).tolist())
         assert got == list(range(5, 19))
-
-    def test_take_leq_partial(self, disk):
-        f = file_from_array(np.arange(8, dtype=np.uint32), disk, B=8)
-        mem = MemoryManager(capacity=16)
-        c = RunCursor(RunRef.whole(f), mem)
-        out = c.take_leq(3)
-        np.testing.assert_array_equal(out, [0, 1, 2, 3])
-        assert mem.in_use == 4  # 4 items still buffered
-        c.drop()
-        assert mem.in_use == 0
-
-    def test_take_leq_below_consumed_key_takes_nothing(self, disk):
-        # Regression: a horizon below an already-consumed key used to cut
-        # before the read position and release a negative item count.
-        f = file_from_array(np.arange(8, dtype=np.uint32), disk, B=8)
-        mem = MemoryManager(capacity=16)
-        c = RunCursor(RunRef.whole(f), mem)
-        np.testing.assert_array_equal(c.take_leq(5), [0, 1, 2, 3, 4, 5])
-        out = c.take_leq(2)
-        assert out.size == 0 and out.dtype == np.uint32
-        assert mem.in_use == 2  # 6 and 7 are still buffered, untouched
-        np.testing.assert_array_equal(c.take_leq(7), [6, 7])
-        assert c.exhausted and mem.in_use == 0
 
     def test_take_one_and_peek(self, disk):
         f = file_from_array(np.array([3, 7], dtype=np.uint32), disk, B=8)
-        c = RunCursor(RunRef.whole(f), MemoryManager.unlimited())
+        c = RunCursor(RunRef.whole(f), MemoryManager(None))
         assert c.peek() == 3
         assert c.take_one() == 3
         assert c.take_one() == 7
         assert c.peek() is None
         assert c.exhausted
 
-    def test_exhausted_buffer_max_raises(self, disk):
+    def test_exhausted_take_one_raises(self, disk):
         f = BlockFile(disk, B=8)
-        c = RunCursor(RunRef.whole(f), MemoryManager.unlimited())
+        c = RunCursor(RunRef.whole(f), MemoryManager(None))
         assert c.exhausted
         with pytest.raises(RuntimeError):
-            c.buffer_max()
+            c.take_one()
 
     def test_memory_budget_enforced(self, disk):
         f = file_from_array(np.arange(16, dtype=np.uint32), disk, B=8)
         mem = MemoryManager(capacity=7)  # less than one block
         c = RunCursor(RunRef.whole(f), mem)
         with pytest.raises(MemoryBudgetError):
-            c.buffer_max()
+            c.take_one()
 
     @pytest.mark.parametrize("capacity, held", [(6, 3), (8, 5)])
     def test_refill_over_budget_keeps_no_buffer(self, disk, capacity, held):
@@ -193,7 +170,7 @@ class TestMergeEngines:
 
     def test_compute_hook_called(self, engine, rng):
         disk = make_disk()
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         refs = [
             RunRef.whole(
                 file_from_array(np.sort(rng.integers(0, 99, 16).astype(np.uint32)), disk, 8)
@@ -223,14 +200,14 @@ class TestMergeScheduling:
         refs = [RunRef.whole(file_from_array(np.arange(4, dtype=np.uint32), disk, 8))]
         out = BlockFile(disk, 8, np.uint32)
         with pytest.raises(ValueError, match="unknown merge engine"):
-            merge_runs(refs, out, MemoryManager.unlimited(), engine="bogus")
+            merge_runs(refs, out, MemoryManager(None), engine="bogus")
 
 
 def _observed_merge(run_arrays, engine, B):
     """Output, the disk's counters for the merge alone, the memory
     high-water mark and the compute charged by one ``merge_runs``."""
     disk = make_disk()
-    mem = MemoryManager.unlimited()
+    mem = MemoryManager(None)
     refs = [
         RunRef.whole(file_from_array(np.sort(np.asarray(a, dtype=np.uint32)), disk, B))
         for a in run_arrays
@@ -421,7 +398,7 @@ def _merge_at_budget(dtype, B, pad, runs, extra, fault=None) -> dict:
     run plus one for the output — depth 1 — and ``extra`` items more."""
     disk = make_disk()
     tape = BlockFile(disk, B, dtype)
-    with BlockWriter(tape, MemoryManager.unlimited()) as w:
+    with BlockWriter(tape, MemoryManager(None)) as w:
         w.write(np.zeros(pad, dtype=dtype))
         for r in runs:
             w.write(np.sort(np.asarray(r, dtype=dtype)))

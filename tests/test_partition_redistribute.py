@@ -28,7 +28,7 @@ class TestLowerBoundOffset:
     def test_matches_searchsorted(self, rng):
         data = np.sort(rng.integers(0, 1000, 200)).astype(np.uint32)
         f, _ = self._file(data)
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         for pivot in [0, 57, 500, 999, 1000]:
             assert lower_bound_offset(f, pivot, mem) == int(
                 np.searchsorted(data, pivot, side="right")
@@ -36,21 +36,21 @@ class TestLowerBoundOffset:
 
     def test_empty_file(self):
         f, _ = self._file([])
-        assert lower_bound_offset(f, 5, MemoryManager.unlimited()) == 0
+        assert lower_bound_offset(f, 5, MemoryManager(None)) == 0
 
     def test_all_below(self):
         f, _ = self._file([10, 20, 30])
-        assert lower_bound_offset(f, 5, MemoryManager.unlimited()) == 0
+        assert lower_bound_offset(f, 5, MemoryManager(None)) == 0
 
     def test_all_at_or_below_pivot(self):
         f, _ = self._file([10, 20, 30])
-        assert lower_bound_offset(f, 30, MemoryManager.unlimited()) == 3
+        assert lower_bound_offset(f, 30, MemoryManager(None)) == 3
 
     def test_logarithmic_reads(self):
         data = np.arange(2**12, dtype=np.uint32)
         f, disk = self._file(data, B=8)  # 512 blocks
         before = disk.stats.blocks_read
-        lower_bound_offset(f, 1234, MemoryManager.unlimited())
+        lower_bound_offset(f, 1234, MemoryManager(None))
         reads = disk.stats.blocks_read - before
         assert reads <= 12  # ~log2(512) + 1, far below 512
 
@@ -62,7 +62,7 @@ class TestLowerBoundOffset:
         data = np.sort(np.asarray(items, dtype=np.int64)).astype(np.uint32)
         pivot = max(0, pivot)
         f, _ = self._file(data, B=4)
-        got = lower_bound_offset(f, np.uint32(pivot), MemoryManager.unlimited())
+        got = lower_bound_offset(f, np.uint32(pivot), MemoryManager(None))
         assert got == int(np.searchsorted(data, pivot, side="right"))
 
 
@@ -71,25 +71,25 @@ class TestPartitionOffsets:
         data = np.sort(rng.integers(0, 10**6, 500)).astype(np.uint32)
         f = file_from_array(data, make_disk(), B=16)
         pivots = np.sort(rng.integers(0, 10**6, 3)).astype(np.uint32)
-        cuts = partition_offsets(f, pivots, MemoryManager.unlimited())
+        cuts = partition_offsets(f, pivots, MemoryManager(None))
         assert cuts[0] == 0 and cuts[-1] == 500
         assert cuts == sorted(cuts)
 
     def test_unsorted_pivots_rejected(self, rng):
         f = file_from_array(np.arange(10, dtype=np.uint32), make_disk(), B=8)
         with pytest.raises(ValueError, match="non-decreasing"):
-            partition_offsets(f, [5, 3], MemoryManager.unlimited())
+            partition_offsets(f, [5, 3], MemoryManager(None))
 
     def test_no_pivots_single_partition(self):
         f = file_from_array(np.arange(10, dtype=np.uint32), make_disk(), B=8)
-        assert partition_offsets(f, [], MemoryManager.unlimited()) == [0, 10]
+        assert partition_offsets(f, [], MemoryManager(None)) == [0, 10]
 
     def test_refs_cover_file(self, rng):
         data = np.sort(rng.integers(0, 100, 64)).astype(np.uint32)
         f = file_from_array(data, make_disk(), B=8)
-        cuts = partition_offsets(f, [25, 50, 75], MemoryManager.unlimited())
+        cuts = partition_offsets(f, [25, 50, 75], MemoryManager(None))
         refs = partition_refs(f, cuts)
-        assert sum(r.length for r in refs) == 64
+        assert sum(r.stop - r.start for r in refs) == 64
         joined = np.concatenate(
             [data[r.start : r.stop] for r in refs]
         )

@@ -131,7 +131,7 @@ class TestBlockFile:
 
 class TestBlockWriter:
     def test_packs_compactly(self, disk):
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f = BlockFile(disk, B=8)
         with BlockWriter(f, mem) as w:
             for chunk in (np.arange(5), np.arange(5), np.arange(3)):
@@ -140,7 +140,7 @@ class TestBlockWriter:
         assert [f.inspect_block(i).size for i in range(f.n_blocks)] == [8, 5]
 
     def test_write_one(self, disk):
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f = BlockFile(disk, B=4)
         with BlockWriter(f, mem) as w:
             for i in range(6):
@@ -156,7 +156,7 @@ class TestBlockWriter:
         assert mem.in_use == 0
 
     def test_write_after_close_rejected(self, disk):
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f = BlockFile(disk, B=8)
         w = BlockWriter(f, mem)
         w.close()
@@ -177,7 +177,7 @@ class TestBlockWriter:
         # whether it went through the staging buffer or straight from the
         # caller's array.
         f = BlockFile(disk, B=4)
-        w = BlockWriter(f, MemoryManager.unlimited())
+        w = BlockWriter(f, MemoryManager(None))
         w.write(np.arange(staged))
         calls = []
 
@@ -197,7 +197,7 @@ class TestBlockWriter:
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
     def test_roundtrip_any_items(self, items):
         disk = make_disk()
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f = BlockFile(disk, B=7)
         with BlockWriter(f, mem) as w:
             w.write(np.asarray(items, dtype=np.uint32))
@@ -214,14 +214,14 @@ class TestBlockReader:
 
     def test_range_reader(self, disk):
         f = file_from_array(np.arange(32, dtype=np.uint32), disk, B=8)
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         got = np.concatenate(list(BlockReader(f, mem, start=1, stop=3)))
         np.testing.assert_array_equal(got, np.arange(8, 24))
 
     def test_invalid_range_rejected(self, disk):
         f = file_from_array(np.arange(16, dtype=np.uint32), disk, B=8)
         with pytest.raises(ValueError, match="invalid block range"):
-            BlockReader(f, MemoryManager.unlimited(), start=1, stop=5)
+            BlockReader(f, MemoryManager(None), start=1, stop=5)
 
     def test_read_all_respects_budget(self, disk):
         f = file_from_array(np.arange(64, dtype=np.uint32), disk, B=8)

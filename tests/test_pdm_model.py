@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.pdm.model import PDMConfig, merge_levels
+from repro.pdm.model import PDMConfig, merge_levels, merge_order
 
 
 class TestValidation:
@@ -48,20 +48,11 @@ class TestDerived:
     def test_m_rounds_down(self):
         assert PDMConfig(N=17, M=63, B=8).m == 7
 
-    def test_out_of_core_flag(self):
-        assert PDMConfig(N=1000, M=64, B=8).is_out_of_core
-        assert not PDMConfig(N=64, M=64, B=8).is_out_of_core
-
-    def test_practical_constraint_from_paper(self):
-        # 1 <= D*B <= M/2
-        assert PDMConfig(N=100, M=64, B=8, D=4).satisfies_practical_constraint()
-        assert not PDMConfig(N=100, M=64, B=8, D=5).satisfies_practical_constraint()
-
     def test_merge_order_leaves_output_buffer(self):
-        assert PDMConfig(N=100, M=64, B=8).merge_order() == 7
+        assert merge_order(M=64, B=8) == 7
 
     def test_merge_order_floor_two(self):
-        assert PDMConfig(N=100, M=16, B=8).merge_order() == 2
+        assert merge_order(M=16, B=8) == 2
 
     def test_with_replaces_fields(self):
         cfg = PDMConfig(N=100, M=64, B=8)
@@ -146,4 +137,4 @@ class TestBounds:
         else:
             runs = math.ceil(n / cfg.M)
             assert p >= 1
-            assert cfg.merge_order() ** p >= runs  # enough passes to merge all
+            assert merge_order(cfg.M, cfg.B) ** p >= runs  # enough passes to merge all

@@ -13,10 +13,6 @@ class TestConstruction:
         assert perf.p == 4
         assert perf.total == 10
         assert perf.lcm == 4
-        assert not perf.is_homogeneous
-
-    def test_homogeneous(self):
-        assert PerfVector([1, 1, 1]).is_homogeneous
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -145,7 +141,7 @@ class TestFromSpeeds:
         assert PerfVector.from_speeds([2.0, 2.0]).values == [1, 1]
 
     def test_caps_huge_ratio(self):
-        assert PerfVector.from_speeds([1000.0, 1.0], max_value=8).values == [8, 1]
+        assert PerfVector.from_speeds([1000.0, 1.0]).values == [64, 1]
 
     def test_rejects_bad_speeds(self):
         with pytest.raises(ValueError):

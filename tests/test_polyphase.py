@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.extsort.polyphase import (
@@ -163,6 +163,23 @@ def test_property_polyphase_sorts(data, n_tapes, policy):
     res, _, _ = _sort(data, B=4, capacity=24, n_tapes=n_tapes, run_policy=policy)
     expected = np.sort(np.asarray(data, dtype=np.uint32))
     np.testing.assert_array_equal(res.output.to_array(), expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_runs=st.integers(2, 120), n_tapes=st.integers(3, 8))
+@example(n_runs=2, n_tapes=3)
+@example(n_runs=120, n_tapes=3)
+@example(n_runs=120, n_tapes=8)
+def test_property_survivor_spans_its_tape_file(n_runs, n_tapes):
+    """The run left after the last phase fills its file alone, so the
+    sort returns that file and needs no copy pass."""
+    B, capacity = 2, 2 * n_tapes  # m = T blocks; memory loads of (T-1)*B items
+    rng = np.random.default_rng(n_runs * 8 + n_tapes)
+    data = rng.integers(0, 2**32, n_runs * (capacity - B), dtype=np.uint32)
+    res, _, src = _sort(data, B=B, capacity=capacity, n_tapes=n_tapes)
+    assert res.n_initial_runs == n_runs and res.output is not src
+    assert res.output.n_items == data.size
+    np.testing.assert_array_equal(res.output.to_array(), np.sort(data))
 
 
 @pytest.mark.parametrize("bench", [0, 1, 2, 3, 4, 5, 6, 7])

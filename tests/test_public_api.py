@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -63,6 +64,8 @@ def test_retired_names_are_gone_not_aliased():
         repro.PSRSConfig(engine="vector")
     with pytest.raises(TypeError):
         repro.DeWittConfig(engine="vector")
+    with pytest.raises(TypeError):
+        repro.PSRSConfig(root=0)
 
     for module in ("repro.analysis", "repro.analysis.sanitizers"):
         assert not hasattr(importlib.import_module(module), "SanitizerConfig")
@@ -83,6 +86,46 @@ def test_retired_names_are_gone_not_aliased():
         repro.heterogeneous_cluster([1.0], packet_bytes=1024)
     with pytest.raises(TypeError):
         repro.homogeneous_cluster(2, link=repro.FAST_ETHERNET)
+
+    retired = {
+        "repro.core.quantiles": ["global_count_leq"],
+        "repro.core.sampling": ["sample_interval", "regular_sample_positions"],
+        "repro.extsort.losertree": ["merge_iterables"],
+        "repro.faults.plan": ["expand_faults"],
+        "repro.fuzz.executor": ["STATUSES"],
+        "repro.metrics.timing": ["repeat_trials", "collect_trials"],
+        "repro.workloads.records": ["key_dtype"],
+    }
+    for module, names in retired.items():
+        package = module.rsplit(".", 1)[0]
+        for name in names:
+            for where in (module, package, "repro"):
+                assert not hasattr(importlib.import_module(where), name), (where, name)
+                assert name not in getattr(importlib.import_module(where), "__all__", ())
+    members = [
+        ("repro.extsort.losertree", "LoserTree", ["winner_key", "replace_winner"]),
+        ("repro.extsort.multiway", "RunRef", ["length"]),
+        ("repro.extsort.multiway", "RunCursor", ["take_leq", "buffer_max"]),
+        ("repro.faults.plan", "FaultPlan", ["save"]),
+        ("repro.pdm.memory", "MemoryManager", ["unlimited"]),
+        ("repro.pdm.model", "PDMConfig",
+         ["is_out_of_core", "satisfies_practical_constraint", "merge_order"]),
+        ("repro.core.perf", "PerfVector", ["is_homogeneous"]),
+    ]
+    for module, cls, names in members:
+        for name in names:
+            assert not hasattr(getattr(importlib.import_module(module), cls), name), (cls, name)
+    parameters = [
+        ("repro.extsort.distribution", "distribution_sort", "fanout"),
+        ("repro.core.perf", "PerfVector.from_speeds", "max_value"),
+        ("repro.core.partition", "materialize_partitions", "name_prefix"),
+        ("repro.metrics.report", "fault_table", "title"),
+    ]
+    for module, qualname, name in parameters:
+        obj = importlib.import_module(module)
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        assert name not in inspect.signature(obj).parameters, (qualname, name)
 
 
 def test_the_bus_imports_nothing_from_the_cluster_layer():

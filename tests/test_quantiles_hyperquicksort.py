@@ -17,7 +17,6 @@ from repro.core.perf import PerfVector
 from repro.core.quantiles import (
     boundary_targets,
     exact_quantile_pivots,
-    global_count_leq,
 )
 from repro.extsort.polyphase import polyphase_sort
 from repro.workloads.generators import make_benchmark
@@ -46,14 +45,6 @@ class TestBoundaryTargets:
 
     def test_heterogeneous(self):
         assert boundary_targets(PerfVector([1, 1, 4, 4]), 100) == [10, 20, 60]
-
-
-class TestGlobalCountLeq:
-    def test_counts(self):
-        cluster, perf, files, data = _sorted_cluster([1, 2], 3_000)
-        v = int(np.median(data))
-        expected = int(np.count_nonzero(data <= v))
-        assert global_count_leq(cluster, files, np.uint32(v)) == expected
 
 
 class TestExactQuantilePivots:

@@ -408,7 +408,7 @@ class TestKillEdgeCases:
             assert nd.mem.in_use == 0
 
     def test_dead_pivot_root_falls_back_to_lowest_survivor(self):
-        """``PSRSConfig.root`` (rank 0) dies at step 4: the re-run pivot
+        """The pivot root (rank 0) dies at step 4: the re-run pivot
         step gathers its samples at rank 1, the lowest survivor, not at
         the fastest one (ranks 2 and 3 run at speed 4)."""
         perf = PerfVector([1, 1, 4, 4])
@@ -422,7 +422,7 @@ class TestKillEdgeCases:
             cluster, perf, data, PSRSConfig(block_items=256), faults=plan,
             retry=RetryPolicy(),
         )
-        assert PSRSConfig().root == 0 and res.active_ranks == [1, 2, 3]
+        assert res.active_ranks == [1, 2, 3]
         executions: list[list[tuple[int, int]]] = []
         for ev in cluster.bus.events:
             if ev.step != "2:pivots":

@@ -10,10 +10,9 @@ from repro.core.sampling import (
     pivot_ranks,
     random_sample,
     read_samples,
+    regular_positions,
     regular_sample,
-    regular_sample_positions,
     sample_count,
-    sample_interval,
     select_pivots,
 )
 from repro.pdm.memory import MemoryManager
@@ -42,85 +41,89 @@ class TestSampleInterval:
         perf = PerfVector([1, 1, 4, 4])
         n = perf.admissible_size(100)
         portions = perf.exact_portions(n)
-        offs = {
-            sample_interval(l, perf[i], perf.p, oversample=1)
-            for i, l in enumerate(portions)
-        }
+        offs = set()
+        for i, l in enumerate(portions):
+            pos = regular_positions(l, perf[i], perf.p, oversample=1)
+            offs |= set(np.diff(pos, prepend=-1).tolist())
         assert len(offs) == 1
 
     def test_floor_one(self):
-        assert sample_interval(2, 4, 4) == 1
+        # l_i = 2 < L_i = 48: the offset floors to 1 and every item is sampled
+        np.testing.assert_array_equal(regular_positions(2, 4, 4), [0, 1])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            sample_interval(-1, 1, 4)
+            regular_positions(-1, 1, 4)
 
 
 class TestPositions:
     def test_basic(self):
+        # L_i = (p-1) * perf_i = 3 samples at offset 12 // 3 = 4
         np.testing.assert_array_equal(
-            regular_sample_positions(12, 4, 3), [3, 7, 11]
+            regular_positions(12, 1, 4, oversample=1), [3, 7, 11]
         )
 
     def test_caps_at_max_samples(self):
-        assert regular_sample_positions(100, 10, 3).size == 3
+        assert regular_positions(100, 1, 4, oversample=1).size == 3
 
     def test_all_below_l(self):
-        pos = regular_sample_positions(10, 3, 99)
-        assert pos.size == 3
+        pos = regular_positions(10, 4, 4)  # L_i = 48 > l_i
+        assert pos.size == 10
         assert pos.max() < 10
 
     def test_empty_cases(self):
-        assert regular_sample_positions(0, 1, 5).size == 0
-        assert regular_sample_positions(10, 1, 0).size == 0
+        assert regular_positions(0, 1, 4).size == 0
+        assert regular_positions(10, 1, 1).size == 0  # one node: no samples
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            regular_sample_positions(10, 0, 5)
+            regular_positions(10, 0, 4)
         with pytest.raises(ValueError):
-            regular_sample_positions(10, 1, -1)
+            regular_positions(10, 1, 4, oversample=0)
 
-    @given(st.integers(1, 500), st.integers(1, 50), st.integers(0, 100))
-    def test_property_positions_valid(self, l_i, off, max_s):
-        pos = regular_sample_positions(l_i, off, max_s)
-        assert pos.size <= max_s
+    @given(st.integers(0, 500), st.integers(1, 8), st.integers(1, 16), st.integers(1, 8))
+    def test_property_positions_valid(self, l_i, perf_i, p, oversample):
+        pos = regular_positions(l_i, perf_i, p, oversample)
+        L = sample_count(perf_i, p, oversample)
+        assert pos.size == min(L, l_i)
         if pos.size:
+            off = max(1, l_i // L)
             assert pos.min() >= 0 and pos.max() < l_i
-            assert np.all(np.diff(pos) == off)
+            assert np.all(np.diff(pos, prepend=-1) == off)
 
 
 class TestReadSamples:
     def test_reads_correct_items(self, disk):
         f = file_from_array(np.arange(100, dtype=np.uint32) * 2, disk, B=8)
-        got = read_samples(f, [0, 7, 8, 99], MemoryManager.unlimited())
+        got = read_samples(f, [0, 7, 8, 99], MemoryManager(None))
         np.testing.assert_array_equal(got, [0, 14, 16, 198])
 
     def test_charges_one_read_per_distinct_block(self, disk):
         f = file_from_array(np.arange(64, dtype=np.uint32), disk, B=8)
         before = disk.stats.blocks_read
-        read_samples(f, [0, 1, 2, 9, 10], MemoryManager.unlimited())
+        read_samples(f, [0, 1, 2, 9, 10], MemoryManager(None))
         assert disk.stats.blocks_read == before + 2  # blocks 0 and 1
 
     def test_out_of_range(self, disk):
         f = file_from_array(np.arange(10, dtype=np.uint32), disk, B=8)
         with pytest.raises(IndexError):
-            read_samples(f, [10], MemoryManager.unlimited())
+            read_samples(f, [10], MemoryManager(None))
 
     def test_empty(self, disk):
         f = file_from_array(np.arange(10, dtype=np.uint32), disk, B=8)
-        assert read_samples(f, [], MemoryManager.unlimited()).size == 0
+        assert read_samples(f, [], MemoryManager(None)).size == 0
 
     def test_duplicate_positions_read_their_block_once(self, disk):
         f = file_from_array(np.arange(64, dtype=np.uint32) * 3, disk, B=8)
         before = disk.stats.blocks_read
-        got = read_samples(f, [3, 3, 9, 9, 9, 63], MemoryManager.unlimited())
+        got = read_samples(f, [3, 3, 9, 9, 9, 63], MemoryManager(None))
         np.testing.assert_array_equal(got, [9, 9, 27, 27, 27, 189])
         assert disk.stats.blocks_read == before + 3  # blocks 0, 1 and 7
 
     def test_unsorted_positions_rejected(self, disk):
         f = file_from_array(np.arange(64, dtype=np.uint32), disk, B=8)
         with pytest.raises(ValueError, match="non-decreasing"):
-            read_samples(f, [9, 1], MemoryManager.unlimited())
+            read_samples(f, [9, 1], MemoryManager(None))
 
 
 class TestRegularSample:
@@ -128,34 +131,34 @@ class TestRegularSample:
         data = np.sort(np.random.default_rng(0).integers(0, 10**6, 4000)).astype(np.uint32)
         f = file_from_array(data, disk, B=64)
         perf = PerfVector([1, 1, 4, 4])
-        s = regular_sample(f, perf, 2, MemoryManager.unlimited())
+        s = regular_sample(f, perf, 2, MemoryManager(None))
         assert s.size == sample_count(4, 4)
         assert np.all(np.diff(s.astype(np.int64)) >= 0)
         assert np.all(np.isin(s, data))
 
     def test_single_node_no_samples(self, disk):
         f = file_from_array(np.arange(10, dtype=np.uint32), disk, B=8)
-        assert regular_sample(f, PerfVector([1]), 0, MemoryManager.unlimited()).size == 0
+        assert regular_sample(f, PerfVector([1]), 0, MemoryManager(None)).size == 0
 
     def test_node_out_of_range(self, disk):
         f = file_from_array(np.arange(10, dtype=np.uint32), disk, B=8)
         with pytest.raises(IndexError):
-            regular_sample(f, PerfVector([1, 1]), 2, MemoryManager.unlimited())
+            regular_sample(f, PerfVector([1, 1]), 2, MemoryManager(None))
 
 
 class TestRandomSample:
     def test_size_and_membership(self, disk, rng):
         data = np.sort(rng.integers(0, 10**6, 500)).astype(np.uint32)
         f = file_from_array(data, disk, B=32)
-        s = random_sample(f, 20, MemoryManager.unlimited(), rng)
+        s = random_sample(f, 20, MemoryManager(None), rng)
         assert s.size == 20
         assert np.all(np.isin(s, data))
 
     def test_empty_cases(self, disk, rng):
         f = file_from_array(np.arange(5, dtype=np.uint32), disk, B=8)
-        assert random_sample(f, 0, MemoryManager.unlimited(), rng).size == 0
+        assert random_sample(f, 0, MemoryManager(None), rng).size == 0
         with pytest.raises(ValueError):
-            random_sample(f, -1, MemoryManager.unlimited(), rng)
+            random_sample(f, -1, MemoryManager(None), rng)
 
 
 class TestPivotRanks:
@@ -221,9 +224,7 @@ class TestEndToEndBalance:
             start += l
         cands = []
         for i, s in enumerate(portions):
-            off = sample_interval(s.size, perf[i], perf.p)
-            pos = regular_sample_positions(s.size, off, sample_count(perf[i], perf.p))
-            cands.append(s[pos])
+            cands.append(s[regular_positions(s.size, perf[i], perf.p)])
         pivots = select_pivots(np.concatenate(cands), perf)
         received = np.zeros(perf.p)
         for s in portions:
@@ -254,9 +255,7 @@ def test_property_pivots_respect_two_x_bound(vals, seed):
         start += l
     cands = []
     for i, s in enumerate(portions):
-        off = sample_interval(s.size, perf[i], perf.p)
-        pos = regular_sample_positions(s.size, off, sample_count(perf[i], perf.p))
-        cands.append(s[pos])
+        cands.append(s[regular_positions(s.size, perf[i], perf.p)])
     pivots = select_pivots(np.concatenate(cands), perf)
     received = np.zeros(perf.p)
     for s in portions:

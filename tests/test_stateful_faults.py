@@ -43,7 +43,7 @@ class FaultyStorageMachine(RuleBasedStateMachine):
         self.disk = SimDisk(DiskParams(seek_time=1e-5, bandwidth=1e9))
         self.disk.bus = TelemetryBus()  # fault rows are recorded at every level
         self.armed = []  # the FaultCounters of every arming
-        self.mem = MemoryManager.unlimited()
+        self.mem = MemoryManager(None)
         self.files: list[BlockFile] = []
         self.expected: list[list[int]] = []  # mirror of each file's items
         self.writers: list[tuple[int, BlockWriter]] = []

@@ -30,7 +30,7 @@ class StorageMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.disk = SimDisk(DiskParams(seek_time=1e-5, bandwidth=1e9))
-        self.mem = MemoryManager.unlimited()
+        self.mem = MemoryManager(None)
         self.files: list[BlockFile] = []
         self.expected: list[list[int]] = []  # mirror of each file's items
         self.writers: list[tuple[int, BlockWriter]] = []

@@ -7,7 +7,6 @@ from repro.pdm.striping import StripedFile
 from repro.workloads.generators import BENCHMARKS, make_benchmark
 from repro.workloads.records import (
     is_sorted,
-    key_dtype,
     verify_permutation,
     verify_sorted_permutation,
 )
@@ -131,14 +130,6 @@ class TestWorkloads:
 
 
 class TestRecords:
-    def test_key_dtype_accepts_supported(self):
-        assert key_dtype(np.uint32) == np.dtype(np.uint32)
-        assert key_dtype("int64") == np.dtype(np.int64)
-
-    def test_key_dtype_rejects_float(self):
-        with pytest.raises(TypeError, match="unsupported"):
-            key_dtype(np.float64)
-
     def test_is_sorted(self):
         assert is_sorted([1, 2, 2, 3])
         assert not is_sorted([2, 1])

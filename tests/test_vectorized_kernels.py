@@ -123,7 +123,7 @@ class TestKwayMergeSorted:
 def _file_from(arr, B=8):
     disk = SimDisk(DiskParams(), name="d0")
     f = BlockFile(disk, B, arr.dtype)
-    with BlockWriter(f, MemoryManager.unlimited()) as w:
+    with BlockWriter(f, MemoryManager(None)) as w:
         w.write(arr)
     return f, disk
 
@@ -144,7 +144,7 @@ class TestPartitionOffsets:
             )
         )
         B = data.draw(st.sampled_from([1, 4, 8]))
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f, disk = _file_from(arr, B=B)
         base_reads = disk.stats.blocks_read
         cuts = partition_offsets(f, list(pivots), mem)
@@ -168,7 +168,7 @@ class TestPartitionOffsets:
     def test_duplicate_pivots_share_probes(self):
         arr = np.arange(512, dtype=np.uint32)
         f, disk = _file_from(arr, B=8)
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         base = disk.stats.blocks_read
         cuts = partition_offsets(f, [100] * 7, mem)
         dup_reads = disk.stats.blocks_read - base
@@ -177,7 +177,7 @@ class TestPartitionOffsets:
         assert dup_reads <= int(np.floor(np.log2(f.n_blocks))) + 2
 
     def test_empty_file_and_no_pivots(self):
-        mem = MemoryManager.unlimited()
+        mem = MemoryManager(None)
         f, _ = _file_from(np.empty(0, dtype=np.uint32))
         assert partition_offsets(f, [], mem) == [0, 0]
         assert partition_offsets(f, [5], mem) == [0, 0, 0]
