@@ -35,9 +35,11 @@ therefore kernel-independent, which is what the differential harness
 
 Each kernel states its recurrence once (:meth:`~ExecutionKernel.on_batch`)
 over a *batch*: one disk's accesses in order, in stretches of one stream,
-with its owner's CPU work between them as floats.  Costs are per access
-and sums sequential, so a batch books (``disk.stats`` too) exactly what
-its accesses would one by one.  A planned merge, a multi-block
+with its owner's CPU work between them as floats and, on a bus that
+captures memory, its reservation changes as ``[n, in_use, node]`` lists,
+which only stamp their row with the node's clock at their place.  Costs
+are per access and sums sequential, so a batch books (``disk.stats``
+too) exactly what its accesses would one by one.  A planned merge, a multi-block
 ``BlockWriter.write``, ``BlockFile.read_blocks`` and the planned loops of
 steps 2–4 (``BlockFile.read_planned``: per node the sample gather, the
 partition search and the partition copy, and per step-4 message its
@@ -50,6 +52,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cluster.simclock import barrier
+from repro.obs.events import BlockRead, BlockWrite, MemRelease, MemReserve
+from repro.pdm.disk import reservation_row
 
 if TYPE_CHECKING:
     from repro.cluster.node import SimNode
@@ -93,8 +97,9 @@ class ExecutionKernel:
         self, disk: "SimDisk", batch: Sequence["Charge"], rows: "Rows" = None
     ) -> float:
         """Apply ``batch`` to the clocks, the drive state and ``disk.stats``;
-        append each block's row to ``rows`` if given (``queued`` -1.0:
-        synchronous service).  Returns the last block's cost."""
+        if ``rows`` is given, append each block's bus row to it and, on a
+        bus that captures memory, each reservation's, stamped with the
+        clock at its place in the batch.  Returns the last block's cost."""
         raise NotImplementedError
 
     def step_enter(self, nodes: Sequence["SimNode"]) -> None:
@@ -174,11 +179,26 @@ class EventKernel(ExecutionKernel):
         seek_time, bandwidth = params.seek_time, params.bandwidth
         slowdown, parallelism = disk.slowdown, disk.parallelism
         now, free = owner.clock.time, self._disk_free.get(name, 0.0)
+        pinned: "Rows" = None  # takes reservation rows: only where memory is captured
+        if rows is not None:
+            bus = disk.bus
+            rank, step = owner.rank, bus.current_step if bus is not None else ""
+            if bus is not None and bus.captures_memory:
+                pinned = rows
         start = mark = cost = -1.0  # last block's start and cost; latest write's end
         for entry in batch:
-            if isinstance(entry, float):  # the owner's compute, in place
-                owner.ops_charged += entry
-                now += entry * owner.cpu.seconds_per_op / owner.speed
+            if not isinstance(entry, tuple):
+                if isinstance(entry, float):  # the owner's compute, in place
+                    owner.ops_charged += entry
+                    now += entry * owner.cpu.seconds_per_op / owner.speed
+                elif pinned is not None:  # a reservation change: its row at ``now``
+                    n, in_use, node = entry
+                    if node is not owner:  # another node's memory (a salvage): its clock
+                        pinned.append(reservation_row(entry, step))
+                    elif n >= 0:
+                        pinned.append((MemReserve, now, rank, step, n, in_use))
+                    else:
+                        pinned.append((MemRelease, now, rank, step, -n, in_use))
                 continue
             op, itemsize, stream, offset, sizes = entry
             # ``serve_sync``'s cost, the seek amortized over a stream.
@@ -209,7 +229,11 @@ class EventKernel(ExecutionKernel):
                 elif free > mark:  # write-behind: settled at the next sync
                     mark = free
                 if rows is not None:  # ``queued``: the drive-timeline start
-                    rows.append((op, n_items, itemsize, stream, offset, cost, now, start))
+                    rows.append((
+                        BlockRead if read else BlockWrite, now, rank, step, name,
+                        n_items, itemsize, cost, start,
+                        "" if stream is None else stream, -1 if offset is None else offset,
+                    ))
                     offset = None if offset is None else offset + 1
         owner.clock.time = now
         if start >= 0.0:  # a block was charged

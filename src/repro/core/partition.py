@@ -16,8 +16,9 @@ pure function of the pivots' cuts and the block sizes, so where
 :func:`~repro.pdm.blockfile.plannable` allows, each charges its whole
 list as one batch (:meth:`~repro.pdm.blockfile.BlockFile.read_planned`),
 applies its memory trajectory at once and moves its payload in bulk.
-The loops stay: for fault-hooked disks, spill files and memory capture,
-and as the reference ``tests/test_step_plans.py`` holds the plans to.
+The loops stay: for fault-hooked disks and spill files, and as the
+reference ``tests/test_step_plans.py`` and ``tests/test_plan_pin.py``
+hold the plans to.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.extsort.multiway import RunCursor, RunRef
-from repro.pdm.blockfile import BlockFile, BlockWriter, plannable
+from repro.pdm.blockfile import BlockFile, BlockWriter, plannable, records_reservations
 from repro.pdm.disk import Charge, SimDisk
 from repro.pdm.memory import MemoryManager
 
@@ -131,18 +132,25 @@ def partition_offsets(
     if piv and nb:
         # The peak: the first probe's block, a whole one unless it is the only one.
         first = sorted_file.block_items(0)
-        if plannable(mem, sorted_file) and mem.available >= first:
+        if plannable(sorted_file) and mem.available >= first:
             probes: list[int] = []
+            use, pinned, who = mem.in_use, records_reservations(mem), mem.owner
 
             def descend(charge: Callable[[Charge], np.ndarray]) -> None:
                 def probe(b: int) -> np.ndarray:
                     probes.append(b)
-                    return charge(sorted_file.reads(b, b + 1))
+                    if not pinned:
+                        return charge(sorted_file.reads(b, b + 1))
+                    n = sorted_file.block_items(b)
+                    charge([n, use + n, who])
+                    blk = charge(sorted_file.reads(b, b + 1))
+                    charge([-n, use, who])
+                    return blk
 
                 _joint_lower_bounds(B, np.asarray(piv), probe, out, 0, len(piv), 0, nb - 1)
 
             sorted_file.read_planned(descend)
-            mem.apply_planned(mem.in_use + first, len(probes), 0)
+            mem.apply_planned(use + first, len(probes), 0)
         else:
 
             def read(b: int) -> np.ndarray:
@@ -184,7 +192,7 @@ def materialize_partitions(
         return disk.new_file(sorted_file.B, sorted_file.dtype, name=name)
 
     out = [new(0)]
-    if plannable(mem, sorted_file, out[0]):
+    if plannable(sorted_file, out[0]):
         out += map(new, range(1, len(cuts) - 1))
         if _copy_planned(sorted_file, cuts, out, mem):
             return out
@@ -207,29 +215,37 @@ def _copy_planned(
 ) -> bool:
     """:func:`materialize_partitions`' loop as its plan: each source block
     read, followed by the write of the output block it completes, and
-    each sublist's final partial flush, charged as one batch; the loop's
+    each sublist's final partial flush, charged as one batch (with the
+    loop's acquires and releases where the bus records them); the loop's
     memory (a writer's block per sublist, a cursor's part per read)
     applied at once; the payload copied in bulk.  False, with nothing
     done, if the loop would overflow M or reject a cut (it raises there)."""
     B, itemsize, n = sorted_file.B, sorted_file.itemsize, sorted_file.n_items
+    use, pinned, who = mem.in_use, records_reservations(mem), mem.owner
     batch: list[Charge] = []
     parts: list[int] = []  # the items each read pins
     first: dict[int, int] = {}  # source block -> its first read's entry
     for f, lo, hi in zip(out, cuts, cuts[1:]):
         if not 0 <= lo <= hi <= n:
             return False
+        if pinned:  # the writer's block
+            batch.append([B, use + B, who])
         done = 0  # output blocks written
         for b in range(lo // B, -(-hi // B) if hi > lo else 0):
             end = min((b + 1) * B, hi)
             first.setdefault(b, len(batch))
             batch.append(sorted_file.reads(b, b + 1))
             parts.append(end - max(b * B, lo))
+            if pinned:  # the cursor pins the part, the writer takes it
+                batch += [[parts[-1], use + B + parts[-1], who], [-parts[-1], use + B, who]]
             if (end - lo) // B > done:
                 batch.append(("write", itemsize, f.name, done, (B,)))
                 done += 1
         if (hi - lo) % B:
             batch.append(("write", itemsize, f.name, done, ((hi - lo) % B,)))
-    if not mem.apply_planned(mem.in_use + B + max(parts, default=0), len(out) + len(parts), 0):
+        if pinned:
+            batch.append([-B, use, who])
+    if not mem.apply_planned(use + B + max(parts, default=0), len(out) + len(parts), 0):
         return False
     loaded = sorted_file.read_planned(lambda charge: [charge(e) for e in batch])
     if first:  # the sublists tile the blocks read from the first one on

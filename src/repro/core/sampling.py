@@ -30,7 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.perf import PerfVector
-from repro.pdm.blockfile import BlockFile, plannable
+from repro.pdm.blockfile import BlockFile, plannable, records_reservations
+from repro.pdm.disk import Charge
 from repro.pdm.memory import MemoryManager
 
 
@@ -75,8 +76,9 @@ def read_samples(
     fseek/fread loop enjoys the same locality: consecutive sample
     positions often share a block), each pinned while it is read.  Where
     :func:`~repro.pdm.blockfile.plannable` allows, the loop runs as its
-    plan: the distinct blocks, in stretches of consecutive ones, charged
-    as one batch, their memory applied at once.
+    plan: the distinct blocks, in stretches of consecutive ones (block
+    by block between their pins where the bus records reservations),
+    charged as one batch, their memory applied at once.
     """
     pos = np.asarray(list(positions), dtype=np.int64)
     if pos.size == 0:
@@ -88,13 +90,20 @@ def read_samples(
     B = sorted_file.B
     blocks, starts, inverse = np.unique(pos // B, return_index=True, return_inverse=True)
     # The first distinct block is a whole one unless it is the file's last.
-    peak = mem.in_use + sorted_file.block_items(int(blocks[0]))
-    if plannable(mem, sorted_file) and mem.apply_planned(peak, blocks.size, 0):
-        cut = np.flatnonzero(np.diff(blocks) > 1) + 1
-        stretches = zip(blocks[np.r_[0, cut]].tolist(), (blocks[np.r_[cut - 1, -1]] + 1).tolist())
-        parts = sorted_file.read_planned(
-            lambda charge: [charge(sorted_file.reads(a, b)) for a, b in stretches]
-        )
+    use = mem.in_use
+    peak = use + sorted_file.block_items(int(blocks[0]))
+    if plannable(sorted_file) and mem.apply_planned(peak, blocks.size, 0):
+        entries: list[Charge] = []
+        if records_reservations(mem):  # per block: acquire, read, release
+            who = mem.owner
+            for b in blocks.tolist():
+                n = sorted_file.block_items(b)
+                entries += [[n, use + n, who], sorted_file.reads(b, b + 1), [-n, use, who]]
+        else:  # stretches of consecutive blocks
+            cut = np.flatnonzero(np.diff(blocks) > 1) + 1
+            firsts, stops = blocks[np.r_[0, cut]].tolist(), (blocks[np.r_[cut - 1, -1]] + 1).tolist()
+            entries = [sorted_file.reads(a, b) for a, b in zip(firsts, stops)]
+        parts = sorted_file.read_planned(lambda charge: [charge(e) for e in entries])
         return np.concatenate(parts)[inverse * B + pos % B]
     out = np.empty(pos.size, dtype=sorted_file.dtype)
     for b, lo, hi in zip(blocks.tolist(), starts.tolist(), [*starts[1:].tolist(), pos.size]):

@@ -35,14 +35,16 @@ replaced, ``tests/merge_reference.py``):
     ``min(items_i.searchsorted(t_r, "right"), items loaded)``.  The plan
     applies that memory trajectory at once, replays every block and
     compute charge in order as one kernel batch (a compute hook other
-    than the node's own splits it), then sorts and stores the payload.
+    than the node's own, or a bus that records compute, splits it at
+    each compute call), then sorts and stores the payload.  On a bus that
+    records reservations the batch also carries the loop's acquires and
+    releases, so the plan publishes the loop's rows.
 
   :func:`_plans` keeps the loop where :func:`~repro.pdm.blockfile.plannable`
   rules a plan out — the files span disks (a batch is one disk's), a
   disk involved has a fault hook (a raising charge must leave the loop's
-  partial state), a file spills to the host (an O(M) host footprint) or
-  the bus captures memory (one row per reservation) — and when the merge
-  reads under ``_PLAN_FLOOR`` blocks.
+  partial state) or a file spills to the host (an O(M) host footprint) —
+  and when the merge reads under ``_PLAN_FLOOR`` blocks.
 * :func:`merge_cursors_itemwise` — the textbook loser-tree merge
   (ceil(log2 k) comparisons per item), kept as the reference the
   differential tests and the micro-benchmark compare against.  Only
@@ -61,7 +63,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.extsort.losertree import LoserTree, kway_merge_sorted
-from repro.pdm.blockfile import BlockFile, BlockWriter, plannable
+from repro.pdm.blockfile import BlockFile, BlockWriter, plannable, records_reservations
 from repro.pdm.disk import Blocks, Charge
 from repro.pdm.memory import MemoryManager
 
@@ -184,14 +186,16 @@ class RunCursor:
     def take_planned(self, n: int) -> Optional[np.ndarray]:
         """Up to ``n`` items across refills, as a loop of :meth:`take_upto`
         calls pops them (``redistribute.take_chunk``), planned: the
-        refills' blocks charged as one read entry, their memory applied at
-        once.  None, with nothing done, where the loop must run: nothing
-        to read, a file or bus :func:`plannable` rules out, or a peak over
-        M (the loop raises there)."""
+        refills' blocks charged as one read entry (per refill, between the
+        loop's acquire and release rows, where the bus records
+        reservations), their memory applied at once.  None, with nothing
+        done, where the loop must run: nothing to read, a file
+        :func:`plannable` rules out, or a peak over M (the loop raises
+        there)."""
         file, stop, pos, buf = self.run.file, self.run.stop, self._pos, self._buf
         held = 0 if buf is None else buf.size
         need = min(n - held, stop - pos)  # items the refills must supply
-        if need <= 0 or not plannable(self.mem, file):
+        if need <= 0 or not plannable(file):
             return None
         B, depth = file.B, self._depth
         first = pos // B
@@ -202,10 +206,27 @@ class RunCursor:
         ends = [*starts[1:], min(last * B, stop)]
         rest = ends[-1] - pos - need  # left buffered
         mem = self.mem
-        peak = mem.in_use - held + max(e - s for s, e in zip(starts, ends))
+        use = mem.in_use
+        peak = use - held + max(e - s for s, e in zip(starts, ends))
         if not mem.apply_planned(peak, len(starts), rest - held):
             return None
-        payload = file.read_planned(lambda charge: charge(file.reads(first, last)))
+        if records_reservations(mem):  # the held part's release, then per refill
+            who, use, left = mem.owner, use - held, need
+            entries: list[Charge] = []
+            if held:
+                entries.append([-held, use, who])
+            for b, s, e in zip(range(first, last, depth), starts, ends):
+                size = e - s
+                took = min(left, size)
+                entries += [
+                    file.reads(b, min(b + depth, last)),
+                    [size, use + size, who],
+                    [-took, use + size - took, who],
+                ]
+                use, left = use + size - took, left - took
+            payload = np.concatenate(file.read_planned(lambda charge: [charge(e) for e in entries]))
+        else:
+            payload = file.read_planned(lambda charge: charge(file.reads(first, last)))
         lo = pos - first * B
         taken = payload[lo : lo + need]
         self._buf = payload[lo + need : lo + need + rest] if rest else None
@@ -305,7 +326,7 @@ _SORT_CHUNK = 1 << 15  #: items per payload sort: cache-sized chunks sort faster
 
 def _plans(active: Sequence[RunCursor], writer: BlockWriter, mem: MemoryManager) -> bool:
     """Whether :func:`merge_cursors` plans this merge (module docstring)."""
-    if not plannable(mem, *(c.run.file for c in active), writer.file):
+    if not plannable(*(c.run.file for c in active), writer.file):
         return False
     blocks = sum(c._end_block - c._pos // c.run.file.B for c in active if c._pos < c.run.stop)
     return blocks >= _PLAN_FLOOR
@@ -372,7 +393,8 @@ def _merge_planned(
     out_by = np.minimum(np.array([a.searchsorted(ts[new], "right") for a in runs]), held)
     emitted = np.zeros(R + 1, dtype=np.intp)  # by the end of round r - 1
     emitted[1:] = out_by.sum(axis=0)
-    peak = mem.in_use - sum(pinned) + int((held.sum(axis=0) - emitted[:-1]).max())
+    use = mem.in_use
+    peak = use - sum(pinned) + int((held.sum(axis=0) - emitted[:-1]).max())
     if not mem.apply_planned(peak, end.size - len(pinned) + R, -sum(pinned)):
         return None
     for c in active:
@@ -389,19 +411,39 @@ def _merge_planned(
     bus = node.bus if node is not None else None
     carry = node is not None and compute == node.compute and not (bus and bus.captures_compute)
     itemsize, name, B = out.itemsize, out.name, out.B
+    logged, who = records_reservations(mem), mem.owner
+    if logged:  # the loop's reservation rows: each unit's size, each round's cuts
+        begin = np.r_[0, end[:-1]]
+        begin[first_unit] = 0
+        unit_items = (end - begin).tolist()
+        cuts = np.diff(out_by, axis=1, prepend=0).T.tolist()
     batch: list[Charge] = []
     for r in range(R + 1):
         if r:
+            m = n[r - 1]
+            if logged:  # the cuts' releases in cursor order, the chunk's acquire
+                for d in cuts[r - 1]:
+                    if d:
+                        use -= d
+                        batch.append([-d, use, who])
+                batch.append([m, use + m, who])
             if done[r] > done[r - 1]:
                 batch.append(("write", itemsize, name, done[r - 1], [B] * (done[r] - done[r - 1])))
+            if logged:
+                batch.append([-m, use, who])
             if carry:
-                batch.append(n[r - 1] * log_k)
+                batch.append(m * log_k)
             elif compute is not None:
                 out.charge_blocks(batch)
                 batch = []
-                compute(n[r - 1] * log_k)
-        # The round's refills; a pinned buffer's unit reads nothing.
-        batch += filter(None, (reads[u] for u in refills[by_round[r] : by_round[r + 1]]))
+                compute(m * log_k)
+        # The round's refills (each read, then its acquire); a pinned buffer's unit reads nothing.
+        for u in refills[by_round[r] : by_round[r + 1]]:
+            if reads[u] is not None:
+                batch.append(reads[u])
+                if logged:
+                    use += unit_items[u]
+                    batch.append([unit_items[u], use, who])
     out.charge_blocks(batch)
     lo, prev = [0] * k, 0
     for r in [*emitted.searchsorted(range(_SORT_CHUNK, int(emitted[-1]), _SORT_CHUNK)), R]:

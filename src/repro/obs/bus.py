@@ -158,6 +158,16 @@ class TelemetryBus:
         step = self.current_step
         self._emit_row((cls, t, node, step, disk, n_items, itemsize, cost, queued, stream, offset))
 
+    def record_rows(self, rows: list[Row]) -> None:
+        """Append a disk batch's prebuilt rows (block I/O, and reservations
+        at level ``full``), in order; the charging kernel built them and
+        checked the level."""
+        if self._subscribers:
+            for row in rows:
+                self._emit_row(row)
+        else:
+            self.events.rows.extend(rows)
+
     def record_compute(
         self, *, node: int, t: float, seconds: float, ops: float
     ) -> None:

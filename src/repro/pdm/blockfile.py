@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.analysis.sanitizers import active_sanitizer
 from repro.pdm.disk import Blocks, Charge, SimDisk
 from repro.pdm.memory import MemoryManager
 
@@ -226,7 +225,7 @@ class BlockFile:
 
         def charge(entry: Charge) -> np.ndarray:
             batch.append(entry)
-            if isinstance(entry, float) or entry[0] != "read" or entry[2] != name:
+            if not isinstance(entry, tuple) or entry[0] != "read" or entry[2] != name:
                 return empty
             first = entry[3]
             assert first is not None, "a planned read names its first block"
@@ -246,23 +245,9 @@ class BlockFile:
 
     def charge_blocks(self, batch: Sequence[Charge]) -> None:
         """Charge ``batch`` (:meth:`SimDisk.charge`, entries of any file on
-        this disk), sanitizer-bracketed: the disk's counters must move by
-        exactly its reads and writes.  Every block charge comes here."""
-        disk = self.disk
-        san = active_sanitizer()
-        if san is None:
-            disk.charge(batch)
-            return
-        reads = writes = 0
-        for e in batch:
-            if isinstance(e, float):
-                continue
-            if e[0] == "read":
-                reads += len(e[4])
-            else:
-                writes += len(e[4])
-        with san.expect_block_charge(disk, reads, writes):
-            disk.charge(batch)
+        this disk; sanitizer-bracketed there).  Every block charge comes
+        here."""
+        self.disk.charge(batch)
 
     def clear(self) -> None:
         """Truncate to empty (metadata operation, not charged)."""
@@ -408,17 +393,23 @@ class BlockWriter:
         self.close()
 
 
-def plannable(mem: MemoryManager, *files: BlockFile) -> bool:
+def plannable(*files: BlockFile) -> bool:
     """Whether a loop over ``files``' blocks may run as its plan: one
     batch of charges, the memory trajectory applied at once, the payload
     moved in bulk.  The files must share one disk (a batch is one disk's)
     and charge in batches (:meth:`BlockFile._batched`: no fault hook, so
-    no charge raises midway, and no spill file), and ``mem``'s bus must
-    not record reservations (the loop publishes a row per acquire)."""
-    disk, bus = files[0].disk, mem.bus
-    if bus is not None and bus.captures_memory:
-        return False
+    no charge raises midway, and no spill file).  On a bus that records
+    reservations the plan puts the loop's acquires and releases in its
+    batch (:func:`records_reservations`), so its rows are the loop's."""
+    disk = files[0].disk
     return all(f.disk is disk and f._batched() for f in files)
+
+
+def records_reservations(mem: MemoryManager) -> bool:
+    """Whether a plan's batch carries its loop's reservation changes
+    (``[n, in_use, node]`` entries): only where ``mem``'s bus records them."""
+    bus = mem.bus
+    return bus is not None and bus.captures_memory
 
 
 def close_all(writers) -> None:

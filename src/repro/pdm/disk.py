@@ -20,9 +20,10 @@ Default constants approximate the paper's late-90s SCSI drives (Table 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.analysis.sanitizers import active_sanitizer
+from repro.obs.events import BlockRead, BlockWrite, MemRelease, MemReserve, Row
 from repro.pdm.stats import IOStats
 
 if TYPE_CHECKING:
@@ -36,9 +37,16 @@ if TYPE_CHECKING:
 #: Consecutive blocks of one stream: ``(op, itemsize, stream, first offset,
 #: items per block)``; a batch entry, as is a float of the owner's CPU ops.
 Blocks = tuple[str, int, Optional[str], Optional[int], Sequence[int]]
-Charge = Union[Blocks, float]
-#: Each block's ``(op, n_items, itemsize, stream, offset, cost, t, queued)``.
-Rows = Optional[list[tuple[str, int, int, Optional[str], Optional[int], float, float, float]]]
+#: A reservation change, ``[n, in_use, node]``: ``n`` items reserved
+#: (``n >= 0``) or ``-n`` released in ``node``'s memory (None: a manager
+#: with no owner), leaving ``in_use`` pinned; a batch entry that only
+#: stamps its row with ``node``'s clock, moving no clock and no drive
+#: state.  A list, so a kernel tells a block stretch (a tuple) from the
+#: other two kinds by one ``isinstance``.
+Pin = list[Any]
+Charge = Union[Blocks, float, Pin]
+#: The batch's bus rows, blocks and reservations in batch order.
+Rows = Optional[list[Row]]
 
 #: Signature of :attr:`SimDisk.file_factory` — how a disk manufactures
 #: block files (in-memory by default, host-spilled via FileStore.create).
@@ -70,6 +78,16 @@ class DiskParams:
     def access_cost(self, nbytes: int) -> float:
         """Model service time for one block access of ``nbytes`` payload."""
         return self.seek_time + nbytes / self.bandwidth
+
+
+def reservation_row(entry: Pin, step: str) -> Row:
+    """The ``MemReserve``/``MemRelease`` row of reservation entry ``entry``
+    as its manager publishes it: its node's rank and clock, or -1 and 0.0."""
+    n, in_use, node = entry
+    rank, t = (-1, 0.0) if node is None else (node.rank, node.clock.time)
+    if n >= 0:
+        return (MemReserve, t, rank, step, n, in_use)
+    return (MemRelease, t, rank, step, -n, in_use)
 
 
 class SimDisk:
@@ -197,21 +215,38 @@ class SimDisk:
 
     def charge(self, batch: Sequence[Charge]) -> float:
         """Account a batch in one kernel pass; returns the last block's
-        cost.  Every block gets the sanitizer's checks, its counters and
-        its bus row as if charged alone.  The :attr:`fault_hook` sees
-        every block before any is charged, so a raise leaves the whole
-        batch uncharged: on a hooked disk, callers that must leave
-        per-access state send one-block batches (``BlockFile._batched``)."""
+        cost.  Every block gets the sanitizer's checks and its counters
+        as if charged alone, and under an active sanitizer the counters
+        must move by exactly the batch's blocks (SAN-DISK-UNACCOUNTED).
+        The :attr:`fault_hook` sees every block before any is charged, so
+        a raise leaves the whole batch uncharged: on a hooked disk,
+        callers that must leave per-access state send one-block batches
+        (``BlockFile._batched``).  On a bus that captures I/O the batch's
+        rows are published at once, in batch order."""
         hook = self.fault_hook
         san = active_sanitizer()
-        if san is not None or hook is not None:
-            for e in batch:
-                if not isinstance(e, float):
-                    for n_items in e[4]:
-                        if san is not None:
-                            san.on_disk_charge(self, e[0], n_items, e[1])
-                        if hook is not None:
-                            hook(self, e[0], n_items, e[1])
+        if san is None and hook is None:
+            return self._serve(batch)
+        reads = writes = 0
+        for e in batch:
+            if isinstance(e, tuple):
+                op, itemsize, sizes = e[0], e[1], e[4]
+                for n_items in sizes:
+                    if san is not None:
+                        san.on_disk_charge(self, op, n_items, itemsize)
+                    if hook is not None:
+                        hook(self, op, n_items, itemsize)
+                if op == "read":
+                    reads += len(sizes)
+                else:
+                    writes += len(sizes)
+        if san is None:
+            return self._serve(batch)
+        with san.expect_block_charge(self, reads, writes):
+            return self._serve(batch)
+
+    def _serve(self, batch: Sequence[Charge]) -> float:
+        """Apply ``batch`` through the kernel and publish its rows."""
         bus, kernel = self.bus, self.kernel
         rows: Rows = [] if bus is not None and bus.captures_io else None
         if kernel is not None:
@@ -219,20 +254,7 @@ class SimDisk:
         else:
             cost = self.serve_sync(batch, rows)
         if rows and bus is not None:
-            node = self.owner.rank if self.owner is not None else -1
-            for op, n_items, itemsize, stream, offset, c, t, queued in rows:
-                bus.record_block_io(
-                    op,
-                    disk=self.name,
-                    node=node,
-                    t=t,
-                    n_items=n_items,
-                    itemsize=itemsize,
-                    cost=c,
-                    queued=queued if queued >= 0.0 else t - c,
-                    stream=stream if stream is not None else "",
-                    offset=offset if offset is not None else -1,
-                )
+            bus.record_rows(rows)
         return cost
 
     def serve_sync(self, batch: Sequence[Charge], rows: Rows = None) -> float:
@@ -240,17 +262,29 @@ class SimDisk:
         transfer`` service time and the observer (the owning clock) is
         advanced by it immediately.  Applies without a kernel
         (standalone drives, unit tests) and under the lockstep kernel.
-        A row's ``t`` is the owner's clock, or on a standalone drive its
-        accumulated busy time (equally monotone)."""
+        A block row's ``t`` is the owner's clock, or on a standalone drive
+        its accumulated busy time (equally monotone); a reservation row's
+        is its node's clock, or 0.0 (as a manager with no owner stamps
+        it), and it is written only on a bus that captures memory."""
         seek_time, bandwidth = self.params.seek_time, self.params.bandwidth
         slowdown, parallelism = self.slowdown, self.parallelism
-        observer, owner, stats = self.observer, self.owner, self.stats
+        observer, owner, stats, name = self.observer, self.owner, self.stats, self.name
+        pinned: Rows = None  # takes reservation rows: only where memory is captured
+        if rows is not None:
+            bus = self.bus
+            rank = owner.rank if owner is not None else -1
+            step = bus.current_step if bus is not None else ""
+            if bus is not None and bus.captures_memory:
+                pinned = rows
         cost = -1.0
         for entry in batch:
-            if isinstance(entry, float):  # the owner's compute, in place
-                assert owner is not None, "CPU work in a standalone drive's batch"
-                owner.ops_charged += entry
-                owner.clock.time += entry * owner.cpu.seconds_per_op / owner.speed
+            if not isinstance(entry, tuple):
+                if isinstance(entry, float):  # the owner's compute, in place
+                    assert owner is not None, "CPU work in a standalone drive's batch"
+                    owner.ops_charged += entry
+                    owner.clock.time += entry * owner.cpu.seconds_per_op / owner.speed
+                elif pinned is not None:  # a reservation change: its row, nothing else
+                    pinned.append(reservation_row(entry, step))
                 continue
             op, itemsize, stream, offset, sizes = entry
             if op == "read":
@@ -266,7 +300,11 @@ class SimDisk:
                 stats.busy_time += cost
                 if rows is not None:
                     t = owner.clock.time if owner is not None else stats.busy_time
-                    rows.append((op, n_items, itemsize, stream, offset, cost, t, -1.0))
+                    rows.append((
+                        BlockRead if op == "read" else BlockWrite, t, rank, step, name,
+                        n_items, itemsize, cost, t - cost,
+                        "" if stream is None else stream, -1 if offset is None else offset,
+                    ))
                     offset = None if offset is None else offset + 1
             self.last_queued = -1.0
         return cost

@@ -4,11 +4,13 @@ Each function below is the body of the method it is named after, copied
 verbatim with ``self`` renamed: ``EventKernel.on_io``,
 ``LockstepKernel.on_io`` (which served through ``SimDisk.serve_sync``),
 ``SimDisk.charge_read``/``charge_write`` (one function, ``op`` a
-parameter), ``SimDisk._publish`` and ``SimNode.compute``.  They run on the
-live objects and touch the same state (``_streams``, ``_disk_free``,
-``_rank_free``, ``last_queued``, the clock, ``IOStats``, the bus), so
-``tests/test_kernel_batch.py`` can apply a drawn access sequence through
-them access by access and as one batch, and compare every field.
+parameter), ``SimDisk._publish``, ``SimNode.compute`` and
+``MemoryManager._publish`` (the row of one acquire or release).  They run
+on the live objects and touch the same state (``_streams``,
+``_disk_free``, ``_rank_free``, ``last_queued``, the clock, ``IOStats``,
+the bus), so ``tests/test_kernel_batch.py`` can apply a drawn access
+sequence through them access by access and as one batch, and compare
+every field.
 """
 
 from __future__ import annotations
@@ -148,3 +150,16 @@ def compute(node, ops: float) -> None:
         node.bus.record_compute(
             node=node.rank, t=node.clock.time, seconds=seconds, ops=ops
         )
+
+
+def mem_publish(owner, bus, op: str, n_items: int, in_use: int) -> None:
+    """``MemoryManager._publish`` of a manager owned by ``owner`` (or none)
+    on ``bus``, ``in_use`` its usage after the change; the level check is
+    ``record_mem``'s."""
+    bus.record_mem(
+        op,
+        node=owner.rank if owner is not None else -1,
+        t=owner.clock.time if owner is not None else 0.0,
+        n_items=n_items,
+        in_use=in_use,
+    )

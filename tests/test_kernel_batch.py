@@ -1,13 +1,14 @@
 """One batch against the per-access charging it replaced.
 
-``SimDisk.charge`` applies a disk's accesses (and its owner's CPU work)
-in one kernel pass.  ``tests/kernel_reference.py`` holds the per-access
-path verbatim; the property applies a drawn sequence both ways, under
-each kernel and on a standalone disk, and demands the same clock, drive
-and stream state, ``IOStats``, ``ops_charged`` and JSONL bytes — also
-when a fault hook raises partway.  The pins below hold the three batching
-callers to one batch each, and a faulted multi-block write to its staged
-retry.
+``SimDisk.charge`` applies a disk's accesses (and its owner's CPU work,
+and the reservation changes of a plan on a bus that records them) in one
+kernel pass.  ``tests/kernel_reference.py`` holds the per-access path
+verbatim; the property applies a drawn sequence both ways, under each
+kernel and on a standalone disk, at capture ``io`` and ``full``, and
+demands the same clock, drive and stream state, ``IOStats``,
+``ops_charged`` and JSONL bytes — also when a fault hook raises partway.
+The pins below hold the three batching callers to one batch each, and a
+faulted multi-block write to its staged retry.
 """
 
 from __future__ import annotations
@@ -38,14 +39,18 @@ STREAMS = {"s0": 4, "s1": 8, "s2": 2, "s3": 1, None: 4}
 
 
 @st.composite
-def _sequences(draw, cpu: bool):
+def _sequences(draw, cpu: bool, owners: tuple = ()):
     """Up to 300 accesses (1..B items, streams continued or jumped, now
-    and then none) with CPU charges between them."""
+    and then none) with CPU charges and reservation changes (``[n,
+    in_use, node]``, ``node`` one of ``owners``) between them."""
     nxt = {s: 0 for s in STREAMS}
     seq: list = []
     for _ in range(draw(st.integers(1, 300))):
         if cpu and draw(st.integers(0, 3)) == 0:
             seq.append(draw(st.floats(0.0, 1e6)))
+        if owners and draw(st.integers(0, 2)) == 0:
+            n = draw(st.integers(-64, 64))
+            seq.append([n, draw(st.integers(0, 1 << 12)), draw(st.sampled_from(owners))])
         stream = draw(st.sampled_from(sorted(STREAMS, key=str)))
         offset = None
         if stream is not None:
@@ -61,7 +66,7 @@ def _batch(seq: list, group: bool) -> list:
     stream as one entry when ``group``."""
     batch: list = []
     for a in seq:
-        if isinstance(a, float):
+        if isinstance(a, (float, list)):
             batch.append(a)
             continue
         op, n, size, stream, offset = a
@@ -79,17 +84,21 @@ def _batch(seq: list, group: bool) -> list:
     return batch
 
 
-def _setup(mode: str):
-    """A fresh disk (and its node and kernel) at capture ``io``."""
+def _setup(mode: str, level: str = "io"):
+    """A fresh disk (and its node and kernel) at capture ``level``, and
+    the nodes whose memory a reservation entry may name: on a cluster the
+    disk's owner and a second node (a salvage reads a dead node's disk
+    into its buddy's memory), on a standalone disk an ownerless manager."""
     if mode == "standalone":
         disk = SimDisk(DiskParams(seek_time=2e-3, bandwidth=3e6), name="d0", slowdown=1.5)
-        disk.bus = TelemetryBus("io")
-        return None, disk, disk.bus
-    cluster = Cluster(heterogeneous_cluster([2.5], memory_items=1 << 12), kernel=mode)
-    cluster.bus.set_level("io")
-    node = cluster.nodes[0]
+        disk.bus = TelemetryBus(level)
+        return None, disk, disk.bus, (None,)
+    cluster = Cluster(heterogeneous_cluster([2.5, 1.0], memory_items=1 << 12), kernel=mode)
+    cluster.bus.set_level(level)
+    node, other = cluster.nodes
     node.clock.advance(0.25)  # the batch starts mid-run
-    return node, node.disk, cluster.bus
+    other.clock.advance(0.75)
+    return node, node.disk, cluster.bus, (node, other)
 
 
 def _state(node, disk, bus) -> dict:
@@ -107,8 +116,18 @@ def _state(node, disk, bus) -> dict:
     }
 
 
-def _run(mode: str, seq: list, prefix: list, fault_at, batched: bool, group: bool):
-    node, disk, bus = _setup(mode)
+def _owners(mode: str) -> tuple:
+    """Stand-ins for the nodes :func:`_setup` names, for drawing: 0 is the
+    disk's owner, 1 the other node, None an ownerless manager."""
+    return (None,) if mode == "standalone" else (0, 1)
+
+
+def _run(mode, level, seq: list, prefix: list, fault_at, batched: bool, group: bool):
+    node, disk, bus, owners = _setup(mode, level)
+    seq = [
+        [a[0], a[1], None if a[2] is None else owners[a[2]]] if isinstance(a, list) else a
+        for a in seq
+    ]
     for a in prefix:  # the same drive and stream state on both sides
         ref.charge(disk, *a)
     if fault_at is not None:
@@ -124,6 +143,10 @@ def _run(mode: str, seq: list, prefix: list, fault_at, batched: bool, group: boo
             for a in seq:
                 if isinstance(a, float):
                     ref.compute(node, a)
+                elif isinstance(a, list):
+                    n, in_use, owner = a
+                    op = "reserve" if n >= 0 else "release"
+                    ref.mem_publish(owner, bus, op, abs(n), in_use)
                 else:
                     ref.charge(disk, *a)
     except DiskFaultError as exc:
@@ -132,13 +155,17 @@ def _run(mode: str, seq: list, prefix: list, fault_at, batched: bool, group: boo
 
 
 def _check(mode: str, data) -> None:
-    seq = data.draw(_sequences(cpu=mode != "standalone"))
+    # A batch carries CPU work only on a bus that records none (at ``full``
+    # the planned merge charges its batch before each compute call).
+    level = data.draw(st.sampled_from(["io", "full"]))
+    cpu = mode != "standalone" and level == "io"
+    seq = data.draw(_sequences(cpu=cpu, owners=_owners(mode)))
     prefix = data.draw(_sequences(cpu=False).map(lambda s: s[:4]))
-    blocks = sum(1 for a in seq if not isinstance(a, float))
+    blocks = sum(1 for a in seq if isinstance(a, tuple))
     fault_at = data.draw(st.none() | st.integers(0, blocks - 1))
     group = data.draw(st.booleans())
-    got = _run(mode, seq, prefix, fault_at, True, group)
-    want = _run(mode, seq, prefix, fault_at, False, group)
+    got = _run(mode, level, seq, prefix, fault_at, True, group)
+    want = _run(mode, level, seq, prefix, fault_at, False, group)
     assert got == want
     assert (got[1] is not None) == (fault_at is not None)
 
@@ -150,13 +177,15 @@ MODES = ["event", "lockstep", "standalone"]
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_property_batch_equals_per_access(mode, data):
-    """A drawn access sequence with CPU charges between its accesses,
-    applied as one batch and access by access through the verbatim
-    reference: the same clock, drive-free time, write-behind mark,
-    stream offsets, ``last_queued``, ``IOStats`` (``busy_time`` too),
-    ``ops_charged`` and JSONL bytes, and with a fault hook raising at a
-    drawn block (one-block batches, as ``BlockFile`` sends them on a
-    hooked disk), the same partial state and error."""
+    """A drawn access sequence with CPU charges (at ``io``) and reservation
+    changes between its accesses, applied as one batch and access by access
+    through the verbatim reference: the same clock, drive-free time,
+    write-behind mark, stream offsets, ``last_queued``, ``IOStats``
+    (``busy_time`` too), ``ops_charged`` and JSONL bytes (memory rows at
+    ``full``, stamped with their node's clock at their place), and with a
+    fault hook raising at a drawn block (one-block batches, as
+    ``BlockFile`` sends them on a hooked disk), the same partial state and
+    error."""
     _check(mode, data)
 
 
@@ -168,6 +197,19 @@ def test_property_batch_equals_per_access_unsanitized(mode, data):
     """The same property with the sanitizer off: the branch the
     benchmark and ``repro sort`` run."""
     _check(mode, data)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reservations_below_full_leave_no_row_and_move_nothing(mode):
+    """At capture ``io`` a batch of reservation entries is a no-op: no
+    row, no clock, no drive state; at ``full`` it leaves only its rows."""
+    for level, rows in (("io", 0), ("full", 2)):
+        node, disk, bus, owners = _setup(mode, level)
+        before = _state(node, disk, bus)
+        disk.charge([[4, 4, owners[0]], [-4, 0, owners[0]]])
+        after = _state(node, disk, bus)
+        assert len(bus.events.rows) == rows
+        assert {**after, "jsonl": ""} == {**before, "jsonl": ""}
 
 
 def _counting_batches():

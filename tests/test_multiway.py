@@ -564,8 +564,8 @@ class TestMergeSelection:
     def test_seven_by_eight_blocks_at_eight_blocks_of_memory_plan(self):
         assert self._plan_results() == [7 * 8 * 4]
 
-    def test_full_capture_loops(self):
-        assert self._plan_results(level="full") == []
+    def test_full_capture_plans(self):
+        assert self._plan_results(level="full") == [7 * 8 * 4]
 
     def test_a_disk_fault_hook_loops(self):
         assert self._plan_results(fault=True) == []

@@ -296,8 +296,8 @@ class TestSelection:
     def test_steps_capture_plans(self):
         assert self._planned(level="steps") == [1, 1, 1, 4]
 
-    def test_full_capture_loops(self):
-        assert self._planned(level="full") == [0, 0, 0, 0]
+    def test_full_capture_plans(self):
+        assert self._planned(level="full") == [1, 1, 1, 4]
 
     def test_a_disk_fault_hook_loops(self):
         assert self._planned(fault=True) == [0, 0, 0, 0]
