@@ -1,42 +1,12 @@
-"""Shared scale constants and reporting helpers for the bench suite.
+"""Reporting helpers for the bench suite.
 
-The paper runs at N = 2^21..2^25 items with ~1999 hardware.  The bench
-suite reproduces every table at a 1/128 *scale model*: N, M and the
-message sizes shrink together, so every regime the paper measures
-(I/O-bound local sorts, latency-bound tiny messages, communication-light
-redistribution) is preserved while the whole suite runs in seconds.
-Simulated times are therefore comparable in *shape*, not in absolute
-seconds — EXPERIMENTS.md records both sides.
+The scale model every paper table runs at is one set of constants in
+:mod:`repro.experiments`; the benches import them from there.
 """
 
 from __future__ import annotations
 
 import os
-
-#: Scale factor relative to the paper's N = 2^24 headline experiment.
-SCALE = 128
-
-#: Table 3's input size 2^24, scaled: 2^17.
-N_TABLE3 = 2**24 // SCALE
-
-#: Table 2's size grid 2^21..2^25, scaled: 2^14..2^18.
-TABLE2_SIZES = [2**21 // SCALE, 2**22 // SCALE, 2**23 // SCALE, 2**24 // SCALE, 2**25 // SCALE]
-
-#: Per-node memory budget (items).  Chosen so the headline size is
-#: deeply out of core (N/M = 64), matching the paper's merge-pass depth —
-#: shallower budgets flatten the sequential baseline and understate the
-#: parallel gains.
-MEMORY_ITEMS = 2048
-
-#: PDM block size in items (1 KiB blocks of uint32).
-BLOCK_ITEMS = 256
-
-#: The paper's best message size: 8K integers (32 Kb).
-MESSAGE_ITEMS = 8192
-
-#: Polyphase file count used by Table 3 ("15 intermediate files").
-# Capped by m = MEMORY_ITEMS/BLOCK_ITEMS = 8 here, the scaled analogue.
-N_TAPES = 8
 
 
 def write_result(name: str, text: str) -> None:

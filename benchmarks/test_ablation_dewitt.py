@@ -14,12 +14,13 @@ cluster and exposes the structural trade:
 """
 
 import numpy as np
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES, once, write_result
+from helpers import once, write_result
 
 from repro.cluster.machine import Cluster, paper_cluster
 from repro.core.dewitt import DeWittConfig, sort_array_dewitt
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES
 from repro.metrics.report import Table
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation

@@ -7,12 +7,13 @@ single key carries the whole input to one node.
 """
 
 import numpy as np
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, once, write_result
+from helpers import once, write_result
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.core.theory import load_balance_bound, max_duplicate_count
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS
 from repro.metrics.report import Table
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation

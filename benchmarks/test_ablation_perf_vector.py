@@ -6,12 +6,13 @@ including over-correction, and checks the theory module's predicted
 waste factor total/(p*min) against the measured slowdown.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, N_TAPES, once, write_result
+from helpers import once, write_result
 
 from repro.cluster.machine import Cluster, paper_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.core.theory import homogeneous_waste_factor
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, N_TAPES
 from repro.metrics.report import Table
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation

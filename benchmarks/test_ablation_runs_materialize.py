@@ -8,11 +8,12 @@
    ranges of the sorted file straight to redistribution.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, N_TAPES, once, write_result
+from helpers import once, write_result
 
 from repro.cluster.machine import Cluster, paper_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, N_TAPES
 from repro.extsort.polyphase import polyphase_sort
 from repro.metrics.report import Table
 from repro.pdm.blockfile import BlockFile, BlockWriter

@@ -6,8 +6,9 @@ bench compares the three engines this library implements on identical
 inputs: polyphase, balanced k-way merge, and distribution sort.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES, once, write_result
+from helpers import once, write_result
 
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES
 from repro.extsort.balanced import balanced_merge_sort
 from repro.extsort.distribution import distribution_sort
 from repro.extsort.polyphase import polyphase_sort

@@ -2,7 +2,8 @@
 
 Sweeps N in {131k, 1M, 10M} items against p in {4, 16, 64} nodes (the
 paper's {1,1,4,4} perf pattern tiled to width) through the real CLI,
-folding every run into ``BENCH_sort.json`` keyed by ``{n}x{perf}``.
+folding every run into ``BENCH_sort.json`` keyed by ``{n}x{perf}`` (a
+temporary copy of it, except under ``REPRO_BENCH_SCALE=full``).
 
 Two jobs at once:
 
@@ -28,9 +29,10 @@ from contextlib import redirect_stdout
 from itertools import cycle, islice
 
 import pytest
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, record_with_guard
+from helpers import record_with_guard
 
 from repro.cli import main
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS
 from repro.metrics.bench import SCHEMA, get_run, load_bench, run_key
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sort.json")
@@ -61,7 +63,7 @@ def _run_cli(args: list[str]) -> dict:
 @pytest.mark.parametrize(
     "label,p", MATRIX, ids=[f"{label}-p{p}" for label, p in MATRIX]
 )
-def test_scale_matrix(label, p):
+def test_scale_matrix(label, p, bench_json):
     if not FULL and (label, p) not in LIGHT:
         pytest.skip("heavy combination; nightly sets REPRO_BENCH_SCALE=full")
     n = SIZES[label]
@@ -85,7 +87,7 @@ def test_scale_matrix(label, p):
     assert summary["verified"] is True
     if "--audit" in args:
         assert summary["audit"]["ok"] is True
-    doc = record_with_guard(BENCH_PATH, summary)
+    doc = record_with_guard(bench_json, summary)
     assert doc["schema"] == SCHEMA
     entry = get_run(doc, run_key(summary))
     assert entry is not None

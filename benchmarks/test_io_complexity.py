@@ -7,8 +7,9 @@ practice the ``log_m n`` term is a small constant — visible in the
 near-linear measured column.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES, once, write_result
+from helpers import once, write_result
 
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES
 from repro.extsort.polyphase import polyphase_sort
 from repro.metrics.report import Table
 from repro.pdm.blockfile import BlockFile, BlockWriter

@@ -7,74 +7,19 @@ sequentially*; with 8K-integer messages it takes 32.6 s; "It seems that
 
 Expected shape: a steep cliff at tiny message sizes (per-message latency
 dominated), a flat optimum around 8K integers, and the tiny-message
-parallel run losing to the fastest sequential node.
+parallel run losing to the fastest sequential node.  The experiment is
+:func:`repro.experiments.message_sweep`.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES, SCALE, once, write_result
+from helpers import once, write_result
 
-from repro.cluster.machine import Cluster, paper_cluster
-from repro.core.calibration import calibrate
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.metrics.report import Table
-from repro.workloads.generators import make_benchmark
-from repro.workloads.records import verify_sorted_permutation
-
-N = 2**21 // SCALE  # the paper's 2 M integers, scaled
-MESSAGE_SIZES = [8, 64, 512, 2048, 8192, 32768]
-
-
-def run_sweep():
-    perf = PerfVector([1, 1, 1, 1])
-    data = make_benchmark(0, N, seed=0)
-    times = {}
-    for msg in MESSAGE_SIZES:
-        # Lockstep: the paper's sweep measured synchronous rounds; the
-        # event kernel overlaps sends with merging and flattens the cliff.
-        cluster = Cluster(
-            paper_cluster(loaded=False, memory_items=MEMORY_ITEMS),
-            kernel="lockstep",
-        )
-        res = sort_array(
-            cluster,
-            perf,
-            data,
-            PSRSConfig(block_items=BLOCK_ITEMS, message_items=msg, n_tapes=N_TAPES),
-        )
-        verify_sorted_permutation(data, res.to_array())
-        times[msg] = res
-    cal = calibrate(
-        paper_cluster(loaded=False, memory_items=MEMORY_ITEMS),
-        4 * N,
-        block_items=BLOCK_ITEMS,
-        n_tapes=N_TAPES,
-        kernel="lockstep",  # same kernel as the sweep it is compared to
-    )
-    return times, cal.times[0]
+from repro.experiments import message_sweep
 
 
 def test_message_size_sweep(benchmark):
-    times, t_seq = once(benchmark, run_sweep)
-
-    table = Table(
-        f"In-text experiment (scaled 1/{SCALE}): message-size sweep, "
-        f"homogeneous, N={N}",
-        ["Message (ints)", "Exe Time (s)", "Redistribute (s)", "vs sequential"],
-    )
-    for msg, res in times.items():
-        table.add_row(
-            msg,
-            res.elapsed,
-            res.step_times["4:redistribute"],
-            f"{res.elapsed / t_seq:.2f}x",
-        )
-    best = min(times, key=lambda m: times[m].elapsed)
-    summary = (
-        f"\nSequential (one unloaded node, same engine): {t_seq:.2f} s\n"
-        f"Best message size: {best} integers "
-        f"(paper: 8K integers; 8-int messages lost to sequential)"
-    )
-    write_result("message_size", table.render() + summary)
+    res = once(benchmark, message_sweep)
+    write_result("message_size", res.render())
+    times, t_seq, best = res.runs, res.t_seq, res.best
 
     # Shape assertions.
     t8 = times[8].elapsed

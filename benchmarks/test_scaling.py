@@ -14,12 +14,13 @@ Two sweeps the paper's machine could not run but its model predicts:
 """
 
 import numpy as np
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS, once, write_result
+from helpers import once, write_result
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster, homogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.core.theory import homogeneous_waste_factor
+from repro.experiments import BLOCK_ITEMS, MEMORY_ITEMS, MESSAGE_ITEMS
 from repro.metrics.report import Table
 from repro.workloads.generators import make_benchmark
 from repro.workloads.records import verify_sorted_permutation

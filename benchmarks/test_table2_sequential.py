@@ -4,79 +4,19 @@ Paper: polyphase merge sort of 2^21..2^25 integers on each of the four
 nodes (two loaded ~4x); the time ratios fill the perf array {4,4,1,1}
 (the paper writes it {1,1,4,4} with the loaded pair first).  Expected
 shape: loaded nodes ~4x slower at every size, ratio stable, calibration
-recovers the vector.
+recovers the vector.  The experiment is :func:`repro.experiments.table2`.
 """
 
-from helpers import BLOCK_ITEMS, MEMORY_ITEMS, N_TAPES, TABLE2_SIZES, once, write_result
+from helpers import once, write_result
 
-from repro.cluster.machine import paper_cluster
-from repro.core.calibration import calibrate, sequential_sort_table
-from repro.metrics.report import Table
-
-
-def run_table2():
-    spec = paper_cluster(memory_items=MEMORY_ITEMS)
-    rows = sequential_sort_table(
-        spec,
-        sizes=TABLE2_SIZES,
-        repeats=3,
-        block_items=BLOCK_ITEMS,
-        n_tapes=N_TAPES,
-    )
-    cal = calibrate(
-        spec, 4 * TABLE2_SIZES[2], block_items=BLOCK_ITEMS, n_tapes=N_TAPES
-    )
-    return rows, cal
-
-
-def render_table1() -> str:
-    """Paper Table 1: the cluster configuration inventory."""
-    spec = paper_cluster(memory_items=MEMORY_ITEMS)
-    t = Table(
-        "Table 1: configuration — 4x Alpha 21164 EV56 533 MHz, Fast-Ethernet",
-        ["Node", "rel. speed", "disk seek (ms)", "disk BW (MB/s)", "loaded"],
-    )
-    for ns in spec.nodes:
-        t.add_row(
-            ns.name,
-            ns.speed,
-            ns.disk.seek_time * 1e3,
-            ns.disk.bandwidth / 1e6,
-            "yes (forked spinners)" if ns.speed < 1 else "no",
-        )
-    return t.render()
+from repro.experiments import TABLE2_SIZES, table2
 
 
 def test_table2_sequential_sort(benchmark):
-    rows, cal = once(benchmark, run_table2)
-
-    table1 = render_table1()
-    table = Table(
-        "Table 2 (scaled 1/128): sequential external sorting per node",
-        ["Node", "Input size", "Exe. Time (s)", "Deviation"],
-    )
-    node_order = []
-    for r in rows:
-        if r.node not in node_order:
-            node_order.append(r.node)
-    for node in node_order:
-        table.add_section(node)
-        for r in rows:
-            if r.node == node:
-                table.add_row("", r.n_items, r.stats.mean, r.stats.std)
-
-    by = {(r.node, r.n_items): r.stats.mean for r in rows}
-    top = TABLE2_SIZES[-1]
-    ratio_s = by[("siegrune", top)] / by[("helmvige", top)]
-    ratio_r = by[("rossweisse", top)] / by[("grimgerde", top)]
-    summary = (
-        f"\nConclusion (paper: 'helmvige and grimgerde are 4 times faster'):\n"
-        f"  siegrune/helmvige time ratio at N={top}:   {ratio_s:.2f}x\n"
-        f"  rossweisse/grimgerde time ratio at N={top}: {ratio_r:.2f}x\n"
-        f"  calibrated perf vector: {cal.perf.values} "
-        f"(paper: {{1,1,4,4}} == {{4,4,1,1}} in Table-2 host order)"
-    )
-    write_result("table2_sequential", table1 + "\n\n" + table.render() + summary)
+    res = once(benchmark, table2)
+    write_result("table2_sequential", res.render())
+    by, node_order, cal = res.mean_times, res.node_order, res.calibration.result
+    ratio_s, ratio_r = res.ratios
 
     # Shape assertions: the loaded pair is ~4x slower, stably across sizes.
     assert 3.0 < ratio_s < 5.0

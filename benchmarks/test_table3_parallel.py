@@ -9,112 +9,25 @@ Paper (N = 2^24, message 32 Kb, 15 intermediate files, 30 experiments):
 Expected shape: the hetero-aware vector ~2x faster than treating the
 cluster as homogeneous; Myrinet indistinguishable from Fast-Ethernet;
 S(max) close to 1 everywhere; gains vs the sequential baselines ~1.4x
-(fastest node) and ~6x (slowest node).
+(fastest node) and ~6x (slowest node).  The experiment is
+:func:`repro.experiments.table3`.
 """
 
-import numpy as np
-from helpers import (
-    BLOCK_ITEMS,
-    MEMORY_ITEMS,
-    MESSAGE_ITEMS,
-    N_TABLE3,
-    N_TAPES,
-    once,
-    write_result,
-)
+from helpers import once, write_result
 
-from repro.cluster.machine import Cluster, paper_cluster
-from repro.cluster.network import FAST_ETHERNET, MYRINET
-from repro.core.calibration import calibrate
-from repro.core.external_psrs import PSRSConfig, sort_array
-from repro.core.perf import PerfVector
-from repro.metrics.report import Table
-from repro.metrics.timing import TrialStats
-from repro.workloads.generators import make_benchmark
-from repro.workloads.records import verify_sorted_permutation
-
-TRIALS = 5  # paper: 30; the simulation's data-dependent spread is tiny
-
-CONFIGS = [
-    ("{1,1,1,1}; Fast-Ethernet", PerfVector([1, 1, 1, 1]), FAST_ETHERNET),
-    ("{4,4,1,1}; Fast-Ethernet", PerfVector([4, 4, 1, 1]), FAST_ETHERNET),
-    ("{4,4,1,1}; Myrinet", PerfVector([4, 4, 1, 1]), MYRINET),
-]
-
-
-def run_config(perf: PerfVector, link):
-    times, results = [], []
-    n = perf.nearest_exact(N_TABLE3)
-    cfg = PSRSConfig(
-        block_items=BLOCK_ITEMS, message_items=MESSAGE_ITEMS, n_tapes=N_TAPES
-    )
-    for seed in range(TRIALS):
-        data = make_benchmark(0, n, seed=seed)
-        cluster = Cluster(paper_cluster(memory_items=MEMORY_ITEMS, link=link))
-        res = sort_array(cluster, perf, data, cfg)
-        verify_sorted_permutation(data, res.to_array())
-        times.append(res.elapsed)
-        results.append(res)
-    return TrialStats(tuple(times)), results
-
-
-def run_table3():
-    out = {}
-    for label, perf, link in CONFIGS:
-        out[label] = run_config(perf, link)
-    # Sequential baselines for the paper's gain comparisons.
-    cal = calibrate(
-        paper_cluster(memory_items=MEMORY_ITEMS),
-        4 * N_TABLE3,  # so each node sorts the full N_TABLE3... see below
-        block_items=BLOCK_ITEMS,
-        n_tapes=N_TAPES,
-    )
-    return out, cal
+from repro.experiments import table3
 
 
 def test_table3_parallel_sort(benchmark):
-    out, cal = once(benchmark, run_table3)
-
-    table = Table(
-        f"Table 3 (scaled 1/128): external PSRS, N~{N_TABLE3}, "
-        f"message {MESSAGE_ITEMS} ints, {N_TAPES} files, {TRIALS} trials",
-        ["Input Size", "Exe Time (s)", "Deviation", "Mean", "Max", "S(max)"],
-    )
-    from repro.metrics.expansion import partition_stats
-
-    for label, (stats, results) in out.items():
-        r0 = results[0]
-        table.add_section(f"Performance : {label}")
-        # Paper semantics: in the heterogeneous rows, 'Mean' and 'S(max)'
-        # are reported for the fastest processors.
-        pstats = [
-            partition_stats(r.received_sizes, r.perf, r.n_items) for r in results
-        ]
-        mean_partition = float(np.mean([s.mean_fastest for s in pstats]))
-        max_partition = max(s.max for s in pstats)
-        s_max = float(np.mean([r.s_max for r in results]))
-        table.add_row(r0.n_items, stats.mean, stats.std, mean_partition, max_partition, s_max)
-
-    t_hom = out["{1,1,1,1}; Fast-Ethernet"][0].mean
-    t_het = out["{4,4,1,1}; Fast-Ethernet"][0].mean
-    t_myr = out["{4,4,1,1}; Myrinet"][0].mean
-    seq_fast, seq_slow = cal.times[0], cal.times[2]
-    summary = (
-        f"\nComparisons (paper values in parentheses):\n"
-        f"  homogeneous/hetero-aware time ratio: {t_hom / t_het:.2f}x   (1.96x)\n"
-        f"  Myrinet/Fast-Ethernet time ratio:    {t_myr / t_het:.3f}    (1.000)\n"
-        f"  gain vs fastest sequential node:     {seq_fast / t_het:.2f}x  (1.37x)\n"
-        f"  gain vs slowest sequential node:     {seq_slow / t_het:.2f}x  (6.13x)\n"
-        f"  homogeneous-config gain vs fastest:  {seq_fast / t_hom:.2f}x\n"
-        f"  homogeneous-config gain vs slowest:  {seq_slow / t_hom:.2f}x (3x)\n"
-    )
-    write_result("table3_parallel", table.render() + summary)
+    res = once(benchmark, table3)
+    write_result("table3_parallel", res.render())
+    t_hom, t_het, t_myr = res.times
+    s_hom, s_het, _ = res.s_max
+    seq_fast, seq_slow = res.sequential.times[0], res.sequential.times[2]
 
     # --- Shape assertions against the paper ------------------------------
     assert 1.5 < t_hom / t_het < 3.0  # paper: 1.96x
     assert 0.9 < t_myr / t_het <= 1.01  # paper: equal times
-    s_hom = float(np.mean([r.s_max for r in out["{1,1,1,1}; Fast-Ethernet"][1]]))
-    s_het = float(np.mean([r.s_max for r in out["{4,4,1,1}; Fast-Ethernet"][1]]))
     assert s_hom < 1.05  # paper: 1.00273
     assert s_het < 1.15  # paper: 1.094
     assert seq_slow / t_het > 3.0  # paper: 6.13x (hetero beats slowest node big)

@@ -88,7 +88,7 @@ class HandleLeakRule(_TypestateRule):
     )
     fix_hint = (
         "Use `with BlockWriter(f, mem) as w:` or close in a finally: "
-        "block (close_all for writer collections)."
+        "block (for a writer list: close each, abandon each in the finally:)."
     )
     kinds = ("leak",)
 

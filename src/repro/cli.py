@@ -3,10 +3,10 @@
 Commands
 --------
 sort        run the heterogeneous external PSRS sort once and report
-calibrate   run the Table-2 perf-filling protocol on the paper cluster
-table2      regenerate a (scaled) Table 2
-table3      regenerate a (scaled) Table 3 comparison
-sweep       the §5 message-size sweep
+calibrate   the Table-2 perf-filling protocol on the paper cluster
+table2      Tables 1 and 2 at the scale model (repro.experiments)
+table3      Table 3 at the scale model
+sweep       the §5 message-size sweep at the scale model
 workloads   list the 8 input benchmarks
 lint        simulation-invariant static analysis (REP001..REP008)
 audit       replay a saved telemetry JSONL log through the bounds auditor
@@ -116,26 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
         "or 'lockstep' (legacy barrier-per-step BSP timing)",
     )
 
-    p_cal = sub.add_parser("calibrate", help="Table-2 perf-filling protocol")
-    p_cal.add_argument("--n", type=int, default=2**17, help="total input size")
-    p_cal.add_argument("--memory", type=int, default=2048)
-    p_cal.add_argument("--block", type=int, default=256)
-
-    p_t2 = sub.add_parser("table2", help="regenerate Table 2 (scaled)")
-    p_t2.add_argument("--sizes", default="16384,32768,65536")
-    p_t2.add_argument("--memory", type=int, default=2048)
-    p_t2.add_argument("--block", type=int, default=256)
-
-    p_t3 = sub.add_parser("table3", help="regenerate the Table 3 comparison")
-    p_t3.add_argument("--n", type=int, default=2**16)
-    p_t3.add_argument("--memory", type=int, default=2048)
-    p_t3.add_argument("--block", type=int, default=256)
-
-    p_sw = sub.add_parser("sweep", help="message-size sweep (§5)")
-    p_sw.add_argument("--n", type=int, default=2**14)
-    p_sw.add_argument("--sizes", default="8,64,512,8192,32768")
-    p_sw.add_argument("--memory", type=int, default=2048)
-    p_sw.add_argument("--block", type=int, default=256)
+    # The paper's experiments (repro.experiments), each at its one scale
+    # model: no size flags.
+    sub.add_parser("calibrate", help="Table 2's perf calibration: node times, perf vector")
+    sub.add_parser("table2", help="Tables 1 and 2 (scaled), as benchmarks/results has them")
+    sub.add_parser("table3", help="Table 3 (scaled), as benchmarks/results has it")
+    sub.add_parser("sweep", help="the §5 message-size sweep, as benchmarks/results has it")
 
     sub.add_parser("workloads", help="list the 8 input benchmarks")
 
@@ -707,85 +693,16 @@ def cmd_bench(args) -> int:
     return 1 if regressions else 0
 
 
-def cmd_calibrate(args) -> int:
-    from repro.cluster.machine import paper_cluster
-    from repro.core.calibration import calibrate
+def cmd_experiment(args) -> int:
+    from repro import experiments
 
-    spec = paper_cluster(memory_items=args.memory)
-    cal = calibrate(spec, args.n, block_items=args.block)
-    for ns, t in zip(spec.nodes, cal.times):
-        print(f"{ns.name:<12} {t:10.3f} s")
-    print(f"perf vector: {cal.perf.values}")
-    return 0
-
-
-def cmd_table2(args) -> int:
-    from repro.cluster.machine import paper_cluster
-    from repro.core.calibration import sequential_sort_table
-    from repro.metrics.report import Table
-
-    sizes = [int(x) for x in args.sizes.split(",")]
-    rows = sequential_sort_table(
-        paper_cluster(memory_items=args.memory),
-        sizes=sizes,
-        repeats=2,
-        block_items=args.block,
-    )
-    table = Table("Table 2 (scaled)", ["Node", "Input size", "Time (s)", "Dev"])
-    last = None
-    for r in rows:
-        if r.node != last:
-            table.add_section(r.node)
-            last = r.node
-        table.add_row("", r.n_items, r.stats.mean, r.stats.std)
-    print(table.render())
-    return 0
-
-
-def cmd_table3(args) -> int:
-    from repro.cluster.machine import Cluster, paper_cluster
-    from repro.core.external_psrs import PSRSConfig, sort_array
-    from repro.core.perf import PerfVector
-    from repro.metrics.report import Table
-    from repro.workloads.generators import make_benchmark
-
-    table = Table("Table 3 (scaled)", ["perf", "Exe Time (s)", "S(max)"])
-    times = {}
-    for vals in ([1, 1, 1, 1], [4, 4, 1, 1]):
-        perf = PerfVector(vals)
-        n = perf.nearest_exact(args.n)
-        data = make_benchmark(0, n, seed=0)
-        cluster = Cluster(paper_cluster(memory_items=args.memory))
-        res = sort_array(
-            cluster, perf, data, PSRSConfig(block_items=args.block, message_items=8192)
-        )
-        times[tuple(vals)] = res.elapsed
-        table.add_row(str(vals), res.elapsed, res.s_max)
-    print(table.render())
-    print(
-        f"homogeneous/hetero ratio: "
-        f"{times[(1, 1, 1, 1)] / times[(4, 4, 1, 1)]:.2f}x (paper: 1.96x)"
-    )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    from repro.cluster.machine import Cluster, paper_cluster
-    from repro.core.external_psrs import PSRSConfig, sort_array
-    from repro.core.perf import PerfVector
-    from repro.metrics.report import Table
-    from repro.workloads.generators import make_benchmark
-
-    perf = PerfVector([1, 1, 1, 1])
-    data = make_benchmark(0, args.n, seed=0)
-    table = Table("message-size sweep", ["message (ints)", "Exe Time (s)"])
-    for msg in [int(x) for x in args.sizes.split(",")]:
-        cluster = Cluster(paper_cluster(loaded=False, memory_items=args.memory))
-        res = sort_array(
-            cluster, perf, data, PSRSConfig(block_items=args.block, message_items=msg)
-        )
-        table.add_row(msg, res.elapsed)
-    print(table.render())
+    run = {
+        "calibrate": experiments.calibration,
+        "table2": experiments.table2,
+        "table3": experiments.table3,
+        "sweep": experiments.message_sweep,
+    }[args.command]
+    print(run().render())
     return 0
 
 
@@ -863,10 +780,10 @@ def cmd_workloads(_args) -> int:
 
 _COMMANDS = {
     "sort": cmd_sort,
-    "calibrate": cmd_calibrate,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "sweep": cmd_sweep,
+    "calibrate": cmd_experiment,
+    "table2": cmd_experiment,
+    "table3": cmd_experiment,
+    "sweep": cmd_experiment,
     "workloads": cmd_workloads,
     "lint": cmd_lint,
     "audit": cmd_audit,
@@ -885,10 +802,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
-        from repro.faults.plan import FaultError
-
-        if isinstance(exc, FaultError):
-            raise  # an unrecovered simulated disk fault is not bad input
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,8 +56,6 @@ from repro.core.sampling import (
 )
 from repro.core.theory import (
     homogeneous_waste_factor,
-    ideal_speedup,
-    ideal_speedup_vs_fastest,
     load_balance_bound,
     max_duplicate_count,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "distribute_array",
     "gather_output",
     "homogeneous_waste_factor",
-    "ideal_speedup",
-    "ideal_speedup_vs_fastest",
     "load_balance_bound",
     "max_duplicate_count",
     "merge_many",

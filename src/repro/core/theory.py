@@ -108,21 +108,6 @@ def max_duplicate_count(data: np.ndarray) -> int:
     return int(counts.max())
 
 
-def ideal_speedup(perf: PerfVector) -> float:
-    """Speedup of the hetero-aware parallel sort over the *slowest* node
-    running alone, if load balance and communication were perfect.
-
-    The slowest node alone processes n at speed min(perf); the cluster
-    processes n at aggregate speed sum(perf): ratio = total/min.
-    """
-    return perf.total / min(perf.values)
-
-
-def ideal_speedup_vs_fastest(perf: PerfVector) -> float:
-    """Speedup over the *fastest* node running alone: total/max."""
-    return perf.total / max(perf.values)
-
-
 def homogeneous_waste_factor(perf: PerfVector) -> float:
     """Slowdown from treating a hetero cluster as homogeneous.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.extsort.balanced import balanced_merge_sort
 from repro.extsort.runs import ComputeHook, _sort_ops
-from repro.pdm.blockfile import BlockFile, BlockReader, BlockWriter, close_all
+from repro.pdm.blockfile import BlockFile, BlockReader, BlockWriter
 from repro.pdm.disk import SimDisk
 from repro.pdm.memory import MemoryManager
 
@@ -146,8 +146,12 @@ def _sort_into(
                 sel = block[which == j]
                 if sel.size:
                     sub_writers[j].write(sel)
+        for w in sub_writers:
+            w.close()
     finally:
-        close_all(sub_writers)
+        # After a raise (in the loop or a flush) the rest write nothing.
+        for w in sub_writers:
+            w.abandon()
     if depth == 0:
         pass  # keep the original input intact
     else:

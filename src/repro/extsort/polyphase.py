@@ -172,9 +172,8 @@ def polyphase_sort(
         if phase_merges == 0:
             raise RuntimeError("polyphase phase made no progress (bad distribution)")
         boundaries: list[tuple[int, int]] = []
-        writer = BlockWriter(out_tape.file, mem)
         out_dummies = 0
-        try:
+        with BlockWriter(out_tape.file, mem) as writer:
             for _ in range(phase_merges):
                 refs: list[RunRef] = []
                 for t in inputs:
@@ -194,8 +193,6 @@ def polyphase_sort(
                         c.drop()
                 boundaries.append((start, writer.items_written))
                 _reclaim_consumed(refs, tapes)
-        finally:
-            writer.close()
         for start, stop in boundaries:
             out_tape.runs.append(RunRef(out_tape.file, start, stop))
         out_tape.dummies += out_dummies

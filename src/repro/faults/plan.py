@@ -10,10 +10,8 @@ on :class:`~repro.pdm.disk.SimDisk`, :class:`~repro.cluster.network.Network`
 and the cluster's step observers.
 
 Every injected failure raises a subclass of :class:`FaultError`, so
-callers can distinguish injected faults from genuine bugs.
-:class:`DiskFaultError` additionally subclasses :class:`IOError` — the
-historical type the ad-hoc ``FaultyDisk`` test double raised — so fault
-handling written against the old harness keeps working.
+callers can distinguish injected faults from genuine bugs (and from host
+errors: an ``OSError`` is never a simulated fault).
 """
 
 from __future__ import annotations
@@ -36,12 +34,8 @@ class FaultPlanError(ValueError):
     """A fault plan is malformed (bad node index, probability, ...)."""
 
 
-class DiskFaultError(FaultError, IOError):
-    """An injected disk fault fired on a block I/O.
-
-    Subclasses :class:`IOError` for compatibility with code written
-    against the original ``FaultyDisk`` test double.
-    """
+class DiskFaultError(FaultError):
+    """An injected disk fault fired on a block I/O."""
 
     def __init__(self, disk_name: str, op: str, io_index: int) -> None:
         super().__init__(

@@ -5,8 +5,7 @@ ran last, so dashboards diffing the file between commits silently lost
 every other configuration.  Version 2 makes the artifact a *keyed run
 list*: one document with a schema tag and one entry per
 ``<n_items>x<perf-vector>`` configuration.  Re-running a configuration
-updates its entry in place; new configurations append.  Legacy v1 files
-(a bare CLI summary object) are migrated on first touch.
+updates its entry in place; new configurations append.
 """
 
 from __future__ import annotations
@@ -37,13 +36,8 @@ def run_key(summary: Mapping[str, object]) -> str:
     return f"{n}x" + "-".join(str(v) for v in perf)
 
 
-def _migrate_v1(doc: dict) -> dict:
-    """Wrap a legacy single-summary file into the v2 run list."""
-    return {"schema": SCHEMA, "runs": [{"key": run_key(doc), **doc}]}
-
-
 def load_bench(path: str) -> dict:
-    """Read (and, for legacy v1 files, migrate) a benchmark document.
+    """Read and validate a benchmark document.
 
     A missing file yields an empty document, so the first append works
     on a fresh checkout.
@@ -57,14 +51,8 @@ def load_bench(path: str) -> dict:
             raise BenchFormatError(f"{path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise BenchFormatError(f"{path}: expected a JSON object")
-    if doc.get("schema") == SCHEMA:
-        validate_bench(doc, path=path)
-        return doc
-    if "command" in doc and "n_items" in doc:
-        return _migrate_v1(doc)
-    raise BenchFormatError(
-        f"{path}: neither a {SCHEMA} document nor a legacy v1 summary"
-    )
+    validate_bench(doc, path=path)
+    return doc
 
 
 def validate_bench(doc: Mapping[str, object], path: str = "<doc>") -> None:

@@ -284,7 +284,8 @@ class BlockWriter:
 
     Pins one block (B items) of memory in ``mem`` while open.  Use as a
     context manager, or call :meth:`close` explicitly to flush the final
-    partial block and release the buffer.
+    partial block and release the buffer.  A ``with`` body that raised
+    writes nothing more: its exit calls :meth:`abandon`.
     """
 
     def __init__(self, file: BlockFile, mem: MemoryManager) -> None:
@@ -336,7 +337,8 @@ class BlockWriter:
         try:
             store(span)
         except BaseException:
-            # A faulted block stays staged, so close() retries the flush.
+            # A faulted block stays staged, so an explicit close() retries
+            # the flush.
             lo = pos + file.n_items - before - (B if fill else 0)
             if lo >= pos:
                 self._buf[:] = arr[lo : lo + B]
@@ -389,8 +391,12 @@ class BlockWriter:
     def __enter__(self) -> "BlockWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        # A body that raised writes nothing more: no flush, just release.
+        if exc_type is None:
+            self.close()
+        else:
+            self.abandon()
 
 
 def plannable(*files: BlockFile) -> bool:
@@ -410,23 +416,6 @@ def records_reservations(mem: MemoryManager) -> bool:
     (``[n, in_use, node]`` entries): only where ``mem``'s bus records them."""
     bus = mem.bus
     return bus is not None and bus.captures_memory
-
-
-def close_all(writers) -> None:
-    """Close every writer, attempting all even if one flush faults.
-
-    Re-raises the first failure after the sweep; each writer's memory
-    reservation is released regardless (see :meth:`BlockWriter.close`).
-    """
-    first: Exception | None = None
-    for w in writers:
-        try:
-            w.close()
-        except Exception as exc:
-            if first is None:
-                first = exc
-    if first is not None:
-        raise first
 
 
 class BlockReader:

@@ -49,15 +49,6 @@ def test_append_creates_then_appends_then_updates(tmp_path):
     assert load_bench(path) == doc
 
 
-def test_legacy_v1_file_is_migrated(tmp_path):
-    path = str(tmp_path / "BENCH_sort.json")
-    with open(path, "w") as fh:
-        json.dump(_summary(4096, (2, 1)), fh)
-    doc = append_run(path, _summary(8192, (2, 1)))
-    # the legacy run survives the migration alongside the new one
-    assert [e["key"] for e in doc["runs"]] == ["4096x2-1", "8192x2-1"]
-
-
 def test_validate_rejects_broken_documents(tmp_path):
     with pytest.raises(BenchFormatError):
         validate_bench({"schema": "other", "runs": []})
@@ -72,10 +63,11 @@ def test_validate_rejects_broken_documents(tmp_path):
     with pytest.raises(BenchFormatError):
         validate_bench({"schema": SCHEMA, "runs": [dup, dict(dup)]})
     path = str(tmp_path / "junk.json")
-    with open(path, "w") as fh:
-        fh.write("[]")
-    with pytest.raises(BenchFormatError):
-        load_bench(path)
+    for text in ("[]", json.dumps(_summary())):  # a bare summary is no document
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(BenchFormatError):
+            load_bench(path)
 
 
 def test_checked_in_artifact_is_valid_v2():

@@ -8,8 +8,6 @@ from repro.core.calibration import calibrate, sequential_sort_table
 from repro.core.perf import PerfVector
 from repro.core.theory import (
     homogeneous_waste_factor,
-    ideal_speedup,
-    ideal_speedup_vs_fastest,
     load_balance_bound,
     max_duplicate_count,
 )
@@ -81,11 +79,8 @@ class TestTheory:
         assert max_duplicate_count(np.array([])) == 0
         assert max_duplicate_count(np.array([5])) == 1
 
-    def test_ideal_speedups_paper_vector(self):
-        perf = PerfVector([1, 1, 4, 4])
-        assert ideal_speedup(perf) == pytest.approx(10.0)  # vs slowest
-        assert ideal_speedup_vs_fastest(perf) == pytest.approx(2.5)
-        assert homogeneous_waste_factor(perf) == pytest.approx(2.5)
+    def test_homogeneous_waste_paper_vector(self):
+        assert homogeneous_waste_factor(PerfVector([1, 1, 4, 4])) == pytest.approx(2.5)
 
     def test_homogeneous_waste_is_one_for_homogeneous(self):
         assert homogeneous_waste_factor(PerfVector([2, 2, 2])) == pytest.approx(1.0)

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.faults.plan import DiskFaultError
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestParser:
@@ -26,6 +29,12 @@ class TestParser:
     def test_bad_pivot_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--pivot-method", "bogus"])
+
+    def test_retired_size_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table3", "--n", "8000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 8000" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -113,31 +122,27 @@ class TestCommands:
         assert rc == 0
 
     def test_calibrate(self, capsys):
-        rc = main(["calibrate", "--n", "8000", "--memory", "512", "--block", "64"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "perf vector: [4, 4, 1, 1]" in out
+        assert main(["calibrate"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 5 and out[-1] == "perf vector: [4, 4, 1, 1]"
 
+    # The paper commands print their experiment's results file, byte for
+    # byte (benchmarks/ regenerates the files from the same functions).
     def test_table2(self, capsys):
-        rc = main(["table2", "--sizes", "2000,4000", "--memory", "512", "--block", "64"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "helmvige" in out and "rossweisse" in out
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().out == _results_file("table2_sequential")
 
     def test_table3(self, capsys):
-        rc = main(["table3", "--n", "8000", "--memory", "512", "--block", "64"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "ratio" in out
+        assert main(["table3"]) == 0
+        assert capsys.readouterr().out == _results_file("table3_parallel")
 
     def test_sweep(self, capsys):
-        rc = main(
-            ["sweep", "--n", "4000", "--sizes", "8,512", "--memory", "512",
-             "--block", "64"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "512" in out
+        assert main(["sweep"]) == 0
+        assert capsys.readouterr().out == _results_file("message_size")
+
+
+def _results_file(name: str) -> str:
+    return (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
 
 
 class TestInputErrors:
@@ -206,7 +211,7 @@ class TestInputErrors:
 
     def test_unrecovered_fault_still_raises(self):
         """A simulated disk fault with no retry policy is a failed run, not
-        bad input (``DiskFaultError`` is also an ``IOError``)."""
+        bad input (``DiskFaultError`` is a ``FaultError``, not an ``OSError``)."""
         with pytest.raises(DiskFaultError):
             main(["sort", "--n", "8000",
                   "--fault-plan", '{"disk": [{"node": 1, "after_ios": 40}]}'])

@@ -4,15 +4,15 @@ leave the memory accounting balanced (no phantom reservations).
 Faults are injected through the first-class hooks
 (:attr:`SimDisk.fault_hook` via :func:`repro.faults.install_disk_faults`,
 :class:`repro.faults.FaultInjector` for whole clusters) — the old
-``FaultyDisk`` subclass is gone.  :class:`repro.faults.DiskFaultError`
-subclasses :class:`IOError`, so these tests keep asserting the
-historical ``pytest.raises(IOError, match="injected disk fault")``.
+``FaultyDisk`` subclass is gone.  An injected disk fault raises
+:class:`repro.faults.DiskFaultError`, a :class:`repro.faults.FaultError`
+and not an ``OSError`` (which stays a host error).
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster.machine import Cluster, homogeneous_cluster
+from repro.cluster.machine import Cluster, heterogeneous_cluster, homogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
 from repro.extsort.balanced import balanced_merge_sort
@@ -23,6 +23,7 @@ from repro.faults import (
     DiskFaultError,
     FaultError,
     FaultPlan,
+    RetryPolicy,
     install_disk_faults,
 )
 from repro.obs.bus import TelemetryBus
@@ -51,7 +52,7 @@ def _faulty_setup(fail_after: int, n: int = 800, capacity: int = 64):
 class TestSequentialEnginesUnderFaults:
     def test_polyphase_propagates_and_balances(self, fail_after):
         disk, mem, src, counters = _faulty_setup(fail_after)
-        with pytest.raises(IOError, match="injected disk fault"):
+        with pytest.raises(DiskFaultError, match="injected disk fault"):
             polyphase_sort(src, disk, mem, n_tapes=4)
         assert mem.in_use == 0, "leaked memory reservations after fault"
         # A permanent fault may fire again during cleanup I/O.
@@ -60,26 +61,26 @@ class TestSequentialEnginesUnderFaults:
 
     def test_balanced_propagates_and_balances(self, fail_after):
         disk, mem, src, counters = _faulty_setup(fail_after)
-        with pytest.raises(IOError, match="injected disk fault"):
+        with pytest.raises(DiskFaultError, match="injected disk fault"):
             balanced_merge_sort(src, disk, mem)
         assert mem.in_use == 0
         assert counters.disk_faults >= 1
 
     def test_distribution_propagates_and_balances(self, fail_after):
         disk, mem, src, counters = _faulty_setup(fail_after)
-        with pytest.raises(IOError, match="injected disk fault"):
+        with pytest.raises(DiskFaultError, match="injected disk fault"):
             distribution_sort(src, disk, mem)
         assert mem.in_use == 0
         assert counters.disk_faults >= 1
 
 
 class TestDiskFaultErrorShape:
-    def test_is_ioerror_and_faulterror(self):
+    def test_is_a_faulterror_not_an_oserror(self):
         disk, mem, src, _ = _faulty_setup(0)
         with pytest.raises(DiskFaultError) as exc_info:
             polyphase_sort(src, disk, mem, n_tapes=4)
         err = exc_info.value
-        assert isinstance(err, IOError)
+        assert not isinstance(err, OSError)
         assert isinstance(err, FaultError)
         assert err.disk_name == "faulty"
         assert err.op in ("read", "write")
@@ -115,7 +116,7 @@ class TestClusterUnderFaults:
         plan = FaultPlan(
             disk_faults=[DiskFault(node=1, after_ios=fail_after, count=None)]
         )
-        with pytest.raises(IOError, match="injected disk fault"):
+        with pytest.raises(DiskFaultError, match="injected disk fault"):
             sort_distributed(
                 cluster, perf, inputs,
                 PSRSConfig(block_items=64, message_items=256),
@@ -126,6 +127,27 @@ class TestClusterUnderFaults:
         # The injector uninstalled its hooks on the way out.
         assert all(nd.disk.fault_hook is None for nd in cluster.nodes)
         assert cluster.step_observers == []
+
+    @pytest.mark.parametrize("kernel", ["event", "lockstep"])
+    def test_retried_attempt_writes_nothing_after_the_raise(self, kernel):
+        """Node 1's disk faults once in step 3 and the step is retried.
+        The faulted attempt's partition writer is abandoned, not flushed:
+        a flush on the way out would charge one more block write (221
+        block I/Os in step 3) to a file the retry discards."""
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(16_390), seed=0)
+        cluster = Cluster(
+            heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048),
+            kernel=kernel,
+        )
+        res = sort_array(
+            cluster, perf, data, PSRSConfig(block_items=256),
+            faults=FaultPlan(disk_faults=[DiskFault(node=1, after_ios=40)]),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        assert res.faults.disk_faults == 1 and res.faults.retries == {"3:partition": 1}
+        assert res.step_io["3:partition"].block_ios == 220
+        assert sum(nd.disk.stats.blocks_written for nd in cluster.nodes) == 340
 
     def test_fault_beyond_total_io_means_clean_completion(self):
         """A fault armed past the sort's total I/O never fires — and the
@@ -154,7 +176,7 @@ class TestClusterUnderFaults:
         plan = FaultPlan(
             disk_faults=[DiskFault(node=0, after_ios=50, count=None)]
         )
-        with pytest.raises(IOError):
+        with pytest.raises(DiskFaultError):
             sort_array(
                 cluster, perf, data,
                 PSRSConfig(block_items=64, message_items=256),

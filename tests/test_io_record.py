@@ -42,8 +42,8 @@ RUNS = {
 CLI_SHA256 = {
     "clean/event": "228db124819428b1050350e1878a9993fc685294834ac180f18c4519ae1020e1",
     "clean/lockstep": "efb7b49ee09ce28791abeaedaf50218bd6d28f7ecbf2ffc1740aa04a0a6777fd",
-    "disk-fault/event": "6c158cb40578a645cc08b136c19a2f32cb1757f63ddec663e4c88edffe2034be",
-    "disk-fault/lockstep": "154cd41f40e59c75eb7f434cc86714c32f45906475014f6150ed378b20d86b33",
+    "disk-fault/event": "79769c02b172d98c393eddc4b42c3cbc31a7cd8ea2ce3e7af166249b495756cc",
+    "disk-fault/lockstep": "738124980acfdaf7fe54e697c84398760f065d3ea20750fc932868dfed92b346",
 }
 
 

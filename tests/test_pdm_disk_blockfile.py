@@ -170,6 +170,18 @@ class TestBlockWriter:
         w.close()
         assert mem.in_use == 0
 
+    def test_raising_body_writes_nothing_more(self, disk):
+        # The exit of a body that raised abandons the writer: the staged
+        # items are dropped, not flushed, and the buffer is released.
+        f = BlockFile(disk, B=8)
+        mem = MemoryManager(capacity=16)
+        with pytest.raises(RuntimeError, match="body"):
+            with BlockWriter(f, mem) as w:
+                w.write(np.arange(3))
+                raise RuntimeError("body")
+        assert disk.stats.blocks_written == 0 and f.n_items == 0
+        assert mem.in_use == 0
+
     @pytest.mark.parametrize("staged", [0, 3])
     def test_faulted_block_stays_staged_for_close(self, disk, staged):
         # Block writes are atomic, and a block whose write faulted is

@@ -89,6 +89,7 @@ def test_retired_names_are_gone_not_aliased():
 
     retired = {
         "repro.core.quantiles": ["global_count_leq"],
+        "repro.core.theory": ["ideal_speedup", "ideal_speedup_vs_fastest"],
         "repro.core.sampling": ["sample_interval", "regular_sample_positions"],
         "repro.extsort.losertree": ["merge_iterables"],
         "repro.faults.plan": ["expand_faults"],
