@@ -414,7 +414,9 @@ def _sort(args, spec, store) -> int:
             },
         }
         if args.profile:
-            summary["critical_path"] = prof.critical.to_dict()
+            profile = prof.to_dict()
+            summary["critical_path"] = profile["critical_path"]
+            summary["drive_busy_seconds"] = profile["drive_busy_seconds"]
         if report is not None:
             summary["audit"] = report.to_dict()
         print(json.dumps(summary, indent=2, sort_keys=False))

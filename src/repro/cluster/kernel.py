@@ -35,12 +35,14 @@ therefore kernel-independent, which is what the differential harness
 
 Each kernel states its recurrence once (:meth:`~ExecutionKernel.on_batch`)
 over a *batch*: one disk's accesses in order, in stretches of one stream,
-with its owner's CPU work between them as floats and, on a bus that
-captures memory, its reservation changes as ``[n, in_use, node]`` lists,
-which only stamp their row with the node's clock at their place.  Costs
-are per access and sums sequential, so a batch books (``disk.stats``
-too) exactly what its accesses would one by one.  A planned merge, a multi-block
-``BlockWriter.write``, ``BlockFile.read_blocks`` and the planned loops of
+with its owner's CPU work between them as floats (each writes the
+``Compute`` row ``SimNode.compute`` would, where compute is captured) and,
+on a bus that captures memory, its reservation changes as ``[n, in_use,
+node]`` lists, which only stamp their row with the node's clock at their
+place.  Costs are per access and sums sequential, so a batch books
+(``disk.stats`` too) exactly what its accesses would one by one.  A
+planned merge, a multi-block ``BlockWriter.write``,
+``BlockFile.read_blocks`` and the planned loops of
 steps 2–4 (``BlockFile.read_planned``: per node the sample gather, the
 partition search and the partition copy, and per step-4 message its
 reads) charge one batch each; any other access is a batch of one
@@ -53,10 +55,11 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cluster.simclock import barrier
 from repro.obs.events import BlockRead, BlockWrite, MemRelease, MemReserve
-from repro.pdm.disk import reservation_row
+from repro.pdm.disk import publish_compute, reservation_row
 
 if TYPE_CHECKING:
     from repro.cluster.node import SimNode
+    from repro.obs.bus import TelemetryBus
     from repro.pdm.disk import Charge, Rows, SimDisk
 
 #: Registry of kernel names accepted by :func:`make_kernel`.
@@ -180,17 +183,23 @@ class EventKernel(ExecutionKernel):
         slowdown, parallelism = disk.slowdown, disk.parallelism
         now, free = owner.clock.time, self._disk_free.get(name, 0.0)
         pinned: "Rows" = None  # takes reservation rows: only where memory is captured
+        timed: Optional["TelemetryBus"] = None  # records compute rows
         if rows is not None:
             bus = disk.bus
             rank, step = owner.rank, bus.current_step if bus is not None else ""
             if bus is not None and bus.captures_memory:
                 pinned = rows
+            if bus is not None and bus.captures_compute:
+                timed = bus
         start = mark = cost = -1.0  # last block's start and cost; latest write's end
         for entry in batch:
             if not isinstance(entry, tuple):
                 if isinstance(entry, float):  # the owner's compute, in place
                     owner.ops_charged += entry
-                    now += entry * owner.cpu.seconds_per_op / owner.speed
+                    seconds = entry * owner.cpu.seconds_per_op / owner.speed
+                    now += seconds
+                    if timed is not None:
+                        publish_compute(timed, rows, rank, now, seconds, entry)
                 elif pinned is not None:  # a reservation change: its row at ``now``
                     n, in_use, node = entry
                     if node is not owner:  # another node's memory (a salvage): its clock

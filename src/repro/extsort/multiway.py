@@ -407,9 +407,8 @@ def _merge_planned(
     more = successor <= last_unit[cursor[order]]
     refills = [*first_unit.tolist(), *successor[more].tolist()]
     by_round = [0, *(k + round_sorted[more].searchsorted(np.arange(R + 1))).tolist()]
-    node = out.disk.owner  # the batch carries its node's compute, unless recorded
-    bus = node.bus if node is not None else None
-    carry = node is not None and compute == node.compute and not (bus and bus.captures_compute)
+    node = out.disk.owner  # the batch carries its node's own compute
+    carry = node is not None and compute == node.compute
     itemsize, name, B = out.itemsize, out.name, out.B
     logged, who = records_reservations(mem), mem.owner
     if logged:  # the loop's reservation rows: each unit's size, each round's cuts

@@ -21,7 +21,9 @@ analysis revolves around:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import ClassVar
 
 from repro.obs.profiler.model import BARRIER, COMPONENT_OF, COMPONENTS
@@ -115,13 +117,17 @@ class BlameReport:
 def _clip_components(
     tl: Timeline, node: int, intervals: list[tuple[float, float]]
 ) -> tuple[dict[str, float], float]:
-    """Component split of ``node``'s segments clipped to ``intervals``."""
+    """Component split of ``node``'s segments clipped to ``intervals``:
+    each interval visits only the segments it overlaps, from the first
+    that ends after it starts to the last that starts before it ends."""
     comps = {c: 0.0 for c in COMPONENTS}
     span = 0.0
-    segs = tl.segments.get(node, [])
+    segs, ends = tl.segments.get(node, []), tl.ends(node)
     for t0, t1 in intervals:
         span += t1 - t0
-        for seg in segs:
+        for seg in islice(segs, bisect_right(ends, t0), None):
+            if seg.t0 >= t1:
+                break
             lo = max(seg.t0, t0)
             hi = min(seg.t1, t1)
             if hi > lo:

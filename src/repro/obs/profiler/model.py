@@ -18,7 +18,7 @@ Two kinds of objects live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 from repro.cluster.machine import Cluster, ClusterSpec
 
@@ -55,13 +55,13 @@ COMPONENT_OF: dict[str, str] = {
 COMPONENTS = ("compute", "disk", "net", "barrier", "other")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous interval of one node's simulated time.
 
     ``link`` on wait-type segments names the *cause*: ``(peer_rank,
     time)`` — the node whose progress ended this wait, and when.  The
-    critical-path walk follows these links backward.
+    critical-path walk follows these links backward.  A named tuple: the
+    timeline builds thousands, positionally.
     """
 
     node: int

@@ -29,6 +29,9 @@ from repro.obs.events import (
     Compute,
     Event,
     EventLog,
+    FaultInjected,
+    MemRelease,
+    MemReserve,
     NetTransfer,
     Retry,
     Row,
@@ -54,6 +57,9 @@ from repro.obs.profiler.model import (
 
 #: Intervals shorter than this are dropped (float noise, not time).
 EPS = 1e-12
+
+#: Row classes that carry no clock advance: the timeline skips them.
+_NO_CLOCK = frozenset((FaultInjected, MemReserve, MemRelease))
 
 
 @dataclass
@@ -84,10 +90,7 @@ class Timeline:
         segs = self.segments.get(node)
         if not segs:
             return None
-        ends = self._ends.get(node)
-        if ends is None or len(ends) != len(segs):
-            ends = [s.t1 for s in segs]
-            self._ends[node] = ends
+        ends = self.ends(node)
         tol = EPS * max(1.0, abs(t))
         idx = bisect_left(ends, t - tol)
         if idx >= len(segs):
@@ -96,6 +99,14 @@ class Timeline:
         if seg.t0 > t + tol:
             return None
         return seg
+
+    def ends(self, node: int) -> list[float]:
+        """``t1`` of each of ``node``'s segments: ascending, for bisection."""
+        segs = self.segments.get(node, [])
+        ends = self._ends.get(node)
+        if ends is None or len(ends) != len(segs):
+            ends = self._ends[node] = [s.t1 for s in segs]
+        return ends
 
     def total_by_kind(self) -> dict[str, float]:
         """Summed duration per segment kind across all nodes."""
@@ -111,7 +122,9 @@ class _Builder:
 
     def __init__(self, n_nodes: int, has_compute: bool) -> None:
         self.n = n_nodes
-        self.has_compute = has_compute
+        #: A gap before an I/O: queueing, or untracked compute without
+        #: ``Compute`` rows.
+        self.gap_kind = DISK_QUEUE if has_compute else OTHER
         self.tau = [0.0] * n_nodes
         #: Furthest write-behind completion queued since the last sync.
         self.pending_flush = [0.0] * n_nodes
@@ -134,15 +147,13 @@ class _Builder:
     ) -> None:
         """Move ``node``'s cursor forward to ``t``, labelling the interval."""
         t0 = self.tau[node]
-        if t <= t0 + EPS * max(1.0, abs(t)):
-            self.tau[node] = max(t0, t)
+        # ``EPS * max(1.0, abs(t))``, spelled out: this runs once per row.
+        if t <= t0 + EPS * (t if t > 1.0 else -t if t < -1.0 else 1.0):
+            if t > t0:
+                self.tau[node] = t
             return
-        self.segs[node].append(Segment(node=node, t0=t0, t1=t, kind=kind, step=step, link=link))
+        self.segs[node].append(Segment(node, t0, t, kind, step, link))
         self.tau[node] = t
-
-    def busy(self, node: int, disk: str, t0: float, t1: float) -> None:
-        if t1 > t0:
-            self.drive_busy.setdefault((node, disk), []).append((t0, t1))
 
     # -- row handlers (a row is ``(cls, t, node, step, *own fields)``) --------
 
@@ -151,35 +162,26 @@ class _Builder:
         self.advance(node, t - seconds, OTHER, step)
         self.advance(node, t, COMPUTE, step)
 
-    def on_read(self, row: Row) -> None:
-        _, t, node, step, disk, _, _, cost, queued = row[:9]
+    def on_block(self, row: Row) -> None:
+        t, node, step, cost, queued = row[1], row[2], row[3], row[7], row[8]
         if queued < 0.0:
             queued = t - cost
-        gap_kind = DISK_QUEUE if self.has_compute else OTHER
-        self.advance(node, queued, gap_kind, step)
-        self.advance(node, t, DISK, step)
-        self.busy(node, disk, queued, queued + cost)
-        # A read drains the drive's queue: nothing is pending any more.
-        self.pending_flush[node] = 0.0
-
-    def on_write(self, row: Row) -> None:
-        _, t, node, step, disk, _, _, cost, queued = row[:9]
-        if queued < 0.0:
-            queued = t - cost
-        self.busy(node, disk, queued, queued + cost)
+        end = queued + cost
+        if end > queued:
+            self.drive_busy.setdefault((node, row[4]), []).append((queued, end))
         # Discriminate write-behind (t = issue time, service starts at or
         # after it) from synchronous writes (t = completion, service was
         # [t - cost, t]) by where the service interval sits relative to t.
-        write_behind = cost <= 0.0 or queued > t - cost * 0.5
-        if write_behind:
-            end = queued + cost
+        if row[0] is BlockWrite and (cost <= 0.0 or queued > t - cost * 0.5):
             if end > self.pending_flush[node]:
                 self.pending_flush[node] = end
             self.advance(node, t, OTHER, step)
-        else:
-            gap_kind = DISK_QUEUE if self.has_compute else OTHER
-            self.advance(node, queued, gap_kind, step)
-            self.advance(node, t, DISK, step)
+            return
+        self.advance(node, queued, self.gap_kind, step)
+        self.advance(node, t, DISK, step)
+        if row[0] is BlockRead:
+            # A read drains the drive's queue: nothing is pending any more.
+            self.pending_flush[node] = 0.0
 
     def on_transfer(self, row: Row) -> None:
         _, t, _, step, src, dst, _, duration = row
@@ -284,40 +286,43 @@ def build_timeline(
     b = _Builder(n, has_compute)
     handlers = {
         Compute: b.on_compute,
-        BlockRead: b.on_read,
-        BlockWrite: b.on_write,
+        BlockRead: b.on_block,
+        BlockWrite: b.on_block,
         NetTransfer: b.on_transfer,
         StepEnd: b.on_step_end,
         Retry: b.on_retry,
-        # FaultInjected / MemReserve / MemRelease carry no clock advance.
     }
 
-    i = 0
-    while i < len(stream):
-        cls, t, _, step = stream[i][:4]
-        j = i
+    # Every row is visited in order (a group is consecutive rows); a row
+    # that moves no clock costs one class test.
+    i, end = 0, len(stream)
+    while i < end:
+        row = stream[i]
+        cls = row[0]
+        i += 1
+        if cls in _NO_CLOCK:
+            continue
         if cls is BarrierWait:
-            seen: set[int] = set()
+            j, t, seen = i, row[1], {row[2]}
             tol = EPS * max(1.0, abs(t))
             while (
-                j < len(stream)
+                j < end
                 and stream[j][0] is BarrierWait
                 and abs(stream[j][1] - t) <= tol
                 and stream[j][2] not in seen
             ):
                 seen.add(stream[j][2])
                 j += 1
-            b.on_barrier_group(stream[i:j])
+            b.on_barrier_group(stream[i - 1 : j])
+            i = j
         elif cls is StepBegin:
-            while j < len(stream) and stream[j][0] is StepBegin and stream[j][3] == step:
+            j, step = i, row[3]
+            while j < end and stream[j][0] is StepBegin and stream[j][3] == step:
                 j += 1
-            b.on_step_begin_group(stream[i:j])
+            b.on_step_begin_group(stream[i - 1 : j])
+            i = j
         else:
-            handler = handlers.get(cls)
-            if handler is not None:
-                handler(stream[i])
-            j += 1
-        i = j
+            handlers[cls](row)
 
     final_times = list(b.tau)
     elapsed = max(final_times) if final_times else 0.0

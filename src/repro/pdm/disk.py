@@ -90,6 +90,18 @@ def reservation_row(entry: Pin, step: str) -> Row:
     return (MemRelease, t, rank, step, -n, in_use)
 
 
+def publish_compute(
+    bus: "TelemetryBus", rows: Rows, node: int, t: float, seconds: float, ops: float
+) -> None:
+    """The ``Compute`` row of a batch's CPU entry, where ``SimNode.compute``
+    writes it: after the batch's rows so far, which go out first, so it
+    coalesces into the stream's tail as ``TelemetryBus.record_compute`` says."""
+    if rows:
+        bus.record_rows(rows)
+        rows.clear()
+    bus.record_compute(node=node, t=t, seconds=seconds, ops=ops)
+
+
 class SimDisk:
     """One simulated independent drive (the PDM's ``D`` dimension).
 
@@ -270,19 +282,25 @@ class SimDisk:
         slowdown, parallelism = self.slowdown, self.parallelism
         observer, owner, stats, name = self.observer, self.owner, self.stats, self.name
         pinned: Rows = None  # takes reservation rows: only where memory is captured
+        timed: Optional["TelemetryBus"] = None  # records compute rows
         if rows is not None:
             bus = self.bus
             rank = owner.rank if owner is not None else -1
             step = bus.current_step if bus is not None else ""
             if bus is not None and bus.captures_memory:
                 pinned = rows
+            if bus is not None and bus.captures_compute:
+                timed = bus
         cost = -1.0
         for entry in batch:
             if not isinstance(entry, tuple):
                 if isinstance(entry, float):  # the owner's compute, in place
                     assert owner is not None, "CPU work in a standalone drive's batch"
                     owner.ops_charged += entry
-                    owner.clock.time += entry * owner.cpu.seconds_per_op / owner.speed
+                    seconds = entry * owner.cpu.seconds_per_op / owner.speed
+                    owner.clock.time += seconds
+                    if timed is not None:
+                        publish_compute(timed, rows, rank, owner.clock.time, seconds, entry)
                 elif pinned is not None:  # a reservation change: its row, nothing else
                     pinned.append(reservation_row(entry, step))
                 continue

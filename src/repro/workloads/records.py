@@ -88,5 +88,7 @@ def verify_sorted_permutation(inp: np.ndarray, out: np.ndarray) -> None:
         raise AssertionError(
             f"output not sorted: out[{bad}]={out[bad]} > out[{bad + 1}]={out[bad + 1]}"
         )
-    if not verify_permutation(inp, out):
+    # ``out`` is sorted: it is a permutation iff it equals the sorted
+    # input (stable, as in ``verify_permutation``), with one sorted copy.
+    if not np.array_equal(np.sort(inp, kind="stable"), out):
         raise AssertionError("output is not a permutation of the input")

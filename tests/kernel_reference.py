@@ -4,13 +4,15 @@ Each function below is the body of the method it is named after, copied
 verbatim with ``self`` renamed: ``EventKernel.on_io``,
 ``LockstepKernel.on_io`` (which served through ``SimDisk.serve_sync``),
 ``SimDisk.charge_read``/``charge_write`` (one function, ``op`` a
-parameter), ``SimDisk._publish``, ``SimNode.compute`` and
+parameter), ``SimDisk._publish``, ``SimNode.compute`` (whose ``Compute``
+row, coalesced into a same-node, same-step row at the stream's tail, a
+batch's CPU entry must write at capture ``full``) and
 ``MemoryManager._publish`` (the row of one acquire or release).  They run
 on the live objects and touch the same state (``_streams``,
 ``_disk_free``, ``_rank_free``, ``last_queued``, the clock, ``IOStats``,
-the bus), so ``tests/test_kernel_batch.py`` can apply a drawn access
-sequence through them access by access and as one batch, and compare
-every field.
+the bus and its subscribers), so ``tests/test_kernel_batch.py`` can apply
+a drawn access sequence through them access by access (:func:`apply`)
+and as one batch, and compare every field.
 """
 
 from __future__ import annotations
@@ -163,3 +165,18 @@ def mem_publish(owner, bus, op: str, n_items: int, in_use: int) -> None:
         n_items=n_items,
         in_use=in_use,
     )
+
+
+def apply(node, disk, bus, seq) -> None:
+    """``seq`` access by access, as its callers charged it before batches:
+    a float of CPU ops through :func:`compute`, a reservation change
+    ``[n, in_use, owner]`` through :func:`mem_publish` and a block
+    ``(op, n_items, itemsize, stream, offset)`` through :func:`charge`."""
+    for a in seq:
+        if isinstance(a, float):
+            compute(node, a)
+        elif isinstance(a, list):
+            n, in_use, owner = a
+            mem_publish(owner, bus, "reserve" if n >= 0 else "release", abs(n), in_use)
+        else:
+            charge(disk, *a)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.machine import heterogeneous_cluster, homogeneous_cluster, paper_cluster
 from repro.core.calibration import calibrate, sequential_sort_table
@@ -14,6 +16,7 @@ from repro.core.theory import (
 from repro.metrics.expansion import partition_stats
 from repro.metrics.report import Table, format_table
 from repro.metrics.timing import TrialStats
+from repro.workloads.records import SUPPORTED_KEY_DTYPES
 
 
 class TestCalibration:
@@ -78,6 +81,30 @@ class TestTheory:
         assert max_duplicate_count(np.array([1, 2, 2, 2, 3])) == 3
         assert max_duplicate_count(np.array([])) == 0
         assert max_duplicate_count(np.array([5])) == 1
+
+    #: name -> (n, rng, dtype) -> keys
+    SHAPES = {
+        "empty": lambda n, rng, dt: np.array([], dtype=dt),
+        "one": lambda n, rng, dt: rng.integers(0, 100, 1).astype(dt),
+        "all-equal": lambda n, rng, dt: np.full(n, 7, dtype=dt),
+        "all-distinct": lambda n, rng, dt: rng.permutation(n).astype(dt),
+        "zipf": lambda n, rng, dt: (rng.zipf(1.3, n) % max(1, int(n**0.5))).astype(dt),
+        "sorted": lambda n, rng, dt: np.sort(rng.integers(0, max(1, n // 3), n)).astype(dt),
+        "uniform": lambda n, rng, dt: rng.integers(0, max(1, n // 2), n).astype(dt),
+    }
+
+    @pytest.mark.parametrize("dtype", SUPPORTED_KEY_DTYPES, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_max_duplicate_count_equals_unique_counts(self, dtype, shape, n, seed):
+        """Exact on every key dtype: the largest count ``np.unique`` gives."""
+        keys = self.SHAPES[shape](n, np.random.default_rng(seed), dtype)
+        want = int(np.unique(keys, return_counts=True)[1].max()) if keys.size else 0
+        assert max_duplicate_count(keys) == want
 
     def test_homogeneous_waste_paper_vector(self):
         assert homogeneous_waste_factor(PerfVector([1, 1, 4, 4])) == pytest.approx(2.5)

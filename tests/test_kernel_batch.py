@@ -6,14 +6,17 @@ kernel pass.  ``tests/kernel_reference.py`` holds the per-access path
 verbatim; the property applies a drawn sequence both ways, under each
 kernel and on a standalone disk, at capture ``io`` and ``full``, and
 demands the same clock, drive and stream state, ``IOStats``,
-``ops_charged`` and JSONL bytes — also when a fault hook raises partway.
+``ops_charged``, JSONL bytes (at ``full`` the ``Compute`` rows too) and
+events a subscriber saw — also when a fault hook raises partway.
 The pins below hold the three batching callers to one batch each, and a
 faulted multi-block write to its staged retry.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -84,17 +87,22 @@ def _batch(seq: list, group: bool) -> list:
     return batch
 
 
-def _setup(mode: str, level: str = "io"):
+def _setup(mode: str, level: str = "io", seen: Optional[list] = None):
     """A fresh disk (and its node and kernel) at capture ``level``, and
     the nodes whose memory a reservation entry may name: on a cluster the
     disk's owner and a second node (a salvage reads a dead node's disk
-    into its buddy's memory), on a standalone disk an ownerless manager."""
+    into its buddy's memory), on a standalone disk an ownerless manager.
+    Every event is appended to ``seen``, if given, as it is emitted."""
     if mode == "standalone":
         disk = SimDisk(DiskParams(seek_time=2e-3, bandwidth=3e6), name="d0", slowdown=1.5)
         disk.bus = TelemetryBus(level)
+        if seen is not None:
+            disk.bus.subscribe(seen.append)
         return None, disk, disk.bus, (None,)
     cluster = Cluster(heterogeneous_cluster([2.5, 1.0], memory_items=1 << 12), kernel=mode)
     cluster.bus.set_level(level)
+    if seen is not None:
+        cluster.bus.subscribe(seen.append)
     node, other = cluster.nodes
     node.clock.advance(0.25)  # the batch starts mid-run
     other.clock.advance(0.75)
@@ -122,14 +130,16 @@ def _owners(mode: str) -> tuple:
     return (None,) if mode == "standalone" else (0, 1)
 
 
-def _run(mode, level, seq: list, prefix: list, fault_at, batched: bool, group: bool):
-    node, disk, bus, owners = _setup(mode, level)
+def _run(mode, level, seq: list, prefix: list, fault_at, batched: bool, group: bool, seen):
+    node, disk, bus, owners = _setup(mode, level, seen)
     seq = [
         [a[0], a[1], None if a[2] is None else owners[a[2]]] if isinstance(a, list) else a
         for a in seq
     ]
-    for a in prefix:  # the same drive and stream state on both sides
-        ref.charge(disk, *a)
+    # The same drive, stream and clock state on both sides; a float last
+    # leaves a ``Compute`` row at the stream's tail for the batch's first
+    # CPU entry to coalesce into.
+    ref.apply(node, disk, bus, prefix)
     if fault_at is not None:
         install_disk_faults(disk, [DiskFault(after_ios=fault_at)])
     error = None
@@ -140,32 +150,27 @@ def _run(mode, level, seq: list, prefix: list, fault_at, batched: bool, group: b
             for e in _batch(seq, False):
                 disk.charge((e,))
         else:
-            for a in seq:
-                if isinstance(a, float):
-                    ref.compute(node, a)
-                elif isinstance(a, list):
-                    n, in_use, owner = a
-                    op = "reserve" if n >= 0 else "release"
-                    ref.mem_publish(owner, bus, op, abs(n), in_use)
-                else:
-                    ref.charge(disk, *a)
+            ref.apply(node, disk, bus, seq)
     except DiskFaultError as exc:
         error = (type(exc), str(exc))
-    return _state(node, disk, bus), error
+    return {**_state(node, disk, bus), "seen": seen}, error
 
 
 def _check(mode: str, data) -> None:
-    # A batch carries CPU work only on a bus that records none (at ``full``
-    # the planned merge charges its batch before each compute call).
+    # A batch carries CPU work on a node's disk (a standalone one has no
+    # clock to charge), at ``full`` with its ``Compute`` rows.
     level = data.draw(st.sampled_from(["io", "full"]))
-    cpu = mode != "standalone" and level == "io"
+    cpu = mode != "standalone"
     seq = data.draw(_sequences(cpu=cpu, owners=_owners(mode)))
     prefix = data.draw(_sequences(cpu=False).map(lambda s: s[:4]))
+    if cpu and data.draw(st.booleans()):
+        prefix.append(data.draw(st.floats(0.0, 1e6)))
     blocks = sum(1 for a in seq if isinstance(a, tuple))
     fault_at = data.draw(st.none() | st.integers(0, blocks - 1))
     group = data.draw(st.booleans())
-    got = _run(mode, level, seq, prefix, fault_at, True, group)
-    want = _run(mode, level, seq, prefix, fault_at, False, group)
+    subscribed = data.draw(st.booleans())
+    got = _run(mode, level, seq, prefix, fault_at, True, group, [] if subscribed else None)
+    want = _run(mode, level, seq, prefix, fault_at, False, group, [] if subscribed else None)
     assert got == want
     assert (got[1] is not None) == (fault_at is not None)
 
@@ -177,15 +182,16 @@ MODES = ["event", "lockstep", "standalone"]
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_property_batch_equals_per_access(mode, data):
-    """A drawn access sequence with CPU charges (at ``io``) and reservation
-    changes between its accesses, applied as one batch and access by access
-    through the verbatim reference: the same clock, drive-free time,
-    write-behind mark, stream offsets, ``last_queued``, ``IOStats``
-    (``busy_time`` too), ``ops_charged`` and JSONL bytes (memory rows at
-    ``full``, stamped with their node's clock at their place), and with a
-    fault hook raising at a drawn block (one-block batches, as
-    ``BlockFile`` sends them on a hooked disk), the same partial state and
-    error."""
+    """A drawn access sequence with CPU charges and reservation changes
+    between its accesses, applied as one batch and access by access through
+    the verbatim reference: the same clock, drive-free time, write-behind
+    mark, stream offsets, ``last_queued``, ``IOStats`` (``busy_time``
+    too), ``ops_charged``, JSONL bytes (memory and ``Compute`` rows at
+    ``full``, stamped with their node's clock at their place, a CPU entry
+    coalesced into a ``Compute`` row before it, the stream's tail too) and
+    events a subscriber saw, and with a fault hook raising at a drawn block
+    (one-block batches, as ``BlockFile`` sends them on a hooked disk), the
+    same partial state and error."""
     _check(mode, data)
 
 
@@ -212,6 +218,22 @@ def test_reservations_below_full_leave_no_row_and_move_nothing(mode):
         assert {**after, "jsonl": ""} == {**before, "jsonl": ""}
 
 
+@pytest.mark.parametrize("mode", ["event", "lockstep"])
+def test_cpu_entries_at_full_write_the_rows_compute_calls_write(mode):
+    """At ``full`` a batch's CPU entry writes the ``Compute`` row that
+    ``SimNode.compute`` writes: the first two coalesce into the stream's
+    tail, the next two into one new row after a block's, the last is a row
+    of its own after a write; a subscriber hears of each new row once."""
+    prefix = [("read", 8, 4, "s0", 7), 6e5]
+    seq = [2e5, 3e5, ("read", 8, 4, "s0", 0), 1e5, 4e5, ("write", 8, 4, "s1", 0), 5e5]
+    got = _run(mode, "full", seq, prefix, None, True, True, [])
+    assert got == _run(mode, "full", seq, prefix, None, False, True, [])
+    heard = [type(e).__name__ for e in got[0]["seen"]]
+    assert heard == ["BlockRead", "Compute", "BlockRead", "Compute", "BlockWrite", "Compute"]
+    ops = [e["ops"] for e in map(json.loads, got[0]["jsonl"].splitlines()) if e["kind"] == "compute"]
+    assert ops == [11e5, 5e5, 5e5]
+
+
 def _counting_batches():
     calls = []
     real = SimDisk.charge
@@ -232,7 +254,15 @@ class TestOneBatch:
     """Each batching caller charges its blocks in one ``SimDisk.charge``."""
 
     def test_a_planned_seven_by_eight_block_merge(self):
+        self._planned_merge("steps")
+
+    def test_a_planned_merge_at_full_capture_carries_its_compute(self):
+        self._planned_merge("full")
+
+    @staticmethod
+    def _planned_merge(level: str) -> None:
         cluster, node = _node(8 * B)
+        cluster.bus.set_level(level)
         refs = []
         with cluster.step("load"):
             for i in range(7):
