@@ -102,22 +102,17 @@ def load_balance_bound(n: int, perf: PerfVector, i: int, d_duplicates: int = 0) 
 def max_duplicate_count(data: np.ndarray) -> int:
     """The paper's ``d``: multiplicity of the most duplicated key.
 
-    Exact, holding one sorted copy and one boolean mask at a time: sorted,
-    some key occurs ``d`` times iff ``s[i] == s[i + d - 1]`` for some
-    ``i``, so ``d`` is found by doubling, then bisection."""
+    Exact, holding one sorted copy and one boolean mask at a time: with
+    ``k + 1`` distinct keys in ``n``, ``ceil(n / (k + 1)) <= d <= n - k``,
+    and sorted, some key occurs ``m`` times iff ``s[i] == s[i + m - 1]``
+    for some ``i``, so ``d`` is bisected between the two bounds."""
     s = np.sort(np.asarray(data), axis=None)  # repro: noqa REP002(the input's d, measured outside any run: not a simulated cost)
     n = s.size
-
-    def occurs(d: int) -> bool:
-        return bool(np.any(s[d - 1 :] == s[: n - d + 1]))
-
-    lo, hi = min(n, 1), 2  # occurs(lo); hi > lo is untested or fails
-    while hi <= n and occurs(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, n + 1)
+    k = int(np.count_nonzero(s[1:] != s[:-1]))
+    lo, hi = -(-n // (k + 1)), n - k + 1  # lo occurs; hi does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if occurs(mid) else (lo, mid)
+        lo, hi = (mid, hi) if np.any(s[mid - 1 :] == s[: n - mid + 1]) else (lo, mid)
     return lo
 
 
