@@ -131,7 +131,7 @@ def _clip_components(
             lo = max(seg.t0, t0)
             hi = min(seg.t1, t1)
             if hi > lo:
-                comps[seg.component] += hi - lo
+                comps[COMPONENT_OF.get(seg.kind, "other")] += hi - lo
     return comps, span
 
 
@@ -142,15 +142,18 @@ def _is_numbered(step: str) -> bool:
 def blame_report(tl: Timeline) -> BlameReport:
     """Decompose a reconstructed run into a per-(step, node) blame report."""
     steps: list[StepBlame] = []
-    totals = {c: 0.0 for c in COMPONENTS}
-    for kind, seconds in tl.total_by_kind().items():
-        totals[COMPONENT_OF.get(kind, "other")] += seconds
+    by_kind: dict[str, float] = {}
     barrier_seconds: dict[str, float] = {}
     for segs in tl.segments.values():
         for seg in segs:
-            if seg.kind == BARRIER:
+            kind, seconds = seg.kind, seg.t1 - seg.t0
+            by_kind[kind] = by_kind.get(kind, 0.0) + seconds
+            if kind == BARRIER:
                 key = seg.step or "(between steps)"
-                barrier_seconds[key] = barrier_seconds.get(key, 0.0) + seg.duration
+                barrier_seconds[key] = barrier_seconds.get(key, 0.0) + seconds
+    totals = {c: 0.0 for c in COMPONENTS}
+    for kind, seconds in by_kind.items():
+        totals[COMPONENT_OF.get(kind, "other")] += seconds
     productive = [0.0] * tl.n_nodes
     for step, per_node in tl.step_spans.items():
         by_node: dict[int, dict[str, float]] = {}

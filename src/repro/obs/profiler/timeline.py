@@ -108,14 +108,6 @@ class Timeline:
             ends = self._ends[node] = [s.t1 for s in segs]
         return ends
 
-    def total_by_kind(self) -> dict[str, float]:
-        """Summed duration per segment kind across all nodes."""
-        out: dict[str, float] = {}
-        for segs in self.segments.values():
-            for s in segs:
-                out[s.kind] = out.get(s.kind, 0.0) + s.duration
-        return out
-
 
 class _Builder:
     """Stream interpreter: one cursor per node, causal bookkeeping."""
@@ -271,15 +263,9 @@ def build_timeline(
 ) -> Timeline:
     """Reconstruct per-node timelines from a recorded event stream."""
     stream = EventLog.of(events).rows
-    ranks: set[int] = set()
-    has_compute = False
-    for row in stream:
-        if row[2] >= 0:
-            ranks.add(row[2])
-        if row[0] is NetTransfer:
-            ranks.update(row[4:6])  # src, dst
-        elif row[0] is Compute:
-            has_compute = True
+    ranks = {r for r in {row[2] for row in stream} if r >= 0}
+    ranks.update(r for row in stream if row[0] is NetTransfer for r in row[4:6])  # src, dst
+    has_compute = any(row[0] is Compute for row in stream)
     if hw is not None:
         ranks.update(range(hw.spec.p))
     n = (max(ranks) + 1) if ranks else 0
