@@ -139,7 +139,8 @@ class _Builder:
     ) -> None:
         """Move ``node``'s cursor forward to ``t``, labelling the interval."""
         t0 = self.tau[node]
-        # ``EPS * max(1.0, abs(t))``, spelled out: this runs once per row.
+        # ``EPS * max(1.0, abs(t))`` and ``max(t0, t)`` without the builtin
+        # calls, which cost about a fifth of the whole pass.
         if t <= t0 + EPS * (t if t > 1.0 else -t if t < -1.0 else 1.0):
             if t > t0:
                 self.tau[node] = t
