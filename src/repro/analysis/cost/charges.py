@@ -8,7 +8,7 @@ decreasing order of "how much of the proof lives in the walker":
    (:data:`repro.analysis.flow.project.CHARGED_METHODS`, the set REP105
    polices): ``BlockFile.read_block`` / ``append_block`` / the batches
    ``read_blocks`` / ``append_blocks`` / ``charge_blocks`` /
-   ``read_planned`` / ``read_all``,
+   ``read_planned`` (a plan's finished batch) / ``read_all``,
    ``BlockWriter.write`` / ``write_one``, ``RunCursor.take_upto``.
    Every other disk mutation in the simulator
    funnels through these, so a call whose name chain ends in one of

@@ -75,8 +75,8 @@ ROOTED_OPS = frozenset({"gather", "bcast", "scatter"})
 #: Method names that charge disk I/O when called on a receiver: the
 #: BlockFile primitives (``append_blocks``/``read_blocks`` charge a run
 #: of blocks as one batch; ``charge_blocks`` is the bare batch charge a
-#: planned merge replays; ``read_planned`` charges the blocks a planned
-#: loop lists, and reads them), ``BlockWriter.write``/``write_one`` and
+#: planned merge replays; ``read_planned`` charges a plan's finished batch,
+#: returning the ranges it reads), ``BlockWriter.write``/``write_one`` and
 #: ``RunCursor.take_upto``.  REP105 (charged I/O must sit under a step)
 #: and the cost pass (what a step's bound must account for) read this one
 #: set, so neither can miss a charge the other sees.

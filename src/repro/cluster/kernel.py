@@ -192,8 +192,10 @@ class EventKernel(ExecutionKernel):
             if bus is not None and bus.captures_compute:
                 timed = bus
         start = mark = cost = -1.0  # last block's start and cost; latest write's end
+        # ``stats`` is booked once, after the batch: the same sums in the same order.
+        busy, blocks_read, items_read, blocks_written, items_written = stats.busy_time, 0, 0, 0, 0
         for entry in batch:
-            if not isinstance(entry, tuple):
+            if type(entry) is not tuple:
                 if isinstance(entry, float):  # the owner's compute, in place
                     owner.ops_charged += entry
                     seconds = entry * owner.cpu.seconds_per_op / owner.speed
@@ -221,17 +223,17 @@ class EventKernel(ExecutionKernel):
                 rest = 0.0  # the entry's later blocks continue it
             read = op == "read"
             if read:
-                stats.blocks_read += count
-                stats.items_read += sum(sizes)
+                blocks_read += count
+                items_read += sum(sizes)
             else:
-                stats.blocks_written += count
-                stats.items_written += sum(sizes)
+                blocks_written += count
+                items_written += sum(sizes)
             for n_items in sizes:
                 cost = (seek + n_items * itemsize / bandwidth) * slowdown / parallelism
                 seek = rest
                 start = now if now > free else free  # drive queue or issue time
                 free = start + cost
-                stats.busy_time += cost
+                busy += cost
                 if read:  # the node waits for the data (and queued writes)
                     if free > now:
                         now = free
@@ -245,6 +247,11 @@ class EventKernel(ExecutionKernel):
                     ))
                     offset = None if offset is None else offset + 1
         owner.clock.time = now
+        stats.busy_time = busy
+        stats.blocks_read += blocks_read
+        stats.items_read += items_read
+        stats.blocks_written += blocks_written
+        stats.items_written += items_written
         if start >= 0.0:  # a block was charged
             self._disk_free[name] = free
             disk.last_queued = start

@@ -133,24 +133,22 @@ def partition_offsets(
         # The peak: the first probe's block, a whole one unless it is the only one.
         first = sorted_file.block_items(0)
         if plannable(sorted_file) and mem.available >= first:
-            probes: list[int] = []
+            batch: list[Charge] = []
             use, pinned, who = mem.in_use, records_reservations(mem), mem.owner
+            itemsize, name = sorted_file.itemsize, sorted_file.name
 
-            def descend(charge: Callable[[Charge], np.ndarray]) -> None:
-                def probe(b: int) -> np.ndarray:
-                    probes.append(b)
-                    if not pinned:
-                        return charge(sorted_file.reads(b, b + 1))
-                    n = sorted_file.block_items(b)
-                    charge([n, use + n, who])
-                    blk = charge(sorted_file.reads(b, b + 1))
-                    charge([-n, use, who])
-                    return blk
+            def probe(b: int) -> np.ndarray:
+                size = sorted_file.block_items(b)
+                entry = ("read", itemsize, name, b, (size,))
+                if pinned:
+                    batch.extend(([size, use + size, who], entry, [-size, use, who]))
+                else:
+                    batch.append(entry)
+                return sorted_file.load_items(b * B, b * B + size)  # repro: noqa REP005(the descent needs each block before it picks the next; the batch below charges it)
 
-                _joint_lower_bounds(B, np.asarray(piv), probe, out, 0, len(piv), 0, nb - 1)
-
-            sorted_file.read_planned(descend)
-            mem.apply_planned(use + first, len(probes), 0)
+            _joint_lower_bounds(B, np.asarray(piv), probe, out, 0, len(piv), 0, nb - 1)
+            sorted_file.read_planned(batch)
+            mem.apply_planned(use + first, len(batch) // 3 if pinned else len(batch), 0)
         else:
 
             def read(b: int) -> np.ndarray:
@@ -218,41 +216,40 @@ def _copy_planned(
     each sublist's final partial flush, charged as one batch (with the
     loop's acquires and releases where the bus records them); the loop's
     memory (a writer's block per sublist, a cursor's part per read)
-    applied at once; the payload copied in bulk.  False, with nothing
-    done, if the loop would overflow M or reject a cut (it raises there)."""
-    B, itemsize, n = sorted_file.B, sorted_file.itemsize, sorted_file.n_items
+    applied at once; the sublists stored from one range.  False, with
+    nothing done, where the loop raises: a peak over M or a bad cut."""
+    B, itemsize, n, name = sorted_file.B, sorted_file.itemsize, sorted_file.n_items, sorted_file.name
     use, pinned, who = mem.in_use, records_reservations(mem), mem.owner
+    whole, short = (B,), n // B  # a whole block's sizes; the partial last block, if any
     batch: list[Charge] = []
-    parts: list[int] = []  # the items each read pins
-    first: dict[int, int] = {}  # source block -> its first read's entry
+    reads = top = 0  # source reads; the most items one of them pins
     for f, lo, hi in zip(out, cuts, cuts[1:]):
         if not 0 <= lo <= hi <= n:
             return False
+        first, stop = lo // B, -(-hi // B) if hi > lo else lo // B
+        reads += stop - first  # the parts they pin: whole blocks, but maybe the first and the last
+        top = max(top, min((first + 1) * B, hi) - lo, hi - max((stop - 1) * B, lo), B if stop - first > 2 else 0)
         if pinned:  # the writer's block
             batch.append([B, use + B, who])
-        done = 0  # output blocks written
-        for b in range(lo // B, -(-hi // B) if hi > lo else 0):
-            end = min((b + 1) * B, hi)
-            first.setdefault(b, len(batch))
-            batch.append(sorted_file.reads(b, b + 1))
-            parts.append(end - max(b * B, lo))
+        target, done = f.name, 0  # output blocks written
+        for b in range(first, stop):
+            batch.append(("read", itemsize, name, b, whole if b != short else (n - b * B,)))
+            end = (b + 1) * B if (b + 1) * B < hi else hi
             if pinned:  # the cursor pins the part, the writer takes it
-                batch += [[parts[-1], use + B + parts[-1], who], [-parts[-1], use + B, who]]
-            if (end - lo) // B > done:
-                batch.append(("write", itemsize, f.name, done, (B,)))
+                part = end - (b * B if b * B > lo else lo)
+                batch += [[part, use + B + part, who], [-part, use + B, who]]
+            if end - lo >= (done + 1) * B:
+                batch.append(("write", itemsize, target, done, whole))
                 done += 1
         if (hi - lo) % B:
-            batch.append(("write", itemsize, f.name, done, ((hi - lo) % B,)))
+            batch.append(("write", itemsize, target, done, ((hi - lo) % B,)))
         if pinned:
             batch.append([-B, use, who])
-    if not mem.apply_planned(use + B + max(parts, default=0), len(out) + len(parts), 0):
+    if not mem.apply_planned(use + B + top, len(out) + reads, 0):
         return False
-    loaded = sorted_file.read_planned(lambda charge: [charge(e) for e in batch])
-    if first:  # the sublists tile the blocks read from the first one on
-        items = np.concatenate([loaded[i] for i in first.values()])
-        base = next(iter(first)) * B
-        for f, lo, hi in zip(out, cuts, cuts[1:]):
-            f.store_charged((items[lo - base : hi - base],))
+    (items,) = sorted_file.read_planned(batch, (cuts[0], cuts[-1]))  # the sublists tile it
+    for f, lo, hi in zip(out, cuts, cuts[1:]):
+        f.store_charged((items[lo - cuts[0] : hi - cuts[0]],))
     return True
 
 

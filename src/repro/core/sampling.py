@@ -93,18 +93,19 @@ def read_samples(
     use = mem.in_use
     peak = use + sorted_file.block_items(int(blocks[0]))
     if plannable(sorted_file) and mem.apply_planned(peak, blocks.size, 0):
+        # Stretches of consecutive blocks: the payload's ranges.
+        cut = np.flatnonzero(np.diff(blocks) > 1) + 1
+        firsts, stops = blocks[np.r_[0, cut]].tolist(), (blocks[np.r_[cut - 1, -1]] + 1).tolist()
         entries: list[Charge] = []
         if records_reservations(mem):  # per block: acquire, read, release
             who = mem.owner
             for b in blocks.tolist():
                 n = sorted_file.block_items(b)
                 entries += [[n, use + n, who], sorted_file.reads(b, b + 1), [-n, use, who]]
-        else:  # stretches of consecutive blocks
-            cut = np.flatnonzero(np.diff(blocks) > 1) + 1
-            firsts, stops = blocks[np.r_[0, cut]].tolist(), (blocks[np.r_[cut - 1, -1]] + 1).tolist()
+        else:
             entries = [sorted_file.reads(a, b) for a, b in zip(firsts, stops)]
-        parts = sorted_file.read_planned(lambda charge: [charge(e) for e in entries])
-        return np.concatenate(parts)[inverse * B + pos % B]
+        spans = [(a * B, min(b * B, sorted_file.n_items)) for a, b in zip(firsts, stops)]
+        return np.concatenate(sorted_file.read_planned(entries, *spans))[inverse * B + pos % B]
     out = np.empty(pos.size, dtype=sorted_file.dtype)
     for b, lo, hi in zip(blocks.tolist(), starts.tolist(), [*starts[1:].tolist(), pos.size]):
         with mem.reserve(sorted_file.block_items(b)):

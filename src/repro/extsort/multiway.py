@@ -31,8 +31,8 @@ replaced, ``tests/merge_reference.py``):
     is ``t`` no buffer has a smaller tail, so each cursor with tail-``t``
     units is at its first and each such round drains one: round *r*
     drains the units of the *r*-th distinct key, then refills their
-    successors in cursor order, and cursor *i* has emitted
-    ``min(items_i.searchsorted(t_r, "right"), items loaded)``.  The plan
+    successors in cursor order; cursor *i* has emitted all it loaded if it
+    drained a unit, else ``items_i.searchsorted(t_r, "right")``.  The plan
     applies that memory trajectory at once, replays every block and
     compute charge in order as one kernel batch (a compute hook other
     than the node's own, or a bus that records compute, splits it at
@@ -224,12 +224,11 @@ class RunCursor:
                     [-took, use + size - took, who],
                 ]
                 use, left = use + size - took, left - took
-            payload = np.concatenate(file.read_planned(lambda charge: [charge(e) for e in entries]))
         else:
-            payload = file.read_planned(lambda charge: charge(file.reads(first, last)))
-        lo = pos - first * B
-        taken = payload[lo : lo + need]
-        self._buf = payload[lo + need : lo + need + rest] if rest else None
+            entries = [file.reads(first, last)]
+        (payload,) = file.read_planned(entries, (pos, ends[-1]))
+        taken = payload[:need]
+        self._buf = payload[need:] if rest else None
         self._pos = ends[-1]
         return taken if buf is None else np.concatenate((buf, taken))
 
@@ -343,13 +342,15 @@ def _merge_planned(
     replayed in the loop's order, its payload moved in bulk.  None, with
     nothing done, if the loop would overflow M (it raises there)."""
     runs: list[np.ndarray] = []  # each cursor's items still to merge
-    tails: list[np.generic] = []  # per refill unit, cursor by cursor:
-    ends: list[int] = []  # where it ends in its cursor's items
+    tails: list[np.ndarray] = []  # views of the units' tails, in unit order
+    ends: list[int] = []  # per refill unit, cursor by cursor: where it ends in its cursor's items
     reads: list[Optional[Blocks]] = []  # the blocks it reads
     owner: list[int] = []  # its cursor
+    firsts: list[int] = []  # each cursor's first unit
     pinned = [c._buf.size for c in active if c._buf is not None]
     for i, c in enumerate(active):
-        f, B, pos, stop, depth = c.run.file, c.run.file.B, c._pos, c.run.stop, c._depth
+        f, pos, stop, last = c.run.file, c._pos, c.run.stop, c._end_block
+        firsts.append(len(ends))
         parts: list[np.ndarray] = []
         size = 0
         if c._buf is not None:  # the first unit is the pinned buffer
@@ -357,24 +358,30 @@ def _merge_planned(
             size = c._buf.size
             ends.append(size)
             reads.append(None)
-            owner.append(i)
+            tails.append(c._buf[-1:])
         if pos < stop:  # _refill's units: each ends where the next starts
-            parts.append(f.load_items(pos, stop))  # repro: noqa REP005(the replay below charges every block it covers)
-            blocks = range(pos // B, c._end_block, depth)
-            reads += [f.reads(b, min(b + depth, c._end_block)) for b in blocks]
-            ends += [b * B - pos + size for b in blocks[1:]]
+            loaded = f.load_items(pos, stop)  # repro: noqa REP005(the replay below charges every block it covers)
+            parts.append(loaded)
+            B, depth, itemsize, name = f.B, c._depth, f.itemsize, f.name
+            blocks = range(pos // B, last, depth)
+            whole = [B] * depth  # shared: no charge writes to its sizes
+            reads += [("read", itemsize, name, b, whole) for b in blocks[:-1]]
+            reads.append(f.reads(blocks[-1], last))  # may end short: the run's end, or the file's
+            inner = range((blocks.start + depth) * B - pos, last * B - pos, depth * B)  # in ``loaded``
+            ends += range(inner.start + size, inner.stop + size, inner.step)
             size += stop - pos
             ends.append(size)
-            owner += [i] * len(blocks)
-        a = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        runs.append(a)
-        tails += [a[e - 1] for e in ends[len(tails):]]
+            # The inner units' tails as one strided view, the last's as another.
+            tails += (loaded[inner.start - 1 : inner.stop - 1 : inner.step], loaded[-1:])
+        owner += [i] * (len(ends) - firsts[-1])
+        runs.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
     k = len(active)
-    end, cursor = np.array(ends), np.array(owner)
-    tail = np.array(tails, dtype=runs[0].dtype)
+    end, cursor, tail = np.array(ends), np.array(owner), np.concatenate(tails)
+    same = cursor[1:] == cursor[:-1]  # unit u + 1 is unit u's cursor's next
+    grows = np.append(np.where(same, np.diff(end), 0), 0)  # the items loaded once unit u drains
     unit = np.arange(end.size)
     group = np.ones(end.size, dtype=bool)
-    group[1:] = (cursor[1:] != cursor[:-1]) | (tail[1:] != tail[:-1])
+    group[1:] = ~same | (tail[1:] != tail[:-1])
     layer = unit - np.maximum.accumulate(np.where(group, unit, 0))
     # Rounds: the distinct (tail, layer) keys in order, ties in cursor order.
     order = np.lexsort((cursor, layer, tail))  # repro: noqa REP002(orders the refill units, one key per unit: block metadata, not items)
@@ -383,18 +390,19 @@ def _merge_planned(
     new[1:] = (ts[1:] != ts[:-1]) | (ls[1:] != ls[:-1])
     round_sorted = np.cumsum(new) - 1
     R = int(round_sorted[-1]) + 1
-    # Round r: each cursor holds its first undrained unit, emits <= horizon.
-    drained = np.zeros((k, R + 1), dtype=np.intp)
-    drained[cursor[order], round_sorted + 1] = 1
-    first_unit = np.searchsorted(cursor, np.arange(k))
-    last_unit = np.append(first_unit[1:], end.size) - 1
-    unit_at = np.minimum(first_unit[:, None] + drained.cumsum(axis=1)[:, :R], last_unit[:, None])
-    held = end[unit_at]
-    out_by = np.minimum(np.array([a.searchsorted(ts[new], "right") for a in runs]), held)
+    # Round r: cursor i has emitted its items <= the horizon, or, where it
+    # drains a unit, exactly through that unit's end (later ones may tie).
+    horizons = ts[new]
+    out_by = np.array([a.searchsorted(horizons, "right") for a in runs])
+    out_by[cursor[order], round_sorted] = end[order]
     emitted = np.zeros(R + 1, dtype=np.intp)  # by the end of round r - 1
     emitted[1:] = out_by.sum(axis=0)
+    # Items loaded by round r: the first units, then each earlier refill's (never empty).
+    grown = grows[order]
+    more = grown > 0
+    held = sum(ends[u] for u in firsts) + (np.cumsum(grown) - grown)[new]
     use = mem.in_use
-    peak = use - sum(pinned) + int((held.sum(axis=0) - emitted[:-1]).max())
+    peak = use - sum(pinned) + int((held - emitted[:-1]).max())
     if not mem.apply_planned(peak, end.size - len(pinned) + R, -sum(pinned)):
         return None
     for c in active:
@@ -403,9 +411,7 @@ def _merge_planned(
     out = writer.file
     done = (out.n_blocks + (writer.staged + emitted) // out.B).tolist()
     n = (emitted[1:] - emitted[:-1]).tolist()
-    successor = order + 1
-    more = successor <= last_unit[cursor[order]]
-    refills = [*first_unit.tolist(), *successor[more].tolist()]
+    refills = [*firsts, *(order[more] + 1).tolist()]
     by_round = [0, *(k + round_sorted[more].searchsorted(np.arange(R + 1))).tolist()]
     node = out.disk.owner  # the batch carries its node's own compute
     carry = node is not None and compute == node.compute
@@ -413,7 +419,7 @@ def _merge_planned(
     logged, who = records_reservations(mem), mem.owner
     if logged:  # the loop's reservation rows: each unit's size, each round's cuts
         begin = np.r_[0, end[:-1]]
-        begin[first_unit] = 0
+        begin[firsts] = 0
         unit_items = (end - begin).tolist()
         cuts = np.diff(out_by, axis=1, prepend=0).T.tolist()
     batch: list[Charge] = []

@@ -284,6 +284,11 @@ def _expr_for(exprs: Mapping[str, Expr], step: str) -> Optional[Expr]:
     return None if hit is None or find_tops(hit) else hit
 
 
+#: The paper table and each step's usable bound (:func:`_expr_for`), found once.
+_PAPER = step_bounds()
+_PAPER_USABLE = {step: _expr_for(_PAPER, step) for step in _PAPER}
+
+
 def evaluate_cells(
     cells: Iterable[Cell],
     meta: RunMeta,
@@ -305,7 +310,7 @@ def evaluate_cells(
     derived = algorithm is not None
     psrs = algorithm in (None, "external_psrs")
     envs = node_envs(meta, cover_share=derived)
-    usable: dict[str, Optional[Expr]] = {}
+    usable: dict[str, Optional[Expr]] = dict(_PAPER_USABLE) if exprs is _PAPER else {}
     report = AuditReport(meta=meta, algorithm=algorithm)
     for step, node, measured in sorted(cells):
         if step not in usable:
@@ -359,5 +364,5 @@ def audit_run(
         "5:final-merge": "2l'(1+ceil(log_m l')) on l'<=2l_i+d",
     }
     return evaluate_cells(
-        fold_cells(events, step_io), meta, step_bounds(), notes=notes
+        fold_cells(events, step_io), meta, _PAPER, notes=notes
     )

@@ -112,11 +112,10 @@ class Timeline:
 class _Builder:
     """Stream interpreter: one cursor per node, causal bookkeeping."""
 
-    def __init__(self, n_nodes: int, has_compute: bool) -> None:
+    def __init__(self, n_nodes: int) -> None:
         self.n = n_nodes
-        #: A gap before an I/O: queueing, or untracked compute without
-        #: ``Compute`` rows.
-        self.gap_kind = DISK_QUEUE if has_compute else OTHER
+        #: A ``Compute`` row seen: else a pre-I/O gap is untracked compute.
+        self.has_compute = False
         self.tau = [0.0] * n_nodes
         #: Furthest write-behind completion queued since the last sync.
         self.pending_flush = [0.0] * n_nodes
@@ -152,6 +151,7 @@ class _Builder:
 
     def on_compute(self, row: Row) -> None:
         _, t, node, step, seconds, _ = row
+        self.has_compute = True
         self.advance(node, t - seconds, OTHER, step)
         self.advance(node, t, COMPUTE, step)
 
@@ -170,7 +170,7 @@ class _Builder:
                 self.pending_flush[node] = end
             self.advance(node, t, OTHER, step)
             return
-        self.advance(node, queued, self.gap_kind, step)
+        self.advance(node, queued, DISK_QUEUE, step)
         self.advance(node, t, DISK, step)
         if row[0] is BlockRead:
             # A read drains the drive's queue: nothing is pending any more.
@@ -264,13 +264,13 @@ def build_timeline(
 ) -> Timeline:
     """Reconstruct per-node timelines from a recorded event stream."""
     stream = EventLog.of(events).rows
-    ranks = {r for r in {row[2] for row in stream} if r >= 0}
-    ranks.update(r for row in stream if row[0] is NetTransfer for r in row[4:6])  # src, dst
-    has_compute = any(row[0] is Compute for row in stream)
-    if hw is not None:
-        ranks.update(range(hw.spec.p))
-    n = (max(ranks) + 1) if ranks else 0
-    b = _Builder(n, has_compute)
+    if hw is not None:  # the machine record names the ranks
+        n = hw.spec.p
+    else:
+        ranks = {r for r in {row[2] for row in stream} if r >= 0}
+        ranks.update(r for row in stream if row[0] is NetTransfer for r in row[4:6])  # src, dst
+        n = (max(ranks) + 1) if ranks else 0
+    b = _Builder(n)
     handlers = {
         Compute: b.on_compute,
         BlockRead: b.on_block,
@@ -311,6 +311,9 @@ def build_timeline(
         else:
             handlers[cls](row)
 
+    if not b.has_compute:  # a pre-I/O gap was untracked compute
+        for segs in b.segs.values():
+            segs[:] = [s._replace(kind=OTHER) if s.kind == DISK_QUEUE else s for s in segs]
     final_times = list(b.tau)
     elapsed = max(final_times) if final_times else 0.0
     # Trailing idle: nodes that finished early (or died) pad to the end
@@ -328,7 +331,7 @@ def build_timeline(
         step_spans=b.step_spans,
         elapsed=elapsed,
         final_times=final_times,
-        has_compute=has_compute,
+        has_compute=b.has_compute,
     )
 
 

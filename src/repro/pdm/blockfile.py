@@ -6,9 +6,10 @@ full except possibly the last) living on one :class:`~repro.pdm.disk.SimDisk`.
 Payloads are numpy arrays, stored a span at a time (see :class:`BlockFile`);
 every block-level access charges the disk's cost model and counters.  A
 loop whose charges are a pure function of what is on disk may run as its
-plan instead (:func:`plannable` says when): :meth:`BlockFile.read_planned`
-hands the plan the payload of exactly the blocks it lists and charges
-the list as one batch.
+plan instead (:func:`plannable` says when): the plan builds its whole
+batch of charges, and :meth:`BlockFile.read_planned` charges it at once
+and hands back the payload of the item ranges the plan reads, one view
+per range.
 
 :class:`BlockWriter` and :class:`BlockReader` provide the buffered
 streaming interfaces the sorting engines use; both pin exactly one block
@@ -18,14 +19,12 @@ of internal memory while open, which is how the
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.pdm.disk import Blocks, Charge, SimDisk
 from repro.pdm.memory import MemoryManager
-
-T = TypeVar("T")
 
 _PARTIAL = "file {!r} already ends in a partial block; blocks must be packed compactly"
 
@@ -211,32 +210,23 @@ class BlockFile:
             sizes[-1] = n - (stop - 1) * B
         return ("read", self.dtype.itemsize, self.name, start, sizes)
 
-    def read_planned(self, plan: Callable[[Callable[[Charge], np.ndarray]], T]) -> T:
-        """Run ``plan(charge)``, then charge every entry it passed to
-        ``charge``, in order, as one batch (:meth:`charge_blocks`); returns
-        what ``plan`` returned.  ``charge(entry)`` gives the payload of a
-        read of this file's blocks (read-only; empty for any other entry),
-        so a plan sees exactly the blocks it charges: the one accounted
-        payload access of a planned loop.  A plan that raises charges
-        nothing."""
-        batch: list[Charge] = []
-        name, B, load = self.name, self.B, self._store_range
-        empty = np.empty(0, dtype=self.dtype)
-
-        def charge(entry: Charge) -> np.ndarray:
-            batch.append(entry)
-            if not isinstance(entry, tuple) or entry[0] != "read" or entry[2] != name:
-                return empty
-            first = entry[3]
-            assert first is not None, "a planned read names its first block"
-            stop, n = first + len(entry[4]), self._n_items
-            if not (0 <= first < stop and (stop - 1) * B < n):
-                raise self._outside(first, stop)
-            return load(first * B, min(stop * B, n))
-
-        result = plan(charge)
+    def read_planned(self, batch: Sequence[Charge], *spans: tuple[int, int]) -> list[np.ndarray]:
+        """Charge a plan's finished ``batch`` as one (:meth:`charge_blocks`)
+        and return the payload of each item range ``(lo, hi)`` in ``spans``:
+        a view not to be written (or, across extents, a fresh copy).  The
+        one accounted payload access of a planned loop, so a span covers
+        only blocks the batch reads.  Every read of this file the batch
+        lists, and every span, must lie inside the file: else
+        ``IndexError``, checked in one pass before any charge."""
+        name, B, n = self.name, self.B, self._n_items
+        for e in batch:
+            if type(e) is tuple and e[2] == name and e[0] == "read":
+                stop = e[3] + len(e[4])
+                if not (0 <= e[3] < stop and (stop - 1) * B < n):
+                    raise self._outside(e[3], stop)
+        views = [self.load_items(lo, hi) for lo, hi in spans]
         self.charge_blocks(batch)
-        return result
+        return views
 
     def _batched(self) -> bool:
         """Whether this file's block I/Os may be charged in batches: no
@@ -263,7 +253,7 @@ class BlockFile:
 
     def load_items(self, start: int, stop: int) -> np.ndarray:
         """Charge-free payload of items ``[start, stop)``; *not* for
-        algorithms, bar a merge that charges every block it covers."""
+        algorithms, bar a plan that charges every block it covers."""
         if not 0 <= start <= stop <= self._n_items:
             raise IndexError(f"items [{start}, {stop}) outside the {self._n_items}-item file")
         if start == stop:
@@ -285,7 +275,8 @@ class BlockWriter:
     Pins one block (B items) of memory in ``mem`` while open.  Use as a
     context manager, or call :meth:`close` explicitly to flush the final
     partial block and release the buffer.  A ``with`` body that raised
-    writes nothing more: its exit calls :meth:`abandon`.
+    writes nothing more: its exit calls :meth:`abandon`, as every owner
+    does after a raise, so a faulted write need not restore its staging.
     """
 
     def __init__(self, file: BlockFile, mem: MemoryManager) -> None:
@@ -333,17 +324,7 @@ class BlockWriter:
         if fill:  # top up the staged partial block first
             self._buf[fill:] = arr[:pos]
             span.insert(0, self._buf)
-        before = file.n_items
-        try:
-            store(span)
-        except BaseException:
-            # A faulted block stays staged, so an explicit close() retries
-            # the flush.
-            lo = pos + file.n_items - before - (B if fill else 0)
-            if lo >= pos:
-                self._buf[:] = arr[lo : lo + B]
-            self._fill = B
-            raise
+        store(span)  # a raise leaves the writer to be abandoned
         self._fill = n - end
         if end < n:
             self._buf[: n - end] = arr[end:]

@@ -26,9 +26,9 @@ def counting_plans() -> Iterator[dict[str, int]]:
     counts = dict.fromkeys(PLANS, 0)
     read_planned, merge_planned = BlockFile.read_planned, multiway._merge_planned
 
-    def read_spy(self, plan):
+    def read_spy(self, batch, *spans):
         counts[sys._getframe(1).f_code.co_name] += 1
-        return read_planned(self, plan)
+        return read_planned(self, batch, *spans)
 
     def merge_spy(*args):
         total = merge_planned(*args)

@@ -286,7 +286,7 @@ BAD_302_PLANNED = """
 def _sort_impl(cluster, inputs, config):
     with cluster.step("1:local-sort"):
         for node, f in zip(cluster.nodes, inputs):
-            f.read_planned(lambda charge: charge(f.reads(0, f.n_blocks)))
+            f.read_planned([f.reads(0, f.n_blocks)], (0, f.n_items))
 """
 
 BAD_303 = BAD_301  # two polyphase sorts = 4 sweeps, over the paper's 3

@@ -185,7 +185,8 @@ def test_indexes_outside_the_file_raise_before_any_charge(store):
             lambda: f.block_items(-1), lambda: f.block_items(2),
             lambda: f.inspect_block(-1), lambda: f.inspect_block(2),
             lambda: f.reads(-1, 1), lambda: f.reads(0, 3),
-            lambda: f.read_planned(lambda charge: charge(("read", 4, f.name, 1, [4, 4]))),
+            lambda: f.read_planned([("read", 4, f.name, 1, [4, 4])], (0, 4)),
+            lambda: f.read_planned([f.reads(0, 1)], (4, 9)),
         ]
         for call in calls:
             with pytest.raises(IndexError):

@@ -302,18 +302,18 @@ class TestOneBatch:
         assert len(calls) == 1 and f.n_blocks == 32
 
 
-def test_a_fault_at_the_third_block_of_a_five_block_write_stays_staged():
+def test_a_fault_at_the_third_block_of_a_five_block_write_leaves_two_stored():
     """Under a fault hook the write goes block by block: the 3rd block's
-    fault leaves 2 stored and the 3rd staged, and ``close`` retries it."""
+    fault leaves 2 stored and charged, and the ``with`` exit abandons the
+    writer, flushing nothing and releasing its block."""
     cluster, node = _node(16 * B)
     f = node.disk.new_file(B, np.uint32)
     install_disk_faults(node.disk, [DiskFault(after_ios=2, count=1)])
-    w = BlockWriter(f, node.mem)
     with pytest.raises(DiskFaultError):
-        w.write(np.arange(5 * B, dtype=np.uint32))
-    assert f.n_blocks == 2 and w.staged == B
-    w.close()
-    np.testing.assert_array_equal(f.to_array(), np.arange(3 * B))
+        with BlockWriter(f, node.mem) as w:
+            w.write(np.arange(5 * B, dtype=np.uint32))
+    np.testing.assert_array_equal(f.to_array(), np.arange(2 * B))
+    assert node.disk.stats.blocks_written == 2 and node.mem.in_use == 0
 
 
 def test_a_hooked_disk_charges_a_faulting_multi_block_batch_not_at_all():

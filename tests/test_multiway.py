@@ -525,6 +525,27 @@ def test_property_planned_merge_equals_loop(kernel, case, extra, earlier, chunk)
     assert got == want
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_planned_deep_refills_end_short_on_the_files_partial_last_block(kernel):
+    """Depth-3 refills (B = 4) of two runs on one tape: the first run's
+    last unit is clamped at its end after 2 blocks, the second's after 1
+    block, the tape's partial last one (3 items).  The plan must read and
+    charge those units as the loop does, not as whole depth-3 units."""
+    runs = [list(range(0, 40, 2)), list(range(1, 31, 2))]  # 20 items, then 15
+    totals = []
+    merge_planned = multiway._merge_planned
+
+    def recording(*args):
+        totals.append(merge_planned(*args))
+        return totals[-1]
+
+    with mock.patch.object(multiway, "_merge_planned", recording):
+        got = _merge_replayed(True, kernel, np.uint32, 4, 0, runs, 16, 0)
+    want = _merge_replayed(False, kernel, np.uint32, 4, 0, runs, 16, 0)
+    assert totals == [35] and got == want
+    assert (want["stats"].blocks_read, want["stats"].items_read) == (9, 35)
+
+
 class TestMergeSelection:
     """Which path ``merge_cursors`` takes: the plan for a large merge
     nobody watches op by op, the round loop for each reason not to."""

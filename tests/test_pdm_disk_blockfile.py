@@ -183,28 +183,32 @@ class TestBlockWriter:
         assert mem.in_use == 0
 
     @pytest.mark.parametrize("staged", [0, 3])
-    def test_faulted_block_stays_staged_for_close(self, disk, staged):
-        # Block writes are atomic, and a block whose write faulted is
-        # still the writer's to flush: close() retries exactly that block,
-        # whether it went through the staging buffer or straight from the
-        # caller's array.
+    def test_faulted_write_in_with_leaves_file_and_counters(self, disk, staged):
+        # Block writes are atomic, and every owner abandons a writer whose
+        # write raised: inside ``with``, a fault at the 2nd block leaves the
+        # file and the disk counters as the fault found them (the 1st block
+        # stored, whether it went through the staging buffer or straight
+        # from the caller's array), flushes nothing and releases the buffer.
         f = BlockFile(disk, B=4)
-        w = BlockWriter(f, MemoryManager(None))
-        w.write(np.arange(staged))
-        calls = []
+        mem = MemoryManager(capacity=8)
+        at_fault = []
 
         def hook(d, op, n_items, itemsize):
-            calls.append(op)
-            if len(calls) == 2:
+            if d.stats.blocks_written == 1:
+                at_fault.append((f.to_array(), d.stats.snapshot()))
                 raise OSError("injected")
 
-        disk.fault_hook = hook
         with pytest.raises(OSError, match="injected"):
-            w.write(np.arange(staged, 14))
-        assert f.n_blocks == 1 and w.items_written == staged
-        w.close()
-        np.testing.assert_array_equal(f.to_array(), np.arange(8))
-        assert disk.stats.blocks_written == 2
+            with BlockWriter(f, mem) as w:
+                w.write(np.arange(staged))
+                disk.fault_hook = hook
+                w.write(np.arange(staged, 14))
+        disk.fault_hook = None
+        (items, stats), = at_fault
+        np.testing.assert_array_equal(items, np.arange(4))
+        np.testing.assert_array_equal(f.to_array(), items)
+        assert disk.stats == stats and stats.blocks_written == 1
+        assert mem.in_use == 0 and w.staged == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
     def test_roundtrip_any_items(self, items):

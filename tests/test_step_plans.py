@@ -66,12 +66,12 @@ def _files(draw):
     return dtype, B, items
 
 
-def _observe(plan: bool, kernel: str, B: int, items: np.ndarray, p: int, memory, held, body):
+def _observe(plan: bool, kernel: str, B: int, items: np.ndarray, p: int, memory, held, body, level="io"):
     """Run ``body(cluster, file)`` on a fresh ``p``-node cluster at capture
-    ``io``, node 0 holding ``items`` in a ``B``-item-block file and
+    ``level``, node 0 holding ``items`` in a ``B``-item-block file and
     ``held`` items pinned elsewhere; planned or looped; what it did."""
     cluster = Cluster(heterogeneous_cluster([2.0, 1.0][:p], memory_items=memory), kernel=kernel)
-    cluster.bus.set_level("io")
+    cluster.bus.set_level(level)
     node = cluster.nodes[0]
     f = node.disk.new_file(B, items.dtype)
     with cluster.step("load"):
@@ -198,6 +198,35 @@ def test_property_planned_partition_copy_equals_loop(kernel, case, data):
             items[lo:hi].tobytes() for lo, hi in zip(cuts, cuts[1:])
         ]
         assert got["planned"] == 1
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("level", ["io", "full"])
+@pytest.mark.parametrize(
+    "cuts",
+    [
+        [0, 8, 12, 28, 30],  # every cut on a block boundary (B = 4)
+        [0, 0, 5, 5, 9, 30, 30],  # empty sublists: first, mid-block and last
+        [0, 30],  # one sublist: the whole file
+    ],
+)
+def test_planned_partition_copy_at_special_cuts(kernel, level, cuts):
+    """The copy's plan against its loop where a sublist starts on a block
+    boundary (each read then completes an output block), is empty (it
+    reads nothing, even mid-block) or is the whole file, which ends in a
+    partial block; at ``full`` with the loop's reservation rows."""
+    items = np.arange(30, dtype=np.uint32)
+
+    def copy(cluster, f):
+        node = cluster.nodes[0]
+        out = partition.materialize_partitions(f, cuts, node.disk, node.mem)
+        return [(g.name, g.n_blocks, g.to_array().tobytes()) for g in out]
+
+    got = _observe(True, kernel, 4, items, 1, 64 * 4, 0, copy, level)
+    want = _observe(False, kernel, 4, items, 1, 64 * 4, 0, copy, level)
+    _same(got, want)
+    assert got["planned"] == 1
+    assert [r[2] for r in got["result"]] == [items[lo:hi].tobytes() for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
