@@ -148,7 +148,7 @@ def partition_offsets(
 
             _joint_lower_bounds(B, np.asarray(piv), probe, out, 0, len(piv), 0, nb - 1)
             sorted_file.read_planned(batch)
-            mem.apply_planned(use + first, len(batch) // 3 if pinned else len(batch), 0)
+            mem.apply_planned(use + first, len(batch) // 3 if pinned else len(batch), 0)  # entries per probe: 3 or 1
         else:
 
             def read(b: int) -> np.ndarray:
@@ -227,7 +227,7 @@ def _copy_planned(
         if not 0 <= lo <= hi <= n:
             return False
         first, stop = lo // B, -(-hi // B) if hi > lo else lo // B
-        reads += stop - first  # the parts they pin: whole blocks, but maybe the first and the last
+        reads += stop - first
         top = max(top, min((first + 1) * B, hi) - lo, hi - max((stop - 1) * B, lo), B if stop - first > 2 else 0)
         if pinned:  # the writer's block
             batch.append([B, use + B, who])
